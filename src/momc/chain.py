@@ -9,10 +9,19 @@ For unstructured operands this is the familiar m*k*n; triangular and diagonal
 operands pay only for their stored region. Each DP cell also carries the
 inferred type of its subchain product, so structure propagates into later
 cost decisions. All costs are exact integers.
+
+The stored pattern of each cell's type is looked up once, when the cell is
+filled, and kept beside the type. The O(k^3) split scan then only does
+integer arithmetic in `pattern_cost`, the one closed form of the cost model
+(`mul_cost` is a thin wrapper over it). Tree walks (`tree_type`,
+`tree_cost`, rebuilding the chosen tree) are iterative post-order passes
+that visit each node once, so chain length is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterator, Union
 
@@ -26,6 +35,9 @@ from .properties import (
 
 # (rows, cols, props) of an operand or of a subchain product.
 OperandType = tuple[int, int, PropertySet]
+
+_FULL = StoredPattern.FULL
+_DIAG = StoredPattern.DIAG_ONLY
 
 
 @dataclass(frozen=True)
@@ -54,46 +66,49 @@ class ChainNode:
 ChainTree = Union[ChainLeaf, ChainNode]
 
 
-def mul_cost(a: OperandType, b: OperandType) -> int:
-    """Scalar multiplications for one product, in closed form.
+def pattern_cost(m: int, k: int, n: int,
+                 pa: StoredPattern, pb: StoredPattern) -> int:
+    """Scalar multiplications of an (m x k) by (k x n) product, in closed form.
 
     Structured patterns only occur on square operands (enforced by the type
     system), so the triangular/diagonal cases reduce to formulas in the shared
-    inner dimension K.
+    inner dimension k.
     """
+    if pa is _FULL:
+        if pb is _FULL:
+            return m * k * n
+        if pb is _DIAG:
+            return m * k
+        return m * k * (k + 1) // 2  # triangular right
+    if pa is _DIAG:
+        if pb is _FULL:
+            return k * n
+        if pb is _DIAG:
+            return k
+        return k * (k + 1) // 2  # triangular right
+    # triangular left
+    if pb is _FULL:
+        return k * (k + 1) // 2 * n
+    if pb is _DIAG:
+        return k * (k + 1) // 2
+    if pa is pb:
+        return k * (k + 1) * (k + 2) // 6
+    return k * k + k * (k - 1) * (2 * k - 1) // 6
+
+
+def mul_cost(a: OperandType, b: OperandType) -> int:
+    """Scalar multiplications for one product of two typed operands."""
     m, ka, pa = a
     kb, n, pb = b
     if ka != kb:
         raise DimMismatch(f"inner dims disagree, {ka} vs {kb}")
-    k = ka
     sa = stored_pattern(pa)
     sb = stored_pattern(pb)
-    tri = (StoredPattern.LOWER_INCL, StoredPattern.UPPER_INCL)
-    if sa is not StoredPattern.FULL and m != k:
+    if sa is not _FULL and m != ka:
         raise DimMismatch("structured left operand must be square")
-    if sb is not StoredPattern.FULL and n != k:
+    if sb is not _FULL and n != ka:
         raise DimMismatch("structured right operand must be square")
-
-    if sa is StoredPattern.FULL:
-        if sb is StoredPattern.FULL:
-            return m * k * n
-        if sb in tri:
-            return m * k * (k + 1) // 2
-        return m * k  # diagonal right
-    if sa in tri:
-        if sb is StoredPattern.FULL:
-            return k * (k + 1) // 2 * n
-        if sb in tri:
-            if sa is sb:
-                return k * (k + 1) * (k + 2) // 6
-            return k * k + k * (k - 1) * (2 * k - 1) // 6
-        return k * (k + 1) // 2  # diagonal right
-    # diagonal left
-    if sb is StoredPattern.FULL:
-        return k * n
-    if sb in tri:
-        return k * (k + 1) // 2
-    return k  # diagonal * diagonal
+    return pattern_cost(m, ka, n, sa, sb)
 
 
 def cost_oracle(a: OperandType, b: OperandType) -> int:
@@ -122,20 +137,44 @@ def product_type(a: OperandType, b: OperandType) -> OperandType:
     return (a[0], b[1], infer_mul(a[2], (a[0], a[1]), b[2], (b[0], b[1])))
 
 
+def _leaf_pattern(op: ChainOperand) -> StoredPattern:
+    p = stored_pattern(op.props)
+    if p is not _FULL and op.rows != op.cols:
+        raise DimMismatch(
+            f"structured operand must be square, got {op.rows}x{op.cols}")
+    return p
+
+
+def _evaluate(tree: ChainTree, chain: list[ChainOperand] | tuple[ChainOperand, ...]
+              ) -> tuple[OperandType, int]:
+    """Type and cost of a tree in one iterative post-order pass; each node's
+    type, pattern and product cost are computed once."""
+    stack: list[tuple[ChainTree, bool]] = [(tree, False)]
+    done: list[tuple[OperandType, StoredPattern, int]] = []
+    while stack:
+        node, children_done = stack.pop()
+        if isinstance(node, ChainLeaf):
+            op = chain[node.index]
+            done.append((op.type, _leaf_pattern(op), 0))
+        elif children_done:
+            rt, rp, rc = done.pop()
+            lt, lp, lc = done.pop()
+            t = product_type(lt, rt)
+            done.append((t, stored_pattern(t[2]),
+                         lc + rc + pattern_cost(lt[0], lt[1], rt[1], lp, rp)))
+        else:
+            stack += ((node, True), (node.right, False), (node.left, False))
+    t, _, cost = done[0]
+    return t, cost
+
+
 def tree_type(tree: ChainTree, chain: list[ChainOperand] | tuple[ChainOperand, ...]) -> OperandType:
-    if isinstance(tree, ChainLeaf):
-        return chain[tree.index].type
-    return product_type(tree_type(tree.left, chain), tree_type(tree.right, chain))
+    return _evaluate(tree, chain)[0]
 
 
 def tree_cost(tree: ChainTree, chain: list[ChainOperand] | tuple[ChainOperand, ...]) -> int:
     """Recompute the scalar-multiplication cost of a parenthesization tree."""
-    if isinstance(tree, ChainLeaf):
-        return 0
-    lt = tree_type(tree.left, chain)
-    rt = tree_type(tree.right, chain)
-    return tree_cost(tree.left, chain) + tree_cost(tree.right, chain) \
-        + mul_cost(lt, rt)
+    return _evaluate(tree, chain)[1]
 
 
 def tree_string(tree: ChainTree, names: list[str] | tuple[str, ...]) -> str:
@@ -182,37 +221,53 @@ def optimal_parenthesization(
     """
     _check_chain(chain)
     k = len(chain)
+    dims = [op.rows for op in chain] + [chain[-1].cols]
     cost: list[list[int | None]] = [[None] * k for _ in range(k)]
     split: list[list[int | None]] = [[None] * k for _ in range(k)]
     types: list[list[OperandType | None]] = [[None] * k for _ in range(k)]
-    for i in range(k):
+    pattern: list[list[StoredPattern | None]] = [[None] * k for _ in range(k)]
+    for i, op in enumerate(chain):
         cost[i][i] = 0
-        types[i][i] = chain[i].type
+        types[i][i] = op.type
+        pattern[i][i] = _leaf_pattern(op)
     for length in range(2, k + 1):
         for i in range(0, k - length + 1):
             j = i + length - 1
-            types[i][j] = product_type(types[i][j - 1], types[j][j])  # type: ignore[arg-type]
-            best: int | None = None
-            best_s = i
+            t = product_type(types[i][j - 1], types[j][j])  # type: ignore[arg-type]
+            types[i][j] = t
+            pattern[i][j] = stored_pattern(t[2])
+            m, n = dims[i], dims[j + 1]
+            cost_i, pattern_i = cost[i], pattern[i]
+            best, best_s = math.inf, i
             for s in range(i, j):
-                q = cost[i][s] + cost[s + 1][j] \
-                    + mul_cost(types[i][s], types[s + 1][j])  # type: ignore[arg-type]
-                if best is None or q < best:
+                q = cost_i[s] + cost[s + 1][j] + pattern_cost(  # type: ignore[operator]
+                    m, dims[s + 1], n, pattern_i[s], pattern[s + 1][j])  # type: ignore[arg-type]
+                if q < best:
                     best, best_s = q, s
-            cost[i][j] = best
+            cost[i][j] = best  # type: ignore[assignment]  # j > i: a split was taken
             split[i][j] = best_s
 
-    def build(i: int, j: int) -> ChainTree:
-        if i == j:
-            return ChainLeaf(i)
-        s = split[i][j]
-        assert s is not None
-        return ChainNode(build(i, s), build(s + 1, j))
-
-    tree = build(0, k - 1)
     total = cost[0][k - 1]
     assert total is not None
-    return ChainSolution(cost, split, types, tree, total)
+    return ChainSolution(cost, split, types, _build(split, k), total)
+
+
+def _build(split: list[list[int | None]], k: int) -> ChainTree:
+    """The tree a split table chooses for the whole chain, built iteratively."""
+    stack: list[tuple[int, int, bool]] = [(0, k - 1, False)]
+    done: list[ChainTree] = []
+    while stack:
+        i, j, children_done = stack.pop()
+        if i == j:
+            done.append(ChainLeaf(i))
+        elif children_done:
+            right = done.pop()
+            done.append(ChainNode(done.pop(), right))
+        else:
+            s = split[i][j]
+            assert s is not None
+            stack += ((i, j, True), (s + 1, j, False), (i, s, False))
+    return done[0]
 
 
 def _all_trees(i: int, j: int) -> Iterator[ChainTree]:

@@ -12,7 +12,7 @@ Operand order inside a multiplication is never changed, only the grouping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 from . import ir
 from .chain import (
@@ -65,13 +65,19 @@ def _flatten(kind: type, children: tuple[SymExpr, ...]) -> tuple[SymExpr, ...]:
     return tuple(out)
 
 
-def symbolize(eq: ir.Equation, module: ir.IRModule) -> SymExpr:
+def symbolize(eq: ir.Equation, module: ir.IRModule,
+              leaf_type: Callable[[ir.ValueId], ir.ValueType] | None = None
+              ) -> SymExpr:
     """Build the symbolic tree rooted at the yield operand of an equation.
 
-    Values not defined in the region are leaves carrying their module type.
-    Nested multiplications (and additions) of the same kind flatten into one
-    variadic node.
+    Values not defined in the region are leaves carrying `leaf_type(v)`, by
+    default their module type. The optimizer passes the concrete type of the
+    already rematerialized value instead, since the module types an earlier
+    equation's result only as a placeholder term. Nested multiplications
+    (and additions) of the same kind flatten into one variadic node.
     """
+    if leaf_type is None:
+        leaf_type = module.types.__getitem__
     defs: dict[ir.ValueId, ir.IROp] = {}
     for op in eq.region:
         result = ir.op_result(op)
@@ -81,7 +87,7 @@ def symbolize(eq: ir.Equation, module: ir.IRModule) -> SymExpr:
     def walk(v: ir.ValueId) -> SymExpr:
         op = defs.get(v)
         if op is None:
-            return Leaf(v, module.types[v])
+            return Leaf(v, leaf_type(v))
         if isinstance(op, ir.Mul):
             return MulN(_flatten(MulN, tuple(walk(o) for o in op.operands)))
         if isinstance(op, ir.Add):
@@ -232,6 +238,9 @@ def optimize_and_rematerialize(module: ir.IRModule,
     chains: list[ChainReport] = []
     eq_count = 0
 
+    def rematerialized_type(v: ir.ValueId) -> ir.ValueType:
+        return b.types[vmap[v]]
+
     def emit(e: SymExpr) -> ir.ValueId:
         if isinstance(e, Leaf):
             return vmap[e.value]
@@ -303,7 +312,7 @@ def optimize_and_rematerialize(module: ir.IRModule,
         elif isinstance(op, ir.Print):
             b.append(ir.Print(vmap[op.operand]))
         elif isinstance(op, ir.Equation):
-            e = symbolize(op, module)
+            e = symbolize(op, module, rematerialized_type)
             if options.simplify_identities:
                 e = simplify_identities(e)
             e = resolve_types(e)

@@ -5,6 +5,13 @@ A property set is always kept closed under two rules:
   C1: lowerTri and upperTri together imply diag
   C2: diag implies lowerTri, upperTri and symm
 
+Only 7 of the 16 subsets of `Property` are closed, so the lattice is a finite
+table built once at import: `PropertySet.closure` returns one canonical
+instance per closed set, and `stored_pattern`, `generators`/`render` and
+`infer_mul`/`infer_add`/`infer_transpose` are lookups keyed by a set's
+members. The closure fixpoint, the generator search and the inference rules
+below run only while that table is built.
+
 Inference is deliberately conservative: a rule may return fewer properties
 than are mathematically derivable, never more. Soundness is what the cost
 model and the fill semantics depend on, and it is what the brute-force tests
@@ -73,8 +80,9 @@ def _close(props: Iterable[Property]) -> frozenset[Property]:
 class PropertySet:
     """A set of properties stored closed under C1/C2.
 
-    Construct through :meth:`closure`; direct construction rejects a
-    non-closed member set so the invariant cannot be bypassed silently.
+    Construct through :meth:`closure`, which returns the canonical instance
+    of the closed set; direct construction rejects a non-closed member set
+    so the invariant cannot be bypassed silently.
     """
 
     members: frozenset[Property]
@@ -85,7 +93,7 @@ class PropertySet:
 
     @staticmethod
     def closure(props: Iterable[Property]) -> "PropertySet":
-        return PropertySet(_close(props))
+        return _CLOSURE[frozenset(props)]
 
     def __contains__(self, p: Property) -> bool:
         return p in self.members
@@ -102,23 +110,14 @@ class PropertySet:
         Ties broken by preferring earlier properties, so the diagonal closure
         prints as just `diag`.
         """
-        ordered = tuple(self)
-        for size in range(len(ordered) + 1):
-            for combo in combinations(ordered, size):
-                if _close(combo) == self.members:
-                    return combo
-        raise AssertionError("unreachable: the set generates itself")
+        return _GENERATORS[self.members]
 
     def render(self) -> str:
         """Bracketed minimal-generator form used in IR dumps, e.g. `[lowerTri]`."""
-        return "[" + ",".join(str(p) for p in self.generators()) + "]"
+        return _RENDERED[self.members]
 
     def __str__(self) -> str:
         return self.render()
-
-
-EMPTY_PROPS = PropertySet.closure(())
-DIAGONAL_PROPS = PropertySet.closure((Property.DIAGONAL,))
 
 
 class StoredPattern(enum.Enum):
@@ -142,6 +141,72 @@ class StoredPattern(enum.Enum):
         return self.value
 
 
+# --------------------------------------------------------------------------
+# The rules, run only to build the lookup tables below
+# --------------------------------------------------------------------------
+
+Members = frozenset[Property]
+
+
+def _search_generators(s: PropertySet) -> tuple[Property, ...]:
+    ordered = tuple(s)
+    for size in range(len(ordered) + 1):
+        for combo in combinations(ordered, size):
+            if _close(combo) == s.members:
+                return combo
+    raise AssertionError("unreachable: the set generates itself")
+
+
+def _transpose_rule(s: Members) -> Members:
+    swap = {
+        Property.LOWER_TRIANGULAR: Property.UPPER_TRIANGULAR,
+        Property.UPPER_TRIANGULAR: Property.LOWER_TRIANGULAR,
+    }
+    return frozenset(swap.get(p, p) for p in s)
+
+
+def _square_mul_rule(a: Members, b: Members) -> Members:
+    return a & b & {Property.LOWER_TRIANGULAR, Property.UPPER_TRIANGULAR}
+
+
+def _pattern_rule(s: Members) -> StoredPattern:
+    if Property.DIAGONAL in s:
+        return StoredPattern.DIAG_ONLY
+    if Property.LOWER_TRIANGULAR in s:
+        return StoredPattern.LOWER_INCL
+    if Property.UPPER_TRIANGULAR in s:
+        return StoredPattern.UPPER_INCL
+    return StoredPattern.FULL
+
+
+def _closure_table() -> dict[Members, PropertySet]:
+    """Every subset of Property -> the one canonical instance of its closure."""
+    canonical: dict[Members, PropertySet] = {}
+    table: dict[Members, PropertySet] = {}
+    for size in range(len(Property) + 1):
+        for subset in combinations(Property, size):
+            closed = _close(subset)
+            if closed not in canonical:
+                canonical[closed] = PropertySet(closed)
+            table[frozenset(subset)] = canonical[closed]
+    return table
+
+
+_CLOSURE = _closure_table()
+_CANONICAL = {c.members: c for c in _CLOSURE.values()}  # the 7 closed sets
+_GENERATORS = {m: _search_generators(c) for m, c in _CANONICAL.items()}
+_RENDERED = {m: "[" + ",".join(str(p) for p in g) + "]"
+             for m, g in _GENERATORS.items()}
+_PATTERN = {m: _pattern_rule(m) for m in _CANONICAL}
+_TRANSPOSE = {m: _CLOSURE[_transpose_rule(m)] for m in _CANONICAL}
+_SQUARE_MUL = {(a, b): _CLOSURE[_square_mul_rule(a, b)]
+               for a in _CANONICAL for b in _CANONICAL}
+_ADD = {(a, b): _CLOSURE[a & b] for a in _CANONICAL for b in _CANONICAL}
+
+EMPTY_PROPS = PropertySet.closure(())
+DIAGONAL_PROPS = PropertySet.closure((Property.DIAGONAL,))
+
+
 def canonicalize(declared: Iterable[str], rows: int, cols: int) -> PropertySet:
     """Map declared property names to the closed canonical set.
 
@@ -161,39 +226,23 @@ def canonicalize(declared: Iterable[str], rows: int, cols: int) -> PropertySet:
 
 def infer_transpose(s: PropertySet) -> PropertySet:
     """Swap lower and upper triangularity; diagonal and symmetric are kept."""
-    swap = {
-        Property.LOWER_TRIANGULAR: Property.UPPER_TRIANGULAR,
-        Property.UPPER_TRIANGULAR: Property.LOWER_TRIANGULAR,
-    }
-    return PropertySet.closure(swap.get(p, p) for p in s)
+    return _TRANSPOSE[s.members]
 
 
 def infer_mul(a: PropertySet, dims_a: tuple[int, int],
               b: PropertySet, dims_b: tuple[int, int]) -> PropertySet:
     """Properties of a product: triangularity survives only when shared by two
     square operands; diagonal and symmetric arise only through closure."""
-    out: set[Property] = set()
-    ra, ca = dims_a
-    rb, cb = dims_b
-    if ra == ca and rb == cb:
-        if Property.LOWER_TRIANGULAR in a and Property.LOWER_TRIANGULAR in b:
-            out.add(Property.LOWER_TRIANGULAR)
-        if Property.UPPER_TRIANGULAR in a and Property.UPPER_TRIANGULAR in b:
-            out.add(Property.UPPER_TRIANGULAR)
-    return PropertySet.closure(out)
+    if dims_a[0] == dims_a[1] and dims_b[0] == dims_b[1]:
+        return _SQUARE_MUL[a.members, b.members]
+    return EMPTY_PROPS
 
 
 def infer_add(a: PropertySet, b: PropertySet) -> PropertySet:
     """Properties of a sum: the intersection (closed for this universe)."""
-    return PropertySet.closure(a.members & b.members)
+    return _ADD[a.members, b.members]
 
 
 def stored_pattern(s: PropertySet) -> StoredPattern:
     """Structural-nonzero region of a property set; symmetry alone stores full."""
-    if Property.DIAGONAL in s:
-        return StoredPattern.DIAG_ONLY
-    if Property.LOWER_TRIANGULAR in s:
-        return StoredPattern.LOWER_INCL
-    if Property.UPPER_TRIANGULAR in s:
-        return StoredPattern.UPPER_INCL
-    return StoredPattern.FULL
+    return _PATTERN[s.members]

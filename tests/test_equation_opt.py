@@ -2,12 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from momc import equation_opt as eo
 from momc import ir
 from momc.equation_opt import Leaf, MulN
 from momc.errors import ResolutionError
+from momc.executor import ExecMode
 from momc.properties import ElemKind, EMPTY_PROPS, Property, PropertySet
 
 from gen import default_seed, random_program
@@ -215,3 +217,25 @@ def test_semantic_preservation_on_random_programs():
         with_opt = run_text(text, opt=True)
         without = run_text(text, opt=False)
         assert with_opt.printed == without.printed
+
+
+def _printed_array(printed: str) -> np.ndarray:
+    return np.array([[float(x) for x in line.split()]
+                     for line in printed.splitlines()[1:]])
+
+
+@pytest.mark.parametrize("props,mode", [
+    ("LowerTriangular", ExecMode.DENSE),
+    ("LowerTriangular", ExecMode.SPECIALIZED),
+    ("", ExecMode.DENSE),
+])
+def test_reused_result_compiles_and_runs(props, mode):
+    text = (f"Matrix A(3, 3) <{props}> = 2\n"
+            "B = A * A\nC = B * A\nprint(B)\nprint(C)\n")
+    a = np.full((3, 3), 2.0)
+    if props:
+        a = np.tril(a)
+    report = run_text(text, mode)
+    assert len(report.printed) == 2
+    np.testing.assert_array_equal(_printed_array(report.printed[0]), a @ a)
+    np.testing.assert_array_equal(_printed_array(report.printed[1]), a @ a @ a)
