@@ -10,8 +10,6 @@ IR executed by instrumented dense or pattern-specialized kernels.
 from .chain import (
     ChainOperand,
     ChainSolution,
-    cost_oracle,
-    enumerate_parenthesizations,
     mul_cost,
     optimal_parenthesization,
 )
@@ -54,8 +52,6 @@ __all__ = [
     "StoredPattern",
     "build_ir",
     "canonicalize",
-    "cost_oracle",
-    "enumerate_parenthesizations",
     "execute",
     "infer_add",
     "infer_mul",

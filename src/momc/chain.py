@@ -13,19 +13,20 @@ cost decisions. All costs are exact integers.
 The stored pattern of each cell's type is looked up once, when the cell is
 filled, and kept beside the type. The O(k^3) split scan then only does
 integer arithmetic in `pattern_cost`, the one closed form of the cost model
-(`mul_cost` is a thin wrapper over it). Tree walks (`tree_type`,
-`tree_cost`, rebuilding the chosen tree) are iterative post-order passes
-that visit each node once, so chain length is not bounded by Python's
-recursion limit.
+(`mul_cost` is a thin wrapper over it). Every walk over a tree (`tree_type`,
+`tree_cost`, `tree_string`, the optimizer's emission of products) is a loop
+over the iterative `postorder`, which yields each node with the span i..j of
+operands under it, the DP cell holding that node's type; so chain length is
+not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator, Union
+from typing import Iterator, Union
 
-from .errors import ChainTooLong, DimMismatch
+from .errors import DimMismatch
 from .properties import (
     PropertySet,
     StoredPattern,
@@ -45,7 +46,6 @@ class ChainOperand:
     rows: int
     cols: int
     props: PropertySet
-    payload: Any = None  # opaque leaf handle for the caller
 
     @property
     def type(self) -> OperandType:
@@ -111,26 +111,6 @@ def mul_cost(a: OperandType, b: OperandType) -> int:
     return pattern_cost(m, ka, n, sa, sb)
 
 
-def cost_oracle(a: OperandType, b: OperandType) -> int:
-    """Count the stored multiplication triples directly (dims at most 64)."""
-    m, ka, pa = a
-    kb, n, pb = b
-    if ka != kb:
-        raise DimMismatch(f"inner dims disagree, {ka} vs {kb}")
-    if max(m, ka, n) > 64:
-        raise ValueError("cost_oracle is for dims <= 64")
-    sa = stored_pattern(pa)
-    sb = stored_pattern(pb)
-    count = 0
-    for i in range(m):
-        for k in range(ka):
-            if sa.contains(i, k):
-                for j in range(n):
-                    if sb.contains(k, j):
-                        count += 1
-    return count
-
-
 def product_type(a: OperandType, b: OperandType) -> OperandType:
     if a[1] != b[0]:
         raise DimMismatch(f"inner dims disagree, {a[1]} vs {b[0]}")
@@ -145,25 +125,39 @@ def _leaf_pattern(op: ChainOperand) -> StoredPattern:
     return p
 
 
-def _evaluate(tree: ChainTree, chain: list[ChainOperand] | tuple[ChainOperand, ...]
-              ) -> tuple[OperandType, int]:
-    """Type and cost of a tree in one iterative post-order pass; each node's
-    type, pattern and product cost are computed once."""
+def postorder(tree: ChainTree) -> Iterator[tuple[ChainTree, int, int]]:
+    """Every node with the span i..j of operand indices under it, children
+    before parents and left before right. A node's left child spans i..s and
+    its right child s+1..j, like the DP's (i, split, j) cells."""
     stack: list[tuple[ChainTree, bool]] = [(tree, False)]
-    done: list[tuple[OperandType, StoredPattern, int]] = []
+    spans: list[tuple[int, int]] = []
     while stack:
         node, children_done = stack.pop()
         if isinstance(node, ChainLeaf):
-            op = chain[node.index]
-            done.append((op.type, _leaf_pattern(op), 0))
+            spans.append((node.index, node.index))
         elif children_done:
+            j = spans.pop()[1]
+            spans[-1] = (spans[-1][0], j)
+        else:
+            stack += ((node, True), (node.right, False), (node.left, False))
+            continue
+        yield node, *spans[-1]
+
+
+def _evaluate(tree: ChainTree, chain: list[ChainOperand] | tuple[ChainOperand, ...]
+              ) -> tuple[OperandType, int]:
+    """Type and cost of a tree in one post-order pass; each node's type,
+    pattern and product cost are computed once."""
+    done: list[tuple[OperandType, StoredPattern, int]] = []
+    for node, i, _ in postorder(tree):
+        if isinstance(node, ChainLeaf):
+            done.append((chain[i].type, _leaf_pattern(chain[i]), 0))
+        else:
             rt, rp, rc = done.pop()
             lt, lp, lc = done.pop()
             t = product_type(lt, rt)
             done.append((t, stored_pattern(t[2]),
                          lc + rc + pattern_cost(lt[0], lt[1], rt[1], lp, rp)))
-        else:
-            stack += ((node, True), (node.right, False), (node.left, False))
     t, _, cost = done[0]
     return t, cost
 
@@ -179,9 +173,14 @@ def tree_cost(tree: ChainTree, chain: list[ChainOperand] | tuple[ChainOperand, .
 
 def tree_string(tree: ChainTree, names: list[str] | tuple[str, ...]) -> str:
     """Bracketed rendering, e.g. `(A1*(A2*(A3*A4)))`."""
-    if isinstance(tree, ChainLeaf):
-        return names[tree.index]
-    return f"({tree_string(tree.left, names)}*{tree_string(tree.right, names)})"
+    done: list[str] = []
+    for node, i, _ in postorder(tree):
+        if isinstance(node, ChainLeaf):
+            done.append(names[i])
+        else:
+            right = done.pop()
+            done[-1] = f"({done[-1]}*{right})"
+    return done[0]
 
 
 def left_fold_tree(length: int) -> ChainTree:
@@ -268,25 +267,3 @@ def _build(split: list[list[int | None]], k: int) -> ChainTree:
             assert s is not None
             stack += ((i, j, True), (s + 1, j, False), (i, s, False))
     return done[0]
-
-
-def _all_trees(i: int, j: int) -> Iterator[ChainTree]:
-    if i == j:
-        yield ChainLeaf(i)
-        return
-    for s in range(i, j):
-        for left in _all_trees(i, s):
-            for right in _all_trees(s + 1, j):
-                yield ChainNode(left, right)
-
-
-def enumerate_parenthesizations(
-        chain: list[ChainOperand] | tuple[ChainOperand, ...]
-) -> list[tuple[ChainTree, int]]:
-    """All binary trees with their exact costs; the DP correctness oracle."""
-    _check_chain(chain)
-    if len(chain) > 10:
-        raise ChainTooLong(f"{len(chain)} operands exceeds the enumeration "
-                           "limit of 10")
-    return [(tree, tree_cost(tree, chain))
-            for tree in _all_trees(0, len(chain) - 1)]

@@ -192,15 +192,15 @@ def main(argv: list[str] | None = None) -> int:
                     f.write(report.to_kv())
             return 0
 
+        options = OptOptions(simplify_identities=cfg.opt, reorder_chains=cfg.opt)
+        chosen = None
         if cfg.emit == "chain":
-            chains = equation_opt.optimize_and_rematerialize(
-                module, OptOptions()).chains
-            for rep in chains:
+            # The chain report shows the optimizing run, even under --no-opt.
+            chosen = equation_opt.optimize_and_rematerialize(module, OptOptions())
+            for rep in chosen.chains:
                 sys.stdout.write(render_chain_report(rep))
-
-        chosen = equation_opt.optimize_and_rematerialize(
-            module, OptOptions(simplify_identities=cfg.opt,
-                               reorder_chains=cfg.opt))
+        if chosen is None or not cfg.opt:
+            chosen = equation_opt.optimize_and_rematerialize(module, options)
         if cfg.emit == "ir-opt":
             sys.stdout.write(ir.print_ir(chosen.module))
         lm = loops.lower_to_loops(chosen.module)

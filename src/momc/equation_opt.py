@@ -2,11 +2,13 @@
 resolution, and rematerialization to binary low-level IR.
 
 Each equation region is walked from its yield into a flat variadic symbolic
-tree. Identity operands of multiplications are deleted, placeholder term
-types are replaced by concrete inferred types, and every variadic
-multiplication is re-emitted as the binary tree chosen by the chain solver
-(additions fold left; their cost does not depend on parenthesization).
-Operand order inside a multiplication is never changed, only the grouping.
+tree. Identity operands of multiplications are deleted in one bottom-up
+pass, placeholder term types are replaced by concrete inferred types, and
+every variadic multiplication is re-emitted as the binary tree chosen by the
+chain solver (additions fold left; their cost does not depend on
+parenthesization). Operand order inside a multiplication is never changed,
+only the grouping. Types are inferred once: an emitted product reads the
+type of the DP cell for the subchain it spans.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .chain import (
     ChainTree,
     left_fold_tree,
     optimal_parenthesization,
+    postorder,
     tree_cost,
 )
 from .errors import ResolutionError
@@ -105,11 +108,12 @@ def _is_identity_leaf(e: SymExpr) -> bool:
 
 
 def simplify_identities(e: SymExpr) -> SymExpr:
-    """Delete identity operands of multiplications, to a fixpoint.
+    """Delete identity operands of multiplications in one bottom-up pass.
 
     A multiplication of identities collapses to its first identity leaf; a
     transposed identity is the identity itself; a multiplication left with
-    one child collapses to that child.
+    one child collapses to that child. A collapsed child is flattened into
+    its parent, so one pass reaches the fixpoint.
     """
     def simp(e: SymExpr) -> SymExpr:
         if isinstance(e, Leaf):
@@ -127,12 +131,7 @@ def simplify_identities(e: SymExpr) -> SymExpr:
             return kept[0]
         return MulN(kept)
 
-    prev = e
-    while True:
-        cur = simp(prev)
-        if cur == prev:
-            return cur
-        prev = cur
+    return simp(e)
 
 
 def _dims(t: ir.ValueType) -> tuple[int, int]:
@@ -160,8 +159,8 @@ def resolve_types(e: SymExpr) -> SymExpr:
     if len(elems) > 1:
         raise ResolutionError("operands mix f32 and f64")
     elem = elems.pop()
+    dims = [_dims(t) for t in types]
     if isinstance(e, MulN):
-        dims = [_dims(t) for t in types]
         for a, b in zip(dims, dims[1:]):
             if a[1] != b[0]:
                 raise ResolutionError(f"inner dims disagree, {a[1]} vs {b[0]}")
@@ -171,7 +170,6 @@ def resolve_types(e: SymExpr) -> SymExpr:
             props = infer_mul(props, d, ir.value_props(t), nd)
             d = (d[0], nd[1])
         return MulN(children, ir.MatrixType(dims[0][0], dims[-1][1], elem, props))
-    dims = [_dims(t) for t in types]
     if any(d != dims[0] for d in dims):
         raise ResolutionError("addition operands must share dims")
     props = ir.value_props(types[0])
@@ -269,16 +267,12 @@ def optimize_and_rematerialize(module: ir.IRModule,
 
     def emit_chain(e: MulN) -> ir.ValueId:
         operands = tuple(
-            ChainOperand(*_dims(_type_of(c)), ir.value_props(_type_of(c)),
-                         payload=c)
+            ChainOperand(*_dims(_type_of(c)), ir.value_props(_type_of(c)))
             for c in e.children)
         solution = optimal_parenthesization(operands)
-        if options.reorder_chains:
-            tree = solution.tree
-        else:
-            tree = left_fold_tree(len(operands))
-        names = tuple(_leaf_name(c, module) for c in e.children)
         baseline = left_fold_tree(len(operands))
+        tree = solution.tree if options.reorder_chains else baseline
+        names = tuple(_leaf_name(c, module) for c in e.children)
         chains.append(ChainReport(
             label=f"equation {eq_count}",
             operand_names=names,
@@ -288,21 +282,19 @@ def optimize_and_rematerialize(module: ir.IRModule,
             baseline_cost=tree_cost(baseline, operands),
         ))
 
-        def emit_tree(t: ChainTree) -> tuple[ir.ValueId, ir.ValueType]:
-            if isinstance(t, ChainLeaf):
-                child = e.children[t.index]
-                return emit(child), _type_of(child)
-            lv, lt = emit_tree(t.left)
-            rv, rt = emit_tree(t.right)
-            ld, rd = _dims(lt), _dims(rt)
-            out_t = ir.MatrixType(ld[0], rd[1], ir.value_elem(lt),
-                                  infer_mul(ir.value_props(lt), ld,
-                                            ir.value_props(rt), rd))
-            v = b.new_value(out_t)
-            b.append(ir.Mul(v, (lv, rv)))
-            return v, out_t
-
-        return emit_tree(tree)[0]
+        # Each product's type is the DP cell of the subchain it spans.
+        elem = ir.value_elem(_type_of(e))
+        values: list[ir.ValueId] = []
+        for node, i, j in postorder(tree):
+            if isinstance(node, ChainLeaf):
+                values.append(emit(e.children[i]))
+                continue
+            rhs = values.pop()
+            rows, cols, props = solution.types[i][j]  # type: ignore[misc]
+            v = b.new_value(ir.MatrixType(rows, cols, elem, props))
+            b.append(ir.Mul(v, (values[-1], rhs)))
+            values[-1] = v
+        return values[0]
 
     for op in module.ops:
         if isinstance(op, ir.Init):

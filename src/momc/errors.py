@@ -104,10 +104,6 @@ class DimMismatch(CompileError):
     """Incompatible operand shapes, raised by kernels and the chain solver."""
 
 
-class ChainTooLong(CompileError):
-    """Exhaustive parenthesization requested for a chain longer than 10."""
-
-
 class UnresolvedTerm(CompileError):
     """Loop lowering reached a value whose type is still a placeholder term."""
 

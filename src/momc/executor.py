@@ -36,11 +36,6 @@ class DenseBuffer:
         self.elem = elem
         self.array = np.zeros((rows, cols), dtype=_DTYPES[elem])
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of length rows*cols."""
-        return self.array.reshape(-1)
-
 
 class ExecMode(enum.Enum):
     DENSE = "dense"
@@ -188,28 +183,25 @@ class Executor:
                     continue
                 if isinstance(op, loops.Fill):
                     run_fill(bufs[op.tensor], op.value, op.pattern)
-                elif isinstance(op, loops.MatMul):
-                    t0 = time.perf_counter_ns()
-                    n = run_matmul(bufs[op.a], bufs[op.b], bufs[op.out],
-                                   op.props_a, op.props_b, mode)
-                    dt = time.perf_counter_ns() - t0
-                    min_ns[idx] = min(dt, min_ns.get(idx, dt))
-                    if r == 0:
-                        report.mults[idx] = n
-                elif isinstance(op, loops.Transpose):
-                    t0 = time.perf_counter_ns()
-                    run_transpose(bufs[op.a], bufs[op.out])
-                    dt = time.perf_counter_ns() - t0
-                    min_ns[idx] = min(dt, min_ns.get(idx, dt))
-                elif isinstance(op, loops.Add):
-                    t0 = time.perf_counter_ns()
-                    run_add(bufs[op.a], bufs[op.b], bufs[op.out])
-                    dt = time.perf_counter_ns() - t0
-                    min_ns[idx] = min(dt, min_ns.get(idx, dt))
-                else:
-                    assert isinstance(op, loops.Print)
+                    continue
+                if isinstance(op, loops.Print):
                     if r == 0:
                         printed.append(format_print(bufs[op.tensor]))
+                    continue
+                # The compute ops, timed one by one.
+                t0 = time.perf_counter_ns()
+                if isinstance(op, loops.MatMul):
+                    n = run_matmul(bufs[op.a], bufs[op.b], bufs[op.out],
+                                   op.props_a, op.props_b, mode)
+                elif isinstance(op, loops.Transpose):
+                    run_transpose(bufs[op.a], bufs[op.out])
+                else:
+                    assert isinstance(op, loops.Add)
+                    run_add(bufs[op.a], bufs[op.b], bufs[op.out])
+                dt = time.perf_counter_ns() - t0
+                min_ns[idx] = min(dt, min_ns.get(idx, dt))
+                if r == 0 and isinstance(op, loops.MatMul):
+                    report.mults[idx] = n
         report.printed = tuple(printed)
         report.min_ns = min_ns
         report.total_mults = sum(report.mults.values())

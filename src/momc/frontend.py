@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import (
     AssignToIdentity,
@@ -266,19 +266,26 @@ class Ast:
         return {c.name: c.value for c in self.consts}
 
 
-def flat_mul(operands: Iterable[Expr], loc: Loc = _NOWHERE) -> Expr:
-    """Build a Mul, splicing in children that are themselves Mul nodes."""
+def flatten(cls: type[Mul] | type[Add], operands: Iterable[Expr],
+            loc: Loc = _NOWHERE) -> Expr:
+    """Build a `cls` node, splicing in operands that are `cls` nodes too;
+    a single operand is returned as it is."""
     ops: list[Expr] = []
     for o in operands:
-        ops.extend(o.operands) if isinstance(o, Mul) else ops.append(o)
-    return ops[0] if len(ops) == 1 else Mul(tuple(ops), loc)
+        ops.extend(o.operands) if isinstance(o, cls) else ops.append(o)
+    return ops[0] if len(ops) == 1 else cls(tuple(ops), loc)
 
 
-def flat_add(operands: Iterable[Expr], loc: Loc = _NOWHERE) -> Expr:
-    ops: list[Expr] = []
-    for o in operands:
-        ops.extend(o.operands) if isinstance(o, Add) else ops.append(o)
-    return ops[0] if len(ops) == 1 else Add(tuple(ops), loc)
+def walk_expr(e: Expr) -> Iterator[Expr]:
+    """Every node of an expression in pre-order, operands left to right."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, (Mul, Add)):
+            stack.extend(reversed(e.operands))
+        elif isinstance(e, Transpose):
+            stack.append(e.operand)
 
 
 # --------------------------------------------------------------------------
@@ -430,7 +437,7 @@ class _Parser:
         while self.peek().kind is TokenKind.PLUS:
             self.advance()
             operands.append(self.parse_mulexpr())
-        return flat_add(operands, Loc(tok.line, tok.col))
+        return flatten(Add, operands, Loc(tok.line, tok.col))
 
     def parse_mulexpr(self) -> Expr:
         tok = self.peek()
@@ -438,7 +445,7 @@ class _Parser:
         while self.peek().kind is TokenKind.STAR:
             self.advance()
             operands.append(self.parse_atom())
-        return flat_mul(operands, Loc(tok.line, tok.col))
+        return flatten(Mul, operands, Loc(tok.line, tok.col))
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
@@ -464,16 +471,6 @@ class _Parser:
             return inner
         self.fail(("matrix expression",), tok)
         raise AssertionError
-
-
-def _expr_names(e: Expr) -> Iterable[tuple[str, Loc]]:
-    if isinstance(e, Ref):
-        yield e.name, e.loc
-    elif isinstance(e, (Mul, Add)):
-        for o in e.operands:
-            yield from _expr_names(o)
-    elif isinstance(e, Transpose):
-        yield from _expr_names(e.operand)
 
 
 def _validate(ast: Ast) -> None:
@@ -523,7 +520,8 @@ def _validate(ast: Ast) -> None:
             assign_line[s.target] = s.loc.line
 
     for s in ast.stmts:
-        for name, loc in _expr_names(s.expr):
+        refs = [(e.name, e.loc) for e in walk_expr(s.expr) if isinstance(e, Ref)]
+        for name, loc in refs:
             if name in assign_line:
                 if assign_line[name] >= s.loc.line:
                     raise UseBeforeAssign(
@@ -553,6 +551,30 @@ def parse_source(src: SourceProgram | str) -> Ast:
 # --------------------------------------------------------------------------
 
 
+def map_dims(ast: Ast, f: Callable[[DimExpr, Loc], int]) -> Ast:
+    """Replace every dimension `d` by `f(d, loc)`, `loc` being the enclosing
+    declaration's or statement's. Declarations go before statements, rows
+    before cols, operands left to right: the first bad dimension fails first.
+    """
+    def map_expr(e: Expr, use: Loc) -> Expr:
+        if isinstance(e, IdentityLit):
+            return replace(e, order=f(e.order, use))
+        if isinstance(e, (Mul, Add)):
+            return replace(e, operands=tuple(map_expr(o, use) for o in e.operands))
+        if isinstance(e, Transpose):
+            return replace(e, operand=map_expr(e.operand, use))
+        return e
+
+    decls: list[Decl] = []
+    for d in ast.decls:
+        if isinstance(d, MatrixDecl):
+            decls.append(replace(d, rows=f(d.rows, d.loc), cols=f(d.cols, d.loc)))
+        else:
+            decls.append(replace(d, order=f(d.order, d.loc)))
+    stmts = tuple(replace(s, expr=map_expr(s.expr, s.loc)) for s in ast.stmts)
+    return Ast(ast.consts, tuple(decls), stmts, ast.origin)
+
+
 def resolve_constants(ast: Ast) -> Ast:
     """Replace every dimension expression by its integer value.
 
@@ -577,28 +599,7 @@ def resolve_constants(ast: Ast) -> Ast:
                                        origin=ast.origin)
         return value
 
-    def resolve_expr(e: Expr, use: Loc) -> Expr:
-        if isinstance(e, IdentityLit):
-            return replace(e, order=resolve(e.order, use))
-        if isinstance(e, Mul):
-            return replace(e, operands=tuple(resolve_expr(o, use) for o in e.operands))
-        if isinstance(e, Add):
-            return replace(e, operands=tuple(resolve_expr(o, use) for o in e.operands))
-        if isinstance(e, Transpose):
-            return replace(e, operand=resolve_expr(e.operand, use))
-        return e
-
-    decls: list[Decl] = []
-    for d in ast.decls:
-        if isinstance(d, MatrixDecl):
-            decls.append(replace(d, rows=resolve(d.rows, d.loc),
-                                 cols=resolve(d.cols, d.loc)))
-        else:
-            decls.append(replace(d, order=resolve(d.order, d.loc)))
-    stmts: list[Stmt] = []
-    for s in ast.stmts:
-        stmts.append(replace(s, expr=resolve_expr(s.expr, s.loc)))
-    return Ast(ast.consts, tuple(decls), tuple(stmts), ast.origin)
+    return map_dims(ast, resolve)
 
 
 def scale_dimensions(ast: Ast, divisor: int) -> Ast:
@@ -606,27 +607,11 @@ def scale_dimensions(ast: Ast, divisor: int) -> Ast:
     if divisor == 1:
         return ast
 
-    def scale(dim: DimExpr) -> int:
+    def scale(dim: DimExpr, use: Loc) -> int:
         assert isinstance(dim, int), "scale_dimensions requires a resolved Ast"
         return max(1, dim // divisor)
 
-    def scale_expr(e: Expr) -> Expr:
-        if isinstance(e, IdentityLit):
-            return replace(e, order=scale(e.order))
-        if isinstance(e, (Mul, Add)):
-            return replace(e, operands=tuple(scale_expr(o) for o in e.operands))
-        if isinstance(e, Transpose):
-            return replace(e, operand=scale_expr(e.operand))
-        return e
-
-    decls: list[Decl] = []
-    for d in ast.decls:
-        if isinstance(d, MatrixDecl):
-            decls.append(replace(d, rows=scale(d.rows), cols=scale(d.cols)))
-        else:
-            decls.append(replace(d, order=scale(d.order)))
-    stmts = tuple(replace(s, expr=scale_expr(s.expr)) for s in ast.stmts)
-    return Ast(ast.consts, tuple(decls), stmts, ast.origin)
+    return map_dims(ast, scale)
 
 
 # --------------------------------------------------------------------------

@@ -170,9 +170,7 @@ def op_result(op: IROp) -> ValueId | None:
 def op_operands(op: IROp) -> tuple[ValueId, ...]:
     if isinstance(op, (Mul, Add)):
         return op.operands
-    if isinstance(op, (Transpose, Yield, Print)):
-        return (op.operand,)
-    if isinstance(op, Fill):
+    if isinstance(op, (Transpose, Yield, Print, Fill)):
         return (op.operand,)
     return ()
 
@@ -263,20 +261,13 @@ def build_ir(ast: fe.Ast) -> IRModule:
 
     idlits: dict[int, ValueId] = {}
 
-    def hoist_identity_lits(e: fe.Expr) -> None:
-        if isinstance(e, fe.IdentityLit):
-            assert isinstance(e.order, int)
-            v = b.init(IdentityType(e.order, ElemKind.F32))
-            b.fill(1.0, v)
-            idlits[id(e)] = v
-        elif isinstance(e, (fe.Mul, fe.Add)):
-            for o in e.operands:
-                hoist_identity_lits(o)
-        elif isinstance(e, fe.Transpose):
-            hoist_identity_lits(e.operand)
-
     for s in ast.stmts:
-        hoist_identity_lits(s.expr)
+        for e in fe.walk_expr(s.expr):
+            if isinstance(e, fe.IdentityLit):
+                assert isinstance(e.order, int)
+                v = b.init(IdentityType(e.order, ElemKind.F32))
+                b.fill(1.0, v)
+                idlits[id(e)] = v
 
     def build_region(e: fe.Expr, region: list[IROp]) -> ValueId:
         if isinstance(e, fe.Ref):
@@ -493,12 +484,10 @@ def print_ir(m: IRModule) -> str:
         if isinstance(op, Fill):
             return [f"{indent}fill %{op.operand}, "
                     f"{format_scalar(op.value)} : {op.elem}"]
-        if isinstance(op, Mul):
+        if isinstance(op, (Mul, Add)):
+            kind = "mul" if isinstance(op, Mul) else "add"
             ops = ", ".join(f"%{o}" for o in op.operands)
-            return [f"{indent}%{op.result} = mul {ops} : {m.types[op.result]}"]
-        if isinstance(op, Add):
-            ops = ", ".join(f"%{o}" for o in op.operands)
-            return [f"{indent}%{op.result} = add {ops} : {m.types[op.result]}"]
+            return [f"{indent}%{op.result} = {kind} {ops} : {m.types[op.result]}"]
         if isinstance(op, Transpose):
             return [f"{indent}%{op.result} = transpose %{op.operand} : "
                     f"{m.types[op.result]}"]

@@ -2,7 +2,9 @@
 
 Generated programs use integer fills with magnitudes bounded so that every
 intermediate value is exactly representable in f32 regardless of how products
-are regrouped; output comparisons can then demand bit equality.
+are regrouped; output comparisons can then demand bit equality. A statement
+may use the result `T<n>` of an earlier one as an operand; the result's
+magnitude bound goes with it, so the bound of every expression still holds.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ class ProgramGen:
                                       k=min(rng.randint(2, 4), hi)))
         self.decl_lines: list[str] = []
         self.n_names = 0
+        # (name, rows, cols, magnitude bound) of each earlier statement's result
+        self.results: list[tuple[str, int, int, int]] = []
 
     def fresh(self, prefix: str = "M") -> str:
         self.n_names += 1
@@ -75,6 +79,10 @@ class ProgramGen:
         return name
 
     def gen_atom(self, rows: int, cols: int, depth: int) -> tuple[str, int]:
+        earlier = [(name, bound) for name, r, c, bound in self.results
+                   if (r, c) == (rows, cols)]
+        if earlier and self.rng.random() < 0.3:
+            return self.rng.choice(earlier)
         r = self.rng.random()
         if rows == cols and r < 0.15:
             if self.rng.random() < 0.5:
@@ -125,10 +133,11 @@ class ProgramGen:
         for _ in range(n_stmts or self.rng.randint(1, 3)):
             rows = self.rng.choice(self.pool)
             cols = self.rng.choice(self.pool)
-            text, _ = self.gen_operand(rows, cols, depth=2)
+            text, bound = self.gen_operand(rows, cols, depth=2)
             target = self.fresh("T")
             stmt_lines.append(f"{target} = {text}")
             stmt_lines.append(f"print({target})")
+            self.results.append((target, rows, cols, bound))
         return "\n".join(self.decl_lines + stmt_lines) + "\n"
 
 

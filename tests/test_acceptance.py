@@ -15,12 +15,12 @@ from fractions import Fraction
 from itertools import product
 
 from momc import frontend, ir, loops
-from momc.chain import cost_oracle, enumerate_parenthesizations, mul_cost, \
-    optimal_parenthesization, tree_cost
+from momc.chain import mul_cost, optimal_parenthesization, tree_cost
 from momc.cli import CliConfig, bench, main
 from momc.executor import ExecMode, Executor
 from momc.properties import EMPTY_PROPS, Property, PropertySet, stored_pattern
 
+from chain_reference import cost_oracle, enumerate_parenthesizations
 from gen import default_seed, random_chain, random_program
 from util import compile_text, lower_text, optimize_text, run_text
 

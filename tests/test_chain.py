@@ -8,18 +8,18 @@ from momc.chain import (
     ChainLeaf,
     ChainNode,
     ChainOperand,
-    cost_oracle,
-    enumerate_parenthesizations,
     left_fold_tree,
     mul_cost,
     optimal_parenthesization,
+    postorder,
     tree_cost,
     tree_string,
     tree_type,
 )
-from momc.errors import ChainTooLong, DimMismatch
+from momc.errors import DimMismatch
 from momc.properties import EMPTY_PROPS, Property, PropertySet
 
+from chain_reference import ChainTooLong, cost_oracle, enumerate_parenthesizations
 from gen import CLOSED_PSETS, default_seed, random_chain
 
 LOWER = PropertySet.closure((Property.LOWER_TRIANGULAR,))
@@ -171,3 +171,27 @@ def test_trees_preserve_operand_order():
         chain = random_chain(rng, max_len=8)
         sol = optimal_parenthesization(chain)
         assert _leaves(sol.tree) == list(range(len(chain)))
+
+
+def test_tree_string_of_deep_left_fold():
+    k = 3000  # deeper than Python's default recursion limit
+    names = [f"A{i}" for i in range(k)]
+    expected = "(" * (k - 1) + names[0] + "".join(f"*{n})" for n in names[1:])
+    assert tree_string(left_fold_tree(k), names) == expected
+
+
+def test_postorder_spans_follow_dp_splits():
+    rng = random.Random(default_seed() ^ 0x5E)
+    for _ in range(60):
+        chain = random_chain(rng, max_len=12)
+        sol = optimal_parenthesization(chain)
+        done = []  # spans of the subtrees yielded so far, not yet consumed
+        for node, i, j in postorder(sol.tree):
+            if isinstance(node, ChainLeaf):
+                assert node.index == i == j
+            else:
+                (ri, rj), (li, lj) = done.pop(), done.pop()
+                s = sol.split[i][j]
+                assert (li, lj, ri, rj) == (i, s, s + 1, j)
+            done.append((i, j))
+        assert done == [(0, len(chain) - 1)]

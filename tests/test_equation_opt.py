@@ -7,10 +7,10 @@ import pytest
 
 from momc import equation_opt as eo
 from momc import ir
-from momc.equation_opt import Leaf, MulN
+from momc.equation_opt import AddN, Leaf, MulN, Trans
 from momc.errors import ResolutionError
 from momc.executor import ExecMode
-from momc.properties import ElemKind, EMPTY_PROPS, Property, PropertySet
+from momc.properties import ElemKind, EMPTY_PROPS, Property, PropertySet, infer_mul
 
 from gen import default_seed, random_program
 from util import compile_text, optimize_text, run_text
@@ -91,10 +91,21 @@ def test_simplify_transposed_identity():
 
 
 def test_simplify_is_a_fixpoint():
-    e, _ = symbolized("n = 4\nMatrix A(n, n) <>\nIdentity I(n)\n"
-                      "C = A * I * Identity(n)\n")
-    once = eo.simplify_identities(e)
-    assert eo.simplify_identities(once) == once
+    texts = ["n = 4\nMatrix A(n, n) <>\nIdentity I(n)\n"
+             "C = A * I * Identity(n)\n"
+             "D = A * transpose(transpose(I)) * transpose(I * I)\n"
+             "print(transpose(I * Identity(n)) + A * (I + A) * I)\n"]
+    rng = random.Random(default_seed() ^ 0x8B)
+    texts += [random_program(rng, max_dim=4) for _ in range(300)]
+    changed = 0
+    for text in texts:
+        m = compile_text(text)
+        for eq in (op for op in m.ops if isinstance(op, ir.Equation)):
+            e = eo.symbolize(eq, m)
+            once = eo.simplify_identities(e)
+            assert eo.simplify_identities(once) == once
+            changed += once != e
+    assert changed > 0  # the programs do exercise the simplification
 
 
 def test_interior_identity_is_semantically_neutral():
@@ -201,6 +212,55 @@ def test_print_type_is_rewritten_after_resolution():
                         "Matrix B(n, n) <LowerTriangular>\nC = A * B\nprint(C)\n")
     dump = ir.print_ir(res.module)
     assert "print %2 : matrix<5x5xf32,[lowerTri]>" in dump
+
+
+def _muls_preorder(e, out):
+    """MulN nodes of a resolved tree in the order the emitter reports chains."""
+    if isinstance(e, MulN):
+        out.append(e)
+    if isinstance(e, (MulN, AddN)):
+        for c in e.children:
+            _muls_preorder(c, out)
+    elif isinstance(e, Trans):
+        _muls_preorder(e.child, out)
+    return out
+
+
+@pytest.mark.parametrize("opt", [True, False])
+def test_emitted_types_equal_inferred_types(monkeypatch, opt):
+    """Emitted products read their types from the DP cells; both must agree
+    with inference from the operand types and with `resolve_types`."""
+    roots, depth = [], [0]
+    resolve = eo.resolve_types
+
+    def recording_resolve(e):
+        depth[0] += 1
+        try:
+            out = resolve(e)
+        finally:
+            depth[0] -= 1
+        if depth[0] == 0:
+            roots.append(out)
+        return out
+
+    monkeypatch.setattr(eo, "resolve_types", recording_resolve)
+    rng = random.Random(default_seed() ^ 0x7A)
+    for _ in range(200):
+        roots.clear()
+        res = optimize_text(random_program(rng, max_dim=8), opt=opt)
+        types = res.module.types
+        for op in res.module.ops:
+            if isinstance(op, ir.Mul):
+                ta, tb = (types[v] for v in op.operands)
+                da, db = ir.value_dims(ta), ir.value_dims(tb)
+                assert types[op.result] == ir.MatrixType(
+                    da[0], db[1], ir.value_elem(ta),
+                    infer_mul(ir.value_props(ta), da, ir.value_props(tb), db))
+        muls = [n for root in roots for n in _muls_preorder(root, [])]
+        assert len(muls) == len(res.chains)
+        for node, report in zip(muls, res.chains):
+            t = node.type
+            assert (t.rows, t.cols, t.props) == report.solution.types[0][-1]
 
 
 def test_optimized_modules_verify_clean():
