@@ -162,6 +162,17 @@ def bench(cfg: CliConfig, module: ir.IRModule) -> BenchReport:
                        base_rep.total_min_ns, opt_rep.total_min_ns)
 
 
+def _write_report(path: str, text: str) -> bool:
+    """Write a --report file; on failure say so on stderr and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as e:
+        print(f"momc: cannot write {path}: {e.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     cfg = parse_config(argv)
     try:
@@ -187,9 +198,8 @@ def main(argv: list[str] | None = None) -> int:
         if cfg.bench:
             report = bench(cfg, module)
             sys.stdout.write(report.render())
-            if cfg.report:
-                with open(cfg.report, "w", encoding="utf-8") as f:
-                    f.write(report.to_kv())
+            if cfg.report and not _write_report(cfg.report, report.to_kv()):
+                return 1
             return 0
 
         options = OptOptions(simplify_identities=cfg.opt, reorder_chains=cfg.opt)
@@ -211,9 +221,8 @@ def main(argv: list[str] | None = None) -> int:
             run_report = executor.execute(lm, cfg.mode, cfg.repeats)
             for block in run_report.printed:
                 sys.stdout.write(block + "\n")
-            if cfg.report:
-                with open(cfg.report, "w", encoding="utf-8") as f:
-                    f.write(run_report.to_kv())
+            if cfg.report and not _write_report(cfg.report, run_report.to_kv()):
+                return 1
     except CompileError as e:
         if e.origin is None:
             e.origin = cfg.input

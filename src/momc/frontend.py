@@ -293,11 +293,18 @@ def walk_expr(e: Expr) -> Iterator[Expr]:
 # --------------------------------------------------------------------------
 
 
+# Deepest nesting of parenthesized groups (`(...)`, `transpose(...)`) the
+# parser accepts. The parser and the later expression walks recurse once or a
+# few times per level, so this keeps them well inside Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], origin: str) -> None:
         self.tokens = tokens
         self.origin = origin
         self.pos = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -454,10 +461,7 @@ class _Parser:
             return Ref(tok.text, Loc(tok.line, tok.col))
         if tok.kind is TokenKind.KW_TRANSPOSE:
             self.advance()
-            self.expect(TokenKind.LPAREN)
-            inner = self.parse_expr()
-            self.expect(TokenKind.RPAREN)
-            return Transpose(inner, Loc(tok.line, tok.col))
+            return Transpose(self.parse_group(), Loc(tok.line, tok.col))
         if tok.kind is TokenKind.KW_IDENTITY:
             self.advance()
             self.expect(TokenKind.LPAREN)
@@ -465,12 +469,20 @@ class _Parser:
             self.expect(TokenKind.RPAREN)
             return IdentityLit(order, Loc(tok.line, tok.col))
         if tok.kind is TokenKind.LPAREN:
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(TokenKind.RPAREN)
-            return inner
+            return self.parse_group()
         self.fail(("matrix expression",), tok)
         raise AssertionError
+
+    def parse_group(self) -> Expr:
+        """`"(" expr ")"`, at most MAX_NESTING groups deep."""
+        tok = self.expect(TokenKind.LPAREN)
+        if self.depth == MAX_NESTING:
+            self.fail((f"at most {MAX_NESTING} nested parentheses",), tok)
+        self.depth += 1
+        inner = self.parse_expr()
+        self.expect(TokenKind.RPAREN)
+        self.depth -= 1
+        return inner
 
 
 def _validate(ast: Ast) -> None:

@@ -1,11 +1,13 @@
 """Matrix structure properties: closed property sets, inference rules, stored patterns.
 
-A property set is always kept closed under two rules:
+A property set is always kept closed under three rules:
 
   C1: lowerTri and upperTri together imply diag
   C2: diag implies lowerTri, upperTri and symm
+  C3: lowerTri or upperTri together with symm implies diag (a triangular
+      matrix equal to its transpose has no nonzero off the diagonal)
 
-Only 7 of the 16 subsets of `Property` are closed, so the lattice is a finite
+Only 5 of the 16 subsets of `Property` are closed, so the lattice is a finite
 table built once at import: `PropertySet.closure` returns one canonical
 instance per closed set, and `stored_pattern`, `generators`/`render` and
 `infer_mul`/`infer_add`/`infer_transpose` are lookups keyed by a set's
@@ -68,6 +70,9 @@ def _close(props: Iterable[Property]) -> frozenset[Property]:
         add: set[Property] = set()
         if Property.LOWER_TRIANGULAR in s and Property.UPPER_TRIANGULAR in s:
             add.add(Property.DIAGONAL)
+        if Property.SYMMETRIC in s and (Property.LOWER_TRIANGULAR in s
+                                        or Property.UPPER_TRIANGULAR in s):
+            add.add(Property.DIAGONAL)
         if Property.DIAGONAL in s:
             add |= {Property.LOWER_TRIANGULAR, Property.UPPER_TRIANGULAR,
                     Property.SYMMETRIC}
@@ -78,7 +83,7 @@ def _close(props: Iterable[Property]) -> frozenset[Property]:
 
 @dataclass(frozen=True)
 class PropertySet:
-    """A set of properties stored closed under C1/C2.
+    """A set of properties stored closed under C1-C3.
 
     Construct through :meth:`closure`, which returns the canonical instance
     of the closed set; direct construction rejects a non-closed member set
@@ -193,7 +198,7 @@ def _closure_table() -> dict[Members, PropertySet]:
 
 
 _CLOSURE = _closure_table()
-_CANONICAL = {c.members: c for c in _CLOSURE.values()}  # the 7 closed sets
+_CANONICAL = {c.members: c for c in _CLOSURE.values()}  # the 5 closed sets
 _GENERATORS = {m: _search_generators(c) for m, c in _CANONICAL.items()}
 _RENDERED = {m: "[" + ",".join(str(p) for p in g) + "]"
              for m, g in _GENERATORS.items()}

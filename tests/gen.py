@@ -15,14 +15,12 @@ import random
 from momc.chain import ChainOperand
 from momc.properties import PropertySet, Property
 
-# The seven closed property sets, by their surface declaration names.
+# The five closed property sets, by their surface declaration names.
 CLOSED_SETS: list[tuple[str, ...]] = [
     (),
     ("LowerTriangular",),
     ("UpperTriangular",),
     ("Symmetric",),
-    ("LowerTriangular", "Symmetric"),
-    ("UpperTriangular", "Symmetric"),
     ("Diagonal",),
 ]
 
@@ -31,8 +29,6 @@ CLOSED_PSETS: list[PropertySet] = [
     PropertySet.closure((Property.LOWER_TRIANGULAR,)),
     PropertySet.closure((Property.UPPER_TRIANGULAR,)),
     PropertySet.closure((Property.SYMMETRIC,)),
-    PropertySet.closure((Property.LOWER_TRIANGULAR, Property.SYMMETRIC)),
-    PropertySet.closure((Property.UPPER_TRIANGULAR, Property.SYMMETRIC)),
     PropertySet.closure((Property.DIAGONAL,)),
 ]
 
@@ -85,13 +81,28 @@ class ProgramGen:
             return self.rng.choice(earlier)
         r = self.rng.random()
         if rows == cols and r < 0.15:
-            if self.rng.random() < 0.5:
-                return self.new_identity(rows), 1
-            return f"Identity({rows})", 1
+            return self.gen_identity(rows), 1
         if r < 0.35 and depth > 0:
+            if self.rng.random() < 0.2:
+                text, bound = self.gen_operand(rows, cols, depth - 1)
+                return f"transpose(transpose({text}))", bound
             text, bound = self.gen_operand(cols, rows, depth - 1)
             return f"transpose({text})", bound
         return self.new_matrix(rows, cols)
+
+    def gen_identity(self, n: int) -> str:
+        """An identity of order n: named or literal, sometimes transposed or
+        a product of identities, which simplification must fold away."""
+        def one() -> str:
+            if self.rng.random() < 0.5:
+                return self.new_identity(n)
+            return f"Identity({n})"
+        r = self.rng.random()
+        if r < 0.15:
+            return f"transpose({one()})"
+        if r < 0.3:
+            return f"transpose({one()} * {one()})"
+        return one()
 
     def gen_mul(self, rows: int, cols: int, depth: int) -> tuple[str, int]:
         k = self.rng.randint(2, 4)

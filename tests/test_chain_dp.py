@@ -42,7 +42,7 @@ def test_closure_returns_one_instance_per_closed_set():
         for y in closed:
             if x == y:
                 assert x is y
-    assert len({id(c) for c in closed}) == 7
+    assert len({id(c) for c in closed}) == 5
 
 
 def test_tree_walks_do_not_recurse():

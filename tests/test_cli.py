@@ -6,6 +6,7 @@ import pytest
 
 from momc.cli import main, parse_config
 from momc.executor import ExecMode
+from momc.frontend import MAX_NESTING
 
 import gen
 
@@ -112,6 +113,44 @@ def test_bench_report_file_keys(tmp_path, capsys):
     assert "optimized.total.mults=" in text
     assert "mult_ratio=1752/295\n" in text
     assert "speedup: " in out
+
+
+@pytest.mark.parametrize("flag", ["--run", "--bench"])
+def test_unwritable_report_exits_1(tmp_path, capsys, flag):
+    path = tmp_path / "no" / "such" / "dir" / "r.kv"
+    code, _, err = run_cli(capsys, LISTING1, flag, "--repeats=1",
+                           f"--report={path}")
+    assert code == 1
+    assert err == f"momc: cannot write {path}: No such file or directory\n"
+
+
+def test_nesting_past_the_limit_is_a_located_parse_error(tmp_path, capsys):
+    prog = tmp_path / "deep.mom"
+    deep = MAX_NESTING + 300
+    prog.write_text("Matrix A(2, 2) <>\nB = " + "(" * deep + "A" + ")" * deep
+                    + "\nprint(B)\n")
+    code, out, err = run_cli(capsys, str(prog), "--run")
+    assert code == 1
+    assert out == ""
+    col = len("B = ") + MAX_NESTING + 1  # the first group past the limit
+    assert f"deep.mom:2:{col}: error: expected at most {MAX_NESTING} nested" \
+        in err
+
+
+def test_nesting_at_the_limit_compiles_and_runs(tmp_path, capsys):
+    # Alternating products, sums and transposes keep every level in the AST,
+    # so each later expression walk recurses MAX_NESTING deep as well.
+    expr = "A"
+    for level in range(MAX_NESTING):
+        expr = f"(A + A * {expr})" if level % 2 else f"transpose(I * {expr})"
+    prog = tmp_path / "deep.mom"
+    prog.write_text("Matrix A(2, 2) <LowerTriangular> = 0\nIdentity I(2)\n"
+                    f"B = {expr}\nprint(B)\n")
+    assert run_cli(capsys, str(prog), "--run") == (0, "2x2 f32\n0 0\n0 0\n", "")
+    for args in (["--run", "--no-opt"], ["--emit=ast"], ["--emit=chain"],
+                 ["--emit=loops"]):
+        code, _, err = run_cli(capsys, str(prog), *args)
+        assert (code, err) == (0, ""), args
 
 
 def test_bench_requires_a_multiplication(tmp_path, capsys):

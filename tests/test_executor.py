@@ -15,6 +15,7 @@ import pytest
 from momc.chain import mul_cost
 from momc.errors import DimMismatch
 from momc.executor import (
+    _PRINT_BLOCK_ENTRIES as PRINT_BLOCK,
     DenseBuffer,
     ExecMode,
     Executor,
@@ -25,6 +26,7 @@ from momc.executor import (
     run_matmul,
     run_transpose,
 )
+from momc.ir import format_scalar
 from momc.loops import LoopModule
 from momc.properties import (
     EMPTY_PROPS,
@@ -142,6 +144,61 @@ def test_format_print_examples():
 
     low = filled(3, 3, 1.0, StoredPattern.LOWER_INCL)
     assert format_print(low) == "3x3 f32\n1 0 0\n1 1 0\n1 1 1"
+
+
+def reference_format_print(b: DenseBuffer) -> str:
+    """The per-entry renderer: every entry through `format_scalar`."""
+    header = f"{b.rows}x{b.cols} {b.elem}"
+    rows = [" ".join(format_scalar(float(v)) for v in row) for row in b.array]
+    return "\n".join([header] + rows)
+
+
+BELOW_1E18 = float(np.nextafter(1e18, 0))
+# Entries format_scalar prints as integers (in f32, 2**24 + 1 rounds to an
+# even integer and 1e18 rounds to an integer below 1e18) ...
+WHOLE_VALUES = [-0.0, 0.0, 1e6, -1e6, 2.0**24 + 1, BELOW_1E18, -BELOW_1E18]
+# ... and entries it prints through "%.6g".
+OTHER_VALUES = [np.inf, -np.inf, np.nan, 0.5, -0.5, 1e-7, 999999.5,
+                1e18, -1e18]
+
+
+def _print_case(rng, rows, cols, elem):
+    """A buffer whose row blocks (as format_print cuts them) are, in turn,
+    all whole numbers, whole numbers mixed with every other kind of value,
+    and random reals of mixed magnitude."""
+    b = DenseBuffer(rows, cols, elem)
+    step = max(1, PRINT_BLOCK // cols)
+    for n, r in enumerate(range(0, rows, step)):
+        block = b.array[r:r + step]
+        ints = rng.integers(-10**6, 10**6, size=block.shape) \
+            * 10.0 ** rng.integers(0, 12, size=block.shape)
+        kind = n % 3
+        if kind == 2:
+            block[:] = rng.standard_normal(block.shape) \
+                * 10.0 ** rng.integers(-9, 9, size=block.shape)
+            continue
+        block[:] = ints
+        specials = WHOLE_VALUES + (OTHER_VALUES if kind == 1 else [])
+        at = rng.choice(block.size, size=len(specials), replace=False)
+        block.reshape(-1)[at] = specials
+    return b
+
+
+@pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
+@pytest.mark.parametrize("rows,cols", [
+    (1, 1),
+    (3, 70_000),                                  # one row per block
+    (3 * (PRINT_BLOCK // 40) + 17, 40),           # four blocks of many rows
+])
+def test_format_print_matches_per_entry_reference(elem, rows, cols):
+    if rows * cols == 1:  # each value alone decides its block's path
+        for v in WHOLE_VALUES + OTHER_VALUES + [3.25, 7.0, -12.0]:
+            b = buf(1, 1, elem)
+            b.array[0, 0] = v
+            assert format_print(b) == reference_format_print(b), v
+        return
+    b = _print_case(np.random.default_rng(default_seed()), rows, cols, elem)
+    assert format_print(b) == reference_format_print(b)
 
 
 def _random_realization(rng, props, rows, cols, elem):

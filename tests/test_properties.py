@@ -6,7 +6,7 @@ numeric result's nonzero entries must lie inside the inferred pattern.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from momc.properties import (
 )
 
 from gen import CLOSED_PSETS, default_seed
+from util import run_text
 
 L = Property.LOWER_TRIANGULAR
 U = Property.UPPER_TRIANGULAR
@@ -36,6 +37,11 @@ UPPER = PropertySet.closure((U,))
 SYMM = PropertySet.closure((S,))
 DIAG = PropertySet.closure((D,))
 
+# The closure of every property list a declaration can carry: all 16 subsets
+# of the four properties, which close to the 5 sets of CLOSED_PSETS.
+DECLARABLE_PSETS = [PropertySet.closure(c) for n in range(len(Property) + 1)
+                    for c in combinations(Property, n)]
+
 
 def test_canonicalize_single_property():
     assert canonicalize(["LowerTriangular"], 5, 5) == LOWER
@@ -44,6 +50,25 @@ def test_canonicalize_single_property():
 def test_canonicalize_closure_lower_upper():
     got = canonicalize(["LowerTriangular", "UpperTriangular"], 5, 5)
     assert got.members == frozenset({L, U, D, S})
+
+
+@pytest.mark.parametrize("tri", ["LowerTriangular", "UpperTriangular"])
+def test_canonicalize_triangular_symmetric_is_diagonal(tri):
+    assert canonicalize([tri, "Symmetric"], 5, 5) == DIAG
+
+
+def test_triangular_symmetric_declaration_stores_a_symmetric_matrix():
+    # Before C3 the fill wrote a full lower triangle under a `symm` type, and
+    # the transpose printed a different matrix.
+    printed = run_text("Matrix A(3, 3) <LowerTriangular, Symmetric> = 2\n"
+                       "B = transpose(A)\n"
+                       "print(A)\n"
+                       "print(B)\n").printed
+    assert printed == ("3x3 f32\n2 0 0\n0 2 0\n0 0 2",) * 2
+
+
+def test_generator_sets_are_exactly_the_closed_sets():
+    assert set(DECLARABLE_PSETS) == set(CLOSED_PSETS)
 
 
 def test_canonicalize_rejects_non_square():
@@ -69,7 +94,7 @@ def test_infer_transpose():
     assert infer_transpose(EMPTY_PROPS) == EMPTY_PROPS
 
 
-@pytest.mark.parametrize("s", CLOSED_PSETS)
+@pytest.mark.parametrize("s", DECLARABLE_PSETS)
 def test_transpose_is_an_involution(s):
     assert infer_transpose(infer_transpose(s)) == s
 
@@ -102,10 +127,11 @@ def test_render_uses_minimal_generators():
     assert DIAG.render() == "[diag]"
     assert LOWER.render() == "[lowerTri]"
     assert EMPTY_PROPS.render() == "[]"
-    assert PropertySet.closure((L, S)).render() == "[lowerTri,symm]"
+    assert PropertySet.closure((L, S)).render() == "[diag]"
+    assert PropertySet.closure((U, S)).render() == "[diag]"
 
 
-@pytest.mark.parametrize("a,b", list(product(CLOSED_PSETS, repeat=2)))
+@pytest.mark.parametrize("a,b", list(product(DECLARABLE_PSETS, repeat=2)))
 def test_mul_associative_at_property_level(a, b):
     sq = (6, 6)
     for c in CLOSED_PSETS:
