@@ -15,7 +15,7 @@ from .chain import (
 )
 from .equation_opt import OptOptions, optimize_and_rematerialize
 from .errors import CompileError
-from .executor import DenseBuffer, ExecMode, ExecutionReport, Executor, execute
+from .executor import ExecMode, ExecutionReport, Executor, execute
 from .frontend import Ast, SourceProgram, parse, parse_source, resolve_constants, tokenize
 from .ir import IRModule, build_ir, print_ir, verify
 from .loops import LoopModule, lower_to_loops, print_loops
@@ -38,7 +38,6 @@ __all__ = [
     "ChainOperand",
     "ChainSolution",
     "CompileError",
-    "DenseBuffer",
     "ElemKind",
     "ExecMode",
     "ExecutionReport",

@@ -104,6 +104,10 @@ class DimMismatch(CompileError):
     """Incompatible operand shapes, raised by kernels and the chain solver."""
 
 
+class NonFiniteValue(CompileError):
+    """A fill or kernel made an entry infinite or NaN at run time."""
+
+
 class UnresolvedTerm(CompileError):
     """Loop lowering reached a value whose type is still a placeholder term."""
 

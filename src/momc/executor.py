@@ -1,4 +1,8 @@
-"""Dense row-major buffers and instrumented kernels.
+"""Instrumented kernels over numpy arrays.
+
+Each tensor's buffer is a 2-D numpy array; a transposed tensor's buffer is
+the view `.T` of its source's, made when the buffers are allocated. Kernels
+write in place, so a view always reads its source's current values.
 
 The matmul kernel iterates the contraction index k in ascending order in
 both modes and accumulates in the operand precision. Dense mode updates the
@@ -7,34 +11,27 @@ to the rows of a and columns of b that are stored at that k. Because entries
 outside a stored pattern are exactly zero, both modes add the same nonzero
 products in the same order per output element, so their results are
 bit-identical while their multiplication counts differ.
+
+Kernels run with numpy's overflow and invalid-operation checks raising:
+a value that becomes infinite or NaN stops the run with `NonFiniteValue`.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import loops
-from .errors import DimMismatch
+from .errors import DimMismatch, NonFiniteValue
 from .ir import format_scalar
 from .properties import ElemKind, PropertySet, StoredPattern, stored_pattern
 
 _DTYPES = {ElemKind.F32: np.float32, ElemKind.F64: np.float64}
-
-
-class DenseBuffer:
-    """Row-major 2-D numeric storage; allocation zero-fills."""
-
-    def __init__(self, rows: int, cols: int, elem: ElemKind) -> None:
-        if rows <= 0 or cols <= 0:
-            raise ValueError("buffer dims must be positive")
-        self.rows = rows
-        self.cols = cols
-        self.elem = elem
-        self.array = np.zeros((rows, cols), dtype=_DTYPES[elem])
+_ELEMS = {np.dtype(t): e for e, t in _DTYPES.items()}
 
 
 class ExecMode(enum.Enum):
@@ -54,10 +51,14 @@ def _pattern_mask(pattern: StoredPattern, rows: int, cols: int) -> np.ndarray:
     return i == j
 
 
-def run_fill(buf: DenseBuffer, scalar: float, pattern: StoredPattern) -> None:
-    """Set entries inside the pattern to the scalar, everything else to zero."""
-    buf.array[:] = 0
-    buf.array[_pattern_mask(pattern, buf.rows, buf.cols)] = scalar
+def run_fill(buf: np.ndarray, scalar: float, pattern: StoredPattern) -> None:
+    """Set entries inside the pattern to the scalar, everything else to zero.
+    A non-finite scalar raises FloatingPointError, as an overflowing cast
+    does under the executor's error state."""
+    if not math.isfinite(scalar):
+        raise FloatingPointError(f"fill value {format_scalar(scalar)} is not finite")
+    buf[:] = 0
+    buf[_pattern_mask(pattern, *buf.shape)] = scalar
 
 
 def _row_span(pattern: StoredPattern, k: int, rows: int) -> tuple[int, int]:
@@ -82,45 +83,42 @@ def _col_span(pattern: StoredPattern, k: int, cols: int) -> tuple[int, int]:
     return min(k, cols), min(k + 1, cols)
 
 
-def run_matmul(a: DenseBuffer, b: DenseBuffer, out: DenseBuffer,
+def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
                props_a: PropertySet, props_b: PropertySet,
                mode: ExecMode) -> int:
     """Accumulate a @ b into the zero-initialized out; returns the exact
     number of scalar multiplications performed."""
-    if a.cols != b.rows:
-        raise DimMismatch(f"inner dims disagree, {a.cols} vs {b.rows}")
-    if (out.rows, out.cols) != (a.rows, b.cols):
-        raise DimMismatch(f"out must be {a.rows}x{b.cols}, "
-                          f"got {out.rows}x{out.cols}")
+    (rows, inner), (inner_b, cols) = a.shape, b.shape
+    if inner != inner_b:
+        raise DimMismatch(f"inner dims disagree, {inner} vs {inner_b}")
+    if out.shape != (rows, cols):
+        raise DimMismatch(f"out must be {rows}x{cols}, "
+                          f"got {out.shape[0]}x{out.shape[1]}")
     if mode is ExecMode.DENSE:
         pa = pb = StoredPattern.FULL
     else:
         pa = stored_pattern(props_a)
         pb = stored_pattern(props_b)
-    am, bm, om = a.array, b.array, out.array
     count = 0
-    for k in range(a.cols):
-        i0, i1 = _row_span(pa, k, a.rows)
-        j0, j1 = _col_span(pb, k, b.cols)
+    for k in range(inner):
+        i0, i1 = _row_span(pa, k, rows)
+        j0, j1 = _col_span(pb, k, cols)
         if i0 >= i1 or j0 >= j1:
             continue
-        om[i0:i1, j0:j1] += am[i0:i1, k, None] * bm[None, k, j0:j1]
+        out[i0:i1, j0:j1] += a[i0:i1, k, None] * b[None, k, j0:j1]
         count += (i1 - i0) * (j1 - j0)
     return count
 
 
-def run_transpose(a: DenseBuffer, out: DenseBuffer) -> None:
-    if (out.rows, out.cols) != (a.cols, a.rows):
-        raise DimMismatch(f"out must be {a.cols}x{a.rows}, "
-                          f"got {out.rows}x{out.cols}")
-    out.array[:] = a.array.T
+def run_transpose(a: np.ndarray) -> np.ndarray:
+    """The transposed view of a: no copy, it shares a's memory."""
+    return a.T
 
 
-def run_add(a: DenseBuffer, b: DenseBuffer, out: DenseBuffer) -> None:
-    if (a.rows, a.cols) != (b.rows, b.cols) or \
-            (out.rows, out.cols) != (a.rows, a.cols):
+def run_add(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    if a.shape != b.shape or out.shape != a.shape:
         raise DimMismatch("add operands and out must share dims")
-    np.add(a.array, b.array, out=out.array)
+    np.add(a, b, out=out)
 
 
 # format_print works through the rows in blocks of at most this many entries
@@ -140,7 +138,7 @@ def _all_whole(block: np.ndarray) -> bool:
             and bool((np.trunc(block) == block).all()))
 
 
-def format_print(buf: DenseBuffer) -> str:
+def format_print(a: np.ndarray) -> str:
     """`RxC elem` header then one row per line, entries space-separated.
 
     Every entry reads byte for byte as `format_scalar` renders it. A block
@@ -148,11 +146,11 @@ def format_print(buf: DenseBuffer) -> str:
     `%d`, which is what `format_scalar` prints for them (`-0.0` included,
     as `0`); any other block goes through `format_scalar` itself.
     """
-    a = buf.array
-    lines = [f"{buf.rows}x{buf.cols} {buf.elem}"]
-    whole_row = " ".join(["%d"] * buf.cols)
-    step = max(1, _PRINT_BLOCK_ENTRIES // buf.cols)
-    for r in range(0, buf.rows, step):
+    rows, cols = a.shape
+    lines = [f"{rows}x{cols} {_ELEMS[a.dtype]}"]
+    whole_row = " ".join(["%d"] * cols)
+    step = max(1, _PRINT_BLOCK_ENTRIES // cols)
+    for r in range(0, rows, step):
         block = a[r:r + step]
         if _all_whole(block):
             lines += [whole_row % tuple(row)
@@ -192,13 +190,16 @@ class Executor:
 
     def __init__(self, lm: loops.LoopModule) -> None:
         self.lm = lm
-        self.buffers: dict[loops.TensorId, DenseBuffer] = {}
+        self.buffers: dict[loops.TensorId, np.ndarray] = {}
 
     def _allocate(self) -> None:
-        self.buffers = {
-            tid: DenseBuffer(info.rows, info.cols, info.elem)
-            for tid, info in self.lm.tensors.items()
-        }
+        """Zero-filled arrays, in tensor id order: a transposed tensor is a
+        view of its source, which has a smaller id."""
+        bufs = self.buffers = {}
+        for tid, t in self.lm.tensors.items():
+            bufs[tid] = (np.zeros((t.rows, t.cols), _DTYPES[t.elem])
+                         if t.transpose_of is None
+                         else run_transpose(bufs[t.transpose_of]))
 
     def run(self, mode: ExecMode = ExecMode.DENSE, repeats: int = 5) -> ExecutionReport:
         if repeats < 1:
@@ -206,33 +207,38 @@ class Executor:
         report = ExecutionReport()
         printed: list[str] = []
         min_ns: dict[int, int] = {}
-        for r in range(repeats):
-            self._allocate()
-            bufs = self.buffers
-            for idx, op in enumerate(self.lm.ops):
-                if isinstance(op, loops.Alloc):
-                    continue
-                if isinstance(op, loops.Fill):
-                    run_fill(bufs[op.tensor], op.value, op.pattern)
-                    continue
-                if isinstance(op, loops.Print):
-                    if r == 0:
-                        printed.append(format_print(bufs[op.tensor]))
-                    continue
-                # The compute ops, timed one by one.
-                t0 = time.perf_counter_ns()
-                if isinstance(op, loops.MatMul):
-                    n = run_matmul(bufs[op.a], bufs[op.b], bufs[op.out],
-                                   op.props_a, op.props_b, mode)
-                elif isinstance(op, loops.Transpose):
-                    run_transpose(bufs[op.a], bufs[op.out])
-                else:
-                    assert isinstance(op, loops.Add)
-                    run_add(bufs[op.a], bufs[op.b], bufs[op.out])
-                dt = time.perf_counter_ns() - t0
-                min_ns[idx] = min(dt, min_ns.get(idx, dt))
-                if r == 0 and isinstance(op, loops.MatMul):
-                    report.mults[idx] = n
+        tensors = self.lm.tensors
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for r in range(repeats):
+                    self._allocate()
+                    bufs = self.buffers
+                    for idx, op in enumerate(self.lm.ops):
+                        if isinstance(op, loops.Alloc):
+                            continue
+                        if isinstance(op, loops.Fill):
+                            run_fill(bufs[op.tensor], op.value, op.pattern)
+                            continue
+                        if isinstance(op, loops.Print):
+                            if r == 0:
+                                printed.append(format_print(bufs[op.tensor]))
+                            continue
+                        # The compute ops, timed one by one.
+                        t0 = time.perf_counter_ns()
+                        if isinstance(op, loops.MatMul):
+                            n = run_matmul(bufs[op.a], bufs[op.b], bufs[op.out],
+                                           tensors[op.a].props,
+                                           tensors[op.b].props, mode)
+                        else:
+                            assert isinstance(op, loops.Add)
+                            run_add(bufs[op.a], bufs[op.b], bufs[op.out])
+                        dt = time.perf_counter_ns() - t0
+                        min_ns[idx] = min(dt, min_ns.get(idx, dt))
+                        if r == 0 and isinstance(op, loops.MatMul):
+                            report.mults[idx] = n
+        except FloatingPointError as e:
+            raise NonFiniteValue(
+                f"op {idx} ({loops.format_op(self.lm, op)}): {e}") from None
         report.printed = tuple(printed)
         report.min_ns = min_ns
         report.total_mults = sum(report.mults.values())

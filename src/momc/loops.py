@@ -1,11 +1,11 @@
-"""Loop-level IR: tensor allocation, property-aware fill, matmul, transpose,
-add, print.
+"""Loop-level IR: tensor allocation, property-aware fill, matmul, add, print.
 
-Lowering maps the optimized binary IR one-to-one: every produced value gets a
-freshly allocated tensor (zero-initialized, so matmul can accumulate), fills
+Every value of the optimized binary IR gets a tensor. A product or sum gets
+a freshly allocated one (zero-initialized, so matmul can accumulate) and a
+compute op; a transpose gets a view of its operand's tensor
+(`TensorInfo.transpose_of`) and no op, so lowering is not one-to-one. Fills
 write their scalar into the stored pattern implied by the operand's
-properties, and property annotations carry over unchanged onto the ops and
-the tensor table.
+properties. The tensor table holds each value's type once; ops refer to it.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ class TensorInfo:
     cols: int
     elem: ElemKind
     props: PropertySet
+    transpose_of: TensorId | None = None  # a view of that tensor, transposed
 
 
 @dataclass(frozen=True)
@@ -45,14 +46,6 @@ class MatMul:
     a: TensorId
     b: TensorId
     out: TensorId
-    props_a: PropertySet
-    props_b: PropertySet
-
-
-@dataclass(frozen=True)
-class Transpose:
-    a: TensorId
-    out: TensorId
 
 
 @dataclass(frozen=True)
@@ -67,9 +60,9 @@ class Print:
     tensor: TensorId
 
 
-LoopOp = Union[Alloc, Fill, MatMul, Transpose, Add, Print]
+LoopOp = Union[Alloc, Fill, MatMul, Add, Print]
 
-COMPUTE_OPS = (MatMul, Transpose, Add)
+COMPUTE_OPS = (MatMul, Add)
 
 
 @dataclass(frozen=True)
@@ -88,13 +81,13 @@ def lower_to_loops(m: ir.IRModule) -> LoopModule:
     tensors: dict[TensorId, TensorInfo] = {}
     tmap: dict[ir.ValueId, TensorId] = {}
 
-    def alloc(v: ir.ValueId) -> TensorId:
+    def alloc(v: ir.ValueId, transpose_of: TensorId | None = None) -> TensorId:
         t = m.types[v]
         dims = ir.value_dims(t)
         assert dims is not None
         tid = len(tensors)
         tensors[tid] = TensorInfo(dims[0], dims[1], ir.value_elem(t),
-                                  ir.value_props(t))
+                                  ir.value_props(t), transpose_of)
         tmap[v] = tid
         ops.append(Alloc(tid))
         return tid
@@ -105,20 +98,13 @@ def lower_to_loops(m: ir.IRModule) -> LoopModule:
         elif isinstance(op, ir.Fill):
             tid = tmap[op.operand]
             ops.append(Fill(tid, op.value, stored_pattern(tensors[tid].props)))
-        elif isinstance(op, ir.Mul):
-            assert len(op.operands) == 2
-            a, bb = op.operands
+        elif isinstance(op, (ir.Mul, ir.Add)):
+            a, bb = op.operands  # rematerialization leaves binary ops
             out = alloc(op.result)
-            ops.append(MatMul(tmap[a], tmap[bb], out,
-                              ir.value_props(m.types[a]),
-                              ir.value_props(m.types[bb])))
+            kind = MatMul if isinstance(op, ir.Mul) else Add
+            ops.append(kind(tmap[a], tmap[bb], out))
         elif isinstance(op, ir.Transpose):
-            out = alloc(op.result)
-            ops.append(Transpose(tmap[op.operand], out))
-        elif isinstance(op, ir.Add):
-            a, bb = op.operands
-            out = alloc(op.result)
-            ops.append(Add(tmap[a], tmap[bb], out))
+            alloc(op.result, tmap[op.operand])
         elif isinstance(op, ir.Print):
             ops.append(Print(tmap[op.operand]))
         else:
@@ -128,8 +114,8 @@ def lower_to_loops(m: ir.IRModule) -> LoopModule:
     return LoopModule(tuple(ops), tensors)
 
 
-def print_loops(lm: LoopModule) -> str:
-    """Deterministic one-op-per-line dump, pinned by golden tests."""
+def format_op(lm: LoopModule, op: LoopOp) -> str:
+    """The op's line in the `print_loops` dump."""
 
     def shape(tid: TensorId) -> str:
         t = lm.tensors[tid]
@@ -138,22 +124,22 @@ def print_loops(lm: LoopModule) -> str:
     def annotated(tid: TensorId) -> str:
         return f"%{tid}{lm.tensors[tid].props.render()}"
 
-    lines: list[str] = []
-    for op in lm.ops:
-        if isinstance(op, Alloc):
-            lines.append(f"%{op.tensor} = alloc : {shape(op.tensor)}")
-        elif isinstance(op, Fill):
-            lines.append(f"fill %{op.tensor}, {ir.format_scalar(op.value)} : "
-                         f"pattern={op.pattern}")
-        elif isinstance(op, MatMul):
-            lines.append(f"matmul %{op.a}{op.props_a.render()}, "
-                         f"%{op.b}{op.props_b.render()} -> "
-                         f"{annotated(op.out)} : {shape(op.out)}")
-        elif isinstance(op, Transpose):
-            lines.append(f"transpose %{op.a} -> %{op.out} : {shape(op.out)}")
-        elif isinstance(op, Add):
-            lines.append(f"add %{op.a}, %{op.b} -> %{op.out} : {shape(op.out)}")
-        else:
-            assert isinstance(op, Print)
-            lines.append(f"print %{op.tensor}")
-    return "\n".join(lines) + "\n"
+    if isinstance(op, Alloc):
+        src = lm.tensors[op.tensor].transpose_of
+        what = "alloc" if src is None else f"transpose %{src}"
+        return f"%{op.tensor} = {what} : {shape(op.tensor)}"
+    if isinstance(op, Fill):
+        return (f"fill %{op.tensor}, {ir.format_scalar(op.value)} : "
+                f"pattern={op.pattern}")
+    if isinstance(op, MatMul):
+        return (f"matmul {annotated(op.a)}, {annotated(op.b)} -> "
+                f"{annotated(op.out)} : {shape(op.out)}")
+    if isinstance(op, Add):
+        return f"add %{op.a}, %{op.b} -> %{op.out} : {shape(op.out)}"
+    assert isinstance(op, Print)
+    return f"print %{op.tensor}"
+
+
+def print_loops(lm: LoopModule) -> str:
+    """Deterministic one-op-per-line dump, pinned by golden tests."""
+    return "\n".join(format_op(lm, op) for op in lm.ops) + "\n"

@@ -158,13 +158,12 @@ def test_mode_equivalence_and_zero_soundness():
         for ex in (dense, spec):
             for tid, buf in ex.buffers.items():
                 pat = stored_pattern(lm.tensors[tid].props)
-                for i in range(buf.rows):
-                    for j in range(buf.cols):
+                for i in range(buf.shape[0]):
+                    for j in range(buf.shape[1]):
                         if not pat.contains(i, j):
-                            assert buf.array[i, j] == 0
+                            assert buf[i, j] == 0
         for tid, buf in zip(sorted(dense.buffers), sorted(spec.buffers)):
-            assert dense.buffers[tid].array.tobytes() == \
-                spec.buffers[tid].array.tobytes()
+            assert dense.buffers[tid].tobytes() == spec.buffers[tid].tobytes()
 
 
 @criterion(7, "optimization preserves semantics bit-exactly on random programs")
@@ -196,5 +195,6 @@ def test_golden_dumps(capsys):
     matmuls = [op for op in lm.ops if isinstance(op, loops.MatMul)]
     assert len(matmuls) == 1
     lower = PropertySet.closure((Property.LOWER_TRIANGULAR,))
-    assert matmuls[0].props_a == lower and matmuls[0].props_b == lower
+    assert lm.tensors[matmuls[0].a].props == lower
+    assert lm.tensors[matmuls[0].b].props == lower
     assert lm.tensors[matmuls[0].out].props == lower

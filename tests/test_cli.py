@@ -124,6 +124,30 @@ def test_unwritable_report_exits_1(tmp_path, capsys, flag):
     assert err == f"momc: cannot write {path}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("mode", ["dense", "specialized"])
+@pytest.mark.parametrize("text,message", [
+    ("".join(f"Matrix {m}(3, 3) <{p}> = 100000000000000000000\n"
+             for m, p in (("A", ""), ("B", ""), ("L", "LowerTriangular")))
+     + "C = A * B * L\nprint(C)\n",
+     "error: op 7 (matmul %0[], %1[] -> %3[] : 3x3xf32): "
+     "overflow encountered in multiply"),
+    ("Matrix A(2, 2) <> = 1" + "0" * 39 + "\nprint(A)\n",
+     "error: op 1 (fill %0, 1e+39 : pattern=full): overflow encountered in cast"),
+    # A literal past the f64 range reads as inf.
+    ("Matrix A(2, 2) <> : f64 = 1" + "0" * 400 + "\nprint(A)\n",
+     "error: op 1 (fill %0, inf : pattern=full): fill value inf is not finite"),
+])
+def test_non_finite_value_exits_1_without_output(tmp_path, capsys, recwarn,
+                                                 mode, text, message):
+    prog = tmp_path / "big.mom"
+    prog.write_text(text)
+    code, out, err = run_cli(capsys, str(prog), "--run", "--no-opt",
+                             f"--mode={mode}")
+    assert (code, out) == (1, "")
+    assert err == f"{prog}: {message}\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_nesting_past_the_limit_is_a_located_parse_error(tmp_path, capsys):
     prog = tmp_path / "deep.mom"
     deep = MAX_NESTING + 300

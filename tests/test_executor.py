@@ -15,8 +15,8 @@ import pytest
 from momc.chain import mul_cost
 from momc.errors import DimMismatch
 from momc.executor import (
+    _DTYPES as DTYPES,
     _PRINT_BLOCK_ENTRIES as PRINT_BLOCK,
-    DenseBuffer,
     ExecMode,
     Executor,
     execute,
@@ -45,7 +45,7 @@ DIAG = PropertySet.closure((Property.DIAGONAL,))
 
 
 def buf(rows, cols, elem=ElemKind.F32):
-    return DenseBuffer(rows, cols, elem)
+    return np.zeros((rows, cols), DTYPES[elem])
 
 
 def filled(rows, cols, scalar, pattern, elem=ElemKind.F32):
@@ -56,17 +56,17 @@ def filled(rows, cols, scalar, pattern, elem=ElemKind.F32):
 
 def test_run_fill_lower_ones():
     b = filled(3, 3, 1.0, StoredPattern.LOWER_INCL)
-    assert b.array.tolist() == [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
+    assert b.tolist() == [[1, 0, 0], [1, 1, 0], [1, 1, 1]]
 
 
 def test_run_fill_diagonal_is_identity():
     b = filled(3, 3, 1.0, StoredPattern.DIAG_ONLY)
-    assert np.array_equal(b.array, np.eye(3, dtype=np.float32))
+    assert np.array_equal(b, np.eye(3, dtype=np.float32))
 
 
 def test_run_fill_full_rectangular():
     b = filled(2, 3, 2.5, StoredPattern.FULL)
-    assert b.array.tolist() == [[2.5, 2.5, 2.5], [2.5, 2.5, 2.5]]
+    assert b.tolist() == [[2.5, 2.5, 2.5], [2.5, 2.5, 2.5]]
 
 
 def test_matmul_lower_ones_specialized():
@@ -77,7 +77,7 @@ def test_matmul_lower_ones_specialized():
     assert count == 35
     expected = [[i - j + 1 if i >= j else 0 for j in range(5)]
                 for i in range(5)]
-    assert out.array.tolist() == expected
+    assert out.tolist() == expected
 
 
 def test_matmul_lower_ones_dense_same_values():
@@ -87,7 +87,7 @@ def test_matmul_lower_ones_dense_same_values():
     out_s = buf(5, 5)
     assert run_matmul(a, b, out_d, LOWER, LOWER, ExecMode.DENSE) == 125
     run_matmul(a, b, out_s, LOWER, LOWER, ExecMode.SPECIALIZED)
-    assert out_d.array.tobytes() == out_s.array.tobytes()
+    assert out_d.tobytes() == out_s.tobytes()
 
 
 def test_matmul_rejects_dim_mismatch():
@@ -101,37 +101,39 @@ def test_matmul_rejects_dim_mismatch():
 
 def test_transpose_examples():
     lower = filled(3, 3, 1.0, StoredPattern.LOWER_INCL)
-    out = buf(3, 3)
-    run_transpose(lower, out)
-    assert out.array.tolist() == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
+    out = run_transpose(lower)
+    assert np.shares_memory(out, lower)
+    assert out.tolist() == [[1, 1, 1], [0, 1, 1], [0, 0, 1]]
 
     rect = buf(2, 3)
-    rect.array[:] = [[1, 2, 3], [4, 5, 6]]
-    out2 = buf(3, 2)
-    run_transpose(rect, out2)
-    assert out2.array.tolist() == [[1, 4], [2, 5], [3, 6]]
+    rect[:] = [[1, 2, 3], [4, 5, 6]]
+    out2 = run_transpose(rect)
+    assert np.shares_memory(out2, rect)
+    assert out2.tolist() == [[1, 4], [2, 5], [3, 6]]
+    rect[1, 0] = 7  # a view, not a copy: it reads later writes
+    assert out2[0, 1] == 7
 
     eye = filled(3, 3, 1.0, StoredPattern.DIAG_ONLY)
-    out3 = buf(3, 3)
-    run_transpose(eye, out3)
-    assert np.array_equal(out3.array, eye.array)
+    out3 = run_transpose(eye)
+    assert np.shares_memory(out3, eye)
+    assert np.array_equal(out3, eye)
 
 
 def test_add_examples():
     low = filled(3, 3, 1.0, StoredPattern.LOWER_INCL)
     out = buf(3, 3)
     run_add(low, low, out)
-    assert out.array.tolist() == [[2, 0, 0], [2, 2, 0], [2, 2, 2]]
+    assert out.tolist() == [[2, 0, 0], [2, 2, 0], [2, 2, 2]]
 
     zero = buf(3, 3)
     out2 = buf(3, 3)
     run_add(low, zero, out2)
-    assert out2.array.tobytes() == low.array.tobytes()
+    assert out2.tobytes() == low.tobytes()
 
     eye = filled(3, 3, 1.0, StoredPattern.DIAG_ONLY)
     out3 = buf(3, 3)
     run_add(eye, eye, out3)
-    assert np.array_equal(out3.array, 2 * np.eye(3, dtype=np.float32))
+    assert np.array_equal(out3, 2 * np.eye(3, dtype=np.float32))
 
 
 def test_format_print_examples():
@@ -139,17 +141,17 @@ def test_format_print_examples():
     assert format_print(eye) == "2x2 f32\n1 0\n0 1"
 
     one = buf(1, 1)
-    one.array[0, 0] = 2.5
+    one[0, 0] = 2.5
     assert format_print(one) == "1x1 f32\n2.5"
 
     low = filled(3, 3, 1.0, StoredPattern.LOWER_INCL)
     assert format_print(low) == "3x3 f32\n1 0 0\n1 1 0\n1 1 1"
 
 
-def reference_format_print(b: DenseBuffer) -> str:
+def reference_format_print(b: np.ndarray) -> str:
     """The per-entry renderer: every entry through `format_scalar`."""
-    header = f"{b.rows}x{b.cols} {b.elem}"
-    rows = [" ".join(format_scalar(float(v)) for v in row) for row in b.array]
+    header = f"{b.shape[0]}x{b.shape[1]} f{8 * b.itemsize}"
+    rows = [" ".join(format_scalar(float(v)) for v in row) for row in b]
     return "\n".join([header] + rows)
 
 
@@ -166,10 +168,10 @@ def _print_case(rng, rows, cols, elem):
     """A buffer whose row blocks (as format_print cuts them) are, in turn,
     all whole numbers, whole numbers mixed with every other kind of value,
     and random reals of mixed magnitude."""
-    b = DenseBuffer(rows, cols, elem)
+    b = buf(rows, cols, elem)
     step = max(1, PRINT_BLOCK // cols)
     for n, r in enumerate(range(0, rows, step)):
-        block = b.array[r:r + step]
+        block = b[r:r + step]
         ints = rng.integers(-10**6, 10**6, size=block.shape) \
             * 10.0 ** rng.integers(0, 12, size=block.shape)
         kind = n % 3
@@ -194,7 +196,7 @@ def test_format_print_matches_per_entry_reference(elem, rows, cols):
     if rows * cols == 1:  # each value alone decides its block's path
         for v in WHOLE_VALUES + OTHER_VALUES + [3.25, 7.0, -12.0]:
             b = buf(1, 1, elem)
-            b.array[0, 0] = v
+            b[0, 0] = v
             assert format_print(b) == reference_format_print(b), v
         return
     b = _print_case(np.random.default_rng(default_seed()), rows, cols, elem)
@@ -203,27 +205,27 @@ def test_format_print_matches_per_entry_reference(elem, rows, cols):
 
 def _random_realization(rng, props, rows, cols, elem):
     """Integer-valued buffer (entries in [-8, 8]) respecting the pattern."""
-    b = DenseBuffer(rows, cols, elem)
+    b = buf(rows, cols, elem)
     pat = stored_pattern(props)
     for i in range(rows):
         for j in range(cols):
             if pat.contains(i, j):
-                b.array[i, j] = rng.randint(-8, 8)
+                b[i, j] = rng.randint(-8, 8)
     return b
 
 
 def _naive_matmul(a, b):
     """Pure-python triple loop, ascending k, accumulating in python floats."""
-    m, kk = a.array.shape
-    n = b.array.shape[1]
+    m, kk = a.shape
+    n = b.shape[1]
     out = [[0.0] * n for _ in range(m)]
     for i in range(m):
         for j in range(n):
             acc = 0.0
             for k in range(kk):
-                acc += float(a.array[i, k]) * float(b.array[k, j])
+                acc += float(a[i, k]) * float(b[k, j])
             out[i][j] = acc
-    return np.array(out, dtype=a.array.dtype)
+    return np.array(out, dtype=a.dtype)
 
 
 @pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
@@ -239,9 +241,9 @@ def test_matmul_matches_naive_reference_bit_exactly(elem):
         b = _random_realization(rng, pb, k, n, elem)
         ref = _naive_matmul(a, b)
         for mode in ExecMode:
-            out = DenseBuffer(m, n, elem)
+            out = buf(m, n, elem)
             run_matmul(a, b, out, pa, pb, mode)
-            assert out.array.tobytes() == ref.tobytes()
+            assert out.tobytes() == ref.tobytes()
 
 
 def test_count_fidelity_against_cost_model():
@@ -250,10 +252,10 @@ def test_count_fidelity_against_cost_model():
         for n in range(1, 17):
             a = _random_realization(rng, pa, n, n, ElemKind.F64)
             b = _random_realization(rng, pb, n, n, ElemKind.F64)
-            out = DenseBuffer(n, n, ElemKind.F64)
+            out = buf(n, n, ElemKind.F64)
             got = run_matmul(a, b, out, pa, pb, ExecMode.SPECIALIZED)
             assert got == mul_cost((n, n, pa), (n, n, pb))
-            out2 = DenseBuffer(n, n, ElemKind.F64)
+            out2 = buf(n, n, ElemKind.F64)
             assert run_matmul(a, b, out2, pa, pb, ExecMode.DENSE) == n * n * n
 
 
@@ -263,7 +265,7 @@ def test_count_fidelity_rectangular_dense():
         m, k, n = (rng.randint(1, 16) for _ in range(3))
         a = _random_realization(rng, EMPTY_PROPS, m, k, ElemKind.F32)
         b = _random_realization(rng, EMPTY_PROPS, k, n, ElemKind.F32)
-        out = DenseBuffer(m, n, ElemKind.F32)
+        out = buf(m, n, ElemKind.F32)
         assert run_matmul(a, b, out, EMPTY_PROPS, EMPTY_PROPS,
                           ExecMode.DENSE) == m * k * n
 
@@ -275,12 +277,12 @@ def test_count_fidelity_structured_times_rectangular():
             for free in (1, 7, 16):
                 a = _random_realization(rng, props, k, k, ElemKind.F32)
                 b = _random_realization(rng, EMPTY_PROPS, k, free, ElemKind.F32)
-                out = DenseBuffer(k, free, ElemKind.F32)
+                out = buf(k, free, ElemKind.F32)
                 got = run_matmul(a, b, out, props, EMPTY_PROPS,
                                  ExecMode.SPECIALIZED)
                 assert got == mul_cost((k, k, props), (k, free, EMPTY_PROPS))
                 c = _random_realization(rng, EMPTY_PROPS, free, k, ElemKind.F32)
-                out2 = DenseBuffer(free, k, ElemKind.F32)
+                out2 = buf(free, k, ElemKind.F32)
                 got2 = run_matmul(c, a, out2, EMPTY_PROPS, props,
                                   ExecMode.SPECIALIZED)
                 assert got2 == mul_cost((free, k, EMPTY_PROPS), (k, k, props))
@@ -309,13 +311,13 @@ def test_outputs_stay_zero_outside_annotated_pattern():
         a = _random_realization(rng, pa, n, n, ElemKind.F32)
         b = _random_realization(rng, pb, n, n, ElemKind.F32)
         for mode in ExecMode:
-            out = DenseBuffer(n, n, ElemKind.F32)
+            out = buf(n, n, ElemKind.F32)
             run_matmul(a, b, out, pa, pb, mode)
             pat = stored_pattern(infer_mul(pa, (n, n), pb, (n, n)))
             for i in range(n):
                 for j in range(n):
                     if not pat.contains(i, j):
-                        assert out.array[i, j] == 0
+                        assert out[i, j] == 0
 
 
 LISTING = """\
@@ -362,4 +364,45 @@ def test_report_kv_serialization():
 def test_executor_exposes_buffers_for_inspection():
     ex = Executor(lower_text(LISTING))
     ex.run(ExecMode.SPECIALIZED, repeats=1)
-    assert ex.buffers[2].array[4, 0] == 5
+    assert ex.buffers[2][4, 0] == 5
+
+
+TRANSPOSED_OPERANDS = """\
+n = 4
+Matrix L(n, n) <LowerTriangular> = 2
+Matrix R(n, 3) <> = 3
+P = transpose(L) * R
+Q = transpose(R) * transpose(L)
+S = transpose(L) + L
+print(P)
+print(Q)
+print(S)
+print(transpose(L))
+"""
+
+
+@pytest.mark.parametrize("mode", list(ExecMode))
+def test_transposed_operands_match_numpy(mode):
+    """A transpose is a view of its operand's buffer, read as the left and
+    the right operand of a matmul, an add operand and a print."""
+    from momc.loops import lower_to_loops
+    from util import optimize_text
+    res = optimize_text(TRANSPOSED_OPERANDS)
+    lm = lower_to_loops(res.module)
+    ex = Executor(lm)
+    report = ex.run(mode, repeats=2)
+    views = {tid: t.transpose_of for tid, t in lm.tensors.items()
+             if t.transpose_of is not None}
+    assert len(views) == 5  # one per transpose in the source
+    for tid, src in views.items():
+        assert np.shares_memory(ex.buffers[tid], ex.buffers[src])
+        assert np.array_equal(ex.buffers[tid], ex.buffers[src].T)
+    lo = np.tril(np.full((4, 4), 2, np.float32))
+    r = np.full((4, 3), 3, np.float32)
+    expected = [lo.T @ r, r.T @ lo.T, lo.T + lo, lo.T]
+    assert report.printed == tuple(format_print(e) for e in expected)
+    if mode is ExecMode.SPECIALIZED:
+        assert report.total_mults == sum(c.solution.total_cost for c in res.chains)
+    else:
+        assert report.total_mults == 4 * 4 * 3 + 3 * 4 * 4
+

@@ -37,7 +37,7 @@ def test_lower_listing_structure():
     assert kinds == [loops.Alloc, loops.Fill, loops.Alloc, loops.Fill,
                      loops.Alloc, loops.MatMul, loops.Print]
     mm = lm.ops[5]
-    assert mm.props_a == LOWER and mm.props_b == LOWER
+    assert lm.tensors[mm.a].props == LOWER and lm.tensors[mm.b].props == LOWER
     assert lm.tensors[mm.out].props == LOWER
 
 
@@ -71,10 +71,13 @@ def test_transpose_and_add_lowering():
     lm = lower_text("n = 3\nMatrix A(n, n) <LowerTriangular>\n"
                     "B = transpose(A) + A\nprint(B)\n")
     kinds = [type(op) for op in lm.ops]
-    assert kinds == [loops.Alloc, loops.Fill, loops.Alloc, loops.Transpose,
+    assert kinds == [loops.Alloc, loops.Fill, loops.Alloc,
                      loops.Alloc, loops.Add, loops.Print]
+    assert lm.tensors[1].transpose_of == 0
+    assert [t.transpose_of for t in (lm.tensors[0], lm.tensors[2])] == [None, None]
     text = loops.print_loops(lm)
-    assert "transpose %0 -> %1 : 3x3xf32" in text
+    assert "%1 = transpose %0 : 3x3xf32" in text
+    assert "alloc : 3x3xf32\n%1" not in text
     assert "add %1, %0 -> %2 : 3x3xf32" in text
 
 
@@ -90,9 +93,13 @@ def test_one_to_one_mapping_and_print_order():
     res = optimize_text(text)
     lm = loops.lower_to_loops(res.module)
     ir_compute = [op for op in res.module.ops
-                  if isinstance(op, (ir.Mul, ir.Add, ir.Transpose))]
+                  if isinstance(op, (ir.Mul, ir.Add))]
     lm_compute = [op for op in lm.ops if isinstance(op, loops.COMPUTE_OPS)]
     assert len(ir_compute) == len(lm_compute)
+    # A transpose lowers to a view of its operand, not to a compute op.
+    ir_transposes = [op for op in res.module.ops if isinstance(op, ir.Transpose)]
+    views = [t for t in lm.tensors.values() if t.transpose_of is not None]
+    assert len(ir_transposes) == len(views) == 1
     produced = [op for op in res.module.ops
                 if ir.op_result(op) is not None]
     allocs = [op for op in lm.ops if isinstance(op, loops.Alloc)]
