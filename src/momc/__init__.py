@@ -7,12 +7,7 @@ a structure-aware matrix-chain solver, and the result lowers to a loop-level
 IR executed by instrumented dense or pattern-specialized kernels.
 """
 
-from .chain import (
-    ChainOperand,
-    ChainSolution,
-    mul_cost,
-    optimal_parenthesization,
-)
+from .chain import ChainSolution, optimal_parenthesization
 from .equation_opt import OptOptions, optimize_and_rematerialize
 from .errors import CompileError
 from .executor import ExecMode, ExecutionReport, Executor, execute
@@ -35,7 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ast",
-    "ChainOperand",
     "ChainSolution",
     "CompileError",
     "ElemKind",
@@ -56,7 +50,6 @@ __all__ = [
     "infer_mul",
     "infer_transpose",
     "lower_to_loops",
-    "mul_cost",
     "optimal_parenthesization",
     "optimize_and_rematerialize",
     "parse",

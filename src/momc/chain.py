@@ -1,32 +1,34 @@
 """Structure-aware matrix-chain parenthesization.
 
-Classic interval dynamic programming over a chain of typed operands, with a
-cost model that counts scalar multiplications touching stored entries only:
+Classic interval dynamic programming over a chain of `ir.MatrixType`
+operands, with a cost model that counts scalar multiplications touching
+stored entries only:
 
     cost(a, b) = |{(i, j, k) : (i, k) in stored(a) and (k, j) in stored(b)}|
 
 For unstructured operands this is the familiar m*k*n; triangular and diagonal
-operands pay only for their stored region. Each DP cell also carries the
-inferred type of its subchain product, so structure propagates into later
-cost decisions. All costs are exact integers.
+operands pay only for their stored region. All costs are exact integers.
 
-The stored pattern of each cell's type is looked up once, when the cell is
-filled, and kept beside the type. The O(k^3) split scan then only does
-integer arithmetic in `pattern_cost`, the one closed form of the cost model
-(`mul_cost` is a thin wrapper over it). Every walk over a tree (`tree_type`,
-`tree_cost`, `tree_string`, the optimizer's emission of products) is a loop
-over the iterative `postorder`, which yields each node with the span i..j of
-operands under it, the DP cell holding that node's type; so chain length is
-not bounded by Python's recursion limit.
+Each DP cell (i, j) keeps the inferred properties of its subchain product,
+whose dims are `chain[i].rows` x `chain[j].cols`, so structure propagates
+into later cost decisions; the optimizer builds each emitted product's type
+from that cell. The cell's stored pattern is looked up once, when the cell
+is filled, so the O(k^3) split scan only does integer arithmetic in
+`pattern_cost`, the one closed form of the cost model. Every walk over a
+tree (`tree_props`, `tree_cost`, `tree_string`, the optimizer's emission of
+products) is a loop over the iterative `postorder`, which yields each node
+with the span i..j of operands under it, the DP cell of that node; so chain
+length is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import DimMismatch
+from .ir import MatrixType
 from .properties import (
     PropertySet,
     StoredPattern,
@@ -34,22 +36,8 @@ from .properties import (
     stored_pattern,
 )
 
-# (rows, cols, props) of an operand or of a subchain product.
-OperandType = tuple[int, int, PropertySet]
-
 _FULL = StoredPattern.FULL
 _DIAG = StoredPattern.DIAG_ONLY
-
-
-@dataclass(frozen=True)
-class ChainOperand:
-    rows: int
-    cols: int
-    props: PropertySet
-
-    @property
-    def type(self) -> OperandType:
-        return (self.rows, self.cols, self.props)
 
 
 @dataclass(frozen=True)
@@ -96,35 +84,6 @@ def pattern_cost(m: int, k: int, n: int,
     return k * k + k * (k - 1) * (2 * k - 1) // 6
 
 
-def mul_cost(a: OperandType, b: OperandType) -> int:
-    """Scalar multiplications for one product of two typed operands."""
-    m, ka, pa = a
-    kb, n, pb = b
-    if ka != kb:
-        raise DimMismatch(f"inner dims disagree, {ka} vs {kb}")
-    sa = stored_pattern(pa)
-    sb = stored_pattern(pb)
-    if sa is not _FULL and m != ka:
-        raise DimMismatch("structured left operand must be square")
-    if sb is not _FULL and n != ka:
-        raise DimMismatch("structured right operand must be square")
-    return pattern_cost(m, ka, n, sa, sb)
-
-
-def product_type(a: OperandType, b: OperandType) -> OperandType:
-    if a[1] != b[0]:
-        raise DimMismatch(f"inner dims disagree, {a[1]} vs {b[0]}")
-    return (a[0], b[1], infer_mul(a[2], (a[0], a[1]), b[2], (b[0], b[1])))
-
-
-def _leaf_pattern(op: ChainOperand) -> StoredPattern:
-    p = stored_pattern(op.props)
-    if p is not _FULL and op.rows != op.cols:
-        raise DimMismatch(
-            f"structured operand must be square, got {op.rows}x{op.cols}")
-    return p
-
-
 def postorder(tree: ChainTree) -> Iterator[tuple[ChainTree, int, int]]:
     """Every node with the span i..j of operand indices under it, children
     before parents and left before right. A node's left child spans i..s and
@@ -144,29 +103,33 @@ def postorder(tree: ChainTree) -> Iterator[tuple[ChainTree, int, int]]:
         yield node, *spans[-1]
 
 
-def _evaluate(tree: ChainTree, chain: list[ChainOperand] | tuple[ChainOperand, ...]
-              ) -> tuple[OperandType, int]:
-    """Type and cost of a tree in one post-order pass; each node's type,
-    pattern and product cost are computed once."""
-    done: list[tuple[OperandType, StoredPattern, int]] = []
-    for node, i, _ in postorder(tree):
+def _evaluate(tree: ChainTree, chain: Sequence[MatrixType]
+              ) -> tuple[PropertySet, int]:
+    """Properties and cost of a tree's product in one post-order pass; each
+    node's properties, pattern and product cost are computed once."""
+    # Per subtree: its product's column count, properties, pattern and cost.
+    done: list[tuple[int, PropertySet, StoredPattern, int]] = []
+    for node, i, j in postorder(tree):
         if isinstance(node, ChainLeaf):
-            done.append((chain[i].type, _leaf_pattern(chain[i]), 0))
+            p = chain[i].props
+            done.append((chain[i].cols, p, stored_pattern(p), 0))
         else:
-            rt, rp, rc = done.pop()
-            lt, lp, lc = done.pop()
-            t = product_type(lt, rt)
-            done.append((t, stored_pattern(t[2]),
-                         lc + rc + pattern_cost(lt[0], lt[1], rt[1], lp, rp)))
-    t, _, cost = done[0]
-    return t, cost
+            n, rp, rpat, rc = done.pop()
+            k, lp, lpat, lc = done.pop()
+            m = chain[i].rows
+            p = infer_mul(lp, (m, k), rp, (k, n))
+            done.append((n, p, stored_pattern(p),
+                         lc + rc + pattern_cost(m, k, n, lpat, rpat)))
+    _, props, _, cost = done[0]
+    return props, cost
 
 
-def tree_type(tree: ChainTree, chain: list[ChainOperand] | tuple[ChainOperand, ...]) -> OperandType:
+def tree_props(tree: ChainTree, chain: Sequence[MatrixType]) -> PropertySet:
+    """Properties of the product a parenthesization tree computes."""
     return _evaluate(tree, chain)[0]
 
 
-def tree_cost(tree: ChainTree, chain: list[ChainOperand] | tuple[ChainOperand, ...]) -> int:
+def tree_cost(tree: ChainTree, chain: Sequence[MatrixType]) -> int:
     """Recompute the scalar-multiplication cost of a parenthesization tree."""
     return _evaluate(tree, chain)[1]
 
@@ -195,14 +158,14 @@ def left_fold_tree(length: int) -> ChainTree:
 class ChainSolution:
     """DP tables plus the chosen tree. Cells are None below the diagonal."""
 
-    cost: list[list[int | None]]          # m[i][j], exact integers
-    split: list[list[int | None]]         # s[i][j]
-    types: list[list[OperandType | None]]  # type of the subchain product
+    cost: list[list[int | None]]            # m[i][j], exact integers
+    split: list[list[int | None]]           # s[i][j]
+    props: list[list[PropertySet | None]]   # properties of the subchain product
     tree: ChainTree
     total_cost: int
 
 
-def _check_chain(chain: list[ChainOperand] | tuple[ChainOperand, ...]) -> None:
+def _check_chain(chain: Sequence[MatrixType]) -> None:
     if not chain:
         raise ValueError("chain must not be empty")
     for a, b in zip(chain, chain[1:]):
@@ -210,12 +173,11 @@ def _check_chain(chain: list[ChainOperand] | tuple[ChainOperand, ...]) -> None:
             raise DimMismatch(f"inner dims disagree, {a.cols} vs {b.rows}")
 
 
-def optimal_parenthesization(
-        chain: list[ChainOperand] | tuple[ChainOperand, ...]) -> ChainSolution:
-    """O(k^3) interval DP with per-cell type propagation.
+def optimal_parenthesization(chain: Sequence[MatrixType]) -> ChainSolution:
+    """O(k^3) interval DP with per-cell property propagation.
 
-    Subchain types fold left, which is safe because property inference is
-    associative for square same-size operands. Cost ties break toward the
+    Subchain properties fold left, which is safe because property inference
+    is associative for square same-size operands. Cost ties break toward the
     smallest split index so dumps are deterministic.
     """
     _check_chain(chain)
@@ -223,19 +185,20 @@ def optimal_parenthesization(
     dims = [op.rows for op in chain] + [chain[-1].cols]
     cost: list[list[int | None]] = [[None] * k for _ in range(k)]
     split: list[list[int | None]] = [[None] * k for _ in range(k)]
-    types: list[list[OperandType | None]] = [[None] * k for _ in range(k)]
+    props: list[list[PropertySet | None]] = [[None] * k for _ in range(k)]
     pattern: list[list[StoredPattern | None]] = [[None] * k for _ in range(k)]
     for i, op in enumerate(chain):
         cost[i][i] = 0
-        types[i][i] = op.type
-        pattern[i][i] = _leaf_pattern(op)
+        props[i][i] = op.props
+        pattern[i][i] = stored_pattern(op.props)
     for length in range(2, k + 1):
         for i in range(0, k - length + 1):
             j = i + length - 1
-            t = product_type(types[i][j - 1], types[j][j])  # type: ignore[arg-type]
-            types[i][j] = t
-            pattern[i][j] = stored_pattern(t[2])
             m, n = dims[i], dims[j + 1]
+            p = infer_mul(props[i][j - 1], (m, dims[j]),  # type: ignore[arg-type]
+                          props[j][j], (dims[j], n))  # type: ignore[arg-type]
+            props[i][j] = p
+            pattern[i][j] = stored_pattern(p)
             cost_i, pattern_i = cost[i], pattern[i]
             best, best_s = math.inf, i
             for s in range(i, j):
@@ -248,7 +211,7 @@ def optimal_parenthesization(
 
     total = cost[0][k - 1]
     assert total is not None
-    return ChainSolution(cost, split, types, _build(split, k), total)
+    return ChainSolution(cost, split, props, _build(split, k), total)
 
 
 def _build(split: list[list[int | None]], k: int) -> ChainTree:

@@ -188,9 +188,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(frontend.pretty(ast))
         module = ir.build_ir(ast)
         diags = ir.verify(module)
+        for d in diags:
+            print(d.error().at(None, None, cfg.input), file=sys.stderr)
         if diags:
-            for d in diags:
-                print(f"{cfg.input}: {d}", file=sys.stderr)
             return 1
         if cfg.emit == "ir":
             sys.stdout.write(ir.print_ir(module))

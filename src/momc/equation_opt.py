@@ -1,14 +1,16 @@
-"""Equation processing: symbolic walk, identity simplification, type
-resolution, and rematerialization to binary low-level IR.
+"""Equation processing: symbolic walk, type resolution with identity
+elimination, and rematerialization to binary low-level IR.
 
 Each equation region is walked from its yield into a flat variadic symbolic
-tree. Identity operands of multiplications are deleted in one bottom-up
-pass, placeholder term types are replaced by concrete inferred types, and
-every variadic multiplication is re-emitted as the binary tree chosen by the
-chain solver (additions fold left; their cost does not depend on
-parenthesization). Operand order inside a multiplication is never changed,
-only the grouping. Types are inferred once: an emitted product reads the
-type of the DP cell for the subchain it spans.
+tree. One bottom-up pass, `resolve_types`, replaces placeholder term types
+with concrete inferred ones and checks every operand's dims and element
+kind, identities included; only after a node's checks does it drop the
+identity operands of that node when asked to. Every variadic multiplication
+is then re-emitted as the binary tree chosen by the chain solver (additions
+fold left; their cost does not depend on parenthesization). Operand order
+inside a multiplication is never changed, only the grouping. Types are
+inferred once: an emitted product's properties are those of the DP cell
+for the subchain it spans.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Callable, Union
 from . import ir
 from .chain import (
     ChainLeaf,
-    ChainOperand,
     ChainSolution,
     ChainTree,
     left_fold_tree,
@@ -103,85 +104,57 @@ def symbolize(eq: ir.Equation, module: ir.IRModule,
     return walk(yield_op.operand)
 
 
-def _is_identity_leaf(e: SymExpr) -> bool:
-    return isinstance(e, Leaf) and isinstance(e.type, ir.IdentityType)
+def resolve_types(e: SymExpr, drop_identities: bool = False) -> SymExpr:
+    """Type every node bottom-up, checking dims and element kinds.
 
-
-def simplify_identities(e: SymExpr) -> SymExpr:
-    """Delete identity operands of multiplications in one bottom-up pass.
-
-    A multiplication of identities collapses to its first identity leaf; a
-    transposed identity is the identity itself; a multiplication left with
-    one child collapses to that child. A collapsed child is flattened into
-    its parent, so one pass reaches the fixpoint.
+    With `drop_identities`, each node then loses its identity operands: a
+    multiplication of identities collapses to its first identity leaf, one
+    left with a single operand to that operand, and a transposed identity
+    is the identity itself. A sum whose operand collapsed to a sum absorbs
+    its operands, so one pass reaches the fixpoint.
     """
-    def simp(e: SymExpr) -> SymExpr:
-        if isinstance(e, Leaf):
-            return e
-        if isinstance(e, Trans):
-            c = simp(e.child)
-            return c if _is_identity_leaf(c) else Trans(c)
-        if isinstance(e, AddN):
-            return AddN(_flatten(AddN, tuple(simp(c) for c in e.children)))
-        children = _flatten(MulN, tuple(simp(c) for c in e.children))
-        kept = tuple(c for c in children if not _is_identity_leaf(c))
-        if not kept:
-            return children[0]
-        if len(kept) == 1:
-            return kept[0]
-        return MulN(kept)
-
-    return simp(e)
-
-
-def _dims(t: ir.ValueType) -> tuple[int, int]:
-    d = ir.value_dims(t)
-    if d is None:
-        raise ResolutionError("placeholder term reached type resolution")
-    return d
-
-
-def resolve_types(e: SymExpr) -> SymExpr:
-    """Replace placeholder types bottom-up with concrete inferred types."""
     if isinstance(e, Leaf):
+        if not isinstance(e.type, ir.MatrixType):
+            raise ResolutionError("placeholder term reached type resolution")
         return e
     if isinstance(e, Trans):
-        c = resolve_types(e.child)
-        t = _type_of(c)
-        if isinstance(t, ir.IdentityType):
-            return Trans(c, t)
-        assert isinstance(t, ir.MatrixType)
+        c = resolve_types(e.child, drop_identities)
+        t = c.type
+        if t.identity:
+            return c if drop_identities else Trans(c, t)
         return Trans(c, ir.MatrixType(t.cols, t.rows, t.elem,
                                       infer_transpose(t.props)))
-    children = tuple(resolve_types(c) for c in e.children)
-    types = [_type_of(c) for c in children]
-    elems = {ir.value_elem(t) for t in types}
+    children = tuple(resolve_types(c, drop_identities) for c in e.children)
+    types = [c.type for c in children]
+    elems = {t.elem for t in types}
     if len(elems) > 1:
         raise ResolutionError("operands mix f32 and f64")
     elem = elems.pop()
-    dims = [_dims(t) for t in types]
     if isinstance(e, MulN):
-        for a, b in zip(dims, dims[1:]):
-            if a[1] != b[0]:
-                raise ResolutionError(f"inner dims disagree, {a[1]} vs {b[0]}")
-        props = ir.value_props(types[0])
-        d = dims[0]
-        for t, nd in zip(types[1:], dims[1:]):
-            props = infer_mul(props, d, ir.value_props(t), nd)
-            d = (d[0], nd[1])
-        return MulN(children, ir.MatrixType(dims[0][0], dims[-1][1], elem, props))
-    if any(d != dims[0] for d in dims):
+        for a, b in zip(types, types[1:]):
+            if a.cols != b.rows:
+                raise ResolutionError(f"inner dims disagree, {a.cols} vs {b.rows}")
+        if drop_identities:
+            kept = tuple(c for c in children if not c.type.identity)
+            if len(kept) < 2:
+                return kept[0] if kept else children[0]
+            children = kept
+            types = [c.type for c in kept]
+        props = types[0].props
+        d = (types[0].rows, types[0].cols)
+        for t in types[1:]:
+            props = infer_mul(props, d, t.props, (t.rows, t.cols))
+            d = (d[0], t.cols)
+        return MulN(children, ir.MatrixType(d[0], d[1], elem, props))
+    t0 = types[0]
+    if any((t.rows, t.cols) != (t0.rows, t0.cols) for t in types):
         raise ResolutionError("addition operands must share dims")
-    props = ir.value_props(types[0])
+    props = t0.props
     for t in types[1:]:
-        props = infer_add(props, ir.value_props(t))
-    return AddN(children, ir.MatrixType(dims[0][0], dims[0][1], elem, props))
-
-
-def _type_of(e: SymExpr) -> ir.ValueType:
-    if e.type is None:
-        raise ResolutionError("unresolved node; resolve_types must run first")
-    return e.type
+        props = infer_add(props, t.props)
+    if drop_identities:
+        children = _flatten(AddN, children)
+    return AddN(children, ir.MatrixType(t0.rows, t0.cols, elem, props))
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +174,7 @@ class ChainReport:
 
     label: str
     operand_names: tuple[str, ...]
-    operands: tuple[ChainOperand, ...]
+    operands: tuple[ir.MatrixType, ...]
     solution: ChainSolution
     baseline_tree: ChainTree
     baseline_cost: int
@@ -242,23 +215,18 @@ def optimize_and_rematerialize(module: ir.IRModule,
     def emit(e: SymExpr) -> ir.ValueId:
         if isinstance(e, Leaf):
             return vmap[e.value]
-        t = _type_of(e)
         if isinstance(e, Trans):
             operand = emit(e.child)
-            v = b.new_value(t)
+            v = b.new_value(e.type)
             b.append(ir.Transpose(v, operand))
             return v
         if isinstance(e, AddN):
-            acc_expr: SymExpr = e.children[0]
-            acc = emit(acc_expr)
-            acc_t = _type_of(acc_expr)
+            acc = emit(e.children[0])
+            acc_t = e.children[0].type
             for c in e.children[1:]:
                 rhs = emit(c)
-                ct = _type_of(c)
-                d = _dims(acc_t)
-                acc_t = ir.MatrixType(d[0], d[1], ir.value_elem(acc_t),
-                                      infer_add(ir.value_props(acc_t),
-                                                ir.value_props(ct)))
+                acc_t = ir.MatrixType(acc_t.rows, acc_t.cols, acc_t.elem,
+                                      infer_add(acc_t.props, c.type.props))
                 v = b.new_value(acc_t)
                 b.append(ir.Add(v, (acc, rhs)))
                 acc = v
@@ -266,9 +234,7 @@ def optimize_and_rematerialize(module: ir.IRModule,
         return emit_chain(e)
 
     def emit_chain(e: MulN) -> ir.ValueId:
-        operands = tuple(
-            ChainOperand(*_dims(_type_of(c)), ir.value_props(_type_of(c)))
-            for c in e.children)
+        operands = tuple(c.type for c in e.children)
         solution = optimal_parenthesization(operands)
         baseline = left_fold_tree(len(operands))
         tree = solution.tree if options.reorder_chains else baseline
@@ -282,39 +248,42 @@ def optimize_and_rematerialize(module: ir.IRModule,
             baseline_cost=tree_cost(baseline, operands),
         ))
 
-        # Each product's type is the DP cell of the subchain it spans.
-        elem = ir.value_elem(_type_of(e))
+        # Each product's properties are the DP cell of the subchain it spans.
+        elem = operands[0].elem
         values: list[ir.ValueId] = []
         for node, i, j in postorder(tree):
             if isinstance(node, ChainLeaf):
                 values.append(emit(e.children[i]))
                 continue
             rhs = values.pop()
-            rows, cols, props = solution.types[i][j]  # type: ignore[misc]
-            v = b.new_value(ir.MatrixType(rows, cols, elem, props))
+            v = b.new_value(ir.MatrixType(operands[i].rows, operands[j].cols,
+                                          elem, solution.props[i][j]))
             b.append(ir.Mul(v, (values[-1], rhs)))
             values[-1] = v
         return values[0]
 
     for op in module.ops:
         if isinstance(op, ir.Init):
-            vmap[op.result] = b.init(op.type, module.names.get(op.result))
+            vmap[op.result] = b.init(module.types[op.result],
+                                     module.names.get(op.result))
         elif isinstance(op, ir.Fill):
-            b.fill(op.value, vmap[op.operand])
+            b.append(ir.Fill(op.value, vmap[op.operand]))
         elif isinstance(op, ir.Print):
             b.append(ir.Print(vmap[op.operand]))
         elif isinstance(op, ir.Equation):
-            e = symbolize(op, module, rematerialized_type)
-            if options.simplify_identities:
-                e = simplify_identities(e)
-            e = resolve_types(e)
-            root_t = _type_of(e)
-            if op.declared_dims is not None:
-                got = _dims(root_t)
-                if got != op.declared_dims:
+            try:
+                e = resolve_types(symbolize(op, module, rematerialized_type),
+                                  options.simplify_identities)
+                t = e.type
+                want = op.declared_dims
+                if want is not None and want != (t.rows, t.cols):
                     raise ResolutionError(
-                        f"equation result is {got[0]}x{got[1]} but the target "
-                        f"was declared {op.declared_dims[0]}x{op.declared_dims[1]}")
+                        f"equation result is {t.rows}x{t.cols} but the target "
+                        f"was declared {want[0]}x{want[1]}")
+            except ResolutionError as err:
+                if op.loc is not None:
+                    err.at(op.loc.line, op.loc.col)
+                raise
             vmap[op.result] = emit(e)
             eq_count += 1
         else:

@@ -196,10 +196,11 @@ class Executor:
         """Zero-filled arrays, in tensor id order: a transposed tensor is a
         view of its source, which has a smaller id."""
         bufs = self.buffers = {}
+        views = self.lm.views
         for tid, t in self.lm.tensors.items():
-            bufs[tid] = (np.zeros((t.rows, t.cols), _DTYPES[t.elem])
-                         if t.transpose_of is None
-                         else run_transpose(bufs[t.transpose_of]))
+            src = views.get(tid)
+            bufs[tid] = (np.zeros((t.rows, t.cols), _DTYPES[t.elem]) if src is None
+                         else run_transpose(bufs[src]))
 
     def run(self, mode: ExecMode = ExecMode.DENSE, repeats: int = 5) -> ExecutionReport:
         if repeats < 1:

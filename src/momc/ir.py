@@ -1,9 +1,12 @@
 """Property-typed matrix IR: types, operations, verifier, textual printer.
 
 A module is an ordered list of operations plus a symbol table mapping value
-ids to types. Equations carry one nested region of variadic compute ops that
-produce placeholder `term` values; after optimization the module contains
-only binary compute ops with concrete types at the top level.
+ids to types. The table is the only place a value's type is kept: ops carry
+none, and the chain solver and loop lowering read the table's `MatrixType`
+objects themselves. An identity is a `MatrixType` with `identity` set.
+Equations carry one nested region of variadic compute ops that produce
+placeholder `term` values; after optimization the module contains only
+binary compute ops with concrete types at the top level.
 
 The textual form is this project's own, pinned by golden tests:
 
@@ -22,14 +25,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from . import frontend as fe
-from .errors import NonSquareStructuralProperty
-from .properties import (
-    DIAGONAL_PROPS,
-    ElemKind,
-    Property,
-    PropertySet,
-    canonicalize,
-)
+from .errors import CompileError, NonSquareStructuralProperty
+from .properties import DIAGONAL_PROPS, ElemKind, PropertySet, canonicalize
 
 ValueId = int
 
@@ -41,32 +38,28 @@ ValueId = int
 
 @dataclass(frozen=True)
 class MatrixType:
+    """The one matrix type: dims, element kind and closed property set. An
+    identity is the square diagonal type with `identity` set; it prints as
+    `identity<NxE>`, and the optimizer may drop it from a product."""
+
     rows: int
     cols: int
     elem: ElemKind
     props: PropertySet
+    identity: bool = False
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("matrix dimensions must be positive")
         if len(self.props) > 0 and self.rows != self.cols:
             raise ValueError("structured matrix types must be square")
+        if self.identity and self.props != DIAGONAL_PROPS:
+            raise ValueError("an identity type must be square and diagonal")
 
     def __str__(self) -> str:
+        if self.identity:
+            return f"identity<{self.rows}x{self.elem}>"
         return f"matrix<{self.rows}x{self.cols}x{self.elem},{self.props.render()}>"
-
-
-@dataclass(frozen=True)
-class IdentityType:
-    order: int
-    elem: ElemKind
-
-    def __post_init__(self) -> None:
-        if self.order <= 0:
-            raise ValueError("identity order must be positive")
-
-    def __str__(self) -> str:
-        return f"identity<{self.order}x{self.elem}>"
 
 
 @dataclass(frozen=True)
@@ -77,31 +70,7 @@ class TermType:
 
 TERM = TermType()
 
-ValueType = Union[MatrixType, IdentityType, TermType]
-
-
-def value_dims(t: ValueType) -> tuple[int, int] | None:
-    """(rows, cols) of a concrete type; None for a placeholder term."""
-    if isinstance(t, MatrixType):
-        return (t.rows, t.cols)
-    if isinstance(t, IdentityType):
-        return (t.order, t.order)
-    return None
-
-
-def value_props(t: ValueType) -> PropertySet:
-    """Structure properties of a concrete type; identities are diagonal."""
-    if isinstance(t, MatrixType):
-        return t.props
-    if isinstance(t, IdentityType):
-        return DIAGONAL_PROPS
-    raise ValueError("a term carries no properties")
-
-
-def value_elem(t: ValueType) -> ElemKind:
-    if isinstance(t, (MatrixType, IdentityType)):
-        return t.elem
-    raise ValueError("a term carries no element kind")
+ValueType = Union[MatrixType, TermType]
 
 
 # --------------------------------------------------------------------------
@@ -112,14 +81,12 @@ def value_elem(t: ValueType) -> ElemKind:
 @dataclass(frozen=True)
 class Init:
     result: ValueId
-    type: ValueType
 
 
 @dataclass(frozen=True)
 class Fill:
     value: float
     operand: ValueId
-    elem: ElemKind
 
 
 @dataclass(frozen=True)
@@ -151,6 +118,8 @@ class Equation:
     region: tuple["IROp", ...]
     # Dims declared on the assignment target, checked after type resolution.
     declared_dims: tuple[int, int] | None = None
+    # The statement's location, for diagnostics.
+    loc: fe.Loc | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -214,11 +183,8 @@ class IRBuilder:
 
     def init(self, t: ValueType, name: str | None = None) -> ValueId:
         v = self.new_value(t, name)
-        self.append(Init(v, t))
+        self.append(Init(v))
         return v
-
-    def fill(self, value: float, operand: ValueId) -> None:
-        self.append(Fill(value, operand, value_elem(self.types[operand])))
 
     def module(self) -> IRModule:
         return IRModule(tuple(self.ops), dict(self.types), dict(self.names))
@@ -252,11 +218,12 @@ def build_ir(ast: fe.Ast) -> IRModule:
             except NonSquareStructuralProperty as e:
                 raise e.at(d.loc.line, d.loc.col, ast.origin)
             v = b.init(MatrixType(d.rows, d.cols, d.elem, props), d.name)
-            b.fill(d.fill, v)
+            b.append(Fill(d.fill, v))
         else:
             assert isinstance(d.order, int)
-            v = b.init(IdentityType(d.order, d.elem), d.name)
-            b.fill(1.0, v)
+            v = b.init(MatrixType(d.order, d.order, d.elem, DIAGONAL_PROPS,
+                                  identity=True), d.name)
+            b.append(Fill(1.0, v))
         env[d.name] = v
 
     idlits: dict[int, ValueId] = {}
@@ -265,8 +232,9 @@ def build_ir(ast: fe.Ast) -> IRModule:
         for e in fe.walk_expr(s.expr):
             if isinstance(e, fe.IdentityLit):
                 assert isinstance(e.order, int)
-                v = b.init(IdentityType(e.order, ElemKind.F32))
-                b.fill(1.0, v)
+                v = b.init(MatrixType(e.order, e.order, ElemKind.F32,
+                                      DIAGONAL_PROPS, identity=True))
+                b.append(Fill(1.0, v))
                 idlits[id(e)] = v
 
     def build_region(e: fe.Expr, region: list[IROp]) -> ValueId:
@@ -285,12 +253,12 @@ def build_ir(ast: fe.Ast) -> IRModule:
                       else Add(v, operands))
         return v
 
-    def build_equation(e: fe.Expr, declared_dims: tuple[int, int] | None) -> ValueId:
+    def build_equation(s: fe.Stmt, declared_dims: tuple[int, int] | None) -> ValueId:
         result = b.new_value(TERM)
         region: list[IROp] = []
-        yielded = build_region(e, region)
+        yielded = build_region(s.expr, region)
         region.append(Yield(yielded))
-        b.append(Equation(result, tuple(region), declared_dims))
+        b.append(Equation(result, tuple(region), declared_dims, s.loc))
         return result
 
     for s in ast.stmts:
@@ -300,14 +268,14 @@ def build_ir(ast: fe.Ast) -> IRModule:
             if isinstance(d, fe.MatrixDecl):
                 assert isinstance(d.rows, int) and isinstance(d.cols, int)
                 dims = (d.rows, d.cols)
-            env[s.target] = build_equation(s.expr, dims)
+            env[s.target] = build_equation(s, dims)
         else:
             if isinstance(s.expr, fe.Ref):
                 operand = env[s.expr.name]
             elif isinstance(s.expr, fe.IdentityLit):
                 operand = idlits[id(s.expr)]
             else:
-                operand = build_equation(s.expr, None)
+                operand = build_equation(s, None)
             b.append(Print(operand))
 
     return b.module()
@@ -322,10 +290,18 @@ def build_ir(ast: fe.Ast) -> IRModule:
 class Diagnostic:
     op_path: tuple[int, ...]
     reason: str
+    # The source statement of the equation the op belongs to, when known.
+    loc: fe.Loc | None = None
 
     def __str__(self) -> str:
         where = ".".join(str(i) for i in self.op_path)
         return f"op {where}: {self.reason}"
+
+    def error(self) -> CompileError:
+        """As a compile error: at the source statement, or naming the op."""
+        if self.loc is None:
+            return CompileError(str(self))
+        return CompileError(self.reason, line=self.loc.line, col=self.loc.col)
 
 
 def _chain_dims_ok(dims: list[tuple[int, int] | None]) -> str | None:
@@ -349,7 +325,9 @@ def verify(m: IRModule) -> list[Diagnostic]:
     seen_defs: set[ValueId] = set()
 
     def out(path: tuple[int, ...], reason: str) -> None:
-        diags.append(Diagnostic(path, reason))
+        op = m.ops[path[0]]
+        diags.append(Diagnostic(path, reason,
+                                op.loc if isinstance(op, Equation) else None))
 
     def check_value(path: tuple[int, ...], v: ValueId) -> None:
         if v not in m.types:
@@ -367,7 +345,7 @@ def verify(m: IRModule) -> list[Diagnostic]:
 
     def dims_of(v: ValueId) -> tuple[int, int] | None:
         t = m.types.get(v)
-        return None if t is None else value_dims(t)
+        return (t.rows, t.cols) if isinstance(t, MatrixType) else None
 
     def check_compute(path: tuple[int, ...], op: IROp, top_level: bool) -> None:
         for o in op_operands(op):
@@ -394,8 +372,8 @@ def verify(m: IRModule) -> list[Diagnostic]:
             known = [d for d in dims if d is not None]
             if known and any(d != known[0] for d in known):
                 out(path, "add operands must share dims")
-            elems = {value_elem(m.types[o]) for o in op.operands
-                     if o in m.types and not isinstance(m.types[o], TermType)}
+            elems = {t.elem for t in map(m.types.get, op.operands)
+                     if isinstance(t, MatrixType)}
             if len(elems) > 1:
                 out(path, "add operands must share the element kind")
         elif isinstance(op, Transpose):
@@ -410,19 +388,10 @@ def verify(m: IRModule) -> list[Diagnostic]:
         if isinstance(op, Init):
             check_result(path, op.result)
             inits.add(op.result)
-            t = m.types.get(op.result)
-            if t is not None and t != op.type:
-                out(path, "init type disagrees with the symbol table")
-            if isinstance(t, MatrixType) and len(t.props) > 0 and t.rows != t.cols:
-                out(path, "structured matrix type must be square")
         elif isinstance(op, Fill):
             check_value(path, op.operand)
             if op.operand not in inits:
                 out(path, "fill operand must be an init result")
-            t = m.types.get(op.operand)
-            if t is not None and not isinstance(t, TermType) \
-                    and value_elem(t) is not op.elem:
-                out(path, "fill scalar kind must match the operand element kind")
         elif isinstance(op, Print):
             check_value(path, op.operand)
         elif isinstance(op, Equation):
@@ -483,7 +452,7 @@ def print_ir(m: IRModule) -> str:
             return [f"{indent}%{op.result} = init : {m.types[op.result]}"]
         if isinstance(op, Fill):
             return [f"{indent}fill %{op.operand}, "
-                    f"{format_scalar(op.value)} : {op.elem}"]
+                    f"{format_scalar(op.value)} : {m.types[op.operand].elem}"]
         if isinstance(op, (Mul, Add)):
             kind = "mul" if isinstance(op, Mul) else "add"
             ops = ", ".join(f"%{o}" for o in op.operands)

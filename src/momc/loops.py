@@ -2,10 +2,11 @@
 
 Every value of the optimized binary IR gets a tensor. A product or sum gets
 a freshly allocated one (zero-initialized, so matmul can accumulate) and a
-compute op; a transpose gets a view of its operand's tensor
-(`TensorInfo.transpose_of`) and no op, so lowering is not one-to-one. Fills
-write their scalar into the stored pattern implied by the operand's
-properties. The tensor table holds each value's type once; ops refer to it.
+compute op; a transpose gets a view of its operand's tensor (recorded in
+`LoopModule.views`) and no op, so lowering is not one-to-one. Fills write
+their scalar into the stored pattern implied by the operand's properties.
+The tensor table maps each tensor to its value's `ir.MatrixType`, the very
+object of the IR's symbol table; ops refer to it.
 """
 
 from __future__ import annotations
@@ -15,18 +16,9 @@ from typing import Union
 
 from . import ir
 from .errors import UnresolvedTerm
-from .properties import ElemKind, PropertySet, StoredPattern, stored_pattern
+from .properties import StoredPattern, stored_pattern
 
 TensorId = int
-
-
-@dataclass(frozen=True)
-class TensorInfo:
-    rows: int
-    cols: int
-    elem: ElemKind
-    props: PropertySet
-    transpose_of: TensorId | None = None  # a view of that tensor, transposed
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,9 @@ COMPUTE_OPS = (MatMul, Add)
 @dataclass(frozen=True)
 class LoopModule:
     ops: tuple[LoopOp, ...]
-    tensors: dict[TensorId, TensorInfo] = field(default_factory=dict)
+    tensors: dict[TensorId, ir.MatrixType] = field(default_factory=dict)
+    # A view's tensor -> the tensor it is the transpose of.
+    views: dict[TensorId, TensorId] = field(default_factory=dict)
 
 
 def lower_to_loops(m: ir.IRModule) -> LoopModule:
@@ -78,40 +72,31 @@ def lower_to_loops(m: ir.IRModule) -> LoopModule:
             raise UnresolvedTerm(f"value %{v} still has a placeholder term type")
 
     ops: list[LoopOp] = []
-    tensors: dict[TensorId, TensorInfo] = {}
+    tensors: dict[TensorId, ir.MatrixType] = {}
+    views: dict[TensorId, TensorId] = {}
     tmap: dict[ir.ValueId, TensorId] = {}
-
-    def alloc(v: ir.ValueId, transpose_of: TensorId | None = None) -> TensorId:
-        t = m.types[v]
-        dims = ir.value_dims(t)
-        assert dims is not None
-        tid = len(tensors)
-        tensors[tid] = TensorInfo(dims[0], dims[1], ir.value_elem(t),
-                                  ir.value_props(t), transpose_of)
-        tmap[v] = tid
-        ops.append(Alloc(tid))
-        return tid
-
     for op in m.ops:
-        if isinstance(op, ir.Init):
-            alloc(op.result)
-        elif isinstance(op, ir.Fill):
+        if isinstance(op, ir.Fill):
             tid = tmap[op.operand]
             ops.append(Fill(tid, op.value, stored_pattern(tensors[tid].props)))
-        elif isinstance(op, (ir.Mul, ir.Add)):
-            a, bb = op.operands  # rematerialization leaves binary ops
-            out = alloc(op.result)
-            kind = MatMul if isinstance(op, ir.Mul) else Add
-            ops.append(kind(tmap[a], tmap[bb], out))
-        elif isinstance(op, ir.Transpose):
-            alloc(op.result, tmap[op.operand])
-        elif isinstance(op, ir.Print):
+            continue
+        if isinstance(op, ir.Print):
             ops.append(Print(tmap[op.operand]))
-        else:
+            continue
+        if not isinstance(op, (ir.Init, ir.Mul, ir.Add, ir.Transpose)):
             raise UnresolvedTerm(
                 f"{type(op).__name__} cannot be lowered; run the optimizer first")
-
-    return LoopModule(tuple(ops), tensors)
+        # Every other op defines a value, which gets a tensor of its type.
+        tid = tmap[op.result] = len(tensors)
+        tensors[tid] = m.types[op.result]
+        ops.append(Alloc(tid))
+        if isinstance(op, ir.Transpose):
+            views[tid] = tmap[op.operand]
+        elif not isinstance(op, ir.Init):
+            a, b = op.operands  # rematerialization leaves binary ops
+            kind = MatMul if isinstance(op, ir.Mul) else Add
+            ops.append(kind(tmap[a], tmap[b], tid))
+    return LoopModule(tuple(ops), tensors, views)
 
 
 def format_op(lm: LoopModule, op: LoopOp) -> str:
@@ -125,7 +110,7 @@ def format_op(lm: LoopModule, op: LoopOp) -> str:
         return f"%{tid}{lm.tensors[tid].props.render()}"
 
     if isinstance(op, Alloc):
-        src = lm.tensors[op.tensor].transpose_of
+        src = lm.views.get(op.tensor)
         what = "alloc" if src is None else f"transpose %{src}"
         return f"%{op.tensor} = {what} : {shape(op.tensor)}"
     if isinstance(op, Fill):

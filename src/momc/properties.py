@@ -133,15 +133,6 @@ class StoredPattern(enum.Enum):
     UPPER_INCL = "upperIncl"
     DIAG_ONLY = "diagOnly"
 
-    def contains(self, i: int, j: int) -> bool:
-        if self is StoredPattern.FULL:
-            return True
-        if self is StoredPattern.LOWER_INCL:
-            return i >= j
-        if self is StoredPattern.UPPER_INCL:
-            return i <= j
-        return i == j
-
     def __str__(self) -> str:
         return self.value
 

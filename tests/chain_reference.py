@@ -1,9 +1,11 @@
 """Reference oracles for the chain solver, used only by the tests.
 
+- `mul_cost`: the cost of one product of two (rows, cols, props) operand
+  types, checked and computed from scratch.
 - `reference_parenthesization`: the DP as it was before cells kept their
-  stored patterns, recomputing each operand type's pattern inside `mul_cost`
-  for every split. Tests compare the production DP's tables with this one
-  cell by cell.
+  stored patterns, carrying a (rows, cols, props) type per cell and
+  recomputing each type's pattern inside `mul_cost` for every split. Tests
+  compare the production DP's tables with this one cell by cell.
 - `enumerate_parenthesizations`: every binary tree of a short chain with its
   exact cost, the oracle for the DP's optimum.
 - `cost_oracle`: the cost model counted triple by triple, the oracle for the
@@ -17,23 +19,47 @@ from typing import Iterator
 from momc.chain import (
     ChainLeaf,
     ChainNode,
-    ChainOperand,
     ChainSolution,
     ChainTree,
-    OperandType,
-    mul_cost,
-    product_type,
+    pattern_cost,
     tree_cost,
 )
 from momc.errors import DimMismatch
-from momc.properties import stored_pattern
+from momc.ir import MatrixType
+from momc.properties import PropertySet, StoredPattern, infer_mul, stored_pattern
+
+from util import pattern_contains
+
+# (rows, cols, props) of an operand or of a subchain product.
+OperandType = tuple[int, int, PropertySet]
 
 
 class ChainTooLong(ValueError):
     """Exhaustive parenthesization requested for a chain longer than 10."""
 
 
-def _check_chain(chain: list[ChainOperand] | tuple[ChainOperand, ...]) -> None:
+def mul_cost(a: OperandType, b: OperandType) -> int:
+    """Scalar multiplications for one product of two typed operands."""
+    m, ka, pa = a
+    kb, n, pb = b
+    if ka != kb:
+        raise DimMismatch(f"inner dims disagree, {ka} vs {kb}")
+    sa = stored_pattern(pa)
+    sb = stored_pattern(pb)
+    if sa is not StoredPattern.FULL and m != ka:
+        raise DimMismatch("structured left operand must be square")
+    if sb is not StoredPattern.FULL and n != ka:
+        raise DimMismatch("structured right operand must be square")
+    return pattern_cost(m, ka, n, sa, sb)
+
+
+def product_type(a: OperandType, b: OperandType) -> OperandType:
+    if a[1] != b[0]:
+        raise DimMismatch(f"inner dims disagree, {a[1]} vs {b[0]}")
+    return (a[0], b[1], infer_mul(a[2], (a[0], a[1]), b[2], (b[0], b[1])))
+
+
+def _check_chain(chain: list[MatrixType] | tuple[MatrixType, ...]) -> None:
     if not chain:
         raise ValueError("chain must not be empty")
     for a, b in zip(chain, chain[1:]):
@@ -54,9 +80,9 @@ def cost_oracle(a: OperandType, b: OperandType) -> int:
     count = 0
     for i in range(m):
         for k in range(ka):
-            if sa.contains(i, k):
+            if pattern_contains(sa, i, k):
                 for j in range(n):
-                    if sb.contains(k, j):
+                    if pattern_contains(sb, k, j):
                         count += 1
     return count
 
@@ -72,7 +98,7 @@ def _all_trees(i: int, j: int) -> Iterator[ChainTree]:
 
 
 def enumerate_parenthesizations(
-        chain: list[ChainOperand] | tuple[ChainOperand, ...]
+        chain: list[MatrixType] | tuple[MatrixType, ...]
 ) -> list[tuple[ChainTree, int]]:
     """All binary trees with their exact costs; the DP correctness oracle."""
     _check_chain(chain)
@@ -84,8 +110,9 @@ def enumerate_parenthesizations(
 
 
 def reference_parenthesization(
-        chain: list[ChainOperand] | tuple[ChainOperand, ...]) -> ChainSolution:
-    """O(k^3) interval DP; ties break toward the smallest split index."""
+        chain: list[MatrixType] | tuple[MatrixType, ...]) -> ChainSolution:
+    """O(k^3) interval DP; ties break toward the smallest split index. The
+    solution's cells hold the properties of each cell's type."""
     _check_chain(chain)
     k = len(chain)
     cost: list[list[int | None]] = [[None] * k for _ in range(k)]
@@ -93,7 +120,7 @@ def reference_parenthesization(
     types: list[list[OperandType | None]] = [[None] * k for _ in range(k)]
     for i in range(k):
         cost[i][i] = 0
-        types[i][i] = chain[i].type
+        types[i][i] = (chain[i].rows, chain[i].cols, chain[i].props)
     for length in range(2, k + 1):
         for i in range(0, k - length + 1):
             j = i + length - 1
@@ -114,4 +141,5 @@ def reference_parenthesization(
         s = split[i][j]
         return ChainNode(build(i, s), build(s + 1, j))
 
-    return ChainSolution(cost, split, types, build(0, k - 1), cost[0][k - 1])
+    props = [[None if t is None else t[2] for t in row] for row in types]
+    return ChainSolution(cost, split, props, build(0, k - 1), cost[0][k - 1])

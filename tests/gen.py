@@ -12,8 +12,8 @@ from __future__ import annotations
 import os
 import random
 
-from momc.chain import ChainOperand
-from momc.properties import PropertySet, Property
+from momc.ir import MatrixType
+from momc.properties import ElemKind, PropertySet, Property
 
 # The five closed property sets, by their surface declaration names.
 CLOSED_SETS: list[tuple[str, ...]] = [
@@ -157,7 +157,7 @@ def random_program(rng: random.Random, max_dim: int = 12) -> str:
 
 
 def random_chain(rng: random.Random, min_len: int = 2, max_len: int = 8,
-                 max_dim: int = 50) -> list[ChainOperand]:
+                 max_dim: int = 50) -> list[MatrixType]:
     """Dimension-compatible chain; square operands get random property sets."""
     k = rng.randint(min_len, max_len)
     if rng.random() < 0.5:
@@ -171,5 +171,5 @@ def random_chain(rng: random.Random, min_len: int = 2, max_len: int = 8,
         props = CLOSED_PSETS[0]
         if r == c and rng.random() < 0.7:
             props = rng.choice(CLOSED_PSETS)
-        chain.append(ChainOperand(r, c, props))
+        chain.append(MatrixType(r, c, ElemKind.F64, props))
     return chain

@@ -7,19 +7,23 @@ import pytest
 from momc.chain import (
     ChainLeaf,
     ChainNode,
-    ChainOperand,
     left_fold_tree,
-    mul_cost,
     optimal_parenthesization,
     postorder,
     tree_cost,
+    tree_props,
     tree_string,
-    tree_type,
 )
 from momc.errors import DimMismatch
-from momc.properties import EMPTY_PROPS, Property, PropertySet
+from momc.ir import MatrixType
+from momc.properties import EMPTY_PROPS, ElemKind, Property, PropertySet
 
-from chain_reference import ChainTooLong, cost_oracle, enumerate_parenthesizations
+from chain_reference import (
+    ChainTooLong,
+    cost_oracle,
+    enumerate_parenthesizations,
+    mul_cost,
+)
 from gen import CLOSED_PSETS, default_seed, random_chain
 
 LOWER = PropertySet.closure((Property.LOWER_TRIANGULAR,))
@@ -29,9 +33,12 @@ DIAG = PropertySet.closure((Property.DIAGONAL,))
 BENCH_DIMS = [800, 1100, 900, 1200, 100]
 
 
+def operand(rows, cols, props=EMPTY_PROPS):
+    return MatrixType(rows, cols, ElemKind.F32, props)
+
+
 def bench_chain():
-    return [ChainOperand(BENCH_DIMS[i], BENCH_DIMS[i + 1], EMPTY_PROPS)
-            for i in range(4)]
+    return [operand(BENCH_DIMS[i], BENCH_DIMS[i + 1]) for i in range(4)]
 
 
 def test_mul_cost_full_matches_dim_product():
@@ -85,38 +92,36 @@ def test_enumeration_of_bench_chain():
 
 
 def test_single_operand_chain():
-    sol = optimal_parenthesization([ChainOperand(4, 7, EMPTY_PROPS)])
+    sol = optimal_parenthesization([operand(4, 7)])
     assert sol.total_cost == 0
     assert sol.tree == ChainLeaf(0)
 
 
 def test_two_lower_triangular_operands():
-    sol = optimal_parenthesization([ChainOperand(5, 5, LOWER),
-                                    ChainOperand(5, 5, LOWER)])
+    sol = optimal_parenthesization([operand(5, 5, LOWER), operand(5, 5, LOWER)])
     assert sol.total_cost == 35
     assert sol.tree == ChainNode(ChainLeaf(0), ChainLeaf(1))
 
 
 def test_enumeration_counts_are_catalan():
-    chain2 = [ChainOperand(2, 2, EMPTY_PROPS)] * 2
+    chain2 = [operand(2, 2)] * 2
     assert len(enumerate_parenthesizations(chain2)) == 1
-    chain5 = [ChainOperand(2, 2, EMPTY_PROPS)] * 5
+    chain5 = [operand(2, 2)] * 5
     assert len(enumerate_parenthesizations(chain5)) == 14  # Catalan(4)
 
 
 def test_enumeration_rejects_long_chains():
     with pytest.raises(ChainTooLong):
-        enumerate_parenthesizations([ChainOperand(2, 2, EMPTY_PROPS)] * 11)
+        enumerate_parenthesizations([operand(2, 2)] * 11)
 
 
 def test_chain_requires_compatible_dims():
     with pytest.raises(DimMismatch):
-        optimal_parenthesization([ChainOperand(2, 3, EMPTY_PROPS),
-                                  ChainOperand(4, 2, EMPTY_PROPS)])
+        optimal_parenthesization([operand(2, 3), operand(4, 2)])
 
 
 def test_tie_breaks_choose_smallest_split():
-    chain = [ChainOperand(4, 4, EMPTY_PROPS)] * 3
+    chain = [operand(4, 4)] * 3
     sol = optimal_parenthesization(chain)
     assert sol.split[0][2] == 0
 
@@ -127,12 +132,14 @@ def test_dp_table_invariants():
     k = len(chain)
     for i in range(k):
         assert sol.cost[i][i] == 0
-        assert sol.types[i][i] == chain[i].type
+        assert sol.props[i][i] == chain[i].props
     for i in range(k):
         for j in range(i + 1, k):
             s = sol.split[i][j]
+            left = (chain[i].rows, chain[s].cols, sol.props[i][s])
+            right = (chain[s + 1].rows, chain[j].cols, sol.props[s + 1][j])
             assert sol.cost[i][j] == sol.cost[i][s] + sol.cost[s + 1][j] + \
-                mul_cost(sol.types[i][s], sol.types[s + 1][j])
+                mul_cost(left, right)
 
 
 def test_dp_matches_enumeration_on_random_chains():
@@ -152,11 +159,11 @@ def test_subchain_type_independent_of_grouping():
     rng = random.Random(default_seed() ^ 0x3C)
     for _ in range(30):
         n = rng.randint(1, 8)
-        chain = [ChainOperand(n, n, rng.choice(CLOSED_PSETS))
+        chain = [operand(n, n, rng.choice(CLOSED_PSETS))
                  for _ in range(rng.randint(2, 6))]
         sol = optimal_parenthesization(chain)
         for tree, _ in enumerate_parenthesizations(chain):
-            assert tree_type(tree, chain) == sol.types[0][len(chain) - 1]
+            assert tree_props(tree, chain) == sol.props[0][len(chain) - 1]
 
 
 def _leaves(tree):

@@ -7,14 +7,14 @@ from itertools import combinations
 from momc import chain as chain_mod
 from momc.chain import (
     ChainLeaf,
-    ChainOperand,
     _build,
     left_fold_tree,
     optimal_parenthesization,
     tree_cost,
-    tree_type,
+    tree_props,
 )
-from momc.properties import EMPTY_PROPS, Property, PropertySet
+from momc.ir import MatrixType
+from momc.properties import EMPTY_PROPS, ElemKind, Property, PropertySet
 
 from chain_reference import reference_parenthesization
 from gen import default_seed, random_chain
@@ -28,7 +28,7 @@ def test_dp_tables_match_naive_reference():
         ref = reference_parenthesization(chain)
         assert sol.cost == ref.cost
         assert sol.split == ref.split
-        assert sol.types == ref.types
+        assert sol.props == ref.props
         assert sol.total_cost == ref.total_cost
         assert sol.tree == ref.tree
 
@@ -47,10 +47,10 @@ def test_closure_returns_one_instance_per_closed_set():
 
 def test_tree_walks_do_not_recurse():
     k = 3000
-    chain = [ChainOperand(2, 2, EMPTY_PROPS)] * k
+    chain = [MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)] * k
     tree = left_fold_tree(k)
     assert tree_cost(tree, chain) == (k - 1) * 8
-    assert tree_type(tree, chain) == (2, 2, EMPTY_PROPS)
+    assert tree_props(tree, chain) == EMPTY_PROPS
 
 
 def test_build_does_not_recurse():

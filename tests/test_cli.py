@@ -61,6 +61,47 @@ def test_semantic_error_exits_1(tmp_path, capsys):
     assert "'A'" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("Matrix A(3, 3) <>\nprint((A + A) * Identity(4))\n",
+     "2:1: error: inner dims disagree, 3 vs 4"),
+    ("Matrix A(3, 5) <>\nIdentity I(4)\nB = transpose(I) * A\nprint(B)\n",
+     "3:1: error: inner dims disagree, 4 vs 3"),
+    ("Matrix A(3, 3) <>\nIdentity I(3) : f64\nB = A * I\nprint(B)\n",
+     "3:1: error: operands mix f32 and f64"),
+])
+@pytest.mark.parametrize("flags", [[], ["--no-opt"]])
+def test_identities_are_type_checked_before_they_are_dropped(
+        tmp_path, capsys, text, message, flags):
+    prog = tmp_path / "id.mom"
+    prog.write_text(text)
+    code, out, err = run_cli(capsys, str(prog), "--run", *flags)
+    assert (code, out, err) == (1, "", f"{prog}:{message}\n")
+
+
+def test_verifier_diagnostics_are_located(tmp_path, capsys):
+    prog = tmp_path / "d.mom"
+    with open(CHAIN4, encoding="utf-8") as f:
+        prog.write_text(f.read().replace("A1(800, 1100)", "A1(800, 100)"))
+    code, out, err = run_cli(capsys, str(prog), "--emit=loops")
+    assert (code, out) == (1, "")
+    assert err == f"{prog}:5:1: error: inner dims disagree, 100 vs 1100\n"
+
+
+def test_resolution_errors_are_located(tmp_path, capsys):
+    # The verifier cannot see the dims of an earlier result; resolution can.
+    prog = tmp_path / "r.mom"
+    prog.write_text("Matrix A(2, 3) <>\nMatrix B(2, 2) <>\nX = A + A\n"
+                    "\nprint(B * X * B)\n")
+    code, _, err = run_cli(capsys, str(prog), "--emit=loops")
+    assert code == 1
+    assert err == f"{prog}:5:1: error: inner dims disagree, 3 vs 2\n"
+    prog.write_text("Matrix A(2, 3) <>\nMatrix C(9, 9) <>\nC = A * transpose(A)\n")
+    code, _, err = run_cli(capsys, str(prog), "--emit=loops")
+    assert code == 1
+    assert err == (f"{prog}:3:1: error: equation result is 2x2 but the target "
+                   "was declared 9x9\n")
+
+
 def test_invalid_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([LISTING1, "--emit=everything"])

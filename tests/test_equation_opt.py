@@ -1,4 +1,4 @@
-"""Symbolic walk, identity simplification, type resolution, rematerialization."""
+"""Symbolic walk, type resolution with identity simplification, rematerialization."""
 
 import random
 
@@ -7,7 +7,8 @@ import pytest
 
 from momc import equation_opt as eo
 from momc import ir
-from momc.equation_opt import AddN, Leaf, MulN, Trans
+from momc.chain import ChainLeaf
+from momc.equation_opt import Leaf, MulN
 from momc.errors import ResolutionError
 from momc.executor import ExecMode
 from momc.properties import ElemKind, EMPTY_PROPS, Property, PropertySet, infer_mul
@@ -39,7 +40,7 @@ def test_symbolize_flattens_nested_muls():
     # Hand-built region with mul(mul(a, b), c).
     t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
     m = ir.IRModule(
-        ops=(ir.Init(0, t), ir.Init(1, t), ir.Init(2, t),
+        ops=(ir.Init(0), ir.Init(1), ir.Init(2),
              ir.Equation(5, (ir.Mul(3, (0, 1)), ir.Mul(4, (3, 2)),
                              ir.Yield(4)))),
         types={0: t, 1: t, 2: t, 3: ir.TERM, 4: ir.TERM, 5: ir.TERM})
@@ -55,7 +56,7 @@ def test_symbolize_bare_copy():
 
 def simplify_program(text):
     e, m = symbolized(text)
-    return eo.simplify_identities(e), m
+    return eo.resolve_types(e, drop_identities=True), m
 
 
 IDENTITY_PROGRAM = """\
@@ -74,7 +75,7 @@ def test_simplify_drops_identity_factor():
 def test_simplify_identity_times_identity():
     e, m = simplify_program(IDENTITY_PROGRAM.format(stmt="C = I * I"))
     assert isinstance(e, Leaf)
-    assert isinstance(m.types[e.value], ir.IdentityType)
+    assert m.types[e.value].identity
 
 
 def test_simplify_interior_identity():
@@ -100,11 +101,18 @@ def test_simplify_is_a_fixpoint():
     changed = 0
     for text in texts:
         m = compile_text(text)
+        # An earlier result's leaf has the type the optimizer gives it.
+        resolved_types = {}
+
+        def leaf_type(v):
+            return resolved_types.get(v, m.types[v])
+
         for eq in (op for op in m.ops if isinstance(op, ir.Equation)):
-            e = eo.symbolize(eq, m)
-            once = eo.simplify_identities(e)
-            assert eo.simplify_identities(once) == once
+            e = eo.symbolize(eq, m, leaf_type)
+            once = eo.resolve_types(e, drop_identities=True)
+            assert eo.resolve_types(once, drop_identities=True) == once
             changed += once != e
+            resolved_types[eq.result] = once.type
     assert changed > 0  # the programs do exercise the simplification
 
 
@@ -117,8 +125,7 @@ def test_interior_identity_is_semantically_neutral():
 
 
 def resolved(text):
-    e, m = symbolized(text)
-    return eo.resolve_types(eo.simplify_identities(e))
+    return simplify_program(text)[0]
 
 
 def test_resolve_product_of_lower_triangulars():
@@ -214,53 +221,47 @@ def test_print_type_is_rewritten_after_resolution():
     assert "print %2 : matrix<5x5xf32,[lowerTri]>" in dump
 
 
-def _muls_preorder(e, out):
-    """MulN nodes of a resolved tree in the order the emitter reports chains."""
-    if isinstance(e, MulN):
-        out.append(e)
-    if isinstance(e, (MulN, AddN)):
-        for c in e.children:
-            _muls_preorder(c, out)
-    elif isinstance(e, Trans):
-        _muls_preorder(e.child, out)
-    return out
-
-
 @pytest.mark.parametrize("opt", [True, False])
 def test_emitted_types_equal_inferred_types(monkeypatch, opt):
-    """Emitted products read their types from the DP cells; both must agree
-    with inference from the operand types and with `resolve_types`."""
-    roots, depth = [], [0]
-    resolve = eo.resolve_types
+    """Emitted products read their properties from the DP cells: the product
+    of operands i..j of a chain has `solution.props[i][j]` and the dims
+    `chain[i].rows` x `chain[j].cols`, which also agree with inference from
+    the product's operand types."""
+    expected = []  # (rows, cols, props) of each product, in emission order
+    pending = []   # the solution of the chain about to be emitted
+    solve, walk = eo.optimal_parenthesization, eo.postorder
 
-    def recording_resolve(e):
-        depth[0] += 1
-        try:
-            out = resolve(e)
-        finally:
-            depth[0] -= 1
-        if depth[0] == 0:
-            roots.append(out)
-        return out
+    def recording_solve(chain):
+        sol = solve(chain)
+        pending.append((chain, sol))
+        return sol
 
-    monkeypatch.setattr(eo, "resolve_types", recording_resolve)
+    def recording_walk(tree):
+        # The emitter walks a chain's tree right after solving it; it appends
+        # one product per inner node before asking for the next node.
+        chain, sol = pending.pop()
+        for node, i, j in walk(tree):
+            if not isinstance(node, ChainLeaf):
+                expected.append((chain[i].rows, chain[j].cols, sol.props[i][j]))
+            yield node, i, j
+
+    monkeypatch.setattr(eo, "optimal_parenthesization", recording_solve)
+    monkeypatch.setattr(eo, "postorder", recording_walk)
     rng = random.Random(default_seed() ^ 0x7A)
     for _ in range(200):
-        roots.clear()
+        expected.clear()
         res = optimize_text(random_program(rng, max_dim=8), opt=opt)
         types = res.module.types
-        for op in res.module.ops:
-            if isinstance(op, ir.Mul):
-                ta, tb = (types[v] for v in op.operands)
-                da, db = ir.value_dims(ta), ir.value_dims(tb)
-                assert types[op.result] == ir.MatrixType(
-                    da[0], db[1], ir.value_elem(ta),
-                    infer_mul(ir.value_props(ta), da, ir.value_props(tb), db))
-        muls = [n for root in roots for n in _muls_preorder(root, [])]
-        assert len(muls) == len(res.chains)
-        for node, report in zip(muls, res.chains):
-            t = node.type
-            assert (t.rows, t.cols, t.props) == report.solution.types[0][-1]
+        muls = [op for op in res.module.ops if isinstance(op, ir.Mul)]
+        for op in muls:
+            ta, tb = (types[v] for v in op.operands)
+            assert types[op.result] == ir.MatrixType(
+                ta.rows, tb.cols, ta.elem,
+                infer_mul(ta.props, (ta.rows, ta.cols), tb.props, (tb.rows, tb.cols)))
+        got = [(types[op.result].rows, types[op.result].cols, types[op.result].props)
+               for op in muls]
+        assert got == expected
+        assert not pending
 
 
 def test_optimized_modules_verify_clean():

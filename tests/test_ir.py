@@ -73,7 +73,7 @@ def test_build_fill_override_and_identity_decl():
     m = build("n = 3\nMatrix A(n, n) <> = 2.5\nIdentity I(n)\nB = A * I\n")
     fills = [op for op in m.ops if isinstance(op, ir.Fill)]
     assert fills[0].value == 2.5
-    assert isinstance(m.types[1], ir.IdentityType)
+    assert m.types[1] == ir.MatrixType(3, 3, ElemKind.F32, DIAG, identity=True)
     assert fills[1].value == 1.0
 
 
@@ -85,7 +85,7 @@ def test_verify_reports_dim_mismatch():
     t5 = ir.MatrixType(5, 5, ElemKind.F32, EMPTY_PROPS)
     t4 = ir.MatrixType(4, 4, ElemKind.F32, EMPTY_PROPS)
     m = ir.IRModule(
-        ops=(ir.Init(0, t5), ir.Init(1, t4),
+        ops=(ir.Init(0), ir.Init(1),
              ir.Equation(3, (ir.Mul(2, (0, 1)), ir.Yield(2)))),
         types={0: t5, 1: t4, 2: ir.TERM, 3: ir.TERM})
     diags = ir.verify(m)
@@ -95,7 +95,7 @@ def test_verify_reports_dim_mismatch():
 def test_verify_reports_missing_yield():
     t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
     m = ir.IRModule(
-        ops=(ir.Init(0, t), ir.Equation(2, (ir.Mul(1, (0, 0)),))),
+        ops=(ir.Init(0), ir.Equation(2, (ir.Mul(1, (0, 0)),))),
         types={0: t, 1: ir.TERM, 2: ir.TERM})
     diags = ir.verify(m)
     assert any("missing yield" in d.reason for d in diags)
@@ -107,19 +107,20 @@ def test_verify_reports_use_before_definition():
     assert any("before definition" in d.reason for d in ir.verify(m))
 
 
-def test_verify_reports_fill_elem_mismatch():
+def test_verify_reports_fill_of_a_non_init():
     t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
     m = ir.IRModule(
-        ops=(ir.Init(0, t), ir.Fill(1.0, 0, ElemKind.F64)),
-        types={0: t})
-    assert any("element kind" in d.reason for d in ir.verify(m))
+        ops=(ir.Init(0), ir.Equation(2, (ir.Transpose(1, 0), ir.Yield(1))),
+             ir.Fill(1.0, 2)),
+        types={0: t, 1: ir.TERM, 2: ir.TERM})
+    assert any("must be an init result" in d.reason for d in ir.verify(m))
 
 
 def test_verify_reports_add_dim_mismatch():
     t2 = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
     t3 = ir.MatrixType(3, 3, ElemKind.F32, EMPTY_PROPS)
     m = ir.IRModule(
-        ops=(ir.Init(0, t2), ir.Init(1, t3),
+        ops=(ir.Init(0), ir.Init(1),
              ir.Equation(3, (ir.Add(2, (0, 1)), ir.Yield(2)))),
         types={0: t2, 1: t3, 2: ir.TERM, 3: ir.TERM})
     assert any("share dims" in d.reason for d in ir.verify(m))
@@ -127,7 +128,7 @@ def test_verify_reports_add_dim_mismatch():
 
 def test_verify_rejects_top_level_yield():
     t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
-    m = ir.IRModule(ops=(ir.Init(0, t), ir.Yield(0)), types={0: t})
+    m = ir.IRModule(ops=(ir.Init(0), ir.Yield(0)), types={0: t})
     assert any("only allowed inside" in d.reason for d in ir.verify(m))
 
 
@@ -138,13 +139,25 @@ def test_type_rendering():
         "matrix<5x5xf32,[diag]>"
     assert str(ir.MatrixType(5, 5, ElemKind.F32, EMPTY_PROPS)) == \
         "matrix<5x5xf32,[]>"
-    assert str(ir.IdentityType(5, ElemKind.F64)) == "identity<5xf64>"
+    assert str(ir.MatrixType(5, 5, ElemKind.F64, DIAG, identity=True)) == \
+        "identity<5xf64>"
     assert str(ir.TERM) == "term"
 
 
 def test_matrix_type_rejects_structured_rectangles():
     with pytest.raises(ValueError):
         ir.MatrixType(4, 5, ElemKind.F32, LOWER)
+
+
+@pytest.mark.parametrize("rows,cols,props", [
+    (4, 5, EMPTY_PROPS),  # rectangular
+    (4, 4, EMPTY_PROPS),  # square but not diagonal
+    (4, 4, LOWER),
+])
+def test_identity_type_must_be_square_and_diagonal(rows, cols, props):
+    with pytest.raises(ValueError):
+        ir.MatrixType(rows, cols, ElemKind.F32, props, identity=True)
+    ir.MatrixType(rows, cols, ElemKind.F32, props)  # fine without the flag
 
 
 def test_print_ir_matches_golden_listing():

@@ -1,11 +1,14 @@
 """Lowering to the loop-level IR and its textual dump."""
 
+import random
+
 import pytest
 
 from momc import ir, loops
 from momc.errors import UnresolvedTerm
 from momc.properties import Property, PropertySet, StoredPattern
 
+from gen import default_seed, random_program
 from util import compile_text, lower_text, optimize_text
 
 LOWER = PropertySet.closure((Property.LOWER_TRIANGULAR,))
@@ -73,8 +76,7 @@ def test_transpose_and_add_lowering():
     kinds = [type(op) for op in lm.ops]
     assert kinds == [loops.Alloc, loops.Fill, loops.Alloc,
                      loops.Alloc, loops.Add, loops.Print]
-    assert lm.tensors[1].transpose_of == 0
-    assert [t.transpose_of for t in (lm.tensors[0], lm.tensors[2])] == [None, None]
+    assert lm.views == {1: 0}
     text = loops.print_loops(lm)
     assert "%1 = transpose %0 : 3x3xf32" in text
     assert "alloc : 3x3xf32\n%1" not in text
@@ -98,8 +100,7 @@ def test_one_to_one_mapping_and_print_order():
     assert len(ir_compute) == len(lm_compute)
     # A transpose lowers to a view of its operand, not to a compute op.
     ir_transposes = [op for op in res.module.ops if isinstance(op, ir.Transpose)]
-    views = [t for t in lm.tensors.values() if t.transpose_of is not None]
-    assert len(ir_transposes) == len(views) == 1
+    assert len(ir_transposes) == len(lm.views) == 1
     produced = [op for op in res.module.ops
                 if ir.op_result(op) is not None]
     allocs = [op for op in lm.ops if isinstance(op, loops.Alloc)]
@@ -117,4 +118,20 @@ def test_annotations_match_resolved_types():
     for v, op in enumerate(a for a in res.module.ops if ir.op_result(a) is not None):
         vmap[ir.op_result(op)] = v
     for v, t in res.module.types.items():
-        assert lm.tensors[vmap[v]].props == ir.value_props(t)
+        assert lm.tensors[vmap[v]].props == t.props
+
+
+def test_tensor_table_holds_the_ir_type_objects():
+    """Lowering stores each value's type once: the tensor table's entries are
+    the very objects of the optimized module's symbol table."""
+    rng = random.Random(default_seed() ^ 0x3D)
+    for _ in range(100):
+        text = random_program(rng, max_dim=8)
+        for opt in (True, False):
+            res = optimize_text(text, opt)
+            lm = loops.lower_to_loops(res.module)
+            values = [ir.op_result(op) for op in res.module.ops
+                      if ir.op_result(op) is not None]
+            assert len(values) == len(lm.tensors)
+            for tid, v in enumerate(values):
+                assert lm.tensors[tid] is res.module.types[v]

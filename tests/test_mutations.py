@@ -1,5 +1,7 @@
-"""Mutated example programs: the compiler answers with exit code 0 or 1 and
-a diagnostic, never with an exception.
+"""Mutated example programs: the compiler answers with exit code 0, or 1 and
+an `error:` diagnostic, never with an exception; and it answers the same
+with and without `--no-opt`, since optimization must not change which
+programs are accepted.
 
 Each case applies a few character and token edits to one of
 `examples/*.mom` and compiles it to loop IR (`--emit=loops`). Nothing is
@@ -73,8 +75,14 @@ def program_path(tmp_path_factory):
 def test_mutated_examples_exit_0_or_1_with_a_diagnostic(program_path, source, edits):
     with open(program_path, "w", encoding="utf-8") as f:
         f.write(mutate(source, edits))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([program_path, "--emit=loops"])
+    answers = []
+    for flags in ([], ["--no-opt"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([program_path, "--emit=loops", *flags])
+        answers.append((code, err.getvalue()))
+    code, message = answers[0]
     assert code in (0, 1)
-    assert (code == 1) == bool(err.getvalue()), err.getvalue()
+    assert (code == 1) == bool(message), message
+    assert code == 0 or "error:" in message, message
+    assert answers[1] == answers[0]

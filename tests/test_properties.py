@@ -25,7 +25,7 @@ from momc.properties import (
 )
 
 from gen import CLOSED_PSETS, default_seed
-from util import run_text
+from util import pattern_contains, run_text
 
 L = Property.LOWER_TRIANGULAR
 U = Property.UPPER_TRIANGULAR
@@ -147,7 +147,7 @@ def _realize(props: PropertySet, n: int, rng: random.Random) -> np.ndarray:
     if S in props:
         m = m + m.T
     pat = stored_pattern(props)
-    mask = np.array([[1 if pat.contains(i, j) else 0 for j in range(n)]
+    mask = np.array([[1 if pattern_contains(pat, i, j) else 0 for j in range(n)]
                      for i in range(n)], dtype=object)
     if S in props:
         mask = mask * mask.T
@@ -157,7 +157,8 @@ def _realize(props: PropertySet, n: int, rng: random.Random) -> np.ndarray:
 def _zeros_outside(m: np.ndarray, pat: StoredPattern) -> bool:
     n0, n1 = m.shape
     return all(m[i, j] == 0
-               for i in range(n0) for j in range(n1) if not pat.contains(i, j))
+               for i in range(n0) for j in range(n1)
+               if not pattern_contains(pat, i, j))
 
 
 def test_inference_soundness_against_brute_force():

@@ -4,6 +4,18 @@ from __future__ import annotations
 
 from momc import equation_opt, executor, frontend, ir, loops
 from momc.equation_opt import OptOptions
+from momc.properties import StoredPattern
+
+
+def pattern_contains(pattern: StoredPattern, i: int, j: int) -> bool:
+    """Whether entry (i, j) lies in the stored region of a pattern."""
+    if pattern is StoredPattern.FULL:
+        return True
+    if pattern is StoredPattern.LOWER_INCL:
+        return i >= j
+    if pattern is StoredPattern.UPPER_INCL:
+        return i <= j
+    return i == j
 
 
 def compile_text(text: str, origin: str = "<test>") -> ir.IRModule:
