@@ -11,7 +11,7 @@ from .chain import ChainSolution, optimal_parenthesization
 from .equation_opt import OptOptions, optimize_and_rematerialize
 from .errors import CompileError
 from .executor import ExecMode, ExecutionReport, Executor, execute
-from .frontend import Ast, SourceProgram, parse, parse_source, resolve_constants, tokenize
+from .frontend import Ast, parse, parse_source, resolve_constants, tokenize
 from .ir import IRModule, build_ir, print_ir, verify
 from .loops import LoopModule, lower_to_loops, print_loops
 from .properties import (
@@ -41,7 +41,6 @@ __all__ = [
     "OptOptions",
     "Property",
     "PropertySet",
-    "SourceProgram",
     "StoredPattern",
     "build_ir",
     "canonicalize",

@@ -1,24 +1,25 @@
 """Structure-aware matrix-chain parenthesization.
 
-Classic interval dynamic programming over a chain of `ir.MatrixType`
-operands, with a cost model that counts scalar multiplications touching
-stored entries only:
+`optimal_parenthesization` is the classic O(k^3) interval DP over a chain of
+`ir.MatrixType` operands. Its cost model counts the scalar multiplications
+that touch stored entries only:
 
     cost(a, b) = |{(i, j, k) : (i, k) in stored(a) and (k, j) in stored(b)}|
 
 For unstructured operands this is the familiar m*k*n; triangular and diagonal
-operands pay only for their stored region. All costs are exact integers.
+operands pay only for their stored region. `pattern_cost` is its one closed
+form, and all costs are exact integers.
 
-Each DP cell (i, j) keeps the inferred properties of its subchain product,
-whose dims are `chain[i].rows` x `chain[j].cols`, so structure propagates
-into later cost decisions; the optimizer builds each emitted product's type
-from that cell. The cell's stored pattern is looked up once, when the cell
-is filled, so the O(k^3) split scan only does integer arithmetic in
-`pattern_cost`, the one closed form of the cost model. Every walk over a
-tree (`tree_props`, `tree_cost`, `tree_string`, the optimizer's emission of
-products) is a loop over the iterative `postorder`, which yields each node
-with the span i..j of operands under it, the DP cell of that node; so chain
-length is not bounded by Python's recursion limit.
+DP cell (i, j) holds the subchain product's cost, split and properties (its
+dims are `chain[i].rows` x `chain[j].cols`), so structure propagates into
+later cost decisions, and the optimizer types each emitted product from its
+cell. A cell's stored pattern is looked up once, when the cell is filled, so
+the split scan does integer arithmetic only.
+
+A tree is walked by looping over `postorder`, which yields each node with
+the span i..j of operands under it, that is its DP cell. `tree_cost`,
+`tree_string`, `_build` and the optimizer's emission of products are loops,
+so chain length is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -103,10 +104,10 @@ def postorder(tree: ChainTree) -> Iterator[tuple[ChainTree, int, int]]:
         yield node, *spans[-1]
 
 
-def _evaluate(tree: ChainTree, chain: Sequence[MatrixType]
-              ) -> tuple[PropertySet, int]:
-    """Properties and cost of a tree's product in one post-order pass; each
-    node's properties, pattern and product cost are computed once."""
+def tree_cost(tree: ChainTree, chain: Sequence[MatrixType]) -> int:
+    """Recompute the scalar-multiplication cost of a parenthesization tree in
+    one post-order pass; each node's properties, pattern and product cost are
+    computed once."""
     # Per subtree: its product's column count, properties, pattern and cost.
     done: list[tuple[int, PropertySet, StoredPattern, int]] = []
     for node, i, j in postorder(tree):
@@ -120,18 +121,7 @@ def _evaluate(tree: ChainTree, chain: Sequence[MatrixType]
             p = infer_mul(lp, (m, k), rp, (k, n))
             done.append((n, p, stored_pattern(p),
                          lc + rc + pattern_cost(m, k, n, lpat, rpat)))
-    _, props, _, cost = done[0]
-    return props, cost
-
-
-def tree_props(tree: ChainTree, chain: Sequence[MatrixType]) -> PropertySet:
-    """Properties of the product a parenthesization tree computes."""
-    return _evaluate(tree, chain)[0]
-
-
-def tree_cost(tree: ChainTree, chain: Sequence[MatrixType]) -> int:
-    """Recompute the scalar-multiplication cost of a parenthesization tree."""
-    return _evaluate(tree, chain)[1]
+    return done[0][3]
 
 
 def tree_string(tree: ChainTree, names: list[str] | tuple[str, ...]) -> str:

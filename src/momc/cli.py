@@ -8,6 +8,7 @@ are byte-deterministic for a given input and flag set.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,7 +137,7 @@ def render_chain_report(rep: ChainReport) -> str:
 
 
 def _compile_frontend(cfg: CliConfig, text: str) -> frontend.Ast:
-    ast = frontend.parse_source(frontend.SourceProgram(text, cfg.input))
+    ast = frontend.parse_source(text)
     ast = frontend.resolve_constants(ast)
     return frontend.scale_dimensions(ast, cfg.scale)
 
@@ -174,6 +175,19 @@ def _write_report(path: str, text: str) -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout is gone. Point stdout at devnull so that the
+        # interpreter's flush at exit does not fail again (see the SIGPIPE
+        # note in Python's `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv: list[str] | None) -> int:
     cfg = parse_config(argv)
     try:
         with open(cfg.input, encoding="utf-8") as f:

@@ -1,21 +1,22 @@
-"""Equation processing: symbolic walk, type resolution with identity
-elimination, and rematerialization to binary low-level IR.
+"""Equation processing: type resolution with identity elimination, and
+rematerialization to binary low-level IR.
 
-Each equation region is walked from its yield into a flat variadic symbolic
-tree. One bottom-up pass, `resolve_types`, replaces placeholder term types
-with concrete inferred ones and checks every operand's dims and element
-kind, identities included; only after a node's checks does it drop the
-identity operands of that node when asked to. Every variadic multiplication
-is then re-emitted as the binary tree chosen by the chain solver (additions
+`resolve_types` types an equation in one forward pass over its region: a
+region lists its ops operands first (the verifier enforces it), so each op is
+typed from the nodes already built for its operands. Every node carries its
+`MatrixType`; a product or sum splices in operands of its own kind, so each
+is one variadic node. Dims and element kinds are checked, identities
+included, before any identity is dropped. Each variadic multiplication is
+then re-emitted as the binary tree chosen by the chain solver (additions
 fold left; their cost does not depend on parenthesization). Operand order
 inside a multiplication is never changed, only the grouping. Types are
-inferred once: an emitted product's properties are those of the DP cell
-for the subchain it spans.
+inferred once: an emitted product's properties are those of the DP cell for
+the subchain it spans.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 from . import ir
@@ -35,126 +36,103 @@ from .properties import infer_add, infer_mul, infer_transpose
 @dataclass(frozen=True)
 class Leaf:
     value: ir.ValueId
-    type: ir.ValueType
+    type: ir.MatrixType
 
 
 @dataclass(frozen=True)
 class MulN:
     children: tuple["SymExpr", ...]
-    type: ir.ValueType | None = field(default=None, compare=False)
+    type: ir.MatrixType
 
 
 @dataclass(frozen=True)
 class AddN:
     children: tuple["SymExpr", ...]
-    type: ir.ValueType | None = field(default=None, compare=False)
+    type: ir.MatrixType
 
 
 @dataclass(frozen=True)
 class Trans:
     child: "SymExpr"
-    type: ir.ValueType | None = field(default=None, compare=False)
+    type: ir.MatrixType
 
 
 SymExpr = Union[Leaf, MulN, AddN, Trans]
 
 
-def _flatten(kind: type, children: tuple[SymExpr, ...]) -> tuple[SymExpr, ...]:
-    out: list[SymExpr] = []
-    for c in children:
-        if isinstance(c, kind):
-            out.extend(c.children)
-        else:
-            out.append(c)
-    return tuple(out)
+def resolve_types(eq: ir.Equation,
+                  leaf_type: Callable[[ir.ValueId], ir.ValueType],
+                  drop_identities: bool = False) -> SymExpr:
+    """Type an equation's region in one forward pass; return the yielded node.
 
+    A value defined outside the region is a leaf of type `leaf_type(v)`; the
+    optimizer passes the type of the value it already rematerialized, since
+    the module types an earlier equation's result only as a placeholder term.
 
-def symbolize(eq: ir.Equation, module: ir.IRModule,
-              leaf_type: Callable[[ir.ValueId], ir.ValueType] | None = None
-              ) -> SymExpr:
-    """Build the symbolic tree rooted at the yield operand of an equation.
-
-    Values not defined in the region are leaves carrying `leaf_type(v)`, by
-    default their module type. The optimizer passes the concrete type of the
-    already rematerialized value instead, since the module types an earlier
-    equation's result only as a placeholder term. Nested multiplications
-    (and additions) of the same kind flatten into one variadic node.
+    With `drop_identities`, each product then loses its identity operands: a
+    product of identities only collapses to its first identity leaf, one left
+    with a single operand to that operand. A transposed identity is the
+    identity itself. A sum absorbs an operand that collapsed to a sum, so one
+    pass reaches the fixpoint.
     """
-    if leaf_type is None:
-        leaf_type = module.types.__getitem__
-    defs: dict[ir.ValueId, ir.IROp] = {}
-    for op in eq.region:
-        result = ir.op_result(op)
-        if result is not None:
-            defs[result] = op
+    nodes: dict[ir.ValueId, SymExpr] = {}
 
-    def walk(v: ir.ValueId) -> SymExpr:
-        op = defs.get(v)
-        if op is None:
-            return Leaf(v, leaf_type(v))
-        if isinstance(op, ir.Mul):
-            return MulN(_flatten(MulN, tuple(walk(o) for o in op.operands)))
-        if isinstance(op, ir.Add):
-            return AddN(_flatten(AddN, tuple(walk(o) for o in op.operands)))
-        assert isinstance(op, ir.Transpose)
-        return Trans(walk(op.operand))
-
-    yield_op = eq.region[-1]
-    assert isinstance(yield_op, ir.Yield)
-    return walk(yield_op.operand)
-
-
-def resolve_types(e: SymExpr, drop_identities: bool = False) -> SymExpr:
-    """Type every node bottom-up, checking dims and element kinds.
-
-    With `drop_identities`, each node then loses its identity operands: a
-    multiplication of identities collapses to its first identity leaf, one
-    left with a single operand to that operand, and a transposed identity
-    is the identity itself. A sum whose operand collapsed to a sum absorbs
-    its operands, so one pass reaches the fixpoint.
-    """
-    if isinstance(e, Leaf):
-        if not isinstance(e.type, ir.MatrixType):
+    def node(v: ir.ValueId) -> SymExpr:
+        e = nodes.get(v)
+        if e is not None:
+            return e
+        t = leaf_type(v)
+        if not isinstance(t, ir.MatrixType):
             raise ResolutionError("placeholder term reached type resolution")
-        return e
-    if isinstance(e, Trans):
-        c = resolve_types(e.child, drop_identities)
-        t = c.type
-        if t.identity:
-            return c if drop_identities else Trans(c, t)
-        return Trans(c, ir.MatrixType(t.cols, t.rows, t.elem,
-                                      infer_transpose(t.props)))
-    children = tuple(resolve_types(c, drop_identities) for c in e.children)
-    types = [c.type for c in children]
-    elems = {t.elem for t in types}
-    if len(elems) > 1:
-        raise ResolutionError("operands mix f32 and f64")
-    elem = elems.pop()
-    if isinstance(e, MulN):
+        return Leaf(v, t)
+
+    *body, yield_op = eq.region
+    assert isinstance(yield_op, ir.Yield)
+    for op in body:
+        if isinstance(op, ir.Transpose):
+            c = node(op.operand)
+            t = c.type
+            if not t.identity:
+                t = ir.MatrixType(t.cols, t.rows, t.elem, infer_transpose(t.props))
+            nodes[op.result] = c if t.identity and drop_identities else Trans(c, t)
+            continue
+        assert isinstance(op, (ir.Mul, ir.Add))
+        kind = MulN if isinstance(op, ir.Mul) else AddN
+        children: list[SymExpr] = []
+        for o in op.operands:
+            c = node(o)
+            children.extend(c.children) if isinstance(c, kind) else children.append(c)
+        types = [c.type for c in children]
+        elems = {t.elem for t in types}
+        if len(elems) > 1:
+            raise ResolutionError("operands mix f32 and f64")
+        elem = elems.pop()
+        t0 = types[0]
+        if kind is AddN:
+            if any((t.rows, t.cols) != (t0.rows, t0.cols) for t in types):
+                raise ResolutionError("addition operands must share dims")
+            props = t0.props
+            for t in types[1:]:
+                props = infer_add(props, t.props)
+            nodes[op.result] = AddN(tuple(children),
+                                    ir.MatrixType(t0.rows, t0.cols, elem, props))
+            continue
         for a, b in zip(types, types[1:]):
             if a.cols != b.rows:
                 raise ResolutionError(f"inner dims disagree, {a.cols} vs {b.rows}")
         if drop_identities:
-            kept = tuple(c for c in children if not c.type.identity)
+            kept = [c for c in children if not c.type.identity]
             if len(kept) < 2:
-                return kept[0] if kept else children[0]
-            children = kept
-            types = [c.type for c in kept]
+                nodes[op.result] = kept[0] if kept else children[0]
+                continue
+            children, types = kept, [c.type for c in kept]
         props = types[0].props
         d = (types[0].rows, types[0].cols)
         for t in types[1:]:
             props = infer_mul(props, d, t.props, (t.rows, t.cols))
             d = (d[0], t.cols)
-        return MulN(children, ir.MatrixType(d[0], d[1], elem, props))
-    t0 = types[0]
-    if any((t.rows, t.cols) != (t0.rows, t0.cols) for t in types):
-        raise ResolutionError("addition operands must share dims")
-    props = t0.props
-    for t in types[1:]:
-        props = infer_add(props, t.props)
-    if drop_identities:
-        children = _flatten(AddN, children)
-    return AddN(children, ir.MatrixType(t0.rows, t0.cols, elem, props))
+        nodes[op.result] = MulN(tuple(children), ir.MatrixType(d[0], d[1], elem, props))
+    return node(yield_op.operand)
 
 
 # --------------------------------------------------------------------------
@@ -199,10 +177,12 @@ def optimize_and_rematerialize(module: ir.IRModule,
                                options: OptOptions = OptOptions()) -> OptResult:
     """Process every equation and rebuild the module as low-level binary IR.
 
-    Inits and fills are kept in place; each equation is replaced by the
-    binary ops of its optimized tree; prints are retargeted to the new
-    concrete-typed results. An equation that reduces to a bare leaf emits no
-    ops and its prints read the original buffer.
+    `module` must verify clean (`ir.verify`): each region then lists its ops
+    operands first and ends in its yield. Inits and fills are kept in place;
+    each equation is replaced by the binary ops of its optimized tree; prints
+    are retargeted to the new concrete-typed results. An equation that
+    reduces to a bare leaf emits no ops and its prints read the original
+    buffer.
     """
     b = ir.IRBuilder()
     vmap: dict[ir.ValueId, ir.ValueId] = {}
@@ -272,7 +252,7 @@ def optimize_and_rematerialize(module: ir.IRModule,
             b.append(ir.Print(vmap[op.operand]))
         elif isinstance(op, ir.Equation):
             try:
-                e = resolve_types(symbolize(op, module, rematerialized_type),
+                e = resolve_types(op, rematerialized_type,
                                   options.simplify_identities)
                 t = e.type
                 want = op.declared_dims

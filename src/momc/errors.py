@@ -11,12 +11,13 @@ class CompileError(Exception):
     """Base class for all diagnosable compilation failures."""
 
     def __init__(self, message: str, *, line: int | None = None,
-                 col: int | None = None, origin: str | None = None) -> None:
+                 col: int | None = None) -> None:
         super().__init__(message)
         self.message = message
         self.line = line
         self.col = col
-        self.origin = origin
+        # The input's name; the CLI sets it, the library knows no file names.
+        self.origin: str | None = None
 
     def at(self, line: int | None, col: int | None,
            origin: str | None = None) -> "CompileError":
@@ -45,10 +46,8 @@ class CompileError(Exception):
 class LexError(CompileError):
     """Character outside the grammar."""
 
-    def __init__(self, line: int, col: int, char: str, *,
-                 origin: str | None = None) -> None:
-        super().__init__(f"unexpected character {char!r}",
-                         line=line, col=col, origin=origin)
+    def __init__(self, line: int, col: int, char: str) -> None:
+        super().__init__(f"unexpected character {char!r}", line=line, col=col)
         self.char = char
 
 
@@ -56,10 +55,9 @@ class ParseError(CompileError):
     """Token stream does not match the grammar."""
 
     def __init__(self, line: int, col: int, expected: tuple[str, ...],
-                 found: str, *, origin: str | None = None) -> None:
+                 found: str) -> None:
         want = " or ".join(expected)
-        super().__init__(f"expected {want}, found {found}",
-                         line=line, col=col, origin=origin)
+        super().__init__(f"expected {want}, found {found}", line=line, col=col)
         self.expected = expected
         self.found = found
 

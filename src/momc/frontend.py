@@ -25,6 +25,7 @@ groups flatten too, so no Mul has a Mul child and no Add has an Add child.
 from __future__ import annotations
 
 import enum
+import string
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Union
 
@@ -41,12 +42,6 @@ from .errors import (
     UseBeforeAssign,
 )
 from .properties import DECLARED_NAMES, ElemKind
-
-
-@dataclass(frozen=True)
-class SourceProgram:
-    text: str
-    origin: str = "<stdin>"
 
 
 @dataclass(frozen=True)
@@ -99,6 +94,13 @@ _PUNCT = {
 }
 
 
+# The grammar's identifiers and numbers are ASCII; `str.isalpha` and
+# `str.isdigit` would also accept letters and digits of other scripts.
+_DIGITS = frozenset(string.digits)
+_WORD_START = frozenset(string.ascii_letters + "_")
+_WORD = _WORD_START | _DIGITS
+
+
 @dataclass(frozen=True)
 class Token:
     kind: TokenKind
@@ -107,11 +109,8 @@ class Token:
     col: int
 
 
-def tokenize(src: SourceProgram | str) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
     """Lex a program into tokens carrying 1-based line/column positions."""
-    if isinstance(src, str):
-        src = SourceProgram(src)
-    text = src.text
     tokens: list[Token] = []
     line, col = 1, 1
     i, n = 0, len(text)
@@ -129,25 +128,25 @@ def tokenize(src: SourceProgram | str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
                 col += 1
-        elif c.isalpha() or c == "_":
+        elif c in _WORD_START:
             start, startcol = i, col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i] in _WORD:
                 i += 1
                 col += 1
             word = text[start:i]
             tokens.append(Token(_KEYWORDS.get(word, TokenKind.IDENT),
                                 word, line, startcol))
-        elif c.isdigit():
+        elif c in _DIGITS:
             start, startcol = i, col
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
                 col += 1
             kind = TokenKind.INT
-            if i + 1 < n and text[i] == "." and text[i + 1].isdigit():
+            if i + 1 < n and text[i] == "." and text[i + 1] in _DIGITS:
                 kind = TokenKind.FLOAT
                 i += 1
                 col += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
                     col += 1
             tokens.append(Token(kind, text[start:i], line, startcol))
@@ -156,7 +155,7 @@ def tokenize(src: SourceProgram | str) -> list[Token]:
             i += 1
             col += 1
         else:
-            raise LexError(line, col, c, origin=src.origin)
+            raise LexError(line, col, c)
     tokens.append(Token(TokenKind.EOF, "", line, col))
     return tokens
 
@@ -259,7 +258,6 @@ class Ast:
     consts: tuple[ConstBinding, ...]
     decls: tuple[Decl, ...]
     stmts: tuple[Stmt, ...]
-    origin: str = "<stdin>"
 
     @property
     def const_bindings(self) -> dict[str, int]:
@@ -300,9 +298,8 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], origin: str) -> None:
+    def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
-        self.origin = origin
         self.pos = 0
         self.depth = 0
 
@@ -323,7 +320,7 @@ class _Parser:
 
     def fail(self, expected: tuple[str, ...], tok: Token) -> None:
         found = tok.kind.value if tok.text == "" else repr(tok.text)
-        raise ParseError(tok.line, tok.col, expected, found, origin=self.origin)
+        raise ParseError(tok.line, tok.col, expected, found)
 
     def skip_newlines(self) -> None:
         while self.peek().kind is TokenKind.NEWLINE:
@@ -358,7 +355,7 @@ class _Parser:
             else:
                 self.fail(("a statement",), tok)
             self.end_statement()
-        return Ast(tuple(consts), tuple(decls), tuple(stmts), self.origin)
+        return Ast(tuple(consts), tuple(decls), tuple(stmts))
 
     def parse_dim(self) -> DimExpr:
         tok = self.peek()
@@ -379,8 +376,7 @@ class _Parser:
         for kind in ElemKind:
             if tok.text == kind.value:
                 return kind
-        raise ParseError(tok.line, tok.col, ("'f32'", "'f64'"),
-                         repr(tok.text), origin=self.origin)
+        raise ParseError(tok.line, tok.col, ("'f32'", "'f64'"), repr(tok.text))
 
     def parse_matrix_decl(self) -> MatrixDecl:
         kw = self.expect(TokenKind.KW_MATRIX)
@@ -491,27 +487,23 @@ def _validate(ast: Ast) -> None:
     A name assigned anywhere is an equation alias: uses must follow the
     assignment. A declared name never assigned is an input matrix.
     """
-    origin = ast.origin
     consts: dict[str, ConstBinding] = {}
     for c in ast.consts:
         if c.name in consts:
             raise DuplicateDeclaration(f"constant {c.name!r} bound twice",
-                                       line=c.loc.line, col=c.loc.col,
-                                       origin=origin)
+                                       line=c.loc.line, col=c.loc.col)
         consts[c.name] = c
 
     decls: dict[str, Decl] = {}
     for d in ast.decls:
         if d.name in decls or d.name in consts:
             raise DuplicateDeclaration(f"{d.name!r} declared twice",
-                                       line=d.loc.line, col=d.loc.col,
-                                       origin=origin)
+                                       line=d.loc.line, col=d.loc.col)
         if isinstance(d, MatrixDecl):
             for p in d.props:
                 if p not in DECLARED_NAMES:
                     raise UnknownProperty(f"unknown property {p!r}",
-                                          line=d.loc.line, col=d.loc.col,
-                                          origin=origin)
+                                          line=d.loc.line, col=d.loc.col)
         decls[d.name] = d
 
     assign_line: dict[str, int] = {}
@@ -520,15 +512,15 @@ def _validate(ast: Ast) -> None:
             if s.target in assign_line:
                 raise MultipleAssignment(
                     f"{s.target!r} assigned more than once",
-                    line=s.loc.line, col=s.loc.col, origin=origin)
+                    line=s.loc.line, col=s.loc.col)
             if s.target in consts:
                 raise DuplicateDeclaration(
                     f"{s.target!r} is already a constant",
-                    line=s.loc.line, col=s.loc.col, origin=origin)
+                    line=s.loc.line, col=s.loc.col)
             if isinstance(decls.get(s.target), IdentityDecl):
                 raise AssignToIdentity(
                     f"cannot assign to identity {s.target!r}",
-                    line=s.loc.line, col=s.loc.col, origin=origin)
+                    line=s.loc.line, col=s.loc.col)
             assign_line[s.target] = s.loc.line
 
     for s in ast.stmts:
@@ -538,24 +530,21 @@ def _validate(ast: Ast) -> None:
                 if assign_line[name] >= s.loc.line:
                     raise UseBeforeAssign(
                         f"{name!r} used before its assignment",
-                        line=loc.line, col=loc.col, origin=origin)
+                        line=loc.line, col=loc.col)
             elif name not in decls:
                 raise UndeclaredIdentifier(f"{name!r} is not declared",
-                                           line=loc.line, col=loc.col,
-                                           origin=origin)
+                                           line=loc.line, col=loc.col)
 
 
-def parse(tokens: list[Token], origin: str = "<stdin>") -> Ast:
+def parse(tokens: list[Token]) -> Ast:
     """Parse a token stream into a validated Ast."""
-    ast = _Parser(tokens, origin).parse_program()
+    ast = _Parser(tokens).parse_program()
     _validate(ast)
     return ast
 
 
-def parse_source(src: SourceProgram | str) -> Ast:
-    if isinstance(src, str):
-        src = SourceProgram(src)
-    return parse(tokenize(src), src.origin)
+def parse_source(text: str) -> Ast:
+    return parse(tokenize(text))
 
 
 # --------------------------------------------------------------------------
@@ -584,7 +573,7 @@ def map_dims(ast: Ast, f: Callable[[DimExpr, Loc], int]) -> Ast:
         else:
             decls.append(replace(d, order=f(d.order, d.loc)))
     stmts = tuple(replace(s, expr=map_expr(s.expr, s.loc)) for s in ast.stmts)
-    return Ast(ast.consts, tuple(decls), stmts, ast.origin)
+    return Ast(ast.consts, tuple(decls), stmts)
 
 
 def resolve_constants(ast: Ast) -> Ast:
@@ -600,15 +589,13 @@ def resolve_constants(ast: Ast) -> Ast:
             c = bound.get(dim)
             if c is None or c.loc.line >= use.line:
                 raise UnboundConstant(f"constant {dim!r} is not bound here",
-                                      line=use.line, col=use.col,
-                                      origin=ast.origin)
+                                      line=use.line, col=use.col)
             value = c.value
         else:
             value = dim
         if value <= 0:
             raise NonPositiveDimension(f"dimension must be positive, got {value}",
-                                       line=use.line, col=use.col,
-                                       origin=ast.origin)
+                                       line=use.line, col=use.col)
         return value
 
     return map_dims(ast, resolve)

@@ -216,7 +216,7 @@ def build_ir(ast: fe.Ast) -> IRModule:
             try:
                 props = canonicalize(d.props, d.rows, d.cols)
             except NonSquareStructuralProperty as e:
-                raise e.at(d.loc.line, d.loc.col, ast.origin)
+                raise e.at(d.loc.line, d.loc.col)
             v = b.init(MatrixType(d.rows, d.cols, d.elem, props), d.name)
             b.append(Fill(d.fill, v))
         else:

@@ -10,6 +10,8 @@
   exact cost, the oracle for the DP's optimum.
 - `cost_oracle`: the cost model counted triple by triple, the oracle for the
   closed forms.
+- `tree_props`: the properties of the product a tree computes, which must
+  not depend on the grouping.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from momc.chain import (
     ChainSolution,
     ChainTree,
     pattern_cost,
+    postorder,
     tree_cost,
 )
 from momc.errors import DimMismatch
@@ -143,3 +146,16 @@ def reference_parenthesization(
 
     props = [[None if t is None else t[2] for t in row] for row in types]
     return ChainSolution(cost, split, props, build(0, k - 1), cost[0][k - 1])
+
+
+def tree_props(tree: ChainTree, chain: list[MatrixType]) -> PropertySet:
+    """Properties of the product a parenthesization tree computes."""
+    done: list[tuple[int, PropertySet]] = []  # per subtree: cols, properties
+    for node, i, _ in postorder(tree):
+        if isinstance(node, ChainLeaf):
+            done.append((chain[i].cols, chain[i].props))
+        else:
+            n, rp = done.pop()
+            k, lp = done.pop()
+            done.append((n, infer_mul(lp, (chain[i].rows, k), rp, (k, n))))
+    return done[0][1]

@@ -11,7 +11,6 @@ from momc.chain import (
     optimal_parenthesization,
     postorder,
     tree_cost,
-    tree_props,
     tree_string,
 )
 from momc.errors import DimMismatch
@@ -23,6 +22,7 @@ from chain_reference import (
     cost_oracle,
     enumerate_parenthesizations,
     mul_cost,
+    tree_props,
 )
 from gen import CLOSED_PSETS, default_seed, random_chain
 

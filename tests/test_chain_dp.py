@@ -11,12 +11,11 @@ from momc.chain import (
     left_fold_tree,
     optimal_parenthesization,
     tree_cost,
-    tree_props,
 )
 from momc.ir import MatrixType
 from momc.properties import EMPTY_PROPS, ElemKind, Property, PropertySet
 
-from chain_reference import reference_parenthesization
+from chain_reference import reference_parenthesization, tree_props
 from gen import default_seed, random_chain
 
 

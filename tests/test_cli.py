@@ -1,6 +1,8 @@
 """CLI driver: flags, exit codes, stage dumps, reports."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -51,6 +53,32 @@ def test_parse_error_exits_1_with_location(tmp_path, capsys):
     code, _, err = run_cli(capsys, str(bad))
     assert code == 1
     assert "2:7" in err and "'@'" in err
+
+
+@pytest.mark.parametrize("text,col", [
+    ("Matrix \u00e9(2, 2) <>\n", 8),     # a Latin letter outside ASCII
+    ("Matrix A(2, \u00b2) <>\n", 13),    # superscript two
+    ("n = \u0663\n", 5),                 # Arabic-Indic digit three
+])
+def test_non_ascii_letters_and_digits_are_lex_errors(tmp_path, capsys, text, col):
+    prog = tmp_path / "u.mom"
+    prog.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, str(prog))
+    char = text[col - 1]
+    assert (code, out) == (1, "")
+    assert err == f"{prog}:1:{col}: error: unexpected character {char!r}\n"
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    r, w = os.pipe()
+    os.close(r)  # the pipe has no reader before the child writes anything
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "momc", CHAIN4, "--run", "--scale=10",
+             "--emit=loops"], stdout=w, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_semantic_error_exits_1(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Symbolic walk, type resolution with identity simplification, rematerialization."""
+"""Type resolution with identity simplification, rematerialization."""
 
 import random
 
@@ -8,7 +8,7 @@ import pytest
 from momc import equation_opt as eo
 from momc import ir
 from momc.chain import ChainLeaf
-from momc.equation_opt import Leaf, MulN
+from momc.equation_opt import AddN, Leaf, MulN, Trans
 from momc.errors import ResolutionError
 from momc.executor import ExecMode
 from momc.properties import ElemKind, EMPTY_PROPS, Property, PropertySet, infer_mul
@@ -24,19 +24,20 @@ def first_equation(m):
     return next(op for op in m.ops if isinstance(op, ir.Equation))
 
 
-def symbolized(text):
+def resolved_first(text, drop_identities=False):
     m = compile_text(text)
-    return eo.symbolize(first_equation(m), m), m
+    return eo.resolve_types(first_equation(m), m.types.__getitem__,
+                            drop_identities), m
 
 
-def test_symbolize_listing_equation():
-    e, _ = symbolized("n = 5\nMatrix A(n, n) <LowerTriangular>\n"
-                      "Matrix B(n, n) <LowerTriangular>\nC = A * B\n")
+def test_resolve_listing_equation():
+    e, _ = resolved_first("n = 5\nMatrix A(n, n) <LowerTriangular>\n"
+                          "Matrix B(n, n) <LowerTriangular>\nC = A * B\n")
     assert isinstance(e, MulN)
     assert [type(c) for c in e.children] == [Leaf, Leaf]
 
 
-def test_symbolize_flattens_nested_muls():
+def test_resolve_splices_nested_muls():
     # Hand-built region with mul(mul(a, b), c).
     t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
     m = ir.IRModule(
@@ -44,19 +45,44 @@ def test_symbolize_flattens_nested_muls():
              ir.Equation(5, (ir.Mul(3, (0, 1)), ir.Mul(4, (3, 2)),
                              ir.Yield(4)))),
         types={0: t, 1: t, 2: t, 3: ir.TERM, 4: ir.TERM, 5: ir.TERM})
-    e = eo.symbolize(m.ops[3], m)
-    assert isinstance(e, MulN) and len(e.children) == 3
-    assert all(isinstance(c, Leaf) for c in e.children)
+    assert ir.verify(m) == []
+    for drop_identities in (False, True):
+        e = eo.resolve_types(m.ops[3], m.types.__getitem__, drop_identities)
+        assert isinstance(e, MulN) and len(e.children) == 3
+        assert all(isinstance(c, Leaf) for c in e.children)
+        assert e.type == t
 
 
-def test_symbolize_bare_copy():
-    e, _ = symbolized("Matrix A(2, 2) <>\nC = A\n")
+def test_resolve_bare_copy():
+    e, _ = resolved_first("Matrix A(2, 2) <>\nC = A\n")
     assert e == Leaf(0, ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS))
 
 
+def test_resolve_deep_region_without_recursion():
+    # Each op takes the previous one, and no op has an operand of its own
+    # kind, so the tree is as deep as the region is long.
+    t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
+    depth = 5000
+    region, prev = [], 0
+    for v in range(2, depth + 2):
+        region.append((ir.Add(v, (prev, 1)), ir.Transpose(v, prev),
+                       ir.Mul(v, (prev, 1)))[v % 3])
+        prev = v
+    eq = ir.Equation(depth + 2, (*region, ir.Yield(prev)))
+    types = {v: ir.TERM for v in range(2, depth + 3)}
+    m = ir.IRModule((ir.Init(0), ir.Init(1), eq), {0: t, 1: t, **types})
+    assert ir.verify(m) == []
+    e = eo.resolve_types(eq, m.types.__getitem__, drop_identities=True)
+    assert e.type == t
+    levels = 0
+    while not isinstance(e, Leaf):
+        e = e.child if isinstance(e, Trans) else e.children[0]
+        levels += 1
+    assert levels == depth
+
+
 def simplify_program(text):
-    e, m = symbolized(text)
-    return eo.resolve_types(e, drop_identities=True), m
+    return resolved_first(text, drop_identities=True)
 
 
 IDENTITY_PROGRAM = """\
@@ -91,7 +117,27 @@ def test_simplify_transposed_identity():
     assert isinstance(e, Leaf) and e.value == 1
 
 
+def simplifiable(e):
+    """Whether some node of a resolved tree still has an operand that
+    identity elimination removes or splices in."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Trans):
+            if e.child.type.identity:
+                return True
+            stack.append(e.child)
+        elif isinstance(e, (MulN, AddN)):
+            for c in e.children:
+                if isinstance(c, type(e)) or isinstance(e, MulN) and c.type.identity:
+                    return True
+            stack.extend(e.children)
+    return False
+
+
 def test_simplify_is_a_fixpoint():
+    """After simplification no product has an identity or product operand,
+    no sum has a sum operand and no transpose is of an identity."""
     texts = ["n = 4\nMatrix A(n, n) <>\nIdentity I(n)\n"
              "C = A * I * Identity(n)\n"
              "D = A * transpose(transpose(I)) * transpose(I * I)\n"
@@ -108,10 +154,10 @@ def test_simplify_is_a_fixpoint():
             return resolved_types.get(v, m.types[v])
 
         for eq in (op for op in m.ops if isinstance(op, ir.Equation)):
-            e = eo.symbolize(eq, m, leaf_type)
-            once = eo.resolve_types(e, drop_identities=True)
-            assert eo.resolve_types(once, drop_identities=True) == once
-            changed += once != e
+            kept = eo.resolve_types(eq, leaf_type)
+            once = eo.resolve_types(eq, leaf_type, drop_identities=True)
+            assert not simplifiable(once)
+            changed += simplifiable(kept)
             resolved_types[eq.result] = once.type
     assert changed > 0  # the programs do exercise the simplification
 

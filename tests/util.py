@@ -18,9 +18,8 @@ def pattern_contains(pattern: StoredPattern, i: int, j: int) -> bool:
     return i == j
 
 
-def compile_text(text: str, origin: str = "<test>") -> ir.IRModule:
-    ast = frontend.resolve_constants(
-        frontend.parse_source(frontend.SourceProgram(text, origin)))
+def compile_text(text: str) -> ir.IRModule:
+    ast = frontend.resolve_constants(frontend.parse_source(text))
     module = ir.build_ir(ast)
     diags = ir.verify(module)
     assert not diags, [str(d) for d in diags]
