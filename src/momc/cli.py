@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,6 +164,17 @@ def bench(cfg: CliConfig, module: ir.IRModule) -> BenchReport:
                        base_rep.total_min_ns, opt_rep.total_min_ns)
 
 
+def _check_utf8(text: str) -> None:
+    """Report the first byte that is not UTF-8, which reading with
+    errors="surrogateescape" left as a lone surrogate U+DC80..U+DCFF."""
+    bad = re.search("[\udc80-\udcff]", text)
+    if bad:
+        at = bad.start()
+        raise CompileError(f"invalid UTF-8 byte 0x{ord(bad.group()) - 0xdc00:02x}",
+                           line=text.count("\n", 0, at) + 1,
+                           col=at - text.rfind("\n", 0, at))
+
+
 def _write_report(path: str, text: str) -> bool:
     """Write a --report file; on failure say so on stderr and return False."""
     try:
@@ -190,13 +202,14 @@ def main(argv: list[str] | None = None) -> int:
 def _main(argv: list[str] | None) -> int:
     cfg = parse_config(argv)
     try:
-        with open(cfg.input, encoding="utf-8") as f:
+        with open(cfg.input, encoding="utf-8", errors="surrogateescape") as f:
             text = f.read()
     except OSError as e:
         print(f"momc: cannot read {cfg.input}: {e.strerror}", file=sys.stderr)
         return 1
 
     try:
+        _check_utf8(text)
         ast = _compile_frontend(cfg, text)
         if cfg.emit == "ast":
             sys.stdout.write(frontend.pretty(ast))

@@ -4,13 +4,15 @@ Each tensor's buffer is a 2-D numpy array; a transposed tensor's buffer is
 the view `.T` of its source's, made when the buffers are allocated. Kernels
 write in place, so a view always reads its source's current values.
 
-The matmul kernel iterates the contraction index k in ascending order in
-both modes and accumulates in the operand precision. Dense mode updates the
-full (i, j) rectangle for every k; specialized mode restricts the rectangle
-to the rows of a and columns of b that are stored at that k. Because entries
-outside a stored pattern are exactly zero, both modes add the same nonzero
-products in the same order per output element, so their results are
-bit-identical while their multiplication counts differ.
+The matmul kernel is a rank-1 update loop over the contraction index k in
+ascending order, accumulating in the operand precision. Dense mode updates
+the full (i, j) rectangle for every k; specialized mode only the rows of a
+and the columns of b stored at that k. Entries outside a stored pattern are
+exactly zero, so both modes add the same nonzero products in the same order
+and give bit-identical results. The count is the number of multiplications
+of stored entries, the loop's count. Specialized mode hands a large product
+to BLAS only when `is_exact_product` proves that no step of it rounds; its
+panels may also multiply structural zeros, and it reports the same count.
 
 Kernels run with numpy's overflow and invalid-operation checks raising:
 a value that becomes infinite or NaN stops the run with `NonFiniteValue`.
@@ -83,11 +85,40 @@ def _col_span(pattern: StoredPattern, k: int, cols: int) -> tuple[int, int]:
     return min(k, cols), min(k + 1, cols)
 
 
+# Specialized mode tries BLAS on products of at least this many mults. At
+# dims <= 16 BLAS saves nothing and a failed proof adds about 20% to the
+# loop; from 2**18 on, a failed proof costs under 10% of it.
+EXACT_MIN_MULTS = 1 << 18
+# Panels this wide keep the BLAS workspace, and so the peak RSS, small.
+EXACT_PANEL_COLS = 128
+
+
+def _all_integral(x: np.ndarray) -> bool:
+    """`trunc(x) == x` everywhere, checked rows of 2**16 entries at a time."""
+    step = max(1, (1 << 16) // x.shape[1])
+    return all(bool((np.trunc(x[r:r + step]) == x[r:r + step]).all())
+               for r in range(0, x.shape[0], step))
+
+
+def is_exact_product(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a @ b never rounds, in any order: both operands are finite and
+    integral and max|a| * max|b| * inner <= 2**p (p = 24 for f32, 53 for
+    f64), so every product and partial sum is an integer the type holds."""
+    ma, mb = (max(-float(x.min()), float(x.max())) for x in (a, b))
+    return (math.isfinite(ma) and math.isfinite(mb)
+            and int(ma) * int(mb) * a.shape[1] <= 2 ** (np.finfo(a.dtype).nmant + 1)
+            and _all_integral(a) and _all_integral(b))
+
+
 def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
                props_a: PropertySet, props_b: PropertySet,
                mode: ExecMode) -> int:
-    """Accumulate a @ b into the zero-initialized out; returns the exact
-    number of scalar multiplications performed."""
+    """Accumulate a @ b into the zero-initialized out; return the number of
+    multiplications of stored entries, the loop's count. In specialized mode
+    a product of at least EXACT_MIN_MULTS that `is_exact_product` proves
+    exact goes to `np.matmul` by column panels, each trimmed to the bounding
+    box of its stored spans; `+=` into out's zeros turns a BLAS -0.0 into
+    +0.0, as the loop does."""
     (rows, inner), (inner_b, cols) = a.shape, b.shape
     if inner != inner_b:
         raise DimMismatch(f"inner dims disagree, {inner} vs {inner_b}")
@@ -99,6 +130,18 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     else:
         pa = stored_pattern(props_a)
         pb = stored_pattern(props_b)
+    if (mode is ExecMode.SPECIALIZED and rows * inner * cols >= EXACT_MIN_MULTS
+            and is_exact_product(a, b)):
+        ks, i0, i1, j0, j1 = np.array(
+            [(k, *_row_span(pa, k, rows), *_col_span(pb, k, cols))
+             for k in range(inner)]).T
+        for c0 in range(0, cols, EXACT_PANEL_COLS):
+            c1 = c0 + EXACT_PANEL_COLS
+            hit = (j0 < c1) & (j1 > c0)  # not empty: each column is stored
+            k0, k1 = ks[hit].min(), ks[hit].max() + 1
+            r0, r1 = i0[hit].min(), i1[hit].max()
+            out[r0:r1, c0:c1] += np.matmul(a[r0:r1, k0:k1], b[k0:k1, c0:c1])
+        return int(((i1 - i0).clip(0) * (j1 - j0).clip(0)).sum())
     count = 0
     for k in range(inner):
         i0, i1 = _row_span(pa, k, rows)

@@ -69,6 +69,20 @@ def test_non_ascii_letters_and_digits_are_lex_errors(tmp_path, capsys, text, col
     assert err == f"{prog}:1:{col}: error: unexpected character {char!r}\n"
 
 
+@pytest.mark.parametrize("data,where", [
+    (b"Matrix A(2, 2) <>\n\xff\n", "2:1: error: invalid UTF-8 byte 0xff"),
+    # columns count characters, as the lexer's do; an encoded surrogate
+    # is invalid UTF-8 from its first byte
+    (b"Matrix A(2, 2) <>\r\n \xc3\xa9\xed\xa0\x80\n",
+     "2:3: error: invalid UTF-8 byte 0xed"),
+])
+def test_invalid_utf8_is_a_located_diagnostic(tmp_path, capsys, data, where):
+    prog = tmp_path / "bad.mom"
+    prog.write_bytes(data)
+    code, out, err = run_cli(capsys, str(prog))
+    assert (code, out, err) == (1, "", f"{prog}:{where}\n")
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     r, w = os.pipe()
     os.close(r)  # the pipe has no reader before the child writes anything

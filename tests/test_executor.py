@@ -12,6 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from momc import executor
 from momc.errors import DimMismatch
 from momc.executor import (
     _DTYPES as DTYPES,
@@ -20,6 +21,7 @@ from momc.executor import (
     Executor,
     execute,
     format_print,
+    is_exact_product,
     run_add,
     run_fill,
     run_matmul,
@@ -37,7 +39,7 @@ from momc.properties import (
 )
 
 from chain_reference import mul_cost
-from gen import CLOSED_PSETS, default_seed
+from gen import CLOSED_PSETS, default_seed, random_program
 from util import lower_text, pattern_contains
 
 LOWER = PropertySet.closure((Property.LOWER_TRIANGULAR,))
@@ -286,6 +288,177 @@ def test_count_fidelity_structured_times_rectangular():
                 got2 = run_matmul(c, a, out2, EMPTY_PROPS, props,
                                   ExecMode.SPECIALIZED)
                 assert got2 == mul_cost((free, k, EMPTY_PROPS), (k, k, props))
+
+
+# --------------------------------------------------------------------------
+# The exact BLAS path of specialized mode
+# --------------------------------------------------------------------------
+
+NO_EXACT_PATH = 1 << 62  # an EXACT_MIN_MULTS no product reaches
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """Lists the operand shapes of every np.matmul call."""
+    calls = []
+    real = np.matmul
+
+    def spy(x, y, *args, **kwargs):
+        calls.append((x.shape, y.shape))
+        return real(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    return calls
+
+
+def _matmul_both_ways(monkeypatch, a, b, pa=EMPTY_PROPS, pb=EMPTY_PROPS):
+    """(forced loop, dispatched with the cutoff at 0): (out, count) each."""
+    results = []
+    for cutoff in (NO_EXACT_PATH, 0):
+        monkeypatch.setattr(executor, "EXACT_MIN_MULTS", cutoff)
+        out = np.zeros((a.shape[0], b.shape[1]), a.dtype)
+        with np.errstate(all="ignore"):
+            count = run_matmul(a, b, out, pa, pb, ExecMode.SPECIALIZED)
+        results.append((out, count))
+    return results
+
+
+def _at_bound(rng, rows, inner, cols, max_a, max_b, dtype):
+    """Random integers with max|a| = max_a and max|b| = max_b exactly."""
+    a = rng.integers(-max_a, max_a, (rows, inner), endpoint=True).astype(dtype)
+    b = rng.integers(-max_b, max_b, (inner, cols), endpoint=True).astype(dtype)
+    a[0, 0], b[-1, -1] = -max_a, max_b
+    return a, b
+
+
+def _boundary_cases(rng, dtype):
+    """(name, a, b, whether the product is provably exact)."""
+    p = 24 if dtype is np.float32 else 53
+    # 4 * 2**q * 2**(p - 2 - q) == 2**p
+    q = (p - 2) // 2
+    a, b = _at_bound(rng, 5, 4, 6, 2 ** q, 2 ** (p - 2 - q), dtype)
+    cases = [("bound 2**p", a, b, True)]
+    # 2**24 + 1 == 97 * 257 * 673 and 2**53 + 1 == 3 * 107 * 28059810762433
+    inner, max_a, max_b = (97, 257, 673) if p == 24 else (3, 107, 28059810762433)
+    assert inner * max_a * max_b == 2 ** p + 1
+    cases.append(("bound 2**p + 1", *_at_bound(rng, 5, inner, 6, max_a, max_b,
+                                               dtype), False))
+    half = a.copy()
+    half[2, 1] = 0.5
+    cases.append(("an entry of 0.5", half, b, False))
+    for v in (np.inf, -np.inf, np.nan):
+        bad = b.copy()
+        bad[1, 2] = v
+        cases.append((f"an entry of {v}", a, bad, False))
+    return cases
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_exact_path_boundary_cases(monkeypatch, matmul_calls, dtype):
+    rng = np.random.default_rng(default_seed() ^ 0xE1)
+    for name, a, b, exact in _boundary_cases(rng, dtype):
+        assert is_exact_product(a, b) is exact, name
+        del matmul_calls[:]
+        (loop, n_loop), (got, n_got) = _matmul_both_ways(monkeypatch, a, b)
+        assert bool(matmul_calls) is exact, name
+        assert got.tobytes() == loop.tobytes(), name
+        assert n_got == n_loop == a.shape[0] * a.shape[1] * b.shape[1], name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_exact_path_adds_into_positive_zeros(monkeypatch, dtype):
+    """A negative row times a zero column sums -0.0s. A BLAS may return
+    that -0.0 (this spy does); the loop's `+=` into +0.0 gives +0.0, and so
+    must the exact path."""
+    real = np.matmul
+
+    def negative_zeros(x, y):
+        r = real(x, y)
+        r[r == 0] = -0.0
+        return r
+
+    monkeypatch.setattr(np, "matmul", negative_zeros)
+    a = np.full((3, 4), -1.0, dtype)
+    b = np.zeros((4, 5), dtype)
+    b[:, 1:] = 2.0
+    assert np.signbit(np.matmul(a, b)[:, 0]).all()
+    (loop, _), (got, _) = _matmul_both_ways(monkeypatch, a, b)
+    assert (got[:, 0] == 0).all() and not np.signbit(got[:, 0]).any()
+    assert got.tobytes() == loop.tobytes()
+
+
+def test_exact_path_counts_and_bits_match_the_loop(monkeypatch, matmul_calls):
+    """Every pair of closed property sets, n = 1..16: the exact path runs,
+    returns the cost model's count and the loop's bytes."""
+    rng = random.Random(default_seed() ^ 0xE2)
+    for pa, pb in product(CLOSED_PSETS, repeat=2):
+        for n in range(1, 17):
+            a = _random_realization(rng, pa, n, n, ElemKind.F64)
+            b = _random_realization(rng, pb, n, n, ElemKind.F64)
+            del matmul_calls[:]
+            (loop, n_loop), (got, n_got) = _matmul_both_ways(
+                monkeypatch, a, b, pa, pb)
+            assert matmul_calls
+            assert n_got == n_loop == mul_cost((n, n, pa), (n, n, pb))
+            assert got.tobytes() == loop.tobytes()
+
+
+def test_exact_path_panels_are_trimmed_to_the_stored_spans(
+        monkeypatch, matmul_calls):
+    """30 columns in panels of 8: each panel multiplies only the k range and
+    the rows that the stored spans reaching its columns cover."""
+    monkeypatch.setattr(executor, "EXACT_PANEL_COLS", 8)
+    upper = PropertySet.closure((Property.UPPER_TRIANGULAR,))
+    rng = random.Random(default_seed() ^ 0xE3)
+    expected = {
+        # lower b: columns c0.. need k >= c0, and lower a's rows k.. of them
+        (LOWER, LOWER): [((30, 30), (30, 8)), ((22, 22), (22, 8)),
+                         ((14, 14), (14, 8)), ((6, 6), (6, 6))],
+        # upper b: columns ..c1 need k < c1, and upper a's rows ..k of them
+        (upper, upper): [((8, 8), (8, 8)), ((16, 16), (16, 8)),
+                         ((24, 24), (24, 8)), ((30, 30), (30, 6))],
+        (DIAG, LOWER): [((30, 30), (30, 8)), ((22, 22), (22, 8)),
+                        ((14, 14), (14, 8)), ((6, 6), (6, 6))],
+        (LOWER, upper): [((30, 8), (8, 8)), ((30, 16), (16, 8)),
+                         ((30, 24), (24, 8)), ((30, 30), (30, 6))],
+    }
+    for (pa, pb), shapes in expected.items():
+        a = _random_realization(rng, pa, 30, 30, ElemKind.F32)
+        b = _random_realization(rng, pb, 30, 30, ElemKind.F32)
+        del matmul_calls[:]
+        (loop, n_loop), (got, n_got) = _matmul_both_ways(monkeypatch, a, b, pa, pb)
+        assert matmul_calls == shapes
+        assert got.tobytes() == loop.tobytes() and n_got == n_loop
+
+
+def test_dense_mode_never_takes_the_exact_path(monkeypatch, matmul_calls):
+    monkeypatch.setattr(executor, "EXACT_MIN_MULTS", 0)
+    a = filled(20, 20, 2.0, StoredPattern.LOWER_INCL, ElemKind.F64)
+    out = buf(20, 20, ElemKind.F64)
+    assert run_matmul(a, a, out, LOWER, LOWER, ExecMode.DENSE) == 20 ** 3
+    assert execute(lower_text(LISTING), ExecMode.DENSE, repeats=1).printed
+    assert not matmul_calls
+
+
+def test_generated_programs_bit_identical_through_the_exact_path(
+        monkeypatch, matmul_calls):
+    """Generated programs are exact by construction (gen.MAX_MAG): with the
+    cutoff at 0, specialized mode gives dense mode's bytes, signbit
+    included, and the counts of the specialized run as shipped."""
+    rng = random.Random(default_seed() ^ 0xE4)
+    for _ in range(300):
+        lm = lower_text(random_program(rng, max_dim=12))
+        shipped = execute(lm, ExecMode.SPECIALIZED, repeats=1)
+        dense, fast = Executor(lm), Executor(lm)
+        dense_report = dense.run(ExecMode.DENSE, repeats=1)
+        with monkeypatch.context() as m:
+            m.setattr(executor, "EXACT_MIN_MULTS", 0)
+            fast_report = fast.run(ExecMode.SPECIALIZED, repeats=1)
+        assert fast_report.printed == dense_report.printed
+        for tid in lm.tensors:
+            assert fast.buffers[tid].tobytes() == dense.buffers[tid].tobytes()
+        assert fast_report.mults == shipped.mults
+    assert len(matmul_calls) > 300
 
 
 def test_structured_chain_count_equals_dp_prediction():
