@@ -106,6 +106,10 @@ class NonFiniteValue(CompileError):
     """A fill or kernel made an entry infinite or NaN at run time."""
 
 
+class AllocationError(CompileError):
+    """A tensor's buffer could not be allocated at run time."""
+
+
 class UnresolvedTerm(CompileError):
     """Loop lowering reached a value whose type is still a placeholder term."""
 

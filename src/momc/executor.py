@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import loops
-from .errors import DimMismatch, NonFiniteValue
+from .errors import AllocationError, DimMismatch, NonFiniteValue
 from .ir import format_scalar
 from .properties import ElemKind, PropertySet, StoredPattern, stored_pattern
 
@@ -237,13 +237,19 @@ class Executor:
 
     def _allocate(self) -> None:
         """Zero-filled arrays, in tensor id order: a transposed tensor is a
-        view of its source, which has a smaller id."""
+        view of its source, which has a smaller id. numpy refuses a shape it
+        cannot index or memory it cannot get, which ends the run."""
         bufs = self.buffers = {}
         views = self.lm.views
         for tid, t in self.lm.tensors.items():
             src = views.get(tid)
-            bufs[tid] = (np.zeros((t.rows, t.cols), _DTYPES[t.elem]) if src is None
-                         else run_transpose(bufs[src]))
+            if src is not None:
+                bufs[tid] = run_transpose(bufs[src])
+                continue
+            try:
+                bufs[tid] = np.zeros((t.rows, t.cols), _DTYPES[t.elem])
+            except (ValueError, MemoryError) as e:
+                raise AllocationError(f"cannot allocate %{tid} : {t}: {e}") from None
 
     def run(self, mode: ExecMode = ExecMode.DENSE, repeats: int = 5) -> ExecutionReport:
         if repeats < 1:

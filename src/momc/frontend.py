@@ -25,9 +25,9 @@ groups flatten too, so no Mul has a Mul child and no Add has an Add child.
 from __future__ import annotations
 
 import enum
-import string
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Union
+import re
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import (
     AssignToIdentity,
@@ -44,8 +44,7 @@ from .errors import (
 from .properties import DECLARED_NAMES, ElemKind
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(NamedTuple):
     line: int
     col: int
 
@@ -74,89 +73,58 @@ class TokenKind(enum.Enum):
     EOF = "end of input"
 
 
-_KEYWORDS = {
-    "Matrix": TokenKind.KW_MATRIX,
-    "Identity": TokenKind.KW_IDENTITY,
-    "print": TokenKind.KW_PRINT,
-    "transpose": TokenKind.KW_TRANSPOSE,
-}
+# The kinds as module names, in definition order: on Python 3.11 `EnumType`
+# defines `__getattr__`, which puts every read of `TokenKind.IDENT` on a slow
+# path (about 0.1 us), and the lexer and parser test a kind on every token.
+(IDENT, INT, FLOAT, KW_MATRIX, KW_IDENTITY, KW_PRINT, KW_TRANSPOSE, EQUALS,
+ LPAREN, RPAREN, LT, GT, COMMA, STAR, PLUS, COLON, NEWLINE, EOF) = TokenKind
 
-_PUNCT = {
-    "=": TokenKind.EQUALS,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    ",": TokenKind.COMMA,
-    "*": TokenKind.STAR,
-    "+": TokenKind.PLUS,
-    ":": TokenKind.COLON,
-}
+# Keywords and punctuation by their text, which their kind's value quotes.
+_FIXED = {k.value[1:-1]: k for k in TokenKind if k.value.startswith("'")}
 
 
-# The grammar's identifiers and numbers are ASCII; `str.isalpha` and
-# `str.isdigit` would also accept letters and digits of other scripts.
-_DIGITS = frozenset(string.digits)
-_WORD_START = frozenset(string.ascii_letters + "_")
-_WORD = _WORD_START | _DIGITS
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
     col: int
 
 
+# One match per lexeme, blanks before it folded in. The classes are spelled
+# out in ASCII: `\w` and `\d` would also accept letters and digits of other
+# scripts. A character no lexeme starts with lands in the catch-all group, so
+# `finditer` skips nothing; `\Z` takes a trailing run of blanks, of which the
+# catch-all would otherwise take the last blank.
+_LEXEME = re.compile(r"""[ \t\r]*(?:
+    (\#[^\n]*)                     # 1 comment
+    | ([A-Za-z_][A-Za-z0-9_]*)     # 2 word
+    | ([0-9]+\.[0-9]+)             # 3 number
+    | ([0-9]+)                     # 4 integer
+    | ([=()<>,*+:])                # 5 punctuation
+    | (\n)                         # 6 newline
+    | (.)                          # 7 anything else
+    | \Z)""", re.DOTALL | re.VERBOSE)
+# A lexeme's kind by its group, unless `_FIXED` has its text.
+_GROUP_KIND = (None, None, IDENT, FLOAT, INT, None, NEWLINE)
+
+
 def tokenize(text: str) -> list[Token]:
     """Lex a program into tokens carrying 1-based line/column positions."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            tokens.append(Token(TokenKind.NEWLINE, "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-        elif c in _WORD_START:
-            start, startcol = i, col
-            while i < n and text[i] in _WORD:
-                i += 1
-                col += 1
-            word = text[start:i]
-            tokens.append(Token(_KEYWORDS.get(word, TokenKind.IDENT),
-                                word, line, startcol))
-        elif c in _DIGITS:
-            start, startcol = i, col
-            while i < n and text[i] in _DIGITS:
-                i += 1
-                col += 1
-            kind = TokenKind.INT
-            if i + 1 < n and text[i] == "." and text[i + 1] in _DIGITS:
-                kind = TokenKind.FLOAT
-                i += 1
-                col += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-                    col += 1
-            tokens.append(Token(kind, text[start:i], line, startcol))
-        elif c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-        else:
-            raise LexError(line, col, c)
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+    line, line_start = 1, 0
+    for m in _LEXEME.finditer(text):
+        group = m.lastindex
+        if group is None or group == 1:  # end of input, or a comment
+            continue
+        lexeme = m[group]
+        col = m.start(group) - line_start + 1
+        if group == 7:
+            raise LexError(line, col, lexeme)
+        tokens.append(Token(_FIXED.get(lexeme, _GROUP_KIND[group]),
+                            lexeme, line, col))
+        if group == 6:
+            line, line_start = line + 1, m.end()
+    tokens.append(Token(EOF, "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -176,7 +144,6 @@ class Ref:
 @dataclass(frozen=True)
 class Mul:
     operands: tuple["Expr", ...]
-    loc: Loc = field(default=_NOWHERE, compare=False)
 
     def __post_init__(self) -> None:
         assert len(self.operands) >= 2
@@ -186,7 +153,6 @@ class Mul:
 @dataclass(frozen=True)
 class Add:
     operands: tuple["Expr", ...]
-    loc: Loc = field(default=_NOWHERE, compare=False)
 
     def __post_init__(self) -> None:
         assert len(self.operands) >= 2
@@ -196,13 +162,11 @@ class Add:
 @dataclass(frozen=True)
 class Transpose:
     operand: "Expr"
-    loc: Loc = field(default=_NOWHERE, compare=False)
 
 
 @dataclass(frozen=True)
 class IdentityLit:
     order: DimExpr
-    loc: Loc = field(default=_NOWHERE, compare=False)
 
 
 Expr = Union[Ref, Mul, Add, Transpose, IdentityLit]
@@ -264,14 +228,13 @@ class Ast:
         return {c.name: c.value for c in self.consts}
 
 
-def flatten(cls: type[Mul] | type[Add], operands: Iterable[Expr],
-            loc: Loc = _NOWHERE) -> Expr:
+def flatten(cls: type[Mul] | type[Add], operands: Iterable[Expr]) -> Expr:
     """Build a `cls` node, splicing in operands that are `cls` nodes too;
     a single operand is returned as it is."""
     ops: list[Expr] = []
     for o in operands:
         ops.extend(o.operands) if isinstance(o, cls) else ops.append(o)
-    return ops[0] if len(ops) == 1 else cls(tuple(ops), loc)
+    return ops[0] if len(ops) == 1 else cls(tuple(ops))
 
 
 def walk_expr(e: Expr) -> Iterator[Expr]:
@@ -298,108 +261,103 @@ MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent over a token list that ends in EOF; `tok` is the
+    current token, and `advance` never moves past EOF."""
+
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.tok = tokens[0]
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
+        tok = self.tok
+        if tok.kind is not EOF:
             self.pos += 1
+            self.tok = self.tokens[self.pos]
         return tok
 
     def expect(self, kind: TokenKind) -> Token:
-        tok = self.peek()
-        if tok.kind is not kind:
-            self.fail((kind.value,), tok)
+        if self.tok.kind is not kind:
+            self.fail((kind.value,), self.tok)
         return self.advance()
 
     def fail(self, expected: tuple[str, ...], tok: Token) -> None:
         found = tok.kind.value if tok.text == "" else repr(tok.text)
         raise ParseError(tok.line, tok.col, expected, found)
 
-    def skip_newlines(self) -> None:
-        while self.peek().kind is TokenKind.NEWLINE:
-            self.advance()
-
-    def end_statement(self) -> None:
-        tok = self.peek()
-        if tok.kind is TokenKind.NEWLINE:
-            self.advance()
-        elif tok.kind is not TokenKind.EOF:
-            self.fail(("newline",), tok)
-
     def parse_program(self) -> Ast:
         consts: list[ConstBinding] = []
         decls: list[Decl] = []
         stmts: list[Stmt] = []
         while True:
-            self.skip_newlines()
-            tok = self.peek()
-            if tok.kind is TokenKind.EOF:
+            while self.tok.kind is NEWLINE:
+                self.advance()
+            kind = self.tok.kind
+            if kind is EOF:
                 break
-            if tok.kind is TokenKind.KW_MATRIX:
+            if kind is KW_MATRIX:
                 decls.append(self.parse_matrix_decl())
-            elif tok.kind is TokenKind.KW_IDENTITY:
+            elif kind is KW_IDENTITY:
                 decls.append(self.parse_identity_decl())
-            elif tok.kind is TokenKind.KW_PRINT:
+            elif kind is KW_PRINT:
                 stmts.append(self.parse_print())
-            elif tok.kind is TokenKind.IDENT:
+            elif kind is IDENT:
                 stmt = self.parse_const_or_assign()
                 consts.append(stmt) if isinstance(stmt, ConstBinding) \
                     else stmts.append(stmt)
             else:
-                self.fail(("a statement",), tok)
-            self.end_statement()
+                self.fail(("a statement",), self.tok)
+            # The statement ends at a newline or at the end of input.
+            if self.tok.kind is NEWLINE:
+                self.advance()
+            elif self.tok.kind is not EOF:
+                self.fail(("newline",), self.tok)
         return Ast(tuple(consts), tuple(decls), tuple(stmts))
 
     def parse_dim(self) -> DimExpr:
-        tok = self.peek()
-        if tok.kind is TokenKind.INT:
+        tok = self.tok
+        if tok.kind is INT:
             self.advance()
             return int(tok.text)
-        if tok.kind is TokenKind.IDENT:
+        if tok.kind is IDENT:
             self.advance()
             return tok.text
         self.fail(("dimension (integer or constant name)",), tok)
         raise AssertionError  # fail always raises
 
     def parse_elem_suffix(self) -> ElemKind:
-        if self.peek().kind is not TokenKind.COLON:
+        if self.tok.kind is not COLON:
             return ElemKind.F32
         self.advance()
-        tok = self.expect(TokenKind.IDENT)
+        tok = self.expect(IDENT)
         for kind in ElemKind:
             if tok.text == kind.value:
                 return kind
         raise ParseError(tok.line, tok.col, ("'f32'", "'f64'"), repr(tok.text))
 
     def parse_matrix_decl(self) -> MatrixDecl:
-        kw = self.expect(TokenKind.KW_MATRIX)
-        name = self.expect(TokenKind.IDENT).text
-        self.expect(TokenKind.LPAREN)
+        kw = self.advance()
+        name = self.expect(IDENT).text
+        self.expect(LPAREN)
         rows = self.parse_dim()
-        self.expect(TokenKind.COMMA)
+        self.expect(COMMA)
         cols = self.parse_dim()
-        self.expect(TokenKind.RPAREN)
-        self.expect(TokenKind.LT)
+        self.expect(RPAREN)
+        self.expect(LT)
         props: list[str] = []
-        if self.peek().kind is TokenKind.IDENT:
+        if self.tok.kind is IDENT:
             props.append(self.advance().text)
-            while self.peek().kind is TokenKind.COMMA:
+            while self.tok.kind is COMMA:
                 self.advance()
-                props.append(self.expect(TokenKind.IDENT).text)
-        self.expect(TokenKind.GT)
+                props.append(self.expect(IDENT).text)
+        self.expect(GT)
         elem = self.parse_elem_suffix()
         fill = 1.0
-        if self.peek().kind is TokenKind.EQUALS:
+        if self.tok.kind is EQUALS:
             self.advance()
-            tok = self.peek()
-            if tok.kind not in (TokenKind.INT, TokenKind.FLOAT):
+            tok = self.tok
+            if tok.kind is not INT and tok.kind is not FLOAT:
                 self.fail(("fill value (number)",), tok)
             self.advance()
             fill = float(tok.text)
@@ -407,76 +365,80 @@ class _Parser:
                           Loc(kw.line, kw.col))
 
     def parse_identity_decl(self) -> IdentityDecl:
-        kw = self.expect(TokenKind.KW_IDENTITY)
-        name = self.expect(TokenKind.IDENT).text
-        self.expect(TokenKind.LPAREN)
+        kw = self.advance()
+        name = self.expect(IDENT).text
+        self.expect(LPAREN)
         order = self.parse_dim()
-        self.expect(TokenKind.RPAREN)
+        self.expect(RPAREN)
         elem = self.parse_elem_suffix()
         return IdentityDecl(name, order, elem, Loc(kw.line, kw.col))
 
     def parse_print(self) -> PrintStmt:
-        kw = self.expect(TokenKind.KW_PRINT)
-        self.expect(TokenKind.LPAREN)
+        kw = self.advance()
+        self.expect(LPAREN)
         expr = self.parse_expr()
-        self.expect(TokenKind.RPAREN)
+        self.expect(RPAREN)
         return PrintStmt(expr, Loc(kw.line, kw.col))
 
     def parse_const_or_assign(self) -> ConstBinding | Assign:
-        name_tok = self.expect(TokenKind.IDENT)
-        self.expect(TokenKind.EQUALS)
+        name_tok = self.advance()
+        self.expect(EQUALS)
         loc = Loc(name_tok.line, name_tok.col)
         # `x = 5` alone on a line binds a constant; anything else is an
-        # equation assignment (scalars are not matrix expressions).
-        if self.peek().kind is TokenKind.INT and \
-                self.peek(1).kind in (TokenKind.NEWLINE, TokenKind.EOF):
-            value = int(self.advance().text)
-            return ConstBinding(name_tok.text, value, loc)
+        # equation assignment (scalars are not matrix expressions). An INT
+        # is not the final EOF, so the token after it exists.
+        if self.tok.kind is INT and self.tokens[self.pos + 1].kind in (
+                NEWLINE, EOF):
+            return ConstBinding(name_tok.text, int(self.advance().text), loc)
         return Assign(name_tok.text, self.parse_expr(), loc)
 
     def parse_expr(self) -> Expr:
-        tok = self.peek()
-        operands = [self.parse_mulexpr()]
-        while self.peek().kind is TokenKind.PLUS:
+        first = self.parse_mulexpr()
+        if self.tok.kind is not PLUS:
+            return first
+        operands = [first]
+        while self.tok.kind is PLUS:
             self.advance()
             operands.append(self.parse_mulexpr())
-        return flatten(Add, operands, Loc(tok.line, tok.col))
+        return flatten(Add, operands)
 
     def parse_mulexpr(self) -> Expr:
-        tok = self.peek()
-        operands = [self.parse_atom()]
-        while self.peek().kind is TokenKind.STAR:
+        first = self.parse_atom()
+        if self.tok.kind is not STAR:
+            return first
+        operands = [first]
+        while self.tok.kind is STAR:
             self.advance()
             operands.append(self.parse_atom())
-        return flatten(Mul, operands, Loc(tok.line, tok.col))
+        return flatten(Mul, operands)
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind is TokenKind.IDENT:
+        tok = self.tok
+        if tok.kind is IDENT:
             self.advance()
             return Ref(tok.text, Loc(tok.line, tok.col))
-        if tok.kind is TokenKind.KW_TRANSPOSE:
+        if tok.kind is KW_TRANSPOSE:
             self.advance()
-            return Transpose(self.parse_group(), Loc(tok.line, tok.col))
-        if tok.kind is TokenKind.KW_IDENTITY:
+            return Transpose(self.parse_group())
+        if tok.kind is KW_IDENTITY:
             self.advance()
-            self.expect(TokenKind.LPAREN)
+            self.expect(LPAREN)
             order = self.parse_dim()
-            self.expect(TokenKind.RPAREN)
-            return IdentityLit(order, Loc(tok.line, tok.col))
-        if tok.kind is TokenKind.LPAREN:
+            self.expect(RPAREN)
+            return IdentityLit(order)
+        if tok.kind is LPAREN:
             return self.parse_group()
         self.fail(("matrix expression",), tok)
         raise AssertionError
 
     def parse_group(self) -> Expr:
         """`"(" expr ")"`, at most MAX_NESTING groups deep."""
-        tok = self.expect(TokenKind.LPAREN)
+        tok = self.expect(LPAREN)
         if self.depth == MAX_NESTING:
             self.fail((f"at most {MAX_NESTING} nested parentheses",), tok)
         self.depth += 1
         inner = self.parse_expr()
-        self.expect(TokenKind.RPAREN)
+        self.expect(RPAREN)
         self.depth -= 1
         return inner
 
@@ -556,24 +518,39 @@ def map_dims(ast: Ast, f: Callable[[DimExpr, Loc], int]) -> Ast:
     """Replace every dimension `d` by `f(d, loc)`, `loc` being the enclosing
     declaration's or statement's. Declarations go before statements, rows
     before cols, operands left to right: the first bad dimension fails first.
+    Nodes holding no changed dimension are kept as they are.
     """
     def map_expr(e: Expr, use: Loc) -> Expr:
         if isinstance(e, IdentityLit):
-            return replace(e, order=f(e.order, use))
+            order = f(e.order, use)
+            return e if order == e.order else IdentityLit(order)
         if isinstance(e, (Mul, Add)):
-            return replace(e, operands=tuple(map_expr(o, use) for o in e.operands))
+            ops = tuple([map_expr(o, use) for o in e.operands])
+            kept = all(a is b for a, b in zip(ops, e.operands))
+            return e if kept else type(e)(ops)
         if isinstance(e, Transpose):
-            return replace(e, operand=map_expr(e.operand, use))
+            o = map_expr(e.operand, use)
+            return e if o is e.operand else Transpose(o)
         return e
 
     decls: list[Decl] = []
     for d in ast.decls:
         if isinstance(d, MatrixDecl):
-            decls.append(replace(d, rows=f(d.rows, d.loc), cols=f(d.cols, d.loc)))
+            rows, cols = f(d.rows, d.loc), f(d.cols, d.loc)
+            decls.append(d if (rows, cols) == (d.rows, d.cols) else MatrixDecl(
+                d.name, rows, cols, d.props, d.elem, d.fill, d.loc))
         else:
-            decls.append(replace(d, order=f(d.order, d.loc)))
-    stmts = tuple(replace(s, expr=map_expr(s.expr, s.loc)) for s in ast.stmts)
-    return Ast(ast.consts, tuple(decls), stmts)
+            order = f(d.order, d.loc)
+            decls.append(d if order == d.order else
+                         IdentityDecl(d.name, order, d.elem, d.loc))
+    stmts: list[Stmt] = []
+    for s in ast.stmts:
+        e = map_expr(s.expr, s.loc)
+        if e is not s.expr:
+            s = Assign(s.target, e, s.loc) if isinstance(s, Assign) \
+                else PrintStmt(e, s.loc)
+        stmts.append(s)
+    return Ast(ast.consts, tuple(decls), tuple(stmts))
 
 
 def resolve_constants(ast: Ast) -> Ast:

@@ -14,6 +14,8 @@ import time
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from momc import frontend, ir, loops
 from momc.chain import optimal_parenthesization, tree_cost
 from momc.cli import CliConfig, bench, main
@@ -198,3 +200,12 @@ def test_golden_dumps(capsys):
     assert lm.tensors[matmuls[0].a].props == lower
     assert lm.tensors[matmuls[0].b].props == lower
     assert lm.tensors[matmuls[0].out].props == lower
+
+
+@pytest.mark.parametrize("program", [LISTING1, CHAIN4])
+@pytest.mark.parametrize("emit", ["ast", "chain"])
+def test_golden_ast_and_chain_dumps(capsys, program, emit):
+    assert main([program, f"--emit={emit}"]) == 0
+    name = os.path.basename(program).removesuffix(".mom")
+    with open(os.path.join(GOLDEN, f"{name}_{emit}.txt"), encoding="utf-8") as f:
+        assert capsys.readouterr().out == f.read()

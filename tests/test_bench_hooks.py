@@ -1,6 +1,8 @@
 """The benchmark's tracer (`perfbench/tracing.py`) wraps momc functions by
-module and attribute name; a renamed function would crash a traced run with
-an AttributeError, so every name it lists must resolve to a callable."""
+module and attribute name. A renamed function would crash a traced run with
+an AttributeError, so every name it lists must resolve to a callable; and a
+name the compiler no longer calls would leave its layer silently at 0, so a
+traced compile and run must reach every one of them."""
 
 import sys
 from pathlib import Path
@@ -8,12 +10,50 @@ from pathlib import Path
 import pytest
 
 import momc
+from momc.cli import main
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracing  # noqa: E402
+
+# A declared and an inline identity, a transpose, a sum, a product of three
+# operands once the identities are dropped, and a print.
+PROGRAM = """\
+n = 3
+Matrix A(n, n) <LowerTriangular> = 2
+Matrix B(n, n) <>
+Identity I(n)
+C = I * A * transpose(B) * Identity(n) * A + B
+print(C)
+"""
 
 
 @pytest.mark.parametrize(
     "mod,attr", [(mod, attr) for mod, attr, _ in tracing.SPANS + tracing.COUNTED])
 def test_traced_name_is_callable(mod, attr):
     assert callable(getattr(getattr(momc, mod), attr))
+
+
+def traced_run(tmp_path, tracer, counting):
+    prog = tmp_path / "traced.mom"
+    prog.write_text(PROGRAM)
+    tracer.install(counting)
+    try:
+        # Specialized mode: only its kernels read stored patterns.
+        assert main([str(prog), "--run", "--mode=specialized"]) == 0
+    finally:
+        tracer.uninstall()
+    return tracer.pass_layers()[0]
+
+
+def test_every_span_is_recorded(tmp_path, capsys):
+    layers = traced_run(tmp_path, tracing.Tracer(momc), counting=False)
+    missing = [name for _, _, name in tracing.SPANS if not layers.get(name + ".n")]
+    assert missing == []
+
+
+@pytest.mark.parametrize("entry", tracing.COUNTED, ids=lambda e: f"{e[0]}-{e[1]}")
+def test_every_counted_name_is_called(tmp_path, capsys, monkeypatch, entry):
+    # Several entries share a metric name, so each is installed on its own.
+    monkeypatch.setattr(tracing, "COUNTED", (entry,))
+    layers = traced_run(tmp_path, tracing.Tracer(momc), counting=True)
+    assert layers.get(entry[2], 0) > 0

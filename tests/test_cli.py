@@ -231,6 +231,24 @@ def test_non_finite_value_exits_1_without_output(tmp_path, capsys, recwarn,
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+# Dims past the int64 range only: numpy rejects the shape before allocating.
+@pytest.mark.parametrize("args", [["--run"], ["--run", "--mode=specialized"],
+                                  ["--run", "--no-opt"], ["--bench"]])
+@pytest.mark.parametrize("text,tensor", [
+    ("x = 99999999999999999999999\nMatrix A(x, 1) <>\nMatrix B(1, 1) <>\n"
+     "C = A * B\nprint(C)\n", "%0 : matrix<99999999999999999999999x1xf32,[]>"),
+    ("Matrix A(2, 2) <>\nIdentity I(" + "9" * 30 + ") : f64\n"
+     "C = A * A\nprint(C)\n", f"%1 : identity<{'9' * 30}xf64>"),
+])
+def test_oversize_tensor_exits_1_without_output(tmp_path, capsys, args, text,
+                                                tensor):
+    prog = tmp_path / "huge.mom"
+    prog.write_text(text)
+    code, out, err = run_cli(capsys, str(prog), *args)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{prog}: error: cannot allocate {tensor}: ")
+
+
 def test_nesting_past_the_limit_is_a_located_parse_error(tmp_path, capsys):
     prog = tmp_path / "deep.mom"
     deep = MAX_NESTING + 300

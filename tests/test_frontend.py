@@ -82,6 +82,11 @@ def test_tokenize_tracks_lines_and_comments():
     assert all(t.line == 2 for t in meaningful)
 
 
+@pytest.mark.parametrize("end", ["", "\n", "  # five\n"])
+def test_const_binding_may_end_the_input(end):
+    assert parse_source("n = 5" + end).consts == (ConstBinding("n", 5),)
+
+
 def test_parse_listing_program():
     ast = parse_source(LISTING)
     assert ast.const_bindings == {"n": 5, "m": 5}
