@@ -214,8 +214,16 @@ def test_unwritable_report_exits_1(tmp_path, capsys, flag):
      + "C = A * B * L\nprint(C)\n",
      "error: op 7 (matmul %0[], %1[] -> %3[] : 3x3xf32): "
      "overflow encountered in multiply"),
+    # Each product fits f32 and their sum does not: the one-shot path's
+    # accumulate overflows, and the loop it falls back to names the add.
+    ("Matrix A(2, 2) <> = 15000000000000000000\nC = A * A\nprint(C)\n",
+     "error: op 3 (matmul %0[], %0[] -> %1[] : 2x2xf32): "
+     "overflow encountered in add"),
     ("Matrix A(2, 2) <> = 1" + "0" * 39 + "\nprint(A)\n",
      "error: op 1 (fill %0, 1e+39 : pattern=full): overflow encountered in cast"),
+    ("Matrix L(2, 2) <LowerTriangular> = 1" + "0" * 39 + "\nprint(L)\n",
+     "error: op 1 (fill %0, 1e+39 : pattern=lowerIncl): "
+     "overflow encountered in cast"),
     # A literal past the f64 range reads as inf.
     ("Matrix A(2, 2) <> : f64 = 1" + "0" * 400 + "\nprint(A)\n",
      "error: op 1 (fill %0, inf : pattern=full): fill value inf is not finite"),

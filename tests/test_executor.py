@@ -71,6 +71,21 @@ def test_run_fill_full_rectangular():
     assert b.tolist() == [[2.5, 2.5, 2.5], [2.5, 2.5, 2.5]]
 
 
+@pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
+def test_run_fill_sets_the_pattern_and_zeros_the_rest(elem):
+    """Over a buffer of garbage, every pattern and shape up to 9x9: entries
+    in the pattern become the scalar, every other entry exactly +0.0."""
+    rng = np.random.default_rng(default_seed() ^ 0xF1)
+    for pattern, rows, cols in product(StoredPattern, range(1, 10), range(1, 10)):
+        b = (rng.standard_normal((rows, cols)) * 1e30).astype(DTYPES[elem])
+        b[0, 0], b[-1, -1] = np.nan, -0.0
+        run_fill(b, -2.5, pattern)
+        inside = np.array([[pattern_contains(pattern, i, j) for j in range(cols)]
+                           for i in range(rows)])
+        assert (b[inside] == -2.5).all(), (pattern, rows, cols)
+        assert (b[~inside] == 0).all() and not np.signbit(b[~inside]).any()
+
+
 def test_matmul_lower_ones_specialized():
     a = filled(5, 5, 1.0, StoredPattern.LOWER_INCL)
     b = filled(5, 5, 1.0, StoredPattern.LOWER_INCL)
@@ -294,7 +309,11 @@ def test_count_fidelity_structured_times_rectangular():
 # The exact BLAS path of specialized mode
 # --------------------------------------------------------------------------
 
-NO_EXACT_PATH = 1 << 62  # an EXACT_MIN_MULTS no product reaches
+# (EXACT_MIN_MULTS, SMALL_MAX_MULTS) pairs that send every product one way.
+NEVER = 1 << 62  # a cutoff beyond every product
+FORCED_LOOP = (NEVER, 0)
+EXACT_PATH = (0, 0)
+SMALL_PATH = (NEVER, NEVER)
 
 
 @pytest.fixture
@@ -311,14 +330,42 @@ def matmul_calls(monkeypatch):
     return calls
 
 
-def _matmul_both_ways(monkeypatch, a, b, pa=EMPTY_PROPS, pb=EMPTY_PROPS):
-    """(forced loop, dispatched with the cutoff at 0): (out, count) each."""
+@pytest.fixture
+def accumulate_calls(monkeypatch):
+    """Lists the shape of every array the executor sums with np.add.accumulate."""
+    calls = []
+
+    class Add:
+        def __call__(self, *args, **kwargs):
+            return np.add(*args, **kwargs)
+
+        def accumulate(self, p, *args, **kwargs):
+            calls.append(p.shape)
+            return np.add.accumulate(p, *args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(np.add, name)
+
+    class Numpy:
+        add = Add()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(executor, "np", Numpy())
+    return calls
+
+
+def _matmul_both_ways(monkeypatch, a, b, pa=EMPTY_PROPS, pb=EMPTY_PROPS,
+                      path=EXACT_PATH, mode=ExecMode.SPECIALIZED):
+    """(the forced rank-1 loop, the given path): (out, count) each."""
     results = []
-    for cutoff in (NO_EXACT_PATH, 0):
-        monkeypatch.setattr(executor, "EXACT_MIN_MULTS", cutoff)
+    for exact_min, small_max in (FORCED_LOOP, path):
+        monkeypatch.setattr(executor, "EXACT_MIN_MULTS", exact_min)
+        monkeypatch.setattr(executor, "SMALL_MAX_MULTS", small_max)
         out = np.zeros((a.shape[0], b.shape[1]), a.dtype)
         with np.errstate(all="ignore"):
-            count = run_matmul(a, b, out, pa, pb, ExecMode.SPECIALIZED)
+            count = run_matmul(a, b, out, pa, pb, mode)
         results.append((out, count))
     return results
 
@@ -453,12 +500,73 @@ def test_generated_programs_bit_identical_through_the_exact_path(
         dense_report = dense.run(ExecMode.DENSE, repeats=1)
         with monkeypatch.context() as m:
             m.setattr(executor, "EXACT_MIN_MULTS", 0)
+            m.setattr(executor, "SMALL_MAX_MULTS", 0)
             fast_report = fast.run(ExecMode.SPECIALIZED, repeats=1)
         assert fast_report.printed == dense_report.printed
         for tid in lm.tensors:
             assert fast.buffers[tid].tobytes() == dense.buffers[tid].tobytes()
         assert fast_report.mults == shipped.mults
     assert len(matmul_calls) > 300
+
+
+# --------------------------------------------------------------------------
+# The one-shot path for small products
+# --------------------------------------------------------------------------
+
+def _real_realization(rng, props, rows, cols, dtype):
+    """Reals of magnitude 10**-3 to 10**3 in the pattern, +0.0 outside it,
+    and about a tenth of all entries -0.0."""
+    x = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3, (rows, cols))
+    pat = stored_pattern(props)
+    for i, j in product(range(rows), range(cols)):
+        if not pattern_contains(pat, i, j):
+            x[i, j] = 0.0
+    x[rng.random((rows, cols)) < 0.1] = -0.0
+    return x.astype(dtype)
+
+
+def test_small_path_matches_the_loop_bit_for_bit(monkeypatch, accumulate_calls):
+    """2,000 products with m, k, n in 1..8, f32 and f64, under every pair of
+    closed property sets that fits the shape, in both modes: the one-shot
+    path gives the loop's bytes, signbit included, and the loop's count."""
+    rng = np.random.default_rng(default_seed() ^ 0xA1)
+    for draw in range(2000):
+        m, k, n = (int(d) for d in rng.integers(1, 9, 3))
+        dtype = (np.float32, np.float64)[draw % 2]
+        pairs = product(CLOSED_PSETS if m == k else [EMPTY_PROPS],
+                        CLOSED_PSETS if k == n else [EMPTY_PROPS])
+        for pa, pb in pairs:
+            a = _real_realization(rng, pa, m, k, dtype)
+            b = _real_realization(rng, pb, k, n, dtype)
+            for mode in ExecMode:
+                del accumulate_calls[:]
+                (loop, n_loop), (got, n_got) = _matmul_both_ways(
+                    monkeypatch, a, b, pa, pb, SMALL_PATH, mode)
+                assert accumulate_calls == [(m, k, n)]
+                assert got.tobytes() == loop.tobytes(), (m, k, n, pa, pb, mode)
+                assert n_got == n_loop
+
+
+def test_generated_programs_bit_identical_through_the_small_path(
+        monkeypatch, accumulate_calls):
+    """Generated programs in both modes give the same prints, buffers and
+    counts with the one-shot path on (as shipped) and off."""
+    rng = random.Random(default_seed() ^ 0xA2)
+    for _ in range(300):
+        lm = lower_text(random_program(rng, max_dim=12))
+        for mode in ExecMode:
+            on, off = Executor(lm), Executor(lm)
+            on_report = on.run(mode, repeats=1)
+            taken = len(accumulate_calls)
+            with monkeypatch.context() as m:
+                m.setattr(executor, "SMALL_MAX_MULTS", 0)
+                off_report = off.run(mode, repeats=1)
+            assert len(accumulate_calls) == taken
+            assert on_report.printed == off_report.printed
+            for tid in lm.tensors:
+                assert on.buffers[tid].tobytes() == off.buffers[tid].tobytes()
+            assert on_report.mults == off_report.mults
+    assert len(accumulate_calls) > 300
 
 
 def test_structured_chain_count_equals_dp_prediction():
