@@ -11,7 +11,7 @@ from .chain import ChainSolution, optimal_parenthesization
 from .equation_opt import OptOptions, optimize_and_rematerialize
 from .errors import CompileError
 from .executor import ExecMode, ExecutionReport, Executor, execute
-from .frontend import Ast, parse, parse_source, resolve_constants, tokenize
+from .frontend import Ast, parse, parse_source, tokenize
 from .ir import IRModule, build_ir, print_ir, verify
 from .loops import LoopModule, lower_to_loops, print_loops
 from .properties import (
@@ -55,7 +55,6 @@ __all__ = [
     "parse_source",
     "print_ir",
     "print_loops",
-    "resolve_constants",
     "stored_pattern",
     "tokenize",
     "verify",

@@ -137,12 +137,6 @@ def render_chain_report(rep: ChainReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _compile_frontend(cfg: CliConfig, text: str) -> frontend.Ast:
-    ast = frontend.parse_source(text)
-    ast = frontend.resolve_constants(ast)
-    return frontend.scale_dimensions(ast, cfg.scale)
-
-
 def bench(cfg: CliConfig, module: ir.IRModule) -> BenchReport:
     """Execute the source-order and the chain-reordered variants.
 
@@ -210,7 +204,7 @@ def _main(argv: list[str] | None) -> int:
 
     try:
         _check_utf8(text)
-        ast = _compile_frontend(cfg, text)
+        ast = frontend.parse_source(text, cfg.scale)
         if cfg.emit == "ast":
             sys.stdout.write(frontend.pretty(ast))
         module = ir.build_ir(ast)

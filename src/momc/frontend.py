@@ -1,4 +1,7 @@
-"""Frontend for the matrix DSL: lexer, recursive-descent parser, constant resolution.
+"""Frontend for the matrix DSL: a lexer and a recursive-descent parser.
+
+`parse_source(text)` returns the checked Ast in one pass over the tokens:
+names are checked and dimensions resolved as each statement is read.
 
 Surface grammar (documented in full under docs/grammar.md):
 
@@ -27,10 +30,11 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, NamedTuple, NoReturn, Union
 
 from .errors import (
     AssignToIdentity,
+    CompileError,
     DuplicateDeclaration,
     LexError,
     MultipleAssignment,
@@ -132,8 +136,6 @@ def tokenize(text: str) -> list[Token]:
 # AST
 # --------------------------------------------------------------------------
 
-DimExpr = Union[int, str]  # literal or constant name
-
 
 @dataclass(frozen=True)
 class Ref:
@@ -166,7 +168,7 @@ class Transpose:
 
 @dataclass(frozen=True)
 class IdentityLit:
-    order: DimExpr
+    order: int
 
 
 Expr = Union[Ref, Mul, Add, Transpose, IdentityLit]
@@ -182,8 +184,8 @@ class ConstBinding:
 @dataclass(frozen=True)
 class MatrixDecl:
     name: str
-    rows: DimExpr
-    cols: DimExpr
+    rows: int
+    cols: int
     props: tuple[str, ...]
     elem: ElemKind = ElemKind.F32
     fill: float = 1.0
@@ -193,7 +195,7 @@ class MatrixDecl:
 @dataclass(frozen=True)
 class IdentityDecl:
     name: str
-    order: DimExpr
+    order: int
     elem: ElemKind = ElemKind.F32
     loc: Loc = field(default=_NOWHERE, compare=False)
 
@@ -219,13 +221,13 @@ Stmt = Union[Assign, PrintStmt]
 
 @dataclass(frozen=True)
 class Ast:
+    """A checked program; every dimension is a resolved integer."""
+
     consts: tuple[ConstBinding, ...]
     decls: tuple[Decl, ...]
     stmts: tuple[Stmt, ...]
-
-    @property
-    def const_bindings(self) -> dict[str, int]:
-        return {c.name: c.value for c in self.consts}
+    # The statements' `Identity(n)` literals in source order.
+    idlits: tuple[IdentityLit, ...] = field(default=(), compare=False)
 
 
 def flatten(cls: type[Mul] | type[Add], operands: Iterable[Expr]) -> Expr:
@@ -235,18 +237,6 @@ def flatten(cls: type[Mul] | type[Add], operands: Iterable[Expr]) -> Expr:
     for o in operands:
         ops.extend(o.operands) if isinstance(o, cls) else ops.append(o)
     return ops[0] if len(ops) == 1 else cls(tuple(ops))
-
-
-def walk_expr(e: Expr) -> Iterator[Expr]:
-    """Every node of an expression in pre-order, operands left to right."""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        yield e
-        if isinstance(e, (Mul, Add)):
-            stack.extend(reversed(e.operands))
-        elif isinstance(e, Transpose):
-            stack.append(e.operand)
 
 
 # --------------------------------------------------------------------------
@@ -260,15 +250,31 @@ def walk_expr(e: Expr) -> Iterator[Expr]:
 MAX_NESTING = 100
 
 
+def _error(cls: type[CompileError], message: str, loc: Loc) -> CompileError:
+    return cls(message, line=loc.line, col=loc.col)
+
+
 class _Parser:
     """Recursive descent over a token list that ends in EOF; `tok` is the
-    current token, and `advance` never moves past EOF."""
+    current token, and `advance` never moves past EOF. Each statement is
+    checked against the statements above it as it is read, and its dims
+    are resolved and divided by `scale`; `use` is its location. A name not
+    yet assigned waits in `pending` for the end of input, since an input
+    may be declared below its use.
+    """
 
-    def __init__(self, tokens: list[Token]) -> None:
+    def __init__(self, tokens: list[Token], scale: int) -> None:
         self.tokens = tokens
         self.pos = 0
         self.tok = tokens[0]
         self.depth = 0
+        self.scale = scale
+        self.use = _NOWHERE
+        self.consts: dict[str, ConstBinding] = {}
+        self.decls: dict[str, Decl] = {}
+        self.assigned: dict[str, Loc] = {}
+        self.pending: list[Ref] = []
+        self.idlits: list[IdentityLit] = []
 
     def advance(self) -> Token:
         tok = self.tok
@@ -282,49 +288,104 @@ class _Parser:
             self.fail((kind.value,), self.tok)
         return self.advance()
 
-    def fail(self, expected: tuple[str, ...], tok: Token) -> None:
+    def fail(self, expected: tuple[str, ...], tok: Token) -> NoReturn:
         found = tok.kind.value if tok.text == "" else repr(tok.text)
         raise ParseError(tok.line, tok.col, expected, found)
 
     def parse_program(self) -> Ast:
-        consts: list[ConstBinding] = []
-        decls: list[Decl] = []
         stmts: list[Stmt] = []
         while True:
             while self.tok.kind is NEWLINE:
                 self.advance()
-            kind = self.tok.kind
-            if kind is EOF:
+            tok = self.tok
+            if tok.kind is EOF:
                 break
-            if kind is KW_MATRIX:
-                decls.append(self.parse_matrix_decl())
-            elif kind is KW_IDENTITY:
-                decls.append(self.parse_identity_decl())
-            elif kind is KW_PRINT:
+            self.use = Loc(tok.line, tok.col)
+            if tok.kind is KW_MATRIX:
+                self.declare(self.parse_matrix_decl())
+            elif tok.kind is KW_IDENTITY:
+                self.declare(self.parse_identity_decl())
+            elif tok.kind is KW_PRINT:
                 stmts.append(self.parse_print())
-            elif kind is IDENT:
+            elif tok.kind is IDENT:
                 stmt = self.parse_const_or_assign()
-                consts.append(stmt) if isinstance(stmt, ConstBinding) \
-                    else stmts.append(stmt)
+                if isinstance(stmt, ConstBinding):
+                    self.bind(stmt)
+                else:
+                    self.assign(stmt)
+                    stmts.append(stmt)
             else:
-                self.fail(("a statement",), self.tok)
+                self.fail(("a statement",), tok)
             # The statement ends at a newline or at the end of input.
             if self.tok.kind is NEWLINE:
                 self.advance()
             elif self.tok.kind is not EOF:
                 self.fail(("newline",), self.tok)
-        return Ast(tuple(consts), tuple(decls), tuple(stmts))
+        # A name assigned anywhere is an equation alias, usable only below
+        # its assignment; a declared name never assigned is an input.
+        for ref in self.pending:
+            if ref.name in self.assigned:
+                raise _error(UseBeforeAssign,
+                             f"{ref.name!r} used before its assignment", ref.loc)
+            if ref.name not in self.decls:
+                raise _error(UndeclaredIdentifier, f"{ref.name!r} is not declared",
+                             ref.loc)
+        return Ast(tuple(self.consts.values()), tuple(self.decls.values()),
+                   tuple(stmts), tuple(self.idlits))
 
-    def parse_dim(self) -> DimExpr:
-        tok = self.tok
+    def bind(self, c: ConstBinding) -> None:
+        if c.name in self.consts:
+            raise _error(DuplicateDeclaration, f"constant {c.name!r} bound twice",
+                         c.loc)
+        # A clash with a statement above is reported there.
+        if c.name in self.decls:
+            raise _error(DuplicateDeclaration, f"{c.name!r} declared twice",
+                         self.decls[c.name].loc)
+        if c.name in self.assigned:
+            raise _error(DuplicateDeclaration, f"{c.name!r} is already a constant",
+                         self.assigned[c.name])
+        self.consts[c.name] = c
+
+    def declare(self, d: Decl) -> None:
+        if d.name in self.decls or d.name in self.consts:
+            raise _error(DuplicateDeclaration, f"{d.name!r} declared twice", d.loc)
+        if isinstance(d, MatrixDecl):
+            for p in d.props:
+                if p not in DECLARED_NAMES:
+                    raise _error(UnknownProperty, f"unknown property {p!r}", d.loc)
+        elif d.name in self.assigned:
+            raise _error(AssignToIdentity, f"cannot assign to identity {d.name!r}",
+                         self.assigned[d.name])
+        self.decls[d.name] = d
+
+    def assign(self, s: Assign) -> None:
+        if s.target in self.assigned:
+            raise _error(MultipleAssignment,
+                         f"{s.target!r} assigned more than once", s.loc)
+        if s.target in self.consts:
+            raise _error(DuplicateDeclaration,
+                         f"{s.target!r} is already a constant", s.loc)
+        if isinstance(self.decls.get(s.target), IdentityDecl):
+            raise _error(AssignToIdentity,
+                         f"cannot assign to identity {s.target!r}", s.loc)
+        self.assigned[s.target] = s.loc
+
+    def parse_dim(self) -> int:
+        """A literal or a constant bound above, divided by `scale`."""
+        tok = self.advance()
         if tok.kind is INT:
-            self.advance()
-            return int(tok.text)
-        if tok.kind is IDENT:
-            self.advance()
-            return tok.text
-        self.fail(("dimension (integer or constant name)",), tok)
-        raise AssertionError  # fail always raises
+            value = int(tok.text)
+        elif tok.kind is IDENT and tok.text in self.consts:
+            value = self.consts[tok.text].value
+        elif tok.kind is IDENT:
+            raise _error(UnboundConstant,
+                         f"constant {tok.text!r} is not bound here", self.use)
+        else:
+            self.fail(("dimension (integer or constant name)",), tok)
+        if value <= 0:
+            raise _error(NonPositiveDimension,
+                         f"dimension must be positive, got {value}", self.use)
+        return max(1, value // self.scale)
 
     def parse_elem_suffix(self) -> ElemKind:
         if self.tok.kind is not COLON:
@@ -337,7 +398,7 @@ class _Parser:
         raise ParseError(tok.line, tok.col, ("'f32'", "'f64'"), repr(tok.text))
 
     def parse_matrix_decl(self) -> MatrixDecl:
-        kw = self.advance()
+        self.advance()
         name = self.expect(IDENT).text
         self.expect(LPAREN)
         rows = self.parse_dim()
@@ -361,36 +422,34 @@ class _Parser:
                 self.fail(("fill value (number)",), tok)
             self.advance()
             fill = float(tok.text)
-        return MatrixDecl(name, rows, cols, tuple(props), elem, fill,
-                          Loc(kw.line, kw.col))
+        return MatrixDecl(name, rows, cols, tuple(props), elem, fill, self.use)
 
     def parse_identity_decl(self) -> IdentityDecl:
-        kw = self.advance()
+        self.advance()
         name = self.expect(IDENT).text
         self.expect(LPAREN)
         order = self.parse_dim()
         self.expect(RPAREN)
         elem = self.parse_elem_suffix()
-        return IdentityDecl(name, order, elem, Loc(kw.line, kw.col))
+        return IdentityDecl(name, order, elem, self.use)
 
     def parse_print(self) -> PrintStmt:
-        kw = self.advance()
+        self.advance()
         self.expect(LPAREN)
         expr = self.parse_expr()
         self.expect(RPAREN)
-        return PrintStmt(expr, Loc(kw.line, kw.col))
+        return PrintStmt(expr, self.use)
 
     def parse_const_or_assign(self) -> ConstBinding | Assign:
-        name_tok = self.advance()
+        name = self.advance().text
         self.expect(EQUALS)
-        loc = Loc(name_tok.line, name_tok.col)
         # `x = 5` alone on a line binds a constant; anything else is an
         # equation assignment (scalars are not matrix expressions). An INT
         # is not the final EOF, so the token after it exists.
         if self.tok.kind is INT and self.tokens[self.pos + 1].kind in (
                 NEWLINE, EOF):
-            return ConstBinding(name_tok.text, int(self.advance().text), loc)
-        return Assign(name_tok.text, self.parse_expr(), loc)
+            return ConstBinding(name, int(self.advance().text), self.use)
+        return Assign(name, self.parse_expr(), self.use)
 
     def parse_expr(self) -> Expr:
         first = self.parse_mulexpr()
@@ -416,20 +475,23 @@ class _Parser:
         tok = self.tok
         if tok.kind is IDENT:
             self.advance()
-            return Ref(tok.text, Loc(tok.line, tok.col))
+            ref = Ref(tok.text, Loc(tok.line, tok.col))
+            if tok.text not in self.assigned:
+                self.pending.append(ref)
+            return ref
         if tok.kind is KW_TRANSPOSE:
             self.advance()
             return Transpose(self.parse_group())
         if tok.kind is KW_IDENTITY:
             self.advance()
             self.expect(LPAREN)
-            order = self.parse_dim()
+            lit = IdentityLit(self.parse_dim())
             self.expect(RPAREN)
-            return IdentityLit(order)
+            self.idlits.append(lit)
+            return lit
         if tok.kind is LPAREN:
             return self.parse_group()
         self.fail(("matrix expression",), tok)
-        raise AssertionError
 
     def parse_group(self) -> Expr:
         """`"(" expr ")"`, at most MAX_NESTING groups deep."""
@@ -443,151 +505,20 @@ class _Parser:
         return inner
 
 
-def _validate(ast: Ast) -> None:
-    """Name and single-assignment checks over the parsed program.
-
-    A name assigned anywhere is an equation alias: uses must follow the
-    assignment. A declared name never assigned is an input matrix.
-    """
-    consts: dict[str, ConstBinding] = {}
-    for c in ast.consts:
-        if c.name in consts:
-            raise DuplicateDeclaration(f"constant {c.name!r} bound twice",
-                                       line=c.loc.line, col=c.loc.col)
-        consts[c.name] = c
-
-    decls: dict[str, Decl] = {}
-    for d in ast.decls:
-        if d.name in decls or d.name in consts:
-            raise DuplicateDeclaration(f"{d.name!r} declared twice",
-                                       line=d.loc.line, col=d.loc.col)
-        if isinstance(d, MatrixDecl):
-            for p in d.props:
-                if p not in DECLARED_NAMES:
-                    raise UnknownProperty(f"unknown property {p!r}",
-                                          line=d.loc.line, col=d.loc.col)
-        decls[d.name] = d
-
-    assign_line: dict[str, int] = {}
-    for s in ast.stmts:
-        if isinstance(s, Assign):
-            if s.target in assign_line:
-                raise MultipleAssignment(
-                    f"{s.target!r} assigned more than once",
-                    line=s.loc.line, col=s.loc.col)
-            if s.target in consts:
-                raise DuplicateDeclaration(
-                    f"{s.target!r} is already a constant",
-                    line=s.loc.line, col=s.loc.col)
-            if isinstance(decls.get(s.target), IdentityDecl):
-                raise AssignToIdentity(
-                    f"cannot assign to identity {s.target!r}",
-                    line=s.loc.line, col=s.loc.col)
-            assign_line[s.target] = s.loc.line
-
-    for s in ast.stmts:
-        refs = [(e.name, e.loc) for e in walk_expr(s.expr) if isinstance(e, Ref)]
-        for name, loc in refs:
-            if name in assign_line:
-                if assign_line[name] >= s.loc.line:
-                    raise UseBeforeAssign(
-                        f"{name!r} used before its assignment",
-                        line=loc.line, col=loc.col)
-            elif name not in decls:
-                raise UndeclaredIdentifier(f"{name!r} is not declared",
-                                           line=loc.line, col=loc.col)
+def parse(tokens: list[Token], scale: int = 1) -> Ast:
+    """Parse a token stream into a checked Ast whose dimensions are
+    resolved and divided by `scale` (clamped to at least 1)."""
+    return _Parser(tokens, scale).parse_program()
 
 
-def parse(tokens: list[Token]) -> Ast:
-    """Parse a token stream into a validated Ast."""
-    ast = _Parser(tokens).parse_program()
-    _validate(ast)
-    return ast
-
-
-def parse_source(text: str) -> Ast:
-    return parse(tokenize(text))
-
-
-# --------------------------------------------------------------------------
-# Constant resolution and dimension scaling
-# --------------------------------------------------------------------------
-
-
-def map_dims(ast: Ast, f: Callable[[DimExpr, Loc], int]) -> Ast:
-    """Replace every dimension `d` by `f(d, loc)`, `loc` being the enclosing
-    declaration's or statement's. Declarations go before statements, rows
-    before cols, operands left to right: the first bad dimension fails first.
-    Nodes holding no changed dimension are kept as they are.
-    """
-    def map_expr(e: Expr, use: Loc) -> Expr:
-        if isinstance(e, IdentityLit):
-            order = f(e.order, use)
-            return e if order == e.order else IdentityLit(order)
-        if isinstance(e, (Mul, Add)):
-            ops = tuple([map_expr(o, use) for o in e.operands])
-            kept = all(a is b for a, b in zip(ops, e.operands))
-            return e if kept else type(e)(ops)
-        if isinstance(e, Transpose):
-            o = map_expr(e.operand, use)
-            return e if o is e.operand else Transpose(o)
-        return e
-
-    decls: list[Decl] = []
-    for d in ast.decls:
-        if isinstance(d, MatrixDecl):
-            rows, cols = f(d.rows, d.loc), f(d.cols, d.loc)
-            decls.append(d if (rows, cols) == (d.rows, d.cols) else MatrixDecl(
-                d.name, rows, cols, d.props, d.elem, d.fill, d.loc))
-        else:
-            order = f(d.order, d.loc)
-            decls.append(d if order == d.order else
-                         IdentityDecl(d.name, order, d.elem, d.loc))
-    stmts: list[Stmt] = []
-    for s in ast.stmts:
-        e = map_expr(s.expr, s.loc)
-        if e is not s.expr:
-            s = Assign(s.target, e, s.loc) if isinstance(s, Assign) \
-                else PrintStmt(e, s.loc)
-        stmts.append(s)
-    return Ast(ast.consts, tuple(decls), tuple(stmts))
+def parse_source(text: str, scale: int = 1) -> Ast:
+    return parse(tokenize(text), scale)
 
 
 def resolve_constants(ast: Ast) -> Ast:
-    """Replace every dimension expression by its integer value.
-
-    Constants bind in declaration order: a dimension may only reference a
-    constant bound on an earlier line.
-    """
-    bound: dict[str, ConstBinding] = {c.name: c for c in ast.consts}
-
-    def resolve(dim: DimExpr, use: Loc) -> int:
-        if isinstance(dim, str):
-            c = bound.get(dim)
-            if c is None or c.loc.line >= use.line:
-                raise UnboundConstant(f"constant {dim!r} is not bound here",
-                                      line=use.line, col=use.col)
-            value = c.value
-        else:
-            value = dim
-        if value <= 0:
-            raise NonPositiveDimension(f"dimension must be positive, got {value}",
-                                       line=use.line, col=use.col)
-        return value
-
-    return map_dims(ast, resolve)
-
-
-def scale_dimensions(ast: Ast, divisor: int) -> Ast:
-    """Divide every resolved dimension by `divisor` (clamped to at least 1)."""
-    if divisor == 1:
-        return ast
-
-    def scale(dim: DimExpr, use: Loc) -> int:
-        assert isinstance(dim, int), "scale_dimensions requires a resolved Ast"
-        return max(1, dim // divisor)
-
-    return map_dims(ast, scale)
+    """Return `ast` as it is: `parse` resolves every dimension. Kept for
+    callers written when resolving constants was a pass of its own."""
+    return ast
 
 
 # --------------------------------------------------------------------------

@@ -196,12 +196,12 @@ class IRBuilder:
 
 
 def build_ir(ast: fe.Ast) -> IRModule:
-    """Lower a resolved Ast: one init+fill per input, one equation per assign.
+    """Lower an Ast: one init+fill per input, one equation per assign.
 
     Declarations whose name is assigned are equation aliases and are not
     materialized; their declared dims are attached to the equation for a
-    post-resolution cross-check. Inline `Identity(n)` literals hoist to
-    anonymous top-level init+fill values.
+    post-resolution cross-check. Inline `Identity(n)` literals hoist, in
+    source order, to anonymous top-level init+fill values.
     """
     b = IRBuilder()
     assigned = {s.target for s in ast.stmts if isinstance(s, fe.Assign)}
@@ -212,7 +212,6 @@ def build_ir(ast: fe.Ast) -> IRModule:
         if d.name in assigned:
             continue
         if isinstance(d, fe.MatrixDecl):
-            assert isinstance(d.rows, int) and isinstance(d.cols, int)
             try:
                 props = canonicalize(d.props, d.rows, d.cols)
             except NonSquareStructuralProperty as e:
@@ -220,7 +219,6 @@ def build_ir(ast: fe.Ast) -> IRModule:
             v = b.init(MatrixType(d.rows, d.cols, d.elem, props), d.name)
             b.append(Fill(d.fill, v))
         else:
-            assert isinstance(d.order, int)
             v = b.init(MatrixType(d.order, d.order, d.elem, DIAGONAL_PROPS,
                                   identity=True), d.name)
             b.append(Fill(1.0, v))
@@ -228,14 +226,11 @@ def build_ir(ast: fe.Ast) -> IRModule:
 
     idlits: dict[int, ValueId] = {}
 
-    for s in ast.stmts:
-        for e in fe.walk_expr(s.expr):
-            if isinstance(e, fe.IdentityLit):
-                assert isinstance(e.order, int)
-                v = b.init(MatrixType(e.order, e.order, ElemKind.F32,
-                                      DIAGONAL_PROPS, identity=True))
-                b.append(Fill(1.0, v))
-                idlits[id(e)] = v
+    for e in ast.idlits:
+        v = b.init(MatrixType(e.order, e.order, ElemKind.F32, DIAGONAL_PROPS,
+                              identity=True))
+        b.append(Fill(1.0, v))
+        idlits[id(e)] = v
 
     def build_region(e: fe.Expr, region: list[IROp]) -> ValueId:
         if isinstance(e, fe.Ref):
@@ -266,7 +261,6 @@ def build_ir(ast: fe.Ast) -> IRModule:
             dims = None
             d = declared.get(s.target)
             if isinstance(d, fe.MatrixDecl):
-                assert isinstance(d.rows, int) and isinstance(d.cols, int)
                 dims = (d.rows, d.cols)
             env[s.target] = build_equation(s, dims)
         else:

@@ -61,7 +61,7 @@ def test_chain_reordering_reproduction(capsys):
     # Full-scale dense benchmark: exact counts, measured speedup > 1.0,
     # and the whole run stays under five minutes.
     text = open(CHAIN4, encoding="utf-8").read()
-    ast = frontend.resolve_constants(frontend.parse_source(text))
+    ast = frontend.parse_source(text)
     module = ir.build_ir(ast)
     t0 = time.monotonic()
     report = bench(CliConfig(input=CHAIN4), module)

@@ -1,4 +1,7 @@
-"""Lexer, parser, constant resolution, and the pretty-print round trip."""
+"""Lexer, parser (names checked and constants resolved as it reads), the
+diagnostics it reports, and the pretty-print round trip."""
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -31,11 +34,11 @@ from momc.frontend import (
     Transpose,
     parse_source,
     pretty,
-    resolve_constants,
-    scale_dimensions,
     tokenize,
 )
 from momc.properties import ElemKind
+
+from util import run_text
 
 LISTING = """\
 n = 5
@@ -89,7 +92,7 @@ def test_const_binding_may_end_the_input(end):
 
 def test_parse_listing_program():
     ast = parse_source(LISTING)
-    assert ast.const_bindings == {"n": 5, "m": 5}
+    assert ast.consts == (ConstBinding("n", 5), ConstBinding("m", 5))
     assert len(ast.decls) == 3
     a, b, c = ast.decls
     assert a.props == ("LowerTriangular",) and b.props == ("LowerTriangular",)
@@ -161,62 +164,121 @@ B = A * Identity(2)
     assert ast.stmts[0].expr == Mul((Ref("A"), IdentityLit(2)))
 
 
-@pytest.mark.parametrize("text,err", [
-    ("Matrix A(2, 2) <>\nB = A * X\n", UndeclaredIdentifier),
-    ("Matrix A(2, 2) <>\nMatrix A(3, 3) <>\n", DuplicateDeclaration),
-    ("n = 1\nn = 2\n", DuplicateDeclaration),
-    ("Matrix A(2, 2) <Banded>\n", UnknownProperty),
-    ("Matrix A(2, 2) <>\nB = A\nB = A\n", MultipleAssignment),
-    ("Matrix A(2, 2) <>\nprint(B)\nB = A\n", UseBeforeAssign),
-    ("Identity I(2)\nI = Identity(2)\n", AssignToIdentity),
-    ("Matrix A(2, 2) <>\nB = A *\n", ParseError),
-    ("print()\n", ParseError),
-])
-def test_parse_errors(text, err):
-    with pytest.raises(err) as exc:
-        parse_source(text)
-    assert exc.value.line is not None and exc.value.col is not None
-
-
 def test_resolve_constants():
-    ast = resolve_constants(parse_source("n = 5\nMatrix A(n, n) <>\n"))
+    ast = parse_source("n = 5\nMatrix A(n, n) <>\n")
     assert ast.decls[0].rows == 5 and ast.decls[0].cols == 5
 
 
 def test_resolve_rejects_zero_dimension():
     with pytest.raises(NonPositiveDimension):
-        resolve_constants(parse_source("n = 0\nMatrix A(n, n) <>\n"))
+        parse_source("n = 0\nMatrix A(n, n) <>\n")
     with pytest.raises(NonPositiveDimension):
-        resolve_constants(parse_source("Matrix A(0, 2) <>\n"))
+        parse_source("Matrix A(0, 2) <>\n")
 
 
 def test_resolve_rejects_unbound_constant():
     with pytest.raises(UnboundConstant):
-        resolve_constants(parse_source("Matrix A(k, k) <>\n"))
+        parse_source("Matrix A(k, k) <>\n")
 
 
 def test_resolve_requires_binding_before_use():
     with pytest.raises(UnboundConstant):
-        resolve_constants(parse_source("Matrix A(k, k) <>\nk = 4\n"))
+        parse_source("Matrix A(k, k) <>\nk = 4\n")
 
 
 def test_resolve_identity_literal_order():
-    ast = resolve_constants(parse_source(
-        "n = 4\nMatrix A(n, n) <>\nB = A * Identity(n)\n"))
+    ast = parse_source("n = 4\nMatrix A(n, n) <>\nB = A * Identity(n)\n")
     assert ast.stmts[0].expr.operands[1] == IdentityLit(4)
 
 
 def test_scale_dimensions():
-    ast = resolve_constants(parse_source(
-        "a = 800\nb = 1100\nMatrix A(a, b) <>\nMatrix B(b, a) <>\nC = A * B\n"))
-    scaled = scale_dimensions(ast, 4)
+    text = ("a = 800\nb = 1100\nMatrix A(a, b) <>\nMatrix B(b, a) <>\n"
+            "C = A * B * Identity(a)\n")
+    scaled = parse_source(text, scale=4)
     assert (scaled.decls[0].rows, scaled.decls[0].cols) == (200, 275)
-    tiny = scale_dimensions(ast, 10000)
+    assert scaled.stmts[0].expr.operands[2] == IdentityLit(200)
+    tiny = parse_source(text, scale=10000)
     assert (tiny.decls[0].rows, tiny.decls[0].cols) == (1, 1)
+    assert tiny.stmts[0].expr.operands[2] == IdentityLit(1)
 
 
 # ---------------------------------------------------------------------------
-# Round trip: pretty-printing a parsed Ast and re-parsing is the identity.
+# Diagnostics. Each statement is checked as it is read: a program with one
+# error gets the text and location pinned below, and of several errors the
+# first met in reading order wins (docs/grammar.md, "Diagnostics order").
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text,err,message,line,col", [
+    ("Matrix A(2, 2) <>\nB = A * X\n",
+     UndeclaredIdentifier, "'X' is not declared", 2, 9),
+    ("Matrix A(2, 2) <>\nMatrix A(3, 3) <>\n",
+     DuplicateDeclaration, "'A' declared twice", 2, 1),
+    ("n = 1\nn = 2\n", DuplicateDeclaration, "constant 'n' bound twice", 2, 1),
+    ("n = 1\nMatrix n(2, 2) <>\n", DuplicateDeclaration, "'n' declared twice", 2, 1),
+    ("Matrix A(2, 2) <Banded>\n", UnknownProperty, "unknown property 'Banded'", 1, 1),
+    ("Matrix A(2, 2) <>\nB = A\nB = A\n",
+     MultipleAssignment, "'B' assigned more than once", 3, 1),
+    ("Matrix A(2, 2) <>\nprint(B)\nB = A\n",
+     UseBeforeAssign, "'B' used before its assignment", 2, 7),
+    ("Matrix A(2, 2) <>\nB = A * B\n",
+     UseBeforeAssign, "'B' used before its assignment", 2, 9),
+    ("Identity I(2)\nI = Identity(2)\n",
+     AssignToIdentity, "cannot assign to identity 'I'", 2, 1),
+    ("X = 5\nMatrix A(2, 2) <>\nX = A\n",
+     DuplicateDeclaration, "'X' is already a constant", 3, 1),
+    # A clash with a statement above is reported at that statement.
+    ("Matrix n(2, 2) <>\nn = 5\n", DuplicateDeclaration, "'n' declared twice", 1, 1),
+    ("Matrix A(2, 2) <>\nX = A\nX = 5\n",
+     DuplicateDeclaration, "'X' is already a constant", 2, 1),
+    ("Matrix A(2, 2) <>\nI = A\nIdentity I(2)\n",
+     AssignToIdentity, "cannot assign to identity 'I'", 2, 1),
+    # A bad dimension is reported at its statement's first character.
+    ("Matrix A(2, 2) <>\nB = A * Identity(k)\n",
+     UnboundConstant, "constant 'k' is not bound here", 2, 1),
+    ("z = 0\nMatrix A(2, 2) <>\nprint(A * transpose(Identity(z)))\n",
+     NonPositiveDimension, "dimension must be positive, got 0", 3, 1),
+    ("Matrix A(k, k) <>\nk = 4\n",
+     UnboundConstant, "constant 'k' is not bound here", 1, 1),
+    ("k = 4\nMatrix A(k, j) <>\nj = 4\n",
+     UnboundConstant, "constant 'j' is not bound here", 2, 1),
+    ("Matrix A(2, 2) <>\nB = A *\n",
+     ParseError, "expected matrix expression, found '\\n'", 2, 8),
+    ("print()\n", ParseError, "expected matrix expression, found ')'", 1, 7),
+])
+def test_parse_errors(text, err, message, line, col):
+    with pytest.raises(err) as exc:
+        parse_source(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("text,err,line,col", [
+    # The first error met reading statements in order wins over a parse
+    # error further down.
+    ("Matrix A(2, 2) <Banded>\nB = A *\n", UnknownProperty, 1, 1),
+    # Lexing runs first, so a lex error anywhere wins.
+    ("Matrix A(2, 2) <Banded>\nB = A @ A\n", LexError, 2, 7),
+    # Names used before any assignment are checked at the end of input,
+    # after every other check.
+    ("print(B)\nB = A\nMatrix A(2, 2) <>\nMatrix C(k, 2) <>\n", UnboundConstant, 4, 1),
+    ("print(B)\nB = A\nMatrix A(2, 2) <>\nMatrix C(2, 2) <Banded>\n",
+     UnknownProperty, 4, 1),
+    ("print(B)\nB = A\nMatrix A(2, 2) <>\nMatrix C(2, 2) <>\n", UseBeforeAssign, 1, 7),
+])
+def test_diagnostics_order(text, err, line, col):
+    with pytest.raises(err) as exc:
+        parse_source(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_input_may_be_used_above_its_declaration():
+    report = run_text("print(A)\nMatrix A(2, 2) <> = 3\n")
+    assert report.printed == ("2x2 f32\n3 3\n3 3",)
+
+
+# ---------------------------------------------------------------------------
+# Round trip: a generated Ast names constants `c1` and `c2` in dimensions, as
+# source text does; parsing its pretty-printed text gives it back with their
+# values in place, and re-parsing a parsed Ast's text is the identity.
 # ---------------------------------------------------------------------------
 
 _dim = st.one_of(st.integers(1, 9), st.sampled_from(["c1", "c2"]))
@@ -275,10 +337,50 @@ def _flat(kind, children):
     return kind(tuple(ops)) if len(ops) >= 2 else ops[0]
 
 
-@given(_asts())
+def _resolved(ast, scale):
+    """`ast` as `parse` returns it: constants replaced by their values, and
+    every dimension divided by `scale`, clamped to at least 1."""
+    value = {c.name: c.value for c in ast.consts}
+
+    def dim(d):
+        return max(1, value.get(d, d) // scale)
+
+    def expr(e):
+        if isinstance(e, IdentityLit):
+            return IdentityLit(dim(e.order))
+        if isinstance(e, Transpose):
+            return Transpose(expr(e.operand))
+        if isinstance(e, (Mul, Add)):
+            return type(e)(tuple(expr(o) for o in e.operands))
+        return e
+
+    decls = tuple(replace(d, rows=dim(d.rows), cols=dim(d.cols))
+                  if isinstance(d, MatrixDecl) else replace(d, order=dim(d.order))
+                  for d in ast.decls)
+    stmts = tuple(replace(s, expr=expr(s.expr)) for s in ast.stmts)
+    return Ast(ast.consts, decls, stmts)
+
+
+def _idlits(e):
+    """The identity literals of an expression in pre-order."""
+    if isinstance(e, IdentityLit):
+        yield e
+    elif isinstance(e, Transpose):
+        yield from _idlits(e.operand)
+    elif isinstance(e, (Mul, Add)):
+        for o in e.operands:
+            yield from _idlits(o)
+
+
+@given(_asts(), st.integers(1, 4))
 @settings(max_examples=120, deadline=None)
-def test_pretty_parse_round_trip(ast):
-    assert parse_source(pretty(ast)) == ast
+def test_pretty_parse_round_trip(ast, scale):
+    parsed = parse_source(pretty(ast), scale)
+    assert parsed == _resolved(ast, scale)
+    # The very nodes of the tree, which `build_ir` looks up by identity.
+    assert [id(lit) for lit in parsed.idlits] == [
+        id(lit) for s in parsed.stmts for lit in _idlits(s.expr)]
+    assert parse_source(pretty(parsed)) == parsed
 
 
 def _no_nested_variadics(e):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from momc import ir
-from momc.frontend import parse_source, resolve_constants
+from momc.frontend import parse_source
 from momc.properties import ElemKind, EMPTY_PROPS, Property, PropertySet
 
 from gen import default_seed, random_program
@@ -38,7 +38,7 @@ print %2 : term
 
 
 def build(text):
-    return ir.build_ir(resolve_constants(parse_source(text)))
+    return ir.build_ir(parse_source(text))
 
 
 def test_build_listing_structure():
@@ -75,6 +75,31 @@ def test_build_fill_override_and_identity_decl():
     assert fills[0].value == 2.5
     assert m.types[1] == ir.MatrixType(3, 3, ElemKind.F32, DIAG, identity=True)
     assert fills[1].value == 1.0
+
+
+def test_identity_literals_hoist_in_source_order():
+    m = build("Matrix A(2, 3) <>\n"
+              "B = Identity(2) * A * transpose(Identity(3) * Identity(3))\n"
+              "print(Identity(4))\n")
+    assert ir.print_ir(m) == """\
+%0 = init : matrix<2x3xf32,[]>
+fill %0, 1 : f32
+%1 = init : identity<2xf32>
+fill %1, 1 : f32
+%2 = init : identity<3xf32>
+fill %2, 1 : f32
+%3 = init : identity<3xf32>
+fill %3, 1 : f32
+%4 = init : identity<4xf32>
+fill %4, 1 : f32
+%5 = equation {
+  %7 = mul %2, %3 : term
+  %6 = transpose %7 : term
+  %8 = mul %1, %0, %6 : term
+  yield %8
+} : term
+print %4 : identity<4xf32>
+"""
 
 
 def test_verify_accepts_built_modules():

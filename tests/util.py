@@ -19,7 +19,7 @@ def pattern_contains(pattern: StoredPattern, i: int, j: int) -> bool:
 
 
 def compile_text(text: str) -> ir.IRModule:
-    ast = frontend.resolve_constants(frontend.parse_source(text))
+    ast = frontend.parse_source(text)
     module = ir.build_ir(ast)
     diags = ir.verify(module)
     assert not diags, [str(d) for d in diags]
