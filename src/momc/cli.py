@@ -208,11 +208,9 @@ def _main(argv: list[str] | None) -> int:
         if cfg.emit == "ast":
             sys.stdout.write(frontend.pretty(ast))
         module = ir.build_ir(ast)
-        diags = ir.verify(module)
-        for d in diags:
-            print(d.error().at(None, None, cfg.input), file=sys.stderr)
-        if diags:
-            return 1
+        errors = ir.verify(module)
+        if errors:
+            raise errors[0]
         if cfg.emit == "ir":
             sys.stdout.write(ir.print_ir(module))
 

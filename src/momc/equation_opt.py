@@ -68,6 +68,8 @@ def resolve_types(eq: ir.Equation,
     A value defined outside the region is a leaf of type `leaf_type(v)`; the
     optimizer passes the type of the value it already rematerialized, since
     the module types an earlier equation's result only as a placeholder term.
+    This is the one type check of an equation: every product and sum must
+    keep `ir.operand_type_error`'s rules, or `ResolutionError` is raised.
 
     With `drop_identities`, each product then loses its identity operands: a
     product of identities only collapses to its first identity leaf, one left
@@ -103,23 +105,18 @@ def resolve_types(eq: ir.Equation,
             c = node(o)
             children.extend(c.children) if isinstance(c, kind) else children.append(c)
         types = [c.type for c in children]
-        elems = {t.elem for t in types}
-        if len(elems) > 1:
-            raise ResolutionError("operands mix f32 and f64")
-        elem = elems.pop()
+        reason = ir.operand_type_error(op, types)
+        if reason is not None:
+            raise ResolutionError(reason)
         t0 = types[0]
+        elem = t0.elem
         if kind is AddN:
-            if any((t.rows, t.cols) != (t0.rows, t0.cols) for t in types):
-                raise ResolutionError("addition operands must share dims")
             props = t0.props
             for t in types[1:]:
                 props = infer_add(props, t.props)
             nodes[op.result] = AddN(tuple(children),
                                     ir.MatrixType(t0.rows, t0.cols, elem, props))
             continue
-        for a, b in zip(types, types[1:]):
-            if a.cols != b.rows:
-                raise ResolutionError(f"inner dims disagree, {a.cols} vs {b.rows}")
         if drop_identities:
             kept = [c for c in children if not c.type.identity]
             if len(kept) < 2:

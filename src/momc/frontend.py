@@ -42,10 +42,9 @@ from .errors import (
     ParseError,
     UnboundConstant,
     UndeclaredIdentifier,
-    UnknownProperty,
     UseBeforeAssign,
 )
-from .properties import DECLARED_NAMES, ElemKind
+from .properties import ElemKind, canonicalize
 
 
 class Loc(NamedTuple):
@@ -350,9 +349,10 @@ class _Parser:
         if d.name in self.decls or d.name in self.consts:
             raise _error(DuplicateDeclaration, f"{d.name!r} declared twice", d.loc)
         if isinstance(d, MatrixDecl):
-            for p in d.props:
-                if p not in DECLARED_NAMES:
-                    raise _error(UnknownProperty, f"unknown property {p!r}", d.loc)
+            try:
+                canonicalize(d.props, d.rows, d.cols)
+            except CompileError as e:
+                raise e.at(d.loc.line, d.loc.col)
         elif d.name in self.assigned:
             raise _error(AssignToIdentity, f"cannot assign to identity {d.name!r}",
                          self.assigned[d.name])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from . import frontend as fe
-from .errors import CompileError, NonSquareStructuralProperty
+from .errors import CompileError
 from .properties import DIAGONAL_PROPS, ElemKind, PropertySet, canonicalize
 
 ValueId = int
@@ -212,10 +212,7 @@ def build_ir(ast: fe.Ast) -> IRModule:
         if d.name in assigned:
             continue
         if isinstance(d, fe.MatrixDecl):
-            try:
-                props = canonicalize(d.props, d.rows, d.cols)
-            except NonSquareStructuralProperty as e:
-                raise e.at(d.loc.line, d.loc.col)
+            props = canonicalize(d.props, d.rows, d.cols)
             v = b.init(MatrixType(d.rows, d.cols, d.elem, props), d.name)
             b.append(Fill(d.fill, v))
         else:
@@ -280,48 +277,43 @@ def build_ir(ast: fe.Ast) -> IRModule:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    op_path: tuple[int, ...]
-    reason: str
-    # The source statement of the equation the op belongs to, when known.
-    loc: fe.Loc | None = None
-
-    def __str__(self) -> str:
-        where = ".".join(str(i) for i in self.op_path)
-        return f"op {where}: {self.reason}"
-
-    def error(self) -> CompileError:
-        """As a compile error: at the source statement, or naming the op."""
-        if self.loc is None:
-            return CompileError(str(self))
-        return CompileError(self.reason, line=self.loc.line, col=self.loc.col)
-
-
-def _chain_dims_ok(dims: list[tuple[int, int] | None]) -> str | None:
-    """Check consecutive inner dims where both sides are known."""
-    for a, c in zip(dims, dims[1:]):
-        if a is not None and c is not None and a[1] != c[0]:
-            return f"inner dims disagree, {a[1]} vs {c[0]}"
+def operand_type_error(op: Mul | Add, types: list[MatrixType]) -> str | None:
+    """The operand rules of a product or sum, or None when `types` keep them:
+    one element kind, then equal dims for a sum and agreeing consecutive
+    inner dims for a product."""
+    if any(t.elem is not types[0].elem for t in types):
+        return "operands mix f32 and f64"
+    if isinstance(op, Add):
+        same = all((t.rows, t.cols) == (types[0].rows, types[0].cols) for t in types)
+        return None if same else "addition operands must share dims"
+    for a, b in zip(types, types[1:]):
+        if a.cols != b.rows:
+            return f"inner dims disagree, {a.cols} vs {b.rows}"
     return None
 
 
-def verify(m: IRModule) -> list[Diagnostic]:
-    """Structural and dimension checks; an empty list means the module is valid.
+def verify(m: IRModule) -> list[CompileError]:
+    """Structural checks; an empty list means the module is valid.
 
-    Variadic term-typed compute ops live only inside equation regions; binary
-    concrete-typed compute ops are the rematerialized low-level form and are
-    legal at the top level. Dimension checks skip operands whose type is still
-    a term (resolution re-checks those).
+    Equation regions hold variadic term-typed compute ops; only their
+    structure is checked here (operands defined above, one definition each,
+    a term result, 2+ operands) and `equation_opt.resolve_types` checks
+    their types. Top-level compute ops are the rematerialized binary form,
+    with concrete types that must keep `operand_type_error`'s rules. A
+    problem in an equation is located at its statement, if it has one;
+    any other reads `op i.j: reason`.
     """
-    diags: list[Diagnostic] = []
+    errors: list[CompileError] = []
     defined: set[ValueId] = set()
     seen_defs: set[ValueId] = set()
 
     def out(path: tuple[int, ...], reason: str) -> None:
-        op = m.ops[path[0]]
-        diags.append(Diagnostic(path, reason,
-                                op.loc if isinstance(op, Equation) else None))
+        loc = getattr(m.ops[path[0]], "loc", None)
+        if loc is None:
+            where = ".".join(str(i) for i in path)
+            errors.append(CompileError(f"op {where}: {reason}"))
+        else:
+            errors.append(CompileError(reason, line=loc.line, col=loc.col))
 
     def check_value(path: tuple[int, ...], v: ValueId) -> None:
         if v not in m.types:
@@ -337,44 +329,32 @@ def verify(m: IRModule) -> list[Diagnostic]:
         if v not in m.types:
             out(path, f"value %{v} missing from the symbol table")
 
-    def dims_of(v: ValueId) -> tuple[int, int] | None:
-        t = m.types.get(v)
-        return (t.rows, t.cols) if isinstance(t, MatrixType) else None
-
     def check_compute(path: tuple[int, ...], op: IROp, top_level: bool) -> None:
-        for o in op_operands(op):
+        operands = op_operands(op)
+        for o in operands:
             check_value(path, o)
         result = op_result(op)
         assert result is not None
         check_result(path, result)
-        rt = m.types.get(result)
-        if top_level:
-            if isinstance(rt, TermType):
-                out(path, "top-level compute op must have a concrete type")
-            if isinstance(op, (Mul, Add)) and len(op.operands) != 2:
-                out(path, "top-level mul/add must be binary")
-        elif rt is not None and not isinstance(rt, TermType):
-            out(path, "compute op inside an equation must produce a term")
-        if isinstance(op, (Mul, Add)) and len(op.operands) < 2:
+        if isinstance(op, (Mul, Add)) and len(operands) < 2:
             out(path, "mul/add needs at least 2 operands")
-        if isinstance(op, Mul):
-            msg = _chain_dims_ok([dims_of(o) for o in op.operands])
-            if msg is not None:
-                out(path, msg)
-        elif isinstance(op, Add):
-            dims = [dims_of(o) for o in op.operands]
-            known = [d for d in dims if d is not None]
-            if known and any(d != known[0] for d in known):
-                out(path, "add operands must share dims")
-            elems = {t.elem for t in map(m.types.get, op.operands)
-                     if isinstance(t, MatrixType)}
-            if len(elems) > 1:
-                out(path, "add operands must share the element kind")
+        if not top_level:
+            if not isinstance(m.types.get(result, TERM), TermType):
+                out(path, "compute op inside an equation must produce a term")
+            return
+        types = [m.types.get(v) for v in operands]
+        rt = m.types.get(result)
+        if not all(isinstance(t, MatrixType) for t in (*types, rt)):
+            out(path, "top-level compute op must have concrete types")
         elif isinstance(op, Transpose):
-            d = dims_of(op.operand)
-            rd = dims_of(result)
-            if d is not None and rd is not None and rd != (d[1], d[0]):
+            if (rt.rows, rt.cols) != (types[0].cols, types[0].rows):
                 out(path, "transpose result dims must be swapped operand dims")
+        else:
+            if len(operands) != 2:
+                out(path, "top-level mul/add must be binary")
+            reason = operand_type_error(op, types)
+            if reason is not None:
+                out(path, reason)
 
     inits: set[ValueId] = set()
     for i, op in enumerate(m.ops):
@@ -390,8 +370,7 @@ def verify(m: IRModule) -> list[Diagnostic]:
             check_value(path, op.operand)
         elif isinstance(op, Equation):
             check_result(path, op.result)
-            rt = m.types.get(op.result)
-            if rt is not None and not isinstance(rt, TermType):
+            if not isinstance(m.types.get(op.result, TERM), TermType):
                 out(path, "equation result must be a term")
             if not op.region:
                 out(path, "equation region is empty")
@@ -419,7 +398,7 @@ def verify(m: IRModule) -> list[Diagnostic]:
             check_compute(path, op, top_level=True)
         elif isinstance(op, Yield):
             out(path, "yield is only allowed inside an equation region")
-    return diags
+    return errors
 
 
 # --------------------------------------------------------------------------

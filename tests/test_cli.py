@@ -8,7 +8,8 @@ import pytest
 
 from momc.cli import main, parse_config
 from momc.executor import ExecMode
-from momc.frontend import MAX_NESTING
+from momc.frontend import MAX_NESTING, parse_source
+from momc.ir import build_ir, print_ir
 
 import gen
 
@@ -144,10 +145,53 @@ def test_resolution_errors_are_located(tmp_path, capsys):
                    "was declared 9x9\n")
 
 
+# Type diagnostics: resolution is the one checker of an equation's types, so
+# a run reports the first ill-typed statement, once, in one text whether an
+# operand is an input or an earlier result (docs/grammar.md, "Diagnostics
+# order").
+SUM_DIMS = "Matrix A(2, 3) <>\nMatrix B(3, 2) <>\nX = B\n"
+SUM_ELEMS = "Matrix A(2, 3) <>\nMatrix B(2, 3) <> : f64\nX = B\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("Matrix A(2, 3) <>\nMatrix B(2, 2) <>\nX = A + A\nprint(B * X * B)\n"
+     "print(A * A)\n", "4:1: error: inner dims disagree, 3 vs 2"),
+    ("Matrix A(2, 3) <>\nX = A * A\nY = A * A\n",
+     "2:1: error: inner dims disagree, 3 vs 2"),
+    (SUM_DIMS + "print(A + B)\n", "4:1: error: addition operands must share dims"),
+    (SUM_DIMS + "print(A + X)\n", "4:1: error: addition operands must share dims"),
+    (SUM_ELEMS + "print(A + B)\n", "4:1: error: operands mix f32 and f64"),
+    (SUM_ELEMS + "print(A + X)\n", "4:1: error: operands mix f32 and f64"),
+    # An assigned target's declaration is checked like an input's.
+    ("Matrix A(2, 2) <>\nMatrix C(2, 3) <LowerTriangular>\nC = A\nprint(C)\n",
+     "2:1: error: property lowerTri requires a square matrix, got 2x3"),
+])
+@pytest.mark.parametrize("flags", [[], ["--no-opt"]])
+def test_type_diagnostics(tmp_path, capsys, text, message, flags):
+    prog = tmp_path / "t.mom"
+    prog.write_text(text)
+    code, out, err = run_cli(capsys, str(prog), "--run", *flags)
+    assert (code, out, err) == (1, "", f"{prog}:{message}\n")
+
+
+def test_emit_ir_of_an_ill_typed_program_dumps_then_fails(tmp_path, capsys):
+    text = "Matrix A(2, 3) <>\nX = A * A\n"
+    prog = tmp_path / "t.mom"
+    prog.write_text(text)
+    code, out, err = run_cli(capsys, str(prog), "--emit=ir")
+    assert (code, out, err) == (
+        1, print_ir(build_ir(parse_source(text))),
+        f"{prog}:2:1: error: inner dims disagree, 3 vs 2\n")
+
+
 def test_invalid_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([LISTING1, "--emit=everything"])
-    assert exc.value.code == 2
+    for args, message in ((["--emit=everything"], "invalid choice"),
+                          (["--repeats", "0"], "--repeats must be at least 1"),
+                          (["--scale", "0"], "--scale must be at least 1")):
+        with pytest.raises(SystemExit) as exc:
+            main([LISTING1, *args])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_bench_conflicts_with_emit_and_run(capsys):

@@ -13,6 +13,7 @@ from momc.errors import (
     LexError,
     MultipleAssignment,
     NonPositiveDimension,
+    NonSquareStructuralProperty,
     ParseError,
     UnboundConstant,
     UndeclaredIdentifier,
@@ -244,6 +245,13 @@ def test_scale_dimensions():
     ("Matrix A(2, 2) <>\nB = A *\n",
      ParseError, "expected matrix expression, found '\\n'", 2, 8),
     ("print()\n", ParseError, "expected matrix expression, found ')'", 1, 7),
+    ("Matrix A(2, 2) <> : f16\n",
+     ParseError, "expected 'f32' or 'f64', found 'f16'", 1, 21),
+    ("Matrix A(2, 2) <> = \nprint(A)\n",
+     ParseError, "expected fill value (number), found '\\n'", 1, 21),
+    ("Matrix A(2, 2) <>\nMatrix C(2, 3) <LowerTriangular>\nC = A\n",
+     NonSquareStructuralProperty,
+     "property lowerTri requires a square matrix, got 2x3", 2, 1),
 ])
 def test_parse_errors(text, err, message, line, col):
     with pytest.raises(err) as exc:
@@ -296,7 +304,10 @@ def _asts(draw):
     matrix_names = []
     for i in range(draw(st.integers(1, 4))):
         name = f"m{i}"
-        decls.append(MatrixDecl(name, draw(_dim), draw(_dim), draw(_props),
+        # The parser rejects a structured declaration that is not square.
+        rows, props = draw(_dim), draw(_props)
+        cols = rows if props else draw(_dim)
+        decls.append(MatrixDecl(name, rows, cols, props,
                                 draw(st.sampled_from(list(ElemKind))),
                                 draw(st.sampled_from([1.0, 2.0, 2.5]))))
         matrix_names.append(name)

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from momc import ir
-from momc.frontend import parse_source
+from momc.equation_opt import optimize_and_rematerialize
+from momc.errors import ResolutionError
+from momc.frontend import Loc, parse_source
 from momc.properties import ElemKind, EMPTY_PROPS, Property, PropertySet
 
 from gen import default_seed, random_program
@@ -109,12 +111,20 @@ def test_verify_accepts_built_modules():
 def test_verify_reports_dim_mismatch():
     t5 = ir.MatrixType(5, 5, ElemKind.F32, EMPTY_PROPS)
     t4 = ir.MatrixType(4, 4, ElemKind.F32, EMPTY_PROPS)
+    # Inside a region the verifier checks structure and resolution the types.
     m = ir.IRModule(
         ops=(ir.Init(0), ir.Init(1),
              ir.Equation(3, (ir.Mul(2, (0, 1)), ir.Yield(2)))),
         types={0: t5, 1: t4, 2: ir.TERM, 3: ir.TERM})
-    diags = ir.verify(m)
-    assert any("5 vs 4" in d.reason for d in diags)
+    assert ir.verify(m) == []
+    with pytest.raises(ResolutionError) as exc:
+        optimize_and_rematerialize(m)
+    assert exc.value.message == "inner dims disagree, 5 vs 4"
+    # At the top level the verifier checks them.
+    top = ir.IRModule(ops=(ir.Init(0), ir.Init(1), ir.Mul(2, (0, 1))),
+                      types={0: t5, 1: t4, 2: t5})
+    assert [e.message for e in ir.verify(top)] == [
+        "op 2: inner dims disagree, 5 vs 4"]
 
 
 def test_verify_reports_missing_yield():
@@ -123,13 +133,13 @@ def test_verify_reports_missing_yield():
         ops=(ir.Init(0), ir.Equation(2, (ir.Mul(1, (0, 0)),))),
         types={0: t, 1: ir.TERM, 2: ir.TERM})
     diags = ir.verify(m)
-    assert any("missing yield" in d.reason for d in diags)
+    assert any("missing yield" in d.message for d in diags)
 
 
 def test_verify_reports_use_before_definition():
     t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
     m = ir.IRModule(ops=(ir.Print(7),), types={7: t})
-    assert any("before definition" in d.reason for d in ir.verify(m))
+    assert any("before definition" in d.message for d in ir.verify(m))
 
 
 def test_verify_reports_fill_of_a_non_init():
@@ -138,7 +148,7 @@ def test_verify_reports_fill_of_a_non_init():
         ops=(ir.Init(0), ir.Equation(2, (ir.Transpose(1, 0), ir.Yield(1))),
              ir.Fill(1.0, 2)),
         types={0: t, 1: ir.TERM, 2: ir.TERM})
-    assert any("must be an init result" in d.reason for d in ir.verify(m))
+    assert any("must be an init result" in d.message for d in ir.verify(m))
 
 
 def test_verify_reports_add_dim_mismatch():
@@ -148,13 +158,77 @@ def test_verify_reports_add_dim_mismatch():
         ops=(ir.Init(0), ir.Init(1),
              ir.Equation(3, (ir.Add(2, (0, 1)), ir.Yield(2)))),
         types={0: t2, 1: t3, 2: ir.TERM, 3: ir.TERM})
-    assert any("share dims" in d.reason for d in ir.verify(m))
+    assert ir.verify(m) == []
+    with pytest.raises(ResolutionError) as exc:
+        optimize_and_rematerialize(m)
+    assert exc.value.message == "addition operands must share dims"
+    top = ir.IRModule(ops=(ir.Init(0), ir.Init(1), ir.Add(2, (0, 1))),
+                      types={0: t2, 1: t3, 2: t2})
+    assert [e.message for e in ir.verify(top)] == [
+        "op 2: addition operands must share dims"]
 
 
 def test_verify_rejects_top_level_yield():
     t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
     m = ir.IRModule(ops=(ir.Init(0), ir.Yield(0)), types={0: t})
-    assert any("only allowed inside" in d.reason for d in ir.verify(m))
+    assert any("only allowed inside" in d.message for d in ir.verify(m))
+
+
+T2 = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
+T2_F64 = ir.MatrixType(2, 2, ElemKind.F64, EMPTY_PROPS)
+T3 = ir.MatrixType(3, 3, ElemKind.F32, EMPTY_PROPS)
+T23 = ir.MatrixType(2, 3, ElemKind.F32, EMPTY_PROPS)
+TERM = ir.TERM
+
+
+@pytest.mark.parametrize("ops,types,errors", [
+    ((ir.Init(5),), {}, ["op 0: value %5 missing from the symbol table"]),
+    ((ir.Print(7),), {7: T2}, ["op 0: operand %7 used before definition"]),
+    ((ir.Init(0), ir.Init(0)), {0: T2}, ["op 1: value %0 defined more than once"]),
+    ((ir.Init(0), ir.Transpose(1, 0)), {0: T2, 1: TERM},
+     ["op 1: top-level compute op must have concrete types"]),
+    ((ir.Init(0), ir.Mul(1, (0, 0, 0))), {0: T2, 1: T2},
+     ["op 1: top-level mul/add must be binary"]),
+    ((ir.Init(0), ir.Init(1), ir.Add(2, (0, 1))), {0: T2, 1: T2_F64, 2: T2},
+     ["op 2: operands mix f32 and f64"]),
+    ((ir.Init(0), ir.Init(1), ir.Add(2, (0, 1))), {0: T2, 1: T3, 2: T2},
+     ["op 2: addition operands must share dims"]),
+    ((ir.Init(0), ir.Mul(1, (0, 0))), {0: T23, 1: T23},
+     ["op 1: inner dims disagree, 3 vs 2"]),
+    ((ir.Init(0), ir.Transpose(1, 0)), {0: T23, 1: T23},
+     ["op 1: transpose result dims must be swapped operand dims"]),
+    ((ir.Init(0), ir.Init(1), ir.Add(2, (0, 1)), ir.Fill(1.0, 2)),
+     {0: T2, 1: T2, 2: T2}, ["op 3: fill operand must be an init result"]),
+    ((ir.Init(0), ir.Equation(1, (ir.Yield(0),))), {0: T2, 1: T2},
+     ["op 1: equation result must be a term"]),
+    ((ir.Equation(1, ()),), {1: TERM}, ["op 0: equation region is empty"]),
+    ((ir.Init(0), ir.Equation(2, (ir.Transpose(1, 0),))),
+     {0: T2, 1: TERM, 2: TERM}, ["op 1: missing yield"]),
+    ((ir.Init(0), ir.Equation(1, (ir.Yield(0), ir.Yield(0)))), {0: T2, 1: TERM},
+     ["op 1: equation region must contain exactly one yield"]),
+    ((ir.Init(0), ir.Equation(2, (ir.Yield(0), ir.Transpose(1, 0)))),
+     {0: T2, 1: TERM, 2: TERM}, ["op 1: yield must be the last op in the region"]),
+    ((ir.Init(0), ir.Equation(1, (ir.Print(0), ir.Yield(0)))), {0: T2, 1: TERM},
+     ["op 1.0: print is not allowed inside an equation region"]),
+    ((ir.Init(0), ir.Equation(2, (ir.Transpose(1, 0), ir.Yield(1)))),
+     {0: T2, 1: T2, 2: TERM},
+     ["op 1.0: compute op inside an equation must produce a term"]),
+    ((ir.Init(0), ir.Equation(2, (ir.Add(1, (0,)), ir.Yield(1)))),
+     {0: T2, 1: TERM, 2: TERM}, ["op 1.0: mul/add needs at least 2 operands"]),
+    ((ir.Init(0), ir.Yield(0)), {0: T2},
+     ["op 1: yield is only allowed inside an equation region"]),
+])
+def test_every_verifier_diagnostic(ops, types, errors):
+    # Each names its op, since no equation here has a source location.
+    found = ir.verify(ir.IRModule(ops, types))
+    assert [str(e) for e in found] == [f"error: {e}" for e in errors]
+
+
+def test_verifier_locates_equation_problems_at_their_statement():
+    eq = ir.Equation(2, (ir.Add(1, (0,)), ir.Yield(1)), loc=Loc(3, 1))
+    errors = ir.verify(ir.IRModule((ir.Init(0), eq), {0: T2, 1: TERM, 2: TERM}))
+    assert [str(e) for e in errors] == [
+        "3:1: error: mul/add needs at least 2 operands"]
 
 
 def test_type_rendering():
