@@ -23,19 +23,6 @@ EMIT_STAGES = ("ast", "ir", "ir-opt", "chain", "loops", "none")
 
 
 @dataclass
-class CliConfig:
-    input: str
-    emit: str = "none"
-    run: bool = False
-    bench: bool = False
-    mode: executor.ExecMode = executor.ExecMode.DENSE
-    repeats: int = 5
-    report: str | None = None
-    opt: bool = True
-    scale: int = 1
-
-
-@dataclass
 class BenchReport:
     """Baseline (source parenthesization) vs chain-reordered execution."""
 
@@ -92,7 +79,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[m.value for m in executor.ExecMode],
                    default="dense", help="kernel iteration mode")
     p.add_argument("--repeats", type=int, default=5, metavar="N",
-                   help="timed runs per variant (minimum is reported)")
+                   help="timed runs for --report and per --bench variant "
+                        "(minimum is reported)")
     p.add_argument("--report", metavar="PATH",
                    help="write a key=value execution report to PATH")
     p.add_argument("--no-opt", dest="opt", action="store_false",
@@ -102,7 +90,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return p
 
 
-def parse_config(argv: list[str] | None = None) -> CliConfig:
+def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
+    """The parsed flags, with `mode` as an `executor.ExecMode`."""
     p = build_arg_parser()
     ns = p.parse_args(argv)
     if ns.bench and ns.emit != "none":
@@ -113,9 +102,8 @@ def parse_config(argv: list[str] | None = None) -> CliConfig:
         p.error("--repeats must be at least 1")
     if ns.scale < 1:
         p.error("--scale must be at least 1")
-    return CliConfig(input=ns.input, emit=ns.emit, run=ns.run, bench=ns.bench,
-                     mode=executor.ExecMode(ns.mode), repeats=ns.repeats,
-                     report=ns.report, opt=ns.opt, scale=ns.scale)
+    ns.mode = executor.ExecMode(ns.mode)
+    return ns
 
 
 def render_chain_report(rep: ChainReport) -> str:
@@ -137,7 +125,8 @@ def render_chain_report(rep: ChainReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bench(cfg: CliConfig, module: ir.IRModule) -> BenchReport:
+def bench(module: ir.IRModule, mode: executor.ExecMode,
+          repeats: int) -> BenchReport:
     """Execute the source-order and the chain-reordered variants.
 
     The baseline keeps identity simplification on, so the comparison isolates
@@ -152,8 +141,8 @@ def bench(cfg: CliConfig, module: ir.IRModule) -> BenchReport:
     if not any(isinstance(op, loops.MatMul) for op in base_lm.ops):
         raise CompileError("nothing to benchmark: the program performs no "
                            "multiplication")
-    base_rep = executor.execute(base_lm, cfg.mode, cfg.repeats)
-    opt_rep = executor.execute(opt_lm, cfg.mode, cfg.repeats)
+    base_rep = executor.execute(base_lm, mode, repeats)
+    opt_rep = executor.execute(opt_lm, mode, repeats)
     return BenchReport(base_rep.total_mults, opt_rep.total_mults,
                        base_rep.total_min_ns, opt_rep.total_min_ns)
 
@@ -215,7 +204,7 @@ def _main(argv: list[str] | None) -> int:
             sys.stdout.write(ir.print_ir(module))
 
         if cfg.bench:
-            report = bench(cfg, module)
+            report = bench(module, cfg.mode, cfg.repeats)
             sys.stdout.write(report.render())
             if cfg.report and not _write_report(cfg.report, report.to_kv()):
                 return 1
@@ -237,7 +226,9 @@ def _main(argv: list[str] | None) -> int:
             sys.stdout.write(loops.print_loops(lm))
 
         if cfg.run:
-            run_report = executor.execute(lm, cfg.mode, cfg.repeats)
+            # Only the report's timings need more than one run.
+            repeats = cfg.repeats if cfg.report else 1
+            run_report = executor.execute(lm, cfg.mode, repeats)
             for block in run_report.printed:
                 sys.stdout.write(block + "\n")
             if cfg.report and not _write_report(cfg.report, run_report.to_kv()):

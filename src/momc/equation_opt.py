@@ -3,7 +3,8 @@ rematerialization to binary low-level IR.
 
 `resolve_types` types an equation in one forward pass over its region: a
 region lists its ops operands first (the verifier enforces it), so each op is
-typed from the nodes already built for its operands. Every node carries its
+typed from the nodes already built for its operands, and the node of the
+equation's `yielded` value is its result. Every node carries its
 `MatrixType`; a product or sum splices in operands of its own kind, so each
 is one variadic node. Dims and element kinds are checked, identities
 included, before any identity is dropped. Each variadic multiplication is
@@ -88,9 +89,7 @@ def resolve_types(eq: ir.Equation,
             raise ResolutionError("placeholder term reached type resolution")
         return Leaf(v, t)
 
-    *body, yield_op = eq.region
-    assert isinstance(yield_op, ir.Yield)
-    for op in body:
+    for op in eq.region:
         if isinstance(op, ir.Transpose):
             c = node(op.operand)
             t = c.type
@@ -129,7 +128,7 @@ def resolve_types(eq: ir.Equation,
             props = infer_mul(props, d, t.props, (t.rows, t.cols))
             d = (d[0], t.cols)
         nodes[op.result] = MulN(tuple(children), ir.MatrixType(d[0], d[1], elem, props))
-    return node(yield_op.operand)
+    return node(eq.yielded)
 
 
 # --------------------------------------------------------------------------
@@ -175,11 +174,11 @@ def optimize_and_rematerialize(module: ir.IRModule,
     """Process every equation and rebuild the module as low-level binary IR.
 
     `module` must verify clean (`ir.verify`): each region then lists its ops
-    operands first and ends in its yield. Inits and fills are kept in place;
-    each equation is replaced by the binary ops of its optimized tree; prints
-    are retargeted to the new concrete-typed results. An equation that
-    reduces to a bare leaf emits no ops and its prints read the original
-    buffer.
+    operands first and each yielded value is defined. Inits and fills are
+    kept in place; each equation is replaced by the binary ops of its
+    optimized tree; prints are retargeted to the new concrete-typed results.
+    An equation that reduces to a bare leaf emits no ops and its prints read
+    the original buffer.
     """
     b = ir.IRBuilder()
     vmap: dict[ir.ValueId, ir.ValueId] = {}

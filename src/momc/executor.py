@@ -1,8 +1,10 @@
 """Instrumented kernels over numpy arrays.
 
-Each tensor's buffer is a 2-D numpy array; a transposed tensor's buffer is
-the view `.T` of its source's, made when the buffers are allocated. Kernels
-write in place, so a view always reads its source's current values.
+Each tensor's buffer is a 2-D numpy array, made at the tensor's `alloc` op:
+zero-filled, or for an `alloc` with a source the view `.T` of the source's
+buffer. Kernels write in place, so a view always reads its source's current
+values. Ops run in program order, so the first op to fail is the one
+reported, be it an allocation or a kernel.
 
 The matmul kernel is a rank-1 update loop over the contraction index k in
 ascending order, accumulating in the operand precision. Dense mode updates
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import loops
 from .errors import AllocationError, DimMismatch, NonFiniteValue
-from .ir import format_scalar
+from .ir import MatrixType, format_scalar
 from .properties import ElemKind, PropertySet, StoredPattern, stored_pattern
 
 _DTYPES = {ElemKind.F32: np.float32, ElemKind.F64: np.float64}
@@ -218,6 +220,15 @@ def format_print(a: np.ndarray) -> str:
     return "\n".join(lines)
 
 
+def _zeros(tid: loops.TensorId, t: MatrixType) -> np.ndarray:
+    """A zero-filled buffer for tensor `tid` of type t. numpy refuses a shape
+    it cannot index or memory it cannot get, which ends the run."""
+    try:
+        return np.zeros((t.rows, t.cols), _DTYPES[t.elem])
+    except (ValueError, MemoryError) as e:
+        raise AllocationError(f"cannot allocate %{tid} : {t}: {e}") from None
+
+
 @dataclass
 class ExecutionReport:
     """Outputs and instrumentation of one module execution.
@@ -250,22 +261,6 @@ class Executor:
         self.lm = lm
         self.buffers: dict[loops.TensorId, np.ndarray] = {}
 
-    def _allocate(self) -> None:
-        """Zero-filled arrays, in tensor id order: a transposed tensor is a
-        view of its source, which has a smaller id. numpy refuses a shape it
-        cannot index or memory it cannot get, which ends the run."""
-        bufs = self.buffers = {}
-        views = self.lm.views
-        for tid, t in self.lm.tensors.items():
-            src = views.get(tid)
-            if src is not None:
-                bufs[tid] = run_transpose(bufs[src])
-                continue
-            try:
-                bufs[tid] = np.zeros((t.rows, t.cols), _DTYPES[t.elem])
-            except (ValueError, MemoryError) as e:
-                raise AllocationError(f"cannot allocate %{tid} : {t}: {e}") from None
-
     def run(self, mode: ExecMode = ExecMode.DENSE, repeats: int = 5) -> ExecutionReport:
         if repeats < 1:
             raise ValueError("repeats must be at least 1")
@@ -276,10 +271,13 @@ class Executor:
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for r in range(repeats):
-                    self._allocate()
-                    bufs = self.buffers
+                    bufs = self.buffers = {}
                     for idx, op in enumerate(self.lm.ops):
                         if isinstance(op, loops.Alloc):
+                            bufs[op.tensor] = (
+                                _zeros(op.tensor, tensors[op.tensor])
+                                if op.source is None
+                                else run_transpose(bufs[op.source]))
                             continue
                         if isinstance(op, loops.Fill):
                             run_fill(bufs[op.tensor], op.value, op.pattern)

@@ -5,8 +5,9 @@ ids to types. The table is the only place a value's type is kept: ops carry
 none, and the chain solver and loop lowering read the table's `MatrixType`
 objects themselves. An identity is a `MatrixType` with `identity` set.
 Equations carry one nested region of variadic compute ops that produce
-placeholder `term` values; after optimization the module contains only
-binary compute ops with concrete types at the top level.
+placeholder `term` values, and the value they yield; a region may be empty,
+as in `C = A`. After optimization the module contains only binary compute
+ops with concrete types at the top level.
 
 The textual form is this project's own, pinned by golden tests:
 
@@ -108,14 +109,12 @@ class Transpose:
 
 
 @dataclass(frozen=True)
-class Yield:
-    operand: ValueId
-
-
-@dataclass(frozen=True)
 class Equation:
     result: ValueId
+    # Compute ops, each after its operands. `yielded` is one of their
+    # results, or for a bare copy (`C = A`) a value defined above.
     region: tuple["IROp", ...]
+    yielded: ValueId
     # Dims declared on the assignment target, checked after type resolution.
     declared_dims: tuple[int, int] | None = None
     # The statement's location, for diagnostics.
@@ -127,7 +126,7 @@ class Print:
     operand: ValueId
 
 
-IROp = Union[Init, Fill, Mul, Add, Transpose, Yield, Equation, Print]
+IROp = Union[Init, Fill, Mul, Add, Transpose, Equation, Print]
 
 _COMPUTE = (Mul, Add, Transpose)
 
@@ -139,7 +138,7 @@ def op_result(op: IROp) -> ValueId | None:
 def op_operands(op: IROp) -> tuple[ValueId, ...]:
     if isinstance(op, (Mul, Add)):
         return op.operands
-    if isinstance(op, (Transpose, Yield, Print, Fill)):
+    if isinstance(op, (Transpose, Print, Fill)):
         return (op.operand,)
     return ()
 
@@ -249,8 +248,7 @@ def build_ir(ast: fe.Ast) -> IRModule:
         result = b.new_value(TERM)
         region: list[IROp] = []
         yielded = build_region(s.expr, region)
-        region.append(Yield(yielded))
-        b.append(Equation(result, tuple(region), declared_dims, s.loc))
+        b.append(Equation(result, tuple(region), yielded, declared_dims, s.loc))
         return result
 
     for s in ast.stmts:
@@ -372,32 +370,19 @@ def verify(m: IRModule) -> list[CompileError]:
             check_result(path, op.result)
             if not isinstance(m.types.get(op.result, TERM), TermType):
                 out(path, "equation result must be a term")
-            if not op.region:
-                out(path, "equation region is empty")
-                continue
-            yields = [j for j, inner in enumerate(op.region)
-                      if isinstance(inner, Yield)]
-            if len(yields) != 1:
-                out(path, "missing yield" if not yields
-                    else "equation region must contain exactly one yield")
-            elif yields[0] != len(op.region) - 1:
-                out(path, "yield must be the last op in the region")
             region_defined: set[ValueId] = set()
             for j, inner in enumerate(op.region):
                 ipath = (i, j)
-                if isinstance(inner, Yield):
-                    check_value(ipath, inner.operand)
-                elif isinstance(inner, _COMPUTE):
+                if isinstance(inner, _COMPUTE):
                     check_compute(ipath, inner, top_level=False)
                     region_defined.add(op_result(inner))  # type: ignore[arg-type]
                 else:
                     out(ipath, f"{type(inner).__name__.lower()} is not allowed "
                                "inside an equation region")
+            check_value(path, op.yielded)
             defined.difference_update(region_defined)
         elif isinstance(op, _COMPUTE):
             check_compute(path, op, top_level=True)
-        elif isinstance(op, Yield):
-            out(path, "yield is only allowed inside an equation region")
     return errors
 
 
@@ -433,14 +418,13 @@ def print_ir(m: IRModule) -> str:
         if isinstance(op, Transpose):
             return [f"{indent}%{op.result} = transpose %{op.operand} : "
                     f"{m.types[op.result]}"]
-        if isinstance(op, Yield):
-            return [f"{indent}yield %{op.operand}"]
         if isinstance(op, Print):
             return [f"{indent}print %{op.operand} : {m.types[op.operand]}"]
         assert isinstance(op, Equation)
         lines = [f"{indent}%{op.result} = equation {{"]
         for inner in op.region:
             lines.extend(render(inner, indent + "  "))
+        lines.append(f"{indent}  yield %{op.yielded}")
         lines.append(f"{indent}}} : {m.types[op.result]}")
         return lines
 

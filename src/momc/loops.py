@@ -1,12 +1,12 @@
 """Loop-level IR: tensor allocation, property-aware fill, matmul, add, print.
 
-Every value of the optimized binary IR gets a tensor. A product or sum gets
-a freshly allocated one (zero-initialized, so matmul can accumulate) and a
-compute op; a transpose gets a view of its operand's tensor (recorded in
-`LoopModule.views`) and no op, so lowering is not one-to-one. Fills write
-their scalar into the stored pattern implied by the operand's properties.
-The tensor table maps each tensor to its value's `ir.MatrixType`, the very
-object of the IR's symbol table; ops refer to it.
+Every value of the optimized binary IR gets a tensor with the value's own
+id, so the `%k` of a loop dump are those of the `--emit=ir-opt` dump, and
+the tensor table is the IR's symbol table itself. A product or sum gets an
+`alloc` of a fresh tensor (zero-initialized, so matmul can accumulate) and a
+compute op; a transpose gets only an `alloc` whose `source` names the tensor
+it is a view of, so lowering is not one-to-one. Fills write their scalar
+into the stored pattern implied by the operand's properties.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ TensorId = int
 @dataclass(frozen=True)
 class Alloc:
     tensor: TensorId
+    # The tensor this one is the transposed view of, allocated above; None
+    # for a fresh buffer.
+    source: TensorId | None = None
 
 
 @dataclass(frozen=True)
@@ -54,15 +57,12 @@ class Print:
 
 LoopOp = Union[Alloc, Fill, MatMul, Add, Print]
 
-COMPUTE_OPS = (MatMul, Add)
-
 
 @dataclass(frozen=True)
 class LoopModule:
     ops: tuple[LoopOp, ...]
+    # The lowered module's symbol table, in which no term is left.
     tensors: dict[TensorId, ir.MatrixType] = field(default_factory=dict)
-    # A view's tensor -> the tensor it is the transpose of.
-    views: dict[TensorId, TensorId] = field(default_factory=dict)
 
 
 def lower_to_loops(m: ir.IRModule) -> LoopModule:
@@ -72,31 +72,24 @@ def lower_to_loops(m: ir.IRModule) -> LoopModule:
             raise UnresolvedTerm(f"value %{v} still has a placeholder term type")
 
     ops: list[LoopOp] = []
-    tensors: dict[TensorId, ir.MatrixType] = {}
-    views: dict[TensorId, TensorId] = {}
-    tmap: dict[ir.ValueId, TensorId] = {}
     for op in m.ops:
         if isinstance(op, ir.Fill):
-            tid = tmap[op.operand]
-            ops.append(Fill(tid, op.value, stored_pattern(tensors[tid].props)))
-            continue
-        if isinstance(op, ir.Print):
-            ops.append(Print(tmap[op.operand]))
-            continue
-        if not isinstance(op, (ir.Init, ir.Mul, ir.Add, ir.Transpose)):
-            raise UnresolvedTerm(
-                f"{type(op).__name__} cannot be lowered; run the optimizer first")
-        # Every other op defines a value, which gets a tensor of its type.
-        tid = tmap[op.result] = len(tensors)
-        tensors[tid] = m.types[op.result]
-        ops.append(Alloc(tid))
-        if isinstance(op, ir.Transpose):
-            views[tid] = tmap[op.operand]
-        elif not isinstance(op, ir.Init):
+            pattern = stored_pattern(m.types[op.operand].props)
+            ops.append(Fill(op.operand, op.value, pattern))
+        elif isinstance(op, ir.Print):
+            ops.append(Print(op.operand))
+        elif isinstance(op, ir.Init):
+            ops.append(Alloc(op.result))
+        elif isinstance(op, ir.Transpose):
+            ops.append(Alloc(op.result, op.operand))
+        elif isinstance(op, (ir.Mul, ir.Add)):
             a, b = op.operands  # rematerialization leaves binary ops
             kind = MatMul if isinstance(op, ir.Mul) else Add
-            ops.append(kind(tmap[a], tmap[b], tid))
-    return LoopModule(tuple(ops), tensors, views)
+            ops += (Alloc(op.result), kind(a, b, op.result))
+        else:
+            raise UnresolvedTerm(
+                f"{type(op).__name__} cannot be lowered; run the optimizer first")
+    return LoopModule(tuple(ops), m.types)
 
 
 def format_op(lm: LoopModule, op: LoopOp) -> str:
@@ -110,8 +103,7 @@ def format_op(lm: LoopModule, op: LoopOp) -> str:
         return f"%{tid}{lm.tensors[tid].props.render()}"
 
     if isinstance(op, Alloc):
-        src = lm.views.get(op.tensor)
-        what = "alloc" if src is None else f"transpose %{src}"
+        what = "alloc" if op.source is None else f"transpose %{op.source}"
         return f"%{op.tensor} = {what} : {shape(op.tensor)}"
     if isinstance(op, Fill):
         return (f"fill %{op.tensor}, {ir.format_scalar(op.value)} : "

@@ -18,7 +18,7 @@ import pytest
 
 from momc import frontend, ir, loops
 from momc.chain import optimal_parenthesization, tree_cost
-from momc.cli import CliConfig, bench, main
+from momc.cli import bench, main
 from momc.executor import ExecMode, Executor
 from momc.properties import EMPTY_PROPS, Property, PropertySet, stored_pattern
 
@@ -64,7 +64,7 @@ def test_chain_reordering_reproduction(capsys):
     ast = frontend.parse_source(text)
     module = ir.build_ir(ast)
     t0 = time.monotonic()
-    report = bench(CliConfig(input=CHAIN4), module)
+    report = bench(module, ExecMode.DENSE, 5)
     elapsed = time.monotonic() - t0
     assert report.baseline_mults == BASELINE_COST
     assert report.optimized_mults == OPTIMAL_COST

@@ -118,6 +118,8 @@ def test_enumeration_rejects_long_chains():
 def test_chain_requires_compatible_dims():
     with pytest.raises(DimMismatch):
         optimal_parenthesization([operand(2, 3), operand(4, 2)])
+    with pytest.raises(ValueError, match="must not be empty"):
+        optimal_parenthesization([])
 
 
 def test_tie_breaks_choose_smallest_split():

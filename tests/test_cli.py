@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from momc.cli import main, parse_config
+from momc import executor
+from momc.cli import BenchReport, main, parse_config
 from momc.executor import ExecMode
 from momc.frontend import MAX_NESTING, parse_source
 from momc.ir import build_ir, print_ir
@@ -228,6 +229,25 @@ def test_run_report_file_keys(tmp_path, capsys):
     assert "op5.mults=125\n" in text  # dense mode full iteration
     assert "total.mults=125\n" in text
     assert "total.min_ns=" in text
+
+
+@pytest.mark.parametrize("report,runs", [(False, 1), (True, 3)])
+def test_run_repeats_only_for_a_report(tmp_path, capsys, monkeypatch,
+                                       report, runs):
+    calls = []
+    real = executor.run_matmul
+    monkeypatch.setattr(executor, "run_matmul",
+                        lambda *a: calls.append(1) or real(*a))
+    args = [LISTING1, "--run", "--repeats=3"]
+    if report:
+        args.append(f"--report={tmp_path / 'r.kv'}")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and out.startswith("5x5 f32\n")
+    assert len(calls) == runs  # listing1 has one product
+
+
+def test_bench_report_speedup_without_a_timing():
+    assert BenchReport(8, 4, 10, 0).speedup == 1.0
 
 
 def test_bench_report_file_keys(tmp_path, capsys):

@@ -42,8 +42,7 @@ def test_resolve_splices_nested_muls():
     t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
     m = ir.IRModule(
         ops=(ir.Init(0), ir.Init(1), ir.Init(2),
-             ir.Equation(5, (ir.Mul(3, (0, 1)), ir.Mul(4, (3, 2)),
-                             ir.Yield(4)))),
+             ir.Equation(5, (ir.Mul(3, (0, 1)), ir.Mul(4, (3, 2))), 4)),
         types={0: t, 1: t, 2: t, 3: ir.TERM, 4: ir.TERM, 5: ir.TERM})
     assert ir.verify(m) == []
     for drop_identities in (False, True):
@@ -68,7 +67,7 @@ def test_resolve_deep_region_without_recursion():
         region.append((ir.Add(v, (prev, 1)), ir.Transpose(v, prev),
                        ir.Mul(v, (prev, 1)))[v % 3])
         prev = v
-    eq = ir.Equation(depth + 2, (*region, ir.Yield(prev)))
+    eq = ir.Equation(depth + 2, tuple(region), prev)
     types = {v: ir.TERM for v in range(2, depth + 3)}
     m = ir.IRModule((ir.Init(0), ir.Init(1), eq), {0: t, 1: t, **types})
     assert ir.verify(m) == []
@@ -196,6 +195,16 @@ def test_resolve_rejects_mixed_elem_kinds():
     with pytest.raises(ResolutionError):
         resolved("n = 2\nMatrix A(n, n) <>\nMatrix B(n, n) <> : f64\n"
                  "C = A * B\n")
+
+
+def test_resolution_rejects_what_it_cannot_type():
+    m = compile_text("Matrix A(2, 2) <>\nC = A * A\n")
+    with pytest.raises(ResolutionError, match="placeholder term"):
+        eo.resolve_types(first_equation(m), lambda v: ir.TERM)
+    t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
+    top = ir.IRModule((ir.Init(0), ir.Mul(1, (0, 0))), {0: t, 1: t})
+    with pytest.raises(ResolutionError, match="containing Mul"):
+        eo.optimize_and_rematerialize(top)
 
 
 def test_resolve_checks_declared_target_dims():

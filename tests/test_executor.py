@@ -12,8 +12,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from momc import executor
-from momc.errors import DimMismatch
+from momc import executor, loops
+from momc.errors import DimMismatch, NonFiniteValue
 from momc.executor import (
     _DTYPES as DTYPES,
     _PRINT_BLOCK_ENTRIES as PRINT_BLOCK,
@@ -114,6 +114,8 @@ def test_matmul_rejects_dim_mismatch():
     with pytest.raises(DimMismatch):
         run_matmul(buf(2, 3), buf(3, 2), buf(3, 3), EMPTY_PROPS, EMPTY_PROPS,
                    ExecMode.DENSE)
+    with pytest.raises(DimMismatch):
+        run_add(buf(2, 3), buf(3, 2), buf(2, 3))
 
 
 def test_transpose_examples():
@@ -648,6 +650,15 @@ def test_executor_exposes_buffers_for_inspection():
     assert ex.buffers[2][4, 0] == 5
 
 
+def test_first_failure_in_program_order_is_reported():
+    """A non-finite fill fails before a later declaration's tensor, too
+    large to allocate, is reached."""
+    lm = lower_text("Matrix A(2, 2) <> : f64 = 1" + "0" * 400 + "\n"
+                    "Matrix B(" + "9" * 30 + ", 1) <>\nprint(A)\n")
+    with pytest.raises(NonFiniteValue, match=r"^error: op 1 \(fill %0, inf"):
+        execute(lm, ExecMode.DENSE, repeats=1)
+
+
 TRANSPOSED_OPERANDS = """\
 n = 4
 Matrix L(n, n) <LowerTriangular> = 2
@@ -672,11 +683,12 @@ def test_transposed_operands_match_numpy(mode):
     lm = lower_to_loops(res.module)
     ex = Executor(lm)
     report = ex.run(mode, repeats=2)
-    views = lm.views
+    views = [op for op in lm.ops
+             if isinstance(op, loops.Alloc) and op.source is not None]
     assert len(views) == 5  # one per transpose in the source
-    for tid, src in views.items():
-        assert np.shares_memory(ex.buffers[tid], ex.buffers[src])
-        assert np.array_equal(ex.buffers[tid], ex.buffers[src].T)
+    for op in views:
+        view, src = ex.buffers[op.tensor], ex.buffers[op.source]
+        assert np.shares_memory(view, src) and np.array_equal(view, src.T)
     lo = np.tril(np.full((4, 4), 2, np.float32))
     r = np.full((4, 3), 3, np.float32)
     expected = [lo.T @ r, r.T @ lo.T, lo.T + lo, lo.T]

@@ -50,8 +50,9 @@ def test_build_listing_structure():
     lower5 = ir.MatrixType(5, 5, ElemKind.F32, LOWER)
     assert m.types[0] == lower5 and m.types[1] == lower5
     eq = m.ops[4]
-    assert [type(op) for op in eq.region] == [ir.Mul, ir.Yield]
+    assert [type(op) for op in eq.region] == [ir.Mul]
     assert eq.region[0].operands == (0, 1)
+    assert eq.yielded == eq.region[0].result
     assert isinstance(m.types[eq.result], ir.TermType)
     assert m.ops[5].operand == eq.result
 
@@ -60,8 +61,8 @@ def test_build_bare_copy_is_yield_only_equation():
     m = build("Matrix A(2, 2) <>\nC = A\nprint(C)\n")
     eq = m.ops[2]
     assert isinstance(eq, ir.Equation)
-    assert [type(op) for op in eq.region] == [ir.Yield]
-    assert eq.region[0].operand == 0
+    assert eq.region == ()
+    assert eq.yielded == 0
 
 
 def test_build_three_way_mul_is_one_variadic_op():
@@ -114,7 +115,7 @@ def test_verify_reports_dim_mismatch():
     # Inside a region the verifier checks structure and resolution the types.
     m = ir.IRModule(
         ops=(ir.Init(0), ir.Init(1),
-             ir.Equation(3, (ir.Mul(2, (0, 1)), ir.Yield(2)))),
+             ir.Equation(3, (ir.Mul(2, (0, 1)),), 2)),
         types={0: t5, 1: t4, 2: ir.TERM, 3: ir.TERM})
     assert ir.verify(m) == []
     with pytest.raises(ResolutionError) as exc:
@@ -127,15 +128,6 @@ def test_verify_reports_dim_mismatch():
         "op 2: inner dims disagree, 5 vs 4"]
 
 
-def test_verify_reports_missing_yield():
-    t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
-    m = ir.IRModule(
-        ops=(ir.Init(0), ir.Equation(2, (ir.Mul(1, (0, 0)),))),
-        types={0: t, 1: ir.TERM, 2: ir.TERM})
-    diags = ir.verify(m)
-    assert any("missing yield" in d.message for d in diags)
-
-
 def test_verify_reports_use_before_definition():
     t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
     m = ir.IRModule(ops=(ir.Print(7),), types={7: t})
@@ -145,7 +137,7 @@ def test_verify_reports_use_before_definition():
 def test_verify_reports_fill_of_a_non_init():
     t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
     m = ir.IRModule(
-        ops=(ir.Init(0), ir.Equation(2, (ir.Transpose(1, 0), ir.Yield(1))),
+        ops=(ir.Init(0), ir.Equation(2, (ir.Transpose(1, 0),), 1),
              ir.Fill(1.0, 2)),
         types={0: t, 1: ir.TERM, 2: ir.TERM})
     assert any("must be an init result" in d.message for d in ir.verify(m))
@@ -156,7 +148,7 @@ def test_verify_reports_add_dim_mismatch():
     t3 = ir.MatrixType(3, 3, ElemKind.F32, EMPTY_PROPS)
     m = ir.IRModule(
         ops=(ir.Init(0), ir.Init(1),
-             ir.Equation(3, (ir.Add(2, (0, 1)), ir.Yield(2)))),
+             ir.Equation(3, (ir.Add(2, (0, 1)),), 2)),
         types={0: t2, 1: t3, 2: ir.TERM, 3: ir.TERM})
     assert ir.verify(m) == []
     with pytest.raises(ResolutionError) as exc:
@@ -168,12 +160,6 @@ def test_verify_reports_add_dim_mismatch():
         "op 2: addition operands must share dims"]
 
 
-def test_verify_rejects_top_level_yield():
-    t = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
-    m = ir.IRModule(ops=(ir.Init(0), ir.Yield(0)), types={0: t})
-    assert any("only allowed inside" in d.message for d in ir.verify(m))
-
-
 T2 = ir.MatrixType(2, 2, ElemKind.F32, EMPTY_PROPS)
 T2_F64 = ir.MatrixType(2, 2, ElemKind.F64, EMPTY_PROPS)
 T3 = ir.MatrixType(3, 3, ElemKind.F32, EMPTY_PROPS)
@@ -183,6 +169,9 @@ TERM = ir.TERM
 
 @pytest.mark.parametrize("ops,types,errors", [
     ((ir.Init(5),), {}, ["op 0: value %5 missing from the symbol table"]),
+    ((ir.Init(0), ir.Print(7)), {0: T2},
+     ["op 1: value %7 missing from the symbol table",
+      "op 1: operand %7 used before definition"]),
     ((ir.Print(7),), {7: T2}, ["op 0: operand %7 used before definition"]),
     ((ir.Init(0), ir.Init(0)), {0: T2}, ["op 1: value %0 defined more than once"]),
     ((ir.Init(0), ir.Transpose(1, 0)), {0: T2, 1: TERM},
@@ -199,24 +188,17 @@ TERM = ir.TERM
      ["op 1: transpose result dims must be swapped operand dims"]),
     ((ir.Init(0), ir.Init(1), ir.Add(2, (0, 1)), ir.Fill(1.0, 2)),
      {0: T2, 1: T2, 2: T2}, ["op 3: fill operand must be an init result"]),
-    ((ir.Init(0), ir.Equation(1, (ir.Yield(0),))), {0: T2, 1: T2},
+    ((ir.Init(0), ir.Equation(1, (), 0)), {0: T2, 1: T2},
      ["op 1: equation result must be a term"]),
-    ((ir.Equation(1, ()),), {1: TERM}, ["op 0: equation region is empty"]),
-    ((ir.Init(0), ir.Equation(2, (ir.Transpose(1, 0),))),
-     {0: T2, 1: TERM, 2: TERM}, ["op 1: missing yield"]),
-    ((ir.Init(0), ir.Equation(1, (ir.Yield(0), ir.Yield(0)))), {0: T2, 1: TERM},
-     ["op 1: equation region must contain exactly one yield"]),
-    ((ir.Init(0), ir.Equation(2, (ir.Yield(0), ir.Transpose(1, 0)))),
-     {0: T2, 1: TERM, 2: TERM}, ["op 1: yield must be the last op in the region"]),
-    ((ir.Init(0), ir.Equation(1, (ir.Print(0), ir.Yield(0)))), {0: T2, 1: TERM},
+    ((ir.Init(0), ir.Equation(1, (), 2), ir.Init(2)), {0: T2, 1: TERM, 2: T2},
+     ["op 1: operand %2 used before definition"]),
+    ((ir.Init(0), ir.Equation(1, (ir.Print(0),), 0)), {0: T2, 1: TERM},
      ["op 1.0: print is not allowed inside an equation region"]),
-    ((ir.Init(0), ir.Equation(2, (ir.Transpose(1, 0), ir.Yield(1)))),
+    ((ir.Init(0), ir.Equation(2, (ir.Transpose(1, 0),), 1)),
      {0: T2, 1: T2, 2: TERM},
      ["op 1.0: compute op inside an equation must produce a term"]),
-    ((ir.Init(0), ir.Equation(2, (ir.Add(1, (0,)), ir.Yield(1)))),
+    ((ir.Init(0), ir.Equation(2, (ir.Add(1, (0,)),), 1)),
      {0: T2, 1: TERM, 2: TERM}, ["op 1.0: mul/add needs at least 2 operands"]),
-    ((ir.Init(0), ir.Yield(0)), {0: T2},
-     ["op 1: yield is only allowed inside an equation region"]),
 ])
 def test_every_verifier_diagnostic(ops, types, errors):
     # Each names its op, since no equation here has a source location.
@@ -225,7 +207,7 @@ def test_every_verifier_diagnostic(ops, types, errors):
 
 
 def test_verifier_locates_equation_problems_at_their_statement():
-    eq = ir.Equation(2, (ir.Add(1, (0,)), ir.Yield(1)), loc=Loc(3, 1))
+    eq = ir.Equation(2, (ir.Add(1, (0,)),), 1, loc=Loc(3, 1))
     errors = ir.verify(ir.IRModule((ir.Init(0), eq), {0: T2, 1: TERM, 2: TERM}))
     assert [str(e) for e in errors] == [
         "3:1: error: mul/add needs at least 2 operands"]
@@ -246,6 +228,11 @@ def test_type_rendering():
 def test_matrix_type_rejects_structured_rectangles():
     with pytest.raises(ValueError):
         ir.MatrixType(4, 5, ElemKind.F32, LOWER)
+
+
+def test_matrix_type_rejects_non_positive_dims():
+    with pytest.raises(ValueError, match="must be positive"):
+        ir.MatrixType(3, 0, ElemKind.F32, EMPTY_PROPS)
 
 
 @pytest.mark.parametrize("rows,cols,props", [

@@ -1,6 +1,7 @@
 """Lowering to the loop-level IR and its textual dump."""
 
 import random
+import re
 
 import pytest
 
@@ -76,7 +77,7 @@ def test_transpose_and_add_lowering():
     kinds = [type(op) for op in lm.ops]
     assert kinds == [loops.Alloc, loops.Fill, loops.Alloc,
                      loops.Alloc, loops.Add, loops.Print]
-    assert lm.views == {1: 0}
+    assert lm.ops[2] == loops.Alloc(1, source=0)
     text = loops.print_loops(lm)
     assert "%1 = transpose %0 : 3x3xf32" in text
     assert "alloc : 3x3xf32\n%1" not in text
@@ -87,6 +88,10 @@ def test_lowering_rejects_unresolved_modules():
     module = compile_text(LISTING)  # still has term-typed equation values
     with pytest.raises(UnresolvedTerm):
         loops.lower_to_loops(module)
+    t = module.types[0]
+    concrete = ir.IRModule((ir.Init(0), ir.Equation(1, (), 0)), {0: t, 1: t})
+    with pytest.raises(UnresolvedTerm, match="Equation cannot be lowered"):
+        loops.lower_to_loops(concrete)
 
 
 def test_one_to_one_mapping_and_print_order():
@@ -96,11 +101,13 @@ def test_one_to_one_mapping_and_print_order():
     lm = loops.lower_to_loops(res.module)
     ir_compute = [op for op in res.module.ops
                   if isinstance(op, (ir.Mul, ir.Add))]
-    lm_compute = [op for op in lm.ops if isinstance(op, loops.COMPUTE_OPS)]
+    lm_compute = [op for op in lm.ops if isinstance(op, (loops.MatMul, loops.Add))]
     assert len(ir_compute) == len(lm_compute)
     # A transpose lowers to a view of its operand, not to a compute op.
     ir_transposes = [op for op in res.module.ops if isinstance(op, ir.Transpose)]
-    assert len(ir_transposes) == len(lm.views) == 1
+    views = [op for op in lm.ops
+             if isinstance(op, loops.Alloc) and op.source is not None]
+    assert len(ir_transposes) == len(views) == 1
     produced = [op for op in res.module.ops
                 if ir.op_result(op) is not None]
     allocs = [op for op in lm.ops if isinstance(op, loops.Alloc)]
@@ -114,11 +121,8 @@ def test_annotations_match_resolved_types():
     res = optimize_text("n = 4\nMatrix A(n, n) <LowerTriangular>\n"
                         "B = transpose(A)\nC = A * A\nprint(B)\nprint(C)\n")
     lm = loops.lower_to_loops(res.module)
-    vmap = {}  # value order equals tensor order
-    for v, op in enumerate(a for a in res.module.ops if ir.op_result(a) is not None):
-        vmap[ir.op_result(op)] = v
     for v, t in res.module.types.items():
-        assert lm.tensors[vmap[v]].props == t.props
+        assert lm.tensors[v].props == t.props
 
 
 def test_tensor_table_holds_the_ir_type_objects():
@@ -133,5 +137,35 @@ def test_tensor_table_holds_the_ir_type_objects():
             values = [ir.op_result(op) for op in res.module.ops
                       if ir.op_result(op) is not None]
             assert len(values) == len(lm.tensors)
-            for tid, v in enumerate(values):
-                assert lm.tensors[tid] is res.module.types[v]
+            for v in values:
+                assert lm.tensors[v] is res.module.types[v]
+
+
+def _ir_defs(dump):
+    """%k -> "RxCxE" for each value an `--emit=ir-opt` dump defines."""
+    defs = {}
+    for k, t in re.findall(r"^%(\d+) = [^:]*: (\S+)$", dump, re.M):
+        ident = re.fullmatch(r"identity<(\d+)x(\w+)>", t)
+        defs[int(k)] = (f"{ident[1]}x{ident[1]}x{ident[2]}" if ident
+                        else re.fullmatch(r"matrix<(\w+),.*>", t)[1])
+    return defs
+
+
+def test_loop_dump_ids_are_the_ir_opt_ids():
+    """Each `%k` of a loop dump is the value `%k` of the optimized IR dump,
+    with its dims and element kind, and a view's source is allocated above
+    the view."""
+    rng = random.Random(default_seed() ^ 0x3E)
+    for _ in range(150):
+        text = random_program(rng, max_dim=8)
+        for opt in (True, False):
+            module = optimize_text(text, opt).module
+            lm = loops.lower_to_loops(module)
+            loop_defs = re.findall(r"^%(\d+) = (?:alloc|transpose %\d+) : (\S+)$",
+                                   loops.print_loops(lm), re.M)
+            assert {int(k): t for k, t in loop_defs} == _ir_defs(ir.print_ir(module))
+            allocated = set()
+            for op in lm.ops:
+                if isinstance(op, loops.Alloc):
+                    assert op.source is None or op.source in allocated
+                    allocated.add(op.tensor)

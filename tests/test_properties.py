@@ -129,6 +129,8 @@ def test_render_uses_minimal_generators():
     assert EMPTY_PROPS.render() == "[]"
     assert PropertySet.closure((L, S)).render() == "[diag]"
     assert PropertySet.closure((U, S)).render() == "[diag]"
+    assert DIAG.generators() == (D,)
+    assert str(LOWER) == "[lowerTri]"
 
 
 @pytest.mark.parametrize("a,b", list(product(DECLARABLE_PSETS, repeat=2)))
