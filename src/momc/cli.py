@@ -98,6 +98,10 @@ def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
         p.error("--bench cannot be combined with --emit")
     if ns.bench and ns.run:
         p.error("--bench cannot be combined with --run")
+    if ns.bench and not ns.opt:
+        p.error("--bench cannot be combined with --no-opt")
+    if ns.report and not (ns.run or ns.bench):
+        p.error("--report needs --run or --bench")
     if ns.repeats < 1:
         p.error("--repeats must be at least 1")
     if ns.scale < 1:

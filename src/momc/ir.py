@@ -27,7 +27,7 @@ from typing import Iterator, Union
 
 from . import frontend as fe
 from .errors import CompileError
-from .properties import DIAGONAL_PROPS, ElemKind, PropertySet, canonicalize
+from .properties import DIAGONAL_PROPS, EMPTY_PROPS, ElemKind, PropertySet, canonicalize
 
 ValueId = int
 
@@ -52,9 +52,9 @@ class MatrixType:
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("matrix dimensions must be positive")
-        if len(self.props) > 0 and self.rows != self.cols:
+        if self.props is not EMPTY_PROPS and self.rows != self.cols:
             raise ValueError("structured matrix types must be square")
-        if self.identity and self.props != DIAGONAL_PROPS:
+        if self.identity and self.props is not DIAGONAL_PROPS:
             raise ValueError("an identity type must be square and diagonal")
 
     def __str__(self) -> str:

@@ -1,18 +1,22 @@
 """Matrix structure properties: closed property sets, inference rules, stored patterns.
 
-A property set is always kept closed under three rules:
+A property set is closed under three rules:
 
   C1: lowerTri and upperTri together imply diag
   C2: diag implies lowerTri, upperTri and symm
   C3: lowerTri or upperTri together with symm implies diag (a triangular
       matrix equal to its transpose has no nonzero off the diagonal)
 
-Only 5 of the 16 subsets of `Property` are closed, so the lattice is a finite
-table built once at import: `PropertySet.closure` returns one canonical
-instance per closed set, and `stored_pattern`, `generators`/`render` and
-`infer_mul`/`infer_add`/`infer_transpose` are lookups keyed by a set's
-members. The closure fixpoint, the generator search and the inference rules
-below run only while that table is built.
+Only 5 of the 16 subsets of `Property` are closed, and this module writes
+them down as literal `PropertySet` instances, each carrying its members, its
+minimal generators (what `render` prints) and its stored pattern. Every set a
+program can hold is one of the five, so equality is identity. Closure and
+the inference rules are set operations over the five values: the closure of
+any subset is the smallest of them that contains it, a sum keeps the
+intersection, a square product keeps the shared triangularity, and a
+transpose swaps lower and upper. `tests/test_properties.py` derives the five
+sets and every rule from C1-C3 by a fixpoint and checks them against these
+values.
 
 Inference is deliberately conservative: a rule may return fewer properties
 than are mathematically derivable, never more. Soundness is what the cost
@@ -25,7 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import NonSquareStructuralProperty, UnknownProperty
 
@@ -52,9 +56,6 @@ class Property(enum.Enum):
         return self.value
 
 
-# Fixed order used for printing and for deterministic generator selection.
-_ORDER = {p: i for i, p in enumerate(Property)}
-
 # Surface (declaration) spellings accepted by the frontend.
 DECLARED_NAMES = {
     "LowerTriangular": Property.LOWER_TRIANGULAR,
@@ -62,67 +63,6 @@ DECLARED_NAMES = {
     "Diagonal": Property.DIAGONAL,
     "Symmetric": Property.SYMMETRIC,
 }
-
-
-def _close(props: Iterable[Property]) -> frozenset[Property]:
-    s = set(props)
-    while True:
-        add: set[Property] = set()
-        if Property.LOWER_TRIANGULAR in s and Property.UPPER_TRIANGULAR in s:
-            add.add(Property.DIAGONAL)
-        if Property.SYMMETRIC in s and (Property.LOWER_TRIANGULAR in s
-                                        or Property.UPPER_TRIANGULAR in s):
-            add.add(Property.DIAGONAL)
-        if Property.DIAGONAL in s:
-            add |= {Property.LOWER_TRIANGULAR, Property.UPPER_TRIANGULAR,
-                    Property.SYMMETRIC}
-        if add <= s:
-            return frozenset(s)
-        s |= add
-
-
-@dataclass(frozen=True)
-class PropertySet:
-    """A set of properties stored closed under C1-C3.
-
-    Construct through :meth:`closure`, which returns the canonical instance
-    of the closed set; direct construction rejects a non-closed member set
-    so the invariant cannot be bypassed silently.
-    """
-
-    members: frozenset[Property]
-
-    def __post_init__(self) -> None:
-        if _close(self.members) != self.members:
-            raise ValueError(f"property set {set(self.members)} is not closed")
-
-    @staticmethod
-    def closure(props: Iterable[Property]) -> "PropertySet":
-        return _CLOSURE[frozenset(props)]
-
-    def __contains__(self, p: Property) -> bool:
-        return p in self.members
-
-    def __iter__(self) -> Iterator[Property]:
-        return iter(sorted(self.members, key=_ORDER.__getitem__))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def generators(self) -> tuple[Property, ...]:
-        """Smallest subset whose closure is this set, in fixed print order.
-
-        Ties broken by preferring earlier properties, so the diagonal closure
-        prints as just `diag`.
-        """
-        return _GENERATORS[self.members]
-
-    def render(self) -> str:
-        """Bracketed minimal-generator form used in IR dumps, e.g. `[lowerTri]`."""
-        return _RENDERED[self.members]
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 class StoredPattern(enum.Enum):
@@ -137,70 +77,56 @@ class StoredPattern(enum.Enum):
         return self.value
 
 
-# --------------------------------------------------------------------------
-# The rules, run only to build the lookup tables below
-# --------------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class PropertySet:
+    """One of the five closed property sets below; equality is identity.
 
-Members = frozenset[Property]
+    `generators` is the smallest subset whose closure is `members`, in
+    `Property` order, and `pattern` the region the set stores.
+    """
 
+    members: frozenset[Property]
+    generators: tuple[Property, ...]
+    pattern: StoredPattern
 
-def _search_generators(s: PropertySet) -> tuple[Property, ...]:
-    ordered = tuple(s)
-    for size in range(len(ordered) + 1):
-        for combo in combinations(ordered, size):
-            if _close(combo) == s.members:
-                return combo
-    raise AssertionError("unreachable: the set generates itself")
+    @staticmethod
+    def closure(props: Iterable[Property]) -> "PropertySet":
+        """The smallest of the five sets that contains `props`."""
+        return _CLOSURE[frozenset(props)]
 
+    def __contains__(self, p: Property) -> bool:
+        return p in self.members
 
-def _transpose_rule(s: Members) -> Members:
-    swap = {
-        Property.LOWER_TRIANGULAR: Property.UPPER_TRIANGULAR,
-        Property.UPPER_TRIANGULAR: Property.LOWER_TRIANGULAR,
-    }
-    return frozenset(swap.get(p, p) for p in s)
+    def __len__(self) -> int:
+        return len(self.members)
 
+    def render(self) -> str:
+        """Bracketed minimal-generator form used in IR dumps, e.g. `[lowerTri]`."""
+        return "[" + ",".join(p.value for p in self.generators) + "]"
 
-def _square_mul_rule(a: Members, b: Members) -> Members:
-    return a & b & {Property.LOWER_TRIANGULAR, Property.UPPER_TRIANGULAR}
-
-
-def _pattern_rule(s: Members) -> StoredPattern:
-    if Property.DIAGONAL in s:
-        return StoredPattern.DIAG_ONLY
-    if Property.LOWER_TRIANGULAR in s:
-        return StoredPattern.LOWER_INCL
-    if Property.UPPER_TRIANGULAR in s:
-        return StoredPattern.UPPER_INCL
-    return StoredPattern.FULL
+    __str__ = render
 
 
-def _closure_table() -> dict[Members, PropertySet]:
-    """Every subset of Property -> the one canonical instance of its closure."""
-    canonical: dict[Members, PropertySet] = {}
-    table: dict[Members, PropertySet] = {}
-    for size in range(len(Property) + 1):
-        for subset in combinations(Property, size):
-            closed = _close(subset)
-            if closed not in canonical:
-                canonical[closed] = PropertySet(closed)
-            table[frozenset(subset)] = canonical[closed]
-    return table
+_L, _U = Property.LOWER_TRIANGULAR, Property.UPPER_TRIANGULAR
 
+EMPTY_PROPS = PropertySet(frozenset(), (), StoredPattern.FULL)
+_LOWER = PropertySet(frozenset({_L}), (_L,), StoredPattern.LOWER_INCL)
+_UPPER = PropertySet(frozenset({_U}), (_U,), StoredPattern.UPPER_INCL)
+_SYMM = PropertySet(frozenset({Property.SYMMETRIC}), (Property.SYMMETRIC,),
+                    StoredPattern.FULL)
+DIAGONAL_PROPS = PropertySet(frozenset(Property), (Property.DIAGONAL,),
+                             StoredPattern.DIAG_ONLY)
+_SETS = (EMPTY_PROPS, _LOWER, _UPPER, _SYMM, DIAGONAL_PROPS)  # by size
 
-_CLOSURE = _closure_table()
-_CANONICAL = {c.members: c for c in _CLOSURE.values()}  # the 5 closed sets
-_GENERATORS = {m: _search_generators(c) for m, c in _CANONICAL.items()}
-_RENDERED = {m: "[" + ",".join(str(p) for p in g) + "]"
-             for m, g in _GENERATORS.items()}
-_PATTERN = {m: _pattern_rule(m) for m in _CANONICAL}
-_TRANSPOSE = {m: _CLOSURE[_transpose_rule(m)] for m in _CANONICAL}
-_SQUARE_MUL = {(a, b): _CLOSURE[_square_mul_rule(a, b)]
-               for a in _CANONICAL for b in _CANONICAL}
-_ADD = {(a, b): _CLOSURE[a & b] for a in _CANONICAL for b in _CANONICAL}
-
-EMPTY_PROPS = PropertySet.closure(())
-DIAGONAL_PROPS = PropertySet.closure((Property.DIAGONAL,))
+# Every subset of Property -> the smallest set above containing it. It is
+# unique because the five sets are closed under intersection.
+_CLOSURE = {frozenset(sub): next(s for s in _SETS if s.members >= set(sub))
+            for n in range(len(Property) + 1)
+            for sub in combinations(Property, n)}
+_TRANSPOSE = {_LOWER: _UPPER, _UPPER: _LOWER}
+_SQUARE_MUL = {(a, b): _CLOSURE[a.members & b.members & {_L, _U}]
+               for a in _SETS for b in _SETS}
+_ADD = {(a, b): _CLOSURE[a.members & b.members] for a in _SETS for b in _SETS}
 
 
 def canonicalize(declared: Iterable[str], rows: int, cols: int) -> PropertySet:
@@ -222,7 +148,7 @@ def canonicalize(declared: Iterable[str], rows: int, cols: int) -> PropertySet:
 
 def infer_transpose(s: PropertySet) -> PropertySet:
     """Swap lower and upper triangularity; diagonal and symmetric are kept."""
-    return _TRANSPOSE[s.members]
+    return _TRANSPOSE.get(s, s)
 
 
 def infer_mul(a: PropertySet, dims_a: tuple[int, int],
@@ -230,15 +156,15 @@ def infer_mul(a: PropertySet, dims_a: tuple[int, int],
     """Properties of a product: triangularity survives only when shared by two
     square operands; diagonal and symmetric arise only through closure."""
     if dims_a[0] == dims_a[1] and dims_b[0] == dims_b[1]:
-        return _SQUARE_MUL[a.members, b.members]
+        return _SQUARE_MUL[a, b]
     return EMPTY_PROPS
 
 
 def infer_add(a: PropertySet, b: PropertySet) -> PropertySet:
     """Properties of a sum: the intersection (closed for this universe)."""
-    return _ADD[a.members, b.members]
+    return _ADD[a, b]
 
 
 def stored_pattern(s: PropertySet) -> StoredPattern:
     """Structural-nonzero region of a property set; symmetry alone stores full."""
-    return _PATTERN[s.members]
+    return s.pattern

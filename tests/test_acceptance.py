@@ -209,3 +209,13 @@ def test_golden_ast_and_chain_dumps(capsys, program, emit):
     name = os.path.basename(program).removesuffix(".mom")
     with open(os.path.join(GOLDEN, f"{name}_{emit}.txt"), encoding="utf-8") as f:
         assert capsys.readouterr().out == f.read()
+
+
+@pytest.mark.parametrize("emit", ["ir", "ir-opt", "loops", "chain"])
+def test_golden_dumps_of_every_property_set(capsys, emit):
+    # One input of each structure and an identity: every rendering of the
+    # five property sets and every stored pattern appears in these dumps.
+    assert main([os.path.join(GOLDEN, "structures.mom"), f"--emit={emit}"]) == 0
+    golden = os.path.join(GOLDEN, f"structures_{emit.replace('-', '_')}.txt")
+    with open(golden, encoding="utf-8") as f:
+        assert capsys.readouterr().out == f.read()

@@ -188,7 +188,10 @@ def test_emit_ir_of_an_ill_typed_program_dumps_then_fails(tmp_path, capsys):
 def test_invalid_flag_exits_2(capsys):
     for args, message in ((["--emit=everything"], "invalid choice"),
                           (["--repeats", "0"], "--repeats must be at least 1"),
-                          (["--scale", "0"], "--scale must be at least 1")):
+                          (["--scale", "0"], "--scale must be at least 1"),
+                          (["--report=r.kv"], "--report needs --run or --bench"),
+                          (["--emit=ir", "--report=r.kv"],
+                           "--report needs --run or --bench")):
         with pytest.raises(SystemExit) as exc:
             main([LISTING1, *args])
         assert exc.value.code == 2
@@ -196,7 +199,8 @@ def test_invalid_flag_exits_2(capsys):
 
 
 def test_bench_conflicts_with_emit_and_run(capsys):
-    for combo in (["--bench", "--emit=ir"], ["--bench", "--run"]):
+    for combo in (["--bench", "--emit=ir"], ["--bench", "--run"],
+                  ["--bench", "--no-opt"]):
         with pytest.raises(SystemExit) as exc:
             main([CHAIN4] + combo)
         assert exc.value.code == 2

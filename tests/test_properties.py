@@ -1,8 +1,10 @@
 """Property algebra: canonicalization, inference rules, stored patterns.
 
-The inference rules are checked for soundness against exact integer
-arithmetic: for random matrices realizing the operand structures, the
-numeric result's nonzero entries must lie inside the inferred pattern.
+The five literal property sets and the rules over them are checked against
+an oracle that derives them from C1-C3 by a fixpoint over member sets. The
+rules are also checked for soundness against exact integer arithmetic: for
+random matrices realizing the operand structures, the numeric result's
+nonzero entries must lie inside the inferred pattern.
 """
 
 import random
@@ -13,6 +15,7 @@ import pytest
 
 from momc.errors import NonSquareStructuralProperty, UnknownProperty
 from momc.properties import (
+    DIAGONAL_PROPS,
     EMPTY_PROPS,
     Property,
     PropertySet,
@@ -37,10 +40,81 @@ UPPER = PropertySet.closure((U,))
 SYMM = PropertySet.closure((S,))
 DIAG = PropertySet.closure((D,))
 
+SUBSETS = [frozenset(c) for n in range(len(Property) + 1)
+           for c in combinations(Property, n)]
+
 # The closure of every property list a declaration can carry: all 16 subsets
 # of the four properties, which close to the 5 sets of CLOSED_PSETS.
-DECLARABLE_PSETS = [PropertySet.closure(c) for n in range(len(Property) + 1)
-                    for c in combinations(Property, n)]
+DECLARABLE_PSETS = [PropertySet.closure(c) for c in SUBSETS]
+
+
+# --------------------------------------------------------------------------
+# The oracle: C1-C3 and the inference rules over plain member sets
+# --------------------------------------------------------------------------
+
+def close(props) -> frozenset:
+    """The fixpoint of C1-C3."""
+    s = set(props)
+    while True:
+        add = set()
+        if L in s and U in s:
+            add.add(D)
+        if S in s and (L in s or U in s):
+            add.add(D)
+        if D in s:
+            add |= {L, U, S}
+        if add <= s:
+            return frozenset(s)
+        s |= add
+
+
+def oracle_generators(members) -> tuple:
+    """Smallest subset whose closure is `members`, earliest in Property order."""
+    ordered = [p for p in Property if p in members]
+    for n in range(len(ordered) + 1):
+        for combo in combinations(ordered, n):
+            if close(combo) == members:
+                return combo
+    raise AssertionError("a closed set generates itself")
+
+
+def oracle_pattern(members) -> StoredPattern:
+    if D in members:
+        return StoredPattern.DIAG_ONLY
+    if L in members:
+        return StoredPattern.LOWER_INCL
+    if U in members:
+        return StoredPattern.UPPER_INCL
+    return StoredPattern.FULL
+
+
+def test_closure_matches_the_fixpoint():
+    assert len(SUBSETS) == 16
+    for sub in SUBSETS:
+        assert PropertySet.closure(sub).members == close(sub)
+
+
+def test_the_five_sets_are_the_closed_subsets():
+    assert {s.members for s in CLOSED_PSETS} == {close(sub) for sub in SUBSETS}
+    assert len(set(CLOSED_PSETS)) == len(CLOSED_PSETS) == 5
+    for s in CLOSED_PSETS:
+        assert s.generators == oracle_generators(s.members)
+        assert s.pattern is oracle_pattern(s.members)
+        assert stored_pattern(s) is s.pattern
+    assert EMPTY_PROPS.members == frozenset()
+    assert DIAGONAL_PROPS.members == frozenset(Property)
+
+
+def test_inference_matches_the_oracle():
+    sq = (3, 3)
+    for a, b in product(CLOSED_PSETS, repeat=2):
+        assert infer_mul(a, sq, b, sq).members == \
+            close(a.members & b.members & {L, U})
+        assert infer_add(a, b).members == close(a.members & b.members)
+    swap = {L: U, U: L}
+    for a in CLOSED_PSETS:
+        assert infer_transpose(a).members == \
+            close(swap.get(p, p) for p in a.members)
 
 
 def test_canonicalize_single_property():
@@ -81,11 +155,6 @@ def test_canonicalize_rejects_non_square():
 def test_canonicalize_rejects_unknown_name():
     with pytest.raises(UnknownProperty):
         canonicalize(["Triangular"], 5, 5)
-
-
-def test_property_set_constructor_requires_closed():
-    with pytest.raises(ValueError):
-        PropertySet(frozenset({L, U}))  # missing diag
 
 
 def test_infer_transpose():
@@ -129,7 +198,7 @@ def test_render_uses_minimal_generators():
     assert EMPTY_PROPS.render() == "[]"
     assert PropertySet.closure((L, S)).render() == "[diag]"
     assert PropertySet.closure((U, S)).render() == "[diag]"
-    assert DIAG.generators() == (D,)
+    assert DIAG.generators == (D,)
     assert str(LOWER) == "[lowerTri]"
 
 
@@ -177,8 +246,7 @@ def test_inference_soundness_against_brute_force():
 
 
 def test_inference_outputs_are_closed():
-    # PropertySet construction enforces closure, so surviving construction
-    # across the whole cross-product is the check.
+    # Every result is one of the five closed instances.
     sq = (4, 4)
     for a, b in product(CLOSED_PSETS, repeat=2):
         for s in (infer_mul(a, sq, b, sq), infer_add(a, b), infer_transpose(a)):

@@ -1,0 +1,149 @@
+"""Check that two checkouts of momc answer every program the same way.
+
+    python tools/same_output.py OLD_ROOT NEW_ROOT [-n N]
+
+The programs are written once: `tests/gen.py` programs for seeds 0..N-1
+(default 500), one mutant of each (1-3 edits through
+`tests/test_mutations.mutate`, drawn from its `VOCABULARY`), and
+`examples/*.mom`. One child process per root then runs `momc.cli.main`
+in-process over them and prints one sha256 per run, of the exit code, stdout
+and stderr with the program directory replaced by a fixed name.
+
+Every program is dumped with `--emit` = `ir`, `ir-opt`, `loops`, `chain`,
+`ast` and `loops --no-opt`. Generated programs and examples also run with
+`--run --repeats=1`, `--run --mode=specialized` and `--run --no-opt`, the
+examples at `--scale=4`. Mutants are never run, since they may declare huge
+dimensions. The script prints the run count and the exit-code histogram, lists
+each (program, flags) pair whose answers differ, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import contextlib
+import hashlib
+import io
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PLACEHOLDER = "<programs>"
+
+EMITS = [["--emit=ir"], ["--emit=ir-opt"], ["--emit=loops"], ["--emit=chain"],
+         ["--emit=ast"], ["--emit=loops", "--no-opt"]]
+RUNS = [["--run", "--repeats=1"], ["--run", "--repeats=1", "--mode=specialized"],
+        ["--run", "--repeats=1", "--no-opt"]]
+
+
+def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
+    """Write the programs into `directory`; return the (file, flags) runs."""
+    sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "tests")]
+    from gen import random_program
+    from test_mutations import VOCABULARY, mutate
+
+    chars = sorted(set("".join(VOCABULARY)))
+    jobs: list[tuple[str, list[str]]] = []
+
+    def write(name: str, text: str, flag_sets: list[list[str]]) -> None:
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as f:
+            f.write(text)
+        jobs.extend((name, flags) for flags in flag_sets)
+
+    for seed in range(n):
+        text = random_program(random.Random(seed))
+        write(f"gen{seed}.mom", text, EMITS + RUNS)
+        rng = random.Random(10_000 + seed)
+        edits = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                edits.append(("char", rng.choice(["delete", "insert", "replace"]),
+                              rng.randrange(10**6), rng.choice(chars)))
+            else:
+                edits.append(("token",
+                              rng.choice(["delete", "duplicate", "swap", "replace"]),
+                              rng.randrange(10**6), rng.choice(VOCABULARY)))
+        write(f"mut{seed}.mom", mutate(text, edits), EMITS)
+    examples = os.path.join(REPO, "examples")
+    for name in sorted(os.listdir(examples)):
+        if name.endswith(".mom"):
+            with open(os.path.join(examples, name), encoding="utf-8") as f:
+                text = f.read()
+            write(name, text, EMITS + [flags + ["--scale=4"] for flags in RUNS])
+    return jobs
+
+
+def run_child(directory: str, jobs_path: str) -> None:
+    """Print `file<TAB>flags<TAB>exit<TAB>sha256` for each run in `jobs_path`."""
+    import momc
+    from momc.cli import main
+    print(f"momc from {os.path.dirname(momc.__file__)}", file=sys.stderr)
+    with open(jobs_path, encoding="utf-8") as f:
+        jobs = [line.rstrip("\n").split("\t") for line in f]
+    for name, flags in jobs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([os.path.join(directory, name), *flags.split()])
+            except SystemExit as e:
+                code = e.code
+            except Exception as e:  # a crash is an answer to compare, too
+                code = "exception"
+                print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        answer = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+        digest = hashlib.sha256(answer.replace(directory, PLACEHOLDER)
+                                .encode("utf-8", "surrogateescape")).hexdigest()
+        print(f"{name}\t{flags}\t{code}\t{digest}")
+
+
+def read_answers(path: str) -> list[list[str]]:
+    with open(path, encoding="utf-8") as f:
+        return [line.rstrip("\n").split("\t") for line in f]
+
+
+def main() -> int:
+    if sys.argv[1:2] == ["--child"]:
+        run_child(sys.argv[2], sys.argv[3])
+        return 0
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("old_root")
+    p.add_argument("new_root")
+    p.add_argument("-n", type=int, default=500, help="generated programs")
+    args = p.parse_args()
+
+    with tempfile.TemporaryDirectory(prefix="same_output_") as directory:
+        jobs = write_programs(directory, args.n)
+        jobs_path = os.path.join(directory, "jobs.tsv")
+        with open(jobs_path, "w", encoding="utf-8") as f:
+            f.writelines(f"{name}\t{' '.join(flags)}\n" for name, flags in jobs)
+        children = []
+        for side, root in (("old", args.old_root), ("new", args.new_root)):
+            env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
+            with open(os.path.join(directory, f"{side}.tsv"), "w") as out:
+                children.append(subprocess.Popen(
+                    [sys.executable, os.path.abspath(__file__), "--child", directory,
+                     jobs_path], env=env, stdout=out))
+        if any([child.wait() for child in children]):
+            print("a child failed", file=sys.stderr)
+            return 1
+        old, new = (read_answers(os.path.join(directory, f"{side}.tsv"))
+                    for side in ("old", "new"))
+        if not len(old) == len(new) == len(jobs):
+            print("a child answered too few runs", file=sys.stderr)
+            return 1
+
+    diffs = [(a[0], a[1]) for a, b in zip(old, new) if a != b]
+    exits = collections.Counter(a[2] for a in new)
+    print(f"{len(new)} runs per side; exit codes (new): "
+          + ", ".join(f"{code}: {count}" for code, count in sorted(exits.items())))
+    for name, flags in diffs:
+        print(f"differs: {name} {flags}")
+    print(f"{len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
