@@ -106,6 +106,11 @@ class NonFiniteValue(CompileError):
     """A fill or kernel made an entry infinite or NaN at run time."""
 
 
+class BrokenStoredPattern(CompileError):
+    """A buffer holds a nonzero outside its type's stored pattern at a print.
+    The compiler broke a property it put in the type; nothing is printed."""
+
+
 class AllocationError(CompileError):
     """A tensor's buffer could not be allocated at run time."""
 

@@ -13,10 +13,16 @@ and the columns of b stored at that k. Entries outside a stored pattern are
 exactly zero, so both modes add the same nonzero products in the same order
 and give bit-identical results. The count is the number of multiplications
 of stored entries, the loop's count. Specialized mode hands a large product
-to BLAS only when `is_exact_product` proves that no step of it rounds; its
-panels may also multiply structural zeros, and it reports the same count.
-A product of at most SMALL_MAX_MULTS takes one `np.add.accumulate`, which adds
-in the loop's k order (`sum` would not); if it overflows, the loop reruns it.
+to BLAS only when `is_exact_product` proves that no step of it rounds, in
+tiles trimmed to the stored spans; a tile may still multiply some structural
+zeros, and it reports the same count. A product of at most SMALL_MAX_MULTS
+takes one `np.add.accumulate`, which adds in the loop's k order (`sum` would
+not); if it overflows, the loop reruns it.
+
+Specialized mode prints only the stored span of each row and writes the
+structural zeros around it, after checking that they are zero: a nonzero
+there means the compiler broke a property it put in a type, and the run stops
+with `BrokenStoredPattern` rather than print other text.
 
 Kernels run with numpy's overflow and invalid-operation checks raising:
 a value that becomes infinite or NaN stops the run with `NonFiniteValue`.
@@ -24,15 +30,19 @@ a value that becomes infinite or NaN stops the run with `NonFiniteValue`.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import loops
-from .errors import AllocationError, DimMismatch, NonFiniteValue
+from .errors import (AllocationError, BrokenStoredPattern, DimMismatch,
+                     NonFiniteValue)
 from .ir import MatrixType, format_scalar
 from .properties import ElemKind, PropertySet, StoredPattern, stored_pattern
 
@@ -50,7 +60,7 @@ def _row_span(pattern: StoredPattern, k: int, rows: int) -> tuple[int, int]:
     if pattern is StoredPattern.FULL:
         return 0, rows
     if pattern is StoredPattern.LOWER_INCL:
-        return k, rows
+        return min(k, rows), rows
     if pattern is StoredPattern.UPPER_INCL:
         return 0, min(k + 1, rows)
     return min(k, rows), min(k + 1, rows)
@@ -63,7 +73,7 @@ def _col_span(pattern: StoredPattern, k: int, cols: int) -> tuple[int, int]:
     if pattern is StoredPattern.LOWER_INCL:
         return 0, min(k + 1, cols)
     if pattern is StoredPattern.UPPER_INCL:
-        return k, cols
+        return min(k, cols), cols
     return min(k, cols), min(k + 1, cols)
 
 
@@ -85,21 +95,45 @@ def run_fill(buf: np.ndarray, scalar: float, pattern: StoredPattern) -> None:
             buf[r, j0:j1] = scalar
 
 
-def _stored_mults(pa: StoredPattern, pb: StoredPattern,
-                  rows: int, inner: int, cols: int) -> int:
+def _stored_spans(pa: StoredPattern, pb: StoredPattern, rows: int,
+                  inner: int, cols: int) -> tuple[Sequence[int], ...]:
+    """`_row_span(pa, k, rows)` and `_col_span(pb, k, cols)` for every k below
+    inner, as four sequences i0, i1, j0, j1 built from closed forms. No span
+    ends before it starts, and every bound is nondecreasing in k."""
+
+    def span(p: StoredPattern, extent: int,
+             tail: StoredPattern) -> tuple[Sequence[int], Sequence[int]]:
+        # `tail` is the triangle that stores k.. at k, the other one ..k.
+        m = min(inner, extent)
+        upto = [extent] * inner
+        if p is StoredPattern.FULL:
+            return [0] * inner, upto
+        at_k = [*range(m), *upto[m:]]             # min(k, extent)
+        past_k = [*range(1, m + 1), *upto[m:]]    # min(k + 1, extent)
+        if p is tail:
+            return at_k, upto
+        if p is StoredPattern.DIAG_ONLY:
+            return at_k, past_k
+        return [0] * inner, past_k
+
+    return (*span(pa, rows, StoredPattern.LOWER_INCL),
+            *span(pb, cols, StoredPattern.UPPER_INCL))
+
+
+def _stored_mults(spans: tuple[Sequence[int], ...]) -> int:
     """The loop's count: over k, the row span of a times the column span of b."""
-    if pa is StoredPattern.FULL and pb is StoredPattern.FULL:
-        return rows * inner * cols
-    spans = [(_row_span(pa, k, rows), _col_span(pb, k, cols)) for k in range(inner)]
-    return sum(max(i1 - i0, 0) * max(j1 - j0, 0) for (i0, i1), (j0, j1) in spans)
+    i0, i1, j0, j1 = spans
+    return sum(map(operator.mul, map(operator.sub, i1, i0), map(operator.sub, j1, j0)))
 
 
 # Specialized mode tries BLAS on products of at least this many mults. At
 # dims <= 16 BLAS saves nothing and a failed proof adds about 20% to the
 # loop; from 2**18 on, a failed proof costs under 10% of it.
 EXACT_MIN_MULTS = 1 << 18
-# Panels this wide keep the BLAS workspace, and so the peak RSS, small.
-EXACT_PANEL_COLS = 128
+# The exact path multiplies out in tiles this wide and high: small enough to
+# trim a triangle closely and to keep the BLAS workspace, and so the peak
+# RSS, small; large enough for BLAS speed.
+EXACT_TILE = 128
 # Both modes take products of at most this many mults in one shot, at one
 # accumulate call per output entry. On a 2-vCPU x86-64: 16x16x16 f64 in 29 us
 # (loop: 94), 32x2x64 in 63 us (loop: 19); past 2**12 such shapes lose more.
@@ -123,15 +157,42 @@ def is_exact_product(a: np.ndarray, b: np.ndarray) -> bool:
             and _all_integral(a) and _all_integral(b))
 
 
+def _bands(lo: Sequence[int], hi: Sequence[int],
+           extent: int) -> list[tuple[int, int, int]]:
+    """(start, k0, k1) for each band start..start + EXACT_TILE of the indices
+    below extent: the spans [lo[k], hi[k]) that meet the band are those with
+    k0 <= k < k1, since lo and hi are nondecreasing in k."""
+    return [(s, bisect.bisect_right(hi, s), bisect.bisect_left(lo, s + EXACT_TILE))
+            for s in range(0, extent, EXACT_TILE)]
+
+
+def _exact_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                 spans: tuple[Sequence[int], ...]) -> None:
+    """out += a @ b by `np.matmul` on EXACT_TILE x EXACT_TILE tiles of out.
+    A tile takes the range of k whose stored spans reach both its rows and
+    its columns, and only the rows and columns those spans cover; a tile no
+    span reaches is skipped."""
+    t = EXACT_TILE
+    i0, i1, j0, j1 = spans
+    col_bands = _bands(j0, j1, out.shape[1])
+    for r0, kr0, kr1 in _bands(i0, i1, out.shape[0]):
+        for c0, kc0, kc1 in col_bands:
+            k0, k1 = max(kr0, kc0), min(kr1, kc1)
+            if k0 >= k1:
+                continue
+            tr0, tr1 = max(r0, i0[k0]), min(r0 + t, i1[k1 - 1])
+            tc0, tc1 = max(c0, j0[k0]), min(c0 + t, j1[k1 - 1])
+            out[tr0:tr1, tc0:tc1] += np.matmul(a[tr0:tr1, k0:k1], b[k0:k1, tc0:tc1])
+
+
 def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
                props_a: PropertySet, props_b: PropertySet,
                mode: ExecMode) -> int:
     """Accumulate a @ b into the zero-initialized out; return the number of
     multiplications of stored entries, the loop's count. In specialized mode
     a product of at least EXACT_MIN_MULTS that `is_exact_product` proves
-    exact goes to `np.matmul` by column panels, each trimmed to the bounding
-    box of its stored spans; `+=` into out's zeros turns a BLAS -0.0 into
-    +0.0, as the loop does."""
+    exact goes to `np.matmul` by tiles of out (`_exact_tiles`); `+=` into
+    out's zeros turns a BLAS -0.0 into +0.0, as the loop does."""
     (rows, inner), (inner_b, cols) = a.shape, b.shape
     if inner != inner_b:
         raise DimMismatch(f"inner dims disagree, {inner} vs {inner_b}")
@@ -143,19 +204,15 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     else:
         pa = stored_pattern(props_a)
         pb = stored_pattern(props_b)
-    count = _stored_mults(pa, pb, rows, inner, cols)
     if (mode is ExecMode.SPECIALIZED and rows * inner * cols >= EXACT_MIN_MULTS
             and is_exact_product(a, b)):
-        ks, i0, i1, j0, j1 = np.array(
-            [(k, *_row_span(pa, k, rows), *_col_span(pb, k, cols))
-             for k in range(inner)]).T
-        for c0 in range(0, cols, EXACT_PANEL_COLS):
-            c1 = c0 + EXACT_PANEL_COLS
-            hit = (j0 < c1) & (j1 > c0)  # not empty: each column is stored
-            k0, k1 = ks[hit].min(), ks[hit].max() + 1
-            r0, r1 = i0[hit].min(), i1[hit].max()
-            out[r0:r1, c0:c1] += np.matmul(a[r0:r1, k0:k1], b[k0:k1, c0:c1])
-        return count
+        spans = _stored_spans(pa, pb, rows, inner, cols)
+        _exact_tiles(a, b, out, spans)
+        return _stored_mults(spans)
+    if pa is StoredPattern.FULL and pb is StoredPattern.FULL:
+        count = rows * inner * cols
+    else:
+        count = _stored_mults(_stored_spans(pa, pb, rows, inner, cols))
     if rows * inner * cols <= SMALL_MAX_MULTS:
         try:
             p = a[:, :, None] * b[None, :, :]
@@ -198,18 +255,87 @@ def _all_whole(block: np.ndarray) -> bool:
             and bool((np.trunc(block) == block).all()))
 
 
-def format_print(a: np.ndarray) -> str:
+def _raise_outside(block: np.ndarray, r: int, pattern: StoredPattern) -> None:
+    """Raise BrokenStoredPattern naming the first entry of block, rows r.. of
+    a buffer, that lies outside the pattern's column spans and is not zero.
+    A -0.0 is zero here: it prints as 0."""
+    for i, row in enumerate(block, r):
+        j0, j1 = _col_span(pattern, i, len(row))
+        bad = [*np.flatnonzero(row[:j0]).tolist(),
+               *(j1 + np.flatnonzero(row[j1:])).tolist()]
+        if bad:
+            raise BrokenStoredPattern(
+                f"entry ({i}, {bad[0]}) is {format_scalar(row[bad[0]])}, "
+                f"outside the stored pattern {pattern}")
+
+
+def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int) -> list[str]:
+    """format_print's rows of a under a pattern other than FULL, in blocks
+    of `step` rows: each row formats its stored column span, and the zeros
+    around it are slices of prebuilt runs, after a check that they are zero."""
+    rows, cols = a.shape
+    starts = range(0, rows, step)
+    # Block row k is row r + k, so a block's columns r..r + step hold its
+    # stretch of the diagonal. A lower pattern leaves out all that lies
+    # right of it, an upper one all that lies left of it, a diagonal both.
+    left = pattern is not StoredPattern.LOWER_INCL
+    right = pattern is not StoredPattern.UPPER_INCL
+    k, y = np.ogrid[:step, :min(step, cols)]  # at most 2**12 entries
+    band_outside = ((y < k) & left) | ((y > k) & right)
+    for r in starts:
+        block = a[r:r + step]
+        h = len(block)
+        band = block[:, r:r + h]
+        if ((left and block[:, :r].any()) or (right and block[:, r + h:].any())
+                or band.any(where=band_outside[:h, :band.shape[1]])):
+            _raise_outside(block, r, pattern)
+    # Rows go longest span first, lower triangles bottom up: then each row's
+    # temporary strings fit where the previous row's were freed. Top down,
+    # the growing spans left about 0.3 MB more heap behind on a 1000^2 print.
+    backwards = pattern is StoredPattern.LOWER_INCL
+    lines = []
+    whole_span = " ".join(["%d"] * cols)
+    zeros_before, zeros_after = "0 " * cols, " 0" * cols
+    for r in reversed(starts) if backwards else starts:
+        block = a[r:r + step]
+        whole = _all_whole(block)
+        if whole:
+            block = block.astype(np.int64)
+        for i in range(r, r + len(block))[::-1 if backwards else 1]:
+            j0, j1 = _col_span(pattern, i, cols)
+            if j0 >= j1:
+                lines.append(zeros_before[:-1])
+                continue
+            span = block[i - r, j0:j1].tolist()
+            lines.append("".join((
+                zeros_before[:2 * j0],
+                whole_span[:3 * len(span) - 1] % tuple(span) if whole
+                else " ".join(map(format_scalar, span)),
+                zeros_after[:2 * (cols - j1)])))
+    if backwards:
+        lines.reverse()
+    return lines
+
+
+def format_print(a: np.ndarray, pattern: StoredPattern = StoredPattern.FULL) -> str:
     """`RxC elem` header then one row per line, entries space-separated.
 
     Every entry reads byte for byte as `format_scalar` renders it. A block
     of rows whose entries are all whole is formatted through int64 with
     `%d`, which is what `format_scalar` prints for them (`-0.0` included,
     as `0`); any other block goes through `format_scalar` itself.
+
+    Under a pattern other than FULL, each row formats only its stored column
+    span (`_span_lines`). The entries it so skips are checked to be zero
+    first, one block at a time; a nonzero raises BrokenStoredPattern rather
+    than print other text.
     """
     rows, cols = a.shape
     lines = [f"{rows}x{cols} {_ELEMS[a.dtype]}"]
-    whole_row = " ".join(["%d"] * cols)
     step = max(1, _PRINT_BLOCK_ENTRIES // cols)
+    if pattern is not StoredPattern.FULL:
+        return "\n".join(lines + _span_lines(a, pattern, step))
+    whole_row = " ".join(["%d"] * cols)
     for r in range(0, rows, step):
         block = a[r:r + step]
         if _all_whole(block):
@@ -284,7 +410,10 @@ class Executor:
                             continue
                         if isinstance(op, loops.Print):
                             if r == 0:
-                                printed.append(format_print(bufs[op.tensor]))
+                                printed.append(format_print(
+                                    bufs[op.tensor],
+                                    StoredPattern.FULL if mode is ExecMode.DENSE
+                                    else stored_pattern(tensors[op.tensor].props)))
                             continue
                         # The compute ops, timed one by one.
                         t0 = time.perf_counter_ns()
@@ -302,6 +431,9 @@ class Executor:
         except FloatingPointError as e:
             raise NonFiniteValue(
                 f"op {idx} ({loops.format_op(self.lm, op)}): {e}") from None
+        except BrokenStoredPattern as e:
+            raise BrokenStoredPattern(
+                f"op {idx} ({loops.format_op(self.lm, op)}): {e.message}") from None
         report.printed = tuple(printed)
         report.min_ns = min_ns
         report.total_mults = sum(report.mults.values())

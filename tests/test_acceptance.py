@@ -146,7 +146,8 @@ def test_property_inference(capsys):
     assert "= mul %0, %1 : matrix<5x5xf32,[lowerTri]>" in dump
 
 
-@criterion(6, "dense and specialized modes agree bitwise; zeros stay structural")
+@criterion(6, "dense and specialized modes agree bitwise; zeros stay structural "
+              "and symmetric buffers symmetric")
 def test_mode_equivalence_and_zero_soundness():
     rng = random.Random(default_seed() ^ 0xA3)
     for _ in range(100):
@@ -159,11 +160,14 @@ def test_mode_equivalence_and_zero_soundness():
         assert dense_report.printed == spec_report.printed
         for ex in (dense, spec):
             for tid, buf in ex.buffers.items():
-                pat = stored_pattern(lm.tensors[tid].props)
+                props = lm.tensors[tid].props
+                pat = stored_pattern(props)
                 for i in range(buf.shape[0]):
                     for j in range(buf.shape[1]):
                         if not pattern_contains(pat, i, j):
                             assert buf[i, j] == 0
+                if Property.SYMMETRIC in props:
+                    assert (buf == buf.T).all()
         for tid, buf in zip(sorted(dense.buffers), sorted(spec.buffers)):
             assert dense.buffers[tid].tobytes() == spec.buffers[tid].tobytes()
 

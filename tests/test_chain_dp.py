@@ -1,8 +1,7 @@
-"""Chain DP against its naive reference, the interned property table, deep
-trees without recursion, and the DP's pattern lookups per cell."""
+"""Chain DP against its naive reference, deep trees without recursion, and
+the DP's pattern lookups per cell."""
 
 import random
-from itertools import combinations
 
 from momc import chain as chain_mod
 from momc.chain import (
@@ -13,7 +12,7 @@ from momc.chain import (
     tree_cost,
 )
 from momc.ir import MatrixType
-from momc.properties import EMPTY_PROPS, ElemKind, Property, PropertySet
+from momc.properties import EMPTY_PROPS, ElemKind
 
 from chain_reference import reference_parenthesization, tree_props
 from gen import default_seed, random_chain
@@ -30,18 +29,6 @@ def test_dp_tables_match_naive_reference():
         assert sol.props == ref.props
         assert sol.total_cost == ref.total_cost
         assert sol.tree == ref.tree
-
-
-def test_closure_returns_one_instance_per_closed_set():
-    subsets = [s for n in range(len(Property) + 1)
-               for s in combinations(Property, n)]
-    assert len(subsets) == 16
-    closed = [PropertySet.closure(s) for s in subsets]
-    for x in closed:
-        for y in closed:
-            if x == y:
-                assert x is y
-    assert len({id(c) for c in closed}) == 5
 
 
 def test_tree_walks_do_not_recurse():

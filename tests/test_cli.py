@@ -307,6 +307,20 @@ def test_non_finite_value_exits_1_without_output(tmp_path, capsys, recwarn,
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_broken_stored_pattern_exits_1_without_a_traceback(tmp_path, capsys,
+                                                          monkeypatch):
+    """A kernel that writes outside its pattern (here a fill that ignores it)
+    is caught at the print, which names itself; nothing is printed."""
+    monkeypatch.setattr(executor, "run_fill",
+                        lambda buf, scalar, pattern: buf.fill(scalar))
+    prog = tmp_path / "broken.mom"
+    prog.write_text("Matrix U(2, 2) <UpperTriangular> = 5\nprint(U)\n")
+    code, out, err = run_cli(capsys, str(prog), "--run", "--mode=specialized")
+    assert (code, out) == (1, "")
+    assert err == (f"{prog}: error: op 2 (print %0): entry (1, 0) is 5, "
+                   "outside the stored pattern upperIncl\n")
+
+
 # Dims past the int64 range only: numpy rejects the shape before allocating.
 @pytest.mark.parametrize("args", [["--run"], ["--run", "--mode=specialized"],
                                   ["--run", "--no-opt"], ["--bench"]])

@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 
 from momc import executor, loops
-from momc.errors import DimMismatch, NonFiniteValue
+from momc.errors import BrokenStoredPattern, DimMismatch, NonFiniteValue
 from momc.executor import (
     _DTYPES as DTYPES,
     _PRINT_BLOCK_ENTRIES as PRINT_BLOCK,
+    _col_span,
+    _row_span,
+    _stored_spans,
     ExecMode,
     Executor,
     execute,
@@ -205,21 +208,79 @@ def _print_case(rng, rows, cols, elem):
     return b
 
 
+def _inside(pattern, rows, cols):
+    """The stored region of a pattern as a boolean array."""
+    return np.broadcast_to(pattern_contains(pattern, *np.indices((rows, cols))),
+                           (rows, cols))
+
+
+@pytest.mark.parametrize("props", CLOSED_PSETS, ids=str)
 @pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
 @pytest.mark.parametrize("rows,cols", [
     (1, 1),
     (3, 70_000),                                  # one row per block
     (3 * (PRINT_BLOCK // 40) + 17, 40),           # four blocks of many rows
+    (150, 150),                                   # the diagonal crosses blocks
 ])
-def test_format_print_matches_per_entry_reference(elem, rows, cols):
+def test_format_print_matches_per_entry_reference(props, elem, rows, cols):
+    """Under each closed set's pattern, realized on square, wide and tall
+    buffers: zeros (a tenth of them -0.0) outside it, and inside it the row
+    blocks of `_print_case`, whole, mixed and real in turn."""
+    pattern = stored_pattern(props)
     if rows * cols == 1:  # each value alone decides its block's path
         for v in WHOLE_VALUES + OTHER_VALUES + [3.25, 7.0, -12.0]:
             b = buf(1, 1, elem)
             b[0, 0] = v
-            assert format_print(b) == reference_format_print(b), v
+            assert format_print(b, pattern) == reference_format_print(b), v
         return
-    b = _print_case(np.random.default_rng(default_seed()), rows, cols, elem)
-    assert format_print(b) == reference_format_print(b)
+    rng = np.random.default_rng(default_seed())
+    b = _print_case(rng, rows, cols, elem)
+    outside = ~_inside(pattern, rows, cols)
+    b[outside] = 0
+    b[outside & (rng.random((rows, cols)) < 0.1)] = -0.0
+    assert format_print(b, pattern) == reference_format_print(b)
+
+
+@pytest.mark.parametrize("pattern", [StoredPattern.LOWER_INCL,
+                                     StoredPattern.UPPER_INCL,
+                                     StoredPattern.DIAG_ONLY], ids=str)
+@pytest.mark.parametrize("rows,cols", [(9, 9), (11, 4), (4, 11), (1, 20)])
+def test_format_print_rejects_a_nonzero_outside_the_pattern(
+        monkeypatch, pattern, rows, cols):
+    """Blocks of 16 entries: a nonzero, NaN or inf at any entry outside the
+    pattern raises and names that entry; a -0.0 there prints as 0."""
+    monkeypatch.setattr(executor, "_PRINT_BLOCK_ENTRIES", 16)
+    inside = _inside(pattern, rows, cols)
+    b = np.where(inside, 3.0, 0.0)
+    assert format_print(b, pattern) == reference_format_print(b)
+    for i, j in zip(*np.nonzero(~inside)):
+        for v, text in ((1.0, "1"), (np.nan, "nan"), (-np.inf, "-inf")):
+            bad = b.copy()
+            bad[i, j] = v
+            with pytest.raises(BrokenStoredPattern, match=(
+                    rf"^error: entry \({i}, {j}\) is {text}, "
+                    rf"outside the stored pattern {pattern}$")):
+                format_print(bad, pattern)
+        bad = b.copy()
+        bad[i, j] = -0.0
+        assert format_print(bad, pattern) == reference_format_print(b)
+
+
+def test_a_buffer_that_breaks_its_pattern_stops_the_run(monkeypatch):
+    """A fill that ignores its pattern leaves a nonzero above L's diagonal:
+    the specialized run names the print that found it, and prints nothing.
+    Dense mode prints every entry, so it shows the nonzero."""
+    def fill_everything(buf, scalar, pattern):
+        buf.fill(scalar)
+
+    monkeypatch.setattr(executor, "run_fill", fill_everything)
+    lm = lower_text("Matrix L(3, 3) <LowerTriangular> = 2\nprint(L)\n")
+    with pytest.raises(BrokenStoredPattern, match=(
+            r"^error: op 2 \(print %0\): "
+            r"entry \(0, 1\) is 2, outside the stored pattern lowerIncl$")):
+        execute(lm, ExecMode.SPECIALIZED, repeats=1)
+    assert execute(lm, ExecMode.DENSE, repeats=1).printed == (
+        "3x3 f32\n2 2 2\n2 2 2\n2 2 2",)
 
 
 def _random_realization(rng, props, rows, cols, elem):
@@ -263,6 +324,22 @@ def test_matmul_matches_naive_reference_bit_exactly(elem):
             out = buf(m, n, elem)
             run_matmul(a, b, out, pa, pb, mode)
             assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("rows,inner,cols", [(7, 7, 7), (3, 7, 11), (11, 7, 3),
+                                           (1, 1, 1), (4, 0, 4)])
+def test_stored_spans_match_the_loops_spans(rows, inner, cols):
+    """For every pattern pair, on square, wide and tall shapes: the sequences
+    hold the spans the rank-1 loop takes at each k, no span ends before it
+    starts (the count relies on that), and every bound is nondecreasing in
+    k (the exact path's tiles rely on that)."""
+    for pa, pb in product(StoredPattern, repeat=2):
+        spans = _stored_spans(pa, pb, rows, inner, cols)
+        assert list(zip(*spans)) == [
+            (*_row_span(pa, k, rows), *_col_span(pb, k, cols))
+            for k in range(inner)]
+        assert all(i0 <= i1 and j0 <= j1 for i0, i1, j0, j1 in zip(*spans))
+        assert all(x <= y for s in spans for x, y in zip(s, s[1:]))
 
 
 def test_count_fidelity_against_cost_model():
@@ -452,24 +529,43 @@ def test_exact_path_counts_and_bits_match_the_loop(monkeypatch, matmul_calls):
             assert got.tobytes() == loop.tobytes()
 
 
-def test_exact_path_panels_are_trimmed_to_the_stored_spans(
+def test_exact_path_tiles_are_trimmed_to_the_stored_spans(
         monkeypatch, matmul_calls):
-    """30 columns in panels of 8: each panel multiplies only the k range and
-    the rows that the stored spans reaching its columns cover."""
-    monkeypatch.setattr(executor, "EXACT_PANEL_COLS", 8)
+    """30x30 in tiles of 8 (rows 0, 8, 16, 24; the last band 6 wide): each
+    tile multiplies only the k range, rows and columns that the stored spans
+    reaching it cover, and a tile no span reaches makes no call."""
+    monkeypatch.setattr(executor, "EXACT_TILE", 8)
     upper = PropertySet.closure((Property.UPPER_TRIANGULAR,))
     rng = random.Random(default_seed() ^ 0xE3)
+    sq = {8: ((8, 8), (8, 8)), 6: ((6, 6), (6, 6))}
     expected = {
-        # lower b: columns c0.. need k >= c0, and lower a's rows k.. of them
-        (LOWER, LOWER): [((30, 30), (30, 8)), ((22, 22), (22, 8)),
-                         ((14, 14), (14, 8)), ((6, 6), (6, 6))],
-        # upper b: columns ..c1 need k < c1, and upper a's rows ..k of them
-        (upper, upper): [((8, 8), (8, 8)), ((16, 16), (16, 8)),
-                         ((24, 24), (24, 8)), ((30, 30), (30, 6))],
-        (DIAG, LOWER): [((30, 30), (30, 8)), ((22, 22), (22, 8)),
-                        ((14, 14), (14, 8)), ((6, 6), (6, 6))],
-        (LOWER, upper): [((30, 8), (8, 8)), ((30, 16), (16, 8)),
-                         ((30, 24), (24, 8)), ((30, 30), (30, 6))],
+        # (i, j) takes k with j <= k <= i: tiles above the diagonal are skipped
+        (LOWER, LOWER): [
+            sq[8],
+            ((8, 16), (16, 8)), sq[8],
+            ((8, 24), (24, 8)), ((8, 16), (16, 8)), sq[8],
+            ((6, 30), (30, 8)), ((6, 22), (22, 8)), ((6, 14), (14, 8)), sq[6]],
+        # i <= k <= j: tiles below the diagonal are skipped
+        (upper, upper): [
+            sq[8], ((8, 16), (16, 8)), ((8, 24), (24, 8)), ((8, 30), (30, 6)),
+            sq[8], ((8, 16), (16, 8)), ((8, 22), (22, 6)),
+            sq[8], ((8, 14), (14, 6)),
+            sq[6]],
+        # k = i and j <= i: one k per row, columns up to the tile's last row
+        (DIAG, LOWER): [
+            sq[8],
+            sq[8], sq[8],
+            sq[8], sq[8], sq[8],
+            ((6, 6), (6, 8)), ((6, 6), (6, 8)), ((6, 6), (6, 8)), sq[6]],
+        # k <= min(i, j): every tile, k up to the nearer of its edges
+        (LOWER, upper): [
+            sq[8], sq[8], sq[8], ((8, 8), (8, 6)),
+            sq[8], ((8, 16), (16, 8)), ((8, 16), (16, 8)), ((8, 16), (16, 6)),
+            sq[8], ((8, 16), (16, 8)), ((8, 24), (24, 8)), ((8, 24), (24, 6)),
+            ((6, 8), (8, 8)), ((6, 16), (16, 8)), ((6, 24), (24, 8)),
+            ((6, 30), (30, 6))],
+        # the diagonal tiles alone
+        (DIAG, DIAG): [sq[8], sq[8], sq[8], sq[6]],
     }
     for (pa, pb), shapes in expected.items():
         a = _random_realization(rng, pa, 30, 30, ElemKind.F32)
