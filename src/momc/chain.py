@@ -41,12 +41,12 @@ _FULL = StoredPattern.FULL
 _DIAG = StoredPattern.DIAG_ONLY
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChainLeaf:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChainNode:
     left: "ChainTree"
     right: "ChainTree"

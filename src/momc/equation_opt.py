@@ -34,25 +34,25 @@ from .errors import ResolutionError
 from .properties import infer_add, infer_mul, infer_transpose
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Leaf:
     value: ir.ValueId
     type: ir.MatrixType
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MulN:
     children: tuple["SymExpr", ...]
     type: ir.MatrixType
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AddN:
     children: tuple["SymExpr", ...]
     type: ir.MatrixType
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Trans:
     child: "SymExpr"
     type: ir.MatrixType
@@ -94,7 +94,7 @@ def resolve_types(eq: ir.Equation,
             c = node(op.operand)
             t = c.type
             if not t.identity:
-                t = ir.MatrixType(t.cols, t.rows, t.elem, infer_transpose(t.props))
+                t = ir.matrix_type(t.cols, t.rows, t.elem, infer_transpose(t.props))
             nodes[op.result] = c if t.identity and drop_identities else Trans(c, t)
             continue
         assert isinstance(op, (ir.Mul, ir.Add))
@@ -114,7 +114,7 @@ def resolve_types(eq: ir.Equation,
             for t in types[1:]:
                 props = infer_add(props, t.props)
             nodes[op.result] = AddN(tuple(children),
-                                    ir.MatrixType(t0.rows, t0.cols, elem, props))
+                                    ir.matrix_type(t0.rows, t0.cols, elem, props))
             continue
         if drop_identities:
             kept = [c for c in children if not c.type.identity]
@@ -127,7 +127,7 @@ def resolve_types(eq: ir.Equation,
         for t in types[1:]:
             props = infer_mul(props, d, t.props, (t.rows, t.cols))
             d = (d[0], t.cols)
-        nodes[op.result] = MulN(tuple(children), ir.MatrixType(d[0], d[1], elem, props))
+        nodes[op.result] = MulN(tuple(children), ir.matrix_type(*d, elem, props))
     return node(eq.yielded)
 
 
@@ -194,17 +194,17 @@ def optimize_and_rematerialize(module: ir.IRModule,
         if isinstance(e, Trans):
             operand = emit(e.child)
             v = b.new_value(e.type)
-            b.append(ir.Transpose(v, operand))
+            b.ops.append(ir.Transpose(v, operand))
             return v
         if isinstance(e, AddN):
             acc = emit(e.children[0])
             acc_t = e.children[0].type
             for c in e.children[1:]:
                 rhs = emit(c)
-                acc_t = ir.MatrixType(acc_t.rows, acc_t.cols, acc_t.elem,
-                                      infer_add(acc_t.props, c.type.props))
+                acc_t = ir.matrix_type(acc_t.rows, acc_t.cols, acc_t.elem,
+                                       infer_add(acc_t.props, c.type.props))
                 v = b.new_value(acc_t)
-                b.append(ir.Add(v, (acc, rhs)))
+                b.ops.append(ir.Add(v, (acc, rhs)))
                 acc = v
             return acc
         return emit_chain(e)
@@ -232,9 +232,9 @@ def optimize_and_rematerialize(module: ir.IRModule,
                 values.append(emit(e.children[i]))
                 continue
             rhs = values.pop()
-            v = b.new_value(ir.MatrixType(operands[i].rows, operands[j].cols,
-                                          elem, solution.props[i][j]))
-            b.append(ir.Mul(v, (values[-1], rhs)))
+            v = b.new_value(ir.matrix_type(operands[i].rows, operands[j].cols,
+                                           elem, solution.props[i][j]))
+            b.ops.append(ir.Mul(v, (values[-1], rhs)))
             values[-1] = v
         return values[0]
 
@@ -243,9 +243,9 @@ def optimize_and_rematerialize(module: ir.IRModule,
             vmap[op.result] = b.init(module.types[op.result],
                                      module.names.get(op.result))
         elif isinstance(op, ir.Fill):
-            b.append(ir.Fill(op.value, vmap[op.operand]))
+            b.ops.append(ir.Fill(op.value, vmap[op.operand]))
         elif isinstance(op, ir.Print):
-            b.append(ir.Print(vmap[op.operand]))
+            b.ops.append(ir.Print(vmap[op.operand]))
         elif isinstance(op, ir.Equation):
             try:
                 e = resolve_types(op, rematerialized_type,

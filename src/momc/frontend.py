@@ -23,11 +23,15 @@ Surface grammar (documented in full under docs/grammar.md):
 Statements are newline-terminated; `#` starts a comment. Consecutive `*`
 operands collect into one variadic Mul node and `+` into Add; parenthesized
 groups flatten too, so no Mul has a Mul child and no Add has an Add child.
+
+A token is an exact `(kind, text, line, col)` tuple of a `TokenKind` string,
+the text and two ints, so the cyclic GC untracks it at its first collection
+and a long token list does not slow later ones (a NamedTuple would stay
+tracked). AST nodes are slotted dataclasses, faster to build than frozen ones.
 """
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, NoReturn, Union
@@ -55,7 +59,9 @@ class Loc(NamedTuple):
 _NOWHERE = Loc(0, 0)
 
 
-class TokenKind(enum.Enum):
+class TokenKind:
+    """Token kinds, each the `str` a diagnostic names the kind by."""
+
     IDENT = "identifier"
     INT = "integer"
     FLOAT = "number"
@@ -76,21 +82,15 @@ class TokenKind(enum.Enum):
     EOF = "end of input"
 
 
-# The kinds as module names, in definition order: on Python 3.11 `EnumType`
-# defines `__getattr__`, which puts every read of `TokenKind.IDENT` on a slow
-# path (about 0.1 us), and the lexer and parser test a kind on every token.
+_KINDS = [v for k, v in vars(TokenKind).items() if k.isupper()]
+# The kinds as module names, in definition order: a global read is cheaper
+# than a class attribute read, and the parser tests a kind on every token.
 (IDENT, INT, FLOAT, KW_MATRIX, KW_IDENTITY, KW_PRINT, KW_TRANSPOSE, EQUALS,
- LPAREN, RPAREN, LT, GT, COMMA, STAR, PLUS, COLON, NEWLINE, EOF) = TokenKind
+ LPAREN, RPAREN, LT, GT, COMMA, STAR, PLUS, COLON, NEWLINE, EOF) = _KINDS
 
-# Keywords and punctuation by their text, which their kind's value quotes.
-_FIXED = {k.value[1:-1]: k for k in TokenKind if k.value.startswith("'")}
-
-
-class Token(NamedTuple):
-    kind: TokenKind
-    text: str
-    line: int
-    col: int
+# Keywords and punctuation by their text, which their kind quotes.
+_FIXED = {k[1:-1]: k for k in _KINDS if k.startswith("'")}
+Token = tuple[str, str, int, int]  # (kind, text, line, col)
 
 
 # One match per lexeme, blanks before it folded in. The classes are spelled
@@ -123,11 +123,10 @@ def tokenize(text: str) -> list[Token]:
         col = m.start(group) - line_start + 1
         if group == 7:
             raise LexError(line, col, lexeme)
-        tokens.append(Token(_FIXED.get(lexeme, _GROUP_KIND[group]),
-                            lexeme, line, col))
+        tokens.append((_FIXED.get(lexeme, _GROUP_KIND[group]), lexeme, line, col))
         if group == 6:
             line, line_start = line + 1, m.end()
-    tokens.append(Token(EOF, "", line, len(text) - line_start + 1))
+    tokens.append((EOF, "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -136,13 +135,13 @@ def tokenize(text: str) -> list[Token]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ref:
     name: str
     loc: Loc = field(default=_NOWHERE, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Mul:
     operands: tuple["Expr", ...]
 
@@ -151,7 +150,7 @@ class Mul:
         assert not any(isinstance(o, Mul) for o in self.operands)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Add:
     operands: tuple["Expr", ...]
 
@@ -160,12 +159,12 @@ class Add:
         assert not any(isinstance(o, Add) for o in self.operands)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Transpose:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IdentityLit:
     order: int
 
@@ -173,14 +172,14 @@ class IdentityLit:
 Expr = Union[Ref, Mul, Add, Transpose, IdentityLit]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConstBinding:
     name: str
     value: int
     loc: Loc = field(default=_NOWHERE, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MatrixDecl:
     name: str
     rows: int
@@ -191,7 +190,7 @@ class MatrixDecl:
     loc: Loc = field(default=_NOWHERE, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IdentityDecl:
     name: str
     order: int
@@ -202,14 +201,14 @@ class IdentityDecl:
 Decl = Union[MatrixDecl, IdentityDecl]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Assign:
     target: str
     expr: Expr
     loc: Loc = field(default=_NOWHERE, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PrintStmt:
     expr: Expr
     loc: Loc = field(default=_NOWHERE, compare=False)
@@ -218,7 +217,7 @@ class PrintStmt:
 Stmt = Union[Assign, PrintStmt]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ast:
     """A checked program; every dimension is a resolved integer."""
 
@@ -254,12 +253,12 @@ def _error(cls: type[CompileError], message: str, loc: Loc) -> CompileError:
 
 
 class _Parser:
-    """Recursive descent over a token list that ends in EOF; `tok` is the
-    current token, and `advance` never moves past EOF. Each statement is
-    checked against the statements above it as it is read, and its dims
-    are resolved and divided by `scale`; `use` is its location. A name not
-    yet assigned waits in `pending` for the end of input, since an input
-    may be declared below its use.
+    """Recursive descent over `tokenize`'s list (kinds compare by identity),
+    which ends in EOF; `tok` is the current token, and `advance` never
+    moves past EOF. Each statement is checked against the statements above
+    it as it is read, and its dims are resolved and divided by `scale`;
+    `use` is its location. A name not yet assigned waits in `pending` for
+    the end of input, since an input may be declared below its use.
     """
 
     def __init__(self, tokens: list[Token], scale: int) -> None:
@@ -277,36 +276,36 @@ class _Parser:
 
     def advance(self) -> Token:
         tok = self.tok
-        if tok.kind is not EOF:
+        if tok[0] is not EOF:
             self.pos += 1
             self.tok = self.tokens[self.pos]
         return tok
 
-    def expect(self, kind: TokenKind) -> Token:
-        if self.tok.kind is not kind:
-            self.fail((kind.value,), self.tok)
+    def expect(self, kind: str) -> Token:
+        if self.tok[0] is not kind:
+            self.fail((kind,), self.tok)
         return self.advance()
 
     def fail(self, expected: tuple[str, ...], tok: Token) -> NoReturn:
-        found = tok.kind.value if tok.text == "" else repr(tok.text)
-        raise ParseError(tok.line, tok.col, expected, found)
+        kind, text, line, col = tok
+        raise ParseError(line, col, expected, kind if text == "" else repr(text))
 
     def parse_program(self) -> Ast:
         stmts: list[Stmt] = []
         while True:
-            while self.tok.kind is NEWLINE:
+            while self.tok[0] is NEWLINE:
                 self.advance()
             tok = self.tok
-            if tok.kind is EOF:
+            if tok[0] is EOF:
                 break
-            self.use = Loc(tok.line, tok.col)
-            if tok.kind is KW_MATRIX:
+            self.use = Loc(tok[2], tok[3])
+            if tok[0] is KW_MATRIX:
                 self.declare(self.parse_matrix_decl())
-            elif tok.kind is KW_IDENTITY:
+            elif tok[0] is KW_IDENTITY:
                 self.declare(self.parse_identity_decl())
-            elif tok.kind is KW_PRINT:
+            elif tok[0] is KW_PRINT:
                 stmts.append(self.parse_print())
-            elif tok.kind is IDENT:
+            elif tok[0] is IDENT:
                 stmt = self.parse_const_or_assign()
                 if isinstance(stmt, ConstBinding):
                     self.bind(stmt)
@@ -316,9 +315,9 @@ class _Parser:
             else:
                 self.fail(("a statement",), tok)
             # The statement ends at a newline or at the end of input.
-            if self.tok.kind is NEWLINE:
+            if self.tok[0] is NEWLINE:
                 self.advance()
-            elif self.tok.kind is not EOF:
+            elif self.tok[0] is not EOF:
                 self.fail(("newline",), self.tok)
         # A name assigned anywhere is an equation alias, usable only below
         # its assignment; a declared name never assigned is an input.
@@ -373,13 +372,13 @@ class _Parser:
     def parse_dim(self) -> int:
         """A literal or a constant bound above, divided by `scale`."""
         tok = self.advance()
-        if tok.kind is INT:
-            value = int(tok.text)
-        elif tok.kind is IDENT and tok.text in self.consts:
-            value = self.consts[tok.text].value
-        elif tok.kind is IDENT:
+        if tok[0] is INT:
+            value = int(tok[1])
+        elif tok[0] is IDENT and tok[1] in self.consts:
+            value = self.consts[tok[1]].value
+        elif tok[0] is IDENT:
             raise _error(UnboundConstant,
-                         f"constant {tok.text!r} is not bound here", self.use)
+                         f"constant {tok[1]!r} is not bound here", self.use)
         else:
             self.fail(("dimension (integer or constant name)",), tok)
         if value <= 0:
@@ -388,18 +387,18 @@ class _Parser:
         return max(1, value // self.scale)
 
     def parse_elem_suffix(self) -> ElemKind:
-        if self.tok.kind is not COLON:
+        if self.tok[0] is not COLON:
             return ElemKind.F32
         self.advance()
         tok = self.expect(IDENT)
         for kind in ElemKind:
-            if tok.text == kind.value:
+            if tok[1] == kind.value:
                 return kind
-        raise ParseError(tok.line, tok.col, ("'f32'", "'f64'"), repr(tok.text))
+        raise ParseError(tok[2], tok[3], ("'f32'", "'f64'"), repr(tok[1]))
 
     def parse_matrix_decl(self) -> MatrixDecl:
         self.advance()
-        name = self.expect(IDENT).text
+        name = self.expect(IDENT)[1]
         self.expect(LPAREN)
         rows = self.parse_dim()
         self.expect(COMMA)
@@ -407,26 +406,26 @@ class _Parser:
         self.expect(RPAREN)
         self.expect(LT)
         props: list[str] = []
-        if self.tok.kind is IDENT:
-            props.append(self.advance().text)
-            while self.tok.kind is COMMA:
+        if self.tok[0] is IDENT:
+            props.append(self.advance()[1])
+            while self.tok[0] is COMMA:
                 self.advance()
-                props.append(self.expect(IDENT).text)
+                props.append(self.expect(IDENT)[1])
         self.expect(GT)
         elem = self.parse_elem_suffix()
         fill = 1.0
-        if self.tok.kind is EQUALS:
+        if self.tok[0] is EQUALS:
             self.advance()
             tok = self.tok
-            if tok.kind is not INT and tok.kind is not FLOAT:
+            if tok[0] is not INT and tok[0] is not FLOAT:
                 self.fail(("fill value (number)",), tok)
             self.advance()
-            fill = float(tok.text)
+            fill = float(tok[1])
         return MatrixDecl(name, rows, cols, tuple(props), elem, fill, self.use)
 
     def parse_identity_decl(self) -> IdentityDecl:
         self.advance()
-        name = self.expect(IDENT).text
+        name = self.expect(IDENT)[1]
         self.expect(LPAREN)
         order = self.parse_dim()
         self.expect(RPAREN)
@@ -441,55 +440,55 @@ class _Parser:
         return PrintStmt(expr, self.use)
 
     def parse_const_or_assign(self) -> ConstBinding | Assign:
-        name = self.advance().text
+        name = self.advance()[1]
         self.expect(EQUALS)
         # `x = 5` alone on a line binds a constant; anything else is an
         # equation assignment (scalars are not matrix expressions). An INT
         # is not the final EOF, so the token after it exists.
-        if self.tok.kind is INT and self.tokens[self.pos + 1].kind in (
+        if self.tok[0] is INT and self.tokens[self.pos + 1][0] in (
                 NEWLINE, EOF):
-            return ConstBinding(name, int(self.advance().text), self.use)
+            return ConstBinding(name, int(self.advance()[1]), self.use)
         return Assign(name, self.parse_expr(), self.use)
 
     def parse_expr(self) -> Expr:
         first = self.parse_mulexpr()
-        if self.tok.kind is not PLUS:
+        if self.tok[0] is not PLUS:
             return first
         operands = [first]
-        while self.tok.kind is PLUS:
+        while self.tok[0] is PLUS:
             self.advance()
             operands.append(self.parse_mulexpr())
         return flatten(Add, operands)
 
     def parse_mulexpr(self) -> Expr:
         first = self.parse_atom()
-        if self.tok.kind is not STAR:
+        if self.tok[0] is not STAR:
             return first
         operands = [first]
-        while self.tok.kind is STAR:
+        while self.tok[0] is STAR:
             self.advance()
             operands.append(self.parse_atom())
         return flatten(Mul, operands)
 
     def parse_atom(self) -> Expr:
         tok = self.tok
-        if tok.kind is IDENT:
+        if tok[0] is IDENT:
             self.advance()
-            ref = Ref(tok.text, Loc(tok.line, tok.col))
-            if tok.text not in self.assigned:
+            ref = Ref(tok[1], Loc(tok[2], tok[3]))
+            if tok[1] not in self.assigned:
                 self.pending.append(ref)
             return ref
-        if tok.kind is KW_TRANSPOSE:
+        if tok[0] is KW_TRANSPOSE:
             self.advance()
             return Transpose(self.parse_group())
-        if tok.kind is KW_IDENTITY:
+        if tok[0] is KW_IDENTITY:
             self.advance()
             self.expect(LPAREN)
             lit = IdentityLit(self.parse_dim())
             self.expect(RPAREN)
             self.idlits.append(lit)
             return lit
-        if tok.kind is LPAREN:
+        if tok[0] is LPAREN:
             return self.parse_group()
         self.fail(("matrix expression",), tok)
 

@@ -3,7 +3,9 @@
 A module is an ordered list of operations plus a symbol table mapping value
 ids to types. The table is the only place a value's type is kept: ops carry
 none, and the chain solver and loop lowering read the table's `MatrixType`
-objects themselves. An identity is a `MatrixType` with `identity` set.
+objects themselves. An identity is a `MatrixType` with `identity` set. Types
+are frozen and interned by `matrix_type`, since a compile builds thousands but
+few differ; ops are slotted dataclasses, faster to build than frozen ones.
 Equations carry one nested region of variadic compute ops that produce
 placeholder `term` values, and the value they yield; a region may be empty,
 as in `C = A`. After optimization the module contains only binary compute
@@ -63,6 +65,23 @@ class MatrixType:
         return f"matrix<{self.rows}x{self.cols}x{self.elem},{self.props.render()}>"
 
 
+_TYPES: dict[tuple[int, int, ElemKind, PropertySet, bool], MatrixType] = {}
+
+
+def matrix_type(rows: int, cols: int, elem: ElemKind, props: PropertySet,
+                identity: bool = False) -> MatrixType:
+    """The one `MatrixType` with these fields, from a table emptied when
+    full. An invalid type is never stored, so it raises `ValueError` on
+    every call."""
+    key = (rows, cols, elem, props, identity)
+    t = _TYPES.get(key)
+    if t is None:
+        if len(_TYPES) == 4096:
+            _TYPES.clear()
+        t = _TYPES[key] = MatrixType(rows, cols, elem, props, identity)
+    return t
+
+
 @dataclass(frozen=True)
 class TermType:
     def __str__(self) -> str:
@@ -79,36 +98,36 @@ ValueType = Union[MatrixType, TermType]
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Init:
     result: ValueId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Fill:
     value: float
     operand: ValueId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Mul:
     result: ValueId
     operands: tuple[ValueId, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Add:
     result: ValueId
     operands: tuple[ValueId, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Transpose:
     result: ValueId
     operand: ValueId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Equation:
     result: ValueId
     # Compute ops, each after its operands. `yielded` is one of their
@@ -121,7 +140,7 @@ class Equation:
     loc: fe.Loc | None = field(default=None, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Print:
     operand: ValueId
 
@@ -143,9 +162,9 @@ def op_operands(op: IROp) -> tuple[ValueId, ...]:
     return ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IRModule:
-    """Immutable op sequence plus the value-id -> type symbol table."""
+    """Op sequence plus the value-id -> type symbol table."""
 
     ops: tuple[IROp, ...]
     types: dict[ValueId, ValueType]
@@ -177,12 +196,9 @@ class IRBuilder:
             self.names[v] = name
         return v
 
-    def append(self, op: IROp) -> None:
-        self.ops.append(op)
-
     def init(self, t: ValueType, name: str | None = None) -> ValueId:
         v = self.new_value(t, name)
-        self.append(Init(v))
+        self.ops.append(Init(v))
         return v
 
     def module(self) -> IRModule:
@@ -212,20 +228,20 @@ def build_ir(ast: fe.Ast) -> IRModule:
             continue
         if isinstance(d, fe.MatrixDecl):
             props = canonicalize(d.props, d.rows, d.cols)
-            v = b.init(MatrixType(d.rows, d.cols, d.elem, props), d.name)
-            b.append(Fill(d.fill, v))
+            v = b.init(matrix_type(d.rows, d.cols, d.elem, props), d.name)
+            b.ops.append(Fill(d.fill, v))
         else:
-            v = b.init(MatrixType(d.order, d.order, d.elem, DIAGONAL_PROPS,
-                                  identity=True), d.name)
-            b.append(Fill(1.0, v))
+            v = b.init(matrix_type(d.order, d.order, d.elem, DIAGONAL_PROPS,
+                                   identity=True), d.name)
+            b.ops.append(Fill(1.0, v))
         env[d.name] = v
 
     idlits: dict[int, ValueId] = {}
 
     for e in ast.idlits:
-        v = b.init(MatrixType(e.order, e.order, ElemKind.F32, DIAGONAL_PROPS,
-                              identity=True))
-        b.append(Fill(1.0, v))
+        v = b.init(matrix_type(e.order, e.order, ElemKind.F32, DIAGONAL_PROPS,
+                               identity=True))
+        b.ops.append(Fill(1.0, v))
         idlits[id(e)] = v
 
     def build_region(e: fe.Expr, region: list[IROp]) -> ValueId:
@@ -248,7 +264,7 @@ def build_ir(ast: fe.Ast) -> IRModule:
         result = b.new_value(TERM)
         region: list[IROp] = []
         yielded = build_region(s.expr, region)
-        b.append(Equation(result, tuple(region), yielded, declared_dims, s.loc))
+        b.ops.append(Equation(result, tuple(region), yielded, declared_dims, s.loc))
         return result
 
     for s in ast.stmts:
@@ -265,7 +281,7 @@ def build_ir(ast: fe.Ast) -> IRModule:
                 operand = idlits[id(s.expr)]
             else:
                 operand = build_equation(s, None)
-            b.append(Print(operand))
+            b.ops.append(Print(operand))
 
     return b.module()
 

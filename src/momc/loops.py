@@ -21,7 +21,7 @@ from .properties import StoredPattern, stored_pattern
 TensorId = int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Alloc:
     tensor: TensorId
     # The tensor this one is the transposed view of, allocated above; None
@@ -29,28 +29,28 @@ class Alloc:
     source: TensorId | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Fill:
     tensor: TensorId
     value: float
     pattern: StoredPattern
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MatMul:
     a: TensorId
     b: TensorId
     out: TensorId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Add:
     a: TensorId
     b: TensorId
     out: TensorId
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Print:
     tensor: TensorId
 
@@ -58,7 +58,7 @@ class Print:
 LoopOp = Union[Alloc, Fill, MatMul, Add, Print]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LoopModule:
     ops: tuple[LoopOp, ...]
     # The lowered module's symbol table, in which no term is left.

@@ -42,7 +42,7 @@ def tokenize_reference(text: str) -> list[Token]:
     while i < n:
         c = text[i]
         if c == "\n":
-            tokens.append(Token(TokenKind.NEWLINE, "\n", line, col))
+            tokens.append((TokenKind.NEWLINE, "\n", line, col))
             line += 1
             col = 1
             i += 1
@@ -59,8 +59,8 @@ def tokenize_reference(text: str) -> list[Token]:
                 i += 1
                 col += 1
             word = text[start:i]
-            tokens.append(Token(_KEYWORDS.get(word, TokenKind.IDENT),
-                                word, line, startcol))
+            tokens.append((_KEYWORDS.get(word, TokenKind.IDENT), word, line,
+                           startcol))
         elif c in _DIGITS:
             start, startcol = i, col
             while i < n and text[i] in _DIGITS:
@@ -74,12 +74,12 @@ def tokenize_reference(text: str) -> list[Token]:
                 while i < n and text[i] in _DIGITS:
                     i += 1
                     col += 1
-            tokens.append(Token(kind, text[start:i], line, startcol))
+            tokens.append((kind, text[start:i], line, startcol))
         elif c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, line, col))
+            tokens.append((_PUNCT[c], c, line, col))
             i += 1
             col += 1
         else:
             raise LexError(line, col, c)
-    tokens.append(Token(TokenKind.EOF, "", line, col))
+    tokens.append((TokenKind.EOF, "", line, col))
     return tokens

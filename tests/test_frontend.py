@@ -53,8 +53,8 @@ print(C)
 
 
 def kinds(text):
-    return [(t.kind, t.text) for t in tokenize(text)
-            if t.kind not in (TokenKind.NEWLINE, TokenKind.EOF)]
+    return [(kind, text) for kind, text, _, _ in tokenize(text)
+            if kind not in (TokenKind.NEWLINE, TokenKind.EOF)]
 
 
 def test_tokenize_const_binding():
@@ -81,9 +81,9 @@ def test_tokenize_rejects_foreign_characters():
 
 def test_tokenize_tracks_lines_and_comments():
     toks = tokenize("# header\nn = 5  # five\n")
-    meaningful = [t for t in toks
-                  if t.kind not in (TokenKind.NEWLINE, TokenKind.EOF)]
-    assert all(t.line == 2 for t in meaningful)
+    meaningful = [line for kind, _, line, _ in toks
+                  if kind not in (TokenKind.NEWLINE, TokenKind.EOF)]
+    assert meaningful and all(line == 2 for line in meaningful)
 
 
 @pytest.mark.parametrize("end", ["", "\n", "  # five\n"])

@@ -1,10 +1,11 @@
 """IR construction, verification, and the textual printer."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
-from momc import ir
+from momc import ir, loops
 from momc.equation_opt import optimize_and_rematerialize
 from momc.errors import ResolutionError
 from momc.frontend import Loc, parse_source
@@ -228,6 +229,22 @@ def test_type_rendering():
 def test_matrix_type_rejects_structured_rectangles():
     with pytest.raises(ValueError):
         ir.MatrixType(4, 5, ElemKind.F32, LOWER)
+    for _ in range(2):  # an invalid type is never interned
+        with pytest.raises(ValueError, match="must be square"):
+            ir.matrix_type(4, 5, ElemKind.F32, LOWER)
+
+
+def test_matrix_types_are_frozen_and_shared_within_a_module():
+    m = build("Matrix A(3, 4) <>\nMatrix B(3, 4) <>\nprint(A + B)\n")
+    assert m.types[0] == m.types[1] and m.types[0] is m.types[1]
+    with pytest.raises(FrozenInstanceError):
+        m.types[0].rows = 5
+
+
+def test_node_equality_compares_the_class():
+    assert ir.Init(3) != loops.Alloc(3)
+    assert ir.Mul(2, (0, 1)) != ir.Add(2, (0, 1))
+    assert ir.Mul(2, (0, 1)) == ir.Mul(2, (0, 1))
 
 
 def test_matrix_type_rejects_non_positive_dims():

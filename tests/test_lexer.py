@@ -2,6 +2,7 @@
 (`lex_reference.py`): the same (kind, text, line, col) tokens, or the same
 `LexError` text, on every input."""
 
+import gc
 import os
 import random
 
@@ -24,7 +25,7 @@ PIECES = (list("AZaz_09=()<>,*+:#.\n \t\r\f\v") +
 
 def lexed(lex, text):
     try:
-        return [tuple(t) for t in lex(text)]
+        return lex(text)
     except LexError as e:
         return str(e)
 
@@ -33,6 +34,16 @@ def lexed(lex, text):
 @settings(max_examples=1500, deadline=None)
 def test_tokenize_matches_reference(text):
     assert lexed(tokenize, text) == lexed(tokenize_reference, text)
+
+
+def test_tokens_are_plain_tuples_the_collector_untracks():
+    with open(os.path.join(EXAMPLES, "listing1.mom"), encoding="utf-8") as f:
+        tokens = tokenize(f.read())
+    gc.collect()
+    for tok in tokens:
+        assert type(tok) is tuple
+        assert [type(x) for x in tok] == [str, str, int, int]
+        assert not gc.is_tracked(tok)
 
 
 def test_tokenize_matches_reference_on_examples_and_programs():
