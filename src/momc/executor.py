@@ -6,6 +6,9 @@ buffer. Kernels write in place, so a view always reads its source's current
 values. Ops run in program order, so the first op to fail is the one
 reported, be it an allocation or a kernel.
 
+`_spans` is the one description of a pattern's stored region: each row's
+column span. Triangle fills, the loop, the count, the tiles and prints read it.
+
 The matmul kernel is a rank-1 update loop over the contraction index k in
 ascending order, accumulating in the operand precision. Dense mode updates
 the full (i, j) rectangle for every k; specialized mode only the rows of a
@@ -35,7 +38,6 @@ import enum
 import math
 import operator
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,26 +57,21 @@ class ExecMode(enum.Enum):
     SPECIALIZED = "specialized"
 
 
-def _row_span(pattern: StoredPattern, k: int, rows: int) -> tuple[int, int]:
-    """Rows i with (i, k) stored in the left operand."""
-    if pattern is StoredPattern.FULL:
-        return 0, rows
-    if pattern is StoredPattern.LOWER_INCL:
-        return min(k, rows), rows
-    if pattern is StoredPattern.UPPER_INCL:
-        return 0, min(k + 1, rows)
-    return min(k, rows), min(k + 1, rows)
-
-
-def _col_span(pattern: StoredPattern, k: int, cols: int) -> tuple[int, int]:
-    """Columns j with (k, j) stored in the right operand."""
-    if pattern is StoredPattern.FULL:
-        return 0, cols
-    if pattern is StoredPattern.LOWER_INCL:
-        return 0, min(k + 1, cols)
-    if pattern is StoredPattern.UPPER_INCL:
-        return min(k, cols), cols
-    return min(k, cols), min(k + 1, cols)
+def _spans(p: StoredPattern, n: int, extent: int) -> tuple[list[int], list[int]]:
+    """lo, hi: for each row i < n of a pattern-p matrix with `extent`
+    columns, columns lo[i]..hi[i] are the row's stored span. No span ends
+    before it starts, and both bounds are nondecreasing in i."""
+    m = min(n, extent)
+    upto = [extent] * n
+    if p is StoredPattern.FULL:
+        return [0] * n, upto
+    at_i = [*range(m), *upto[m:]]             # min(i, extent)
+    past_i = [*range(1, m + 1), *upto[m:]]    # min(i + 1, extent)
+    if p is StoredPattern.UPPER_INCL:
+        return at_i, upto
+    if p is StoredPattern.DIAG_ONLY:
+        return at_i, past_i
+    return [0] * n, past_i
 
 
 def run_fill(buf: np.ndarray, scalar: float, pattern: StoredPattern) -> None:
@@ -90,37 +87,22 @@ def run_fill(buf: np.ndarray, scalar: float, pattern: StoredPattern) -> None:
         np.fill_diagonal(buf, scalar)
     else:  # a triangle: one row span at a time
         buf.fill(0)
-        for r in range(buf.shape[0]):
-            j0, j1 = _col_span(pattern, r, buf.shape[1])
+        for r, (j0, j1) in enumerate(zip(*_spans(pattern, *buf.shape))):
             buf[r, j0:j1] = scalar
 
 
+_TRANSPOSED = {StoredPattern.LOWER_INCL: StoredPattern.UPPER_INCL,
+               StoredPattern.UPPER_INCL: StoredPattern.LOWER_INCL}
+
+
 def _stored_spans(pa: StoredPattern, pb: StoredPattern, rows: int,
-                  inner: int, cols: int) -> tuple[Sequence[int], ...]:
-    """`_row_span(pa, k, rows)` and `_col_span(pb, k, cols)` for every k below
-    inner, as four sequences i0, i1, j0, j1 built from closed forms. No span
-    ends before it starts, and every bound is nondecreasing in k."""
-
-    def span(p: StoredPattern, extent: int,
-             tail: StoredPattern) -> tuple[Sequence[int], Sequence[int]]:
-        # `tail` is the triangle that stores k.. at k, the other one ..k.
-        m = min(inner, extent)
-        upto = [extent] * inner
-        if p is StoredPattern.FULL:
-            return [0] * inner, upto
-        at_k = [*range(m), *upto[m:]]             # min(k, extent)
-        past_k = [*range(1, m + 1), *upto[m:]]    # min(k + 1, extent)
-        if p is tail:
-            return at_k, upto
-        if p is StoredPattern.DIAG_ONLY:
-            return at_k, past_k
-        return [0] * inner, past_k
-
-    return (*span(pa, rows, StoredPattern.LOWER_INCL),
-            *span(pb, cols, StoredPattern.UPPER_INCL))
+                  inner: int, cols: int) -> tuple[list[int], ...]:
+    """i0, i1, j0, j1: at each k below inner, a stores rows i0[k]..i1[k] of
+    column k, row k of its transpose, and b columns j0[k]..j1[k] of row k."""
+    return (*_spans(_TRANSPOSED.get(pa, pa), inner, rows), *_spans(pb, inner, cols))
 
 
-def _stored_mults(spans: tuple[Sequence[int], ...]) -> int:
+def _stored_mults(spans: tuple[list[int], ...]) -> int:
     """The loop's count: over k, the row span of a times the column span of b."""
     i0, i1, j0, j1 = spans
     return sum(map(operator.mul, map(operator.sub, i1, i0), map(operator.sub, j1, j0)))
@@ -157,7 +139,7 @@ def is_exact_product(a: np.ndarray, b: np.ndarray) -> bool:
             and _all_integral(a) and _all_integral(b))
 
 
-def _bands(lo: Sequence[int], hi: Sequence[int],
+def _bands(lo: list[int], hi: list[int],
            extent: int) -> list[tuple[int, int, int]]:
     """(start, k0, k1) for each band start..start + EXACT_TILE of the indices
     below extent: the spans [lo[k], hi[k]) that meet the band are those with
@@ -167,7 +149,7 @@ def _bands(lo: Sequence[int], hi: Sequence[int],
 
 
 def _exact_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                 spans: tuple[Sequence[int], ...]) -> None:
+                 spans: tuple[list[int], ...]) -> None:
     """out += a @ b by `np.matmul` on EXACT_TILE x EXACT_TILE tiles of out.
     A tile takes the range of k whose stored spans reach both its rows and
     its columns, and only the rows and columns those spans cover; a tile no
@@ -204,27 +186,25 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     else:
         pa = stored_pattern(props_a)
         pb = stored_pattern(props_b)
-    if (mode is ExecMode.SPECIALIZED and rows * inner * cols >= EXACT_MIN_MULTS
-            and is_exact_product(a, b)):
-        spans = _stored_spans(pa, pb, rows, inner, cols)
-        _exact_tiles(a, b, out, spans)
-        return _stored_mults(spans)
-    if pa is StoredPattern.FULL and pb is StoredPattern.FULL:
-        count = rows * inner * cols
-    else:
-        count = _stored_mults(_stored_spans(pa, pb, rows, inner, cols))
     if rows * inner * cols <= SMALL_MAX_MULTS:
+        # FULL x FULL builds no spans: they slowed dense runs' many small products.
+        count = (rows * inner * cols
+                 if pa is StoredPattern.FULL and pb is StoredPattern.FULL
+                 else _stored_mults(_stored_spans(pa, pb, rows, inner, cols)))
         try:
             p = a[:, :, None] * b[None, :, :]
             out += np.add.accumulate(p, axis=1, out=p)[:, -1]
             return count
         except FloatingPointError:
             pass  # out is untouched; the loop raises with its own message
-    for k in range(inner):
-        i0, i1 = _row_span(pa, k, rows)
-        j0, j1 = _col_span(pb, k, cols)
-        out[i0:i1, j0:j1] += a[i0:i1, k, None] * b[None, k, j0:j1]
-    return count
+    spans = _stored_spans(pa, pb, rows, inner, cols)
+    if (mode is ExecMode.SPECIALIZED and rows * inner * cols >= EXACT_MIN_MULTS
+            and is_exact_product(a, b)):
+        _exact_tiles(a, b, out, spans)
+    else:
+        for k, (i0, i1, j0, j1) in enumerate(zip(*spans)):
+            out[i0:i1, j0:j1] += a[i0:i1, k, None] * b[None, k, j0:j1]
+    return _stored_mults(spans)
 
 
 def run_transpose(a: np.ndarray) -> np.ndarray:
@@ -255,12 +235,11 @@ def _all_whole(block: np.ndarray) -> bool:
             and bool((np.trunc(block) == block).all()))
 
 
-def _raise_outside(block: np.ndarray, r: int, pattern: StoredPattern) -> None:
-    """Raise BrokenStoredPattern naming the first entry of block, rows r.. of
-    a buffer, that lies outside the pattern's column spans and is not zero.
-    A -0.0 is zero here: it prints as 0."""
-    for i, row in enumerate(block, r):
-        j0, j1 = _col_span(pattern, i, len(row))
+def _raise_outside(a: np.ndarray, pattern: StoredPattern) -> None:
+    """Raise BrokenStoredPattern naming the first entry of a that lies
+    outside the pattern's column spans and is not zero. A -0.0 is zero
+    here: it prints as 0."""
+    for i, (row, j0, j1) in enumerate(zip(a, *_spans(pattern, *a.shape))):
         bad = [*np.flatnonzero(row[:j0]).tolist(),
                *(j1 + np.flatnonzero(row[j1:])).tolist()]
         if bad:
@@ -288,7 +267,7 @@ def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int) -> list[str]:
         band = block[:, r:r + h]
         if ((left and block[:, :r].any()) or (right and block[:, r + h:].any())
                 or band.any(where=band_outside[:h, :band.shape[1]])):
-            _raise_outside(block, r, pattern)
+            _raise_outside(a, pattern)
     # Rows go longest span first, lower triangles bottom up: then each row's
     # temporary strings fit where the previous row's were freed. Top down,
     # the growing spans left about 0.3 MB more heap behind on a 1000^2 print.
@@ -296,13 +275,14 @@ def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int) -> list[str]:
     lines = []
     whole_span = " ".join(["%d"] * cols)
     zeros_before, zeros_after = "0 " * cols, " 0" * cols
+    lo, hi = _spans(pattern, rows, cols)
     for r in reversed(starts) if backwards else starts:
         block = a[r:r + step]
         whole = _all_whole(block)
         if whole:
             block = block.astype(np.int64)
         for i in range(r, r + len(block))[::-1 if backwards else 1]:
-            j0, j1 = _col_span(pattern, i, cols)
+            j0, j1 = lo[i], hi[i]
             if j0 >= j1:
                 lines.append(zeros_before[:-1])
                 continue

@@ -17,8 +17,6 @@ from momc.errors import BrokenStoredPattern, DimMismatch, NonFiniteValue
 from momc.executor import (
     _DTYPES as DTYPES,
     _PRINT_BLOCK_ENTRIES as PRINT_BLOCK,
-    _col_span,
-    _row_span,
     _stored_spans,
     ExecMode,
     Executor,
@@ -328,16 +326,20 @@ def test_matmul_matches_naive_reference_bit_exactly(elem):
 
 @pytest.mark.parametrize("rows,inner,cols", [(7, 7, 7), (3, 7, 11), (11, 7, 3),
                                            (1, 1, 1), (4, 0, 4)])
-def test_stored_spans_match_the_loops_spans(rows, inner, cols):
-    """For every pattern pair, on square, wide and tall shapes: the sequences
-    hold the spans the rank-1 loop takes at each k, no span ends before it
-    starts (the count relies on that), and every bound is nondecreasing in
-    k (the exact path's tiles rely on that)."""
+def test_stored_spans_hold_exactly_the_stored_entries(rows, inner, cols):
+    """For every pattern pair, on square, wide and tall shapes: at each k the
+    spans hold exactly the rows of a that store column k and the columns of
+    b that store row k, no span ends before it starts (the count relies on
+    that), and every bound is nondecreasing in k (the exact path's tiles rely
+    on that)."""
     for pa, pb in product(StoredPattern, repeat=2):
         spans = _stored_spans(pa, pb, rows, inner, cols)
-        assert list(zip(*spans)) == [
-            (*_row_span(pa, k, rows), *_col_span(pb, k, cols))
-            for k in range(inner)]
+        assert [len(s) for s in spans] == [inner] * 4
+        for k, (i0, i1, j0, j1) in enumerate(zip(*spans)):
+            assert [*range(i0, i1)] == [
+                i for i in range(rows) if pattern_contains(pa, i, k)]
+            assert [*range(j0, j1)] == [
+                j for j in range(cols) if pattern_contains(pb, k, j)]
         assert all(i0 <= i1 and j0 <= j1 for i0, i1, j0, j1 in zip(*spans))
         assert all(x <= y for s in spans for x, y in zip(s, s[1:]))
 

@@ -4,15 +4,17 @@
 
 The programs are written once: `tests/gen.py` programs for seeds 0..N-1
 (default 500), one mutant of each (1-3 edits through
-`tests/test_mutations.mutate`, drawn from its `VOCABULARY`), and
-`examples/*.mom`. One child process per root then runs `momc.cli.main`
-in-process over them and prints one sha256 per run, of the exit code, stdout
-and stderr with the program directory replaced by a fixed name.
+`tests/test_mutations.mutate`, drawn from its `VOCABULARY`), `examples/*.mom`
+and `big600.mom` (`BIG_PROGRAM`). One child process per root then runs
+`momc.cli.main` in-process over them and prints one sha256 per run, of the
+exit code, stdout and stderr with the program directory replaced by a fixed
+name.
 
 Every program is dumped with `--emit` = `ir`, `ir-opt`, `loops`, `chain`,
 `ast` and `loops --no-opt`. Generated programs and examples also run with
 `--run --repeats=1`, `--run --mode=specialized` and `--run --no-opt`, the
-examples at `--scale=4`. Mutants are never run, since they may declare huge
+examples at `--scale=4`; `big600.mom` runs at full size in dense and
+specialized mode only. Mutants are never run, since they may declare huge
 dimensions. The script prints the run count and the exit-code histogram, lists
 each (program, flags) pair whose answers differ, and exits 1 on any difference.
 """
@@ -37,6 +39,25 @@ EMITS = [["--emit=ir"], ["--emit=ir-opt"], ["--emit=loops"], ["--emit=chain"],
          ["--emit=ast"], ["--emit=loops", "--no-opt"]]
 RUNS = [["--run", "--repeats=1"], ["--run", "--repeats=1", "--mode=specialized"],
         ["--run", "--repeats=1", "--no-opt"]]
+
+# Generated programs and scaled examples stay below the exact BLAS path's
+# EXACT_MIN_MULTS and print in one row block. Here five 600^3 products of
+# whole numbers go through the exact tiles in specialized mode, `H * H` (not
+# whole) through the rank-1 loop, and every print spans 100 row blocks.
+BIG_PROGRAM = """\
+n = 600
+Matrix L(n, n) <LowerTriangular> : f64 = 2
+Matrix U(n, n) <UpperTriangular> : f64 = 3
+Matrix D(n, n) <Diagonal> : f64 = 5
+Matrix H(n, n) <LowerTriangular> : f64 = 0.5
+Matrix F(n, 300) <> : f64 = 1
+print(L * L)
+print(U * U)
+print(L * U)
+print(D * L)
+print(transpose(L) * F)
+print(H * H)
+"""
 
 
 def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
@@ -73,6 +94,7 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
             with open(os.path.join(examples, name), encoding="utf-8") as f:
                 text = f.read()
             write(name, text, EMITS + [flags + ["--scale=4"] for flags in RUNS])
+    write("big600.mom", BIG_PROGRAM, RUNS[:2])
     return jobs
 
 
