@@ -22,6 +22,16 @@ zeros, and it reports the same count. A product of at most SMALL_MAX_MULTS
 takes one `np.add.accumulate`, which adds in the loop's k order (`sum` would
 not); if it overflows, the loop reruns it.
 
+A product of at least EXACT_MIN_MULTS runs in row bands of out at once, one
+per CPU the process may run on (`_CPUS`, read once) and at least EXACT_TILE
+rows each: the loop gives each band the whole k loop over its rows, and the
+exact path deals its EXACT_TILE-row bands of tiles round-robin. The calling
+thread runs the first band and joins the others, plain threads that run in a
+copy of its context, so `np.errstate` holds in them too. Each entry is still
+summed by one thread in ascending k, so the bits and the count do not
+change. If a band overflows, out is zeroed and the loop reruns as one band
+in the calling thread, which raises the sequential loop's own error.
+
 Specialized mode prints only the stored span of each row and writes the
 structural zeros around it, after checking that they are zero: a nonzero
 there means the compiler broke a property it put in a type, and the run stops
@@ -34,11 +44,15 @@ a value that becomes infinite or NaN stops the run with `NonFiniteValue`.
 from __future__ import annotations
 
 import bisect
+import contextvars
 import enum
 import math
 import operator
+import os
+import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -120,6 +134,12 @@ EXACT_TILE = 128
 # accumulate call per output entry. On a 2-vCPU x86-64: 16x16x16 f64 in 29 us
 # (loop: 94), 32x2x64 in 63 us (loop: 19); past 2**12 such shapes lose more.
 SMALL_MAX_MULTS = 1 << 12
+# The CPUs this process may run on: a product of at least EXACT_MIN_MULTS
+# runs in at most this many row bands of out at once. More bands than CPUs
+# lose: on 2 vCPUs the 800x1100x100 f32 loop took 80 ms in 1 band, 58 in 2,
+# 70 in 3, 109 in 4 and 177 in 6 (medians of 9).
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
 
 
 def _all_integral(x: np.ndarray) -> bool:
@@ -148,23 +168,84 @@ def _bands(lo: list[int], hi: list[int],
             for s in range(0, extent, EXACT_TILE)]
 
 
+def _in_bands(band: Callable[[int], None], n: int) -> None:
+    """Run band(0) .. band(n - 1) at once: band 0 in the calling thread, each
+    other in a thread of its own, in a copy of the caller's context (numpy
+    keeps `np.errstate` in a context variable, so a worker raises where the
+    caller would). All threads are joined before this returns or raises; a
+    worker's exception is raised here after the joins."""
+    errors: list[BaseException] = []
+
+    def worker(w: int) -> None:
+        try:
+            band(w)
+        except BaseException as e:  # raised again in the calling thread
+            errors.append(e)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(worker, w)) for w in range(1, n)]
+    for t in threads:
+        t.start()
+    try:
+        band(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
+def _rank1_loop(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                spans: tuple[list[int], ...], n: int) -> None:
+    """out += a @ b one k at a time in ascending order, in n bands of out's
+    rows at once (`_in_bands`): a band runs the whole k loop over its rows.
+    Each product goes to the same entries of `tmp` first, so no k allocates.
+    If a band overflows, out is zeroed and the loop reruns as one band in
+    the calling thread, which raises the sequential loop's own error."""
+    tmp = np.empty_like(out)
+    edges = [len(out) * w // n for w in range(n + 1)]
+
+    def band(w: int) -> None:
+        r0, r1 = edges[w], edges[w + 1]
+        for k, (i0, i1, j0, j1) in enumerate(zip(*spans)):
+            i0, i1 = max(i0, r0), min(i1, r1)
+            o, p = out[i0:i1, j0:j1], tmp[i0:i1, j0:j1]
+            np.multiply(a[i0:i1, k, None], b[None, k, j0:j1], out=p)
+            np.add(o, p, out=o)
+
+    try:
+        _in_bands(band, n)
+    except FloatingPointError:
+        if n == 1:
+            raise
+        out.fill(0)
+        _rank1_loop(a, b, out, spans, 1)
+
+
 def _exact_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                 spans: tuple[list[int], ...]) -> None:
+                 spans: tuple[list[int], ...], n: int) -> None:
     """out += a @ b by `np.matmul` on EXACT_TILE x EXACT_TILE tiles of out.
     A tile takes the range of k whose stored spans reach both its rows and
     its columns, and only the rows and columns those spans cover; a tile no
-    span reaches is skipped."""
+    span reaches is skipped. The EXACT_TILE-row bands of tiles are dealt
+    round-robin to n workers (`_in_bands`)."""
     t = EXACT_TILE
     i0, i1, j0, j1 = spans
+    row_bands = _bands(i0, i1, out.shape[0])
     col_bands = _bands(j0, j1, out.shape[1])
-    for r0, kr0, kr1 in _bands(i0, i1, out.shape[0]):
-        for c0, kc0, kc1 in col_bands:
-            k0, k1 = max(kr0, kc0), min(kr1, kc1)
-            if k0 >= k1:
-                continue
-            tr0, tr1 = max(r0, i0[k0]), min(r0 + t, i1[k1 - 1])
-            tc0, tc1 = max(c0, j0[k0]), min(c0 + t, j1[k1 - 1])
-            out[tr0:tr1, tc0:tc1] += np.matmul(a[tr0:tr1, k0:k1], b[k0:k1, tc0:tc1])
+
+    def band(w: int) -> None:
+        for r0, kr0, kr1 in row_bands[w::n]:
+            for c0, kc0, kc1 in col_bands:
+                k0, k1 = max(kr0, kc0), min(kr1, kc1)
+                if k0 >= k1:
+                    continue
+                tr0, tr1 = max(r0, i0[k0]), min(r0 + t, i1[k1 - 1])
+                tc0, tc1 = max(c0, j0[k0]), min(c0 + t, j1[k1 - 1])
+                out[tr0:tr1, tc0:tc1] += np.matmul(a[tr0:tr1, k0:k1],
+                                                   b[k0:k1, tc0:tc1])
+
+    _in_bands(band, n)
 
 
 def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
@@ -174,7 +255,9 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     multiplications of stored entries, the loop's count. In specialized mode
     a product of at least EXACT_MIN_MULTS that `is_exact_product` proves
     exact goes to `np.matmul` by tiles of out (`_exact_tiles`); `+=` into
-    out's zeros turns a BLAS -0.0 into +0.0, as the loop does."""
+    out's zeros turns a BLAS -0.0 into +0.0, as the loop does. A product of
+    at least EXACT_MIN_MULTS runs in min(_CPUS, rows // EXACT_TILE) bands of
+    rows at once, so every band has at least EXACT_TILE rows."""
     (rows, inner), (inner_b, cols) = a.shape, b.shape
     if inner != inner_b:
         raise DimMismatch(f"inner dims disagree, {inner} vs {inner_b}")
@@ -198,12 +281,12 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
         except FloatingPointError:
             pass  # out is untouched; the loop raises with its own message
     spans = _stored_spans(pa, pb, rows, inner, cols)
-    if (mode is ExecMode.SPECIALIZED and rows * inner * cols >= EXACT_MIN_MULTS
-            and is_exact_product(a, b)):
-        _exact_tiles(a, b, out, spans)
+    large = rows * inner * cols >= EXACT_MIN_MULTS
+    n = max(1, min(_CPUS, rows // EXACT_TILE)) if large else 1
+    if mode is ExecMode.SPECIALIZED and large and is_exact_product(a, b):
+        _exact_tiles(a, b, out, spans, n)
     else:
-        for k, (i0, i1, j0, j1) in enumerate(zip(*spans)):
-            out[i0:i1, j0:j1] += a[i0:i1, k, None] * b[None, k, j0:j1]
+        _rank1_loop(a, b, out, spans, n)
     return _stored_mults(spans)
 
 

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import threading
+import warnings
 
 import pytest
 
@@ -305,6 +307,43 @@ def test_non_finite_value_exits_1_without_output(tmp_path, capsys, recwarn,
     assert (code, out) == (1, "")
     assert err == f"{prog}: {message}\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("mode", ["dense", "specialized"])
+@pytest.mark.parametrize("fills,message", [
+    (("1" + "0" * 20,) * 2, "overflow encountered in multiply"),  # products 1e40
+    # Each product is 1e37, and the sums pass the f32 range.
+    (("1" + "0" * 19, "1" + "0" * 18), "overflow encountered in add"),
+])
+def test_overflow_in_row_bands_exits_1_with_the_loops_message(
+        tmp_path, capsys, monkeypatch, mode, fills, message):
+    """A 300^3 f32 product runs in 2 row bands of the loop. When it
+    overflows, the CLI reports the sequential loop's message, prints nothing
+    and warns nothing; a failed run and a good one leave no thread behind."""
+    monkeypatch.setattr(executor, "_CPUS", 2)
+    bands = []
+    real = executor._in_bands
+    monkeypatch.setattr(executor, "_in_bands",
+                        lambda band, n: bands.append(n) or real(band, n))
+    text = "n = 300\nMatrix A(n, n) <> = {}\nMatrix B(n, n) <> = {}\nprint(A * B)\n"
+    bad, good = tmp_path / "bad.mom", tmp_path / "good.mom"
+    bad.write_text(text.format(*fills))
+    good.write_text(text.format(0.1, 0.3))
+    threads = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, str(bad), "--run", "--repeats=1",
+                                 f"--mode={mode}")
+        assert (code, out) == (1, "")
+        assert err == (f"{bad}: error: op 5 (matmul %0[], %1[] -> %2[] : "
+                       f"300x300xf32): {message}\n")
+        assert threading.active_count() == threads
+        assert bands == [2, 1]
+        code, out, _ = run_cli(capsys, str(good), "--run", "--repeats=1",
+                               f"--mode={mode}")
+        assert code == 0 and out.startswith("300x300 f32\n")
+        assert threading.active_count() == threads
+        assert bands == [2, 1, 2]
 
 
 def test_broken_stored_pattern_exits_1_without_a_traceback(tmp_path, capsys,

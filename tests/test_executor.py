@@ -7,6 +7,9 @@ multiplication counts equal the chain cost model exactly.
 """
 
 import random
+import sys
+import threading
+import warnings
 from itertools import product
 
 import numpy as np
@@ -574,7 +577,8 @@ def test_exact_path_tiles_are_trimmed_to_the_stored_spans(
         b = _random_realization(rng, pb, 30, 30, ElemKind.F32)
         del matmul_calls[:]
         (loop, n_loop), (got, n_got) = _matmul_both_ways(monkeypatch, a, b, pa, pb)
-        assert matmul_calls == shapes
+        # Bands of tiles run on several threads: the calls, not their order.
+        assert sorted(matmul_calls) == sorted(shapes)
         assert got.tobytes() == loop.tobytes() and n_got == n_loop
 
 
@@ -667,6 +671,111 @@ def test_generated_programs_bit_identical_through_the_small_path(
                 assert on.buffers[tid].tobytes() == off.buffers[tid].tobytes()
             assert on_report.mults == off_report.mults
     assert len(accumulate_calls) > 300
+
+
+# --------------------------------------------------------------------------
+# Row bands of large products on worker threads
+# --------------------------------------------------------------------------
+
+@pytest.fixture
+def band_counts(monkeypatch):
+    """Lists n of every `_in_bands(band, n)` call."""
+    calls = []
+    real = executor._in_bands
+
+    def spy(band, n):
+        calls.append(n)
+        return real(band, n)
+
+    monkeypatch.setattr(executor, "_in_bands", spy)
+    return calls
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads trade the interpreter lock every 10 us instead of every 5 ms,
+    so that bands sharing rows would interleave their updates."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def _operand(rng, props, rows, cols, dtype, integral):
+    """Entries in the pattern random, +0.0 outside it: integers in [-8, 8],
+    or reals of magnitude 10**-3 to 10**3, whose sums depend on their order."""
+    if integral:
+        x = rng.integers(-8, 8, (rows, cols), endpoint=True).astype(float)
+    else:
+        x = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-3, 3, (rows, cols))
+    inside = pattern_contains(stored_pattern(props), *np.ogrid[:rows, :cols])
+    x[~np.broadcast_to(inside, x.shape)] = 0.0
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("tile,shapes", [
+    # As shipped; 601 is a multiple of neither EXACT_TILE nor 2 or 3 bands.
+    (executor.EXACT_TILE, [(601, 7, 64), (601, 601, 2)]),
+    # Square operands of at least EXACT_MIN_MULTS (65^3), quick in tiles of 16.
+    (16, [(65, 65, 65)]),
+])
+def test_row_bands_give_one_bands_bytes_and_count(
+        monkeypatch, band_counts, matmul_calls, fast_switching, tile, shapes):
+    """Products of at least EXACT_MIN_MULTS under every pair of closed
+    property sets that fits, f32 and f64, reals and integers, both modes:
+    in 2 and 3 row bands, the loop and the exact tiles give the bytes and
+    the count of one band."""
+    monkeypatch.setattr(executor, "EXACT_TILE", tile)
+    monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
+    rng = np.random.default_rng(default_seed() ^ 0xB1)
+    for (rows, inner, cols), dtype, integral in product(
+            shapes, (np.float32, np.float64), (False, True)):
+        assert rows * inner * cols >= executor.EXACT_MIN_MULTS
+        pairs = product(CLOSED_PSETS if rows == inner else [EMPTY_PROPS],
+                        CLOSED_PSETS if inner == cols else [EMPTY_PROPS])
+        for (pa, pb), mode in product(pairs, ExecMode):
+            a = _operand(rng, pa, rows, inner, dtype, integral)
+            b = _operand(rng, pb, inner, cols, dtype, integral)
+            del band_counts[:], matmul_calls[:]
+            results = []
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(executor, "_CPUS", cpus)
+                out = np.zeros((rows, cols), dtype)
+                with np.errstate(over="raise", invalid="raise"):
+                    count = run_matmul(a, b, out, pa, pb, mode)
+                results.append((out.tobytes(), count))
+            assert band_counts == [1, 2, 3]
+            assert bool(matmul_calls) is (integral and mode is ExecMode.SPECIALIZED)
+            assert results[0] == results[1] == results[2], (
+                rows, inner, cols, pa, pb, dtype, integral, mode)
+
+
+def test_an_overflow_in_a_band_raises_the_sequential_loops_error(
+        monkeypatch, band_counts):
+    """In 2 bands of 150 rows, rows 150.. overflow in the add at k = 3, and
+    rows ..149 either not at all or only in the multiply at k = 200. Band 0
+    alone then names the multiply, the sequential loop the add: the banded
+    product reruns as one band and raises the add, with no warning, and
+    leaves no thread behind."""
+    monkeypatch.setattr(executor, "_CPUS", 2)
+    monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
+    band_1_only = np.zeros((300, 300), np.float32)
+    band_1_only[150:] = 1e19
+    both = band_1_only.copy()
+    both[:150, 200] = 1e20
+    b = np.full((300, 300), 1e19, np.float32)
+    threads = threading.active_count()
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
+            run_matmul(both[:150], b, buf(150, 300), EMPTY_PROPS, EMPTY_PROPS,
+                       ExecMode.DENSE)
+        for a, mode in product((band_1_only, both), ExecMode):
+            del band_counts[:]
+            with pytest.raises(FloatingPointError, match="^overflow encountered in add$"):
+                run_matmul(a, b, buf(300, 300), EMPTY_PROPS, EMPTY_PROPS, mode)
+            assert band_counts == [2, 1]
+            assert threading.active_count() == threads
 
 
 def test_structured_chain_count_equals_dp_prediction():

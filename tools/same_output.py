@@ -4,19 +4,20 @@
 
 The programs are written once: `tests/gen.py` programs for seeds 0..N-1
 (default 500), one mutant of each (1-3 edits through
-`tests/test_mutations.mutate`, drawn from its `VOCABULARY`), `examples/*.mom`
-and `big600.mom` (`BIG_PROGRAM`). One child process per root then runs
-`momc.cli.main` in-process over them and prints one sha256 per run, of the
-exit code, stdout and stderr with the program directory replaced by a fixed
-name.
+`tests/test_mutations.mutate`, drawn from its `VOCABULARY`), `examples/*.mom`,
+`big600.mom` (`BIG_PROGRAM`) and `overflow300.mom` (`OVERFLOW_PROGRAM`). One
+child process per root then runs `momc.cli.main` in-process over them and
+prints one sha256 per run, of the exit code, stdout and stderr with the
+program directory replaced by a fixed name.
 
 Every program is dumped with `--emit` = `ir`, `ir-opt`, `loops`, `chain`,
 `ast` and `loops --no-opt`. Generated programs and examples also run with
 `--run --repeats=1`, `--run --mode=specialized` and `--run --no-opt`, the
-examples at `--scale=4`; `big600.mom` runs at full size in dense and
-specialized mode only. Mutants are never run, since they may declare huge
-dimensions. The script prints the run count and the exit-code histogram, lists
-each (program, flags) pair whose answers differ, and exits 1 on any difference.
+examples at `--scale=4`; `big600.mom` and `overflow300.mom` run at full size
+in dense and specialized mode only. Mutants are never run, since they may
+declare huge dimensions. The script prints the run count and the exit-code
+histogram, lists each (program, flags) pair whose answers differ or, for
+`overflow300.mom`, do not exit 1, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -43,20 +44,36 @@ RUNS = [["--run", "--repeats=1"], ["--run", "--repeats=1", "--mode=specialized"]
 # Generated programs and scaled examples stay below the exact BLAS path's
 # EXACT_MIN_MULTS and print in one row block. Here five 600^3 products of
 # whole numbers go through the exact tiles in specialized mode, `H * H` (not
-# whole) through the rank-1 loop, and every print spans 100 row blocks.
+# whole) through the rank-1 loop, and every print spans 100 row blocks. All
+# of them run in row bands on as many threads as there are CPUs; `G * G` and
+# `G * F2` (f32, not whole) in bands of the loop whose edges are not
+# multiples of 128.
 BIG_PROGRAM = """\
 n = 600
+m = 601
 Matrix L(n, n) <LowerTriangular> : f64 = 2
 Matrix U(n, n) <UpperTriangular> : f64 = 3
 Matrix D(n, n) <Diagonal> : f64 = 5
 Matrix H(n, n) <LowerTriangular> : f64 = 0.5
 Matrix F(n, 300) <> : f64 = 1
+Matrix G(m, m) <LowerTriangular> : f32 = 0.1
+Matrix F2(m, 300) <> : f32 = 0.3
 print(L * L)
 print(U * U)
 print(L * U)
 print(D * L)
 print(transpose(L) * F)
 print(H * H)
+print(G * G)
+print(G * F2)
+"""
+# A 300^3 f32 product whose products overflow while its row bands run on
+# threads: the run must stop with the loop's error and exit 1.
+OVERFLOW_PROGRAM = """\
+n = 300
+Matrix A(n, n) <> = 100000000000000000000
+Matrix B(n, n) <> = 100000000000000000000
+print(A * B)
 """
 
 
@@ -95,6 +112,7 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
                 text = f.read()
             write(name, text, EMITS + [flags + ["--scale=4"] for flags in RUNS])
     write("big600.mom", BIG_PROGRAM, RUNS[:2])
+    write("overflow300.mom", OVERFLOW_PROGRAM, RUNS[:2])
     return jobs
 
 
@@ -157,7 +175,8 @@ def main() -> int:
             print("a child answered too few runs", file=sys.stderr)
             return 1
 
-    diffs = [(a[0], a[1]) for a, b in zip(old, new) if a != b]
+    diffs = [(a[0], a[1]) for a, b in zip(old, new)
+             if a != b or (a[0] == "overflow300.mom" and a[2] != "1")]
     exits = collections.Counter(a[2] for a in new)
     print(f"{len(new)} runs per side; exit codes (new): "
           + ", ".join(f"{code}: {count}" for code, count in sorted(exits.items())))
