@@ -8,13 +8,20 @@ that touch stored entries only:
 
 For unstructured operands this is the familiar m*k*n; triangular and diagonal
 operands pay only for their stored region. `pattern_cost` is its one closed
-form, and all costs are exact integers.
+form, and all costs are exact integers. It rests on one count rule: a full
+left operand's m rows each meet every stored entry of the right operand
+once, so the product costs m times the right operand's stored-entry count
+(`_stored_count`); a full right operand costs the left's count times n, and
+a diagonal operand the other's count. Only two triangular operands need a
+formula of their own.
 
-DP cell (i, j) holds the subchain product's cost, split and properties (its
-dims are `chain[i].rows` x `chain[j].cols`), so structure propagates into
-later cost decisions, and the optimizer types each emitted product from its
-cell. A cell's stored pattern is looked up once, when the cell is filled, so
-the split scan does integer arithmetic only.
+DP cell (i, j) holds the subchain product's cost, split, properties, stored
+pattern and stored-entry count (its dims are `chain[i].rows` x
+`chain[j].cols`), so structure propagates into later cost decisions, and the
+optimizer types each emitted product from its cell. A cell's pattern and
+count are computed once, when the cell is filled, so a split with a full
+operand is priced inline by one multiplication, and `pattern_cost` is called
+only for splits of two structured operands.
 
 A tree is walked by looping over `postorder`, which yields each node with
 the span i..j of operands under it, that is its DP cell. `tree_cost`,
@@ -55,31 +62,33 @@ class ChainNode:
 ChainTree = Union[ChainLeaf, ChainNode]
 
 
+def _stored_count(rows: int, cols: int, pattern: StoredPattern) -> int:
+    """Entries a rows x cols operand stores; a structured one is square."""
+    if pattern is _FULL:
+        return rows * cols
+    if pattern is _DIAG:
+        return rows
+    return rows * (rows + 1) // 2  # triangular
+
+
 def pattern_cost(m: int, k: int, n: int,
                  pa: StoredPattern, pb: StoredPattern) -> int:
     """Scalar multiplications of an (m x k) by (k x n) product, in closed form.
 
-    Structured patterns only occur on square operands (enforced by the type
-    system), so the triangular/diagonal cases reduce to formulas in the shared
-    inner dimension k.
+    A full left operand, a full right one or a diagonal one multiplies the
+    other's stored entries m times, n times or once (the module's count
+    rule). Structured patterns only occur
+    on square operands (enforced by the type system), so two triangular
+    operands reduce to formulas in the shared inner dimension k.
     """
     if pa is _FULL:
-        if pb is _FULL:
-            return m * k * n
-        if pb is _DIAG:
-            return m * k
-        return m * k * (k + 1) // 2  # triangular right
-    if pa is _DIAG:
-        if pb is _FULL:
-            return k * n
-        if pb is _DIAG:
-            return k
-        return k * (k + 1) // 2  # triangular right
-    # triangular left
+        return m * _stored_count(k, n, pb)
     if pb is _FULL:
-        return k * (k + 1) // 2 * n
+        return _stored_count(m, k, pa) * n
+    if pa is _DIAG:
+        return _stored_count(k, k, pb)
     if pb is _DIAG:
-        return k * (k + 1) // 2
+        return _stored_count(k, k, pa)
     if pa is pb:
         return k * (k + 1) * (k + 2) // 6
     return k * k + k * (k - 1) * (2 * k - 1) // 6
@@ -167,7 +176,11 @@ def optimal_parenthesization(chain: Sequence[MatrixType]) -> ChainSolution:
     """O(k^3) interval DP with per-cell property propagation.
 
     Subchain properties fold left, which is safe because property inference
-    is associative for square same-size operands. Cost ties break toward the
+    is associative for square same-size operands. Each cell also keeps its
+    product's stored pattern and stored-entry count, so a split whose left
+    operand is full costs m times the right cell's count, one whose right
+    operand is full the left cell's count times n, and only a split of two
+    structured operands calls `pattern_cost`. Cost ties break toward the
     smallest split index so dumps are deterministic.
     """
     _check_chain(chain)
@@ -177,10 +190,12 @@ def optimal_parenthesization(chain: Sequence[MatrixType]) -> ChainSolution:
     split: list[list[int | None]] = [[None] * k for _ in range(k)]
     props: list[list[PropertySet | None]] = [[None] * k for _ in range(k)]
     pattern: list[list[StoredPattern | None]] = [[None] * k for _ in range(k)]
+    size: list[list[int | None]] = [[None] * k for _ in range(k)]
     for i, op in enumerate(chain):
         cost[i][i] = 0
         props[i][i] = op.props
-        pattern[i][i] = stored_pattern(op.props)
+        pattern[i][i] = pat = stored_pattern(op.props)
+        size[i][i] = _stored_count(op.rows, op.cols, pat)
     for length in range(2, k + 1):
         for i in range(0, k - length + 1):
             j = i + length - 1
@@ -188,12 +203,20 @@ def optimal_parenthesization(chain: Sequence[MatrixType]) -> ChainSolution:
             p = infer_mul(props[i][j - 1], (m, dims[j]),  # type: ignore[arg-type]
                           props[j][j], (dims[j], n))  # type: ignore[arg-type]
             props[i][j] = p
-            pattern[i][j] = stored_pattern(p)
-            cost_i, pattern_i = cost[i], pattern[i]
+            pattern[i][j] = pat = stored_pattern(p)
+            size[i][j] = _stored_count(m, n, pat)
+            cost_i, pattern_i, size_i = cost[i], pattern[i], size[i]
             best, best_s = math.inf, i
             for s in range(i, j):
-                q = cost_i[s] + cost[s + 1][j] + pattern_cost(  # type: ignore[operator]
-                    m, dims[s + 1], n, pattern_i[s], pattern[s + 1][j])  # type: ignore[arg-type]
+                r = s + 1
+                if pattern_i[s] is _FULL:
+                    q = m * size[r][j]  # type: ignore[operator]
+                elif pattern[r][j] is _FULL:
+                    q = size_i[s] * n  # type: ignore[operator]
+                else:
+                    q = pattern_cost(m, dims[r], n,  # type: ignore[arg-type]
+                                     pattern_i[s], pattern[r][j])  # type: ignore[arg-type]
+                q += cost_i[s] + cost[r][j]  # type: ignore[operator]
                 if q < best:
                     best, best_s = q, s
             cost[i][j] = best  # type: ignore[assignment]  # j > i: a split was taken

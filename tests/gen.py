@@ -173,3 +173,22 @@ def random_chain(rng: random.Random, min_len: int = 2, max_len: int = 8,
             props = rng.choice(CLOSED_PSETS)
         chain.append(MatrixType(r, c, ElemKind.F64, props))
     return chain
+
+
+def run_chain(rng: random.Random, k: int,
+              dims: tuple[int, ...] = (1, 2, 3, 4, 8, 16)) -> list[MatrixType]:
+    """k operands shaped like perfbench's chain-dp chains: square runs of 2-6
+    operands with random property sets between rectangular steps to another
+    dim. A dim of 1 gives 1x1 operands and steps through a vector."""
+    cur = rng.choice(dims)
+    chain: list[MatrixType] = []
+    while len(chain) < k:
+        if rng.random() < 0.6:
+            for _ in range(min(k - len(chain), rng.randint(2, 6))):
+                chain.append(MatrixType(cur, cur, ElemKind.F64,
+                                        rng.choice(CLOSED_PSETS)))
+        else:
+            nxt = rng.choice([d for d in dims if d != cur])
+            chain.append(MatrixType(cur, nxt, ElemKind.F64, CLOSED_PSETS[0]))
+            cur = nxt
+    return chain

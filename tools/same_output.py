@@ -5,19 +5,22 @@
 The programs are written once: `tests/gen.py` programs for seeds 0..N-1
 (default 500), one mutant of each (1-3 edits through
 `tests/test_mutations.mutate`, drawn from its `VOCABULARY`), `examples/*.mom`,
-`big600.mom` (`BIG_PROGRAM`) and `overflow300.mom` (`OVERFLOW_PROGRAM`). One
-child process per root then runs `momc.cli.main` in-process over them and
-prints one sha256 per run, of the exit code, stdout and stderr with the
-program directory replaced by a fixed name.
+`big600.mom` (`BIG_PROGRAM`), `overflow300.mom` (`OVERFLOW_PROGRAM`) and
+`chain60.mom` (`chain_program`). One child process per root then runs
+`momc.cli.main` in-process over them and prints one sha256 per run, of the
+exit code, stdout and stderr with the program directory replaced by a fixed
+name.
 
 Every program is dumped with `--emit` = `ir`, `ir-opt`, `loops`, `chain`,
 `ast` and `loops --no-opt`. Generated programs and examples also run with
 `--run --repeats=1`, `--run --mode=specialized` and `--run --no-opt`, the
 examples at `--scale=4`; `big600.mom` and `overflow300.mom` run at full size
-in dense and specialized mode only. Mutants are never run, since they may
-declare huge dimensions. The script prints the run count and the exit-code
-histogram, lists each (program, flags) pair whose answers differ or, for
-`overflow300.mom`, do not exit 1, and exits 1 if there is any.
+in dense and specialized mode only, and `chain60.mom` is dumped with
+`--emit` = `chain`, `ir-opt` and `loops` and run in those two modes. Mutants
+are never run, since they may declare huge dimensions. The script prints the
+run count and the exit-code histogram, lists each (program, flags) pair whose
+answers differ or, for `overflow300.mom`, do not exit 1, and exits 1 if there
+is any.
 """
 
 from __future__ import annotations
@@ -77,6 +80,42 @@ print(A * B)
 """
 
 
+def chain_program(k: int) -> str:
+    """`R = X1 * ... * Xk` in f64 over a `gen.run_chain` chain with dims 2-16
+    (square runs of lower, upper, diagonal, symmetric and unstructured
+    operands between rectangular steps), so `--emit=chain` dumps a long
+    chain's DP tables. A tenth of the operands are written as
+    `transpose(...)` and a tenth as sums. Fills are 1/cols (diagonals 1/2)
+    and a sum halves them, so no row sums to more than 1 and the product
+    stays finite. A fixed seed makes the text the same on every run."""
+    from gen import CLOSED_PSETS, CLOSED_SETS, run_chain
+    from momc.properties import PropertySet, infer_transpose
+
+    lines: list[str] = []
+
+    def declare(rows: int, cols: int, props: PropertySet, fill: float) -> str:
+        name = f"X{len(lines) + 1}"
+        names = ", ".join(CLOSED_SETS[CLOSED_PSETS.index(props)])
+        lines.append(f"Matrix {name}({rows}, {cols}) <{names}> : f64 = {fill}")
+        return name
+
+    rng = random.Random(60)
+    operands: list[str] = []
+    for op in run_chain(rng, k, dims=(2, 4, 8, 16)):
+        fill = 0.5 if op.props is CLOSED_PSETS[-1] else 1 / op.cols
+        spelling = rng.random()
+        if spelling < 0.1:
+            name = declare(op.cols, op.rows, infer_transpose(op.props), fill)
+            operands.append(f"transpose({name})")
+        elif spelling < 0.2:
+            other = rng.choice(CLOSED_PSETS) if op.rows == op.cols else op.props
+            operands.append(f"({declare(op.rows, op.cols, op.props, fill / 2)} + "
+                            f"{declare(op.rows, op.cols, other, fill / 2)})")
+        else:
+            operands.append(declare(op.rows, op.cols, op.props, fill))
+    return "\n".join(lines + ["R = " + " * ".join(operands), "print(R)", ""])
+
+
 def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     """Write the programs into `directory`; return the (file, flags) runs."""
     sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "tests")]
@@ -113,6 +152,8 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
             write(name, text, EMITS + [flags + ["--scale=4"] for flags in RUNS])
     write("big600.mom", BIG_PROGRAM, RUNS[:2])
     write("overflow300.mom", OVERFLOW_PROGRAM, RUNS[:2])
+    write("chain60.mom", chain_program(60),
+          [["--emit=chain"], ["--emit=ir-opt"], ["--emit=loops"]] + RUNS[:2])
     return jobs
 
 
