@@ -23,17 +23,18 @@ count are computed once, when the cell is filled, so a split with a full
 operand is priced inline by one multiplication, and `pattern_cost` is called
 only for splits of two structured operands.
 
-A tree is walked by looping over `postorder`, which yields each node with
-the span i..j of operands under it, that is its DP cell. `tree_cost`,
-`tree_string`, `_build` and the optimizer's emission of products are loops,
-so chain length is not bounded by Python's recursion limit.
+A tree is the tuple of its nodes' operand spans (i, j), that is their DP
+cells, children before parents and left before right; a leaf is (i, i). A
+walk is one loop over it with a stack of subtree results, so `tree_cost`,
+`tree_string`, `_build` and the optimizer's emission of products are not
+bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence
 
 from .errors import DimMismatch
 from .ir import MatrixType
@@ -48,18 +49,9 @@ _FULL = StoredPattern.FULL
 _DIAG = StoredPattern.DIAG_ONLY
 
 
-@dataclass(slots=True)
-class ChainLeaf:
-    index: int
-
-
-@dataclass(slots=True)
-class ChainNode:
-    left: "ChainTree"
-    right: "ChainTree"
-
-
-ChainTree = Union[ChainLeaf, ChainNode]
+# Node spans in postorder: an inner node (i, j) follows its children's
+# spans (i, s) and (s+1, j).
+ChainTree = tuple[tuple[int, int], ...]
 
 
 def _stored_count(rows: int, cols: int, pattern: StoredPattern) -> int:
@@ -94,33 +86,14 @@ def pattern_cost(m: int, k: int, n: int,
     return k * k + k * (k - 1) * (2 * k - 1) // 6
 
 
-def postorder(tree: ChainTree) -> Iterator[tuple[ChainTree, int, int]]:
-    """Every node with the span i..j of operand indices under it, children
-    before parents and left before right. A node's left child spans i..s and
-    its right child s+1..j, like the DP's (i, split, j) cells."""
-    stack: list[tuple[ChainTree, bool]] = [(tree, False)]
-    spans: list[tuple[int, int]] = []
-    while stack:
-        node, children_done = stack.pop()
-        if isinstance(node, ChainLeaf):
-            spans.append((node.index, node.index))
-        elif children_done:
-            j = spans.pop()[1]
-            spans[-1] = (spans[-1][0], j)
-        else:
-            stack += ((node, True), (node.right, False), (node.left, False))
-            continue
-        yield node, *spans[-1]
-
-
 def tree_cost(tree: ChainTree, chain: Sequence[MatrixType]) -> int:
     """Recompute the scalar-multiplication cost of a parenthesization tree in
     one post-order pass; each node's properties, pattern and product cost are
     computed once."""
     # Per subtree: its product's column count, properties, pattern and cost.
     done: list[tuple[int, PropertySet, StoredPattern, int]] = []
-    for node, i, j in postorder(tree):
-        if isinstance(node, ChainLeaf):
+    for i, j in tree:
+        if i == j:
             p = chain[i].props
             done.append((chain[i].cols, p, stored_pattern(p), 0))
         else:
@@ -136,8 +109,8 @@ def tree_cost(tree: ChainTree, chain: Sequence[MatrixType]) -> int:
 def tree_string(tree: ChainTree, names: list[str] | tuple[str, ...]) -> str:
     """Bracketed rendering, e.g. `(A1*(A2*(A3*A4)))`."""
     done: list[str] = []
-    for node, i, _ in postorder(tree):
-        if isinstance(node, ChainLeaf):
+    for i, j in tree:
+        if i == j:
             done.append(names[i])
         else:
             right = done.pop()
@@ -147,15 +120,14 @@ def tree_string(tree: ChainTree, names: list[str] | tuple[str, ...]) -> str:
 
 def left_fold_tree(length: int) -> ChainTree:
     """The source-order parenthesization ((A1*A2)*A3)*..."""
-    tree: ChainTree = ChainLeaf(0)
-    for i in range(1, length):
-        tree = ChainNode(tree, ChainLeaf(i))
-    return tree
+    return ((0, 0),) + tuple(span for j in range(1, length)
+                             for span in ((j, j), (0, j)))
 
 
 @dataclass
 class ChainSolution:
-    """DP tables plus the chosen tree. Cells are None below the diagonal."""
+    """DP tables plus the chosen tree, as the spans of its nodes in
+    postorder. Cells are None below the diagonal."""
 
     cost: list[list[int | None]]            # m[i][j], exact integers
     split: list[list[int | None]]           # s[i][j]
@@ -230,16 +202,13 @@ def optimal_parenthesization(chain: Sequence[MatrixType]) -> ChainSolution:
 def _build(split: list[list[int | None]], k: int) -> ChainTree:
     """The tree a split table chooses for the whole chain, built iteratively."""
     stack: list[tuple[int, int, bool]] = [(0, k - 1, False)]
-    done: list[ChainTree] = []
+    tree: list[tuple[int, int]] = []
     while stack:
         i, j, children_done = stack.pop()
-        if i == j:
-            done.append(ChainLeaf(i))
-        elif children_done:
-            right = done.pop()
-            done.append(ChainNode(done.pop(), right))
+        if i == j or children_done:
+            tree.append((i, j))
         else:
             s = split[i][j]
             assert s is not None
             stack += ((i, j, True), (s + 1, j, False), (i, s, False))
-    return done[0]
+    return tuple(tree)

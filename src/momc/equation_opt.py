@@ -22,12 +22,10 @@ from typing import Callable, Union
 
 from . import ir
 from .chain import (
-    ChainLeaf,
     ChainSolution,
     ChainTree,
     left_fold_tree,
     optimal_parenthesization,
-    postorder,
     tree_cost,
 )
 from .errors import ResolutionError
@@ -227,8 +225,8 @@ def optimize_and_rematerialize(module: ir.IRModule,
         # Each product's properties are the DP cell of the subchain it spans.
         elem = operands[0].elem
         values: list[ir.ValueId] = []
-        for node, i, j in postorder(tree):
-            if isinstance(node, ChainLeaf):
+        for i, j in tree:
+            if i == j:
                 values.append(emit(e.children[i]))
                 continue
             rhs = values.pop()
@@ -266,4 +264,5 @@ def optimize_and_rematerialize(module: ir.IRModule,
             raise ResolutionError(
                 f"cannot optimize a module containing {type(op).__name__}")
 
+    del emit, emit_chain  # the closures refer to each other: break the cycle
     return OptResult(b.module(), chains)

@@ -19,15 +19,12 @@ class CompileError(Exception):
         # The input's name; the CLI sets it, the library knows no file names.
         self.origin: str | None = None
 
-    def at(self, line: int | None, col: int | None,
-           origin: str | None = None) -> "CompileError":
+    def at(self, line: int | None, col: int | None) -> "CompileError":
         """Attach a source location in place (used when the raise site has none)."""
         if self.line is None:
             self.line = line
         if self.col is None:
             self.col = col
-        if self.origin is None:
-            self.origin = origin
         return self
 
     def __str__(self) -> str:

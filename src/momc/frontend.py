@@ -247,6 +247,10 @@ def flatten(cls: type[Mul] | type[Add], operands: Iterable[Expr]) -> Expr:
 # few times per level, so this keeps them well inside Python's recursion limit.
 MAX_NESTING = 100
 
+# Most operands in one flattened product. The chain DP takes O(k^3) time and
+# O(k^2) memory in the operand count k, so this bounds one product's compile.
+MAX_CHAIN_OPERANDS = 256
+
 
 def _error(cls: type[CompileError], message: str, loc: Loc) -> CompileError:
     return cls(message, line=loc.line, col=loc.col)
@@ -461,14 +465,21 @@ class _Parser:
         return flatten(Add, operands)
 
     def parse_mulexpr(self) -> Expr:
+        """`atom ("*" atom)*` as one flattened Mul of at most
+        MAX_CHAIN_OPERANDS operands."""
         first = self.parse_atom()
         if self.tok[0] is not STAR:
             return first
-        operands = [first]
+        operands = list(first.operands) if isinstance(first, Mul) else [first]
         while self.tok[0] is STAR:
             self.advance()
-            operands.append(self.parse_atom())
-        return flatten(Mul, operands)
+            tok = self.tok
+            o = self.parse_atom()
+            operands.extend(o.operands) if isinstance(o, Mul) else operands.append(o)
+            if len(operands) > MAX_CHAIN_OPERANDS:
+                self.fail((f"at most {MAX_CHAIN_OPERANDS} operands in one product",),
+                          tok)
+        return Mul(tuple(operands))
 
     def parse_atom(self) -> Expr:
         tok = self.tok

@@ -283,6 +283,7 @@ def build_ir(ast: fe.Ast) -> IRModule:
                 operand = build_equation(s, None)
             b.ops.append(Print(operand))
 
+    del build_region  # it refers to itself: break the cycle
     return b.module()
 
 

@@ -97,9 +97,6 @@ class PropertySet:
     def __contains__(self, p: Property) -> bool:
         return p in self.members
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def render(self) -> str:
         """Bracketed minimal-generator form used in IR dumps, e.g. `[lowerTri]`."""
         return "[" + ",".join(p.value for p in self.generators) + "]"

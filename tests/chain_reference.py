@@ -18,15 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from momc.chain import (
-    ChainLeaf,
-    ChainNode,
-    ChainSolution,
-    ChainTree,
-    pattern_cost,
-    postorder,
-    tree_cost,
-)
+from momc.chain import ChainSolution, ChainTree, pattern_cost, tree_cost
 from momc.errors import DimMismatch
 from momc.ir import MatrixType
 from momc.properties import PropertySet, StoredPattern, infer_mul, stored_pattern
@@ -92,12 +84,12 @@ def cost_oracle(a: OperandType, b: OperandType) -> int:
 
 def _all_trees(i: int, j: int) -> Iterator[ChainTree]:
     if i == j:
-        yield ChainLeaf(i)
+        yield ((i, i),)
         return
     for s in range(i, j):
         for left in _all_trees(i, s):
             for right in _all_trees(s + 1, j):
-                yield ChainNode(left, right)
+                yield left + right + ((i, j),)
 
 
 def enumerate_parenthesizations(
@@ -140,9 +132,9 @@ def reference_parenthesization(
 
     def build(i: int, j: int) -> ChainTree:
         if i == j:
-            return ChainLeaf(i)
+            return ((i, i),)
         s = split[i][j]
-        return ChainNode(build(i, s), build(s + 1, j))
+        return build(i, s) + build(s + 1, j) + ((i, j),)
 
     props = [[None if t is None else t[2] for t in row] for row in types]
     return ChainSolution(cost, split, props, build(0, k - 1), cost[0][k - 1])
@@ -151,8 +143,8 @@ def reference_parenthesization(
 def tree_props(tree: ChainTree, chain: list[MatrixType]) -> PropertySet:
     """Properties of the product a parenthesization tree computes."""
     done: list[tuple[int, PropertySet]] = []  # per subtree: cols, properties
-    for node, i, _ in postorder(tree):
-        if isinstance(node, ChainLeaf):
+    for i, j in tree:
+        if i == j:
             done.append((chain[i].cols, chain[i].props))
         else:
             n, rp = done.pop()

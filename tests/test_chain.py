@@ -5,11 +5,8 @@ import random
 import pytest
 
 from momc.chain import (
-    ChainLeaf,
-    ChainNode,
     left_fold_tree,
     optimal_parenthesization,
-    postorder,
     tree_cost,
     tree_string,
 )
@@ -94,13 +91,13 @@ def test_enumeration_of_bench_chain():
 def test_single_operand_chain():
     sol = optimal_parenthesization([operand(4, 7)])
     assert sol.total_cost == 0
-    assert sol.tree == ChainLeaf(0)
+    assert sol.tree == ((0, 0),)
 
 
 def test_two_lower_triangular_operands():
     sol = optimal_parenthesization([operand(5, 5, LOWER), operand(5, 5, LOWER)])
     assert sol.total_cost == 35
-    assert sol.tree == ChainNode(ChainLeaf(0), ChainLeaf(1))
+    assert sol.tree == ((0, 0), (1, 1), (0, 1))
 
 
 def test_enumeration_counts_are_catalan():
@@ -169,9 +166,7 @@ def test_subchain_type_independent_of_grouping():
 
 
 def _leaves(tree):
-    if isinstance(tree, ChainLeaf):
-        return [tree.index]
-    return _leaves(tree.left) + _leaves(tree.right)
+    return [i for i, j in tree if i == j]
 
 
 def test_trees_preserve_operand_order():
@@ -194,13 +189,14 @@ def test_postorder_spans_follow_dp_splits():
     for _ in range(60):
         chain = random_chain(rng, max_len=12)
         sol = optimal_parenthesization(chain)
-        done = []  # spans of the subtrees yielded so far, not yet consumed
-        for node, i, j in postorder(sol.tree):
-            if isinstance(node, ChainLeaf):
-                assert node.index == i == j
-            else:
+        k = len(chain)
+        assert len(sol.tree) == 2 * k - 1
+        done = []  # spans of the subtrees read so far, not yet consumed
+        for i, j in sol.tree:
+            assert 0 <= i <= j < k
+            if i < j:
                 (ri, rj), (li, lj) = done.pop(), done.pop()
                 s = sol.split[i][j]
                 assert (li, lj, ri, rj) == (i, s, s + 1, j)
             done.append((i, j))
-        assert done == [(0, len(chain) - 1)]
+        assert done == [(0, k - 1)]

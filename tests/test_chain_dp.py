@@ -5,7 +5,6 @@ import random
 
 from momc import chain as chain_mod
 from momc.chain import (
-    ChainLeaf,
     _build,
     left_fold_tree,
     optimal_parenthesization,
@@ -80,12 +79,7 @@ def test_build_does_not_recurse():
         def __getitem__(self, i):
             return Row()
 
-    k = 3000
-    node = _build(Splits(), k)
-    for j in range(k - 1, 0, -1):  # walk the left spine; == would recurse
-        assert node.right == ChainLeaf(j)
-        node = node.left
-    assert node == ChainLeaf(0)
+    assert _build(Splits(), 3000) == left_fold_tree(3000)
 
 
 def test_dp_looks_up_one_pattern_per_cell(monkeypatch):

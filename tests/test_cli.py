@@ -10,8 +10,9 @@ import pytest
 
 from momc import executor
 from momc.cli import BenchReport, main, parse_config
+from momc.errors import ParseError
 from momc.executor import ExecMode
-from momc.frontend import MAX_NESTING, parse_source
+from momc.frontend import MAX_CHAIN_OPERANDS, MAX_NESTING, parse_source
 from momc.ir import build_ir, print_ir
 
 import gen
@@ -405,6 +406,39 @@ def test_nesting_at_the_limit_compiles_and_runs(tmp_path, capsys):
                  ["--emit=loops"]):
         code, _, err = run_cli(capsys, str(prog), *args)
         assert (code, err) == (0, ""), args
+
+
+def test_product_at_the_operand_limit_compiles(tmp_path, capsys):
+    prog = tmp_path / "long.mom"
+    prog.write_text("Matrix A(2, 2) <> = 1\nB = "
+                    + " * ".join(["A"] * MAX_CHAIN_OPERANDS) + "\nprint(B)\n")
+    code, out, err = run_cli(capsys, str(prog), "--emit=loops")
+    assert (code, err) == (0, "")
+    assert out.count("\nmatmul ") == MAX_CHAIN_OPERANDS - 1
+
+
+@pytest.mark.parametrize("before,last,found", [
+    (MAX_CHAIN_OPERANDS, "A", "'A'"),
+    # A group of a product splices its operands in; a transpose is one.
+    (MAX_CHAIN_OPERANDS - 1, "(A * A)", "'('"),
+    (MAX_CHAIN_OPERANDS, "transpose(A * A)", "'transpose'"),
+])
+def test_product_past_the_operand_limit_is_a_located_parse_error(
+        tmp_path, capsys, before, last, found):
+    head = "B = " + "A * " * before
+    text = f"Matrix A(2, 2) <> = 1\n{head}{last}\nprint(B)\n"
+    prog = tmp_path / "long.mom"
+    prog.write_text(text)
+    message = (f"expected at most {MAX_CHAIN_OPERANDS} operands in one "
+               f"product, found {found}")
+    col = len(head) + 1
+    for args in (["--run"], ["--run", "--no-opt"]):
+        code, out, err = run_cli(capsys, str(prog), *args)
+        assert (code, out, err) == (1, "", f"{prog}:2:{col}: error: {message}\n")
+    with pytest.raises(ParseError) as info:
+        parse_source(text)
+    assert (info.value.line, info.value.col) == (2, col)
+    assert str(info.value) == f"2:{col}: error: {message}"
 
 
 def test_bench_requires_a_multiplication(tmp_path, capsys):

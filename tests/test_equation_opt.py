@@ -1,5 +1,6 @@
 """Type resolution with identity simplification, rematerialization."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from momc import equation_opt as eo
 from momc import ir
-from momc.chain import ChainLeaf
 from momc.equation_opt import AddN, Leaf, MulN, Trans
 from momc.errors import ResolutionError
 from momc.executor import ExecMode
@@ -283,25 +283,47 @@ def test_emitted_types_equal_inferred_types(monkeypatch, opt):
     `chain[i].rows` x `chain[j].cols`, which also agree with inference from
     the product's operand types."""
     expected = []  # (rows, cols, props) of each product, in emission order
-    pending = []   # the solution of the chain about to be emitted
-    solve, walk = eo.optimal_parenthesization, eo.postorder
+    unread = []    # trees handed to the emitter that it has not read yet
+    solved = []    # the chain solved last and its solution
+    solve, fold = eo.optimal_parenthesization, eo.left_fold_tree
+
+    class EmittedTree:
+        """A chain's tree that records each product's expected type as the
+        emitter reads the product's span: it appends one product per inner
+        span before it reads the next span. The first `skip` walks are not
+        emission and record nothing."""
+
+        def __init__(self, tree, chain, sol, skip=0):
+            self.tree, self.chain, self.sol, self.skip = tree, chain, sol, skip
+            unread.append(self)
+
+        def __iter__(self):
+            if self.skip:
+                self.skip -= 1
+                yield from self.tree
+                return
+            unread.remove(self)
+            for i, j in self.tree:
+                if i < j:
+                    expected.append((self.chain[i].rows, self.chain[j].cols,
+                                     self.sol.props[i][j]))
+                yield i, j
 
     def recording_solve(chain):
         sol = solve(chain)
-        pending.append((chain, sol))
+        if opt:
+            return dataclasses.replace(sol, tree=EmittedTree(sol.tree, chain, sol))
+        solved.append((chain, sol))
         return sol
 
-    def recording_walk(tree):
-        # The emitter walks a chain's tree right after solving it; it appends
-        # one product per inner node before asking for the next node.
-        chain, sol = pending.pop()
-        for node, i, j in walk(tree):
-            if not isinstance(node, ChainLeaf):
-                expected.append((chain[i].rows, chain[j].cols, sol.props[i][j]))
-            yield node, i, j
+    def recording_fold(length):
+        # Without reordering the emitter reads the source-order tree, after
+        # `tree_cost` has walked it to price it.
+        return EmittedTree(fold(length), *solved.pop(), skip=1)
 
     monkeypatch.setattr(eo, "optimal_parenthesization", recording_solve)
-    monkeypatch.setattr(eo, "postorder", recording_walk)
+    if not opt:
+        monkeypatch.setattr(eo, "left_fold_tree", recording_fold)
     rng = random.Random(default_seed() ^ 0x7A)
     for _ in range(200):
         expected.clear()
@@ -316,7 +338,7 @@ def test_emitted_types_equal_inferred_types(monkeypatch, opt):
         got = [(types[op.result].rows, types[op.result].cols, types[op.result].props)
                for op in muls]
         assert got == expected
-        assert not pending
+        assert not unread
 
 
 def test_optimized_modules_verify_clean():

@@ -1,11 +1,13 @@
 """Lowering to the loop-level IR and its textual dump."""
 
+import gc
+import os
 import random
 import re
 
 import pytest
 
-from momc import ir, loops
+from momc import equation_opt, frontend, ir, loops
 from momc.errors import UnresolvedTerm
 from momc.properties import Property, PropertySet, StoredPattern
 
@@ -169,3 +171,28 @@ def test_loop_dump_ids_are_the_ir_opt_ids():
                 if isinstance(op, loops.Alloc):
                     assert op.source is None or op.source in allocated
                     allocated.add(op.tensor)
+
+
+def test_a_compile_leaves_no_cyclic_garbage():
+    """No pass makes a reference cycle, so reference counts free a dropped
+    compile's tokens, modules and loop IR without the cyclic collector."""
+    examples = os.path.join(os.path.dirname(__file__), "..", "examples")
+    texts = []
+    for name in sorted(os.listdir(examples)):
+        with open(os.path.join(examples, name)) as f:
+            texts.append(f.read())
+    rng = random.Random(default_seed() ^ 0x8B)
+    texts += [random_program(rng) for _ in range(30)]
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            tokens = frontend.tokenize(text)
+            module = ir.build_ir(frontend.parse(tokens))
+            assert not ir.verify(module)
+            opt = equation_opt.optimize_and_rematerialize(module)
+            lowered = loops.lower_to_loops(opt.module)
+            del tokens, module, opt, lowered
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

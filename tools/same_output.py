@@ -5,18 +5,20 @@
 The programs are written once: `tests/gen.py` programs for seeds 0..N-1
 (default 500), one mutant of each (1-3 edits through
 `tests/test_mutations.mutate`, drawn from its `VOCABULARY`), `examples/*.mom`,
-`big600.mom` (`BIG_PROGRAM`), `overflow300.mom` (`OVERFLOW_PROGRAM`) and
-`chain60.mom` (`chain_program`). One child process per root then runs
-`momc.cli.main` in-process over them and prints one sha256 per run, of the
-exit code, stdout and stderr with the program directory replaced by a fixed
-name.
+`big600.mom` (`BIG_PROGRAM`), `overflow300.mom` (`OVERFLOW_PROGRAM`),
+`chain60.mom` and `chain256.mom` (`chain_program`; 256 operands is
+`MAX_CHAIN_OPERANDS`, the longest product the parser accepts). One child
+process per root then runs `momc.cli.main` in-process over them and prints
+one sha256 per run, of the exit code, stdout and stderr with the program
+directory replaced by a fixed name.
 
 Every program is dumped with `--emit` = `ir`, `ir-opt`, `loops`, `chain`,
 `ast` and `loops --no-opt`. Generated programs and examples also run with
 `--run --repeats=1`, `--run --mode=specialized` and `--run --no-opt`, the
 examples at `--scale=4`; `big600.mom` and `overflow300.mom` run at full size
-in dense and specialized mode only, and `chain60.mom` is dumped with
-`--emit` = `chain`, `ir-opt` and `loops` and run in those two modes. Mutants
+in dense and specialized mode only, `chain60.mom` is dumped with `--emit` =
+`chain`, `ir-opt` and `loops` and run in those two modes, and `chain256.mom`
+likewise but without `--emit=chain`, whose DP tables would be 256x256. Mutants
 are never run, since they may declare huge dimensions. The script prints the
 run count and the exit-code histogram, lists each (program, flags) pair whose
 answers differ or, for `overflow300.mom`, do not exit 1, and exits 1 if there
@@ -154,6 +156,8 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     write("overflow300.mom", OVERFLOW_PROGRAM, RUNS[:2])
     write("chain60.mom", chain_program(60),
           [["--emit=chain"], ["--emit=ir-opt"], ["--emit=loops"]] + RUNS[:2])
+    write("chain256.mom", chain_program(256),
+          [["--emit=ir-opt"], ["--emit=loops"]] + RUNS[:2])
     return jobs
 
 
