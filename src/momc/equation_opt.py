@@ -236,33 +236,34 @@ def optimize_and_rematerialize(module: ir.IRModule,
             values[-1] = v
         return values[0]
 
-    for op in module.ops:
-        if isinstance(op, ir.Init):
-            vmap[op.result] = b.init(module.types[op.result],
-                                     module.names.get(op.result))
-        elif isinstance(op, ir.Fill):
-            b.ops.append(ir.Fill(op.value, vmap[op.operand]))
-        elif isinstance(op, ir.Print):
-            b.ops.append(ir.Print(vmap[op.operand]))
-        elif isinstance(op, ir.Equation):
-            try:
-                e = resolve_types(op, rematerialized_type,
-                                  options.simplify_identities)
-                t = e.type
-                want = op.declared_dims
-                if want is not None and want != (t.rows, t.cols):
-                    raise ResolutionError(
-                        f"equation result is {t.rows}x{t.cols} but the target "
-                        f"was declared {want[0]}x{want[1]}")
-            except ResolutionError as err:
-                if op.loc is not None:
-                    err.at(op.loc.line, op.loc.col)
-                raise
-            vmap[op.result] = emit(e)
-            eq_count += 1
-        else:
-            raise ResolutionError(
-                f"cannot optimize a module containing {type(op).__name__}")
-
-    del emit, emit_chain  # the closures refer to each other: break the cycle
+    try:
+        for op in module.ops:
+            if isinstance(op, ir.Init):
+                vmap[op.result] = b.init(module.types[op.result],
+                                         module.names.get(op.result))
+            elif isinstance(op, ir.Fill):
+                b.ops.append(ir.Fill(op.value, vmap[op.operand]))
+            elif isinstance(op, ir.Print):
+                b.ops.append(ir.Print(vmap[op.operand]))
+            elif isinstance(op, ir.Equation):
+                try:
+                    e = resolve_types(op, rematerialized_type,
+                                      options.simplify_identities)
+                    t = e.type
+                    want = op.declared_dims
+                    if want is not None and want != (t.rows, t.cols):
+                        raise ResolutionError(
+                            f"equation result is {t.rows}x{t.cols} but the target "
+                            f"was declared {want[0]}x{want[1]}")
+                except ResolutionError as err:
+                    if op.loc is not None:
+                        err.at(op.loc.line, op.loc.col)
+                    raise
+                vmap[op.result] = emit(e)
+                eq_count += 1
+            else:
+                raise ResolutionError(
+                    f"cannot optimize a module containing {type(op).__name__}")
+    finally:
+        del emit, emit_chain  # the closures refer to each other: break the cycle
     return OptResult(b.module(), chains)

@@ -25,17 +25,27 @@ not); if it overflows, the loop reruns it.
 A product of at least EXACT_MIN_MULTS runs in row bands of out at once, one
 per CPU the process may run on (`_CPUS`, read once) and at least EXACT_TILE
 rows each: the loop gives each band the whole k loop over its rows, and the
-exact path deals its EXACT_TILE-row bands of tiles round-robin. The calling
-thread runs the first band and joins the others, plain threads that run in a
-copy of its context, so `np.errstate` holds in them too. Each entry is still
-summed by one thread in ascending k, so the bits and the count do not
-change. If a band overflows, out is zeroed and the loop reruns as one band
-in the calling thread, which raises the sequential loop's own error.
+exact path deals its EXACT_TILE-row bands of tiles round-robin. The tiles do
+many times the loop's mults per second, so the exact path also gives each
+band at least EXACT_BAND_MULTS of its count: below that, a thread's start
+and join cost what a second band saves. The calling thread runs the first
+band and joins the others, plain threads that run in a copy of its context,
+so `np.errstate` holds in them too. Each entry is still summed by one thread
+in ascending k, so the bits and the count do not change. If a band
+overflows, out is zeroed and the loop reruns as one band in the calling
+thread, which raises the sequential loop's own error.
 
 Specialized mode prints only the stored span of each row and writes the
 structural zeros around it, after checking that they are zero: a nonzero
 there means the compiler broke a property it put in a type, and the run stops
 with `BrokenStoredPattern` rather than print other text.
+
+Printing costs per call on small buffers and per entry on large ones. A
+FULL buffer of at most SMALL_PRINT_ENTRIES (64 entries, 8x8) is checked in
+plain Python over one list of its entries and, when every entry is whole,
+formatted by one `%` over a format string made once per shape. A larger
+buffer goes through numpy a block of rows at a time: past 64 entries a
+Python pass over the entries costs more than numpy's calls.
 
 Kernels run with numpy's overflow and invalid-operation checks raising:
 a value that becomes infinite or NaN stops the run with `NonFiniteValue`.
@@ -62,8 +72,9 @@ from .errors import (AllocationError, BrokenStoredPattern, DimMismatch,
 from .ir import MatrixType, format_scalar
 from .properties import ElemKind, PropertySet, StoredPattern, stored_pattern
 
-_DTYPES = {ElemKind.F32: np.float32, ElemKind.F64: np.float64}
-_ELEMS = {np.dtype(t): e for e, t in _DTYPES.items()}
+# A buffer's header names its element kind by dtype; `_zeros` picks a dtype
+# by identity. Neither hashes an ElemKind: `Enum.__hash__` runs in Python.
+_ELEM_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
 class ExecMode(enum.Enum):
@@ -134,6 +145,17 @@ EXACT_TILE = 128
 # accumulate call per output entry. On a 2-vCPU x86-64: 16x16x16 f64 in 29 us
 # (loop: 94), 32x2x64 in 63 us (loop: 19); past 2**12 such shapes lose more.
 SMALL_MAX_MULTS = 1 << 12
+# format_print checks and formats a FULL buffer of at most this many entries
+# (8x8) in plain Python. On a 2-vCPU x86-64 (min of 5), a whole 4x4 buffer
+# printed in 7-8 us this way against 16-17 through numpy, 8x8 in 17-22 against
+# 21-24, but 10x10 in 27-34 against 25-29: each numpy call costs about a
+# microsecond, a Python pass over the entries about 0.1 us per entry.
+SMALL_PRINT_ENTRIES = 64
+# The exact path gives each row band at least this many stored mults: a
+# 256x256x256 f32 product of 8.4M mults took 0.3-0.4 ms in tiles in one band
+# or two, about what a thread's start and join cost, and 99M took 2.0-2.8 ms
+# in one band against 1.7 in two (2-vCPU x86-64, medians of 15).
+EXACT_BAND_MULTS = 1 << 24
 # The CPUs this process may run on: a product of at least EXACT_MIN_MULTS
 # runs in at most this many row bands of out at once. More bands than CPUs
 # lose: on 2 vCPUs the 800x1100x100 f32 loop took 80 ms in 1 band, 58 in 2,
@@ -257,7 +279,8 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     exact goes to `np.matmul` by tiles of out (`_exact_tiles`); `+=` into
     out's zeros turns a BLAS -0.0 into +0.0, as the loop does. A product of
     at least EXACT_MIN_MULTS runs in min(_CPUS, rows // EXACT_TILE) bands of
-    rows at once, so every band has at least EXACT_TILE rows."""
+    rows at once, so every band has at least EXACT_TILE rows; on the exact
+    path also at most count // EXACT_BAND_MULTS bands."""
     (rows, inner), (inner_b, cols) = a.shape, b.shape
     if inner != inner_b:
         raise DimMismatch(f"inner dims disagree, {inner} vs {inner_b}")
@@ -281,13 +304,14 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
         except FloatingPointError:
             pass  # out is untouched; the loop raises with its own message
     spans = _stored_spans(pa, pb, rows, inner, cols)
+    count = _stored_mults(spans)
     large = rows * inner * cols >= EXACT_MIN_MULTS
     n = max(1, min(_CPUS, rows // EXACT_TILE)) if large else 1
     if mode is ExecMode.SPECIALIZED and large and is_exact_product(a, b):
-        _exact_tiles(a, b, out, spans, n)
+        _exact_tiles(a, b, out, spans, max(1, min(n, count // EXACT_BAND_MULTS)))
     else:
         _rank1_loop(a, b, out, spans, n)
-    return _stored_mults(spans)
+    return count
 
 
 def run_transpose(a: np.ndarray) -> np.ndarray:
@@ -380,6 +404,28 @@ def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int) -> list[str]:
     return lines
 
 
+# The `%d` format of a whole small buffer, one per (rows, cols); a small
+# buffer has finitely many shapes.
+_SMALL_FORMATS: dict[tuple[int, int], str] = {}
+
+
+def _small_lines(a: np.ndarray) -> str:
+    """format_print's rows of a FULL buffer of at most SMALL_PRINT_ENTRIES,
+    checked and formatted in Python. `_all_whole`'s rule is `is_integer`
+    (false for NaN and inf) and then the range check; through `int`, a -0.0
+    prints as 0."""
+    rows, cols = a.shape
+    flat = a.ravel().tolist()
+    if all(map(float.is_integer, flat)) and -1e18 < min(flat) and max(flat) < 1e18:
+        fmt = _SMALL_FORMATS.get(a.shape)
+        if fmt is None:
+            row = " ".join(["%d"] * cols)
+            fmt = _SMALL_FORMATS[a.shape] = "\n".join([row] * rows)
+        return fmt % tuple(map(int, flat))
+    return "\n".join([" ".join(map(format_scalar, flat[r:r + cols]))
+                      for r in range(0, rows * cols, cols)])
+
+
 def format_print(a: np.ndarray, pattern: StoredPattern = StoredPattern.FULL) -> str:
     """`RxC elem` header then one row per line, entries space-separated.
 
@@ -388,13 +434,22 @@ def format_print(a: np.ndarray, pattern: StoredPattern = StoredPattern.FULL) -> 
     `%d`, which is what `format_scalar` prints for them (`-0.0` included,
     as `0`); any other block goes through `format_scalar` itself.
 
+    A FULL buffer of at most SMALL_PRINT_ENTRIES (64) is one block, checked
+    and formatted in Python over `ravel().tolist()` (`_small_lines`): a
+    numpy call costs about a microsecond whatever its size, and the numpy
+    check takes five (min, max, trunc, `==` and all) before the cast. Past
+    64 entries the Python pass is the slower one.
+
     Under a pattern other than FULL, each row formats only its stored column
     span (`_span_lines`). The entries it so skips are checked to be zero
     first, one block at a time; a nonzero raises BrokenStoredPattern rather
     than print other text.
     """
     rows, cols = a.shape
-    lines = [f"{rows}x{cols} {_ELEMS[a.dtype]}"]
+    header = f"{rows}x{cols} {_ELEM_NAMES[a.dtype]}"
+    if pattern is StoredPattern.FULL and rows * cols <= SMALL_PRINT_ENTRIES:
+        return f"{header}\n{_small_lines(a)}"
+    lines = [header]
     step = max(1, _PRINT_BLOCK_ENTRIES // cols)
     if pattern is not StoredPattern.FULL:
         return "\n".join(lines + _span_lines(a, pattern, step))
@@ -413,7 +468,8 @@ def _zeros(tid: loops.TensorId, t: MatrixType) -> np.ndarray:
     """A zero-filled buffer for tensor `tid` of type t. numpy refuses a shape
     it cannot index or memory it cannot get, which ends the run."""
     try:
-        return np.zeros((t.rows, t.cols), _DTYPES[t.elem])
+        return np.zeros((t.rows, t.cols),
+                        np.float32 if t.elem is ElemKind.F32 else np.float64)
     except (ValueError, MemoryError) as e:
         raise AllocationError(f"cannot allocate %{tid} : {t}: {e}") from None
 

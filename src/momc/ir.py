@@ -267,23 +267,24 @@ def build_ir(ast: fe.Ast) -> IRModule:
         b.ops.append(Equation(result, tuple(region), yielded, declared_dims, s.loc))
         return result
 
-    for s in ast.stmts:
-        if isinstance(s, fe.Assign):
-            dims = None
-            d = declared.get(s.target)
-            if isinstance(d, fe.MatrixDecl):
-                dims = (d.rows, d.cols)
-            env[s.target] = build_equation(s, dims)
-        else:
-            if isinstance(s.expr, fe.Ref):
-                operand = env[s.expr.name]
-            elif isinstance(s.expr, fe.IdentityLit):
-                operand = idlits[id(s.expr)]
+    try:
+        for s in ast.stmts:
+            if isinstance(s, fe.Assign):
+                dims = None
+                d = declared.get(s.target)
+                if isinstance(d, fe.MatrixDecl):
+                    dims = (d.rows, d.cols)
+                env[s.target] = build_equation(s, dims)
             else:
-                operand = build_equation(s, None)
-            b.ops.append(Print(operand))
-
-    del build_region  # it refers to itself: break the cycle
+                if isinstance(s.expr, fe.Ref):
+                    operand = env[s.expr.name]
+                elif isinstance(s.expr, fe.IdentityLit):
+                    operand = idlits[id(s.expr)]
+                else:
+                    operand = build_equation(s, None)
+                b.ops.append(Print(operand))
+    finally:
+        del build_region  # it refers to itself: break the cycle
     return b.module()
 
 

@@ -18,7 +18,6 @@ import pytest
 from momc import executor, loops
 from momc.errors import BrokenStoredPattern, DimMismatch, NonFiniteValue
 from momc.executor import (
-    _DTYPES as DTYPES,
     _PRINT_BLOCK_ENTRIES as PRINT_BLOCK,
     _stored_spans,
     ExecMode,
@@ -47,7 +46,9 @@ from gen import CLOSED_PSETS, default_seed, random_program
 from util import lower_text, pattern_contains
 
 LOWER = PropertySet.closure((Property.LOWER_TRIANGULAR,))
+UPPER = PropertySet.closure((Property.UPPER_TRIANGULAR,))
 DIAG = PropertySet.closure((Property.DIAGONAL,))
+DTYPES = {ElemKind.F32: np.float32, ElemKind.F64: np.float64}
 
 
 def buf(rows, cols, elem=ElemKind.F32):
@@ -187,23 +188,26 @@ OTHER_VALUES = [np.inf, -np.inf, np.nan, 0.5, -0.5, 1e-7, 999999.5,
                 1e18, -1e18]
 
 
-def _print_case(rng, rows, cols, elem):
+def _print_case(rng, rows, cols, elem, first=0):
     """A buffer whose row blocks (as format_print cuts them) are, in turn,
     all whole numbers, whole numbers mixed with every other kind of value,
-    and random reals of mixed magnitude."""
+    and random reals of mixed magnitude, starting with kind `first`. A
+    block smaller than its special values takes a random few of them."""
     b = buf(rows, cols, elem)
     step = max(1, PRINT_BLOCK // cols)
     for n, r in enumerate(range(0, rows, step)):
         block = b[r:r + step]
         ints = rng.integers(-10**6, 10**6, size=block.shape) \
             * 10.0 ** rng.integers(0, 12, size=block.shape)
-        kind = n % 3
+        kind = (n + first) % 3
         if kind == 2:
             block[:] = rng.standard_normal(block.shape) \
                 * 10.0 ** rng.integers(-9, 9, size=block.shape)
             continue
         block[:] = ints
         specials = WHOLE_VALUES + (OTHER_VALUES if kind == 1 else [])
+        if len(specials) > block.size:
+            specials = rng.choice(specials, size=block.size, replace=False)
         at = rng.choice(block.size, size=len(specials), replace=False)
         block.reshape(-1)[at] = specials
     return b
@@ -222,11 +226,14 @@ def _inside(pattern, rows, cols):
     (3, 70_000),                                  # one row per block
     (3 * (PRINT_BLOCK // 40) + 17, 40),           # four blocks of many rows
     (150, 150),                                   # the diagonal crosses blocks
+    (2, 3), (8, 8), (1, 64),                      # small: checked in Python
+    (5, 13),                                      # 65 entries: through numpy
 ])
 def test_format_print_matches_per_entry_reference(props, elem, rows, cols):
     """Under each closed set's pattern, realized on square, wide and tall
     buffers: zeros (a tenth of them -0.0) outside it, and inside it the row
-    blocks of `_print_case`, whole, mixed and real in turn."""
+    blocks of `_print_case`, whole, mixed and real in turn. A buffer of one
+    block is tried as each kind."""
     pattern = stored_pattern(props)
     if rows * cols == 1:  # each value alone decides its block's path
         for v in WHOLE_VALUES + OTHER_VALUES + [3.25, 7.0, -12.0]:
@@ -235,11 +242,33 @@ def test_format_print_matches_per_entry_reference(props, elem, rows, cols):
             assert format_print(b, pattern) == reference_format_print(b), v
         return
     rng = np.random.default_rng(default_seed())
-    b = _print_case(rng, rows, cols, elem)
-    outside = ~_inside(pattern, rows, cols)
-    b[outside] = 0
-    b[outside & (rng.random((rows, cols)) < 0.1)] = -0.0
-    assert format_print(b, pattern) == reference_format_print(b)
+    one_block = rows * cols <= PRINT_BLOCK
+    for first in range(3 if one_block else 1):
+        b = _print_case(rng, rows, cols, elem, first)
+        outside = ~_inside(pattern, rows, cols)
+        b[outside] = 0
+        b[outside & (rng.random((rows, cols)) < 0.1)] = -0.0
+        assert format_print(b, pattern) == reference_format_print(b), first
+
+
+@pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
+def test_small_full_print_of_every_special_value(elem):
+    """8x8, the largest buffer `format_print` checks in Python: every
+    special value at once, and each alone among whole numbers up to 2**40,
+    so that it alone decides between `%d` and `format_scalar`."""
+    assert 8 * 8 == executor.SMALL_PRINT_ENTRIES
+    rng = np.random.default_rng(default_seed() ^ 0x64)
+    specials = WHOLE_VALUES + OTHER_VALUES
+    for at in [None, *range(len(specials))]:
+        b = buf(8, 8, elem)
+        b[:] = rng.integers(-2**40, 2**40, size=(8, 8))
+        flat = b.reshape(-1)
+        if at is None:
+            flat[rng.permutation(64)[:len(specials)]] = specials
+        else:
+            flat[rng.integers(64)] = specials[at]
+        assert format_print(b) == reference_format_print(b), at
+        assert format_print(b.T) == reference_format_print(b.T), at
 
 
 @pytest.mark.parametrize("pattern", [StoredPattern.LOWER_INCL,
@@ -724,9 +753,11 @@ def test_row_bands_give_one_bands_bytes_and_count(
     """Products of at least EXACT_MIN_MULTS under every pair of closed
     property sets that fits, f32 and f64, reals and integers, both modes:
     in 2 and 3 row bands, the loop and the exact tiles give the bytes and
-    the count of one band."""
+    the count of one band. EXACT_BAND_MULTS is 1 here, so the exact path
+    bands products this small."""
     monkeypatch.setattr(executor, "EXACT_TILE", tile)
     monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
+    monkeypatch.setattr(executor, "EXACT_BAND_MULTS", 1)
     rng = np.random.default_rng(default_seed() ^ 0xB1)
     for (rows, inner, cols), dtype, integral in product(
             shapes, (np.float32, np.float64), (False, True)):
@@ -748,6 +779,32 @@ def test_row_bands_give_one_bands_bytes_and_count(
             assert bool(matmul_calls) is (integral and mode is ExecMode.SPECIALIZED)
             assert results[0] == results[1] == results[2], (
                 rows, inner, cols, pa, pb, dtype, integral, mode)
+
+
+@pytest.mark.parametrize("shape,pa,pb,fill,path,bands", [
+    # kernels' 256-row structured-f32 products: 8.4M mults, one band.
+    ((256, 256, 256), EMPTY_PROPS, UPPER, 2.0, "tiles", 1),
+    ((256, 256, 256), UPPER, DIAG, 3.0, "tiles", 1),
+    # chain4's last product, inexact, on the loop: its band count stays.
+    ((800, 1100, 100), EMPTY_PROPS, EMPTY_PROPS, 0.5, "loop", 2),
+    # kernels' 1000^2 f64 lower x lower product, exact in tiles: 167M mults.
+    ((1000, 1000, 1000), LOWER, LOWER, 3.0, "tiles", 2),
+])
+def test_the_exact_path_bands_by_work(
+        monkeypatch, band_counts, matmul_calls, shape, pa, pb, fill, path, bands):
+    """On 2 CPUs, the exact path gives each band at least EXACT_BAND_MULTS
+    stored mults, and the loop keeps one band per EXACT_TILE rows."""
+    monkeypatch.setattr(executor, "_CPUS", 2)
+    rows, inner, cols = shape
+    dtype = np.float64 if rows == 1000 else np.float32
+    a, b = np.zeros((rows, inner), dtype), np.zeros((inner, cols), dtype)
+    run_fill(a, fill, stored_pattern(pa))
+    run_fill(b, fill, stored_pattern(pb))
+    out = np.zeros((rows, cols), dtype)
+    with np.errstate(over="raise", invalid="raise"):
+        run_matmul(a, b, out, pa, pb, ExecMode.SPECIALIZED)
+    assert band_counts == [bands]
+    assert bool(matmul_calls) is (path == "tiles")
 
 
 def test_an_overflow_in_a_band_raises_the_sequential_loops_error(

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from momc import equation_opt, frontend, ir, loops
-from momc.errors import UnresolvedTerm
+from momc.errors import CompileError, UnresolvedTerm
 from momc.properties import Property, PropertySet, StoredPattern
 
 from gen import default_seed, random_program
@@ -193,6 +193,40 @@ def test_a_compile_leaves_no_cyclic_garbage():
             opt = equation_opt.optimize_and_rematerialize(module)
             lowered = loops.lower_to_loops(opt.module)
             del tokens, module, opt, lowered
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+FAILING_OPTIMIZATIONS = [
+    # A sum of 3x3s times a 4x4 identity.
+    "Matrix A(3, 3) <>\nB = (A + A) * Identity(4)\n",
+    # A result declared 2x2 is 3x3, after a product was emitted.
+    "Matrix A(3, 3) <>\nC = A * A * A\nprint(C)\nMatrix B(2, 2) <>\nB = A * C\n",
+    # An f32 product with an f64 operand, after a sum was emitted.
+    "Matrix A(2, 2) <>\nMatrix D(2, 2) <> : f64\nC = A + A\nE = C * D\n",
+]
+
+
+def test_a_failed_compile_leaves_no_cyclic_garbage():
+    """The closures of `build_ir` and the optimizer break their cycles when
+    they raise too: each failing program, and an Ast naming a matrix it
+    never declared, leaves nothing for the cyclic collector."""
+    unknown = frontend.parse(frontend.tokenize(
+        "Matrix A(2, 2) <>\nC = A * A\nprint(C)\n"))
+    unknown.stmts[0].expr.operands[1].name = "Z"
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            for text in FAILING_OPTIMIZATIONS:
+                module = ir.build_ir(frontend.parse(frontend.tokenize(text)))
+                assert not ir.verify(module)
+                with pytest.raises(CompileError):
+                    equation_opt.optimize_and_rematerialize(module)
+                del module
+            with pytest.raises(KeyError, match="'Z'"):
+                ir.build_ir(unknown)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -7,7 +7,9 @@ The programs are written once: `tests/gen.py` programs for seeds 0..N-1
 `tests/test_mutations.mutate`, drawn from its `VOCABULARY`), `examples/*.mom`,
 `big600.mom` (`BIG_PROGRAM`), `overflow300.mom` (`OVERFLOW_PROGRAM`),
 `chain60.mom` and `chain256.mom` (`chain_program`; 256 operands is
-`MAX_CHAIN_OPERANDS`, the longest product the parser accepts). One child
+`MAX_CHAIN_OPERANDS`, the longest product the parser accepts) and
+`small.mom` (`small_program`: small prints of every shape up to 8x8, whole
+and fractional, with large whole products). One child
 process per root then runs `momc.cli.main` in-process over them and prints
 one sha256 per run, of the exit code, stdout and stderr with the program
 directory replaced by a fixed name.
@@ -18,7 +20,8 @@ Every program is dumped with `--emit` = `ir`, `ir-opt`, `loops`, `chain`,
 examples at `--scale=4`; `big600.mom` and `overflow300.mom` run at full size
 in dense and specialized mode only, `chain60.mom` is dumped with `--emit` =
 `chain`, `ir-opt` and `loops` and run in those two modes, and `chain256.mom`
-likewise but without `--emit=chain`, whose DP tables would be 256x256. Mutants
+likewise but without `--emit=chain`, whose DP tables would be 256x256, and
+`small.mom` runs in dense and specialized mode. Mutants
 are never run, since they may declare huge dimensions. The script prints the
 run count and the exit-code histogram, lists each (program, flags) pair whose
 answers differ or, for `overflow300.mom`, do not exit 1, and exits 1 if there
@@ -118,6 +121,33 @@ def chain_program(k: int) -> str:
     return "\n".join(lines + ["R = " + " * ".join(operands), "print(R)", ""])
 
 
+def small_program() -> str:
+    """Every shape from 1x1 to 8x8, and 1x65 and 5x13 just past
+    `SMALL_PRINT_ENTRIES` (64), in f32 and f64: each printed with a whole
+    fill, a fractional fill and as `L * W` (lower-triangular times full, so
+    rows differ). Squares also print `L * F` (fractional), `L * L` (lower,
+    a stored-span print in specialized mode) and `L * L * L * W`, whose
+    whole entries reach about 2.1 * 10**16 in f32, far past 2**24, and
+    6.1 * 10**16 in f64; in f64, `L * L * L * L * W` passes 10**18, where
+    prints switch from `%d` to `%.6g`."""
+    lines: list[str] = []
+    for elem, big in (("f32", 1000), ("f64", 20000)):
+        e = elem[1:]
+        shapes = [(r, c) for r in range(1, 9) for c in range(1, 9)] + [(1, 65), (5, 13)]
+        for n in range(1, 9):
+            lines.append(f"Matrix L{e}n{n}({n}, {n}) <LowerTriangular> : {elem} = {big}")
+        for r, c in shapes:
+            w, f, ell = f"W{e}r{r}c{c}", f"F{e}r{r}c{c}", f"L{e}n{r}"
+            lines += [f"Matrix {w}({r}, {c}) <> : {elem} = {r * c}",
+                      f"Matrix {f}({r}, {c}) <> : {elem} = 0.{r}{c}",
+                      f"print({w})", f"print({f})", f"print({ell} * {w})"]
+            if r == c:
+                lines += [f"print({ell} * {f})", f"print({ell} * {ell})",
+                          f"print({ell} * {ell} * {ell} * {w})"]
+        lines.append(f"print(L{e}n8 * L{e}n8 * L{e}n8 * L{e}n8 * W{e}r8c8)")
+    return "\n".join(lines + [""])
+
+
 def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     """Write the programs into `directory`; return the (file, flags) runs."""
     sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "tests")]
@@ -158,6 +188,7 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
           [["--emit=chain"], ["--emit=ir-opt"], ["--emit=loops"]] + RUNS[:2])
     write("chain256.mom", chain_program(256),
           [["--emit=ir-opt"], ["--emit=loops"]] + RUNS[:2])
+    write("small.mom", small_program(), RUNS[:2])
     return jobs
 
 
