@@ -24,17 +24,20 @@ Statements are newline-terminated; `#` starts a comment. Consecutive `*`
 operands collect into one variadic Mul node and `+` into Add; parenthesized
 groups flatten too, so no Mul has a Mul child and no Add has an Add child.
 
-A token is an exact `(kind, text, line, col)` tuple of a `TokenKind` string,
-the text and two ints, so the cyclic GC untracks it at its first collection
-and a long token list does not slow later ones (a NamedTuple would stay
-tracked). AST nodes are slotted dataclasses, faster to build than frozen ones.
+The lexer takes every lexeme, blanks and comments included, from one
+`findall` and classifies it by dict lookups. A token is an exact
+`(kind, text, line, col)` tuple of a `TokenKind` string, the text and two
+ints, so the cyclic GC untracks it at its first collection and a long token
+list does not slow later ones (a NamedTuple would stay tracked). The parser
+reads tokens by index into the list, with no method call per token. AST
+nodes are slotted dataclasses, faster to build than frozen ones.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, NoReturn, Union
+from typing import NamedTuple, NoReturn, Union
 
 from .errors import (
     AssignToIdentity,
@@ -88,45 +91,47 @@ _KINDS = [v for k, v in vars(TokenKind).items() if k.isupper()]
 (IDENT, INT, FLOAT, KW_MATRIX, KW_IDENTITY, KW_PRINT, KW_TRANSPOSE, EQUALS,
  LPAREN, RPAREN, LT, GT, COMMA, STAR, PLUS, COLON, NEWLINE, EOF) = _KINDS
 
-# Keywords and punctuation by their text, which their kind quotes.
-_FIXED = {k[1:-1]: k for k in _KINDS if k.startswith("'")}
+# Keywords, punctuation and the newline by their text.
+_FIXED = {k[1:-1]: k for k in _KINDS if k.startswith("'")} | {"\n": NEWLINE}
 Token = tuple[str, str, int, int]  # (kind, text, line, col)
 
 
-# One match per lexeme, blanks before it folded in. The classes are spelled
-# out in ASCII: `\w` and `\d` would also accept letters and digits of other
-# scripts. A character no lexeme starts with lands in the catch-all group, so
-# `finditer` skips nothing; `\Z` takes a trailing run of blanks, of which the
-# catch-all would otherwise take the last blank.
-_LEXEME = re.compile(r"""[ \t\r]*(?:
-    (\#[^\n]*)                     # 1 comment
-    | ([A-Za-z_][A-Za-z0-9_]*)     # 2 word
-    | ([0-9]+\.[0-9]+)             # 3 number
-    | ([0-9]+)                     # 4 integer
-    | ([=()<>,*+:])                # 5 punctuation
-    | (\n)                         # 6 newline
-    | (.)                          # 7 anything else
-    | \Z)""", re.DOTALL | re.VERBOSE)
-# A lexeme's kind by its group, unless `_FIXED` has its text.
-_GROUP_KIND = (None, None, IDENT, FLOAT, INT, None, NEWLINE)
+# Every lexeme in source order, blank runs and comments included: over a
+# pattern without groups, `findall` returns them as plain strings, with no
+# match object each. The classes are spelled out in ASCII (`\w` and `\d`
+# would also accept letters and digits of other scripts). A character no
+# lexeme starts with, a newline included, is a lexeme of its own.
+_LEXEME = re.compile(r"[ \t\r]+|#[^\n]*|[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|.",
+                     re.DOTALL)
+# A lexeme's kind by its text when `_FIXED` has it, else by its first
+# character: None for a blank run or a comment, which make no token.
+_FIRST = (dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz", IDENT)
+          | dict.fromkeys("0123456789", INT) | dict.fromkeys(" \t\r#"))
 
 
 def tokenize(text: str) -> list[Token]:
     """Lex a program into tokens carrying 1-based line/column positions."""
     tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _LEXEME.finditer(text):
-        group = m.lastindex
-        if group is None or group == 1:  # end of input, or a comment
+    append = tokens.append
+    line = col = 1
+    for lexeme in _LEXEME.findall(text):
+        kind = _FIXED.get(lexeme)
+        if kind is None:
+            kind = _FIRST.get(lexeme[0], EOF)
+            if kind is None:
+                col += len(lexeme)
+                continue
+            if kind is EOF:  # no lexeme starts with this character
+                raise LexError(line, col, lexeme)
+            if kind is INT and "." in lexeme:
+                kind = FLOAT
+        elif kind is NEWLINE:
+            append((NEWLINE, lexeme, line, col))
+            line, col = line + 1, 1
             continue
-        lexeme = m[group]
-        col = m.start(group) - line_start + 1
-        if group == 7:
-            raise LexError(line, col, lexeme)
-        tokens.append((_FIXED.get(lexeme, _GROUP_KIND[group]), lexeme, line, col))
-        if group == 6:
-            line, line_start = line + 1, m.end()
-    tokens.append((EOF, "", line, len(text) - line_start + 1))
+        append((kind, lexeme, line, col))
+        col += len(lexeme)
+    append((EOF, "", line, col))
     return tokens
 
 
@@ -147,7 +152,7 @@ class Mul:
 
     def __post_init__(self) -> None:
         assert len(self.operands) >= 2
-        assert not any(isinstance(o, Mul) for o in self.operands)
+        assert Mul not in map(type, self.operands)
 
 
 @dataclass(slots=True)
@@ -156,7 +161,7 @@ class Add:
 
     def __post_init__(self) -> None:
         assert len(self.operands) >= 2
-        assert not any(isinstance(o, Add) for o in self.operands)
+        assert Add not in map(type, self.operands)
 
 
 @dataclass(slots=True)
@@ -228,15 +233,6 @@ class Ast:
     idlits: tuple[IdentityLit, ...] = field(default=(), compare=False)
 
 
-def flatten(cls: type[Mul] | type[Add], operands: Iterable[Expr]) -> Expr:
-    """Build a `cls` node, splicing in operands that are `cls` nodes too;
-    a single operand is returned as it is."""
-    ops: list[Expr] = []
-    for o in operands:
-        ops.extend(o.operands) if isinstance(o, cls) else ops.append(o)
-    return ops[0] if len(ops) == 1 else cls(tuple(ops))
-
-
 # --------------------------------------------------------------------------
 # Parser
 # --------------------------------------------------------------------------
@@ -257,72 +253,72 @@ def _error(cls: type[CompileError], message: str, loc: Loc) -> CompileError:
 
 
 class _Parser:
-    """Recursive descent over `tokenize`'s list (kinds compare by identity),
-    which ends in EOF; `tok` is the current token, and `advance` never
-    moves past EOF. Each statement is checked against the statements above
-    it as it is read, and its dims are resolved and divided by `scale`;
+    """Recursive descent over `tokenize`'s list, which ends in EOF; kinds
+    compare by identity. `pos` indexes the current token. The hot paths
+    (statements, declarations, names and products) read `tokens[pos]`
+    through locals and step past a token once its kind is checked, so no
+    token costs a method call and `pos` never passes EOF; a method stores
+    `pos` back before it calls another. Each statement is checked against
+    the statements above it as it is read, and its dims are resolved and
+    divided by `scale`, each valid dim's value kept in `dims` by its text;
     `use` is its location. A name not yet assigned waits in `pending` for
     the end of input, since an input may be declared below its use.
     """
 
     def __init__(self, tokens: list[Token], scale: int) -> None:
         self.tokens = tokens
-        self.pos = 0
-        self.tok = tokens[0]
-        self.depth = 0
+        self.pos = self.depth = 0
         self.scale = scale
         self.use = _NOWHERE
         self.consts: dict[str, ConstBinding] = {}
         self.decls: dict[str, Decl] = {}
         self.assigned: dict[str, Loc] = {}
+        self.stmts: list[Stmt] = []
         self.pending: list[Ref] = []
         self.idlits: list[IdentityLit] = []
+        self.dims: dict[str, int] = {}
 
-    def advance(self) -> Token:
-        tok = self.tok
-        if tok[0] is not EOF:
-            self.pos += 1
-            self.tok = self.tokens[self.pos]
-        return tok
-
-    def expect(self, kind: str) -> Token:
-        if self.tok[0] is not kind:
-            self.fail((kind,), self.tok)
-        return self.advance()
+    def read(self, *template: str | None) -> list:
+        """Step past one token per kind in `template`, None standing for a
+        dim, and return their texts and dim values; raise the first error
+        in source order. EOF is no kind here, so the slice never runs out."""
+        pos, dims = self.pos, self.dims
+        self.pos = end = pos + len(template)
+        values = []
+        for kind, tok in zip(template, self.tokens[pos:end]):
+            if kind is None:
+                values.append(dims.get(tok[1]) or self.dim(tok))
+            elif tok[0] is kind:
+                values.append(tok[1])
+            else:
+                self.fail((kind,), tok)
+        return values
 
     def fail(self, expected: tuple[str, ...], tok: Token) -> NoReturn:
         kind, text, line, col = tok
         raise ParseError(line, col, expected, kind if text == "" else repr(text))
 
     def parse_program(self) -> Ast:
-        stmts: list[Stmt] = []
+        tokens, pos = self.tokens, 0
         while True:
-            while self.tok[0] is NEWLINE:
-                self.advance()
-            tok = self.tok
-            if tok[0] is EOF:
+            kind, _, line, col = tokens[pos]
+            if kind is NEWLINE:
+                pos += 1
+                continue
+            if kind is EOF:
                 break
-            self.use = Loc(tok[2], tok[3])
-            if tok[0] is KW_MATRIX:
-                self.declare(self.parse_matrix_decl())
-            elif tok[0] is KW_IDENTITY:
-                self.declare(self.parse_identity_decl())
-            elif tok[0] is KW_PRINT:
-                stmts.append(self.parse_print())
-            elif tok[0] is IDENT:
-                stmt = self.parse_const_or_assign()
-                if isinstance(stmt, ConstBinding):
-                    self.bind(stmt)
-                else:
-                    self.assign(stmt)
-                    stmts.append(stmt)
-            else:
-                self.fail(("a statement",), tok)
+            statement = _STATEMENTS.get(kind)
+            if statement is None:
+                self.fail(("a statement",), tokens[pos])
+            # `tuple.__new__` skips NamedTuple's Python-level `__new__`.
+            self.pos, self.use = pos + 1, tuple.__new__(Loc, (line, col))
+            statement(self)
             # The statement ends at a newline or at the end of input.
-            if self.tok[0] is NEWLINE:
-                self.advance()
-            elif self.tok[0] is not EOF:
-                self.fail(("newline",), self.tok)
+            pos = self.pos
+            if tokens[pos][0] is NEWLINE:
+                pos += 1
+            elif tokens[pos][0] is not EOF:
+                self.fail(("newline",), tokens[pos])
         # A name assigned anywhere is an equation alias, usable only below
         # its assignment; a declared name never assigned is an input.
         for ref in self.pending:
@@ -333,20 +329,7 @@ class _Parser:
                 raise _error(UndeclaredIdentifier, f"{ref.name!r} is not declared",
                              ref.loc)
         return Ast(tuple(self.consts.values()), tuple(self.decls.values()),
-                   tuple(stmts), tuple(self.idlits))
-
-    def bind(self, c: ConstBinding) -> None:
-        if c.name in self.consts:
-            raise _error(DuplicateDeclaration, f"constant {c.name!r} bound twice",
-                         c.loc)
-        # A clash with a statement above is reported there.
-        if c.name in self.decls:
-            raise _error(DuplicateDeclaration, f"{c.name!r} declared twice",
-                         self.decls[c.name].loc)
-        if c.name in self.assigned:
-            raise _error(DuplicateDeclaration, f"{c.name!r} is already a constant",
-                         self.assigned[c.name])
-        self.consts[c.name] = c
+                   tuple(self.stmts), tuple(self.idlits))
 
     def declare(self, d: Decl) -> None:
         if d.name in self.decls or d.name in self.consts:
@@ -361,158 +344,187 @@ class _Parser:
                          self.assigned[d.name])
         self.decls[d.name] = d
 
-    def assign(self, s: Assign) -> None:
-        if s.target in self.assigned:
-            raise _error(MultipleAssignment,
-                         f"{s.target!r} assigned more than once", s.loc)
-        if s.target in self.consts:
-            raise _error(DuplicateDeclaration,
-                         f"{s.target!r} is already a constant", s.loc)
-        if isinstance(self.decls.get(s.target), IdentityDecl):
-            raise _error(AssignToIdentity,
-                         f"cannot assign to identity {s.target!r}", s.loc)
-        self.assigned[s.target] = s.loc
-
-    def parse_dim(self) -> int:
-        """A literal or a constant bound above, divided by `scale`."""
-        tok = self.advance()
-        if tok[0] is INT:
-            value = int(tok[1])
-        elif tok[0] is IDENT and tok[1] in self.consts:
-            value = self.consts[tok[1]].value
-        elif tok[0] is IDENT:
+    def dim(self, tok: Token) -> int:
+        """A dim not in `dims` yet: a literal or a constant bound above."""
+        kind, text = tok[0], tok[1]
+        if kind is INT:
+            value = int(text)
+        elif kind is IDENT and text in self.consts:
+            value = self.consts[text].value
+        elif kind is IDENT:
             raise _error(UnboundConstant,
-                         f"constant {tok[1]!r} is not bound here", self.use)
+                         f"constant {text!r} is not bound here", self.use)
         else:
             self.fail(("dimension (integer or constant name)",), tok)
         if value <= 0:
             raise _error(NonPositiveDimension,
                          f"dimension must be positive, got {value}", self.use)
-        return max(1, value // self.scale)
+        self.dims[text] = value = max(1, value // self.scale)
+        return value
 
     def parse_elem_suffix(self) -> ElemKind:
-        if self.tok[0] is not COLON:
+        tokens, pos = self.tokens, self.pos
+        if tokens[pos][0] is not COLON:
             return ElemKind.F32
-        self.advance()
-        tok = self.expect(IDENT)
+        tok = tokens[pos + 1]
+        if tok[0] is not IDENT:
+            self.fail((IDENT,), tok)
+        self.pos = pos + 2
         for kind in ElemKind:
             if tok[1] == kind.value:
                 return kind
         raise ParseError(tok[2], tok[3], ("'f32'", "'f64'"), repr(tok[1]))
 
-    def parse_matrix_decl(self) -> MatrixDecl:
-        self.advance()
-        name = self.expect(IDENT)[1]
-        self.expect(LPAREN)
-        rows = self.parse_dim()
-        self.expect(COMMA)
-        cols = self.parse_dim()
-        self.expect(RPAREN)
-        self.expect(LT)
+    def parse_matrix_decl(self) -> None:
+        tokens, dims, pos = self.tokens, self.dims, self.pos
+        # The usual head, a name and dims seen before, passes one test;
+        # `read` takes any other and raises its first error.
+        if (tokens[pos][0] is IDENT and tokens[pos + 1][0] is LPAREN
+                and (rows := dims.get(tokens[pos + 2][1]))
+                and tokens[pos + 3][0] is COMMA
+                and (cols := dims.get(tokens[pos + 4][1]))
+                and tokens[pos + 5][0] is RPAREN and tokens[pos + 6][0] is LT):
+            name, pos = tokens[pos][1], pos + 7
+        else:
+            name, _, rows, _, cols, _, _ = self.read(IDENT, LPAREN, None, COMMA,
+                                                     None, RPAREN, LT)
+            pos = self.pos
         props: list[str] = []
-        if self.tok[0] is IDENT:
-            props.append(self.advance()[1])
-            while self.tok[0] is COMMA:
-                self.advance()
-                props.append(self.expect(IDENT)[1])
-        self.expect(GT)
-        elem = self.parse_elem_suffix()
-        fill = 1.0
-        if self.tok[0] is EQUALS:
-            self.advance()
-            tok = self.tok
+        if tokens[pos][0] is IDENT:
+            props.append(tokens[pos][1])
+            while tokens[pos + 1][0] is COMMA:
+                pos += 2
+                if tokens[pos][0] is not IDENT:
+                    self.fail((IDENT,), tokens[pos])
+                props.append(tokens[pos][1])
+            pos += 1
+        if tokens[pos][0] is not GT:
+            self.fail((GT,), tokens[pos])
+        self.pos = pos + 1
+        elem, fill, pos = self.parse_elem_suffix(), 1.0, self.pos
+        if tokens[pos][0] is EQUALS:
+            tok = tokens[pos + 1]
             if tok[0] is not INT and tok[0] is not FLOAT:
                 self.fail(("fill value (number)",), tok)
-            self.advance()
-            fill = float(tok[1])
-        return MatrixDecl(name, rows, cols, tuple(props), elem, fill, self.use)
+            fill, self.pos = float(tok[1]), pos + 2
+        self.declare(MatrixDecl(name, rows, cols, tuple(props), elem, fill, self.use))
 
-    def parse_identity_decl(self) -> IdentityDecl:
-        self.advance()
-        name = self.expect(IDENT)[1]
-        self.expect(LPAREN)
-        order = self.parse_dim()
-        self.expect(RPAREN)
-        elem = self.parse_elem_suffix()
-        return IdentityDecl(name, order, elem, self.use)
+    def parse_identity_decl(self) -> None:
+        name, _, order, _ = self.read(IDENT, LPAREN, None, RPAREN)
+        self.declare(IdentityDecl(name, order, self.parse_elem_suffix(), self.use))
 
-    def parse_print(self) -> PrintStmt:
-        self.advance()
-        self.expect(LPAREN)
-        expr = self.parse_expr()
-        self.expect(RPAREN)
-        return PrintStmt(expr, self.use)
+    def parse_print(self) -> None:
+        self.stmts.append(PrintStmt(self.parse_group(0), self.use))
 
-    def parse_const_or_assign(self) -> ConstBinding | Assign:
-        name = self.advance()[1]
-        self.expect(EQUALS)
+    def parse_const_or_assign(self) -> None:
+        tokens, pos, use = self.tokens, self.pos, self.use
+        name, tok = tokens[pos - 1][1], tokens[pos]
+        if tok[0] is not EQUALS:
+            self.fail((EQUALS,), tok)
         # `x = 5` alone on a line binds a constant; anything else is an
         # equation assignment (scalars are not matrix expressions). An INT
         # is not the final EOF, so the token after it exists.
-        if self.tok[0] is INT and self.tokens[self.pos + 1][0] in (
-                NEWLINE, EOF):
-            return ConstBinding(name, int(self.advance()[1]), self.use)
-        return Assign(name, self.parse_expr(), self.use)
+        tok = tokens[pos + 1]
+        if tok[0] is INT and tokens[pos + 2][0] in (NEWLINE, EOF):
+            self.pos = pos + 2
+            if name in self.consts:
+                raise _error(DuplicateDeclaration, f"constant {name!r} bound twice",
+                             use)
+            # A clash with a statement above is reported there.
+            if name in self.decls:
+                raise _error(DuplicateDeclaration, f"{name!r} declared twice",
+                             self.decls[name].loc)
+            if name in self.assigned:
+                raise _error(DuplicateDeclaration, f"{name!r} is already a constant",
+                             self.assigned[name])
+            self.consts[name] = ConstBinding(name, int(tok[1]), use)
+            return
+        self.pos = pos + 1
+        stmt = Assign(name, self.parse_expr(), use)
+        if name in self.assigned:
+            raise _error(MultipleAssignment, f"{name!r} assigned more than once", use)
+        if name in self.consts:
+            raise _error(DuplicateDeclaration, f"{name!r} is already a constant", use)
+        if isinstance(self.decls.get(name), IdentityDecl):
+            raise _error(AssignToIdentity, f"cannot assign to identity {name!r}", use)
+        self.assigned[name] = use
+        self.stmts.append(stmt)
 
     def parse_expr(self) -> Expr:
-        first = self.parse_mulexpr()
-        if self.tok[0] is not PLUS:
-            return first
-        operands = [first]
-        while self.tok[0] is PLUS:
-            self.advance()
-            operands.append(self.parse_mulexpr())
-        return flatten(Add, operands)
+        """`mulexpr ("+" mulexpr)*` as one flattened Add."""
+        operands: list[Expr] = []
+        while True:
+            o = self.parse_mulexpr()
+            if self.tokens[self.pos][0] is not PLUS and not operands:
+                return o
+            operands.extend(o.operands) if type(o) is Add else operands.append(o)
+            if self.tokens[self.pos][0] is not PLUS:
+                return Add(tuple(operands))
+            self.pos += 1
 
     def parse_mulexpr(self) -> Expr:
         """`atom ("*" atom)*` as one flattened Mul of at most
-        MAX_CHAIN_OPERANDS operands."""
-        first = self.parse_atom()
-        if self.tok[0] is not STAR:
-            return first
-        operands = list(first.operands) if isinstance(first, Mul) else [first]
-        while self.tok[0] is STAR:
-            self.advance()
-            tok = self.tok
-            o = self.parse_atom()
-            operands.extend(o.operands) if isinstance(o, Mul) else operands.append(o)
+        MAX_CHAIN_OPERANDS operands. A name, the commonest atom, is read
+        here."""
+        tokens, operands, pos = self.tokens, [], self.pos
+        while True:
+            tok = tokens[pos]
+            if tok[0] is IDENT:
+                o = Ref(tok[1], tuple.__new__(Loc, tok[2:]))
+                if tok[1] not in self.assigned:
+                    self.pending.append(o)
+                pos += 1
+            else:
+                self.pos = pos
+                o, pos = self.parse_atom(), self.pos
+            if tokens[pos][0] is not STAR and not operands:
+                self.pos = pos
+                return o
+            operands.extend(o.operands) if type(o) is Mul else operands.append(o)
             if len(operands) > MAX_CHAIN_OPERANDS:
                 self.fail((f"at most {MAX_CHAIN_OPERANDS} operands in one product",),
                           tok)
-        return Mul(tuple(operands))
+            if tokens[pos][0] is not STAR:
+                self.pos = pos
+                return Mul(tuple(operands))
+            pos += 1
 
     def parse_atom(self) -> Expr:
-        tok = self.tok
-        if tok[0] is IDENT:
-            self.advance()
-            ref = Ref(tok[1], Loc(tok[2], tok[3]))
-            if tok[1] not in self.assigned:
-                self.pending.append(ref)
-            return ref
+        """An atom other than a name."""
+        tok = self.tokens[self.pos]
         if tok[0] is KW_TRANSPOSE:
-            self.advance()
+            self.pos += 1
             return Transpose(self.parse_group())
         if tok[0] is KW_IDENTITY:
-            self.advance()
-            self.expect(LPAREN)
-            lit = IdentityLit(self.parse_dim())
-            self.expect(RPAREN)
+            self.pos += 1
+            lit = IdentityLit(self.read(LPAREN, None, RPAREN)[1])
             self.idlits.append(lit)
             return lit
         if tok[0] is LPAREN:
             return self.parse_group()
         self.fail(("matrix expression",), tok)
 
-    def parse_group(self) -> Expr:
-        """`"(" expr ")"`, at most MAX_NESTING groups deep."""
-        tok = self.expect(LPAREN)
-        if self.depth == MAX_NESTING:
+    def parse_group(self, nesting: int = 1) -> Expr:
+        """`"(" expr ")"`, at most MAX_NESTING groups deep; a print's
+        parentheses (`nesting` 0) are not a group."""
+        tokens, pos = self.tokens, self.pos
+        tok = tokens[pos]
+        if tok[0] is not LPAREN:
+            self.fail((LPAREN,), tok)
+        if self.depth + nesting > MAX_NESTING:
             self.fail((f"at most {MAX_NESTING} nested parentheses",), tok)
-        self.depth += 1
-        inner = self.parse_expr()
-        self.expect(RPAREN)
-        self.depth -= 1
+        self.pos, self.depth = pos + 1, self.depth + nesting
+        inner, pos = self.parse_expr(), self.pos
+        if tokens[pos][0] is not RPAREN:
+            self.fail((RPAREN,), tokens[pos])
+        self.pos, self.depth = pos + 1, self.depth - nesting
         return inner
+
+
+# Each statement's parser by the kind of its first token, which it starts after.
+_STATEMENTS = {KW_MATRIX: _Parser.parse_matrix_decl, KW_PRINT: _Parser.parse_print,
+               KW_IDENTITY: _Parser.parse_identity_decl,
+               IDENT: _Parser.parse_const_or_assign}
 
 
 def parse(tokens: list[Token], scale: int = 1) -> Ast:
@@ -536,10 +548,6 @@ def resolve_constants(ast: Ast) -> Ast:
 # --------------------------------------------------------------------------
 
 
-def _fmt_fill(v: float) -> str:
-    return str(int(v)) if float(v).is_integer() else repr(v)
-
-
 def pretty_expr(e: Expr) -> str:
     if isinstance(e, Ref):
         return e.name
@@ -548,32 +556,24 @@ def pretty_expr(e: Expr) -> str:
     if isinstance(e, IdentityLit):
         return f"Identity({e.order})"
     if isinstance(e, Mul):
-        parts = [f"({pretty_expr(o)})" if isinstance(o, Add) else pretty_expr(o)
-                 for o in e.operands]
-        return " * ".join(parts)
+        return " * ".join(f"({pretty_expr(o)})" if isinstance(o, Add)
+                          else pretty_expr(o) for o in e.operands)
     return " + ".join(pretty_expr(o) for o in e.operands)
 
 
 def pretty(ast: Ast) -> str:
     """Canonical source text: constants, then declarations, then statements."""
-    lines: list[str] = []
-    for c in ast.consts:
-        lines.append(f"{c.name} = {c.value}")
+    lines = [f"{c.name} = {c.value}" for c in ast.consts]
     for d in ast.decls:
         if isinstance(d, MatrixDecl):
             line = f"Matrix {d.name}({d.rows}, {d.cols}) <{', '.join(d.props)}>"
-            if d.elem is not ElemKind.F32:
-                line += f" : {d.elem}"
-            if d.fill != 1.0:
-                line += f" = {_fmt_fill(d.fill)}"
         else:
             line = f"Identity {d.name}({d.order})"
-            if d.elem is not ElemKind.F32:
-                line += f" : {d.elem}"
+        if d.elem is not ElemKind.F32:
+            line += f" : {d.elem}"
+        if isinstance(d, MatrixDecl) and d.fill != 1.0:
+            line += f" = {int(d.fill) if float(d.fill).is_integer() else repr(d.fill)}"
         lines.append(line)
-    for s in ast.stmts:
-        if isinstance(s, Assign):
-            lines.append(f"{s.target} = {pretty_expr(s.expr)}")
-        else:
-            lines.append(f"print({pretty_expr(s.expr)})")
+    lines += [f"{s.target} = {pretty_expr(s.expr)}" if isinstance(s, Assign)
+              else f"print({pretty_expr(s.expr)})" for s in ast.stmts]
     return "\n".join(lines) + "\n"

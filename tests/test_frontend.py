@@ -21,6 +21,7 @@ from momc.errors import (
     UseBeforeAssign,
 )
 from momc.frontend import (
+    MAX_NESTING,
     Add,
     Assign,
     Ast,
@@ -201,6 +202,36 @@ def test_scale_dimensions():
     tiny = parse_source(text, scale=10000)
     assert (tiny.decls[0].rows, tiny.decls[0].cols) == (1, 1)
     assert tiny.stmts[0].expr.operands[2] == IdentityLit(1)
+
+
+def test_a_dim_reads_the_same_on_every_use():
+    # The parser keeps a valid dim's scaled value by its text; a dim it has
+    # not kept is checked again wherever it appears.
+    text = ("k = 8\nMatrix A(k, 4) <>\nMatrix B(4, k) <>\nIdentity I(k)\n"
+            "C = A * B * Identity(4)\n")
+    for scale, (k, four) in ((1, (8, 4)), (4, (2, 1))):
+        ast = parse_source(text, scale)
+        assert [(d.rows, d.cols) for d in ast.decls[:2]] == [(k, four), (four, k)]
+        assert (ast.decls[2].order, ast.idlits) == (k, (IdentityLit(four),))
+    for text, err, line in (
+            ("Matrix A(2, 2) <>\nMatrix B(2, 0) <>\n", NonPositiveDimension, 2),
+            ("Matrix A(2, k) <>\n", UnboundConstant, 1),
+            ("Matrix A(2, 2) <>\nMatrix B(2, k) <>\nk = 2\n", UnboundConstant, 2),
+            ("k = 2\nMatrix A(k, 2.5) <>\n", ParseError, 2)):
+        with pytest.raises(err) as exc:
+            parse_source(text)
+        assert exc.value.line == line
+
+
+def test_print_parentheses_are_not_a_group():
+    def printed(depth):
+        return ("Matrix A(2, 2) <>\nprint(" + "(" * depth + "A" + ")" * depth
+                + ")\n")
+    ast = parse_source(printed(MAX_NESTING))
+    assert ast.stmts == (PrintStmt(Ref("A")),)
+    with pytest.raises(ParseError) as exc:
+        parse_source(printed(MAX_NESTING + 1))
+    assert (exc.value.line, exc.value.col) == (2, len("print(") + MAX_NESTING + 1)
 
 
 # ---------------------------------------------------------------------------

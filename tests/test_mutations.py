@@ -32,8 +32,10 @@ VOCABULARY = ["Matrix", "Identity", "print", "transpose", "(", ")", "<", ">",
               ",", "=", "*", "+", ":", "f32", "f64", "f16", "LowerTriangular",
               "UpperTriangular", "Symmetric", "Diagonal", "Lower", "n", "A",
               "I", "0", "1", "-1", "1.5", ".", "1" + "0" * 40, "1" + "0" * 400,
-              "\n", " ", "#", "@", "é", "\t"]
-CHARS = st.sampled_from(sorted(set("".join(VOCABULARY) + "0123456789_;\"'\\")))
+              "\n", " ", "#", "@", "é", "\t", "\r\n", "\r"]
+# The characters a char edit inserts or puts in place of another.
+ALPHABET = sorted(set("".join(VOCABULARY) + "0123456789_;\"'\\"))
+CHARS = st.sampled_from(ALPHABET)
 TOKEN = re.compile(r"\w+|\s+|\S")
 
 char_edit = st.tuples(st.just("char"), st.sampled_from(["delete", "insert", "replace"]),

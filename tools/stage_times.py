@@ -1,0 +1,123 @@
+"""Time each compile and run stage of a perfbench workload in process.
+
+    python tools/stage_times.py ROOT [--workload W] [--seed S] [--rounds N]
+
+ROOT is a momc checkout: momc is imported from ROOT/src and the workload's
+programs come from ROOT/perfbench/programs.py, which is only read (no
+bytecode is written next to it). After one warm-up round, each round
+compiles and runs every timed program once through the same calls as
+perfbench (`tokenize`, `parse`, `build_ir`, `verify`,
+`optimize_and_rematerialize`, `lower_to_loops`, then `execute` once), with
+the cyclic collector on. The script prints, per stage, the median over the
+rounds of the stage's time summed over the programs, and the median time
+the collector spent inside it, measured from `gc.callbacks`; then the median
+number of collections per generation in one round.
+
+The figures are raw wall times. To compare two checkouts, run the script on
+each in turn, a few times alternately, and compare medians.
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS/OpenMP thread, set before numpy loads, as perfbench does.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import gc  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+
+STAGES = ("tokenize", "parse", "build_ir", "verify", "optimize", "lower", "execute")
+COMPILE = STAGES[:-1]
+
+
+class StageClock:
+    """Wall time and collector time per stage of one round."""
+
+    def __init__(self) -> None:
+        self.wall = dict.fromkeys(STAGES, 0.0)
+        self.gc = dict.fromkeys(STAGES, 0.0)
+        self.collections = [0, 0, 0]
+        self.stage = STAGES[0]
+        self.gc_start = 0.0
+
+    def on_gc(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self.gc_start = time.perf_counter()
+        else:
+            self.gc[self.stage] += time.perf_counter() - self.gc_start
+            self.collections[info["generation"]] += 1
+
+    def time(self, stage: str, fn, *args):
+        self.stage = stage
+        t0 = time.perf_counter()
+        out = fn(*args)
+        self.wall[stage] += time.perf_counter() - t0
+        return out
+
+
+def one_round(m, texts: list[str], mode) -> StageClock:
+    clock = StageClock()
+    gc.callbacks.append(clock.on_gc)
+    try:
+        for text in texts:
+            tokens = clock.time("tokenize", m.frontend.tokenize, text)
+            ast = clock.time("parse", m.frontend.parse, tokens)
+            module = clock.time("build_ir", m.ir.build_ir, ast)
+            diags = clock.time("verify", m.ir.verify, module)
+            if diags:
+                raise SystemExit(f"stage_times: verifier: {diags[0]}")
+            opt = clock.time("optimize", m.equation_opt.optimize_and_rematerialize,
+                             module)
+            lm = clock.time("lower", m.loops.lower_to_loops, opt.module)
+            clock.time("execute", m.executor.execute, lm, mode, 1)
+    finally:
+        gc.callbacks.remove(clock.on_gc)
+    return clock
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("root", help="a momc checkout")
+    ap.add_argument("--workload", default="many-stmts")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--rounds", type=int, default=15)
+    args = ap.parse_args()
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+
+    root = os.path.abspath(args.root)
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import momc
+    import programs
+
+    mode_name, progs = programs.generate(args.workload, args.seed)
+    mode = momc.executor.ExecMode(mode_name)
+    texts = [p.text for p in progs if p.timed]
+    one_round(momc, texts, mode)  # warm-up
+    rounds = [one_round(momc, texts, mode) for _ in range(args.rounds)]
+
+    def ms(values) -> str:
+        return f"{statistics.median(values) * 1e3:9.2f}"
+
+    print(f"momc from {os.path.dirname(momc.__file__)}")
+    print(f"{args.workload} seed {args.seed}: {len(texts)} timed programs, "
+          f"{mode_name} mode, median of {args.rounds} rounds")
+    print(f"{'stage':<10}{'ms':>9}{'gc ms':>9}")
+    for stage in STAGES:
+        print(f"{stage:<10}{ms([r.wall[stage] for r in rounds])}"
+              f"{ms([r.gc[stage] for r in rounds])}")
+    print(f"{'compile':<10}{ms([sum(r.wall[s] for s in COMPILE) for r in rounds])}"
+          f"{ms([sum(r.gc[s] for s in COMPILE) for r in rounds])}")
+    counts = [statistics.median(r.collections[g] for r in rounds) for g in range(3)]
+    print("collections per round (gen 0/1/2): " + " / ".join(f"{c:g}" for c in counts))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
