@@ -189,7 +189,8 @@ def main(argv: list[str] | None = None) -> int:
 def _main(argv: list[str] | None) -> int:
     cfg = parse_config(argv)
     try:
-        with open(cfg.input, encoding="utf-8", errors="surrogateescape") as f:
+        with open(cfg.input, encoding="utf-8", errors="surrogateescape",
+                  newline="") as f:
             text = f.read()
     except OSError as e:
         print(f"momc: cannot read {cfg.input}: {e.strerror}", file=sys.stderr)

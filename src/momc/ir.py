@@ -6,10 +6,10 @@ none, and the chain solver and loop lowering read the table's `MatrixType`
 objects themselves. An identity is a `MatrixType` with `identity` set. Types
 are frozen and interned by `matrix_type`, since a compile builds thousands but
 few differ; ops are slotted dataclasses, faster to build than frozen ones.
-Equations carry one nested region of variadic compute ops that produce
-placeholder `term` values, and the value they yield; a region may be empty,
-as in `C = A`. After optimization the module contains only binary compute
-ops with concrete types at the top level.
+Equations carry a region one level deep: variadic compute ops that produce
+placeholder `term` values, then the value they yield (an empty region, as
+in `C = A`, yields a value defined above). After optimization the module
+holds only binary compute ops with concrete types at the top level.
 
 The textual form is this project's own, pinned by golden tests:
 
@@ -25,7 +25,7 @@ The textual form is this project's own, pinned by golden tests:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from . import frontend as fe
 from .errors import CompileError
@@ -180,17 +180,15 @@ class IRModule:
 
 
 class IRBuilder:
-    """Appends ops while allocating dense sequential value ids."""
+    """Appends ops; each new value's id is the symbol table's length."""
 
     def __init__(self) -> None:
         self.ops: list[IROp] = []
         self.types: dict[ValueId, ValueType] = {}
         self.names: dict[ValueId, str] = {}
-        self._next: ValueId = 0
 
     def new_value(self, t: ValueType, name: str | None = None) -> ValueId:
-        v = self._next
-        self._next += 1
+        v = len(self.types)
         self.types[v] = t
         if name is not None:
             self.names[v] = name
@@ -202,7 +200,8 @@ class IRBuilder:
         return v
 
     def module(self) -> IRModule:
-        return IRModule(tuple(self.ops), dict(self.types), dict(self.names))
+        """The built module, which takes the tables: use the builder no more."""
+        return IRModule(tuple(self.ops), self.types, self.names)
 
 
 # --------------------------------------------------------------------------
@@ -210,8 +209,26 @@ class IRBuilder:
 # --------------------------------------------------------------------------
 
 
+def _build_region(e: fe.Expr, env: dict[str | int, ValueId], new_value: Callable,
+                  region: list[IROp]) -> ValueId:
+    """The value of `e`, after appending its compute ops to `region`, each
+    after its operands. A transpose takes its id before its operand's values."""
+    if isinstance(e, fe.Ref):
+        return env[e.name]
+    if isinstance(e, fe.IdentityLit):
+        return env[id(e)]
+    if isinstance(e, fe.Transpose):
+        v = new_value(TERM)
+        region.append(Transpose(v, _build_region(e.operand, env, new_value, region)))
+        return v
+    operands = tuple([_build_region(o, env, new_value, region) for o in e.operands])
+    v = new_value(TERM)
+    region.append(Mul(v, operands) if isinstance(e, fe.Mul) else Add(v, operands))
+    return v
+
+
 def build_ir(ast: fe.Ast) -> IRModule:
-    """Lower an Ast: one init+fill per input, one equation per assign.
+    """Lower an Ast: one init+fill per input, one equation per computed value.
 
     Declarations whose name is assigned are equation aliases and are not
     materialized; their declared dims are attached to the equation for a
@@ -220,8 +237,10 @@ def build_ir(ast: fe.Ast) -> IRModule:
     """
     b = IRBuilder()
     assigned = {s.target for s in ast.stmts if isinstance(s, fe.Assign)}
-    declared: dict[str, fe.Decl] = {d.name: d for d in ast.decls}
-    env: dict[str, ValueId] = {}
+    dims = {d.name: (d.rows, d.cols) for d in ast.decls
+            if d.name in assigned and isinstance(d, fe.MatrixDecl)}
+    # Values by name, and of hoisted identity literals by the literal's id().
+    env: dict[str | int, ValueId] = {}
 
     for d in ast.decls:
         if d.name in assigned:
@@ -235,56 +254,27 @@ def build_ir(ast: fe.Ast) -> IRModule:
                                    identity=True), d.name)
             b.ops.append(Fill(1.0, v))
         env[d.name] = v
-
-    idlits: dict[int, ValueId] = {}
-
     for e in ast.idlits:
-        v = b.init(matrix_type(e.order, e.order, ElemKind.F32, DIAGONAL_PROPS,
-                               identity=True))
+        v = env[id(e)] = b.init(matrix_type(e.order, e.order, ElemKind.F32,
+                                            DIAGONAL_PROPS, identity=True))
         b.ops.append(Fill(1.0, v))
-        idlits[id(e)] = v
 
-    def build_region(e: fe.Expr, region: list[IROp]) -> ValueId:
-        if isinstance(e, fe.Ref):
-            return env[e.name]
-        if isinstance(e, fe.IdentityLit):
-            return idlits[id(e)]
-        if isinstance(e, fe.Transpose):
-            v = b.new_value(TERM)
-            region_op = Transpose(v, build_region(e.operand, region))
-            region.append(region_op)
-            return v
-        operands = tuple(build_region(o, region) for o in e.operands)
-        v = b.new_value(TERM)
-        region.append(Mul(v, operands) if isinstance(e, fe.Mul)
-                      else Add(v, operands))
-        return v
-
-    def build_equation(s: fe.Stmt, declared_dims: tuple[int, int] | None) -> ValueId:
-        result = b.new_value(TERM)
+    new_value = b.new_value
+    for s in ast.stmts:
+        e = s.expr
+        assign = isinstance(s, fe.Assign)
+        if not assign and isinstance(e, (fe.Ref, fe.IdentityLit)):
+            b.ops.append(Print(env[e.name if isinstance(e, fe.Ref) else id(e)]))
+            continue
+        result = new_value(TERM)
         region: list[IROp] = []
-        yielded = build_region(s.expr, region)
-        b.ops.append(Equation(result, tuple(region), yielded, declared_dims, s.loc))
-        return result
-
-    try:
-        for s in ast.stmts:
-            if isinstance(s, fe.Assign):
-                dims = None
-                d = declared.get(s.target)
-                if isinstance(d, fe.MatrixDecl):
-                    dims = (d.rows, d.cols)
-                env[s.target] = build_equation(s, dims)
-            else:
-                if isinstance(s.expr, fe.Ref):
-                    operand = env[s.expr.name]
-                elif isinstance(s.expr, fe.IdentityLit):
-                    operand = idlits[id(s.expr)]
-                else:
-                    operand = build_equation(s, None)
-                b.ops.append(Print(operand))
-    finally:
-        del build_region  # it refers to itself: break the cycle
+        yielded = _build_region(e, env, new_value, region)
+        b.ops.append(Equation(result, tuple(region), yielded,
+                              dims.get(s.target) if assign else None, s.loc))
+        if assign:
+            env[s.target] = result
+        else:
+            b.ops.append(Print(result))
     return b.module()
 
 
@@ -420,33 +410,31 @@ def format_scalar(v: float) -> str:
     return f"{f:.6g}"
 
 
+def _render(op: IROp, types: dict[ValueId, ValueType]) -> str:
+    """The line of one op other than an equation."""
+    if isinstance(op, Init):
+        return f"%{op.result} = init : {types[op.result]}"
+    if isinstance(op, Fill):
+        return (f"fill %{op.operand}, {format_scalar(op.value)} : "
+                f"{types[op.operand].elem}")
+    if isinstance(op, (Mul, Add)):
+        kind = "mul" if isinstance(op, Mul) else "add"
+        ops = ", ".join([f"%{o}" for o in op.operands])
+        return f"%{op.result} = {kind} {ops} : {types[op.result]}"
+    if isinstance(op, Transpose):
+        return f"%{op.result} = transpose %{op.operand} : {types[op.result]}"
+    assert isinstance(op, Print)
+    return f"print %{op.operand} : {types[op.operand]}"
+
+
 def print_ir(m: IRModule) -> str:
     """Deterministic textual dump, one op per line, values named %0, %1, ..."""
-
-    def render(op: IROp, indent: str) -> list[str]:
-        if isinstance(op, Init):
-            return [f"{indent}%{op.result} = init : {m.types[op.result]}"]
-        if isinstance(op, Fill):
-            return [f"{indent}fill %{op.operand}, "
-                    f"{format_scalar(op.value)} : {m.types[op.operand].elem}"]
-        if isinstance(op, (Mul, Add)):
-            kind = "mul" if isinstance(op, Mul) else "add"
-            ops = ", ".join(f"%{o}" for o in op.operands)
-            return [f"{indent}%{op.result} = {kind} {ops} : {m.types[op.result]}"]
-        if isinstance(op, Transpose):
-            return [f"{indent}%{op.result} = transpose %{op.operand} : "
-                    f"{m.types[op.result]}"]
-        if isinstance(op, Print):
-            return [f"{indent}print %{op.operand} : {m.types[op.operand]}"]
-        assert isinstance(op, Equation)
-        lines = [f"{indent}%{op.result} = equation {{"]
-        for inner in op.region:
-            lines.extend(render(inner, indent + "  "))
-        lines.append(f"{indent}  yield %{op.yielded}")
-        lines.append(f"{indent}}} : {m.types[op.result]}")
-        return lines
-
     out: list[str] = []
     for op in m.ops:
-        out.extend(render(op, ""))
+        if isinstance(op, Equation):
+            out += [f"%{op.result} = equation {{",
+                    *[f"  {_render(inner, m.types)}" for inner in op.region],
+                    f"  yield %{op.yielded}", f"}} : {m.types[op.result]}"]
+        else:
+            out.append(_render(op, m.types))
     return "\n".join(out) + "\n"

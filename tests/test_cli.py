@@ -88,6 +88,28 @@ def test_invalid_utf8_is_a_located_diagnostic(tmp_path, capsys, data, where):
     assert (code, out, err) == (1, "", f"{prog}:{where}\n")
 
 
+@pytest.mark.parametrize("data,where", [
+    # A lone carriage return is a blank, not a line break.
+    (b"Matrix A(2, 2) <>\rprint(B)\n",
+     "1:19: error: expected newline, found 'print'"),
+    # The carriage return of a CRLF takes a column of its line.
+    (b"Matrix A(2, 2\r\nprint(A)\r\n", "1:15: error: expected ')', found '\\n'"),
+    # A property list may not have an empty entry.
+    (b"Matrix A(2, 2) <LowerTriangular, >\n",
+     "1:34: error: expected identifier, found '>'"),
+    (b"Matrix A(2, 2) <LowerTriangular,,>\n",
+     "1:33: error: expected identifier, found ','"),
+])
+def test_the_cli_reports_what_parse_source_reports(tmp_path, capsys, data, where):
+    prog = tmp_path / "p.mom"
+    prog.write_bytes(data)
+    with pytest.raises(ParseError) as info:
+        parse_source(data.decode())
+    assert str(info.value) == where
+    code, out, err = run_cli(capsys, str(prog))
+    assert (code, out, err) == (1, "", f"{prog}:{where}\n")
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     r, w = os.pipe()
     os.close(r)  # the pipe has no reader before the child writes anything

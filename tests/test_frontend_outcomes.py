@@ -5,8 +5,8 @@ The corpus is `examples/*.mom`, 100 `gen.random_program` programs and 2,000
 seeded mutants (`test_mutations.mutate`, 1-3 char or token edits drawn from
 its `VOCABULARY` and `ALPHABET`) of the examples and of generated programs.
 Each program goes through `frontend.parse_source` in process, so a `\\r`
-reaches the lexer as written (the CLI reads with universal newlines, which
-turn it into `\\n`). Its line is the `CompileError`'s class and
+reaches the lexer as written, as it does through the CLI, which reads the
+file with `newline=""`. Its line is the `CompileError`'s class and
 text with its location, or `ok` and two sha256 prefixes: of `pretty(ast)`,
 which is what `--emit=ast` prints, and of `repr(ast)`, which also holds
 every node's location, element kind and fill.

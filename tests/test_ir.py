@@ -1,11 +1,14 @@
 """IR construction, verification, and the textual printer."""
 
+import itertools
+import os
 import random
 from dataclasses import FrozenInstanceError
 
 import pytest
 
 from momc import ir, loops
+from momc.cli import main
 from momc.equation_opt import optimize_and_rematerialize
 from momc.errors import ResolutionError
 from momc.frontend import Loc, parse_source
@@ -239,6 +242,37 @@ def test_matrix_types_are_frozen_and_shared_within_a_module():
     assert m.types[0] == m.types[1] and m.types[0] is m.types[1]
     with pytest.raises(FrozenInstanceError):
         m.types[0].rows = 5
+
+
+_FILLER_ROWS = itertools.count(1)
+
+
+def _intern_until_the_table_empties():
+    """Intern new Nx1000007 types, which no program asks for, until
+    `matrix_type` empties its table, which it must within 4,097 calls;
+    check the table's size after every call."""
+    for _ in range(4097):
+        before = len(ir._TYPES)
+        ir.matrix_type(next(_FILLER_ROWS), 10**6 + 7, ElemKind.F32, EMPTY_PROPS)
+        assert len(ir._TYPES) <= 4096
+        if len(ir._TYPES) < before:
+            return
+    pytest.fail("the type table was not emptied")
+
+
+def test_the_type_table_empties_when_full(capsys):
+    """Nothing compares types by identity, so a type asked for again after
+    the table was emptied is a new object that serves as well."""
+    first = ir.matrix_type(3, 3, ElemKind.F64, LOWER)
+    _intern_until_the_table_empties()
+    again = ir.matrix_type(3, 3, ElemKind.F64, LOWER)
+    assert again == first and again is not first
+    _intern_until_the_table_empties()
+    root = os.path.join(os.path.dirname(__file__), "..")
+    assert main([os.path.join(root, "examples", "listing1.mom"), "--emit=ir-opt"]) == 0
+    with open(os.path.join(root, "tests", "golden", "listing1_ir_opt.txt"),
+              encoding="utf-8") as f:
+        assert capsys.readouterr().out == f.read()
 
 
 def test_node_equality_compares_the_class():

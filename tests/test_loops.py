@@ -8,6 +8,7 @@ import re
 import pytest
 
 from momc import equation_opt, frontend, ir, loops
+from momc.cli import render_chain_report
 from momc.errors import CompileError, UnresolvedTerm
 from momc.properties import Property, PropertySet, StoredPattern
 
@@ -173,16 +174,20 @@ def test_loop_dump_ids_are_the_ir_opt_ids():
                     allocated.add(op.tensor)
 
 
-def test_a_compile_leaves_no_cyclic_garbage():
-    """No pass makes a reference cycle, so reference counts free a dropped
-    compile's tokens, modules and loop IR without the cyclic collector."""
+def _examples_and_generated_programs():
     examples = os.path.join(os.path.dirname(__file__), "..", "examples")
     texts = []
     for name in sorted(os.listdir(examples)):
         with open(os.path.join(examples, name)) as f:
             texts.append(f.read())
     rng = random.Random(default_seed() ^ 0x8B)
-    texts += [random_program(rng) for _ in range(30)]
+    return texts + [random_program(rng) for _ in range(30)]
+
+
+def test_a_compile_leaves_no_cyclic_garbage():
+    """No pass makes a reference cycle, so reference counts free a dropped
+    compile's tokens, modules and loop IR without the cyclic collector."""
+    texts = _examples_and_generated_programs()
     gc.collect()
     gc.disable()
     try:
@@ -193,6 +198,27 @@ def test_a_compile_leaves_no_cyclic_garbage():
             opt = equation_opt.optimize_and_rematerialize(module)
             lowered = loops.lower_to_loops(opt.module)
             del tokens, module, opt, lowered
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_the_dumps_leave_no_cyclic_garbage():
+    """Nor does any `--emit` dump: the Ast, the module before and after
+    optimization, the chain reports and the loop IR."""
+    texts = _examples_and_generated_programs()
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            ast = frontend.parse_source(text)
+            module = ir.build_ir(ast)
+            opt = equation_opt.optimize_and_rematerialize(module)
+            lowered = loops.lower_to_loops(opt.module)
+            dumps = [frontend.pretty(ast), ir.print_ir(module),
+                     ir.print_ir(opt.module), loops.print_loops(lowered),
+                     *map(render_chain_report, opt.chains)]
+            del ast, module, opt, lowered, dumps
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -209,9 +235,9 @@ FAILING_OPTIMIZATIONS = [
 
 
 def test_a_failed_compile_leaves_no_cyclic_garbage():
-    """The closures of `build_ir` and the optimizer break their cycles when
-    they raise too: each failing program, and an Ast naming a matrix it
-    never declared, leaves nothing for the cyclic collector."""
+    """The optimizer's closures break their cycles when they raise too, and
+    `build_ir` makes none: each failing program, and an Ast naming a matrix
+    it never declared, leaves nothing for the cyclic collector."""
     unknown = frontend.parse(frontend.tokenize(
         "Matrix A(2, 2) <>\nC = A * A\nprint(C)\n"))
     unknown.stmts[0].expr.operands[1].name = "Z"

@@ -9,7 +9,9 @@ The programs are written once: `tests/gen.py` programs for seeds 0..N-1
 `chain60.mom` and `chain256.mom` (`chain_program`; 256 operands is
 `MAX_CHAIN_OPERANDS`, the longest product the parser accepts) and
 `small.mom` (`small_program`: small prints of every shape up to 8x8, whole
-and fractional, with large whole products). One child
+and fractional, with large whole products), and `crlf.mom` and
+`crlf_error.mom` (`CRLF_PROGRAM` and `CRLF_ERROR_PROGRAM`: CRLF line ends
+and lone carriage returns). One child
 process per root then runs `momc.cli.main` in-process over them and prints
 one sha256 per run, of the exit code, stdout and stderr with the program
 directory replaced by a fixed name.
@@ -21,7 +23,9 @@ examples at `--scale=4`; `big600.mom` and `overflow300.mom` run at full size
 in dense and specialized mode only, `chain60.mom` is dumped with `--emit` =
 `chain`, `ir-opt` and `loops` and run in those two modes, and `chain256.mom`
 likewise but without `--emit=chain`, whose DP tables would be 256x256, and
-`small.mom` runs in dense and specialized mode. Mutants
+`small.mom` runs in dense and specialized mode; `crlf.mom` is dumped with
+every `--emit` and runs in those two modes, and `crlf_error.mom` is only
+dumped. Mutants
 are never run, since they may declare huge dimensions. The script prints the
 run count and the exit-code histogram, lists each (program, flags) pair whose
 answers differ or, for `overflow300.mom`, do not exit 1, and exits 1 if there
@@ -83,6 +87,18 @@ Matrix A(n, n) <> = 100000000000000000000
 Matrix B(n, n) <> = 100000000000000000000
 print(A * B)
 """
+
+# CRLF line ends, and lone carriage returns, which are blanks; the error
+# version fails at the line feed after one, whose column counts it.
+CRLF_PROGRAM = """\
+n = 3\r
+Matrix A(n, n) <LowerTriangular> = 2\r
+Matrix B(n, n) <>\r = 0.5\r
+C = A *\rB\r
+print(C)\r
+print(transpose(A) * C)\r
+"""
+CRLF_ERROR_PROGRAM = CRLF_PROGRAM.replace("*\rB", "*\r")
 
 
 def chain_program(k: int) -> str:
@@ -158,7 +174,8 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     jobs: list[tuple[str, list[str]]] = []
 
     def write(name: str, text: str, flag_sets: list[list[str]]) -> None:
-        with open(os.path.join(directory, name), "w", encoding="utf-8") as f:
+        with open(os.path.join(directory, name), "w", encoding="utf-8",
+                  newline="") as f:
             f.write(text)
         jobs.extend((name, flags) for flags in flag_sets)
 
@@ -189,6 +206,8 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     write("chain256.mom", chain_program(256),
           [["--emit=ir-opt"], ["--emit=loops"]] + RUNS[:2])
     write("small.mom", small_program(), RUNS[:2])
+    write("crlf.mom", CRLF_PROGRAM, EMITS + RUNS[:2])
+    write("crlf_error.mom", CRLF_ERROR_PROGRAM, EMITS)
     return jobs
 
 
