@@ -56,6 +56,7 @@ from __future__ import annotations
 import bisect
 import contextvars
 import enum
+import functools
 import math
 import operator
 import os
@@ -368,13 +369,6 @@ def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int) -> list[str]:
     right = pattern is not StoredPattern.UPPER_INCL
     k, y = np.ogrid[:step, :min(step, cols)]  # at most 2**12 entries
     band_outside = ((y < k) & left) | ((y > k) & right)
-    for r in starts:
-        block = a[r:r + step]
-        h = len(block)
-        band = block[:, r:r + h]
-        if ((left and block[:, :r].any()) or (right and block[:, r + h:].any())
-                or band.any(where=band_outside[:h, :band.shape[1]])):
-            _raise_outside(a, pattern)
     # Rows go longest span first, lower triangles bottom up: then each row's
     # temporary strings fit where the previous row's were freed. Top down,
     # the growing spans left about 0.3 MB more heap behind on a 1000^2 print.
@@ -385,10 +379,15 @@ def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int) -> list[str]:
     lo, hi = _spans(pattern, rows, cols)
     for r in reversed(starts) if backwards else starts:
         block = a[r:r + step]
+        h = len(block)
+        band = block[:, r:r + h]
+        if ((left and block[:, :r].any()) or (right and block[:, r + h:].any())
+                or band.any(where=band_outside[:h, :band.shape[1]])):
+            _raise_outside(a, pattern)
         whole = _all_whole(block)
         if whole:
             block = block.astype(np.int64)
-        for i in range(r, r + len(block))[::-1 if backwards else 1]:
+        for i in range(r, r + h)[::-1 if backwards else 1]:
             j0, j1 = lo[i], hi[i]
             if j0 >= j1:
                 lines.append(zeros_before[:-1])
@@ -404,9 +403,11 @@ def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int) -> list[str]:
     return lines
 
 
-# The `%d` format of a whole small buffer, one per (rows, cols); a small
-# buffer has finitely many shapes.
-_SMALL_FORMATS: dict[tuple[int, int], str] = {}
+@functools.cache
+def _small_format(rows: int, cols: int) -> str:
+    """The `%d` format of a whole small buffer of this shape; a small buffer
+    has finitely many shapes."""
+    return "\n".join([" ".join(["%d"] * cols)] * rows)
 
 
 def _small_lines(a: np.ndarray) -> str:
@@ -417,11 +418,7 @@ def _small_lines(a: np.ndarray) -> str:
     rows, cols = a.shape
     flat = a.ravel().tolist()
     if all(map(float.is_integer, flat)) and -1e18 < min(flat) and max(flat) < 1e18:
-        fmt = _SMALL_FORMATS.get(a.shape)
-        if fmt is None:
-            row = " ".join(["%d"] * cols)
-            fmt = _SMALL_FORMATS[a.shape] = "\n".join([row] * rows)
-        return fmt % tuple(map(int, flat))
+        return _small_format(rows, cols) % tuple(map(int, flat))
     return "\n".join([" ".join(map(format_scalar, flat[r:r + cols]))
                       for r in range(0, rows * cols, cols)])
 

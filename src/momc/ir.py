@@ -4,12 +4,12 @@ A module is an ordered list of operations plus a symbol table mapping value
 ids to types. The table is the only place a value's type is kept: ops carry
 none, and the chain solver and loop lowering read the table's `MatrixType`
 objects themselves. An identity is a `MatrixType` with `identity` set. Types
-are frozen and interned by `matrix_type`, since a compile builds thousands but
-few differ; ops are slotted dataclasses, faster to build than frozen ones.
-Equations carry a region one level deep: variadic compute ops that produce
-placeholder `term` values, then the value they yield (an empty region, as
-in `C = A`, yields a value defined above). After optimization the module
-holds only binary compute ops with concrete types at the top level.
+are frozen and come from `matrix_type`, a bounded LRU cache, since a compile
+builds thousands but few differ; ops are slotted dataclasses, faster to build
+than frozen ones. Equations carry a region one level deep: variadic compute
+ops that produce placeholder `term` values, then the value they yield (an
+empty region, as in `C = A`, yields a value defined above). After optimization
+the module holds only binary compute ops with concrete types at the top level.
 
 The textual form is this project's own, pinned by golden tests:
 
@@ -24,6 +24,7 @@ The textual form is this project's own, pinned by golden tests:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
@@ -65,21 +66,10 @@ class MatrixType:
         return f"matrix<{self.rows}x{self.cols}x{self.elem},{self.props.render()}>"
 
 
-_TYPES: dict[tuple[int, int, ElemKind, PropertySet, bool], MatrixType] = {}
-
-
-def matrix_type(rows: int, cols: int, elem: ElemKind, props: PropertySet,
-                identity: bool = False) -> MatrixType:
-    """The one `MatrixType` with these fields, from a table emptied when
-    full. An invalid type is never stored, so it raises `ValueError` on
-    every call."""
-    key = (rows, cols, elem, props, identity)
-    t = _TYPES.get(key)
-    if t is None:
-        if len(_TYPES) == 4096:
-            _TYPES.clear()
-        t = _TYPES[key] = MatrixType(rows, cols, elem, props, identity)
-    return t
+# The one `MatrixType` with these fields, from a bounded LRU cache. A call
+# that raised is not cached, so an invalid type raises on every call. A
+# keyword is a different key: callers pass only `identity` by keyword.
+matrix_type = functools.lru_cache(maxsize=4096)(MatrixType)
 
 
 @dataclass(frozen=True)
@@ -171,7 +161,8 @@ class IRModule:
     names: dict[ValueId, str] = field(default_factory=dict)
 
     def walk(self) -> Iterator[tuple[tuple[int, ...], IROp]]:
-        """Yield (path, op) for every op, descending into equation regions."""
+        """Yield (path, op) for every op, descending into equation regions.
+        perfbench's `counts_of` counts a module's IR ops through it."""
         for i, op in enumerate(self.ops):
             yield (i,), op
             if isinstance(op, Equation):

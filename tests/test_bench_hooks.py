@@ -83,3 +83,19 @@ def test_every_counted_name_is_called(tmp_path, capsys, monkeypatch, entry):
     monkeypatch.setattr(tracing, "COUNTED", (entry,))
     layers = traced_run(tmp_path, tracing.Tracer(momc), counting=True)
     assert layers.get(entry[2], 0) > 0
+
+
+@pytest.mark.parametrize("mode", list(momc.ExecMode), ids=lambda m: m.value)
+def test_the_benchmark_reads_what_momc_returns(mode):
+    """perfbench's `counts_of` reads these counts from what
+    `compile_and_run` returns, `ir.ops` through `IRModule.walk`."""
+    bench = load_bench_run()
+    _, _, a = bench.compile_and_run(momc, PROGRAM, mode, bench.no_span)
+    counts = bench.counts_of(a)
+    ops = a["module"].ops
+    regions = sum(len(op.region) for op in ops if isinstance(op, momc.ir.Equation))
+    assert counts["ir.ops"] == len(ops) + regions
+    assert counts["loops.ops"] == len(a["lm"].ops)
+    assert counts["equation_opt.chains"] == 1
+    if mode is momc.ExecMode.SPECIALIZED:
+        assert counts["chain.optimal_cost"] == counts["mults"]

@@ -278,12 +278,21 @@ def test_small_full_print_of_every_special_value(elem):
 def test_format_print_rejects_a_nonzero_outside_the_pattern(
         monkeypatch, pattern, rows, cols):
     """Blocks of 16 entries: a nonzero, NaN or inf at any entry outside the
-    pattern raises and names that entry; a -0.0 there prints as 0."""
+    pattern raises and names that entry; a -0.0 there prints as 0. With
+    every entry outside nonzero, the error names the first in row-major
+    order, though lower triangles are formatted bottom up: (0, 1) for a
+    9x9 lower triangle, not (7, 8)."""
     monkeypatch.setattr(executor, "_PRINT_BLOCK_ENTRIES", 16)
     inside = _inside(pattern, rows, cols)
     b = np.where(inside, 3.0, 0.0)
     assert format_print(b, pattern) == reference_format_print(b)
-    for i, j in zip(*np.nonzero(~inside)):
+    outside = list(zip(*np.nonzero(~inside)))
+    if outside:
+        i, j = outside[0]
+        with pytest.raises(BrokenStoredPattern,
+                           match=rf"^error: entry \({i}, {j}\) is 5,"):
+            format_print(np.where(inside, 3.0, 5.0), pattern)
+    for i, j in outside:
         for v, text in ((1.0, "1"), (np.nan, "nan"), (-np.inf, "-inf")):
             bad = b.copy()
             bad[i, j] = v

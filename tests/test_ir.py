@@ -238,8 +238,13 @@ def test_matrix_type_rejects_structured_rectangles():
 
 
 def test_matrix_types_are_frozen_and_shared_within_a_module():
-    m = build("Matrix A(3, 4) <>\nMatrix B(3, 4) <>\nprint(A + B)\n")
+    m = build("Matrix A(3, 4) <>\nMatrix B(3, 4) <>\nIdentity I(3)\n"
+              "print(A + B)\nprint(I * Identity(3) * A)\n")
     assert m.types[0] == m.types[1] and m.types[0] is m.types[1]
+    # The declared identity and the inline literal, both asked for with
+    # `identity=True` by keyword.
+    assert m.names[2] == "I" and 3 not in m.names
+    assert m.types[2].identity and m.types[2] is m.types[3]
     with pytest.raises(FrozenInstanceError):
         m.types[0].rows = 5
 
@@ -247,27 +252,25 @@ def test_matrix_types_are_frozen_and_shared_within_a_module():
 _FILLER_ROWS = itertools.count(1)
 
 
-def _intern_until_the_table_empties():
-    """Intern new Nx1000007 types, which no program asks for, until
-    `matrix_type` empties its table, which it must within 4,097 calls;
-    check the table's size after every call."""
-    for _ in range(4097):
-        before = len(ir._TYPES)
+def _intern_other_types():
+    """Intern 4,096 new Nx1000007 types, which no program asks for, so that
+    every type cached before is evicted; check the cache's size after every
+    call."""
+    for _ in range(4096):
         ir.matrix_type(next(_FILLER_ROWS), 10**6 + 7, ElemKind.F32, EMPTY_PROPS)
-        assert len(ir._TYPES) <= 4096
-        if len(ir._TYPES) < before:
-            return
-    pytest.fail("the type table was not emptied")
+        assert ir.matrix_type.cache_info().currsize <= 4096
+    assert ir.matrix_type.cache_info().currsize == 4096
 
 
-def test_the_type_table_empties_when_full(capsys):
+def test_the_type_cache_is_bounded(capsys):
     """Nothing compares types by identity, so a type asked for again after
-    the table was emptied is a new object that serves as well."""
+    it was evicted is a new object that serves as well."""
+    assert ir.matrix_type.cache_info().maxsize == 4096
     first = ir.matrix_type(3, 3, ElemKind.F64, LOWER)
-    _intern_until_the_table_empties()
+    _intern_other_types()
     again = ir.matrix_type(3, 3, ElemKind.F64, LOWER)
     assert again == first and again is not first
-    _intern_until_the_table_empties()
+    _intern_other_types()
     root = os.path.join(os.path.dirname(__file__), "..")
     assert main([os.path.join(root, "examples", "listing1.mom"), "--emit=ir-opt"]) == 0
     with open(os.path.join(root, "tests", "golden", "listing1_ir_opt.txt"),

@@ -11,7 +11,8 @@ The programs are written once: `tests/gen.py` programs for seeds 0..N-1
 `small.mom` (`small_program`: small prints of every shape up to 8x8, whole
 and fractional, with large whole products), and `crlf.mom` and
 `crlf_error.mom` (`CRLF_PROGRAM` and `CRLF_ERROR_PROGRAM`: CRLF line ends
-and lone carriage returns). One child
+and lone carriage returns), and `types.mom` (`TYPES_PROGRAM`: more distinct
+matrix types than `ir.matrix_type` caches). One child
 process per root then runs `momc.cli.main` in-process over them and prints
 one sha256 per run, of the exit code, stdout and stderr with the program
 directory replaced by a fixed name.
@@ -24,8 +25,9 @@ in dense and specialized mode only, `chain60.mom` is dumped with `--emit` =
 `chain`, `ir-opt` and `loops` and run in those two modes, and `chain256.mom`
 likewise but without `--emit=chain`, whose DP tables would be 256x256, and
 `small.mom` runs in dense and specialized mode; `crlf.mom` is dumped with
-every `--emit` and runs in those two modes, and `crlf_error.mom` is only
-dumped. Mutants
+every `--emit` and runs in those two modes, `crlf_error.mom` is only
+dumped, and `types.mom` is dumped with `--emit` = `ir`, `ir-opt` and `loops`
+and runs in dense mode. Mutants
 are never run, since they may declare huge dimensions. The script prints the
 run count and the exit-code histogram, lists each (program, flags) pair whose
 answers differ or, for `overflow300.mom`, do not exit 1, and exits 1 if there
@@ -99,6 +101,15 @@ print(C)\r
 print(transpose(A) * C)\r
 """
 CRLF_ERROR_PROGRAM = CRLF_PROGRAM.replace("*\rB", "*\r")
+
+# More distinct matrix types (4,200 shapes) than `ir.matrix_type` caches
+# (4,096), declared between the product's operands and its use, so the
+# compile evicts types while it runs.
+TYPES_PROGRAM = "\n".join(
+    ["Matrix A(2, 3) <>", "Matrix B(3, 2) <>"]
+    + [f"Matrix M{100 * r + c}({r}, {c}) <>"
+       for r in range(1, 71) for c in range(1, 61)]
+    + ["C = A * B", "print(C)", "print(A)", ""])
 
 
 def chain_program(k: int) -> str:
@@ -208,6 +219,7 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     write("small.mom", small_program(), RUNS[:2])
     write("crlf.mom", CRLF_PROGRAM, EMITS + RUNS[:2])
     write("crlf_error.mom", CRLF_ERROR_PROGRAM, EMITS)
+    write("types.mom", TYPES_PROGRAM, EMITS[:3] + RUNS[:1])
     return jobs
 
 
