@@ -10,10 +10,10 @@ IR executed by instrumented dense or pattern-specialized kernels.
 from .chain import ChainSolution, optimal_parenthesization
 from .equation_opt import OptOptions, optimize_and_rematerialize
 from .errors import CompileError
-from .executor import ExecMode, ExecutionReport, Executor, execute
+from .executor import ExecutionReport, Executor, execute
 from .frontend import Ast, parse, parse_source, tokenize
 from .ir import IRModule, build_ir, print_ir, verify
-from .loops import LoopModule, lower_to_loops, print_loops
+from .loops import ExecMode, LoopModule, lower_to_loops, print_loops
 from .properties import (
     ElemKind,
     Property,

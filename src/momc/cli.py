@@ -76,7 +76,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="execute the program and print its tensors")
     p.add_argument("--bench", action="store_true",
                    help="time the baseline vs chain-reordered program")
-    p.add_argument("--mode", choices=[m.value for m in executor.ExecMode],
+    p.add_argument("--mode", choices=[m.value for m in loops.ExecMode],
                    default="dense", help="kernel iteration mode")
     p.add_argument("--repeats", type=int, default=5, metavar="N",
                    help="timed runs for --report and per --bench variant "
@@ -91,7 +91,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
-    """The parsed flags, with `mode` as an `executor.ExecMode`."""
+    """The parsed flags, with `mode` as a `loops.ExecMode`."""
     p = build_arg_parser()
     ns = p.parse_args(argv)
     if ns.bench and ns.emit != "none":
@@ -106,7 +106,7 @@ def parse_config(argv: list[str] | None = None) -> argparse.Namespace:
         p.error("--repeats must be at least 1")
     if ns.scale < 1:
         p.error("--scale must be at least 1")
-    ns.mode = executor.ExecMode(ns.mode)
+    ns.mode = loops.ExecMode(ns.mode)
     return ns
 
 
@@ -129,7 +129,7 @@ def render_chain_report(rep: ChainReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bench(module: ir.IRModule, mode: executor.ExecMode,
+def bench(module: ir.IRModule, mode: loops.ExecMode,
           repeats: int) -> BenchReport:
     """Execute the source-order and the chain-reordered variants.
 

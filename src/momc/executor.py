@@ -15,12 +15,14 @@ the full (i, j) rectangle for every k; specialized mode only the rows of a
 and the columns of b stored at that k. Entries outside a stored pattern are
 exactly zero, so both modes add the same nonzero products in the same order
 and give bit-identical results. The count is the number of multiplications
-of stored entries, the loop's count. Specialized mode hands a large product
-to BLAS only when `is_exact_product` proves that no step of it rounds, in
-tiles trimmed to the stored spans; a tile may still multiply some structural
-zeros, and it reports the same count. A product of at most SMALL_MAX_MULTS
-takes one `np.add.accumulate`, which adds in the loop's k order (`sum` would
-not); if it overflows, the loop reruns it.
+of stored entries, the loop's count. The loop ops carry the stored patterns
+and lowering's value facts (`loops`); dense mode reads every pattern as
+FULL. Specialized mode hands a large product to BLAS only when lowering
+proved it `exact` (no step of it rounds), in tiles trimmed to the stored
+spans; a tile may still multiply some structural zeros, and it reports the
+same count. A product of at most SMALL_MAX_MULTS takes one
+`np.add.accumulate`, which adds in the loop's k order (`sum` would not); if
+it overflows, the loop reruns it.
 
 A product of at least EXACT_MIN_MULTS runs in row bands of out at once, one
 per CPU the process may run on (`_CPUS`, read once) and at least EXACT_TILE
@@ -45,7 +47,8 @@ FULL buffer of at most SMALL_PRINT_ENTRIES (64 entries, 8x8) is checked in
 plain Python over one list of its entries and, when every entry is whole,
 formatted by one `%` over a format string made once per shape. A larger
 buffer goes through numpy a block of rows at a time: past 64 entries a
-Python pass over the entries costs more than numpy's calls.
+Python pass over the entries costs more than numpy's calls. A print with a
+known interval holds whole numbers only and is not checked.
 
 Kernels run with numpy's overflow and invalid-operation checks raising:
 a value that becomes infinite or NaN stops the run with `NonFiniteValue`.
@@ -55,7 +58,6 @@ from __future__ import annotations
 
 import bisect
 import contextvars
-import enum
 import functools
 import math
 import operator
@@ -71,16 +73,14 @@ from . import loops
 from .errors import (AllocationError, BrokenStoredPattern, DimMismatch,
                      NonFiniteValue)
 from .ir import MatrixType, format_scalar
-from .properties import ElemKind, PropertySet, StoredPattern, stored_pattern
+from .loops import ExecMode  # also re-exported: callers name executor.ExecMode
+# perfbench's tracer counts calls through this name; the executor reads the
+# patterns from the loop ops and calls it nowhere.
+from .properties import ElemKind, StoredPattern, stored_pattern  # noqa: F401
 
 # A buffer's header names its element kind by dtype; `_zeros` picks a dtype
 # by identity. Neither hashes an ElemKind: `Enum.__hash__` runs in Python.
 _ELEM_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
-
-
-class ExecMode(enum.Enum):
-    DENSE = "dense"
-    SPECIALIZED = "specialized"
 
 
 def _spans(p: StoredPattern, n: int, extent: int) -> tuple[list[int], list[int]]:
@@ -134,9 +134,8 @@ def _stored_mults(spans: tuple[list[int], ...]) -> int:
     return sum(map(operator.mul, map(operator.sub, i1, i0), map(operator.sub, j1, j0)))
 
 
-# Specialized mode tries BLAS on products of at least this many mults. At
-# dims <= 16 BLAS saves nothing and a failed proof adds about 20% to the
-# loop; from 2**18 on, a failed proof costs under 10% of it.
+# Specialized mode sends exact products of at least this many mults to BLAS.
+# At dims <= 16 BLAS saves nothing.
 EXACT_MIN_MULTS = 1 << 18
 # The exact path multiplies out in tiles this wide and high: small enough to
 # trim a triangle closely and to keep the BLAS workspace, and so the peak
@@ -163,23 +162,6 @@ EXACT_BAND_MULTS = 1 << 24
 # 70 in 3, 109 in 4 and 177 in 6 (medians of 9).
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
-
-
-def _all_integral(x: np.ndarray) -> bool:
-    """`trunc(x) == x` everywhere, checked rows of 2**16 entries at a time."""
-    step = max(1, (1 << 16) // x.shape[1])
-    return all(bool((np.trunc(x[r:r + step]) == x[r:r + step]).all())
-               for r in range(0, x.shape[0], step))
-
-
-def is_exact_product(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether a @ b never rounds, in any order: both operands are finite and
-    integral and max|a| * max|b| * inner <= 2**p (p = 24 for f32, 53 for
-    f64), so every product and partial sum is an integer the type holds."""
-    ma, mb = (max(-float(x.min()), float(x.max())) for x in (a, b))
-    return (math.isfinite(ma) and math.isfinite(mb)
-            and int(ma) * int(mb) * a.shape[1] <= 2 ** (np.finfo(a.dtype).nmant + 1)
-            and _all_integral(a) and _all_integral(b))
 
 
 def _bands(lo: list[int], hi: list[int],
@@ -272,27 +254,23 @@ def _exact_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray,
 
 
 def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-               props_a: PropertySet, props_b: PropertySet,
-               mode: ExecMode) -> int:
-    """Accumulate a @ b into the zero-initialized out; return the number of
-    multiplications of stored entries, the loop's count. In specialized mode
-    a product of at least EXACT_MIN_MULTS that `is_exact_product` proves
-    exact goes to `np.matmul` by tiles of out (`_exact_tiles`); `+=` into
-    out's zeros turns a BLAS -0.0 into +0.0, as the loop does. A product of
-    at least EXACT_MIN_MULTS runs in min(_CPUS, rows // EXACT_TILE) bands of
-    rows at once, so every band has at least EXACT_TILE rows; on the exact
-    path also at most count // EXACT_BAND_MULTS bands."""
+               pa: StoredPattern, pb: StoredPattern, exact: bool) -> int:
+    """Accumulate a @ b into the zero-initialized out, where a stores pattern
+    pa and b pb; return the number of multiplications of stored entries, the
+    loop's count. `exact` is lowering's proof that no step of a @ b rounds
+    (`loops`); dense mode passes FULL twice and no proof. An exact product of
+    at least EXACT_MIN_MULTS goes to `np.matmul` by tiles of out
+    (`_exact_tiles`); `+=` into out's zeros turns a BLAS -0.0 into +0.0, as
+    the loop does. Any other takes the rank-1 loop. A product of at least
+    EXACT_MIN_MULTS runs in min(_CPUS, rows // EXACT_TILE) bands of rows at
+    once, so every band has at least EXACT_TILE rows; on the exact path also
+    at most count // EXACT_BAND_MULTS bands."""
     (rows, inner), (inner_b, cols) = a.shape, b.shape
     if inner != inner_b:
         raise DimMismatch(f"inner dims disagree, {inner} vs {inner_b}")
     if out.shape != (rows, cols):
         raise DimMismatch(f"out must be {rows}x{cols}, "
                           f"got {out.shape[0]}x{out.shape[1]}")
-    if mode is ExecMode.DENSE:
-        pa = pb = StoredPattern.FULL
-    else:
-        pa = stored_pattern(props_a)
-        pb = stored_pattern(props_b)
     if rows * inner * cols <= SMALL_MAX_MULTS:
         # FULL x FULL builds no spans: they slowed dense runs' many small products.
         count = (rows * inner * cols
@@ -308,7 +286,7 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     count = _stored_mults(spans)
     large = rows * inner * cols >= EXACT_MIN_MULTS
     n = max(1, min(_CPUS, rows // EXACT_TILE)) if large else 1
-    if mode is ExecMode.SPECIALIZED and large and is_exact_product(a, b):
+    if exact and large:
         _exact_tiles(a, b, out, spans, max(1, min(n, count // EXACT_BAND_MULTS)))
     else:
         _rank1_loop(a, b, out, spans, n)
@@ -343,6 +321,15 @@ def _all_whole(block: np.ndarray) -> bool:
             and bool((np.trunc(block) == block).all()))
 
 
+def _strings(interval: loops.Interval, entries: int) -> np.ndarray | None:
+    """str(v) for each v of a known interval, indexed by v - lo, if it holds
+    at most `entries` values. It lives for one print: a 1000^2 lower x lower
+    product of fills up to 3 needs 9,001 (0.5 MB) for 500,500 entries."""
+    if interval is None or interval[1] - interval[0] >= entries:
+        return None
+    return np.array([str(v) for v in range(interval[0], interval[1] + 1)], object)
+
+
 def _raise_outside(a: np.ndarray, pattern: StoredPattern) -> None:
     """Raise BrokenStoredPattern naming the first entry of a that lies
     outside the pattern's column spans and is not zero. A -0.0 is zero
@@ -356,7 +343,8 @@ def _raise_outside(a: np.ndarray, pattern: StoredPattern) -> None:
                 f"outside the stored pattern {pattern}")
 
 
-def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int) -> list[str]:
+def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int,
+                interval: loops.Interval) -> list[str]:
     """format_print's rows of a under a pattern other than FULL, in blocks
     of `step` rows: each row formats its stored column span, and the zeros
     around it are slices of prebuilt runs, after a check that they are zero."""
@@ -377,6 +365,7 @@ def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int) -> list[str]:
     whole_span = " ".join(["%d"] * cols)
     zeros_before, zeros_after = "0 " * cols, " 0" * cols
     lo, hi = _spans(pattern, rows, cols)
+    table = _strings(interval, sum(hi) - sum(lo))
     for r in reversed(starts) if backwards else starts:
         block = a[r:r + step]
         h = len(block)
@@ -384,9 +373,11 @@ def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int) -> list[str]:
         if ((left and block[:, :r].any()) or (right and block[:, r + h:].any())
                 or band.any(where=band_outside[:h, :band.shape[1]])):
             _raise_outside(a, pattern)
-        whole = _all_whole(block)
+        whole = interval is not None or _all_whole(block)
         if whole:
             block = block.astype(np.int64)
+        if table is not None:
+            block = table[block - interval[0]]
         for i in range(r, r + h)[::-1 if backwards else 1]:
             j0, j1 = lo[i], hi[i]
             if j0 >= j1:
@@ -395,7 +386,8 @@ def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int) -> list[str]:
             span = block[i - r, j0:j1].tolist()
             lines.append("".join((
                 zeros_before[:2 * j0],
-                whole_span[:3 * len(span) - 1] % tuple(span) if whole
+                " ".join(span) if table is not None
+                else whole_span[:3 * len(span) - 1] % tuple(span) if whole
                 else " ".join(map(format_scalar, span)),
                 zeros_after[:2 * (cols - j1)])))
     if backwards:
@@ -410,26 +402,34 @@ def _small_format(rows: int, cols: int) -> str:
     return "\n".join([" ".join(["%d"] * cols)] * rows)
 
 
-def _small_lines(a: np.ndarray) -> str:
+def _small_lines(a: np.ndarray, whole: bool) -> str:
     """format_print's rows of a FULL buffer of at most SMALL_PRINT_ENTRIES,
-    checked and formatted in Python. `_all_whole`'s rule is `is_integer`
-    (false for NaN and inf) and then the range check; through `int`, a -0.0
-    prints as 0."""
+    checked (unless known `whole`) and formatted in Python. `_all_whole`'s
+    rule is `is_integer` (false for NaN and inf) and then the range check;
+    through `int`, a -0.0 prints as 0."""
     rows, cols = a.shape
     flat = a.ravel().tolist()
-    if all(map(float.is_integer, flat)) and -1e18 < min(flat) and max(flat) < 1e18:
+    if whole or (all(map(float.is_integer, flat))
+                 and -1e18 < min(flat) and max(flat) < 1e18):
         return _small_format(rows, cols) % tuple(map(int, flat))
     return "\n".join([" ".join(map(format_scalar, flat[r:r + cols]))
                       for r in range(0, rows * cols, cols)])
 
 
-def format_print(a: np.ndarray, pattern: StoredPattern = StoredPattern.FULL) -> str:
+def format_print(a: np.ndarray, pattern: StoredPattern = StoredPattern.FULL,
+                 interval: loops.Interval = None) -> str:
     """`RxC elem` header then one row per line, entries space-separated.
 
     Every entry reads byte for byte as `format_scalar` renders it. A block
     of rows whose entries are all whole is formatted through int64 with
     `%d`, which is what `format_scalar` prints for them (`-0.0` included,
     as `0`); any other block goes through `format_scalar` itself.
+
+    A known `interval` is lowering's proof (`loops`) that every entry is an
+    integer in [lo, hi], within 2**53 < 1e18: no block is checked, and if it
+    holds no more values than the stored entries, each entry is looked up
+    in a table of its strings (`_strings`). Unknown facts (None) keep the
+    run-time checks.
 
     A FULL buffer of at most SMALL_PRINT_ENTRIES (64) is one block, checked
     and formatted in Python over `ravel().tolist()` (`_small_lines`): a
@@ -445,15 +445,18 @@ def format_print(a: np.ndarray, pattern: StoredPattern = StoredPattern.FULL) -> 
     rows, cols = a.shape
     header = f"{rows}x{cols} {_ELEM_NAMES[a.dtype]}"
     if pattern is StoredPattern.FULL and rows * cols <= SMALL_PRINT_ENTRIES:
-        return f"{header}\n{_small_lines(a)}"
+        return f"{header}\n{_small_lines(a, interval is not None)}"
     lines = [header]
     step = max(1, _PRINT_BLOCK_ENTRIES // cols)
     if pattern is not StoredPattern.FULL:
-        return "\n".join(lines + _span_lines(a, pattern, step))
+        return "\n".join(lines + _span_lines(a, pattern, step, interval))
+    table = _strings(interval, rows * cols)
     whole_row = " ".join(["%d"] * cols)
     for r in range(0, rows, step):
         block = a[r:r + step]
-        if _all_whole(block):
+        if table is not None:
+            lines += map(" ".join, table[block.astype(np.int64) - interval[0]].tolist())
+        elif interval is not None or _all_whole(block):
             lines += [whole_row % tuple(row)
                       for row in block.astype(np.int64).tolist()]
         else:
@@ -510,6 +513,8 @@ class Executor:
         printed: list[str] = []
         min_ns: dict[int, int] = {}
         tensors = self.lm.tensors
+        dense = mode is ExecMode.DENSE
+        full = StoredPattern.FULL
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for r in range(repeats):
@@ -527,16 +532,15 @@ class Executor:
                         if isinstance(op, loops.Print):
                             if r == 0:
                                 printed.append(format_print(
-                                    bufs[op.tensor],
-                                    StoredPattern.FULL if mode is ExecMode.DENSE
-                                    else stored_pattern(tensors[op.tensor].props)))
+                                    bufs[op.tensor], full if dense else op.pattern,
+                                    op.interval))
                             continue
                         # The compute ops, timed one by one.
                         t0 = time.perf_counter_ns()
                         if isinstance(op, loops.MatMul):
                             n = run_matmul(bufs[op.a], bufs[op.b], bufs[op.out],
-                                           tensors[op.a].props,
-                                           tensors[op.b].props, mode)
+                                           *((full, full, False) if dense
+                                             else (op.pa, op.pb, op.exact)))
                         else:
                             assert isinstance(op, loops.Add)
                             run_add(bufs[op.a], bufs[op.b], bufs[op.out])

@@ -77,12 +77,18 @@ def test_every_span_is_recorded():
     assert missing == []
 
 
+# Lowering puts the stored patterns on the loop ops, so the executor derives
+# none: it keeps the name `stored_pattern` for the tracer to wrap, and calls
+# it nowhere. Its metric, which `chain` and `loops` feed too, stays above 0.
+UNCALLED = {("executor", "stored_pattern")}
+
+
 @pytest.mark.parametrize("entry", tracing.COUNTED, ids=lambda e: f"{e[0]}-{e[1]}")
 def test_every_counted_name_is_called(tmp_path, capsys, monkeypatch, entry):
     # Several entries share a metric name, so each is installed on its own.
     monkeypatch.setattr(tracing, "COUNTED", (entry,))
     layers = traced_run(tmp_path, tracing.Tracer(momc), counting=True)
-    assert layers.get(entry[2], 0) > 0
+    assert (layers.get(entry[2], 0) > 0) is (entry[:2] not in UNCALLED)
 
 
 @pytest.mark.parametrize("mode", list(momc.ExecMode), ids=lambda m: m.value)

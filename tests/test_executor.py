@@ -24,7 +24,6 @@ from momc.executor import (
     Executor,
     execute,
     format_print,
-    is_exact_product,
     run_add,
     run_fill,
     run_matmul,
@@ -43,6 +42,7 @@ from momc.properties import (
 
 from chain_reference import mul_cost
 from gen import CLOSED_PSETS, default_seed, random_program
+from oracle import is_exact_product
 from util import lower_text, pattern_contains
 
 LOWER = PropertySet.closure((Property.LOWER_TRIANGULAR,))
@@ -53,6 +53,16 @@ DTYPES = {ElemKind.F32: np.float32, ElemKind.F64: np.float64}
 
 def buf(rows, cols, elem=ElemKind.F32):
     return np.zeros((rows, cols), DTYPES[elem])
+
+
+def matmul(a, b, out, pa, pb, mode):
+    """`run_matmul` as `Executor.run` calls it in `mode`, for operands of
+    property sets pa and pb: dense mode passes FULL and no `exact`, and
+    specialized mode the stored patterns and, in place of lowering's proof,
+    the run-time oracle on the operands themselves."""
+    if mode is ExecMode.DENSE:
+        return run_matmul(a, b, out, StoredPattern.FULL, StoredPattern.FULL, False)
+    return run_matmul(a, b, out, pa.pattern, pb.pattern, is_exact_product(a, b))
 
 
 def filled(rows, cols, scalar, pattern, elem=ElemKind.F32):
@@ -95,7 +105,7 @@ def test_matmul_lower_ones_specialized():
     a = filled(5, 5, 1.0, StoredPattern.LOWER_INCL)
     b = filled(5, 5, 1.0, StoredPattern.LOWER_INCL)
     out = buf(5, 5)
-    count = run_matmul(a, b, out, LOWER, LOWER, ExecMode.SPECIALIZED)
+    count = matmul(a, b, out, LOWER, LOWER, ExecMode.SPECIALIZED)
     assert count == 35
     expected = [[i - j + 1 if i >= j else 0 for j in range(5)]
                 for i in range(5)]
@@ -107,18 +117,18 @@ def test_matmul_lower_ones_dense_same_values():
     b = filled(5, 5, 1.0, StoredPattern.LOWER_INCL)
     out_d = buf(5, 5)
     out_s = buf(5, 5)
-    assert run_matmul(a, b, out_d, LOWER, LOWER, ExecMode.DENSE) == 125
-    run_matmul(a, b, out_s, LOWER, LOWER, ExecMode.SPECIALIZED)
+    assert matmul(a, b, out_d, LOWER, LOWER, ExecMode.DENSE) == 125
+    matmul(a, b, out_s, LOWER, LOWER, ExecMode.SPECIALIZED)
     assert out_d.tobytes() == out_s.tobytes()
 
 
 def test_matmul_rejects_dim_mismatch():
     with pytest.raises(DimMismatch):
-        run_matmul(buf(2, 3), buf(4, 2), buf(2, 2), EMPTY_PROPS, EMPTY_PROPS,
-                   ExecMode.DENSE)
+        matmul(buf(2, 3), buf(4, 2), buf(2, 2), EMPTY_PROPS, EMPTY_PROPS,
+               ExecMode.DENSE)
     with pytest.raises(DimMismatch):
-        run_matmul(buf(2, 3), buf(3, 2), buf(3, 3), EMPTY_PROPS, EMPTY_PROPS,
-                   ExecMode.DENSE)
+        matmul(buf(2, 3), buf(3, 2), buf(3, 3), EMPTY_PROPS, EMPTY_PROPS,
+               ExecMode.DENSE)
     with pytest.raises(DimMismatch):
         run_add(buf(2, 3), buf(3, 2), buf(2, 3))
 
@@ -251,6 +261,44 @@ def test_format_print_matches_per_entry_reference(props, elem, rows, cols):
         assert format_print(b, pattern) == reference_format_print(b), first
 
 
+@pytest.mark.parametrize("pattern", list(StoredPattern), ids=str)
+@pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
+@pytest.mark.parametrize("rows,cols", [
+    (1, 1), (2, 3), (8, 8),                       # small
+    (5, 13), (150, 150),                          # one block, several
+    (3 * (PRINT_BLOCK // 40) + 17, 40),           # blocks of many rows
+])
+def test_format_print_trusts_a_known_interval(monkeypatch, pattern, elem, rows, cols):
+    """Integers drawn from an interval inside the pattern, zeros outside it,
+    and a tenth of all zeros -0.0: given the interval (widened to 0 under a
+    pattern other than FULL), format_print checks no block and prints what
+    the per-entry reference prints. It looks entries up in a table of the
+    interval's strings when the interval holds no more values than the
+    stored entries, and formats them with `%d` when it holds more, as it
+    does for the same interval widened by 10**6 on each side."""
+    monkeypatch.setattr(executor, "_all_whole",
+                        lambda block: pytest.fail("a known interval was checked"))
+    tables = []
+    real = executor._strings
+    monkeypatch.setattr(executor, "_strings",
+                        lambda *args: tables.append(t := real(*args)) or t)
+    limit = 2 ** 24 if elem is ElemKind.F32 else 2 ** 53
+    inside = _inside(pattern, rows, cols)
+    small = pattern is StoredPattern.FULL and rows * cols <= executor.SMALL_PRINT_ENTRIES
+    rng = np.random.default_rng(default_seed() ^ 0x1E)
+    for lo, hi in [(-7, 12), (0, 0), (5, 5), (limit - 40, limit), (-limit, 1 - limit)]:
+        b = np.where(inside, rng.integers(lo, hi, (rows, cols), endpoint=True), 0)
+        b = b.astype(DTYPES[elem])
+        b[(b == 0) & (rng.random((rows, cols)) < 0.1)] = -0.0
+        if pattern is not StoredPattern.FULL:
+            lo, hi = min(lo, 0), max(hi, 0)
+        for interval in [(lo, hi), (lo - 10**6, hi + 10**6)]:
+            del tables[:]
+            assert format_print(b, pattern, interval) == reference_format_print(b), interval
+            table = interval[1] - interval[0] < inside.sum()
+            assert [t is not None for t in tables] == ([] if small else [table])
+
+
 @pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
 def test_small_full_print_of_every_special_value(elem):
     """8x8, the largest buffer `format_print` checks in Python: every
@@ -361,7 +409,7 @@ def test_matmul_matches_naive_reference_bit_exactly(elem):
         ref = _naive_matmul(a, b)
         for mode in ExecMode:
             out = buf(m, n, elem)
-            run_matmul(a, b, out, pa, pb, mode)
+            matmul(a, b, out, pa, pb, mode)
             assert out.tobytes() == ref.tobytes()
 
 
@@ -392,10 +440,10 @@ def test_count_fidelity_against_cost_model():
             a = _random_realization(rng, pa, n, n, ElemKind.F64)
             b = _random_realization(rng, pb, n, n, ElemKind.F64)
             out = buf(n, n, ElemKind.F64)
-            got = run_matmul(a, b, out, pa, pb, ExecMode.SPECIALIZED)
+            got = matmul(a, b, out, pa, pb, ExecMode.SPECIALIZED)
             assert got == mul_cost((n, n, pa), (n, n, pb))
             out2 = buf(n, n, ElemKind.F64)
-            assert run_matmul(a, b, out2, pa, pb, ExecMode.DENSE) == n * n * n
+            assert matmul(a, b, out2, pa, pb, ExecMode.DENSE) == n * n * n
 
 
 def test_count_fidelity_rectangular_dense():
@@ -405,8 +453,8 @@ def test_count_fidelity_rectangular_dense():
         a = _random_realization(rng, EMPTY_PROPS, m, k, ElemKind.F32)
         b = _random_realization(rng, EMPTY_PROPS, k, n, ElemKind.F32)
         out = buf(m, n, ElemKind.F32)
-        assert run_matmul(a, b, out, EMPTY_PROPS, EMPTY_PROPS,
-                          ExecMode.DENSE) == m * k * n
+        assert matmul(a, b, out, EMPTY_PROPS, EMPTY_PROPS,
+                      ExecMode.DENSE) == m * k * n
 
 
 def test_count_fidelity_structured_times_rectangular():
@@ -417,13 +465,13 @@ def test_count_fidelity_structured_times_rectangular():
                 a = _random_realization(rng, props, k, k, ElemKind.F32)
                 b = _random_realization(rng, EMPTY_PROPS, k, free, ElemKind.F32)
                 out = buf(k, free, ElemKind.F32)
-                got = run_matmul(a, b, out, props, EMPTY_PROPS,
-                                 ExecMode.SPECIALIZED)
+                got = matmul(a, b, out, props, EMPTY_PROPS,
+                             ExecMode.SPECIALIZED)
                 assert got == mul_cost((k, k, props), (k, free, EMPTY_PROPS))
                 c = _random_realization(rng, EMPTY_PROPS, free, k, ElemKind.F32)
                 out2 = buf(free, k, ElemKind.F32)
-                got2 = run_matmul(c, a, out2, EMPTY_PROPS, props,
-                                  ExecMode.SPECIALIZED)
+                got2 = matmul(c, a, out2, EMPTY_PROPS, props,
+                              ExecMode.SPECIALIZED)
                 assert got2 == mul_cost((free, k, EMPTY_PROPS), (k, k, props))
 
 
@@ -487,7 +535,7 @@ def _matmul_both_ways(monkeypatch, a, b, pa=EMPTY_PROPS, pb=EMPTY_PROPS,
         monkeypatch.setattr(executor, "SMALL_MAX_MULTS", small_max)
         out = np.zeros((a.shape[0], b.shape[1]), a.dtype)
         with np.errstate(all="ignore"):
-            count = run_matmul(a, b, out, pa, pb, mode)
+            count = matmul(a, b, out, pa, pb, mode)
         results.append((out, count))
     return results
 
@@ -624,7 +672,7 @@ def test_dense_mode_never_takes_the_exact_path(monkeypatch, matmul_calls):
     monkeypatch.setattr(executor, "EXACT_MIN_MULTS", 0)
     a = filled(20, 20, 2.0, StoredPattern.LOWER_INCL, ElemKind.F64)
     out = buf(20, 20, ElemKind.F64)
-    assert run_matmul(a, a, out, LOWER, LOWER, ExecMode.DENSE) == 20 ** 3
+    assert matmul(a, a, out, LOWER, LOWER, ExecMode.DENSE) == 20 ** 3
     assert execute(lower_text(LISTING), ExecMode.DENSE, repeats=1).printed
     assert not matmul_calls
 
@@ -782,7 +830,7 @@ def test_row_bands_give_one_bands_bytes_and_count(
                 monkeypatch.setattr(executor, "_CPUS", cpus)
                 out = np.zeros((rows, cols), dtype)
                 with np.errstate(over="raise", invalid="raise"):
-                    count = run_matmul(a, b, out, pa, pb, mode)
+                    count = matmul(a, b, out, pa, pb, mode)
                 results.append((out.tobytes(), count))
             assert band_counts == [1, 2, 3]
             assert bool(matmul_calls) is (integral and mode is ExecMode.SPECIALIZED)
@@ -811,7 +859,7 @@ def test_the_exact_path_bands_by_work(
     run_fill(b, fill, stored_pattern(pb))
     out = np.zeros((rows, cols), dtype)
     with np.errstate(over="raise", invalid="raise"):
-        run_matmul(a, b, out, pa, pb, ExecMode.SPECIALIZED)
+        matmul(a, b, out, pa, pb, ExecMode.SPECIALIZED)
     assert band_counts == [bands]
     assert bool(matmul_calls) is (path == "tiles")
 
@@ -834,12 +882,12 @@ def test_an_overflow_in_a_band_raises_the_sequential_loops_error(
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
-            run_matmul(both[:150], b, buf(150, 300), EMPTY_PROPS, EMPTY_PROPS,
-                       ExecMode.DENSE)
+            matmul(both[:150], b, buf(150, 300), EMPTY_PROPS, EMPTY_PROPS,
+                   ExecMode.DENSE)
         for a, mode in product((band_1_only, both), ExecMode):
             del band_counts[:]
             with pytest.raises(FloatingPointError, match="^overflow encountered in add$"):
-                run_matmul(a, b, buf(300, 300), EMPTY_PROPS, EMPTY_PROPS, mode)
+                matmul(a, b, buf(300, 300), EMPTY_PROPS, EMPTY_PROPS, mode)
             assert band_counts == [2, 1]
             assert threading.active_count() == threads
 
@@ -868,7 +916,7 @@ def test_outputs_stay_zero_outside_annotated_pattern():
         b = _random_realization(rng, pb, n, n, ElemKind.F32)
         for mode in ExecMode:
             out = buf(n, n, ElemKind.F32)
-            run_matmul(a, b, out, pa, pb, mode)
+            matmul(a, b, out, pa, pb, mode)
             pat = stored_pattern(infer_mul(pa, (n, n), pb, (n, n)))
             for i in range(n):
                 for j in range(n):

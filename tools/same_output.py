@@ -11,8 +11,10 @@ The programs are written once: `tests/gen.py` programs for seeds 0..N-1
 `small.mom` (`small_program`: small prints of every shape up to 8x8, whole
 and fractional, with large whole products), and `crlf.mom` and
 `crlf_error.mom` (`CRLF_PROGRAM` and `CRLF_ERROR_PROGRAM`: CRLF line ends
-and lone carriage returns), and `types.mom` (`TYPES_PROGRAM`: more distinct
-matrix types than `ir.matrix_type` caches). One child
+and lone carriage returns), `types.mom` (`TYPES_PROGRAM`: more distinct
+matrix types than `ir.matrix_type` caches), and `facts.mom`
+(`FACTS_PROGRAM`: fills and products at the edges of lowering's value
+facts). One child
 process per root then runs `momc.cli.main` in-process over them and prints
 one sha256 per run, of the exit code, stdout and stderr with the program
 directory replaced by a fixed name.
@@ -27,7 +29,7 @@ likewise but without `--emit=chain`, whose DP tables would be 256x256, and
 `small.mom` runs in dense and specialized mode; `crlf.mom` is dumped with
 every `--emit` and runs in those two modes, `crlf_error.mom` is only
 dumped, and `types.mom` is dumped with `--emit` = `ir`, `ir-opt` and `loops`
-and runs in dense mode. Mutants
+and runs in dense mode, as `facts.mom` does in both modes. Mutants
 are never run, since they may declare huge dimensions. The script prints the
 run count and the exit-code histogram, lists each (program, flags) pair whose
 answers differ or, for `overflow300.mom`, do not exit 1, and exits 1 if there
@@ -110,6 +112,43 @@ TYPES_PROGRAM = "\n".join(
     + [f"Matrix M{100 * r + c}({r}, {c}) <>"
        for r in range(1, 71) for c in range(1, 61)]
     + ["C = A * B", "print(C)", "print(A)", ""])
+
+# Fills and products at the edges of lowering's value facts (`momc.loops`):
+# f32 rounds R's 2**24 + 1 to 2**24 and T's half to an even whole number;
+# R + O reaches 2**24 + 1 and rounds, so its interval is unknown; H is a
+# fraction. A * B (64**3 = EXACT_MIN_MULTS) has max|a| * max|b| * k = 2**24
+# exactly and runs in BLAS tiles, C * D one step past it (97 * 257 * 673 =
+# 2**24 + 1) on the rank-1 loop. L * W's interval (3,001 values) is wider
+# than its 100 entries, M * M's (2,701) narrower than its 45,150 stored
+# entries, and S * S has 64 entries, a small print. The grammar has no
+# negative fill; tests/test_facts.py sets some on the IR.
+FACTS_PROGRAM = """\
+Matrix R(3, 3) <> = 16777217
+Matrix R2(3, 3) <> : f64 = 16777217
+Matrix T(3, 3) <> = 8388608.5
+Matrix H(3, 3) <LowerTriangular> = 0.5
+Matrix O(3, 3) <> = 1
+Matrix A(64, 64) <> = 512
+Matrix B(64, 64) <> = 512
+Matrix C(64, 97) <> = 257
+Matrix D(97, 64) <> = 673
+Matrix L(10, 10) <LowerTriangular> = 100
+Matrix W(10, 10) <> = 3
+Matrix M(300, 300) <LowerTriangular> = 3
+Matrix S(8, 8) <> = 7
+print(R)
+print(R2)
+print(T)
+print(H)
+print(R + O)
+print(H * R)
+print(A * B)
+print(C * D)
+print(L * W)
+print(transpose(L) * W)
+print(M * M)
+print(S * S)
+"""
 
 
 def chain_program(k: int) -> str:
@@ -220,6 +259,7 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     write("crlf.mom", CRLF_PROGRAM, EMITS + RUNS[:2])
     write("crlf_error.mom", CRLF_ERROR_PROGRAM, EMITS)
     write("types.mom", TYPES_PROGRAM, EMITS[:3] + RUNS[:1])
+    write("facts.mom", FACTS_PROGRAM, EMITS[:3] + RUNS[:2])
     return jobs
 
 
