@@ -6,7 +6,9 @@ naive triple-loop reference on integer-valued data, and the instrumented
 multiplication counts equal the chain cost model exactly.
 """
 
+import math
 import random
+import subprocess
 import sys
 import threading
 import warnings
@@ -317,6 +319,108 @@ def test_small_full_print_of_every_special_value(elem):
             flat[rng.integers(64)] = specials[at]
         assert format_print(b) == reference_format_print(b), at
         assert format_print(b.T) == reference_format_print(b.T), at
+
+
+# --------------------------------------------------------------------------
+# FULL whole-number prints through the digit table
+# --------------------------------------------------------------------------
+
+# Both signs of every digit count's edges, the exact-integer limits, and zeros.
+DIGIT_EDGES = [0.0, -0.0, 2.0**24, -2.0**24, 2.0**53, -2.0**53] + [
+    s * v for k in range(1, 18) for v in (10**k - 1, 10**k) for s in (1, -1)]
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    """Fails the test if format_print sends any entry to `format_scalar`."""
+    monkeypatch.setattr(executor, "format_scalar",
+                        lambda v: pytest.fail(f"{v} went through format_scalar"))
+
+
+def _whole(rng, rows, cols, elem):
+    """Whole numbers of 1 to 17 digits and both signs, DIGIT_EDGES first."""
+    b = (rng.integers(-9, 10, (rows, cols)) * 10.0 ** rng.integers(0, 17, (rows, cols))
+         + rng.integers(0, 10, (rows, cols))).astype(DTYPES[elem])
+    flat = b.reshape(-1)
+    flat[:len(DIGIT_EDGES)] = DIGIT_EDGES[:flat.size]
+    return b
+
+
+@pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
+def test_the_digit_path_prints_every_digit_count(no_fallback, elem):
+    """The edges alone in four shapes, and random whole numbers: as the
+    per-entry reference, with unknown facts and with an interval too wide
+    for a table of strings."""
+    rng = np.random.default_rng(default_seed() ^ 0xD1)
+    n = len(DIGIT_EDGES)
+    assert n > executor.SMALL_PRINT_ENTRIES and n % 2 == 0
+    edges = np.array(DIGIT_EDGES, DTYPES[elem])
+    cases = [edges.reshape(shape)
+             for shape in [(1, n), (n, 1), (2, n // 2), (n // 2, 2)]]
+    for b in cases + [_whole(rng, 150, 150, elem), _whole(rng, 70, 3, elem)]:
+        interval = int(b.min()), int(b.max())
+        assert format_print(b) == reference_format_print(b)
+        assert format_print(b, StoredPattern.FULL, interval) == reference_format_print(b)
+
+
+@pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
+def test_the_digit_path_prints_a_row_wider_than_a_block(no_fallback, elem):
+    rng = np.random.default_rng(default_seed() ^ 0xD2)
+    b = _whole(rng, 1, 2 * PRINT_BLOCK + 7, elem)
+    assert format_print(b) == reference_format_print(b)
+
+
+@pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
+@pytest.mark.parametrize("rows", [128, 129, 256, 301])
+def test_the_digit_path_prints_in_the_calling_thread(
+        monkeypatch, band_counts, elem, rows):
+    """A print of EXACT_TILE rows or more, of 37-column rows (blocks of 110
+    rows), whole or with one fractional block, on 1 CPU and on 2: the
+    reference's bytes either way, with no row bands (a product of as many
+    rows would take 2)."""
+    rng = np.random.default_rng(default_seed() ^ rows)
+    whole = _whole(rng, rows, 37, elem)
+    mixed = whole.copy()
+    mixed[120, 5] = 0.5
+    for b, cpus in product((whole, mixed), (1, 2)):
+        monkeypatch.setattr(executor, "_CPUS", cpus)
+        assert format_print(b) == reference_format_print(b)
+    assert band_counts == []
+
+
+@pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
+def test_a_block_that_is_not_whole_falls_back_to_format_scalar(monkeypatch, elem):
+    """Three blocks of 102 rows, the second holding one value that is not
+    printed as an integer in this precision (in f32, ±1e18 rounds to a
+    whole number below 1e18): that block alone goes through
+    `format_scalar`."""
+    calls = []
+    real = executor._digits
+    monkeypatch.setattr(executor, "_digits", lambda block: calls.append(len(block))
+                        or real(block))
+    step = PRINT_BLOCK // 40
+    for v in OTHER_VALUES:
+        b = _whole(np.random.default_rng(default_seed() ^ 0xD3), 3 * step, 40, elem)
+        b[step + 7, 3] = v
+        del calls[:]
+        assert format_print(b) == reference_format_print(b), v
+        x = float(b[step + 7, 3])
+        whole = math.isfinite(x) and x.is_integer() and abs(x) < 1e18
+        assert calls == [step] * (3 if whole else 2), v
+
+
+def test_importing_the_executor_builds_no_digit_table():
+    """The tables are made on the first digit-path print, not at import."""
+    code = ("import numpy as np, momc.executor as e\n"
+            "assert e._digit_tables.cache_info().currsize == 0\n"
+            "e.format_print(np.ones((9, 9)))\n"
+            "assert e._digit_tables.cache_info().currsize == 1\n"
+            "digits, keeps, _ = e._digit_tables()\n"
+            "assert [digits[i:i + 1].tobytes() for i in (0, 7, 4321, 9999)]"
+            " == [b'0000', b'0007', b'4321', b'9999']\n"
+            "assert keeps[[0, 7, 4321, 10000]].tobytes() == bytes("
+            "[0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1])\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 @pytest.mark.parametrize("pattern", [StoredPattern.LOWER_INCL,
@@ -864,13 +968,64 @@ def test_the_exact_path_bands_by_work(
     assert bool(matmul_calls) is (path == "tiles")
 
 
+def _naive_in_precision(a, b):
+    """Triple loop, ascending k, each product and sum rounded to the dtype."""
+    t = a.dtype.type
+    out = np.zeros((a.shape[0], b.shape[1]), a.dtype)
+    for i, j in np.ndindex(out.shape):
+        acc = t(0)
+        for k in range(a.shape[1]):
+            acc = t(acc + a[i, k] * b[k, j])
+        out[i, j] = acc
+    return out
+
+
+@pytest.fixture
+def full_flags(monkeypatch):
+    """Lists the `full` argument of every `_rank1_loop` call."""
+    calls = []
+    real = executor._rank1_loop
+
+    def spy(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(executor, "_rank1_loop", spy)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_full_rectangle_loop_matches_the_naive_reference_in_bands(
+        monkeypatch, band_counts, full_flags, fast_switching, dtype):
+    """FULL x FULL products of reals, whose sums depend on their order, on
+    the loop in 1 and 2 bands of rows (EXACT_TILE is 4 here): the bits of
+    the naive loop in the operands' precision, in both modes."""
+    monkeypatch.setattr(executor, "EXACT_TILE", 4)
+    monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
+    monkeypatch.setattr(executor, "EXACT_MIN_MULTS", 0)
+    rng = np.random.default_rng(default_seed() ^ 0xF1)
+    for rows, inner, cols in [(9, 7, 5), (13, 20, 3), (8, 1, 8)]:
+        a = _operand(rng, EMPTY_PROPS, rows, inner, dtype, False)
+        b = _operand(rng, EMPTY_PROPS, inner, cols, dtype, False)
+        ref = _naive_in_precision(a, b)
+        for cpus, mode in product((1, 2), ExecMode):
+            monkeypatch.setattr(executor, "_CPUS", cpus)
+            del band_counts[:], full_flags[:]
+            out = np.zeros((rows, cols), dtype)
+            with np.errstate(over="raise", invalid="raise"):
+                count = matmul(a, b, out, EMPTY_PROPS, EMPTY_PROPS, mode)
+            assert count == rows * inner * cols
+            assert out.tobytes() == ref.tobytes(), (rows, inner, cols, cpus, mode)
+            assert band_counts == [cpus] and full_flags == [True]
+
+
 def test_an_overflow_in_a_band_raises_the_sequential_loops_error(
-        monkeypatch, band_counts):
-    """In 2 bands of 150 rows, rows 150.. overflow in the add at k = 3, and
-    rows ..149 either not at all or only in the multiply at k = 200. Band 0
-    alone then names the multiply, the sequential loop the add: the banded
-    product reruns as one band and raises the add, with no warning, and
-    leaves no thread behind."""
+        monkeypatch, band_counts, full_flags):
+    """In 2 bands of 150 rows of a FULL x FULL product, rows 150.. overflow
+    in the add at k = 3, and rows ..149 either not at all or only in the
+    multiply at k = 200. Band 0 alone then names the multiply, the
+    sequential loop the add: the banded product reruns as one band and
+    raises the add, with no warning, and leaves no thread behind."""
     monkeypatch.setattr(executor, "_CPUS", 2)
     monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
     band_1_only = np.zeros((300, 300), np.float32)
@@ -885,10 +1040,11 @@ def test_an_overflow_in_a_band_raises_the_sequential_loops_error(
             matmul(both[:150], b, buf(150, 300), EMPTY_PROPS, EMPTY_PROPS,
                    ExecMode.DENSE)
         for a, mode in product((band_1_only, both), ExecMode):
-            del band_counts[:]
+            del band_counts[:], full_flags[:]
             with pytest.raises(FloatingPointError, match="^overflow encountered in add$"):
                 matmul(a, b, buf(300, 300), EMPTY_PROPS, EMPTY_PROPS, mode)
             assert band_counts == [2, 1]
+            assert full_flags == [True, True]
             assert threading.active_count() == threads
 
 

@@ -12,9 +12,10 @@ The programs are written once: `tests/gen.py` programs for seeds 0..N-1
 and fractional, with large whole products), and `crlf.mom` and
 `crlf_error.mom` (`CRLF_PROGRAM` and `CRLF_ERROR_PROGRAM`: CRLF line ends
 and lone carriage returns), `types.mom` (`TYPES_PROGRAM`: more distinct
-matrix types than `ir.matrix_type` caches), and `facts.mom`
+matrix types than `ir.matrix_type` caches), `facts.mom`
 (`FACTS_PROGRAM`: fills and products at the edges of lowering's value
-facts). One child
+facts) and `prints.mom` (`PRINTS_PROGRAM`: FULL whole-number prints past
+`SMALL_PRINT_ENTRIES`, through the executor's digit table). One child
 process per root then runs `momc.cli.main` in-process over them and prints
 one sha256 per run, of the exit code, stdout and stderr with the program
 directory replaced by a fixed name.
@@ -29,7 +30,8 @@ likewise but without `--emit=chain`, whose DP tables would be 256x256, and
 `small.mom` runs in dense and specialized mode; `crlf.mom` is dumped with
 every `--emit` and runs in those two modes, `crlf_error.mom` is only
 dumped, and `types.mom` is dumped with `--emit` = `ir`, `ir-opt` and `loops`
-and runs in dense mode, as `facts.mom` does in both modes. Mutants
+and runs in dense mode, as `facts.mom` does in both modes; `prints.mom`
+runs in both modes. Mutants
 are never run, since they may declare huge dimensions. The script prints the
 run count and the exit-code histogram, lists each (program, flags) pair whose
 answers differ or, for `overflow300.mom`, do not exit 1, and exits 1 if there
@@ -150,6 +152,30 @@ print(M * M)
 print(S * S)
 """
 
+# FULL prints past SMALL_PRINT_ENTRIES (64) whose entries are whole, formatted
+# through the executor's digit table. P * Q (f32, 300 rows: two print bands
+# of at least EXACT_TILE rows) reaches 17,201,100 > 2**24 and rounds on the
+# way, so its facts are unknown and each block is checked; row i of K**11 * V
+# is C(i + 11, 11), 1 to 11 digits; X * Y is one row of 5,000 entries past
+# 2**24; L * W's interval (900,001 values) is known and wider than its
+# 90,000 entries, so no table of strings is made; F is fractional.
+PRINTS_PROGRAM = """\
+Matrix P(300, 700) <> = 3
+Matrix Q(700, 300) <> = 8191
+Matrix K(40, 40) <LowerTriangular> : f64 = 1
+Matrix V(40, 5) <> : f64 = 1
+Matrix X(1, 8) <> = 2000
+Matrix Y(8, 5000) <> = 2000
+Matrix L(300, 300) <LowerTriangular> = 3
+Matrix W(300, 300) <> = 1000
+Matrix F(300, 200) <> = 0.5
+print(P * Q)
+print(K * K * K * K * K * K * K * K * K * K * K * V)
+print(X * Y)
+print(L * W)
+print(F)
+"""
+
 
 def chain_program(k: int) -> str:
     """`R = X1 * ... * Xk` in f64 over a `gen.run_chain` chain with dims 2-16
@@ -260,6 +286,7 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     write("crlf_error.mom", CRLF_ERROR_PROGRAM, EMITS)
     write("types.mom", TYPES_PROGRAM, EMITS[:3] + RUNS[:1])
     write("facts.mom", FACTS_PROGRAM, EMITS[:3] + RUNS[:2])
+    write("prints.mom", PRINTS_PROGRAM, RUNS[:2])
     return jobs
 
 

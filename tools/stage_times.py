@@ -10,8 +10,11 @@ perfbench (`tokenize`, `parse`, `build_ir`, `verify`,
 `optimize_and_rematerialize`, `lower_to_loops`, then `execute` once), with
 the cyclic collector on. The script prints, per stage, the median over the
 rounds of the stage's time summed over the programs, and the median time
-the collector spent inside it, measured from `gc.callbacks`; then the median
-number of collections per generation in one round.
+the collector spent inside it, measured from `gc.callbacks`; then the same
+for the executor's kernels inside `execute` (matmul, print, fill, alloc and
+add), timed by wrapping `run_matmul`, `format_print`, `run_fill`, `_zeros`
+and `run_add` for the round; then the median number of collections per
+generation in one round.
 
 The figures are raw wall times. To compare two checkouts, run the script on
 each in turn, a few times alternately, and compare medians.
@@ -33,24 +36,43 @@ import time  # noqa: E402
 
 STAGES = ("tokenize", "parse", "build_ir", "verify", "optimize", "lower", "execute")
 COMPILE = STAGES[:-1]
+# The executor functions whose calls make up most of `execute`, by kernel.
+KERNELS = {"matmul": "run_matmul", "print": "format_print", "fill": "run_fill",
+           "alloc": "_zeros", "add": "run_add"}
 
 
 class StageClock:
     """Wall time and collector time per stage of one round."""
 
     def __init__(self) -> None:
-        self.wall = dict.fromkeys(STAGES, 0.0)
-        self.gc = dict.fromkeys(STAGES, 0.0)
+        self.wall = dict.fromkeys([*STAGES, *KERNELS], 0.0)
+        self.gc = dict.fromkeys([*STAGES, *KERNELS], 0.0)
         self.collections = [0, 0, 0]
         self.stage = STAGES[0]
+        self.kernel = None
         self.gc_start = 0.0
 
     def on_gc(self, phase: str, info: dict) -> None:
         if phase == "start":
             self.gc_start = time.perf_counter()
         else:
-            self.gc[self.stage] += time.perf_counter() - self.gc_start
+            dt = time.perf_counter() - self.gc_start
+            self.gc[self.stage] += dt
+            if self.kernel is not None:
+                self.gc[self.kernel] += dt
             self.collections[info["generation"]] += 1
+
+    def wrap(self, kernel: str, fn):
+        """fn, adding its wall time to `kernel`'s."""
+        def timed(*args):
+            self.kernel = kernel
+            t0 = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                self.wall[kernel] += time.perf_counter() - t0
+                self.kernel = None
+        return timed
 
     def time(self, stage: str, fn, *args):
         self.stage = stage
@@ -62,6 +84,9 @@ class StageClock:
 
 def one_round(m, texts: list[str], mode) -> StageClock:
     clock = StageClock()
+    real = {name: getattr(m.executor, name) for name in KERNELS.values()}
+    for kernel, name in KERNELS.items():
+        setattr(m.executor, name, clock.wrap(kernel, real[name]))
     gc.callbacks.append(clock.on_gc)
     try:
         for text in texts:
@@ -77,6 +102,8 @@ def one_round(m, texts: list[str], mode) -> StageClock:
             clock.time("execute", m.executor.execute, lm, mode, 1)
     finally:
         gc.callbacks.remove(clock.on_gc)
+        for name, fn in real.items():
+            setattr(m.executor, name, fn)
     return clock
 
 
@@ -114,6 +141,10 @@ def main() -> int:
               f"{ms([r.gc[stage] for r in rounds])}")
     print(f"{'compile':<10}{ms([sum(r.wall[s] for s in COMPILE) for r in rounds])}"
           f"{ms([sum(r.gc[s] for s in COMPILE) for r in rounds])}")
+    print("execute by kernel:")
+    for kernel in KERNELS:
+        print(f"  {kernel:<8}{ms([r.wall[kernel] for r in rounds])}"
+              f"{ms([r.gc[kernel] for r in rounds])}")
     counts = [statistics.median(r.collections[g] for r in rounds) for g in range(3)]
     print("collections per round (gen 0/1/2): " + " / ".join(f"{c:g}" for c in counts))
     return 0
