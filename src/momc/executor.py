@@ -38,19 +38,22 @@ in ascending k, so the bits and the count do not change. If a band
 overflows, out is zeroed and the loop reruns as one band in the calling
 thread, which raises the sequential loop's own error.
 
-Specialized mode prints only the stored span of each row and writes the
-structural zeros around it, after checking that they are zero: a nonzero
-there means the compiler broke a property it put in a type, and the run stops
-with `BrokenStoredPattern` rather than print other text.
+Specialized mode formats, for each block of rows, only the columns its
+stored spans reach, and writes the structural zeros around them after
+checking that they are zero: a nonzero there means the compiler broke a
+property it put in a type, and the run stops with `BrokenStoredPattern`
+rather than print other text.
 
 Printing costs per call on small buffers and per entry on large ones. A
 FULL buffer of at most SMALL_PRINT_ENTRIES (64 entries, 8x8) is checked in
 plain Python over one list of its entries and, when every entry is whole,
-formatted by one `%` over a format string made once per shape. A larger
-buffer goes through numpy a block of rows at a time: past 64 entries a
-Python pass over the entries costs more than numpy's calls. A print with a
-known interval holds whole numbers only and is not checked. A larger FULL
-buffer's whole blocks are formatted by numpy alone (`_digits`).
+formatted by one `%` over a format string made once per shape. Any other
+buffer, FULL or not, goes through one loop over blocks of rows: past 64
+entries a Python pass over the entries costs more than numpy's calls. Each
+block's columns are formatted as a small buffer is if they hold at most 64
+entries, else from a table of strings where lowering knows a narrow
+interval, else by numpy alone (`_digits`) if they are whole. A print with
+a known interval holds whole numbers only and is not checked.
 
 Kernels run with numpy's overflow and invalid-operation checks raising:
 a value that becomes infinite or NaN stops the run with `NonFiniteValue`.
@@ -332,8 +335,11 @@ def _all_whole(block: np.ndarray) -> bool:
 
 def _strings(interval: loops.Interval, entries: int) -> np.ndarray | None:
     """str(v) for each v of a known interval, indexed by v - lo, if it holds
-    at most `entries` values. It lives for one print: a 1000^2 lower x lower
-    product of fills up to 3 needs 9,001 (0.5 MB) for 500,500 entries."""
+    at most `entries` values, the print's stored entries. Every entry it is
+    indexed by lies in the interval, the structural zeros of a block's
+    columns too. It lives for one print and is freed before the output is
+    joined: a 1000^2 lower x lower product of fills up to 3 needs 9,001
+    strings (0.5 MB) for 500,500 entries."""
     if interval is None or interval[1] - interval[0] >= entries:
         return None
     return np.array([str(v) for v in range(interval[0], interval[1] + 1)], object)
@@ -396,60 +402,6 @@ def _raise_outside(a: np.ndarray, pattern: StoredPattern) -> None:
                 f"outside the stored pattern {pattern}")
 
 
-def _span_lines(a: np.ndarray, pattern: StoredPattern, step: int,
-                interval: loops.Interval) -> list[str]:
-    """format_print's rows of a under a pattern other than FULL, in blocks
-    of `step` rows: each row formats its stored column span, and the zeros
-    around it are slices of prebuilt runs, after a check that they are zero."""
-    rows, cols = a.shape
-    starts = range(0, rows, step)
-    # Block row k is row r + k, so a block's columns r..r + step hold its
-    # stretch of the diagonal. A lower pattern leaves out all that lies
-    # right of it, an upper one all that lies left of it, a diagonal both.
-    left = pattern is not StoredPattern.LOWER_INCL
-    right = pattern is not StoredPattern.UPPER_INCL
-    k, y = np.ogrid[:step, :min(step, cols)]  # at most 2**12 entries
-    band_outside = ((y < k) & left) | ((y > k) & right)
-    # Rows go longest span first, lower triangles bottom up: then each row's
-    # temporary strings fit where the previous row's were freed. Top down,
-    # the growing spans left about 0.3 MB more heap behind on a 1000^2 print.
-    backwards = pattern is StoredPattern.LOWER_INCL
-    lines = []
-    whole_span = " ".join(["%d"] * cols)
-    zeros_before, zeros_after = "0 " * cols, " 0" * cols
-    lo, hi = _spans(pattern, rows, cols)
-    table = _strings(interval, sum(hi) - sum(lo))
-    for r in reversed(starts) if backwards else starts:
-        block = a[r:r + step]
-        h = len(block)
-        band = block[:, r:r + h]
-        if ((left and block[:, :r].any()) or (right and block[:, r + h:].any())
-                or band.any(where=band_outside[:h, :band.shape[1]])):
-            _raise_outside(a, pattern)
-        c0, c1 = lo[r], hi[r + h - 1]  # the columns the block's spans reach
-        block = block[:, c0:c1]
-        whole = interval is not None or c0 == c1 or _all_whole(block)
-        if whole:
-            block = block.astype(np.int64)
-        if table is not None:
-            block = table[block - interval[0]]
-        for i in range(r, r + h)[::-1 if backwards else 1]:
-            j0, j1 = lo[i], hi[i]
-            if j0 >= j1:
-                lines.append(zeros_before[:-1])
-                continue
-            span = block[i - r, j0 - c0:j1 - c0].tolist()
-            lines.append("".join((
-                zeros_before[:2 * j0],
-                " ".join(span) if table is not None
-                else whole_span[:3 * len(span) - 1] % tuple(span) if whole
-                else " ".join(map(format_scalar, span)),
-                zeros_after[:2 * (cols - j1)])))
-    if backwards:
-        lines.reverse()
-    return lines
-
-
 @functools.cache
 def _small_format(rows: int, cols: int) -> str:
     """The `%d` format of a whole small buffer of this shape; a small buffer
@@ -458,10 +410,10 @@ def _small_format(rows: int, cols: int) -> str:
 
 
 def _small_lines(a: np.ndarray, whole: bool) -> str:
-    """format_print's rows of a FULL buffer of at most SMALL_PRINT_ENTRIES,
-    checked (unless known `whole`) and formatted in Python. `_all_whole`'s
-    rule is `is_integer` (false for NaN and inf) and then the range check;
-    through `int`, a -0.0 prints as 0."""
+    """format_print's rows of a, a FULL buffer or the columns of a block,
+    of at most SMALL_PRINT_ENTRIES, checked (unless known `whole`) and
+    formatted in Python. `_all_whole`'s rule is `is_integer` (false for NaN
+    and inf) and then the range check; through `int`, a -0.0 prints as 0."""
     rows, cols = a.shape
     flat = a.ravel().tolist()
     if whole or (all(map(float.is_integer, flat))
@@ -480,47 +432,86 @@ def format_print(a: np.ndarray, pattern: StoredPattern = StoredPattern.FULL,
     is what `format_scalar` prints for them (`-0.0` included, as `0`); any
     other block goes through `format_scalar` itself.
 
-    A known `interval` is lowering's proof (`loops`) that every entry is an
-    integer in [lo, hi], within 2**53 < 1e18: no block is checked, and if it
-    holds no more values than the stored entries, each entry is looked up
-    in a table of its strings (`_strings`). Unknown facts (None) keep the
-    run-time checks.
-
-    Any other FULL buffer past 64 entries formats its whole blocks by numpy
-    alone (`_digits`), in the calling thread: on a 2-vCPU x86-64, an 800x100
-    f32 print of 11-digit entries took 2.4 ms against 5.1 through `%d`, and
-    2.8-3.1 in two row bands, whose threads hand each other the GIL around
-    `_digits`' many 2-5 us calls (medians of 15).
-
     A FULL buffer of at most SMALL_PRINT_ENTRIES (64) is one block, checked
     and formatted in Python over `ravel().tolist()` (`_small_lines`): a
     numpy call costs about a microsecond whatever its size, and the numpy
     check takes five (min, max, trunc, `==` and all) before the cast. Past
     64 entries the Python pass is the slower one.
 
-    Under a pattern other than FULL, each row formats only its stored column
-    span (`_span_lines`). The entries it so skips are checked to be zero
-    first, one block at a time; a nonzero raises BrokenStoredPattern rather
-    than print other text.
+    Any other buffer goes through one loop over blocks of rows. Under a
+    pattern other than FULL, a block is first checked to be zero outside
+    the pattern (a nonzero raises BrokenStoredPattern rather than print
+    other text), then cut to the columns its rows' spans reach; the
+    rectangle's entries outside a row's span are the zeros just checked.
+    The rectangle is formatted by `_small_lines` if it holds at most 64
+    entries, else from a table of strings, else by numpy alone (`_digits`)
+    if it is whole, else by `format_scalar`; each of its rows then gets the
+    same run of zeros before and after it. A FULL block is the rectangle of
+    every column, with no check and no zeros around it.
+
+    A known `interval` is lowering's proof (`loops`) that every entry,
+    structural zeros included, is an integer in [lo, hi], within 2**53 <
+    1e18: no block is checked, and if it holds no more values than the
+    stored entries, each entry is looked up in a table of its strings
+    (`_strings`). A rectangle's zeros lie in it too: lowering's interval of
+    a pattern other than FULL always holds 0. Unknown facts (None) keep
+    the run-time checks.
+
+    `_digits` runs in the calling thread: on a 2-vCPU x86-64, an 800x100
+    f32 print of 11-digit entries took 2.4 ms against 5.1 through `%d`, and
+    2.8-3.1 in two row bands, whose threads hand each other the GIL around
+    `_digits`' many 2-5 us calls (medians of 15).
     """
     rows, cols = a.shape
     header = f"{rows}x{cols} {_ELEM_NAMES[a.dtype]}"
     if pattern is StoredPattern.FULL and rows * cols <= SMALL_PRINT_ENTRIES:
         return f"{header}\n{_small_lines(a, interval is not None)}"
-    lines = [header]
+    full = pattern is StoredPattern.FULL
     step = max(1, _PRINT_BLOCK_ENTRIES // cols)
-    if pattern is not StoredPattern.FULL:
-        return "\n".join(lines + _span_lines(a, pattern, step, interval))
-    table = _strings(interval, rows * cols)
-    for r in range(0, rows, step):
+    lo, hi = _spans(pattern, rows, cols)
+    table = _strings(interval, sum(hi) - sum(lo))
+    if not full:
+        # Block row k is row r + k, so a block's columns r..r + step hold its
+        # stretch of the diagonal. A lower pattern leaves out all that lies
+        # right of it, an upper one all that lies left of it, a diagonal both.
+        left = pattern is not StoredPattern.LOWER_INCL
+        right = pattern is not StoredPattern.UPPER_INCL
+        k, y = np.ogrid[:step, :min(step, cols)]  # at most 2**12 entries
+        band_outside = ((y < k) & left) | ((y > k) & right)
+    # Lower triangles go bottom up, widest blocks first: then each block's
+    # temporaries fit where the previous block's were freed. Top down, the
+    # growing blocks raised the peak RSS of a 1000^2 print by 1.7-2.3 MB.
+    backwards = pattern is StoredPattern.LOWER_INCL
+    lines = []
+    for r in range(0, rows, step)[::-1 if backwards else 1]:
         block = a[r:r + step]
-        if table is not None:
-            lines += map(" ".join, table[block.astype(np.int64) - interval[0]].tolist())
+        h = len(block)
+        if not full:
+            band = block[:, r:r + h]
+            if ((left and block[:, :r].any()) or (right and block[:, r + h:].any())
+                    or band.any(where=band_outside[:h, :band.shape[1]])):
+                _raise_outside(a, pattern)
+        c0, c1 = lo[r], hi[r + h - 1]  # the columns the block's spans reach
+        if c0 == c1:  # no row of the block stores an entry
+            lines.append("\n".join([" ".join(["0"] * cols)] * h))
+            continue
+        block = block[:, c0:c1]
+        before, after = "0 " * c0, " 0" * (cols - c1)
+        # With no zeros around its rows (a FULL block), sep is "\n" itself,
+        # and replace and + below return the block's text uncopied.
+        sep = after + "\n" + before
+        if block.size <= SMALL_PRINT_ENTRIES:
+            text = _small_lines(block, interval is not None).replace("\n", sep)
+        elif table is not None:
+            text = sep.join(map(" ".join,
+                                table[block.astype(np.int64) - interval[0]].tolist()))
         elif interval is not None or _all_whole(block):
-            lines.append(_digits(block))
+            text = _digits(block).replace("\n", sep)
         else:
-            lines += [" ".join(map(format_scalar, row)) for row in block.tolist()]
-    return "\n".join(lines)
+            text = sep.join([" ".join(map(format_scalar, row)) for row in block.tolist()])
+        lines.append(before + text + after)
+    del table, block  # not held through the join
+    return "\n".join([header, *(reversed(lines) if backwards else lines)])
 
 
 def _zeros(tid: loops.TensorId, t: MatrixType) -> np.ndarray:

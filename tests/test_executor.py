@@ -174,14 +174,14 @@ def test_add_examples():
 
 def test_format_print_examples():
     eye = filled(2, 2, 1.0, StoredPattern.DIAG_ONLY)
-    assert format_print(eye) == "2x2 f32\n1 0\n0 1"
+    same_print(format_print(eye), "2x2 f32\n1 0\n0 1")
 
     one = buf(1, 1)
     one[0, 0] = 2.5
-    assert format_print(one) == "1x1 f32\n2.5"
+    same_print(format_print(one), "1x1 f32\n2.5")
 
     low = filled(3, 3, 1.0, StoredPattern.LOWER_INCL)
-    assert format_print(low) == "3x3 f32\n1 0 0\n1 1 0\n1 1 1"
+    same_print(format_print(low), "3x3 f32\n1 0 0\n1 1 0\n1 1 1")
 
 
 def reference_format_print(b: np.ndarray) -> str:
@@ -189,6 +189,30 @@ def reference_format_print(b: np.ndarray) -> str:
     header = f"{b.shape[0]}x{b.shape[1]} f{8 * b.itemsize}"
     rows = [" ".join(format_scalar(float(v)) for v in row) for row in b]
     return "\n".join([header] + rows)
+
+
+def same_print(got, want, *context) -> None:
+    """Fail unless got == want, for two prints or two tuples of prints,
+    naming the first print and line that differ and showing a short excerpt
+    of both sides around the first differing character. pytest's own report
+    of `==` diffs the whole strings, which takes minutes on a print of a
+    megabyte."""
+    if got == want:
+        return
+    if isinstance(got, tuple):
+        assert isinstance(want, tuple), context
+        k = next((k for k, (x, y) in enumerate(zip(got, want)) if x != y), None)
+        if k is None:
+            pytest.fail(f"{context}: got {len(got)} prints, want {len(want)}",
+                        pytrace=False)
+        return same_print(got[k], want[k], *context, f"print {k}")
+    a, b = got.split("\n"), want.split("\n")
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    x, y = (a[i] if i < len(a) else "", b[i] if i < len(b) else "")
+    j = next((j for j, (p, q) in enumerate(zip(x, y)) if p != q), min(len(x), len(y)))
+    pytest.fail(f"{context}: line {i} differs (got {len(a)} lines, want {len(b)}); "
+                f"from character {max(0, j - 30)}: got {x[max(0, j - 30):j + 50]!r}, "
+                f"want {y[max(0, j - 30):j + 50]!r}", pytrace=False)
 
 
 BELOW_1E18 = float(np.nextafter(1e18, 0))
@@ -251,7 +275,7 @@ def test_format_print_matches_per_entry_reference(props, elem, rows, cols):
         for v in WHOLE_VALUES + OTHER_VALUES + [3.25, 7.0, -12.0]:
             b = buf(1, 1, elem)
             b[0, 0] = v
-            assert format_print(b, pattern) == reference_format_print(b), v
+            same_print(format_print(b, pattern), reference_format_print(b), v)
         return
     rng = np.random.default_rng(default_seed())
     one_block = rows * cols <= PRINT_BLOCK
@@ -260,7 +284,7 @@ def test_format_print_matches_per_entry_reference(props, elem, rows, cols):
         outside = ~_inside(pattern, rows, cols)
         b[outside] = 0
         b[outside & (rng.random((rows, cols)) < 0.1)] = -0.0
-        assert format_print(b, pattern) == reference_format_print(b), first
+        same_print(format_print(b, pattern), reference_format_print(b), first)
 
 
 @pytest.mark.parametrize("pattern", list(StoredPattern), ids=str)
@@ -276,8 +300,9 @@ def test_format_print_trusts_a_known_interval(monkeypatch, pattern, elem, rows, 
     pattern other than FULL), format_print checks no block and prints what
     the per-entry reference prints. It looks entries up in a table of the
     interval's strings when the interval holds no more values than the
-    stored entries, and formats them with `%d` when it holds more, as it
-    does for the same interval widened by 10**6 on each side."""
+    stored entries, and formats them without one (`_digits`, or
+    `_small_lines` for at most 64 entries) when it holds more, as it does
+    for the same interval widened by 10**6 on each side."""
     monkeypatch.setattr(executor, "_all_whole",
                         lambda block: pytest.fail("a known interval was checked"))
     tables = []
@@ -296,7 +321,8 @@ def test_format_print_trusts_a_known_interval(monkeypatch, pattern, elem, rows, 
             lo, hi = min(lo, 0), max(hi, 0)
         for interval in [(lo, hi), (lo - 10**6, hi + 10**6)]:
             del tables[:]
-            assert format_print(b, pattern, interval) == reference_format_print(b), interval
+            same_print(format_print(b, pattern, interval), reference_format_print(b),
+                       interval)
             table = interval[1] - interval[0] < inside.sum()
             assert [t is not None for t in tables] == ([] if small else [table])
 
@@ -317,8 +343,8 @@ def test_small_full_print_of_every_special_value(elem):
             flat[rng.permutation(64)[:len(specials)]] = specials
         else:
             flat[rng.integers(64)] = specials[at]
-        assert format_print(b) == reference_format_print(b), at
-        assert format_print(b.T) == reference_format_print(b.T), at
+        same_print(format_print(b), reference_format_print(b), at)
+        same_print(format_print(b.T), reference_format_print(b.T), at)
 
 
 # --------------------------------------------------------------------------
@@ -359,15 +385,15 @@ def test_the_digit_path_prints_every_digit_count(no_fallback, elem):
              for shape in [(1, n), (n, 1), (2, n // 2), (n // 2, 2)]]
     for b in cases + [_whole(rng, 150, 150, elem), _whole(rng, 70, 3, elem)]:
         interval = int(b.min()), int(b.max())
-        assert format_print(b) == reference_format_print(b)
-        assert format_print(b, StoredPattern.FULL, interval) == reference_format_print(b)
+        same_print(format_print(b), reference_format_print(b))
+        same_print(format_print(b, StoredPattern.FULL, interval), reference_format_print(b))
 
 
 @pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
 def test_the_digit_path_prints_a_row_wider_than_a_block(no_fallback, elem):
     rng = np.random.default_rng(default_seed() ^ 0xD2)
     b = _whole(rng, 1, 2 * PRINT_BLOCK + 7, elem)
-    assert format_print(b) == reference_format_print(b)
+    same_print(format_print(b), reference_format_print(b))
 
 
 @pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
@@ -384,7 +410,7 @@ def test_the_digit_path_prints_in_the_calling_thread(
     mixed[120, 5] = 0.5
     for b, cpus in product((whole, mixed), (1, 2)):
         monkeypatch.setattr(executor, "_CPUS", cpus)
-        assert format_print(b) == reference_format_print(b)
+        same_print(format_print(b), reference_format_print(b))
     assert band_counts == []
 
 
@@ -403,7 +429,7 @@ def test_a_block_that_is_not_whole_falls_back_to_format_scalar(monkeypatch, elem
         b = _whole(np.random.default_rng(default_seed() ^ 0xD3), 3 * step, 40, elem)
         b[step + 7, 3] = v
         del calls[:]
-        assert format_print(b) == reference_format_print(b), v
+        same_print(format_print(b), reference_format_print(b), v)
         x = float(b[step + 7, 3])
         whole = math.isfinite(x) and x.is_integer() and abs(x) < 1e18
         assert calls == [step] * (3 if whole else 2), v
@@ -423,6 +449,62 @@ def test_importing_the_executor_builds_no_digit_table():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
+@pytest.fixture
+def formatted(monkeypatch):
+    """The shapes of the blocks format_print hands `_digits` and
+    `_small_lines`, by name, in the order it formats them."""
+    calls = {"_digits": [], "_small_lines": []}
+    for name, shapes in calls.items():
+        real = getattr(executor, name)
+        monkeypatch.setattr(executor, name, lambda block, *rest, real=real, shapes=shapes:
+                            shapes.append(block.shape) or real(block, *rest))
+    return calls
+
+
+# Per structured shape, the rectangle each row block (27 rows of 150 columns,
+# 102 of 40, 6 of 600) is cut to, in the order format_print formats them:
+# lower triangles bottom up. The tall upper buffer's blocks below row 40
+# store no entry and are formatted by none.
+RECTANGLES = {
+    (StoredPattern.LOWER_INCL, 150, 150):
+        [(15, 150), (27, 135), (27, 108), (27, 81), (27, 54), (27, 27)],
+    (StoredPattern.UPPER_INCL, 150, 150):
+        [(27, 150), (27, 123), (27, 96), (27, 69), (27, 42), (15, 15)],
+    (StoredPattern.UPPER_INCL, 300, 40): [(102, 40)],
+    (StoredPattern.DIAG_ONLY, 40, 600): [(6, 6)] * 6 + [(4, 4)],
+}
+
+
+@pytest.mark.parametrize("elem", [ElemKind.F32, ElemKind.F64])
+@pytest.mark.parametrize("pattern,rows,cols", list(RECTANGLES), ids=str)
+def test_each_structured_block_takes_a_full_formatter(
+        no_fallback, formatted, pattern, rows, cols, elem):
+    """Nonzero whole numbers inside the pattern and zeros outside it, a
+    tenth of them -0.0, print as the per-entry reference, and no entry goes
+    through `format_scalar`. With unknown facts and with an interval too
+    wide for a table of strings, each block's rectangle goes to `_digits`,
+    or to `_small_lines` if it holds at most 64 entries (the diagonal's).
+    With a narrow interval that does not start at 0, the rectangles past
+    64 entries are looked up in the table."""
+    rng = np.random.default_rng(default_seed() ^ 0x5B)
+    inside = _inside(pattern, rows, cols)
+    rectangles = RECTANGLES[pattern, rows, cols]
+    small = rectangles[0][0] * rectangles[0][1] <= executor.SMALL_PRINT_ENTRIES
+    for top, intervals in [(10**6, [None, (-10**6, 10**6)]), (50, [(-50, 50)])]:
+        values = rng.integers(1, top, (rows, cols), endpoint=True)
+        b = np.where(inside, values * rng.choice([-1, 1], (rows, cols)), 0)
+        b = b.astype(DTYPES[elem])
+        b[~inside & (rng.random((rows, cols)) < 0.1)] = -0.0
+        want = reference_format_print(b)
+        for interval in intervals:
+            for shapes in formatted.values():
+                del shapes[:]
+            same_print(format_print(b, pattern, interval), want, interval)
+            table = interval == (-50, 50) and not small
+            assert formatted == {"_digits": [] if small or table else rectangles,
+                                 "_small_lines": rectangles if small else []}
+
+
 @pytest.mark.parametrize("pattern", [StoredPattern.LOWER_INCL,
                                      StoredPattern.UPPER_INCL,
                                      StoredPattern.DIAG_ONLY], ids=str)
@@ -437,7 +519,7 @@ def test_format_print_rejects_a_nonzero_outside_the_pattern(
     monkeypatch.setattr(executor, "_PRINT_BLOCK_ENTRIES", 16)
     inside = _inside(pattern, rows, cols)
     b = np.where(inside, 3.0, 0.0)
-    assert format_print(b, pattern) == reference_format_print(b)
+    same_print(format_print(b, pattern), reference_format_print(b))
     outside = list(zip(*np.nonzero(~inside)))
     if outside:
         i, j = outside[0]
@@ -454,7 +536,7 @@ def test_format_print_rejects_a_nonzero_outside_the_pattern(
                 format_print(bad, pattern)
         bad = b.copy()
         bad[i, j] = -0.0
-        assert format_print(bad, pattern) == reference_format_print(b)
+        same_print(format_print(bad, pattern), reference_format_print(b))
 
 
 def test_a_buffer_that_breaks_its_pattern_stops_the_run(monkeypatch):
@@ -470,8 +552,8 @@ def test_a_buffer_that_breaks_its_pattern_stops_the_run(monkeypatch):
             r"^error: op 2 \(print %0\): "
             r"entry \(0, 1\) is 2, outside the stored pattern lowerIncl$")):
         execute(lm, ExecMode.SPECIALIZED, repeats=1)
-    assert execute(lm, ExecMode.DENSE, repeats=1).printed == (
-        "3x3 f32\n2 2 2\n2 2 2\n2 2 2",)
+    same_print(execute(lm, ExecMode.DENSE, repeats=1).printed,
+               ("3x3 f32\n2 2 2\n2 2 2\n2 2 2",))
 
 
 def _random_realization(rng, props, rows, cols, elem):
@@ -796,7 +878,7 @@ def test_generated_programs_bit_identical_through_the_exact_path(
             m.setattr(executor, "EXACT_MIN_MULTS", 0)
             m.setattr(executor, "SMALL_MAX_MULTS", 0)
             fast_report = fast.run(ExecMode.SPECIALIZED, repeats=1)
-        assert fast_report.printed == dense_report.printed
+        same_print(fast_report.printed, dense_report.printed)
         for tid in lm.tensors:
             assert fast.buffers[tid].tobytes() == dense.buffers[tid].tobytes()
         assert fast_report.mults == shipped.mults
@@ -856,7 +938,7 @@ def test_generated_programs_bit_identical_through_the_small_path(
                 m.setattr(executor, "SMALL_MAX_MULTS", 0)
                 off_report = off.run(mode, repeats=1)
             assert len(accumulate_calls) == taken
-            assert on_report.printed == off_report.printed
+            same_print(on_report.printed, off_report.printed)
             for tid in lm.tensors:
                 assert on.buffers[tid].tobytes() == off.buffers[tid].tobytes()
             assert on_report.mults == off_report.mults
@@ -1095,14 +1177,14 @@ def test_execute_listing_specialized():
     report = execute(lower_text(LISTING), ExecMode.SPECIALIZED, repeats=5)
     assert list(report.mults.values()) == [35]
     assert report.total_mults == 35
-    assert report.printed == (
-        "5x5 f32\n1 0 0 0 0\n2 1 0 0 0\n3 2 1 0 0\n4 3 2 1 0\n5 4 3 2 1",)
+    same_print(report.printed, (
+        "5x5 f32\n1 0 0 0 0\n2 1 0 0 0\n3 2 1 0 0\n4 3 2 1 0\n5 4 3 2 1",))
     assert all(ns >= 0 for ns in report.min_ns.values())
 
 
 def test_execute_empty_module():
     report = execute(LoopModule(()), ExecMode.DENSE, repeats=2)
-    assert report.printed == ()
+    same_print(report.printed, ())
     assert report.mults == {} and report.min_ns == {}
     assert report.total_mults == 0 and report.total_min_ns == 0
 
@@ -1169,7 +1251,7 @@ def test_transposed_operands_match_numpy(mode):
     lo = np.tril(np.full((4, 4), 2, np.float32))
     r = np.full((4, 3), 3, np.float32)
     expected = [lo.T @ r, r.T @ lo.T, lo.T + lo, lo.T]
-    assert report.printed == tuple(format_print(e) for e in expected)
+    same_print(report.printed, tuple(format_print(e) for e in expected))
     if mode is ExecMode.SPECIALIZED:
         assert report.total_mults == sum(c.solution.total_cost for c in res.chains)
     else:

@@ -15,7 +15,9 @@ and lone carriage returns), `types.mom` (`TYPES_PROGRAM`: more distinct
 matrix types than `ir.matrix_type` caches), `facts.mom`
 (`FACTS_PROGRAM`: fills and products at the edges of lowering's value
 facts) and `prints.mom` (`PRINTS_PROGRAM`: FULL whole-number prints past
-`SMALL_PRINT_ENTRIES`, through the executor's digit table). One child
+`SMALL_PRINT_ENTRIES`, through the executor's digit table) and `spans.mom`
+(`SPANS_PROGRAM`: lower, upper and diagonal prints past one row block). One
+child
 process per root then runs `momc.cli.main` in-process over them and prints
 one sha256 per run, of the exit code, stdout and stderr with the program
 directory replaced by a fixed name.
@@ -30,8 +32,8 @@ likewise but without `--emit=chain`, whose DP tables would be 256x256, and
 `small.mom` runs in dense and specialized mode; `crlf.mom` is dumped with
 every `--emit` and runs in those two modes, `crlf_error.mom` is only
 dumped, and `types.mom` is dumped with `--emit` = `ir`, `ir-opt` and `loops`
-and runs in dense mode, as `facts.mom` does in both modes; `prints.mom`
-runs in both modes. Mutants
+and runs in dense mode, as `facts.mom` does in both modes; `prints.mom` and
+`spans.mom` run in both modes. Mutants
 are never run, since they may declare huge dimensions. The script prints the
 run count and the exit-code histogram, lists each (program, flags) pair whose
 answers differ or, for `overflow300.mom`, do not exit 1, and exits 1 if there
@@ -176,6 +178,35 @@ print(L * W)
 print(F)
 """
 
+# Lower, upper and diagonal prints past one row block: in specialized mode
+# each block is formatted over the columns its stored spans reach, between
+# runs of zeros. In f32, L * L2 (300^2, 8191 * 4099 * 300 > 2**24), its
+# upper mirror and D * D2 round and stay whole with unknown facts, so each
+# block is checked; D * D2 is 600 wide, so its blocks are 6x6 rectangles of
+# at most SMALL_PRINT_ENTRIES. A * B, its mirror and E * E (f64) have known
+# intervals (up to 3 * 10**8) wider than their stored entries, so no table
+# of strings is made. H * H, transpose(H) and G are fractional.
+SPANS_PROGRAM = """\
+Matrix L(300, 300) <LowerTriangular> = 8191
+Matrix L2(300, 300) <LowerTriangular> = 4099
+Matrix D(600, 600) <Diagonal> = 8191
+Matrix D2(600, 600) <Diagonal> = 4099
+Matrix A(300, 300) <LowerTriangular> : f64 = 1000
+Matrix B(300, 300) <LowerTriangular> : f64 = 1000
+Matrix E(100, 100) <Diagonal> : f64 = 1000
+Matrix H(300, 300) <LowerTriangular> = 0.5
+Matrix G(600, 600) <Diagonal> : f64 = 0.25
+print(L * L2)
+print(transpose(L2) * transpose(L))
+print(D * D2)
+print(A * B)
+print(transpose(B) * transpose(A))
+print(E * E)
+print(H * H)
+print(transpose(H))
+print(G)
+"""
+
 
 def chain_program(k: int) -> str:
     """`R = X1 * ... * Xk` in f64 over a `gen.run_chain` chain with dims 2-16
@@ -287,6 +318,7 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     write("types.mom", TYPES_PROGRAM, EMITS[:3] + RUNS[:1])
     write("facts.mom", FACTS_PROGRAM, EMITS[:3] + RUNS[:2])
     write("prints.mom", PRINTS_PROGRAM, RUNS[:2])
+    write("spans.mom", SPANS_PROGRAM, RUNS[:2])
     return jobs
 
 

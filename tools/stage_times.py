@@ -18,6 +18,13 @@ generation in one round.
 
 The figures are raw wall times. To compare two checkouts, run the script on
 each in turn, a few times alternately, and compare medians.
+
+A few milliseconds between two checkouts here need not come from their
+code. A variant of the one-loop print read `kernels` execute at 53-55 ms
+against its parent's 49-50, with matmul and fills slower too though no
+matmul code had changed, while both loaded in one process and perfbench's
+alternating pairs read the same for the two. Confirm such a difference
+with perfbench pairs before acting on it.
 """
 
 from __future__ import annotations
