@@ -10,12 +10,14 @@ reported, be it an allocation or a kernel.
 column span. Triangle fills, the loop, the count, the tiles and prints read it.
 
 The matmul kernel is a rank-1 update loop over the contraction index k in
-ascending order, accumulating in the operand precision. Dense mode updates
-the full (i, j) rectangle for every k, with no span arithmetic, as does
-specialized mode for FULL x FULL; otherwise specialized mode updates only
-the rows of a and the columns of b stored at that k. Entries outside a
-stored pattern are exactly zero, so both modes add the same nonzero
-products in the same order and give bit-identical results. The count is
+ascending order, accumulating in the operand precision. It walks k in
+blocks: one `np.einsum` forms a block's products, and `np.add` adds them
+into out one k at a time. A block covers the rectangle of rows of a and
+columns of b that its k store, under FULL x FULL the whole (i, j)
+rectangle. Entries outside a stored pattern are exactly zero, so both
+modes add the same nonzero products in the same order and give
+bit-identical results. einsum writes +0.0 where a product is -0.0, which
+changes no sum that starts at +0.0. The count is
 the number of multiplications of stored entries, the loop's count. The
 loop ops carry the stored patterns and lowering's value facts (`loops`);
 dense mode reads every pattern as FULL. Specialized mode hands a large
@@ -34,9 +36,11 @@ band at least EXACT_BAND_MULTS of its count: below that, a thread's start
 and join cost what a second band saves. The calling thread runs the first
 band and joins the others, plain threads that run in a copy of its context,
 so `np.errstate` holds in them too. Each entry is still summed by one thread
-in ascending k, so the bits and the count do not change. If a band
-overflows, out is zeroed and the loop reruns as one band in the calling
-thread, which raises the sequential loop's own error.
+in ascending k, so the bits and the count do not change. einsum does not
+raise under `np.errstate`, so each band of the loop checks at its end that
+its rows are finite. If that fails, or an add raises, out is zeroed and the
+product reruns one `np.multiply` and `np.add` per k, as one band in the
+calling thread; that rerun raises numpy's error for the first failing step.
 
 Specialized mode formats, for each block of rows, only the columns its
 stored spans reach, and writes the structural zeros around them after
@@ -147,8 +151,9 @@ EXACT_MIN_MULTS = 1 << 18
 # RSS, small; large enough for BLAS speed.
 EXACT_TILE = 128
 # Both modes take products of at most this many mults in one shot, at one
-# accumulate call per output entry. On a 2-vCPU x86-64: 16x16x16 f64 in 29 us
-# (loop: 94), 32x2x64 in 63 us (loop: 19); past 2**12 such shapes lose more.
+# accumulate call per output entry. On a 2-vCPU x86-64, through run_matmul
+# (medians of 300): 8x8x8 f64 in 6 us (loop: 13), 16x16x16 in 19 (loop: 19),
+# 32x2x64 in 37 (loop: 14); past 2**12 such shapes lose more.
 SMALL_MAX_MULTS = 1 << 12
 # format_print checks and formats a FULL buffer of at most this many entries
 # (8x8) in plain Python. On a 2-vCPU x86-64 (min of 5), a whole 4x4 buffer
@@ -163,10 +168,17 @@ SMALL_PRINT_ENTRIES = 64
 EXACT_BAND_MULTS = 1 << 24
 # The CPUs this process may run on: a product of at least EXACT_MIN_MULTS
 # runs in at most this many row bands of out at once. More bands than CPUs
-# lose: on 2 vCPUs the 800x1100x100 f32 loop took 80 ms in 1 band, 58 in 2,
-# 70 in 3, 109 in 4 and 177 in 6 (medians of 9).
+# lose: on 2 vCPUs the 800x1100x100 f32 loop took 28-29 ms in 1 band, 18-20
+# in 2, 21-22 in 3, 22 in 4 and 30 in 6 (medians of 9).
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
+# The rank-1 loop forms the products of a block of k in one einsum call into
+# a band's scratch of at most this many entries (at least one k per block).
+# einsum holds the interpreter lock, so small bands want several k per call:
+# on 2 vCPUs the 800x1100x100 f32 loop (2 bands of 400x100) took 46 ms at
+# one k per call and 18-20 at 2**18 (6 k); a 600^3 f32 one took 35 ms at
+# one k (2**18) and 38 at two (2**19) (medians of 7).
+_LOOP_BLOCK_ENTRIES = 1 << 18
 
 
 def _bands(lo: list[int], hi: list[int],
@@ -206,37 +218,59 @@ def _in_bands(band: Callable[[int], None], n: int) -> None:
 
 
 def _rank1_loop(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                spans: tuple[list[int], ...], n: int, full: bool) -> None:
+                spans: tuple[list[int], ...], n: int) -> None:
     """out += a @ b one k at a time in ascending order, in n bands of out's
     rows at once (`_in_bands`): a band runs the whole k loop over its rows.
-    Each product goes to the same entries of `tmp` first, so no k allocates.
-    A `full` (FULL x FULL) product skips the span arithmetic of each k.
-    If a band overflows, out is zeroed and the loop reruns as one band in
-    the calling thread, which raises the sequential loop's own error."""
-    tmp = np.empty_like(out)
+
+    A band walks k in blocks of max(1, _LOOP_BLOCK_ENTRIES // its entries).
+    One `np.einsum` writes a block's products into the band's scratch, then
+    `np.add` adds them into out one k at a time, ascending. A block covers
+    the rectangle its spans reach, rows i0[k0]..i1[k1 - 1] of the band by
+    columns j0[k0]..j1[k1 - 1] (the bounds are nondecreasing); entries
+    outside a stored pattern are exactly zero, so its extra products add
+    +-0. Each entry thus adds the same rounded products in the same order
+    as one `np.multiply` per k. Where that writes a -0.0 product einsum
+    writes +0.0, which changes no sum: out starts at +0.0, and a running sum
+    that starts at +0.0 is never -0.0.
+
+    einsum does not raise under `np.errstate`: an overflowing product is
+    written as inf. So each band checks that its rows are finite at the end.
+    If that fails or an add raises, out is zeroed and the product reruns
+    one `np.multiply` and `np.add` per k, as one band in the calling thread,
+    which raises numpy's error for the first step that fails."""
+    i0, i1, j0, j1 = spans
+    inner, cols = len(i0), out.shape[1]
     edges = [len(out) * w // n for w in range(n + 1)]
 
     def band(w: int) -> None:
         r0, r1 = edges[w], edges[w + 1]
-        if full:  # every k spans the band's whole rectangle: views made once
-            o, p = out[r0:r1], tmp[r0:r1]
-            for x, y in zip(a[r0:r1].T[:, :, None], b[:, None, :]):
-                np.multiply(x, y, out=p)
-                np.add(o, p, out=o)
-            return
-        for k, (i0, i1, j0, j1) in enumerate(zip(*spans)):
-            i0, i1 = max(i0, r0), min(i1, r1)
-            o, p = out[i0:i1, j0:j1], tmp[i0:i1, j0:j1]
-            np.multiply(a[i0:i1, k, None], b[None, k, j0:j1], out=p)
-            np.add(o, p, out=o)
+        step = max(1, _LOOP_BLOCK_ENTRIES // ((r1 - r0) * cols))
+        scratch = np.empty(step * (r1 - r0) * cols, out.dtype)
+        for k0 in range(0, inner, step):
+            k1 = min(k0 + step, inner)
+            ra, rb = max(i0[k0], r0), min(i1[k1 - 1], r1)
+            ca, cb = j0[k0], j1[k1 - 1]
+            if ra >= rb or ca >= cb:
+                continue
+            p = scratch[:(k1 - k0) * (rb - ra) * (cb - ca)]
+            p = p.reshape(k1 - k0, rb - ra, cb - ca)
+            np.einsum("ik,kj->kij", a[ra:rb, k0:k1], b[k0:k1, ca:cb], out=p)
+            o = out[ra:rb, ca:cb]
+            for q in p:
+                np.add(o, q, out=o)
+        if not np.isfinite(out[r0:r1]).all():
+            raise FloatingPointError("a product overflowed in einsum")
+
+    def per_k(_: int) -> None:
+        for k, (r0, r1, c0, c1) in enumerate(zip(*spans)):
+            o = out[r0:r1, c0:c1]
+            np.add(o, np.multiply(a[r0:r1, k, None], b[None, k, c0:c1]), out=o)
 
     try:
         _in_bands(band, n)
     except FloatingPointError:
-        if n == 1:
-            raise
         out.fill(0)
-        _rank1_loop(a, b, out, spans, 1, full)
+        _in_bands(per_k, 1)
 
 
 def _exact_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray,
@@ -301,7 +335,7 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     if exact and large:
         _exact_tiles(a, b, out, spans, max(1, min(n, count // EXACT_BAND_MULTS)))
     else:
-        _rank1_loop(a, b, out, spans, n, full)
+        _rank1_loop(a, b, out, spans, n)
     return count
 
 

@@ -6,6 +6,7 @@ import sys
 import threading
 import warnings
 
+import numpy as np
 import pytest
 
 from momc import executor
@@ -367,6 +368,30 @@ def test_overflow_in_row_bands_exits_1_with_the_loops_message(
         assert code == 0 and out.startswith("300x300 f32\n")
         assert threading.active_count() == threads
         assert bands == [2, 1, 2]
+
+
+@pytest.mark.parametrize("mode", ["dense", "specialized"])
+def test_a_product_overflow_einsum_hides_exits_1_with_the_multiply(
+        tmp_path, capsys, monkeypatch, mode):
+    """A 20^3 f32 product, past SMALL_MAX_MULTS and in one band, whose 1e40
+    products overflow and whose sums add nothing finite: the loop's einsum
+    writes the products as inf without raising, and the run still stops
+    with numpy's multiply overflow as a NonFiniteValue, printing nothing."""
+    calls = []
+    real = np.einsum
+    monkeypatch.setattr(np, "einsum",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    prog = tmp_path / "products.mom"
+    prog.write_text("n = 20\nMatrix A(n, n) <> = 1" + "0" * 20
+                    + "\nMatrix B(n, n) <> = 1" + "0" * 20 + "\nprint(A * B)\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, str(prog), "--run", "--repeats=1",
+                                 f"--mode={mode}")
+    assert (code, out) == (1, "")
+    assert err == (f"{prog}: error: op 5 (matmul %0[], %1[] -> %2[] : "
+                   "20x20xf32): overflow encountered in multiply\n")
+    assert calls
 
 
 def test_broken_stored_pattern_exits_1_without_a_traceback(tmp_path, capsys,

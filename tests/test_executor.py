@@ -21,6 +21,7 @@ from momc import executor, loops
 from momc.errors import BrokenStoredPattern, DimMismatch, NonFiniteValue
 from momc.executor import (
     _PRINT_BLOCK_ENTRIES as PRINT_BLOCK,
+    _stored_mults,
     _stored_spans,
     ExecMode,
     Executor,
@@ -1063,22 +1064,23 @@ def _naive_in_precision(a, b):
 
 
 @pytest.fixture
-def full_flags(monkeypatch):
-    """Lists the `full` argument of every `_rank1_loop` call."""
+def einsum_blocks(monkeypatch):
+    """Lists the number of k of every `np.einsum` call: its output's first
+    dimension."""
     calls = []
-    real = executor._rank1_loop
+    real = np.einsum
 
-    def spy(*args):
-        calls.append(args[-1])
-        return real(*args)
+    def spy(*args, **kwargs):
+        calls.append(kwargs["out"].shape[0])
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(executor, "_rank1_loop", spy)
+    monkeypatch.setattr(np, "einsum", spy)
     return calls
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_the_full_rectangle_loop_matches_the_naive_reference_in_bands(
-        monkeypatch, band_counts, full_flags, fast_switching, dtype):
+        monkeypatch, band_counts, fast_switching, dtype):
     """FULL x FULL products of reals, whose sums depend on their order, on
     the loop in 1 and 2 bands of rows (EXACT_TILE is 4 here): the bits of
     the naive loop in the operands' precision, in both modes."""
@@ -1092,17 +1094,96 @@ def test_the_full_rectangle_loop_matches_the_naive_reference_in_bands(
         ref = _naive_in_precision(a, b)
         for cpus, mode in product((1, 2), ExecMode):
             monkeypatch.setattr(executor, "_CPUS", cpus)
-            del band_counts[:], full_flags[:]
+            del band_counts[:]
             out = np.zeros((rows, cols), dtype)
             with np.errstate(over="raise", invalid="raise"):
                 count = matmul(a, b, out, EMPTY_PROPS, EMPTY_PROPS, mode)
             assert count == rows * inner * cols
             assert out.tobytes() == ref.tobytes(), (rows, inner, cols, cpus, mode)
-            assert band_counts == [cpus] and full_flags == [True]
+            assert band_counts == [cpus]
+
+
+def _edge_operand(rng, props, rows, cols, dtype):
+    """`_operand`'s reals with, inside the pattern, about a tenth each of
+    -0.0, +0.0 and subnormals, and row 0 all subnormal, so that some sums
+    round in the subnormal range."""
+    x = _operand(rng, props, rows, cols, dtype, False)
+    inside = pattern_contains(stored_pattern(props), *np.ogrid[:rows, :cols])
+    inside = np.broadcast_to(inside, x.shape)
+    tiny = np.finfo(dtype).smallest_subnormal
+    subnormal = tiny * rng.integers(-1000, 1000, x.shape).astype(dtype)
+    draw = rng.random(x.shape)
+    x[inside & (draw < 0.1)] = -0.0
+    x[inside & (0.1 <= draw) & (draw < 0.2)] = 0.0
+    pick = inside & ((0.2 <= draw) & (draw < 0.3) | (np.arange(rows)[:, None] == 0))
+    x[pick] = subnormal[pick]
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_loop_matches_the_naive_reference_around_block_edges(
+        monkeypatch, band_counts, einsum_blocks, fast_switching, dtype):
+    """Every pair of closed property sets on 10 x inner x 6 operands (zero
+    outside the pattern), inner 1, b - 1, b, b + 1 and 3b + 1 where b = 4 is
+    the k per einsum call each band gets here, in 1 and 2 bands of rows, in
+    both modes: the bits of the naive loop in the operands' precision, the
+    loop's count, and blocks of at most b k (in dense mode exactly the
+    blocks of b that cover inner, once per band)."""
+    monkeypatch.setattr(executor, "EXACT_TILE", 4)
+    monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
+    monkeypatch.setattr(executor, "EXACT_MIN_MULTS", 0)
+    rows, cols, b = 10, 6, 4
+    full = StoredPattern.FULL
+    rng = np.random.default_rng(default_seed() ^ 0xF2)
+    for inner, cpus in product((1, b - 1, b, b + 1, 3 * b + 1), (1, 2)):
+        monkeypatch.setattr(executor, "_CPUS", cpus)
+        # Each band holds rows // cpus rows: b k of its entries per block.
+        monkeypatch.setattr(executor, "_LOOP_BLOCK_ENTRIES", b * rows // cpus * cols)
+        dense_blocks = ([b] * (inner // b) + [inner % b] * (inner % b > 0)) * cpus
+        for pa, pb in product(CLOSED_PSETS, repeat=2):
+            x = _edge_operand(rng, pa, rows, inner, dtype)
+            y = _edge_operand(rng, pb, inner, cols, dtype)
+            ref = _naive_in_precision(x, y)
+            stored = _stored_mults(_stored_spans(pa.pattern, pb.pattern,
+                                                 rows, inner, cols))
+            for mode in ExecMode:
+                dense = mode is ExecMode.DENSE
+                del band_counts[:], einsum_blocks[:]
+                out = np.zeros((rows, cols), dtype)
+                with np.errstate(over="raise", invalid="raise"):
+                    count = run_matmul(x, y, out, *((full, full) if dense else
+                                                    (pa.pattern, pb.pattern)), False)
+                case = (inner, cpus, pa, pb, mode)
+                assert out.tobytes() == ref.tobytes(), case
+                assert count == (rows * inner * cols if dense else stored), case
+                assert band_counts == [cpus], case
+                assert max(einsum_blocks, default=0) <= b, case
+                if dense:
+                    assert sorted(einsum_blocks) == sorted(dense_blocks), case
+
+
+def test_the_first_error_in_a_block_wins(monkeypatch, band_counts, einsum_blocks):
+    """In one band and one einsum block of 8 k, each entry's sum of 1e38
+    products passes the f32 range in the add at k = 3, and the product at
+    k = 5 overflows (1e39). einsum writes that product as inf without
+    raising; the loop reruns one step at a time and raises the add."""
+    monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
+    a = np.ones((20, 8), np.float32)
+    a[:, :4], a[:, 5] = 1e19, 1e20
+    b = np.full((8, 20), 1e19, np.float32)
+    with np.errstate(over="raise", invalid="raise"):
+        products = np.empty((8, 20, 20), np.float32)
+        np.einsum("ik,kj->kij", a, b, out=products)
+        assert np.isinf(products[5]).all()
+        del einsum_blocks[:]
+        with pytest.raises(FloatingPointError, match="^overflow encountered in add$"):
+            matmul(a, b, buf(20, 20), EMPTY_PROPS, EMPTY_PROPS, ExecMode.DENSE)
+    assert einsum_blocks == [8]
+    assert band_counts == [1, 1]
 
 
 def test_an_overflow_in_a_band_raises_the_sequential_loops_error(
-        monkeypatch, band_counts, full_flags):
+        monkeypatch, band_counts):
     """In 2 bands of 150 rows of a FULL x FULL product, rows 150.. overflow
     in the add at k = 3, and rows ..149 either not at all or only in the
     multiply at k = 200. Band 0 alone then names the multiply, the
@@ -1122,11 +1203,10 @@ def test_an_overflow_in_a_band_raises_the_sequential_loops_error(
             matmul(both[:150], b, buf(150, 300), EMPTY_PROPS, EMPTY_PROPS,
                    ExecMode.DENSE)
         for a, mode in product((band_1_only, both), ExecMode):
-            del band_counts[:], full_flags[:]
+            del band_counts[:]
             with pytest.raises(FloatingPointError, match="^overflow encountered in add$"):
                 matmul(a, b, buf(300, 300), EMPTY_PROPS, EMPTY_PROPS, mode)
             assert band_counts == [2, 1]
-            assert full_flags == [True, True]
             assert threading.active_count() == threads
 
 

@@ -14,10 +14,11 @@ and fractional, with large whole products), and `crlf.mom` and
 and lone carriage returns), `types.mom` (`TYPES_PROGRAM`: more distinct
 matrix types than `ir.matrix_type` caches), `facts.mom`
 (`FACTS_PROGRAM`: fills and products at the edges of lowering's value
-facts) and `prints.mom` (`PRINTS_PROGRAM`: FULL whole-number prints past
-`SMALL_PRINT_ENTRIES`, through the executor's digit table) and `spans.mom`
-(`SPANS_PROGRAM`: lower, upper and diagonal prints past one row block). One
-child
+facts), `prints.mom` (`PRINTS_PROGRAM`: FULL whole-number prints past
+`SMALL_PRINT_ENTRIES`, through the executor's digit table), `spans.mom`
+(`SPANS_PROGRAM`: lower, upper and diagonal prints past one row block) and
+`loop.mom` (`LOOP_PROGRAM`: inexact FULL and triangular products on the
+rank-1 loop, whose prints show the order of their adds). One child
 process per root then runs `momc.cli.main` in-process over them and prints
 one sha256 per run, of the exit code, stdout and stderr with the program
 directory replaced by a fixed name.
@@ -32,8 +33,8 @@ likewise but without `--emit=chain`, whose DP tables would be 256x256, and
 `small.mom` runs in dense and specialized mode; `crlf.mom` is dumped with
 every `--emit` and runs in those two modes, `crlf_error.mom` is only
 dumped, and `types.mom` is dumped with `--emit` = `ir`, `ir-opt` and `loops`
-and runs in dense mode, as `facts.mom` does in both modes; `prints.mom` and
-`spans.mom` run in both modes. Mutants
+and runs in dense mode, as `facts.mom` does in both modes; `prints.mom`,
+`spans.mom` and `loop.mom` run in both modes. Mutants
 are never run, since they may declare huge dimensions. The script prints the
 run count and the exit-code histogram, lists each (program, flags) pair whose
 answers differ or, for `overflow300.mom`, do not exit 1, and exits 1 if there
@@ -208,6 +209,37 @@ print(G)
 """
 
 
+# Inexact products past SMALL_MAX_MULTS on the rank-1 loop, whose bits
+# depend on the order of their adds: each's products vary along k. In f32,
+# fractional FULL x FULL (Y * F, Y a lower x upper product), upper x FULL,
+# FULL x lower in one band of 101 rows, and whole ones past 2**24 (Z * N,
+# transpose(N) * Z). In f64, FULL x FULL X * W and lower x FULL T * P are
+# whole and pass 2**53 below 1e18, so they print every digit. On 1 or 2
+# CPUs no inner (301) is a multiple of the k per einsum call of its bands.
+LOOP_PROGRAM = """\
+Matrix L(301, 301) <LowerTriangular> = 0.1
+Matrix U(301, 301) <UpperTriangular> = 0.7
+Matrix F(301, 101) <> = 0.3
+Matrix M(301, 301) <LowerTriangular> = 3
+Matrix N(301, 101) <> = 1000
+Matrix K(301, 301) <LowerTriangular> : f64 = 3
+Matrix V(301, 301) <UpperTriangular> : f64 = 7
+Matrix W(301, 70) <> : f64 = 100000000001
+Matrix W2(301, 70) <> : f64 = 3000000001
+Matrix T(301, 301) <LowerTriangular> : f64 = 1
+Y = L * U
+print(Y * F)
+print(U * Y)
+print(transpose(Y * F) * L)
+Z = M * M
+print(Z * N)
+print(transpose(N) * Z)
+X = K * V
+print(X * W)
+P = X * W2
+print(T * P)
+"""
+
 def chain_program(k: int) -> str:
     """`R = X1 * ... * Xk` in f64 over a `gen.run_chain` chain with dims 2-16
     (square runs of lower, upper, diagonal, symmetric and unstructured
@@ -319,6 +351,7 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     write("facts.mom", FACTS_PROGRAM, EMITS[:3] + RUNS[:2])
     write("prints.mom", PRINTS_PROGRAM, RUNS[:2])
     write("spans.mom", SPANS_PROGRAM, RUNS[:2])
+    write("loop.mom", LOOP_PROGRAM, RUNS[:2])
     return jobs
 
 

@@ -1,6 +1,7 @@
 """Time each compile and run stage of a perfbench workload in process.
 
     python tools/stage_times.py ROOT [--workload W] [--seed S] [--rounds N]
+                                [--ops K]
 
 ROOT is a momc checkout: momc is imported from ROOT/src and the workload's
 programs come from ROOT/perfbench/programs.py, which is only read (no
@@ -14,7 +15,10 @@ the collector spent inside it, measured from `gc.callbacks`; then the same
 for the executor's kernels inside `execute` (matmul, print, fill, alloc and
 add), timed by wrapping `run_matmul`, `format_print`, `run_fill`, `_zeros`
 and `run_add` for the round; then the median number of collections per
-generation in one round.
+generation in one round. With `--ops K` it then lists the K slowest kernel
+calls of `execute`, by the median of each call's time over the rounds (a
+round makes the same calls in the same order), each as its program, kernel,
+shape, dtype, stored patterns and, for a matmul, lowering's `exact`.
 
 The figures are raw wall times. To compare two checkouts, run the script on
 each in turn, a few times alternately, and compare medians.
@@ -51,13 +55,16 @@ KERNELS = {"matmul": "run_matmul", "print": "format_print", "fill": "run_fill",
 class StageClock:
     """Wall time and collector time per stage of one round."""
 
-    def __init__(self) -> None:
+    def __init__(self, ops: bool) -> None:
         self.wall = dict.fromkeys([*STAGES, *KERNELS], 0.0)
         self.gc = dict.fromkeys([*STAGES, *KERNELS], 0.0)
         self.collections = [0, 0, 0]
         self.stage = STAGES[0]
         self.kernel = None
         self.gc_start = 0.0
+        self.program = 0
+        # (description, seconds) of each kernel call, in call order
+        self.calls: list[tuple[str, float]] | None = [] if ops else None
 
     def on_gc(self, phase: str, info: dict) -> None:
         if phase == "start":
@@ -77,8 +84,11 @@ class StageClock:
             try:
                 return fn(*args)
             finally:
-                self.wall[kernel] += time.perf_counter() - t0
+                dt = time.perf_counter() - t0
+                self.wall[kernel] += dt
                 self.kernel = None
+                if self.calls is not None:
+                    self.calls.append((f"#{self.program} {describe(kernel, args)}", dt))
         return timed
 
     def time(self, stage: str, fn, *args):
@@ -89,14 +99,31 @@ class StageClock:
         return out
 
 
-def one_round(m, texts: list[str], mode) -> StageClock:
-    clock = StageClock()
+def describe(kernel: str, args: tuple) -> str:
+    """Kernel, shape, dtype and stored patterns of one call, and a matmul's
+    `exact`, from the arguments `Executor.run` passes."""
+    if kernel == "alloc":
+        return f"alloc {args[1]}"
+    a = args[0]
+    shape = "x".join(map(str, a.shape))
+    if kernel == "matmul":
+        b, pa, pb, exact = args[1], *args[3:]
+        return (f"matmul {shape}x{b.shape[1]} {a.dtype} {pa.value} x {pb.value} "
+                f"exact={exact}")
+    if kernel == "add":
+        return f"add {shape} {a.dtype}"
+    pattern = args[2] if kernel == "fill" else args[1]  # run_fill, format_print
+    return f"{kernel} {shape} {a.dtype} {pattern.value}"
+
+
+def one_round(m, texts: list[str], mode, ops: bool) -> StageClock:
+    clock = StageClock(ops)
     real = {name: getattr(m.executor, name) for name in KERNELS.values()}
     for kernel, name in KERNELS.items():
         setattr(m.executor, name, clock.wrap(kernel, real[name]))
     gc.callbacks.append(clock.on_gc)
     try:
-        for text in texts:
+        for clock.program, text in enumerate(texts):
             tokens = clock.time("tokenize", m.frontend.tokenize, text)
             ast = clock.time("parse", m.frontend.parse, tokens)
             module = clock.time("build_ir", m.ir.build_ir, ast)
@@ -120,9 +147,13 @@ def main() -> int:
     ap.add_argument("--workload", default="many-stmts")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rounds", type=int, default=15)
+    ap.add_argument("--ops", type=int, default=0, metavar="K",
+                    help="also list the K slowest kernel calls of execute")
     args = ap.parse_args()
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
+    if args.ops < 0:
+        ap.error("--ops must not be negative")
 
     root = os.path.abspath(args.root)
     sys.dont_write_bytecode = True
@@ -133,8 +164,9 @@ def main() -> int:
     mode_name, progs = programs.generate(args.workload, args.seed)
     mode = momc.executor.ExecMode(mode_name)
     texts = [p.text for p in progs if p.timed]
-    one_round(momc, texts, mode)  # warm-up
-    rounds = [one_round(momc, texts, mode) for _ in range(args.rounds)]
+    ops = args.ops > 0
+    one_round(momc, texts, mode, ops)  # warm-up
+    rounds = [one_round(momc, texts, mode, ops) for _ in range(args.rounds)]
 
     def ms(values) -> str:
         return f"{statistics.median(values) * 1e3:9.2f}"
@@ -154,6 +186,12 @@ def main() -> int:
               f"{ms([r.gc[kernel] for r in rounds])}")
     counts = [statistics.median(r.collections[g] for r in rounds) for g in range(3)]
     print("collections per round (gen 0/1/2): " + " / ".join(f"{c:g}" for c in counts))
+    if ops:
+        calls = [(statistics.median(r.calls[i][1] for r in rounds), name)
+                 for i, (name, _) in enumerate(rounds[0].calls)]
+        print(f"the {args.ops} slowest kernel calls of execute (ms, #program):")
+        for t, name in sorted(calls, reverse=True)[:args.ops]:
+            print(f"{t * 1e3:9.2f}  {name}")
     return 0
 
 
