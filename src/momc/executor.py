@@ -9,38 +9,8 @@ reported, be it an allocation or a kernel.
 `_spans` is the one description of a pattern's stored region: each row's
 column span. Triangle fills, the loop, the count, the tiles and prints read it.
 
-The matmul kernel is a rank-1 update loop over the contraction index k in
-ascending order, accumulating in the operand precision. It walks k in
-blocks: one `np.einsum` forms a block's products, and `np.add` adds them
-into out one k at a time. A block covers the rectangle of rows of a and
-columns of b that its k store, under FULL x FULL the whole (i, j)
-rectangle. Entries outside a stored pattern are exactly zero, so both
-modes add the same nonzero products in the same order and give
-bit-identical results. einsum writes +0.0 where a product is -0.0, which
-changes no sum that starts at +0.0. The count is
-the number of multiplications of stored entries, the loop's count. The
-loop ops carry the stored patterns and lowering's value facts (`loops`);
-dense mode reads every pattern as FULL. Specialized mode hands a large
-product to BLAS only when lowering proved it `exact` (no step of it
-rounds), in tiles trimmed to the stored spans; a tile may still multiply
-some structural zeros, and it reports the same count. A product of at most
-SMALL_MAX_MULTS takes one `np.add.accumulate`, which adds in the loop's k
-order (`sum` would not); if it overflows, the loop reruns it.
-
-A product of at least EXACT_MIN_MULTS runs in row bands of out at once, one
-per CPU the process may run on (`_CPUS`, read once) and at least EXACT_TILE
-rows each: the loop gives each band the whole k loop over its rows, and the
-exact path deals its EXACT_TILE-row bands of tiles round-robin. The tiles do
-many times the loop's mults per second, so the exact path also gives each
-band at least EXACT_BAND_MULTS of its count: below that, a thread's start
-and join cost what a second band saves. The calling thread runs the first
-band and joins the others, plain threads that run in a copy of its context,
-so `np.errstate` holds in them too. Each entry is still summed by one thread
-in ascending k, so the bits and the count do not change. einsum does not
-raise under `np.errstate`, so each band of the loop checks at its end that
-its rows are finite. If that fails, or an add raises, out is zeroed and the
-product reruns one `np.multiply` and `np.add` per k, as one band in the
-calling thread; that rerun raises numpy's error for the first failing step.
+`run_matmul` states the one rule that picks each product's kernel and
+band count (`matmul_path`), and what the kernels share.
 
 Specialized mode formats, for each block of rows, only the columns its
 stored spans reach, and writes the structural zeros around them after
@@ -143,9 +113,6 @@ def _stored_mults(spans: tuple[list[int], ...]) -> int:
     return sum(map(operator.mul, map(operator.sub, i1, i0), map(operator.sub, j1, j0)))
 
 
-# Specialized mode sends exact products of at least this many mults to BLAS.
-# At dims <= 16 BLAS saves nothing.
-EXACT_MIN_MULTS = 1 << 18
 # The exact path multiplies out in tiles this wide and high: small enough to
 # trim a triangle closely and to keep the BLAS workspace, and so the peak
 # RSS, small; large enough for BLAS speed.
@@ -166,10 +133,16 @@ SMALL_PRINT_ENTRIES = 64
 # or two, about what a thread's start and join cost, and 99M took 2.0-2.8 ms
 # in one band against 1.7 in two (2-vCPU x86-64, medians of 15).
 EXACT_BAND_MULTS = 1 << 24
-# The CPUs this process may run on: a product of at least EXACT_MIN_MULTS
-# runs in at most this many row bands of out at once. More bands than CPUs
-# lose: on 2 vCPUs the 800x1100x100 f32 loop took 28-29 ms in 1 band, 18-20
-# in 2, 21-22 in 3, 22 in 4 and 30 in 6 (medians of 9).
+# The rank-1 loop gives each row band at least this many stored mults. It
+# is too few for 2 vCPUs: there (x86-64), f32 FULL x FULL products of 2**18
+# to 2**22 mults ran slower in 2 bands than in 1 (256x4x256 0.13 ms against
+# 0.26, 512x16x512 1.9 against 2.0), and 2**23 faster (1024x16x512 3.4
+# against 6.5; medians of 60).
+LOOP_BAND_MULTS = 1 << 18
+# The CPUs this process may run on: a product past SMALL_MAX_MULTS runs in
+# at most this many row bands of out at once. More bands than CPUs lose: on
+# 2 vCPUs the 800x1100x100 f32 loop took 28-29 ms in 1 band, 18-20 in 2,
+# 21-22 in 3, 22 in 4 and 30 in 6 (medians of 9).
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 # The rank-1 loop forms the products of a block of k in one einsum call into
@@ -234,10 +207,8 @@ def _rank1_loop(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     that starts at +0.0 is never -0.0.
 
     einsum does not raise under `np.errstate`: an overflowing product is
-    written as inf. So each band checks that its rows are finite at the end.
-    If that fails or an add raises, out is zeroed and the product reruns
-    one `np.multiply` and `np.add` per k, as one band in the calling thread,
-    which raises numpy's error for the first step that fails."""
+    written as inf. So once the bands are joined the loop checks that out
+    is finite, and raises FloatingPointError if it is not."""
     i0, i1, j0, j1 = spans
     inner, cols = len(i0), out.shape[1]
     edges = [len(out) * w // n for w in range(n + 1)]
@@ -258,19 +229,20 @@ def _rank1_loop(a: np.ndarray, b: np.ndarray, out: np.ndarray,
             o = out[ra:rb, ca:cb]
             for q in p:
                 np.add(o, q, out=o)
-        if not np.isfinite(out[r0:r1]).all():
-            raise FloatingPointError("a product overflowed in einsum")
 
-    def per_k(_: int) -> None:
-        for k, (r0, r1, c0, c1) in enumerate(zip(*spans)):
-            o = out[r0:r1, c0:c1]
-            np.add(o, np.multiply(a[r0:r1, k, None], b[None, k, c0:c1]), out=o)
+    _in_bands(band, n)
+    if not np.isfinite(out).all():
+        raise FloatingPointError("a product overflowed in einsum")
 
-    try:
-        _in_bands(band, n)
-    except FloatingPointError:
-        out.fill(0)
-        _in_bands(per_k, 1)
+
+def _per_k(a: np.ndarray, b: np.ndarray, out: np.ndarray,
+           spans: tuple[list[int], ...]) -> None:
+    """out += a @ b by one `np.multiply` and one `np.add` per k, ascending,
+    in the calling thread: under `np.errstate` it raises numpy's error for
+    the first step that fails, as the sequential loop would."""
+    for k, (r0, r1, c0, c1) in enumerate(zip(*spans)):
+        o = out[r0:r1, c0:c1]
+        np.add(o, np.multiply(a[r0:r1, k, None], b[None, k, c0:c1]), out=o)
 
 
 def _exact_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray,
@@ -299,43 +271,68 @@ def _exact_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     _in_bands(band, n)
 
 
+def matmul_path(rows: int, inner: int, cols: int, count: int,
+                exact: bool) -> tuple[str, int]:
+    """The kernel `run_matmul` runs a rows x inner x cols product on, given
+    its count of stored mults and lowering's `exact`: "small", "tiles" or
+    "loop"; and the number of row bands it runs in."""
+    if rows * inner * cols <= SMALL_MAX_MULTS:
+        return "small", 1
+    path, band_mults = ("tiles", EXACT_BAND_MULTS) if exact else ("loop", LOOP_BAND_MULTS)
+    return path, max(1, min(_CPUS, rows // EXACT_TILE, count // band_mults))
+
+
 def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
                pa: StoredPattern, pb: StoredPattern, exact: bool) -> int:
     """Accumulate a @ b into the zero-initialized out, where a stores pattern
     pa and b pb; return the number of multiplications of stored entries, the
-    loop's count. `exact` is lowering's proof that no step of a @ b rounds
-    (`loops`); dense mode passes FULL twice and no proof. An exact product of
-    at least EXACT_MIN_MULTS goes to `np.matmul` by tiles of out
-    (`_exact_tiles`); `+=` into out's zeros turns a BLAS -0.0 into +0.0, as
-    the loop does. Any other takes the rank-1 loop. A product of at least
-    EXACT_MIN_MULTS runs in min(_CPUS, rows // EXACT_TILE) bands of rows at
-    once, so every band has at least EXACT_TILE rows; on the exact path also
-    at most count // EXACT_BAND_MULTS bands."""
+    loop's count, whatever the kernel. `exact` is lowering's proof that no
+    step of a @ b rounds (`loops`); dense mode passes FULL twice and no proof.
+
+    One rule (`matmul_path`) picks the kernel and its band count:
+    - a product of at most SMALL_MAX_MULTS (rows * inner * cols) is "small":
+      all its products at once, then one `np.add.accumulate`, which adds
+      them in ascending k (`sum` would not);
+    - past that, an exact product takes "tiles" (`_exact_tiles`): BLAS on
+      tiles of out trimmed to the stored spans. `+=` into out's zeros turns
+      a BLAS -0.0 into +0.0, as the loop does;
+    - any other product takes "loop", the rank-1 loop (`_rank1_loop`).
+    Both large kernels run in max(1, min(_CPUS, rows // EXACT_TILE, count //
+    m)) row bands of out at once, m being EXACT_BAND_MULTS for the tiles and
+    LOOP_BAND_MULTS for the loop: at most one per CPU, and at least
+    EXACT_TILE rows and m stored mults each. Every kernel sums each entry
+    in one thread, adding the loop's rounded products in ascending k (an
+    exact product rounds none of them), so the bits and the count do not
+    depend on the kernel or the bands; the tiles and the small path may
+    multiply some structural zeros.
+
+    A step that overflows or turns invalid raises FloatingPointError in any
+    kernel, under the caller's `np.errstate` (the loop checks for einsum,
+    which does not raise). Then out is zeroed and the product reruns one
+    step at a time in the calling thread (`_per_k`), which raises numpy's
+    error for the first step that fails."""
     (rows, inner), (inner_b, cols) = a.shape, b.shape
     if inner != inner_b:
         raise DimMismatch(f"inner dims disagree, {inner} vs {inner_b}")
     if out.shape != (rows, cols):
         raise DimMismatch(f"out must be {rows}x{cols}, "
                           f"got {out.shape[0]}x{out.shape[1]}")
+    # FULL x FULL builds no spans for the small path: they slowed dense
+    # runs' many small products.
     full = pa is StoredPattern.FULL and pb is StoredPattern.FULL
-    if rows * inner * cols <= SMALL_MAX_MULTS:
-        # FULL x FULL builds no spans: they slowed dense runs' many small products.
-        count = (rows * inner * cols if full
-                 else _stored_mults(_stored_spans(pa, pb, rows, inner, cols)))
-        try:
+    spans = None if full else _stored_spans(pa, pb, rows, inner, cols)
+    count = rows * inner * cols if full else _stored_mults(spans)
+    path, n = matmul_path(rows, inner, cols, count, exact)
+    try:
+        if path == "small":
             p = a[:, :, None] * b[None, :, :]
             out += np.add.accumulate(p, axis=1, out=p)[:, -1]
-            return count
-        except FloatingPointError:
-            pass  # out is untouched; the loop raises with its own message
-    spans = _stored_spans(pa, pb, rows, inner, cols)
-    count = _stored_mults(spans)
-    large = rows * inner * cols >= EXACT_MIN_MULTS
-    n = max(1, min(_CPUS, rows // EXACT_TILE)) if large else 1
-    if exact and large:
-        _exact_tiles(a, b, out, spans, max(1, min(n, count // EXACT_BAND_MULTS)))
-    else:
-        _rank1_loop(a, b, out, spans, n)
+        else:
+            spans = spans or _stored_spans(pa, pb, rows, inner, cols)
+            (_exact_tiles if path == "tiles" else _rank1_loop)(a, b, out, spans, n)
+    except FloatingPointError:
+        out.fill(0)
+        _per_k(a, b, out, _stored_spans(pa, pb, rows, inner, cols))
     return count
 
 

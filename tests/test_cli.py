@@ -309,7 +309,7 @@ def test_unwritable_report_exits_1(tmp_path, capsys, flag):
      "error: op 7 (matmul %0[], %1[] -> %3[] : 3x3xf32): "
      "overflow encountered in multiply"),
     # Each product fits f32 and their sum does not: the one-shot path's
-    # accumulate overflows, and the loop it falls back to names the add.
+    # accumulate overflows, and its rerun one step at a time names the add.
     ("Matrix A(2, 2) <> = 15000000000000000000\nC = A * A\nprint(C)\n",
      "error: op 3 (matmul %0[], %0[] -> %1[] : 2x2xf32): "
      "overflow encountered in add"),
@@ -343,7 +343,8 @@ def test_overflow_in_row_bands_exits_1_with_the_loops_message(
         tmp_path, capsys, monkeypatch, mode, fills, message):
     """A 300^3 f32 product runs in 2 row bands of the loop. When it
     overflows, the CLI reports the sequential loop's message, prints nothing
-    and warns nothing; a failed run and a good one leave no thread behind."""
+    and warns nothing; a failed run and a good one leave no thread behind.
+    The rerun that names the error runs in the calling thread, no band."""
     monkeypatch.setattr(executor, "_CPUS", 2)
     bands = []
     real = executor._in_bands
@@ -362,12 +363,12 @@ def test_overflow_in_row_bands_exits_1_with_the_loops_message(
         assert err == (f"{bad}: error: op 5 (matmul %0[], %1[] -> %2[] : "
                        f"300x300xf32): {message}\n")
         assert threading.active_count() == threads
-        assert bands == [2, 1]
+        assert bands == [2]
         code, out, _ = run_cli(capsys, str(good), "--run", "--repeats=1",
                                f"--mode={mode}")
         assert code == 0 and out.startswith("300x300 f32\n")
         assert threading.active_count() == threads
-        assert bands == [2, 1, 2]
+        assert bands == [2, 2]
 
 
 @pytest.mark.parametrize("mode", ["dense", "specialized"])

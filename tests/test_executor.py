@@ -58,14 +58,16 @@ def buf(rows, cols, elem=ElemKind.F32):
     return np.zeros((rows, cols), DTYPES[elem])
 
 
-def matmul(a, b, out, pa, pb, mode):
+def matmul(a, b, out, pa, pb, mode, proof=True):
     """`run_matmul` as `Executor.run` calls it in `mode`, for operands of
     property sets pa and pb: dense mode passes FULL and no `exact`, and
     specialized mode the stored patterns and, in place of lowering's proof,
-    the run-time oracle on the operands themselves."""
+    the run-time oracle on the operands themselves (no proof if `proof` is
+    false)."""
     if mode is ExecMode.DENSE:
         return run_matmul(a, b, out, StoredPattern.FULL, StoredPattern.FULL, False)
-    return run_matmul(a, b, out, pa.pattern, pb.pattern, is_exact_product(a, b))
+    return run_matmul(a, b, out, pa.pattern, pb.pattern,
+                      proof and is_exact_product(a, b))
 
 
 def filled(rows, cols, scalar, pattern, elem=ElemKind.F32):
@@ -666,11 +668,13 @@ def test_count_fidelity_structured_times_rectangular():
 # The exact BLAS path of specialized mode
 # --------------------------------------------------------------------------
 
-# (EXACT_MIN_MULTS, SMALL_MAX_MULTS) pairs that send every product one way.
+# (SMALL_MAX_MULTS, whether the proof is passed) pairs that send every
+# product one way: past SMALL_MAX_MULTS an exact product takes the tiles and
+# any other the loop.
 NEVER = 1 << 62  # a cutoff beyond every product
-FORCED_LOOP = (NEVER, 0)
-EXACT_PATH = (0, 0)
-SMALL_PATH = (NEVER, NEVER)
+FORCED_LOOP = (0, False)
+EXACT_PATH = (0, True)
+SMALL_PATH = (NEVER, True)
 
 
 @pytest.fixture
@@ -717,12 +721,11 @@ def _matmul_both_ways(monkeypatch, a, b, pa=EMPTY_PROPS, pb=EMPTY_PROPS,
                       path=EXACT_PATH, mode=ExecMode.SPECIALIZED):
     """(the forced rank-1 loop, the given path): (out, count) each."""
     results = []
-    for exact_min, small_max in (FORCED_LOOP, path):
-        monkeypatch.setattr(executor, "EXACT_MIN_MULTS", exact_min)
+    for small_max, proof in (FORCED_LOOP, path):
         monkeypatch.setattr(executor, "SMALL_MAX_MULTS", small_max)
         out = np.zeros((a.shape[0], b.shape[1]), a.dtype)
         with np.errstate(all="ignore"):
-            count = matmul(a, b, out, pa, pb, mode)
+            count = matmul(a, b, out, pa, pb, mode, proof)
         results.append((out, count))
     return results
 
@@ -856,7 +859,7 @@ def test_exact_path_tiles_are_trimmed_to_the_stored_spans(
 
 
 def test_dense_mode_never_takes_the_exact_path(monkeypatch, matmul_calls):
-    monkeypatch.setattr(executor, "EXACT_MIN_MULTS", 0)
+    monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
     a = filled(20, 20, 2.0, StoredPattern.LOWER_INCL, ElemKind.F64)
     out = buf(20, 20, ElemKind.F64)
     assert matmul(a, a, out, LOWER, LOWER, ExecMode.DENSE) == 20 ** 3
@@ -866,9 +869,10 @@ def test_dense_mode_never_takes_the_exact_path(monkeypatch, matmul_calls):
 
 def test_generated_programs_bit_identical_through_the_exact_path(
         monkeypatch, matmul_calls):
-    """Generated programs are exact by construction (gen.MAX_MAG): with the
-    cutoff at 0, specialized mode gives dense mode's bytes, signbit
-    included, and the counts of the specialized run as shipped."""
+    """Generated programs are exact by construction (gen.MAX_MAG): with
+    SMALL_MAX_MULTS at 0, so that every product takes the tiles,
+    specialized mode gives dense mode's bytes, signbit included, and the
+    counts of the specialized run as shipped."""
     rng = random.Random(default_seed() ^ 0xE4)
     for _ in range(300):
         lm = lower_text(random_program(rng, max_dim=12))
@@ -876,7 +880,6 @@ def test_generated_programs_bit_identical_through_the_exact_path(
         dense, fast = Executor(lm), Executor(lm)
         dense_report = dense.run(ExecMode.DENSE, repeats=1)
         with monkeypatch.context() as m:
-            m.setattr(executor, "EXACT_MIN_MULTS", 0)
             m.setattr(executor, "SMALL_MAX_MULTS", 0)
             fast_report = fast.run(ExecMode.SPECIALIZED, repeats=1)
         same_print(fast_report.printed, dense_report.printed)
@@ -989,23 +992,23 @@ def _operand(rng, props, rows, cols, dtype, integral):
 @pytest.mark.parametrize("tile,shapes", [
     # As shipped; 601 is a multiple of neither EXACT_TILE nor 2 or 3 bands.
     (executor.EXACT_TILE, [(601, 7, 64), (601, 601, 2)]),
-    # Square operands of at least EXACT_MIN_MULTS (65^3), quick in tiles of 16.
+    # Square operands, quick in tiles of 16.
     (16, [(65, 65, 65)]),
 ])
 def test_row_bands_give_one_bands_bytes_and_count(
         monkeypatch, band_counts, matmul_calls, fast_switching, tile, shapes):
-    """Products of at least EXACT_MIN_MULTS under every pair of closed
-    property sets that fits, f32 and f64, reals and integers, both modes:
-    in 2 and 3 row bands, the loop and the exact tiles give the bytes and
-    the count of one band. EXACT_BAND_MULTS is 1 here, so the exact path
-    bands products this small."""
+    """Products under every pair of closed property sets that fits, f32 and
+    f64, reals and integers, both modes: in 2 and 3 row bands, the loop and
+    the exact tiles give the bytes and the count of one band.
+    EXACT_BAND_MULTS and LOOP_BAND_MULTS are 1 here, so both kernels band
+    products this small."""
     monkeypatch.setattr(executor, "EXACT_TILE", tile)
     monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
     monkeypatch.setattr(executor, "EXACT_BAND_MULTS", 1)
+    monkeypatch.setattr(executor, "LOOP_BAND_MULTS", 1)
     rng = np.random.default_rng(default_seed() ^ 0xB1)
     for (rows, inner, cols), dtype, integral in product(
             shapes, (np.float32, np.float64), (False, True)):
-        assert rows * inner * cols >= executor.EXACT_MIN_MULTS
         pairs = product(CLOSED_PSETS if rows == inner else [EMPTY_PROPS],
                         CLOSED_PSETS if inner == cols else [EMPTY_PROPS])
         for (pa, pb), mode in product(pairs, ExecMode):
@@ -1037,7 +1040,8 @@ def test_row_bands_give_one_bands_bytes_and_count(
 def test_the_exact_path_bands_by_work(
         monkeypatch, band_counts, matmul_calls, shape, pa, pb, fill, path, bands):
     """On 2 CPUs, the exact path gives each band at least EXACT_BAND_MULTS
-    stored mults, and the loop keeps one band per EXACT_TILE rows."""
+    stored mults, and the loop at least LOOP_BAND_MULTS; neither gives a
+    band fewer than EXACT_TILE rows."""
     monkeypatch.setattr(executor, "_CPUS", 2)
     rows, inner, cols = shape
     dtype = np.float64 if rows == 1000 else np.float32
@@ -1082,11 +1086,12 @@ def einsum_blocks(monkeypatch):
 def test_the_full_rectangle_loop_matches_the_naive_reference_in_bands(
         monkeypatch, band_counts, fast_switching, dtype):
     """FULL x FULL products of reals, whose sums depend on their order, on
-    the loop in 1 and 2 bands of rows (EXACT_TILE is 4 here): the bits of
-    the naive loop in the operands' precision, in both modes."""
+    the loop in 1 and 2 bands of rows (EXACT_TILE is 4 here, and
+    LOOP_BAND_MULTS 1): the bits of the naive loop in the operands'
+    precision, in both modes."""
     monkeypatch.setattr(executor, "EXACT_TILE", 4)
     monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
-    monkeypatch.setattr(executor, "EXACT_MIN_MULTS", 0)
+    monkeypatch.setattr(executor, "LOOP_BAND_MULTS", 1)
     rng = np.random.default_rng(default_seed() ^ 0xF1)
     for rows, inner, cols in [(9, 7, 5), (13, 20, 3), (8, 1, 8)]:
         a = _operand(rng, EMPTY_PROPS, rows, inner, dtype, False)
@@ -1128,10 +1133,11 @@ def test_the_loop_matches_the_naive_reference_around_block_edges(
     the k per einsum call each band gets here, in 1 and 2 bands of rows, in
     both modes: the bits of the naive loop in the operands' precision, the
     loop's count, and blocks of at most b k (in dense mode exactly the
-    blocks of b that cover inner, once per band)."""
+    blocks of b that cover inner, once per band). LOOP_BAND_MULTS is 1
+    here, so a product of one stored mult runs in one band."""
     monkeypatch.setattr(executor, "EXACT_TILE", 4)
     monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
-    monkeypatch.setattr(executor, "EXACT_MIN_MULTS", 0)
+    monkeypatch.setattr(executor, "LOOP_BAND_MULTS", 1)
     rows, cols, b = 10, 6, 4
     full = StoredPattern.FULL
     rng = np.random.default_rng(default_seed() ^ 0xF2)
@@ -1156,7 +1162,7 @@ def test_the_loop_matches_the_naive_reference_around_block_edges(
                 case = (inner, cpus, pa, pb, mode)
                 assert out.tobytes() == ref.tobytes(), case
                 assert count == (rows * inner * cols if dense else stored), case
-                assert band_counts == [cpus], case
+                assert band_counts == [min(cpus, count)], case
                 assert max(einsum_blocks, default=0) <= b, case
                 if dense:
                     assert sorted(einsum_blocks) == sorted(dense_blocks), case
@@ -1166,7 +1172,8 @@ def test_the_first_error_in_a_block_wins(monkeypatch, band_counts, einsum_blocks
     """In one band and one einsum block of 8 k, each entry's sum of 1e38
     products passes the f32 range in the add at k = 3, and the product at
     k = 5 overflows (1e39). einsum writes that product as inf without
-    raising; the loop reruns one step at a time and raises the add."""
+    raising; the product reruns one step at a time, in the calling thread,
+    and raises the add."""
     monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
     a = np.ones((20, 8), np.float32)
     a[:, :4], a[:, 5] = 1e19, 1e20
@@ -1179,7 +1186,7 @@ def test_the_first_error_in_a_block_wins(monkeypatch, band_counts, einsum_blocks
         with pytest.raises(FloatingPointError, match="^overflow encountered in add$"):
             matmul(a, b, buf(20, 20), EMPTY_PROPS, EMPTY_PROPS, ExecMode.DENSE)
     assert einsum_blocks == [8]
-    assert band_counts == [1, 1]
+    assert band_counts == [1]
 
 
 def test_an_overflow_in_a_band_raises_the_sequential_loops_error(
@@ -1187,8 +1194,9 @@ def test_an_overflow_in_a_band_raises_the_sequential_loops_error(
     """In 2 bands of 150 rows of a FULL x FULL product, rows 150.. overflow
     in the add at k = 3, and rows ..149 either not at all or only in the
     multiply at k = 200. Band 0 alone then names the multiply, the
-    sequential loop the add: the banded product reruns as one band and
-    raises the add, with no warning, and leaves no thread behind."""
+    sequential loop the add: the banded product reruns one step at a time
+    in the calling thread and raises the add, with no warning, and leaves
+    no thread behind."""
     monkeypatch.setattr(executor, "_CPUS", 2)
     monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
     band_1_only = np.zeros((300, 300), np.float32)
@@ -1206,8 +1214,132 @@ def test_an_overflow_in_a_band_raises_the_sequential_loops_error(
             del band_counts[:]
             with pytest.raises(FloatingPointError, match="^overflow encountered in add$"):
                 matmul(a, b, buf(300, 300), EMPTY_PROPS, EMPTY_PROPS, mode)
-            assert band_counts == [2, 1]
+            assert band_counts == [2]
             assert threading.active_count() == threads
+
+
+# --------------------------------------------------------------------------
+# The one rule that picks each product's kernel and band count
+# --------------------------------------------------------------------------
+
+@pytest.fixture
+def kernels_run(monkeypatch):
+    """Lists the name of every `_rank1_loop`, `_exact_tiles` and `_per_k`
+    call of `run_matmul`."""
+    calls = []
+    for name in ("_rank1_loop", "_exact_tiles", "_per_k"):
+        real = getattr(executor, name)
+        monkeypatch.setattr(executor, name, lambda *args, name=name, real=real:
+                            calls.append(name) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("mode", list(ExecMode))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_rule_picks_the_kernel_by_size_and_proof(
+        accumulate_calls, matmul_calls, einsum_blocks, mode, dtype):
+    """Products of 4,096 mults (SMALL_MAX_MULTS) and of 4,097 and 4,913,
+    under every pair of closed property sets that fits, exact (integers in
+    [-8, 8]) and not (reals): the small path runs one accumulate, an exact
+    product past it in specialized mode BLAS tiles, any other the einsum
+    loop, as `matmul_path` says. Each gives the naive loop's bits in the
+    operands' precision and the loop's count."""
+    rng = np.random.default_rng(default_seed() ^ 0xC1)
+    full = StoredPattern.FULL
+    for (rows, inner, cols), integral in product(
+            [(16, 16, 16), (17, 241, 1), (17, 17, 17)], (True, False)):
+        pairs = product(CLOSED_PSETS if rows == inner else [EMPTY_PROPS],
+                        CLOSED_PSETS if inner == cols else [EMPTY_PROPS])
+        for pa, pb in pairs:
+            a = _operand(rng, pa, rows, inner, dtype, integral)
+            b = _operand(rng, pb, inner, cols, dtype, integral)
+            exact = mode is ExecMode.SPECIALIZED and is_exact_product(a, b)
+            assert exact is (integral and mode is ExecMode.SPECIALIZED)
+            patterns = ((full, full) if mode is ExecMode.DENSE
+                        else (pa.pattern, pb.pattern))
+            stored = _stored_mults(_stored_spans(*patterns, rows, inner, cols))
+            path = ("small" if rows * inner * cols <= 4096
+                    else "tiles" if exact else "loop")
+            del accumulate_calls[:], matmul_calls[:], einsum_blocks[:]
+            out = np.zeros((rows, cols), dtype)
+            with np.errstate(over="raise", invalid="raise"):
+                count = matmul(a, b, out, pa, pb, mode)
+            case = (rows, inner, cols, pa, pb, integral)
+            assert executor.matmul_path(rows, inner, cols, count, exact)[0] == path
+            assert accumulate_calls == ([(rows, inner, cols)] if path == "small"
+                                        else []), case
+            assert bool(matmul_calls) is (path == "tiles"), case
+            assert bool(einsum_blocks) is (path == "loop"), case
+            assert out.tobytes() == _naive_in_precision(a, b).tobytes(), case
+            assert count == stored, case
+
+
+@pytest.mark.parametrize("mode", list(ExecMode))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_rule_bands_at_each_boundary_of_band_work(
+        monkeypatch, band_counts, matmul_calls, mode, dtype):
+    """On 4 CPUs, FULL x FULL products at and just below each multiple of
+    a band's work (512 x m x 512 and 512 x m x 511 mults, m times
+    LOOP_BAND_MULTS on the loop or EXACT_BAND_MULTS on the tiles) and at
+    255 and 256 rows: one band per band's work, at most 4 and at most one
+    per EXACT_TILE rows, with the bytes of one band. Integers are exact and
+    take the tiles in specialized mode; in dense mode they take the loop
+    and its band rule. A 512^3 diagonal x FULL product stores 2**18 mults
+    of its 2**27: one band in specialized mode, which counts the stored
+    ones, and 4 in dense mode."""
+    rng = np.random.default_rng(default_seed() ^ 0xC2)
+    specialized = mode is ExecMode.SPECIALIZED
+    # (shape, pa, integral, bands on 4 CPUs): 512 x 512 is 2**18 mults per k.
+    cases = [((512, m, c), EMPTY_PROPS, False, max(1, min(m - (c == 511), 4)))
+             for m in range(1, 6) for c in (511, 512)]
+    cases += [((255, 4, 1024), EMPTY_PROPS, False, 1),
+              ((256, 4, 1024), EMPTY_PROPS, False, 2)]
+    cases += [((512, 64 * m, c), EMPTY_PROPS, True,
+               max(1, min(m - (c == 511), 4)) if specialized else 4)
+              for m in range(1, 6) for c in (511, 512)]
+    cases += [((512, 512, 512), DIAG, integral, 1 if specialized else 4)
+              for integral in (False, True)]
+    for (rows, inner, cols), pa, integral, bands in cases:
+        a = _operand(rng, pa, rows, inner, dtype, integral)
+        b = _operand(rng, EMPTY_PROPS, inner, cols, dtype, integral)
+        exact = integral and mode is ExecMode.SPECIALIZED
+        results = []
+        for cpus in (4, 1):
+            monkeypatch.setattr(executor, "_CPUS", cpus)
+            del band_counts[:], matmul_calls[:]
+            out = np.zeros((rows, cols), dtype)
+            with np.errstate(over="raise", invalid="raise"):
+                count = matmul(a, b, out, pa, EMPTY_PROPS, mode)
+            results.append(out.tobytes())
+            case = (rows, inner, cols, pa, integral, cpus)
+            stored = rows if pa is DIAG and specialized else rows * inner
+            assert count == stored * cols, case
+            assert band_counts == [bands if cpus == 4 else 1], case
+            assert bool(matmul_calls) is exact, case
+            assert executor.matmul_path(rows, inner, cols, count, exact) == (
+                "tiles" if exact else "loop", band_counts[0])
+        assert results[0] == results[1], case
+
+
+@pytest.mark.parametrize("mode", list(ExecMode))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [4, 20])
+@pytest.mark.parametrize("failing", ["multiply", "add"])
+def test_an_overflowing_product_is_formed_at_most_twice(
+        kernels_run, n, mode, dtype, failing):
+    """An n^3 product whose products overflow, or whose sums do: at 4^3 in
+    one shot, at 20^3 on the loop. Then out is zeroed and the product is
+    formed once more, one step at a time in the calling thread, which
+    raises numpy's own message for the first failing step."""
+    fill = {("multiply", np.float32): 1e20, ("add", np.float32): 1e19,
+            ("multiply", np.float64): 1e160, ("add", np.float64): 1e154}[
+                failing, dtype]
+    a = np.full((n, n), fill, dtype)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError,
+                           match=f"^overflow encountered in {failing}$"):
+            matmul(a, a, np.zeros((n, n), dtype), EMPTY_PROPS, EMPTY_PROPS, mode)
+    assert kernels_run == (["_per_k"] if n == 4 else ["_rank1_loop", "_per_k"])
 
 
 def test_structured_chain_count_equals_dp_prediction():

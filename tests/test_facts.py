@@ -2,11 +2,11 @@
 
 `loops.lower_to_loops` gives every tensor an integer interval or unknown
 facts, every product `exact` or not, and every print its tensor's interval.
-The executor trusts them: an `exact` product of at least EXACT_MIN_MULTS
-goes to BLAS, and a print with an interval formats integers unchecked. So
-each fact is checked here against the run itself: `exact` against the
-run-time proof it replaced (`oracle.is_exact_product`) on the operands'
-buffers, and each interval against every entry of its tensor's buffer.
+The executor trusts them: an `exact` product past SMALL_MAX_MULTS goes to
+BLAS, and a print with an interval formats integers unchecked. So each fact
+is checked here against the run itself: `exact` against the run-time proof
+it replaced (`oracle.is_exact_product`) on the operands' buffers, and each
+interval against every entry of its tensor's buffer.
 """
 
 import ast

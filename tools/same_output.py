@@ -18,7 +18,11 @@ facts), `prints.mom` (`PRINTS_PROGRAM`: FULL whole-number prints past
 `SMALL_PRINT_ENTRIES`, through the executor's digit table), `spans.mom`
 (`SPANS_PROGRAM`: lower, upper and diagonal prints past one row block) and
 `loop.mom` (`LOOP_PROGRAM`: inexact FULL and triangular products on the
-rank-1 loop, whose prints show the order of their adds). One child
+rank-1 loop, whose prints show the order of their adds), `mid.mom`
+(`MID_PROGRAM`: exact products of 17^3 to 63^3 mults, past
+`SMALL_MAX_MULTS`), and `overflow_small.mom` and `overflow_mid.mom`
+(`OVERFLOW_SMALL_PROGRAM` and `OVERFLOW_MID_PROGRAM`: a small product
+whose sums overflow, and a mid-size one whose products do). One child
 process per root then runs `momc.cli.main` in-process over them and prints
 one sha256 per run, of the exit code, stdout and stderr with the program
 directory replaced by a fixed name.
@@ -34,11 +38,11 @@ likewise but without `--emit=chain`, whose DP tables would be 256x256, and
 every `--emit` and runs in those two modes, `crlf_error.mom` is only
 dumped, and `types.mom` is dumped with `--emit` = `ir`, `ir-opt` and `loops`
 and runs in dense mode, as `facts.mom` does in both modes; `prints.mom`,
-`spans.mom` and `loop.mom` run in both modes. Mutants
-are never run, since they may declare huge dimensions. The script prints the
-run count and the exit-code histogram, lists each (program, flags) pair whose
-answers differ or, for `overflow300.mom`, do not exit 1, and exits 1 if there
-is any.
+`spans.mom`, `loop.mom`, `mid.mom` and the two `overflow_*.mom` run in both
+modes. Mutants are never run, since they may declare huge dimensions. The
+script prints the run count and the exit-code histogram, lists each
+(program, flags) pair whose answers differ or, for a program named
+`overflow*.mom`, do not exit 1, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ EMITS = [["--emit=ir"], ["--emit=ir-opt"], ["--emit=loops"], ["--emit=chain"],
 RUNS = [["--run", "--repeats=1"], ["--run", "--repeats=1", "--mode=specialized"],
         ["--run", "--repeats=1", "--no-opt"]]
 
-# Generated programs and scaled examples stay below the exact BLAS path's
-# EXACT_MIN_MULTS and print in one row block. Here five 600^3 products of
+# Generated programs (dims up to 12) stay at most SMALL_MAX_MULTS, on the
+# one-shot path, and print in one row block. Here five 600^3 products of
 # whole numbers go through the exact tiles in specialized mode, `H * H` (not
 # whole) through the rank-1 loop, and every print spans 100 row blocks. All
 # of them run in row bands on as many threads as there are CPUs; `G * G` and
@@ -121,7 +125,7 @@ TYPES_PROGRAM = "\n".join(
 # Fills and products at the edges of lowering's value facts (`momc.loops`):
 # f32 rounds R's 2**24 + 1 to 2**24 and T's half to an even whole number;
 # R + O reaches 2**24 + 1 and rounds, so its interval is unknown; H is a
-# fraction. A * B (64**3 = EXACT_MIN_MULTS) has max|a| * max|b| * k = 2**24
+# fraction. A * B (64**3, past SMALL_MAX_MULTS) has max|a| * max|b| * k = 2**24
 # exactly and runs in BLAS tiles, C * D one step past it (97 * 257 * 673 =
 # 2**24 + 1) on the rank-1 loop. L * W's interval (3,001 values) is wider
 # than its 100 entries, M * M's (2,701) narrower than its 45,150 stored
@@ -240,6 +244,54 @@ P = X * W2
 print(T * P)
 """
 
+# Exact products past SMALL_MAX_MULTS (17^3 to 63^3 mults, each below 2**18):
+# FULL x FULL, lower x lower, upper x FULL and diagonal x FULL in f32 and in
+# f64, and diagonal x lower and upper x lower in f64. Their fills keep every
+# partial sum within 2**24 in f32 (X * X reaches 279**2 * 31) and 2**53 in
+# f64, so lowering proves them exact: specialized mode runs them as BLAS
+# tiles, dense mode on the rank-1 loop, and both print the same whole numbers.
+MID_PROGRAM = """\
+Matrix F(17, 17) <> = 3
+Matrix F2(17, 17) <> : f64 = 5
+Matrix L(31, 31) <LowerTriangular> = 3
+Matrix L2(63, 63) <LowerTriangular> : f64 = 9
+Matrix U(40, 40) <UpperTriangular> = 11
+Matrix U2(40, 40) <UpperTriangular> : f64 = 13
+Matrix G(40, 23) <> = 2
+Matrix G2(40, 63) <> : f64 = 3
+Matrix D(63, 63) <Diagonal> = 4
+Matrix D2(63, 63) <Diagonal> : f64 = 6
+Matrix H(63, 63) <> = 5
+Matrix H2(63, 17) <> : f64 = 7
+X = L * L
+Y = L2 * L2
+print(F * F)
+print(F2 * F2)
+print(X)
+print(Y)
+print(X * X)
+print(U * G)
+print(U2 * G2)
+print(D * H)
+print(D2 * H2)
+print(D2 * Y)
+print(transpose(Y) * Y)
+"""
+# A 4^3 lower x lower f32 product on the one-shot path whose products fit
+# and whose sums pass the f32 range, and a 30x40x30 one on the rank-1 loop
+# whose products overflow (einsum writes them as inf without raising): each
+# must exit 1 with numpy's message for the first failing step.
+OVERFLOW_SMALL_PROGRAM = """\
+Matrix L(4, 4) <LowerTriangular> = 10000000000000000000
+print(L * L)
+"""
+OVERFLOW_MID_PROGRAM = """\
+Matrix A(30, 40) <> = 100000000000000000000
+Matrix B(40, 30) <> = 100000000000000000000
+print(A * B)
+"""
+
+
 def chain_program(k: int) -> str:
     """`R = X1 * ... * Xk` in f64 over a `gen.run_chain` chain with dims 2-16
     (square runs of lower, upper, diagonal, symmetric and unstructured
@@ -352,6 +404,9 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     write("prints.mom", PRINTS_PROGRAM, RUNS[:2])
     write("spans.mom", SPANS_PROGRAM, RUNS[:2])
     write("loop.mom", LOOP_PROGRAM, RUNS[:2])
+    write("mid.mom", MID_PROGRAM, RUNS[:2])
+    write("overflow_small.mom", OVERFLOW_SMALL_PROGRAM, RUNS[:2])
+    write("overflow_mid.mom", OVERFLOW_MID_PROGRAM, RUNS[:2])
     return jobs
 
 
@@ -415,7 +470,7 @@ def main() -> int:
             return 1
 
     diffs = [(a[0], a[1]) for a, b in zip(old, new)
-             if a != b or (a[0] == "overflow300.mom" and a[2] != "1")]
+             if a != b or (a[0].startswith("overflow") and a[2] != "1")]
     exits = collections.Counter(a[2] for a in new)
     print(f"{len(new)} runs per side; exit codes (new): "
           + ", ".join(f"{code}: {count}" for code, count in sorted(exits.items())))

@@ -18,7 +18,9 @@ and `run_add` for the round; then the median number of collections per
 generation in one round. With `--ops K` it then lists the K slowest kernel
 calls of `execute`, by the median of each call's time over the rounds (a
 round makes the same calls in the same order), each as its program, kernel,
-shape, dtype, stored patterns and, for a matmul, lowering's `exact`.
+shape, dtype, stored patterns and, for a matmul, lowering's `exact` and the
+path and band count that the executor's own rule (`executor.matmul_path`)
+gives it on this host; a checkout without that rule shows neither.
 
 The figures are raw wall times. To compare two checkouts, run the script on
 each in turn, a few times alternately, and compare medians.
@@ -55,7 +57,7 @@ KERNELS = {"matmul": "run_matmul", "print": "format_print", "fill": "run_fill",
 class StageClock:
     """Wall time and collector time per stage of one round."""
 
-    def __init__(self, ops: bool) -> None:
+    def __init__(self, ops: bool, matmul_path) -> None:
         self.wall = dict.fromkeys([*STAGES, *KERNELS], 0.0)
         self.gc = dict.fromkeys([*STAGES, *KERNELS], 0.0)
         self.collections = [0, 0, 0]
@@ -65,6 +67,7 @@ class StageClock:
         self.program = 0
         # (description, seconds) of each kernel call, in call order
         self.calls: list[tuple[str, float]] | None = [] if ops else None
+        self.matmul_path = matmul_path
 
     def on_gc(self, phase: str, info: dict) -> None:
         if phase == "start":
@@ -82,13 +85,15 @@ class StageClock:
             self.kernel = kernel
             t0 = time.perf_counter()
             try:
-                return fn(*args)
+                result = fn(*args)
             finally:
                 dt = time.perf_counter() - t0
                 self.wall[kernel] += dt
                 self.kernel = None
-                if self.calls is not None:
-                    self.calls.append((f"#{self.program} {describe(kernel, args)}", dt))
+            if self.calls is not None:
+                text = describe(kernel, args, result, self.matmul_path)
+                self.calls.append((f"#{self.program} {text}", dt))
+            return result
         return timed
 
     def time(self, stage: str, fn, *args):
@@ -99,17 +104,23 @@ class StageClock:
         return out
 
 
-def describe(kernel: str, args: tuple) -> str:
-    """Kernel, shape, dtype and stored patterns of one call, and a matmul's
-    `exact`, from the arguments `Executor.run` passes."""
+def describe(kernel: str, args: tuple, result, matmul_path) -> str:
+    """Kernel, shape, dtype and stored patterns of one call, from the
+    arguments `Executor.run` passes; for a matmul also its `exact`, and the
+    path and bands `matmul_path` (if not None) gives it for the count
+    `run_matmul` returned."""
     if kernel == "alloc":
         return f"alloc {args[1]}"
     a = args[0]
     shape = "x".join(map(str, a.shape))
     if kernel == "matmul":
         b, pa, pb, exact = args[1], *args[3:]
-        return (f"matmul {shape}x{b.shape[1]} {a.dtype} {pa.value} x {pb.value} "
+        text = (f"matmul {shape}x{b.shape[1]} {a.dtype} {pa.value} x {pb.value} "
                 f"exact={exact}")
+        if matmul_path is None:
+            return text
+        path, bands = matmul_path(*a.shape, b.shape[1], result, exact)
+        return f"{text} path={path} bands={bands}"
     if kernel == "add":
         return f"add {shape} {a.dtype}"
     pattern = args[2] if kernel == "fill" else args[1]  # run_fill, format_print
@@ -117,7 +128,7 @@ def describe(kernel: str, args: tuple) -> str:
 
 
 def one_round(m, texts: list[str], mode, ops: bool) -> StageClock:
-    clock = StageClock(ops)
+    clock = StageClock(ops, getattr(m.executor, "matmul_path", None))
     real = {name: getattr(m.executor, name) for name in KERNELS.values()}
     for kernel, name in KERNELS.items():
         setattr(m.executor, name, clock.wrap(kernel, real[name]))
