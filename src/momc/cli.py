@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import equation_opt, executor, frontend, ir, loops
+from . import equation_opt, frontend, ir, loops
 from .chain import ChainSolution, tree_string
 from .equation_opt import ChainReport, OptOptions
 from .errors import CompileError
@@ -136,6 +136,7 @@ def bench(module: ir.IRModule, mode: loops.ExecMode,
     The baseline keeps identity simplification on, so the comparison isolates
     the effect of re-parenthesization.
     """
+    from . import executor  # loads numpy; a compile-only run never does
     base = equation_opt.optimize_and_rematerialize(
         module, OptOptions(simplify_identities=True, reorder_chains=False))
     opt = equation_opt.optimize_and_rematerialize(
@@ -231,6 +232,7 @@ def _main(argv: list[str] | None) -> int:
             sys.stdout.write(loops.print_loops(lm))
 
         if cfg.run:
+            from . import executor
             # Only the report's timings need more than one run.
             repeats = cfg.repeats if cfg.report else 1
             run_report = executor.execute(lm, cfg.mode, repeats)

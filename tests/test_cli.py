@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from momc import executor
-from momc.cli import BenchReport, main, parse_config
+from momc.cli import EMIT_STAGES, BenchReport, main, parse_config
 from momc.errors import ParseError
 from momc.executor import ExecMode
 from momc.frontend import MAX_CHAIN_OPERANDS, MAX_NESTING, parse_source
@@ -237,6 +237,53 @@ def test_parse_config_defaults():
     assert cfg.mode is ExecMode.DENSE
     assert cfg.repeats == 5 and cfg.opt and cfg.scale == 1
     assert cfg.emit == "none" and not cfg.run and not cfg.bench
+
+
+def fresh_interpreter(code):
+    """stdout of `code` run by a new Python process, which must exit 0."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("flags,loads", [
+    ([f"--emit={stage}"], False) for stage in EMIT_STAGES] + [
+    (["--run"], True), (["--run", "--emit=loops"], True), (["--bench"], True)])
+def test_numpy_loads_only_when_something_runs(flags, loads):
+    out = fresh_interpreter(
+        "import sys\nfrom momc.cli import main\n"
+        f"assert main({[LISTING1, *flags]!r}) == 0\n"
+        "print('numpy' in sys.modules)")
+    assert out.splitlines()[-1] == str(loads)
+
+
+def test_a_bare_import_leaves_numpy_out_and_reaches_every_public_name():
+    out = fresh_interpreter(
+        "import sys, momc\n"
+        "print('numpy' in sys.modules)\n"
+        "print(sorted({'executor', 'execute', 'Executor', 'ExecutionReport'}"
+        " - set(dir(momc))))\n"
+        "print(momc.executor.__name__, 'numpy' in sys.modules)\n"
+        "names = {}\nexec('from momc import *', names)\n"
+        "print(sorted(set(momc.__all__) - set(names)))")
+    assert out.splitlines() == ["False", "[]", "momc.executor True", "[]"]
+
+
+def test_the_package_serves_the_executors_own_names():
+    import momc
+    from momc import ExecMode, ExecutionReport, Executor, execute
+    got = (momc.executor, execute, Executor, ExecutionReport, ExecMode)
+    want = (executor, executor.execute, executor.Executor,
+            executor.ExecutionReport, executor.ExecMode)
+    assert all(a is b for a, b in zip(got, want))
+
+
+def test_an_unknown_package_name_is_the_standard_attribute_error():
+    import momc
+    with pytest.raises(AttributeError,
+                       match=r"^module 'momc' has no attribute 'nope'$"):
+        momc.nope
 
 
 def test_run_prints_tensors_in_program_order(capsys):

@@ -258,5 +258,28 @@ def test_only_the_executor_imports_numpy():
     assert importers == ["executor.py"]
 
 
+def test_no_module_imports_the_executor_at_import_time():
+    """numpy loads with the executor on first use: no src/momc module
+    imports `executor` outside a function, so `import momc` and a
+    compile-only run leave numpy out."""
+    def import_time(tree):
+        todo = list(tree.body)
+        while todo:
+            node = todo.pop()
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node
+                todo.extend(ast.iter_child_nodes(node))
+
+    importers = []
+    for path in sorted((ROOT / "src" / "momc").glob("*.py")):
+        for node in import_time(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [f"{node.module or ''}.{a.name}" for a in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+            if any("executor" in n.split(".") for n in names):
+                importers.append(path.name)
+    assert importers == []
+
+
 def test_exec_mode_lives_in_loops():
     assert executor.ExecMode is loops.ExecMode

@@ -20,7 +20,9 @@ calls of `execute`, by the median of each call's time over the rounds (a
 round makes the same calls in the same order), each as its program, kernel,
 shape, dtype, stored patterns and, for a matmul, lowering's `exact` and the
 path and band count that the executor's own rule (`executor.matmul_path`)
-gives it on this host; a checkout without that rule shows neither.
+gives it on this host; a checkout without that rule shows neither. Each
+program's calls are described once its `execute` has returned, so `--ops`
+leaves the `execute` row as it reads without it.
 
 The figures are raw wall times. To compare two checkouts, run the script on
 each in turn, a few times alternately, and compare medians.
@@ -67,9 +69,13 @@ class StageClock:
         self.program = 0
         # (description, seconds) of each kernel call, in call order
         self.calls: list[tuple[str, float]] | None = [] if ops else None
+        # (kernel, arguments, result, seconds) of the calls not yet described
+        self.pending: list[tuple] = []
         self.matmul_path = matmul_path
 
     def on_gc(self, phase: str, info: dict) -> None:
+        if self.stage is None:  # describing calls belongs to no stage
+            return
         if phase == "start":
             self.gc_start = time.perf_counter()
         else:
@@ -91,10 +97,19 @@ class StageClock:
                 self.wall[kernel] += dt
                 self.kernel = None
             if self.calls is not None:
-                text = describe(kernel, args, result, self.matmul_path)
-                self.calls.append((f"#{self.program} {text}", dt))
+                self.pending.append((kernel, args, result, dt))
             return result
         return timed
+
+    def describe_calls(self) -> None:
+        """Describe the calls of the program just executed. This runs after
+        its `execute` has returned, so describing is not timed, and drops
+        the arguments, so no buffer outlives its program."""
+        self.stage = None
+        self.calls.extend(
+            (f"#{self.program} {describe(kernel, args, result, self.matmul_path)}",
+             dt) for kernel, args, result, dt in self.pending)
+        self.pending.clear()
 
     def time(self, stage: str, fn, *args):
         self.stage = stage
@@ -145,6 +160,8 @@ def one_round(m, texts: list[str], mode, ops: bool) -> StageClock:
                              module)
             lm = clock.time("lower", m.loops.lower_to_loops, opt.module)
             clock.time("execute", m.executor.execute, lm, mode, 1)
+            if ops:
+                clock.describe_calls()
     finally:
         gc.callbacks.remove(clock.on_gc)
         for name, fn in real.items():
