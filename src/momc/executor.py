@@ -10,7 +10,10 @@ reported, be it an allocation or a kernel.
 column span. Triangle fills, the loop, the count, the tiles and prints read it.
 
 `run_matmul` states the one rule that picks each product's kernel and
-band count (`matmul_path`), and what the kernels share.
+band count (`matmul_path`), and what the kernels share. The rule is the
+same in both modes: lowering's proof that a product is `exact` sends it to
+BLAS whatever its size, and only inexact products are sized between the
+one-shot path and the rank-1 loop.
 
 Specialized mode formats, for each block of rows, only the columns its
 stored spans reach, and writes the structural zeros around them after
@@ -113,14 +116,16 @@ def _stored_mults(spans: tuple[list[int], ...]) -> int:
     return sum(map(operator.mul, map(operator.sub, i1, i0), map(operator.sub, j1, j0)))
 
 
-# The exact path multiplies out in tiles this wide and high: small enough to
+# Exact products multiply out in tiles this wide and high: small enough to
 # trim a triangle closely and to keep the BLAS workspace, and so the peak
-# RSS, small; large enough for BLAS speed.
+# RSS, small; large enough for BLAS speed. A product whose result fits one
+# tile is one BLAS call of its whole operands.
 EXACT_TILE = 128
-# Both modes take products of at most this many mults in one shot, at one
-# accumulate call per output entry. On a 2-vCPU x86-64, through run_matmul
-# (medians of 300): 8x8x8 f64 in 6 us (loop: 13), 16x16x16 in 19 (loop: 19),
-# 32x2x64 in 37 (loop: 14); past 2**12 such shapes lose more.
+# Both modes take inexact products of at most this many mults in one shot,
+# by one accumulate call. On a 2-vCPU x86-64, through run_matmul on reals
+# (f64, medians of 300, two runs): 8x8x8 in 9 us (loop: 18), 16x16x16 in 26-27
+# (loop: 24-25), 32x2x64 in 49-50 (loop: 18-19); past 2**12 such shapes lose
+# more. Exact products take BLAS at any size: 3-5 us at these shapes.
 SMALL_MAX_MULTS = 1 << 12
 # format_print checks and formats a FULL buffer of at most this many entries
 # (8x8) in plain Python. On a 2-vCPU x86-64 (min of 5), a whole 4x4 buffer
@@ -274,9 +279,11 @@ def _exact_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray,
 def matmul_path(rows: int, inner: int, cols: int, count: int,
                 exact: bool) -> tuple[str, int]:
     """The kernel `run_matmul` runs a rows x inner x cols product on, given
-    its count of stored mults and lowering's `exact`: "small", "tiles" or
-    "loop"; and the number of row bands it runs in."""
-    if rows * inner * cols <= SMALL_MAX_MULTS:
+    its count of stored mults and lowering's `exact`: "blas", "tiles",
+    "small" or "loop"; and the number of row bands it runs in."""
+    if exact and rows <= EXACT_TILE and cols <= EXACT_TILE:
+        return "blas", 1
+    if not exact and rows * inner * cols <= SMALL_MAX_MULTS:
         return "small", 1
     path, band_mults = ("tiles", EXACT_BAND_MULTS) if exact else ("loop", LOOP_BAND_MULTS)
     return path, max(1, min(_CPUS, rows // EXACT_TILE, count // band_mults))
@@ -287,24 +294,29 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     """Accumulate a @ b into the zero-initialized out, where a stores pattern
     pa and b pb; return the number of multiplications of stored entries, the
     loop's count, whatever the kernel. `exact` is lowering's proof that no
-    step of a @ b rounds (`loops`); dense mode passes FULL twice and no proof.
+    step of a @ b rounds (`loops`). Dense mode passes FULL twice and the
+    same proof: both modes fill the same buffers, and the products of the
+    structural zeros that dense mode adds round nothing either.
 
-    One rule (`matmul_path`) picks the kernel and its band count:
-    - a product of at most SMALL_MAX_MULTS (rows * inner * cols) is "small":
-      all its products at once, then one `np.add.accumulate`, which adds
-      them in ascending k (`sum` would not);
-    - past that, an exact product takes "tiles" (`_exact_tiles`): BLAS on
-      tiles of out trimmed to the stored spans. `+=` into out's zeros turns
-      a BLAS -0.0 into +0.0, as the loop does;
+    One rule (`matmul_path`) picks the kernel and its band count, by the
+    proof first and by size second:
+    - an exact product runs on BLAS, whose order of adds it cannot show.
+      If out fits one EXACT_TILE x EXACT_TILE tile it is "blas", a single
+      `out += np.matmul(a, b)` with no spans and no bands; else "tiles"
+      (`_exact_tiles`), BLAS on tiles of out trimmed to the stored spans.
+      `+=` into out's zeros turns a BLAS -0.0 into +0.0, as the loop does;
+    - an inexact product of at most SMALL_MAX_MULTS (rows * inner * cols)
+      is "small": all its products at once, then one `np.add.accumulate`,
+      which adds them in ascending k (`sum` would not);
     - any other product takes "loop", the rank-1 loop (`_rank1_loop`).
-    Both large kernels run in max(1, min(_CPUS, rows // EXACT_TILE, count //
-    m)) row bands of out at once, m being EXACT_BAND_MULTS for the tiles and
-    LOOP_BAND_MULTS for the loop: at most one per CPU, and at least
-    EXACT_TILE rows and m stored mults each. Every kernel sums each entry
-    in one thread, adding the loop's rounded products in ascending k (an
-    exact product rounds none of them), so the bits and the count do not
-    depend on the kernel or the bands; the tiles and the small path may
-    multiply some structural zeros.
+    The tiles and the loop run in max(1, min(_CPUS, rows // EXACT_TILE,
+    count // m)) row bands of out at once, m being EXACT_BAND_MULTS for the
+    tiles and LOOP_BAND_MULTS for the loop: at most one per CPU, and at
+    least EXACT_TILE rows and m stored mults each. The small path and the
+    loop add each entry's rounded products in ascending k in one thread,
+    and an exact product rounds none of them, so the bits and the count do
+    not depend on the kernel or the bands; any kernel may multiply some
+    structural zeros.
 
     A step that overflows or turns invalid raises FloatingPointError in any
     kernel, under the caller's `np.errstate` (the loop checks for einsum,
@@ -317,14 +329,16 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     if out.shape != (rows, cols):
         raise DimMismatch(f"out must be {rows}x{cols}, "
                           f"got {out.shape[0]}x{out.shape[1]}")
-    # FULL x FULL builds no spans for the small path: they slowed dense
+    # FULL x FULL builds no spans for the one-call paths: they slowed dense
     # runs' many small products.
     full = pa is StoredPattern.FULL and pb is StoredPattern.FULL
     spans = None if full else _stored_spans(pa, pb, rows, inner, cols)
     count = rows * inner * cols if full else _stored_mults(spans)
     path, n = matmul_path(rows, inner, cols, count, exact)
     try:
-        if path == "small":
+        if path == "blas":
+            out += np.matmul(a, b)
+        elif path == "small":
             p = a[:, :, None] * b[None, :, :]
             out += np.add.accumulate(p, axis=1, out=p)[:, -1]
         else:
@@ -474,6 +488,8 @@ def format_print(a: np.ndarray, pattern: StoredPattern = StoredPattern.FULL,
     the pattern (a nonzero raises BrokenStoredPattern rather than print
     other text), then cut to the columns its rows' spans reach; the
     rectangle's entries outside a row's span are the zeros just checked.
+    Every block's spans reach a column: such a pattern comes from a
+    property that needs a square matrix (a wide buffer would do too).
     The rectangle is formatted by `_small_lines` if it holds at most 64
     entries, else from a table of strings, else by numpy alone (`_digits`)
     if it is whole, else by `format_scalar`; each of its rows then gets the
@@ -523,9 +539,6 @@ def format_print(a: np.ndarray, pattern: StoredPattern = StoredPattern.FULL,
                     or band.any(where=band_outside[:h, :band.shape[1]])):
                 _raise_outside(a, pattern)
         c0, c1 = lo[r], hi[r + h - 1]  # the columns the block's spans reach
-        if c0 == c1:  # no row of the block stores an entry
-            lines.append("\n".join([" ".join(["0"] * cols)] * h))
-            continue
         block = block[:, c0:c1]
         before, after = "0 " * c0, " 0" * (cols - c1)
         # With no zeros around its rows (a FULL block), sep is "\n" itself,
@@ -620,8 +633,8 @@ class Executor:
                         t0 = time.perf_counter_ns()
                         if isinstance(op, loops.MatMul):
                             n = run_matmul(bufs[op.a], bufs[op.b], bufs[op.out],
-                                           *((full, full, False) if dense
-                                             else (op.pa, op.pb, op.exact)))
+                                           *((full, full) if dense
+                                             else (op.pa, op.pb)), op.exact)
                         else:
                             assert isinstance(op, loops.Add)
                             run_add(bufs[op.a], bufs[op.b], bufs[op.out])

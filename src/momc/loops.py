@@ -19,7 +19,8 @@ unknown facts (None). With 2**p the element kind's exact-integer limit (p =
 - a product with inner dim k is k * [min(P, 0), max(P, 0)] over the products
   P of its operands' bounds. It lies within 2**p iff max|a| * max|b| * k <=
   2**p, and then every product and partial sum is an integer the type
-  holds: the product is `exact`, so BLAS gives the loop's bits in any order.
+  holds: the product is `exact`, so BLAS gives the loop's bits in any order,
+  and the executor runs it on BLAS in both modes, whatever its size.
 A sum or product past 2**p may round, so it is unknown; so would be an input
 that is not a fill (read from a file, say). The executor keeps its run-time
 checks for unknown facts; `tests/oracle.py` holds the proofs they replace.

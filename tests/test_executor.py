@@ -6,8 +6,11 @@ naive triple-loop reference on integer-valued data, and the instrumented
 multiplication counts equal the chain cost model exactly.
 """
 
+import collections
+import dataclasses
 import math
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -60,14 +63,14 @@ def buf(rows, cols, elem=ElemKind.F32):
 
 def matmul(a, b, out, pa, pb, mode, proof=True):
     """`run_matmul` as `Executor.run` calls it in `mode`, for operands of
-    property sets pa and pb: dense mode passes FULL and no `exact`, and
-    specialized mode the stored patterns and, in place of lowering's proof,
-    the run-time oracle on the operands themselves (no proof if `proof` is
+    property sets pa and pb: dense mode passes FULL twice and specialized
+    mode the stored patterns; both pass, in place of lowering's proof, the
+    run-time oracle on the operands themselves (no proof if `proof` is
     false)."""
+    exact = proof and is_exact_product(a, b)
     if mode is ExecMode.DENSE:
-        return run_matmul(a, b, out, StoredPattern.FULL, StoredPattern.FULL, False)
-    return run_matmul(a, b, out, pa.pattern, pb.pattern,
-                      proof and is_exact_product(a, b))
+        return run_matmul(a, b, out, StoredPattern.FULL, StoredPattern.FULL, exact)
+    return run_matmul(a, b, out, pa.pattern, pb.pattern, exact)
 
 
 def filled(rows, cols, scalar, pattern, elem=ElemKind.F32):
@@ -263,16 +266,17 @@ def _inside(pattern, rows, cols):
 @pytest.mark.parametrize("rows,cols", [
     (1, 1),
     (3, 70_000),                                  # one row per block
-    (3 * (PRINT_BLOCK // 40) + 17, 40),           # four blocks of many rows
+    (40, 3 * (PRINT_BLOCK // 40) + 17),           # four blocks of many rows
     (150, 150),                                   # the diagonal crosses blocks
     (2, 3), (8, 8), (1, 64),                      # small: checked in Python
     (5, 13),                                      # 65 entries: through numpy
 ])
 def test_format_print_matches_per_entry_reference(props, elem, rows, cols):
-    """Under each closed set's pattern, realized on square, wide and tall
+    """Under each closed set's pattern, realized on square and wide
     buffers: zeros (a tenth of them -0.0) outside it, and inside it the row
     blocks of `_print_case`, whole, mixed and real in turn. A buffer of one
-    block is tried as each kind."""
+    block is tried as each kind. (A pattern other than FULL comes from a
+    property that needs a square matrix.)"""
     pattern = stored_pattern(props)
     if rows * cols == 1:  # each value alone decides its block's path
         for v in WHOLE_VALUES + OTHER_VALUES + [3.25, 7.0, -12.0]:
@@ -295,7 +299,7 @@ def test_format_print_matches_per_entry_reference(props, elem, rows, cols):
 @pytest.mark.parametrize("rows,cols", [
     (1, 1), (2, 3), (8, 8),                       # small
     (5, 13), (150, 150),                          # one block, several
-    (3 * (PRINT_BLOCK // 40) + 17, 40),           # blocks of many rows
+    (40, 3 * (PRINT_BLOCK // 40) + 17),           # blocks of many rows
 ])
 def test_format_print_trusts_a_known_interval(monkeypatch, pattern, elem, rows, cols):
     """Integers drawn from an interval inside the pattern, zeros outside it,
@@ -465,15 +469,14 @@ def formatted(monkeypatch):
 
 
 # Per structured shape, the rectangle each row block (27 rows of 150 columns,
-# 102 of 40, 6 of 600) is cut to, in the order format_print formats them:
-# lower triangles bottom up. The tall upper buffer's blocks below row 40
-# store no entry and are formatted by none.
+# 13 of 300, 6 of 600) is cut to, in the order format_print formats them:
+# lower triangles bottom up.
 RECTANGLES = {
     (StoredPattern.LOWER_INCL, 150, 150):
         [(15, 150), (27, 135), (27, 108), (27, 81), (27, 54), (27, 27)],
     (StoredPattern.UPPER_INCL, 150, 150):
         [(27, 150), (27, 123), (27, 96), (27, 69), (27, 42), (15, 15)],
-    (StoredPattern.UPPER_INCL, 300, 40): [(102, 40)],
+    (StoredPattern.UPPER_INCL, 40, 300): [(13, 300), (13, 287), (13, 274), (1, 261)],
     (StoredPattern.DIAG_ONLY, 40, 600): [(6, 6)] * 6 + [(4, 4)],
 }
 
@@ -511,7 +514,7 @@ def test_each_structured_block_takes_a_full_formatter(
 @pytest.mark.parametrize("pattern", [StoredPattern.LOWER_INCL,
                                      StoredPattern.UPPER_INCL,
                                      StoredPattern.DIAG_ONLY], ids=str)
-@pytest.mark.parametrize("rows,cols", [(9, 9), (11, 4), (4, 11), (1, 20)])
+@pytest.mark.parametrize("rows,cols", [(9, 9), (5, 5), (4, 11), (1, 20)])
 def test_format_print_rejects_a_nonzero_outside_the_pattern(
         monkeypatch, pattern, rows, cols):
     """Blocks of 16 entries: a nonzero, NaN or inf at any entry outside the
@@ -665,12 +668,12 @@ def test_count_fidelity_structured_times_rectangular():
 
 
 # --------------------------------------------------------------------------
-# The exact BLAS path of specialized mode
+# The exact BLAS paths of both modes
 # --------------------------------------------------------------------------
 
 # (SMALL_MAX_MULTS, whether the proof is passed) pairs that send every
-# product one way: past SMALL_MAX_MULTS an exact product takes the tiles and
-# any other the loop.
+# product one way: an exact product takes BLAS whatever its size, an
+# inexact one the one-shot path up to SMALL_MAX_MULTS and the loop past it.
 NEVER = 1 << 62  # a cutoff beyond every product
 FORCED_LOOP = (0, False)
 EXACT_PATH = (0, True)
@@ -762,12 +765,15 @@ def _boundary_cases(rng, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_exact_path_boundary_cases(monkeypatch, matmul_calls, dtype):
+    """At 2**p the product is exact and one BLAS call of the whole
+    operands; one step past it, or with a fraction, inf or NaN, it is not,
+    and makes no BLAS call. Either way it gives the loop's bits and count."""
     rng = np.random.default_rng(default_seed() ^ 0xE1)
     for name, a, b, exact in _boundary_cases(rng, dtype):
         assert is_exact_product(a, b) is exact, name
         del matmul_calls[:]
         (loop, n_loop), (got, n_got) = _matmul_both_ways(monkeypatch, a, b)
-        assert bool(matmul_calls) is exact, name
+        assert matmul_calls == ([(a.shape, b.shape)] if exact else []), name
         assert got.tobytes() == loop.tobytes(), name
         assert n_got == n_loop == a.shape[0] * a.shape[1] * b.shape[1], name
 
@@ -795,8 +801,11 @@ def test_exact_path_adds_into_positive_zeros(monkeypatch, dtype):
 
 
 def test_exact_path_counts_and_bits_match_the_loop(monkeypatch, matmul_calls):
-    """Every pair of closed property sets, n = 1..16: the exact path runs,
-    returns the cost model's count and the loop's bytes."""
+    """Every pair of closed property sets, n = 1..16, in tiles of 8: a
+    product that fits one tile (n <= 8) is one BLAS call of its whole
+    operands, a larger one runs in trimmed tiles. Both return the cost
+    model's count and the loop's bytes."""
+    monkeypatch.setattr(executor, "EXACT_TILE", 8)
     rng = random.Random(default_seed() ^ 0xE2)
     for pa, pb in product(CLOSED_PSETS, repeat=2):
         for n in range(1, 17):
@@ -805,7 +814,11 @@ def test_exact_path_counts_and_bits_match_the_loop(monkeypatch, matmul_calls):
             del matmul_calls[:]
             (loop, n_loop), (got, n_got) = _matmul_both_ways(
                 monkeypatch, a, b, pa, pb)
-            assert matmul_calls
+            if n <= 8:
+                assert matmul_calls == [((n, n), (n, n))]
+            else:
+                assert matmul_calls and all(
+                    x[0] <= 8 and y[1] <= 8 for x, y in matmul_calls)
             assert n_got == n_loop == mul_cost((n, n, pa), (n, n, pb))
             assert got.tobytes() == loop.tobytes()
 
@@ -858,34 +871,74 @@ def test_exact_path_tiles_are_trimmed_to_the_stored_spans(
         assert got.tobytes() == loop.tobytes() and n_got == n_loop
 
 
-def test_dense_mode_never_takes_the_exact_path(monkeypatch, matmul_calls):
-    monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
-    a = filled(20, 20, 2.0, StoredPattern.LOWER_INCL, ElemKind.F64)
-    out = buf(20, 20, ElemKind.F64)
-    assert matmul(a, a, out, LOWER, LOWER, ExecMode.DENSE) == 20 ** 3
-    assert execute(lower_text(LISTING), ExecMode.DENSE, repeats=1).printed
-    assert not matmul_calls
+_DECLARATION = re.compile(r"^(Matrix .*>)(?: = (\d+))?$", re.MULTILINE)
+
+
+def _fractional(rng, text):
+    """A program's text with each declared matrix's whole fill f (1 if none
+    is given) made f.d, d a random digit 1..9: no product is then exact."""
+    return _DECLARATION.sub(lambda m: f"{m[1]} = {m[2] or 1}.{rng.randint(1, 9)}",
+                            text)
+
+
+def _without_proof(lm):
+    """lm with no product proved exact."""
+    return LoopModule(tuple(dataclasses.replace(op, exact=False)
+                            if isinstance(op, loops.MatMul) else op
+                            for op in lm.ops), lm.tensors)
+
+
+def test_dense_mode_passes_lowerings_proof(monkeypatch):
+    """Executor.run hands `run_matmul` each product's own `exact` in dense
+    mode, with FULL for both operands, as it does in specialized mode with
+    the stored patterns: generated programs (exact by construction) and the
+    same programs with fractional fills (none exact)."""
+    calls = []
+    real = executor.run_matmul
+    monkeypatch.setattr(executor, "run_matmul",
+                        lambda *args: calls.append(args[3:]) or real(*args))
+    full = StoredPattern.FULL
+    rng = random.Random(default_seed() ^ 0xE5)
+    proofs = collections.Counter()
+    for _ in range(100):
+        text = random_program(rng, max_dim=12)
+        for lm in (lower_text(text), lower_text(_fractional(rng, text))):
+            products = [op for op in lm.ops if isinstance(op, loops.MatMul)]
+            proofs.update(op.exact for op in products)
+            for mode in ExecMode:
+                del calls[:]
+                Executor(lm).run(mode, repeats=1)
+                assert calls == [
+                    ((full, full) if mode is ExecMode.DENSE else (op.pa, op.pb))
+                    + (op.exact,) for op in products]
+    assert proofs[True] > 100 and proofs[False] > 100
 
 
 def test_generated_programs_bit_identical_through_the_exact_path(
         monkeypatch, matmul_calls):
-    """Generated programs are exact by construction (gen.MAX_MAG): with
-    SMALL_MAX_MULTS at 0, so that every product takes the tiles,
-    specialized mode gives dense mode's bytes, signbit included, and the
-    counts of the specialized run as shipped."""
+    """Generated programs are exact by construction (gen.MAX_MAG), so in
+    both modes every product runs on BLAS: in one call as shipped, and also
+    in tiles with EXACT_TILE at 4. Each run gives the bytes, signbit
+    included, and the counts of the rank-1 loop: the same module with no
+    product proved exact, and SMALL_MAX_MULTS at 0."""
     rng = random.Random(default_seed() ^ 0xE4)
     for _ in range(300):
         lm = lower_text(random_program(rng, max_dim=12))
-        shipped = execute(lm, ExecMode.SPECIALIZED, repeats=1)
-        dense, fast = Executor(lm), Executor(lm)
-        dense_report = dense.run(ExecMode.DENSE, repeats=1)
-        with monkeypatch.context() as m:
-            m.setattr(executor, "SMALL_MAX_MULTS", 0)
-            fast_report = fast.run(ExecMode.SPECIALIZED, repeats=1)
-        same_print(fast_report.printed, dense_report.printed)
-        for tid in lm.tensors:
-            assert fast.buffers[tid].tobytes() == dense.buffers[tid].tobytes()
-        assert fast_report.mults == shipped.mults
+        assert all(op.exact for op in lm.ops if isinstance(op, loops.MatMul))
+        for mode in ExecMode:
+            loop = Executor(_without_proof(lm))
+            with monkeypatch.context() as m:
+                m.setattr(executor, "SMALL_MAX_MULTS", 0)
+                loop_report = loop.run(mode, repeats=1)
+            for tile in (executor.EXACT_TILE, 4):
+                fast = Executor(lm)
+                with monkeypatch.context() as m:
+                    m.setattr(executor, "EXACT_TILE", tile)
+                    fast_report = fast.run(mode, repeats=1)
+                same_print(fast_report.printed, loop_report.printed)
+                for tid in lm.tensors:
+                    assert fast.buffers[tid].tobytes() == loop.buffers[tid].tobytes()
+                assert fast_report.mults == loop_report.mults
     assert len(matmul_calls) > 300
 
 
@@ -929,19 +982,23 @@ def test_small_path_matches_the_loop_bit_for_bit(monkeypatch, accumulate_calls):
 
 def test_generated_programs_bit_identical_through_the_small_path(
         monkeypatch, accumulate_calls):
-    """Generated programs in both modes give the same prints, buffers and
-    counts with the one-shot path on (as shipped) and off."""
+    """Generated programs with fractional fills, so that no product is
+    exact, give the same prints, buffers and counts in both modes with the
+    one-shot path on (as shipped), where every product (at most 12^3
+    mults) takes it, and off, on the rank-1 loop."""
     rng = random.Random(default_seed() ^ 0xA2)
     for _ in range(300):
-        lm = lower_text(random_program(rng, max_dim=12))
+        lm = lower_text(_fractional(rng, random_program(rng, max_dim=12)))
+        products = sum(isinstance(op, loops.MatMul) for op in lm.ops)
         for mode in ExecMode:
             on, off = Executor(lm), Executor(lm)
-            on_report = on.run(mode, repeats=1)
             taken = len(accumulate_calls)
+            on_report = on.run(mode, repeats=1)
+            assert len(accumulate_calls) == taken + products
             with monkeypatch.context() as m:
                 m.setattr(executor, "SMALL_MAX_MULTS", 0)
                 off_report = off.run(mode, repeats=1)
-            assert len(accumulate_calls) == taken
+            assert len(accumulate_calls) == taken + products
             same_print(on_report.printed, off_report.printed)
             for tid in lm.tensors:
                 assert on.buffers[tid].tobytes() == off.buffers[tid].tobytes()
@@ -1023,7 +1080,7 @@ def test_row_bands_give_one_bands_bytes_and_count(
                     count = matmul(a, b, out, pa, pb, mode)
                 results.append((out.tobytes(), count))
             assert band_counts == [1, 2, 3]
-            assert bool(matmul_calls) is (integral and mode is ExecMode.SPECIALIZED)
+            assert bool(matmul_calls) is integral
             assert results[0] == results[1] == results[2], (
                 rows, inner, cols, pa, pb, dtype, integral, mode)
 
@@ -1238,28 +1295,33 @@ def kernels_run(monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_the_rule_picks_the_kernel_by_size_and_proof(
         accumulate_calls, matmul_calls, einsum_blocks, mode, dtype):
-    """Products of 4,096 mults (SMALL_MAX_MULTS) and of 4,097 and 4,913,
+    """Products of 4,096 mults (SMALL_MAX_MULTS), of 4,097 and 4,913, and
+    of 4,000 and 1,935 whose out is 200 rows high or 129 columns wide,
     under every pair of closed property sets that fits, exact (integers in
-    [-8, 8]) and not (reals): the small path runs one accumulate, an exact
-    product past it in specialized mode BLAS tiles, any other the einsum
-    loop, as `matmul_path` says. Each gives the naive loop's bits in the
-    operands' precision and the loop's count."""
+    [-8, 8]) and not (reals), in both modes: an exact product runs on BLAS
+    whatever its size, in one call of its whole operands if out fits one
+    EXACT_TILE square, else in tiles; an inexact one takes one accumulate
+    up to SMALL_MAX_MULTS and the einsum loop past it, as `matmul_path`
+    says. Each gives the naive loop's bits in the operands' precision and
+    the loop's count."""
     rng = np.random.default_rng(default_seed() ^ 0xC1)
     full = StoredPattern.FULL
     for (rows, inner, cols), integral in product(
-            [(16, 16, 16), (17, 241, 1), (17, 17, 17)], (True, False)):
+            [(16, 16, 16), (17, 241, 1), (17, 17, 17), (200, 2, 10), (3, 5, 129)],
+            (True, False)):
         pairs = product(CLOSED_PSETS if rows == inner else [EMPTY_PROPS],
                         CLOSED_PSETS if inner == cols else [EMPTY_PROPS])
         for pa, pb in pairs:
             a = _operand(rng, pa, rows, inner, dtype, integral)
             b = _operand(rng, pb, inner, cols, dtype, integral)
-            exact = mode is ExecMode.SPECIALIZED and is_exact_product(a, b)
-            assert exact is (integral and mode is ExecMode.SPECIALIZED)
+            exact = is_exact_product(a, b)
+            assert exact is integral
             patterns = ((full, full) if mode is ExecMode.DENSE
                         else (pa.pattern, pb.pattern))
             stored = _stored_mults(_stored_spans(*patterns, rows, inner, cols))
-            path = ("small" if rows * inner * cols <= 4096
-                    else "tiles" if exact else "loop")
+            path = ("blas" if exact and max(rows, cols) <= 128
+                    else "tiles" if exact
+                    else "small" if rows * inner * cols <= 4096 else "loop")
             del accumulate_calls[:], matmul_calls[:], einsum_blocks[:]
             out = np.zeros((rows, cols), dtype)
             with np.errstate(over="raise", invalid="raise"):
@@ -1268,7 +1330,9 @@ def test_the_rule_picks_the_kernel_by_size_and_proof(
             assert executor.matmul_path(rows, inner, cols, count, exact)[0] == path
             assert accumulate_calls == ([(rows, inner, cols)] if path == "small"
                                         else []), case
-            assert bool(matmul_calls) is (path == "tiles"), case
+            if path == "blas":
+                assert matmul_calls == [((rows, inner), (inner, cols))], case
+            assert bool(matmul_calls) is exact, case
             assert bool(einsum_blocks) is (path == "loop"), case
             assert out.tobytes() == _naive_in_precision(a, b).tobytes(), case
             assert count == stored, case
@@ -1283,10 +1347,9 @@ def test_the_rule_bands_at_each_boundary_of_band_work(
     LOOP_BAND_MULTS on the loop or EXACT_BAND_MULTS on the tiles) and at
     255 and 256 rows: one band per band's work, at most 4 and at most one
     per EXACT_TILE rows, with the bytes of one band. Integers are exact and
-    take the tiles in specialized mode; in dense mode they take the loop
-    and its band rule. A 512^3 diagonal x FULL product stores 2**18 mults
-    of its 2**27: one band in specialized mode, which counts the stored
-    ones, and 4 in dense mode."""
+    take the tiles in both modes. A 512^3 diagonal x FULL product stores
+    2**18 mults of its 2**27: one band in specialized mode, which counts the
+    stored ones, and 4 in dense mode."""
     rng = np.random.default_rng(default_seed() ^ 0xC2)
     specialized = mode is ExecMode.SPECIALIZED
     # (shape, pa, integral, bands on 4 CPUs): 512 x 512 is 2**18 mults per k.
@@ -1294,15 +1357,13 @@ def test_the_rule_bands_at_each_boundary_of_band_work(
              for m in range(1, 6) for c in (511, 512)]
     cases += [((255, 4, 1024), EMPTY_PROPS, False, 1),
               ((256, 4, 1024), EMPTY_PROPS, False, 2)]
-    cases += [((512, 64 * m, c), EMPTY_PROPS, True,
-               max(1, min(m - (c == 511), 4)) if specialized else 4)
+    cases += [((512, 64 * m, c), EMPTY_PROPS, True, max(1, min(m - (c == 511), 4)))
               for m in range(1, 6) for c in (511, 512)]
     cases += [((512, 512, 512), DIAG, integral, 1 if specialized else 4)
               for integral in (False, True)]
     for (rows, inner, cols), pa, integral, bands in cases:
         a = _operand(rng, pa, rows, inner, dtype, integral)
         b = _operand(rng, EMPTY_PROPS, inner, cols, dtype, integral)
-        exact = integral and mode is ExecMode.SPECIALIZED
         results = []
         for cpus in (4, 1):
             monkeypatch.setattr(executor, "_CPUS", cpus)
@@ -1315,9 +1376,9 @@ def test_the_rule_bands_at_each_boundary_of_band_work(
             stored = rows if pa is DIAG and specialized else rows * inner
             assert count == stored * cols, case
             assert band_counts == [bands if cpus == 4 else 1], case
-            assert bool(matmul_calls) is exact, case
-            assert executor.matmul_path(rows, inner, cols, count, exact) == (
-                "tiles" if exact else "loop", band_counts[0])
+            assert bool(matmul_calls) is integral, case
+            assert executor.matmul_path(rows, inner, cols, count, integral) == (
+                "tiles" if integral else "loop", band_counts[0])
         assert results[0] == results[1], case
 
 

@@ -7,9 +7,11 @@ The programs are written once: `tests/gen.py` programs for seeds 0..N-1
 `tests/test_mutations.mutate`, drawn from its `VOCABULARY`), `examples/*.mom`,
 `big600.mom` (`BIG_PROGRAM`), `overflow300.mom` (`OVERFLOW_PROGRAM`),
 `chain60.mom` and `chain256.mom` (`chain_program`; 256 operands is
-`MAX_CHAIN_OPERANDS`, the longest product the parser accepts) and
+`MAX_CHAIN_OPERANDS`, the longest product the parser accepts),
 `small.mom` (`small_program`: small prints of every shape up to 8x8, whole
-and fractional, with large whole products), and `crlf.mom` and
+and fractional, with large whole products) and `tiny.mom`
+(`tiny_program`: exact products of every shape up to 8x8x8, and small
+products at the exactness bound and one step past it), and `crlf.mom` and
 `crlf_error.mom` (`CRLF_PROGRAM` and `CRLF_ERROR_PROGRAM`: CRLF line ends
 and lone carriage returns), `types.mom` (`TYPES_PROGRAM`: more distinct
 matrix types than `ir.matrix_type` caches), `facts.mom`
@@ -34,14 +36,15 @@ examples at `--scale=4`; `big600.mom` and `overflow300.mom` run at full size
 in dense and specialized mode only, `chain60.mom` is dumped with `--emit` =
 `chain`, `ir-opt` and `loops` and run in those two modes, and `chain256.mom`
 likewise but without `--emit=chain`, whose DP tables would be 256x256, and
-`small.mom` runs in dense and specialized mode; `crlf.mom` is dumped with
-every `--emit` and runs in those two modes, `crlf_error.mom` is only
-dumped, and `types.mom` is dumped with `--emit` = `ir`, `ir-opt` and `loops`
-and runs in dense mode, as `facts.mom` does in both modes; `prints.mom`,
-`spans.mom`, `loop.mom`, `mid.mom` and the two `overflow_*.mom` run in both
-modes. Mutants are never run, since they may declare huge dimensions. The
-script prints the run count and the exit-code histogram, lists each
-(program, flags) pair whose answers differ or, for a program named
+`small.mom` and `tiny.mom` run in dense and specialized mode; `crlf.mom`
+is dumped with every `--emit` and runs in those two modes, `crlf_error.mom`
+is only dumped, and `types.mom` is dumped with `--emit` = `ir`, `ir-opt`
+and `loops` and runs in dense mode, as `facts.mom` does in both modes;
+`prints.mom`, `spans.mom`, `loop.mom`, `mid.mom` and the two
+`overflow_*.mom` run in both modes. Mutants are never run, since they may
+declare huge dimensions. The script prints the run count and the
+exit-code histogram, lists each (program, flags) pair whose answers differ
+or, for a program named
 `overflow*.mom`, do not exit 1, and exits 1 if there is any.
 """
 
@@ -66,13 +69,13 @@ EMITS = [["--emit=ir"], ["--emit=ir-opt"], ["--emit=loops"], ["--emit=chain"],
 RUNS = [["--run", "--repeats=1"], ["--run", "--repeats=1", "--mode=specialized"],
         ["--run", "--repeats=1", "--no-opt"]]
 
-# Generated programs (dims up to 12) stay at most SMALL_MAX_MULTS, on the
-# one-shot path, and print in one row block. Here five 600^3 products of
-# whole numbers go through the exact tiles in specialized mode, `H * H` (not
-# whole) through the rank-1 loop, and every print spans 100 row blocks. All
-# of them run in row bands on as many threads as there are CPUs; `G * G` and
-# `G * F2` (f32, not whole) in bands of the loop whose edges are not
-# multiples of 128.
+# Generated programs (dims up to 12) are exact by construction, so each of
+# their products is one BLAS call, and print in one row block. Here five
+# 600^3 products of whole numbers go through the exact tiles in both modes,
+# `H * H` (not whole) through the rank-1 loop, and every print spans 100
+# row blocks. All of them run in row bands on as many threads as there are
+# CPUs; `G * G` and `G * F2` (f32, not whole) in bands of the loop whose
+# edges are not multiples of 128.
 BIG_PROGRAM = """\
 n = 600
 m = 601
@@ -126,7 +129,7 @@ TYPES_PROGRAM = "\n".join(
 # f32 rounds R's 2**24 + 1 to 2**24 and T's half to an even whole number;
 # R + O reaches 2**24 + 1 and rounds, so its interval is unknown; H is a
 # fraction. A * B (64**3, past SMALL_MAX_MULTS) has max|a| * max|b| * k = 2**24
-# exactly and runs in BLAS tiles, C * D one step past it (97 * 257 * 673 =
+# exactly and runs in one BLAS call, C * D one step past it (97 * 257 * 673 =
 # 2**24 + 1) on the rank-1 loop. L * W's interval (3,001 values) is wider
 # than its 100 entries, M * M's (2,701) narrower than its 45,150 stored
 # entries, and S * S has 64 entries, a small print. The grammar has no
@@ -248,8 +251,8 @@ print(T * P)
 # FULL x FULL, lower x lower, upper x FULL and diagonal x FULL in f32 and in
 # f64, and diagonal x lower and upper x lower in f64. Their fills keep every
 # partial sum within 2**24 in f32 (X * X reaches 279**2 * 31) and 2**53 in
-# f64, so lowering proves them exact: specialized mode runs them as BLAS
-# tiles, dense mode on the rank-1 loop, and both print the same whole numbers.
+# f64, so lowering proves them exact: both modes run each as one BLAS call
+# (its result fits one EXACT_TILE square) and print the same whole numbers.
 MID_PROGRAM = """\
 Matrix F(17, 17) <> = 3
 Matrix F2(17, 17) <> : f64 = 5
@@ -355,6 +358,43 @@ def small_program() -> str:
     return "\n".join(lines + [""])
 
 
+def tiny_program() -> str:
+    """Exact products of every shape m x k x n up to 8x8x8, in f32 and f64:
+    `A * B` over FULL operands of small whole fills, again with the left
+    operand a transposed view, and upper-triangular times FULL and FULL
+    times diagonal for every square left or right operand. Both modes run
+    each on one BLAS call. Then small products at the exactness bound 2**p
+    (p = 24 in f32, 53 in f64), max|a| * max|b| * k = 2**p, which are exact
+    too, and one step past it (2**24 + 1 = 97 * 257 * 673, 2**53 + 1 = 3 *
+    107 * 28059810762433), which are not and take the one-shot path. The
+    grammar has no negative fill, so no product here forms a -0.0; the
+    executor's unit tests cover those."""
+    lines: list[str] = []
+    prints: list[str] = []
+    for elem, bound, past in (("f32", (2048, 2048, 4), (257, 673, 97)),
+                              ("f64", (33554432, 67108864, 4),
+                               (107, 28059810762433, 3))):
+        e = elem[1:]
+        for r in range(1, 9):
+            for c in range(1, 9):
+                lines += [f"Matrix A{e}r{r}c{c}({r}, {c}) <> : {elem} = {1 + (8 * r + c) % 7}",
+                          f"Matrix B{e}r{r}c{c}({r}, {c}) <> : {elem} = {1 + (r + 3 * c) % 5}"]
+            lines += [f"Matrix U{e}n{r}({r}, {r}) <UpperTriangular> : {elem} = 3",
+                      f"Matrix D{e}n{r}({r}, {r}) <Diagonal> : {elem} = 5"]
+        for m in range(1, 9):
+            for k in range(1, 9):
+                for n in range(1, 9):
+                    prints += [f"print(A{e}r{m}c{k} * B{e}r{k}c{n})",
+                               f"print(transpose(B{e}r{k}c{m}) * A{e}r{k}c{n})"]
+                prints += [f"print(U{e}n{m} * A{e}r{m}c{k})",
+                           f"print(A{e}r{k}c{m} * D{e}n{m})"]
+        for name, (a, b, k) in (("bound", bound), ("past", past)):
+            lines += [f"Matrix {name}L{e}(2, {k}) <> : {elem} = {a}",
+                      f"Matrix {name}R{e}({k}, 3) <> : {elem} = {b}"]
+            prints.append(f"print({name}L{e} * {name}R{e})")
+    return "\n".join(lines + prints + [""])
+
+
 def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     """Write the programs into `directory`; return the (file, flags) runs."""
     sys.path[:0] = [os.path.join(REPO, "src"), os.path.join(REPO, "tests")]
@@ -397,6 +437,7 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     write("chain256.mom", chain_program(256),
           [["--emit=ir-opt"], ["--emit=loops"]] + RUNS[:2])
     write("small.mom", small_program(), RUNS[:2])
+    write("tiny.mom", tiny_program(), RUNS[:2])
     write("crlf.mom", CRLF_PROGRAM, EMITS + RUNS[:2])
     write("crlf_error.mom", CRLF_ERROR_PROGRAM, EMITS)
     write("types.mom", TYPES_PROGRAM, EMITS[:3] + RUNS[:1])

@@ -20,7 +20,11 @@ calls of `execute`, by the median of each call's time over the rounds (a
 round makes the same calls in the same order), each as its program, kernel,
 shape, dtype, stored patterns and, for a matmul, lowering's `exact` and the
 path and band count that the executor's own rule (`executor.matmul_path`)
-gives it on this host; a checkout without that rule shows neither. Each
+gives it on this host; a checkout without that rule shows neither. The
+path is `blas` (one BLAS call: an exact product whose result fits one
+`EXACT_TILE` square), `tiles` (a larger exact one), `small` or `loop`; the
+patterns and `exact` are the arguments `run_matmul` receives, so a dense
+product shows FULL twice and its own `exact`, as `Executor.run` passes. Each
 program's calls are described once its `execute` has returned, so `--ops`
 leaves the `execute` row as it reads without it.
 
