@@ -7,7 +7,7 @@ values. Ops run in program order, so the first op to fail is the one
 reported, be it an allocation or a kernel.
 
 `_spans` is the one description of a pattern's stored region: each row's
-column span. Triangle fills, the loop, the count, the tiles and prints read it.
+column span. Triangle fills, the loop, the tiles and prints read it.
 
 `run_matmul` states the one rule that picks each product's kernel and
 band count (`matmul_path`), and what the kernels share. The rule is the
@@ -42,7 +42,6 @@ import bisect
 import contextvars
 import functools
 import math
-import operator
 import os
 import threading
 import time
@@ -108,12 +107,6 @@ def _stored_spans(pa: StoredPattern, pb: StoredPattern, rows: int,
     """i0, i1, j0, j1: at each k below inner, a stores rows i0[k]..i1[k] of
     column k, row k of its transpose, and b columns j0[k]..j1[k] of row k."""
     return (*_spans(_TRANSPOSED.get(pa, pa), inner, rows), *_spans(pb, inner, cols))
-
-
-def _stored_mults(spans: tuple[list[int], ...]) -> int:
-    """The loop's count: over k, the row span of a times the column span of b."""
-    i0, i1, j0, j1 = spans
-    return sum(map(operator.mul, map(operator.sub, i1, i0), map(operator.sub, j1, j0)))
 
 
 # Exact products multiply out in tiles this wide and high: small enough to
@@ -279,7 +272,7 @@ def _exact_tiles(a: np.ndarray, b: np.ndarray, out: np.ndarray,
 def matmul_path(rows: int, inner: int, cols: int, count: int,
                 exact: bool) -> tuple[str, int]:
     """The kernel `run_matmul` runs a rows x inner x cols product on, given
-    its count of stored mults and lowering's `exact`: "blas", "tiles",
+    the count of mults and lowering's `exact` that it gets: "blas", "tiles",
     "small" or "loop"; and the number of row bands it runs in."""
     if exact and rows <= EXACT_TILE and cols <= EXACT_TILE:
         return "blas", 1
@@ -290,13 +283,14 @@ def matmul_path(rows: int, inner: int, cols: int, count: int,
 
 
 def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-               pa: StoredPattern, pb: StoredPattern, exact: bool) -> int:
+               pa: StoredPattern, pb: StoredPattern, exact: bool,
+               count: int) -> None:
     """Accumulate a @ b into the zero-initialized out, where a stores pattern
-    pa and b pb; return the number of multiplications of stored entries, the
-    loop's count, whatever the kernel. `exact` is lowering's proof that no
-    step of a @ b rounds (`loops`). Dense mode passes FULL twice and the
-    same proof: both modes fill the same buffers, and the products of the
-    structural zeros that dense mode adds round nothing either.
+    pa and b pb. Lowering gives `exact`, its proof that no step of a @ b
+    rounds, and `count`, its mults of stored entries (`loops`), which sizes
+    the bands. Dense mode passes FULL twice, the same proof and the whole
+    rectangle's count: both modes fill the same buffers, and the products
+    of the structural zeros that dense mode adds round nothing either.
 
     One rule (`matmul_path`) picks the kernel and its band count, by the
     proof first and by size second:
@@ -314,9 +308,9 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     tiles and LOOP_BAND_MULTS for the loop: at most one per CPU, and at
     least EXACT_TILE rows and m stored mults each. The small path and the
     loop add each entry's rounded products in ascending k in one thread,
-    and an exact product rounds none of them, so the bits and the count do
-    not depend on the kernel or the bands; any kernel may multiply some
-    structural zeros.
+    and an exact product rounds none of them, so the bits do not depend on
+    the kernel or the bands; any kernel may multiply some structural zeros,
+    and only the tiles, the loop and the rerun build the stored spans.
 
     A step that overflows or turns invalid raises FloatingPointError in any
     kernel, under the caller's `np.errstate` (the loop checks for einsum,
@@ -329,11 +323,6 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
     if out.shape != (rows, cols):
         raise DimMismatch(f"out must be {rows}x{cols}, "
                           f"got {out.shape[0]}x{out.shape[1]}")
-    # FULL x FULL builds no spans for the one-call paths: they slowed dense
-    # runs' many small products.
-    full = pa is StoredPattern.FULL and pb is StoredPattern.FULL
-    spans = None if full else _stored_spans(pa, pb, rows, inner, cols)
-    count = rows * inner * cols if full else _stored_mults(spans)
     path, n = matmul_path(rows, inner, cols, count, exact)
     try:
         if path == "blas":
@@ -342,12 +331,11 @@ def run_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray,
             p = a[:, :, None] * b[None, :, :]
             out += np.add.accumulate(p, axis=1, out=p)[:, -1]
         else:
-            spans = spans or _stored_spans(pa, pb, rows, inner, cols)
-            (_exact_tiles if path == "tiles" else _rank1_loop)(a, b, out, spans, n)
+            (_exact_tiles if path == "tiles" else _rank1_loop)(
+                a, b, out, _stored_spans(pa, pb, rows, inner, cols), n)
     except FloatingPointError:
         out.fill(0)
         _per_k(a, b, out, _stored_spans(pa, pb, rows, inner, cols))
-    return count
 
 
 def run_transpose(a: np.ndarray) -> np.ndarray:
@@ -572,8 +560,8 @@ def _zeros(tid: loops.TensorId, t: MatrixType) -> np.ndarray:
 class ExecutionReport:
     """Outputs and instrumentation of one module execution.
 
-    Multiplication counts are deterministic and come from a single run;
-    timings are the minimum over all runs, per compute op.
+    Multiplication counts come from lowering (in dense mode, rows * inner *
+    cols); timings are the minimum over all runs, per compute op.
     """
 
     printed: tuple[str, ...] = ()
@@ -609,6 +597,7 @@ class Executor:
         tensors = self.lm.tensors
         dense = mode is ExecMode.DENSE
         full = StoredPattern.FULL
+        mults = report.mults
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for r in range(repeats):
@@ -629,19 +618,22 @@ class Executor:
                                     bufs[op.tensor], full if dense else op.pattern,
                                     op.interval))
                             continue
-                        # The compute ops, timed one by one.
+                        # The compute ops, timed one by one; counts set untimed.
+                        mul = isinstance(op, loops.MatMul)
+                        if mul and r == 0:
+                            ta = tensors[op.a]
+                            mults[idx] = (ta.rows * ta.cols * tensors[op.b].cols
+                                          if dense else op.mults)
                         t0 = time.perf_counter_ns()
-                        if isinstance(op, loops.MatMul):
-                            n = run_matmul(bufs[op.a], bufs[op.b], bufs[op.out],
-                                           *((full, full) if dense
-                                             else (op.pa, op.pb)), op.exact)
+                        if mul:
+                            run_matmul(bufs[op.a], bufs[op.b], bufs[op.out],
+                                       *((full, full) if dense else (op.pa, op.pb)),
+                                       op.exact, mults[idx])
                         else:
                             assert isinstance(op, loops.Add)
                             run_add(bufs[op.a], bufs[op.b], bufs[op.out])
                         dt = time.perf_counter_ns() - t0
                         min_ns[idx] = min(dt, min_ns.get(idx, dt))
-                        if r == 0 and isinstance(op, loops.MatMul):
-                            report.mults[idx] = n
         except FloatingPointError as e:
             raise NonFiniteValue(
                 f"op {idx} ({loops.format_op(self.lm, op)}): {e}") from None
@@ -650,7 +642,7 @@ class Executor:
                 f"op {idx} ({loops.format_op(self.lm, op)}): {e.message}") from None
         report.printed = tuple(printed)
         report.min_ns = min_ns
-        report.total_mults = sum(report.mults.values())
+        report.total_mults = sum(mults.values())
         report.total_min_ns = sum(min_ns.values())
         return report
 

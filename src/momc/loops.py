@@ -7,7 +7,8 @@ the tensor table is the IR's symbol table itself. A product or sum gets an
 compute op; a transpose gets only an `alloc` whose `source` names the tensor
 it is a view of, so lowering is not one-to-one. Fills write their scalar
 into the stored pattern implied by the operand's properties; a product and
-a print carry their operands' patterns too.
+a print carry their operands' patterns too, and a product its count of
+stored mults by the chain DP's formula (`chain.pattern_cost`).
 
 Every input is a constant fill, so one forward pass over Python ints also
 gives each tensor an integer interval (lo, hi) that holds every entry, or
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from . import ir
+from .chain import pattern_cost
 from .errors import UnresolvedTerm
 from .properties import ElemKind, StoredPattern, stored_pattern
 
@@ -70,6 +72,7 @@ class MatMul:
     pa: StoredPattern
     pb: StoredPattern
     exact: bool  # no step of the product rounds, in any order
+    mults: int  # the multiplications of stored entries, as the DP prices them
 
 
 @dataclass(slots=True)
@@ -139,7 +142,7 @@ def lower_to_loops(m: ir.IRModule) -> LoopModule:
             ops.append(Alloc(op.result, op.operand))
         elif isinstance(op, (ir.Mul, ir.Add)):
             a, b = op.operands  # rematerialization leaves binary ops
-            ta = types[a]
+            ta, tb = types[a], types[b]
             mul = isinstance(op, ir.Mul)
             known = a in facts and b in facts
             if known:
@@ -154,10 +157,13 @@ def lower_to_loops(m: ir.IRModule) -> LoopModule:
                 known = -limit <= lo and hi <= limit
                 if known:
                     facts[op.result] = (lo, hi)
-            ops += (Alloc(op.result),
-                    MatMul(a, b, op.result, stored_pattern(ta.props),
-                           stored_pattern(types[b].props), known)
-                    if mul else Add(a, b, op.result))
+            if mul:
+                pa, pb = stored_pattern(ta.props), stored_pattern(tb.props)
+                ops += (Alloc(op.result),
+                        MatMul(a, b, op.result, pa, pb, known,
+                               pattern_cost(ta.rows, ta.cols, tb.cols, pa, pb)))
+            else:
+                ops += (Alloc(op.result), Add(a, b, op.result))
         else:
             raise UnresolvedTerm(
                 f"{type(op).__name__} cannot be lowered; run the optimizer first")

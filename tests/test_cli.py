@@ -314,13 +314,13 @@ def test_run_repeats_only_for_a_report(tmp_path, capsys, monkeypatch,
     calls = []
     real = executor.run_matmul
     monkeypatch.setattr(executor, "run_matmul",
-                        lambda *a: calls.append(1) or real(*a))
+                        lambda *a: calls.append(a[6]) or real(*a))
     args = [LISTING1, "--run", "--repeats=3"]
     if report:
         args.append(f"--report={tmp_path / 'r.kv'}")
     code, out, _ = run_cli(capsys, *args)
     assert code == 0 and out.startswith("5x5 f32\n")
-    assert len(calls) == runs  # listing1 has one product
+    assert calls == [125] * runs  # listing1 has one 5^3 product, in dense mode
 
 
 def test_bench_report_speedup_without_a_timing():

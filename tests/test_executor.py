@@ -2,8 +2,9 @@
 
 The heavyweight guarantees here: dense and specialized matmul agree
 bit-for-bit whenever off-pattern entries are exact zeros, both agree with a
-naive triple-loop reference on integer-valued data, and the instrumented
-multiplication counts equal the chain cost model exactly.
+naive triple-loop reference on integer-valued data, and the oracle's
+multiplication counts (`oracle.stored_mults`), which the kernels are given
+as lowering gives them, equal the chain cost model exactly.
 """
 
 import collections
@@ -24,7 +25,6 @@ from momc import executor, loops
 from momc.errors import BrokenStoredPattern, DimMismatch, NonFiniteValue
 from momc.executor import (
     _PRINT_BLOCK_ENTRIES as PRINT_BLOCK,
-    _stored_mults,
     _stored_spans,
     ExecMode,
     Executor,
@@ -48,7 +48,7 @@ from momc.properties import (
 
 from chain_reference import mul_cost
 from gen import CLOSED_PSETS, default_seed, random_program
-from oracle import is_exact_product
+from oracle import is_exact_product, stored_mults
 from util import lower_text, pattern_contains
 
 LOWER = PropertySet.closure((Property.LOWER_TRIANGULAR,))
@@ -66,11 +66,14 @@ def matmul(a, b, out, pa, pb, mode, proof=True):
     property sets pa and pb: dense mode passes FULL twice and specialized
     mode the stored patterns; both pass, in place of lowering's proof, the
     run-time oracle on the operands themselves (no proof if `proof` is
-    false)."""
+    false), and in place of lowering's count the oracle's count of the
+    patterns passed (`oracle.stored_mults`), which is returned."""
     exact = proof and is_exact_product(a, b)
-    if mode is ExecMode.DENSE:
-        return run_matmul(a, b, out, StoredPattern.FULL, StoredPattern.FULL, exact)
-    return run_matmul(a, b, out, pa.pattern, pb.pattern, exact)
+    patterns = ((StoredPattern.FULL, StoredPattern.FULL) if mode is ExecMode.DENSE
+                else (pa.pattern, pb.pattern))
+    count = stored_mults(*patterns, a.shape[0], a.shape[1], b.shape[1])
+    run_matmul(a, b, out, *patterns, exact, count)
+    return count
 
 
 def filled(rows, cols, scalar, pattern, elem=ElemKind.F32):
@@ -722,7 +725,8 @@ def accumulate_calls(monkeypatch):
 
 def _matmul_both_ways(monkeypatch, a, b, pa=EMPTY_PROPS, pb=EMPTY_PROPS,
                       path=EXACT_PATH, mode=ExecMode.SPECIALIZED):
-    """(the forced rank-1 loop, the given path): (out, count) each."""
+    """(the forced rank-1 loop, the given path): (out, the oracle's count
+    passed in) each."""
     results = []
     for small_max, proof in (FORCED_LOOP, path):
         monkeypatch.setattr(executor, "SMALL_MAX_MULTS", small_max)
@@ -767,7 +771,7 @@ def _boundary_cases(rng, dtype):
 def test_exact_path_boundary_cases(monkeypatch, matmul_calls, dtype):
     """At 2**p the product is exact and one BLAS call of the whole
     operands; one step past it, or with a fraction, inf or NaN, it is not,
-    and makes no BLAS call. Either way it gives the loop's bits and count."""
+    and makes no BLAS call. Either way it gives the loop's bits."""
     rng = np.random.default_rng(default_seed() ^ 0xE1)
     for name, a, b, exact in _boundary_cases(rng, dtype):
         assert is_exact_product(a, b) is exact, name
@@ -803,8 +807,8 @@ def test_exact_path_adds_into_positive_zeros(monkeypatch, dtype):
 def test_exact_path_counts_and_bits_match_the_loop(monkeypatch, matmul_calls):
     """Every pair of closed property sets, n = 1..16, in tiles of 8: a
     product that fits one tile (n <= 8) is one BLAS call of its whole
-    operands, a larger one runs in trimmed tiles. Both return the cost
-    model's count and the loop's bytes."""
+    operands, a larger one runs in trimmed tiles, with the loop's bytes;
+    the oracle's count equals the cost model's."""
     monkeypatch.setattr(executor, "EXACT_TILE", 8)
     rng = random.Random(default_seed() ^ 0xE2)
     for pa, pb in product(CLOSED_PSETS, repeat=2):
@@ -909,8 +913,10 @@ def test_dense_mode_passes_lowerings_proof(monkeypatch):
                 del calls[:]
                 Executor(lm).run(mode, repeats=1)
                 assert calls == [
-                    ((full, full) if mode is ExecMode.DENSE else (op.pa, op.pb))
-                    + (op.exact,) for op in products]
+                    (full, full, op.exact,
+                     lm.tensors[op.a].rows * lm.tensors[op.a].cols
+                     * lm.tensors[op.b].cols) if mode is ExecMode.DENSE
+                    else (op.pa, op.pb, op.exact, op.mults) for op in products]
     assert proofs[True] > 100 and proofs[False] > 100
 
 
@@ -961,7 +967,7 @@ def _real_realization(rng, props, rows, cols, dtype):
 def test_small_path_matches_the_loop_bit_for_bit(monkeypatch, accumulate_calls):
     """2,000 products with m, k, n in 1..8, f32 and f64, under every pair of
     closed property sets that fits the shape, in both modes: the one-shot
-    path gives the loop's bytes, signbit included, and the loop's count."""
+    path gives the loop's bytes, signbit included."""
     rng = np.random.default_rng(default_seed() ^ 0xA1)
     for draw in range(2000):
         m, k, n = (int(d) for d in rng.integers(1, 9, 3))
@@ -1056,7 +1062,7 @@ def test_row_bands_give_one_bands_bytes_and_count(
         monkeypatch, band_counts, matmul_calls, fast_switching, tile, shapes):
     """Products under every pair of closed property sets that fits, f32 and
     f64, reals and integers, both modes: in 2 and 3 row bands, the loop and
-    the exact tiles give the bytes and the count of one band.
+    the exact tiles give the bytes of one band.
     EXACT_BAND_MULTS and LOOP_BAND_MULTS are 1 here, so both kernels band
     products this small."""
     monkeypatch.setattr(executor, "EXACT_TILE", tile)
@@ -1077,8 +1083,8 @@ def test_row_bands_give_one_bands_bytes_and_count(
                 monkeypatch.setattr(executor, "_CPUS", cpus)
                 out = np.zeros((rows, cols), dtype)
                 with np.errstate(over="raise", invalid="raise"):
-                    count = matmul(a, b, out, pa, pb, mode)
-                results.append((out.tobytes(), count))
+                    matmul(a, b, out, pa, pb, mode)
+                results.append(out.tobytes())
             assert band_counts == [1, 2, 3]
             assert bool(matmul_calls) is integral
             assert results[0] == results[1] == results[2], (
@@ -1188,10 +1194,10 @@ def test_the_loop_matches_the_naive_reference_around_block_edges(
     """Every pair of closed property sets on 10 x inner x 6 operands (zero
     outside the pattern), inner 1, b - 1, b, b + 1 and 3b + 1 where b = 4 is
     the k per einsum call each band gets here, in 1 and 2 bands of rows, in
-    both modes: the bits of the naive loop in the operands' precision, the
-    loop's count, and blocks of at most b k (in dense mode exactly the
-    blocks of b that cover inner, once per band). LOOP_BAND_MULTS is 1
-    here, so a product of one stored mult runs in one band."""
+    both modes: the bits of the naive loop in the operands' precision, and
+    blocks of at most b k (in dense mode exactly the blocks of b that cover
+    inner, once per band). LOOP_BAND_MULTS is 1 here, so a product of one
+    stored mult runs in one band."""
     monkeypatch.setattr(executor, "EXACT_TILE", 4)
     monkeypatch.setattr(executor, "SMALL_MAX_MULTS", 0)
     monkeypatch.setattr(executor, "LOOP_BAND_MULTS", 1)
@@ -1207,18 +1213,17 @@ def test_the_loop_matches_the_naive_reference_around_block_edges(
             x = _edge_operand(rng, pa, rows, inner, dtype)
             y = _edge_operand(rng, pb, inner, cols, dtype)
             ref = _naive_in_precision(x, y)
-            stored = _stored_mults(_stored_spans(pa.pattern, pb.pattern,
-                                                 rows, inner, cols))
+            stored = stored_mults(pa.pattern, pb.pattern, rows, inner, cols)
             for mode in ExecMode:
                 dense = mode is ExecMode.DENSE
                 del band_counts[:], einsum_blocks[:]
                 out = np.zeros((rows, cols), dtype)
+                count = rows * inner * cols if dense else stored
                 with np.errstate(over="raise", invalid="raise"):
-                    count = run_matmul(x, y, out, *((full, full) if dense else
-                                                    (pa.pattern, pb.pattern)), False)
+                    run_matmul(x, y, out, *((full, full) if dense else
+                                            (pa.pattern, pb.pattern)), False, count)
                 case = (inner, cpus, pa, pb, mode)
                 assert out.tobytes() == ref.tobytes(), case
-                assert count == (rows * inner * cols if dense else stored), case
                 assert band_counts == [min(cpus, count)], case
                 assert max(einsum_blocks, default=0) <= b, case
                 if dense:
@@ -1302,10 +1307,9 @@ def test_the_rule_picks_the_kernel_by_size_and_proof(
     whatever its size, in one call of its whole operands if out fits one
     EXACT_TILE square, else in tiles; an inexact one takes one accumulate
     up to SMALL_MAX_MULTS and the einsum loop past it, as `matmul_path`
-    says. Each gives the naive loop's bits in the operands' precision and
-    the loop's count."""
+    says, given the oracle's count. Each gives the naive loop's bits in the
+    operands' precision."""
     rng = np.random.default_rng(default_seed() ^ 0xC1)
-    full = StoredPattern.FULL
     for (rows, inner, cols), integral in product(
             [(16, 16, 16), (17, 241, 1), (17, 17, 17), (200, 2, 10), (3, 5, 129)],
             (True, False)):
@@ -1316,9 +1320,6 @@ def test_the_rule_picks_the_kernel_by_size_and_proof(
             b = _operand(rng, pb, inner, cols, dtype, integral)
             exact = is_exact_product(a, b)
             assert exact is integral
-            patterns = ((full, full) if mode is ExecMode.DENSE
-                        else (pa.pattern, pb.pattern))
-            stored = _stored_mults(_stored_spans(*patterns, rows, inner, cols))
             path = ("blas" if exact and max(rows, cols) <= 128
                     else "tiles" if exact
                     else "small" if rows * inner * cols <= 4096 else "loop")
@@ -1335,7 +1336,6 @@ def test_the_rule_picks_the_kernel_by_size_and_proof(
             assert bool(matmul_calls) is exact, case
             assert bool(einsum_blocks) is (path == "loop"), case
             assert out.tobytes() == _naive_in_precision(a, b).tobytes(), case
-            assert count == stored, case
 
 
 @pytest.mark.parametrize("mode", list(ExecMode))
@@ -1380,6 +1380,31 @@ def test_the_rule_bands_at_each_boundary_of_band_work(
             assert executor.matmul_path(rows, inner, cols, count, integral) == (
                 "tiles" if integral else "loop", band_counts[0])
         assert results[0] == results[1], case
+
+
+@pytest.mark.parametrize("text,path", [
+    ("Matrix L(8, 8) <LowerTriangular> = 2\nMatrix A(8, 8) <> = 3\n", "blas"),
+    ("Matrix L(8, 8) <LowerTriangular> = 0.5\nMatrix A(8, 8) <> = 3\n", "small"),
+    ("Matrix L(200, 200) <LowerTriangular> = 2\nMatrix A(200, 8) <> = 3\n",
+     "tiles"),
+    ("Matrix L(20, 20) <LowerTriangular> = 0.5\nMatrix A(20, 20) <> = 3\n",
+     "loop"),
+])
+def test_only_the_kernels_that_walk_the_spans_build_them(monkeypatch, text, path):
+    """A lower x FULL product in specialized mode builds no stored spans on
+    the one-call paths ("blas", "small"), and builds them once on the tiles
+    and the loop, which walk them."""
+    calls = []
+    real = executor._stored_spans
+    monkeypatch.setattr(executor, "_stored_spans",
+                        lambda *args: calls.append(args) or real(*args))
+    lm = lower_text(text + "print(L * A)\n")
+    (op,) = [op for op in lm.ops if isinstance(op, loops.MatMul)]
+    rows, inner = lm.tensors[op.a].rows, lm.tensors[op.a].cols
+    assert executor.matmul_path(rows, inner, lm.tensors[op.b].cols, op.mults,
+                                op.exact)[0] == path
+    Executor(lm).run(ExecMode.SPECIALIZED, repeats=1)
+    assert len(calls) == (path in ("tiles", "loop"))
 
 
 @pytest.mark.parametrize("mode", list(ExecMode))

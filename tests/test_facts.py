@@ -1,16 +1,19 @@
-"""Value facts at lowering: the interval rules, and their soundness.
+"""Facts at lowering: the interval rules, and their soundness; the counts.
 
 `loops.lower_to_loops` gives every tensor an integer interval or unknown
-facts, every product `exact` or not, and every print its tensor's interval.
-The executor trusts them: an `exact` product of any size goes to BLAS, and
-a print with an interval formats integers unchecked. So each fact
+facts, every product `exact` or not and its count of stored mults, and
+every print its tensor's interval. The executor trusts them: an `exact`
+product of any size goes to BLAS, a print with an interval formats integers
+unchecked, and a run reports each product's count unchecked. So each fact
 is checked here against the run itself: `exact` against the run-time proof
-it replaced (`oracle.is_exact_product`) on the operands' buffers, and each
-interval against every entry of its tensor's buffer.
+it replaced (`oracle.is_exact_product`) on the operands' buffers, each
+interval against every entry of its tensor's buffer, and each count against
+the span sum the executor once ran (`oracle.stored_mults`).
 """
 
 import ast
 import importlib.util
+import inspect
 import random
 import re
 import sys
@@ -19,13 +22,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momc import executor, ir, loops
+from momc import chain, executor, ir, loops
 from momc.errors import NonFiniteValue
 from momc.executor import ExecMode, Executor
 from momc.properties import ElemKind
 
 from gen import default_seed, random_program
-from oracle import all_integral, is_exact_product
+from oracle import all_integral, is_exact_product, stored_mults
 from util import optimize_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,14 +53,19 @@ def every_tensor_printed(m: ir.IRModule) -> ir.IRModule:
 
 
 def check_facts(lm: loops.LoopModule, ex: Executor) -> tuple[int, int]:
-    """Assert every fact of lm against the buffers ex's run left; return the
-    numbers of exact products and of known intervals checked."""
+    """Assert every fact of lm against the buffers ex's run left, and every
+    product's count against the oracle's; return the numbers of exact
+    products and of known intervals checked."""
     exact = known = 0
     for op in lm.ops:
-        if isinstance(op, loops.MatMul) and op.exact:
-            a, b = ex.buffers[op.a], ex.buffers[op.b]
-            assert is_exact_product(a, b), loops.format_op(lm, op)
-            exact += 1
+        if isinstance(op, loops.MatMul):
+            ta, tb = lm.tensors[op.a], lm.tensors[op.b]
+            assert op.mults == stored_mults(op.pa, op.pb, ta.rows, ta.cols, tb.cols), (
+                loops.format_op(lm, op), op.mults)
+            if op.exact:
+                a, b = ex.buffers[op.a], ex.buffers[op.b]
+                assert is_exact_product(a, b), loops.format_op(lm, op)
+                exact += 1
         elif isinstance(op, loops.Print) and op.interval is not None:
             lo, hi = op.interval
             limit = F32_EXACT if lm.tensors[op.tensor].elem is ElemKind.F32 else F64_EXACT
@@ -70,14 +78,21 @@ def check_facts(lm: loops.LoopModule, ex: Executor) -> tuple[int, int]:
     return exact, known
 
 
+def products(lm: loops.LoopModule) -> dict[int, loops.MatMul]:
+    """lm's products by op index, the keys of a report's mults."""
+    return {idx: op for idx, op in enumerate(lm.ops) if isinstance(op, loops.MatMul)}
+
+
 def run_checked(monkeypatch, m: ir.IRModule) -> tuple[int, int]:
     """Lower m with every tensor printed, run it once in specialized mode,
-    and check its facts. Prints are not formatted: only the buffers count."""
+    and check its facts, and that the run reports each product's count as
+    lowering gives it. Prints are not formatted: only the buffers count."""
     lm = loops.lower_to_loops(every_tensor_printed(m))
     ex = Executor(lm)
     with monkeypatch.context() as p:
         p.setattr(executor, "format_print", lambda *args: "")
-        ex.run(ExecMode.SPECIALIZED, repeats=1)
+        report = ex.run(ExecMode.SPECIALIZED, repeats=1)
+    assert report.mults == {idx: op.mults for idx, op in products(lm).items()}
     return check_facts(lm, ex)
 
 
@@ -118,6 +133,47 @@ def test_facts_hold_on_the_benchmark_workloads(monkeypatch, workload):
         _, progs = programs.generate(workload, seed)
         for p in progs:
             run_checked(monkeypatch, optimize_text(p.text).module)
+
+
+def test_dense_runs_count_the_whole_rectangle():
+    """In dense mode the report gives each product rows * inner * cols,
+    whatever lowering's count of its stored mults: 300 generated programs,
+    whose structured products count fewer in specialized mode."""
+    rng = random.Random(default_seed() ^ 0xDE)
+    fewer = 0
+    for _ in range(300):
+        lm = loops.lower_to_loops(optimize_text(random_program(rng)).module)
+        report = Executor(lm).run(ExecMode.DENSE, repeats=1)
+        whole = {idx: lm.tensors[op.a].rows * lm.tensors[op.a].cols
+                 * lm.tensors[op.b].cols for idx, op in products(lm).items()}
+        assert report.mults == whole
+        fewer += sum(op.mults < whole[idx] for idx, op in products(lm).items())
+    assert fewer > 100, fewer
+
+
+# Each triangular formula of the cost model, as `chain.py` spells it.
+TRIANGULAR_FORMULAS = ["rows * (rows + 1) // 2",
+                       "k * (k + 1) * (k + 2) // 6",
+                       "k * k + k * (k - 1) * (2 * k - 1) // 6"]
+
+
+@pytest.mark.parametrize("formula", TRIANGULAR_FORMULAS)
+def test_a_cost_model_off_by_one_fails_the_count_check(monkeypatch, formula):
+    """Lowering with a copy of `chain.pattern_cost` in which one triangular
+    formula counts one mult too many: the oracle check of the generated
+    programs fails on a product of that formula."""
+    source = inspect.getsource(chain)
+    assert source.count(f"return {formula}") == 1, formula
+    mutant = type(chain)("momc.chain_mutant")
+    mutant.__package__ = "momc"
+    monkeypatch.setitem(sys.modules, mutant.__name__, mutant)
+    exec(compile(source.replace(f"return {formula}", f"return {formula} + 1"),
+                 "chain_mutant.py", "exec"), mutant.__dict__)
+    monkeypatch.setattr(loops, "pattern_cost", mutant.pattern_cost)
+    rng = random.Random(default_seed() ^ 0xFAC7)
+    with pytest.raises(AssertionError, match=r"^\('matmul "):
+        for _ in range(1500):
+            run_checked(monkeypatch, optimize_text(random_program(rng)).module)
 
 
 def test_the_kernels_programs_take_the_exact_tiles_as_before(monkeypatch):

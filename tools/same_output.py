@@ -27,7 +27,8 @@ rank-1 loop, whose prints show the order of their adds), `mid.mom`
 whose sums overflow, and a mid-size one whose products do). One child
 process per root then runs `momc.cli.main` in-process over them and prints
 one sha256 per run, of the exit code, stdout and stderr with the program
-directory replaced by a fixed name.
+directory replaced by a fixed name, and for a `--run` the `*.mults` lines
+of the `--report` it also writes (its `*.min_ns` timings are dropped).
 
 Every program is dumped with `--emit` = `ir`, `ir-opt`, `loops`, `chain`,
 `ast` and `loops --no-opt`. Generated programs and examples also run with
@@ -458,17 +459,26 @@ def run_child(directory: str, jobs_path: str) -> None:
     print(f"momc from {os.path.dirname(momc.__file__)}", file=sys.stderr)
     with open(jobs_path, encoding="utf-8") as f:
         jobs = [line.rstrip("\n").split("\t") for line in f]
+    report = os.path.join(directory, f"report{os.getpid()}.kv")  # one per child
     for name, flags in jobs:
+        argv = [os.path.join(directory, name), *flags.split()]
+        if "--run" in argv:
+            argv.append(f"--report={report}")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main([os.path.join(directory, name), *flags.split()])
+                code = main(argv)
             except SystemExit as e:
                 code = e.code
             except Exception as e:  # a crash is an answer to compare, too
                 code = "exception"
                 print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        answer = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+        counts = ""
+        if os.path.exists(report):
+            with open(report, encoding="utf-8") as f:
+                counts = "".join(line for line in f if ".mults=" in line)
+            os.remove(report)
+        answer = f"{code}\0{out.getvalue()}\0{err.getvalue()}\0{counts}"
         digest = hashlib.sha256(answer.replace(directory, PLACEHOLDER)
                                 .encode("utf-8", "surrogateescape")).hexdigest()
         print(f"{name}\t{flags}\t{code}\t{digest}")

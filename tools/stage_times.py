@@ -23,8 +23,10 @@ path and band count that the executor's own rule (`executor.matmul_path`)
 gives it on this host; a checkout without that rule shows neither. The
 path is `blas` (one BLAS call: an exact product whose result fits one
 `EXACT_TILE` square), `tiles` (a larger exact one), `small` or `loop`; the
-patterns and `exact` are the arguments `run_matmul` receives, so a dense
-product shows FULL twice and its own `exact`, as `Executor.run` passes. Each
+patterns, `exact` and the count the rule reads are the arguments
+`run_matmul` receives (an older checkout's `run_matmul` returned the
+count), so a dense product shows FULL twice and its own `exact`, and is
+banded by its whole rectangle's mults, as `Executor.run` passes. Each
 program's calls are described once its `execute` has returned, so `--ops`
 leaves the `execute` row as it reads without it.
 
@@ -126,19 +128,21 @@ class StageClock:
 def describe(kernel: str, args: tuple, result, matmul_path) -> str:
     """Kernel, shape, dtype and stored patterns of one call, from the
     arguments `Executor.run` passes; for a matmul also its `exact`, and the
-    path and bands `matmul_path` (if not None) gives it for the count
-    `run_matmul` returned."""
+    path and bands `matmul_path` (if not None) gives it for its count: the
+    last argument, or what `run_matmul` returned in a checkout whose
+    executor counted the mults itself."""
     if kernel == "alloc":
         return f"alloc {args[1]}"
     a = args[0]
     shape = "x".join(map(str, a.shape))
     if kernel == "matmul":
-        b, pa, pb, exact = args[1], *args[3:]
+        b, pa, pb, exact, *count = args[1], *args[3:]
+        count = count[0] if count else result
         text = (f"matmul {shape}x{b.shape[1]} {a.dtype} {pa.value} x {pb.value} "
                 f"exact={exact}")
         if matmul_path is None:
             return text
-        path, bands = matmul_path(*a.shape, b.shape[1], result, exact)
+        path, bands = matmul_path(*a.shape, b.shape[1], count, exact)
         return f"{text} path={path} bands={bands}"
     if kernel == "add":
         return f"add {shape} {a.dtype}"
