@@ -33,7 +33,6 @@ bounded by Python's recursion limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimMismatch
@@ -44,6 +43,7 @@ from .properties import (
     infer_mul,
     stored_pattern,
 )
+from .record import Record
 
 _FULL = StoredPattern.FULL
 _DIAG = StoredPattern.DIAG_ONLY
@@ -124,16 +124,20 @@ def left_fold_tree(length: int) -> ChainTree:
                              for span in ((j, j), (0, j)))
 
 
-@dataclass
-class ChainSolution:
+class ChainSolution(Record):
     """DP tables plus the chosen tree, as the spans of its nodes in
     postorder. Cells are None below the diagonal."""
 
-    cost: list[list[int | None]]            # m[i][j], exact integers
-    split: list[list[int | None]]           # s[i][j]
-    props: list[list[PropertySet | None]]   # properties of the subchain product
-    tree: ChainTree
-    total_cost: int
+    __slots__ = ("cost", "split", "props", "tree", "total_cost")
+
+    def __init__(self, cost: list[list[int | None]], split: list[list[int | None]],
+                 props: list[list[PropertySet | None]], tree: ChainTree,
+                 total_cost: int) -> None:
+        self.cost = cost    # m[i][j], exact integers
+        self.split = split  # s[i][j]
+        self.props = props  # properties of the subchain product
+        self.tree = tree
+        self.total_cost = total_cost
 
 
 def _check_chain(chain: Sequence[MatrixType]) -> None:

@@ -11,25 +11,29 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import equation_opt, frontend, ir, loops
 from .chain import ChainSolution, tree_string
 from .equation_opt import ChainReport, OptOptions
 from .errors import CompileError
+from .record import Record
 
 EMIT_STAGES = ("ast", "ir", "ir-opt", "chain", "loops", "none")
 
 
-@dataclass
-class BenchReport:
+class BenchReport(Record):
     """Baseline (source parenthesization) vs chain-reordered execution."""
 
-    baseline_mults: int
-    optimized_mults: int
-    baseline_min_ns: int
-    optimized_min_ns: int
+    __slots__ = ("baseline_mults", "optimized_mults", "baseline_min_ns",
+                 "optimized_min_ns")
+
+    def __init__(self, baseline_mults: int, optimized_mults: int, baseline_min_ns: int,
+                 optimized_min_ns: int) -> None:
+        self.baseline_mults = baseline_mults
+        self.optimized_mults = optimized_mults
+        self.baseline_min_ns = baseline_min_ns
+        self.optimized_min_ns = optimized_min_ns
 
     @property
     def mult_ratio(self) -> Fraction:

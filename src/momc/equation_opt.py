@@ -17,7 +17,6 @@ the subchain it spans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 from . import ir
@@ -30,30 +29,39 @@ from .chain import (
 )
 from .errors import ResolutionError
 from .properties import infer_add, infer_mul, infer_transpose
+from .record import Record
 
 
-@dataclass(slots=True)
-class Leaf:
-    value: ir.ValueId
-    type: ir.MatrixType
+class Leaf(Record):
+    __slots__ = ("value", "type")
+
+    def __init__(self, value: ir.ValueId, type: ir.MatrixType) -> None:
+        self.value = value
+        self.type = type
 
 
-@dataclass(slots=True)
-class MulN:
-    children: tuple["SymExpr", ...]
-    type: ir.MatrixType
+class MulN(Record):
+    __slots__ = ("children", "type")
+
+    def __init__(self, children: tuple["SymExpr", ...], type: ir.MatrixType) -> None:
+        self.children = children
+        self.type = type
 
 
-@dataclass(slots=True)
-class AddN:
-    children: tuple["SymExpr", ...]
-    type: ir.MatrixType
+class AddN(Record):
+    __slots__ = ("children", "type")
+
+    def __init__(self, children: tuple["SymExpr", ...], type: ir.MatrixType) -> None:
+        self.children = children
+        self.type = type
 
 
-@dataclass(slots=True)
-class Trans:
-    child: "SymExpr"
-    type: ir.MatrixType
+class Trans(Record):
+    __slots__ = ("child", "type")
+
+    def __init__(self, child: "SymExpr", type: ir.MatrixType) -> None:
+        self.child = child
+        self.type = type
 
 
 SymExpr = Union[Leaf, MulN, AddN, Trans]
@@ -134,28 +142,38 @@ def resolve_types(eq: ir.Equation,
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OptOptions:
-    simplify_identities: bool = True
-    reorder_chains: bool = True
+class OptOptions(Record):
+    __slots__ = ("simplify_identities", "reorder_chains")
+
+    def __init__(self, simplify_identities: bool = True,
+                 reorder_chains: bool = True) -> None:
+        self.simplify_identities = simplify_identities
+        self.reorder_chains = reorder_chains
 
 
-@dataclass
-class ChainReport:
+class ChainReport(Record):
     """What one variadic multiplication looked like to the chain solver."""
 
-    label: str
-    operand_names: tuple[str, ...]
-    operands: tuple[ir.MatrixType, ...]
-    solution: ChainSolution
-    baseline_tree: ChainTree
-    baseline_cost: int
+    __slots__ = ("label", "operand_names", "operands", "solution", "baseline_tree",
+                 "baseline_cost")
+
+    def __init__(self, label: str, operand_names: tuple[str, ...],
+                 operands: tuple[ir.MatrixType, ...], solution: ChainSolution,
+                 baseline_tree: ChainTree, baseline_cost: int) -> None:
+        self.label = label
+        self.operand_names = operand_names
+        self.operands = operands
+        self.solution = solution
+        self.baseline_tree = baseline_tree
+        self.baseline_cost = baseline_cost
 
 
-@dataclass
-class OptResult:
-    module: ir.IRModule
-    chains: list[ChainReport]
+class OptResult(Record):
+    __slots__ = ("module", "chains")
+
+    def __init__(self, module: ir.IRModule, chains: list[ChainReport]) -> None:
+        self.module = module
+        self.chains = chains
 
 
 def _leaf_name(e: SymExpr, module: ir.IRModule) -> str:

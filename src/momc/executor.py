@@ -45,7 +45,6 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -58,6 +57,7 @@ from .loops import ExecMode  # also re-exported: callers name executor.ExecMode
 # perfbench's tracer counts calls through this name; the executor reads the
 # patterns from the loop ops and calls it nowhere.
 from .properties import ElemKind, StoredPattern, stored_pattern  # noqa: F401
+from .record import Record
 
 # A buffer's header names its element kind by dtype; `_zeros` picks a dtype
 # by identity. Neither hashes an ElemKind: `Enum.__hash__` runs in Python.
@@ -556,19 +556,23 @@ def _zeros(tid: loops.TensorId, t: MatrixType) -> np.ndarray:
         raise AllocationError(f"cannot allocate %{tid} : {t}: {e}") from None
 
 
-@dataclass
-class ExecutionReport:
+class ExecutionReport(Record):
     """Outputs and instrumentation of one module execution.
 
     Multiplication counts come from lowering (in dense mode, rows * inner *
     cols); timings are the minimum over all runs, per compute op.
     """
 
-    printed: tuple[str, ...] = ()
-    mults: dict[int, int] = field(default_factory=dict)      # matmul op index
-    min_ns: dict[int, int] = field(default_factory=dict)     # compute op index
-    total_mults: int = 0
-    total_min_ns: int = 0
+    __slots__ = ("printed", "mults", "min_ns", "total_mults", "total_min_ns")
+
+    def __init__(self, printed: tuple[str, ...] = (), mults: dict[int, int] | None = None,
+                 min_ns: dict[int, int] | None = None, total_mults: int = 0,
+                 total_min_ns: int = 0) -> None:
+        self.printed = printed
+        self.mults = {} if mults is None else mults        # matmul op index
+        self.min_ns = {} if min_ns is None else min_ns     # compute op index
+        self.total_mults = total_mults
+        self.total_min_ns = total_min_ns
 
     def to_kv(self) -> str:
         lines = []

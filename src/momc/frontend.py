@@ -30,13 +30,12 @@ The lexer takes every lexeme, blanks and comments included, from one
 ints, so the cyclic GC untracks it at its first collection and a long token
 list does not slow later ones (a NamedTuple would stay tracked). The parser
 reads tokens by index into the list, with no method call per token. AST
-nodes are slotted dataclasses, faster to build than frozen ones.
+nodes are slotted records (`record.Record`) whose equality skips `loc`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn, Union
 
 from .errors import (
@@ -52,6 +51,7 @@ from .errors import (
     UseBeforeAssign,
 )
 from .properties import ElemKind, canonicalize
+from .record import Record
 
 
 class Loc(NamedTuple):
@@ -140,97 +140,126 @@ def tokenize(text: str) -> list[Token]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class Ref:
-    name: str
-    loc: Loc = field(default=_NOWHERE, compare=False)
+class Ref(Record):
+    __slots__ = ("name", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, loc: Loc = _NOWHERE) -> None:
+        self.name = name
+        self.loc = loc
 
 
-@dataclass(slots=True)
-class Mul:
-    operands: tuple["Expr", ...]
+class Mul(Record):
+    __slots__ = ("operands",)
 
-    def __post_init__(self) -> None:
-        assert len(self.operands) >= 2
-        assert Mul not in map(type, self.operands)
-
-
-@dataclass(slots=True)
-class Add:
-    operands: tuple["Expr", ...]
-
-    def __post_init__(self) -> None:
-        assert len(self.operands) >= 2
-        assert Add not in map(type, self.operands)
+    def __init__(self, operands: tuple["Expr", ...]) -> None:
+        self.operands = operands
+        assert len(operands) >= 2
+        assert Mul not in map(type, operands)
 
 
-@dataclass(slots=True)
-class Transpose:
-    operand: "Expr"
+class Add(Record):
+    __slots__ = ("operands",)
+
+    def __init__(self, operands: tuple["Expr", ...]) -> None:
+        self.operands = operands
+        assert len(operands) >= 2
+        assert Add not in map(type, operands)
 
 
-@dataclass(slots=True)
-class IdentityLit:
-    order: int
+class Transpose(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "Expr") -> None:
+        self.operand = operand
+
+
+class IdentityLit(Record):
+    __slots__ = ("order",)
+
+    def __init__(self, order: int) -> None:
+        self.order = order
 
 
 Expr = Union[Ref, Mul, Add, Transpose, IdentityLit]
 
 
-@dataclass(slots=True)
-class ConstBinding:
-    name: str
-    value: int
-    loc: Loc = field(default=_NOWHERE, compare=False)
+class ConstBinding(Record):
+    __slots__ = ("name", "value", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, value: int, loc: Loc = _NOWHERE) -> None:
+        self.name = name
+        self.value = value
+        self.loc = loc
 
 
-@dataclass(slots=True)
-class MatrixDecl:
-    name: str
-    rows: int
-    cols: int
-    props: tuple[str, ...]
-    elem: ElemKind = ElemKind.F32
-    fill: float = 1.0
-    loc: Loc = field(default=_NOWHERE, compare=False)
+class MatrixDecl(Record):
+    __slots__ = ("name", "rows", "cols", "props", "elem", "fill", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, rows: int, cols: int, props: tuple[str, ...],
+                 elem: ElemKind = ElemKind.F32, fill: float = 1.0,
+                 loc: Loc = _NOWHERE) -> None:
+        self.name = name
+        self.rows = rows
+        self.cols = cols
+        self.props = props
+        self.elem = elem
+        self.fill = fill
+        self.loc = loc
 
 
-@dataclass(slots=True)
-class IdentityDecl:
-    name: str
-    order: int
-    elem: ElemKind = ElemKind.F32
-    loc: Loc = field(default=_NOWHERE, compare=False)
+class IdentityDecl(Record):
+    __slots__ = ("name", "order", "elem", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, name: str, order: int, elem: ElemKind = ElemKind.F32,
+                 loc: Loc = _NOWHERE) -> None:
+        self.name = name
+        self.order = order
+        self.elem = elem
+        self.loc = loc
 
 
 Decl = Union[MatrixDecl, IdentityDecl]
 
 
-@dataclass(slots=True)
-class Assign:
-    target: str
-    expr: Expr
-    loc: Loc = field(default=_NOWHERE, compare=False)
+class Assign(Record):
+    __slots__ = ("target", "expr", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, target: str, expr: Expr, loc: Loc = _NOWHERE) -> None:
+        self.target = target
+        self.expr = expr
+        self.loc = loc
 
 
-@dataclass(slots=True)
-class PrintStmt:
-    expr: Expr
-    loc: Loc = field(default=_NOWHERE, compare=False)
+class PrintStmt(Record):
+    __slots__ = ("expr", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, expr: Expr, loc: Loc = _NOWHERE) -> None:
+        self.expr = expr
+        self.loc = loc
 
 
 Stmt = Union[Assign, PrintStmt]
 
 
-@dataclass(slots=True)
-class Ast:
+class Ast(Record):
     """A checked program; every dimension is a resolved integer."""
 
-    consts: tuple[ConstBinding, ...]
-    decls: tuple[Decl, ...]
-    stmts: tuple[Stmt, ...]
-    # The statements' `Identity(n)` literals in source order.
-    idlits: tuple[IdentityLit, ...] = field(default=(), compare=False)
+    __slots__ = ("consts", "decls", "stmts", "idlits")
+    _uncompared = ("idlits",)
+
+    def __init__(self, consts: tuple[ConstBinding, ...], decls: tuple[Decl, ...],
+                 stmts: tuple[Stmt, ...], idlits: tuple[IdentityLit, ...] = ()) -> None:
+        self.consts = consts
+        self.decls = decls
+        self.stmts = stmts
+        # The statements' `Identity(n)` literals in source order.
+        self.idlits = idlits
 
 
 # --------------------------------------------------------------------------

@@ -4,12 +4,13 @@ A module is an ordered list of operations plus a symbol table mapping value
 ids to types. The table is the only place a value's type is kept: ops carry
 none, and the chain solver and loop lowering read the table's `MatrixType`
 objects themselves. An identity is a `MatrixType` with `identity` set. Types
-are frozen and come from `matrix_type`, a bounded LRU cache, since a compile
-builds thousands but few differ; ops are slotted dataclasses, faster to build
-than frozen ones. Equations carry a region one level deep: variadic compute
-ops that produce placeholder `term` values, then the value they yield (an
-empty region, as in `C = A`, yields a value defined above). After optimization
-the module holds only binary compute ops with concrete types at the top level.
+are immutable, hashable records and come from `matrix_type`, a bounded LRU
+cache, since a compile builds thousands but few differ; ops are mutable
+records (`record.Record`), faster to build than immutable ones. Equations
+carry a region one level deep: variadic compute ops that produce placeholder
+`term` values, then the value they yield (an empty region, as in `C = A`,
+yields a value defined above). After optimization the module holds only
+binary compute ops with concrete types at the top level.
 
 The textual form is this project's own, pinned by golden tests:
 
@@ -25,12 +26,12 @@ The textual form is this project's own, pinned by golden tests:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
 from . import frontend as fe
 from .errors import CompileError
 from .properties import DIAGONAL_PROPS, EMPTY_PROPS, ElemKind, PropertySet, canonicalize
+from .record import Record
 
 ValueId = int
 
@@ -40,25 +41,34 @@ ValueId = int
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatrixType:
+class MatrixType(Record):
     """The one matrix type: dims, element kind and closed property set. An
     identity is the square diagonal type with `identity` set; it prints as
-    `identity<NxE>`, and the optimizer may drop it from a product."""
+    `identity<NxE>`, and the optimizer may drop it from a product. Immutable
+    and hashable, since `matrix_type` interns it."""
 
-    rows: int
-    cols: int
-    elem: ElemKind
-    props: PropertySet
-    identity: bool = False
+    __slots__ = ("rows", "cols", "elem", "props", "identity")
 
-    def __post_init__(self) -> None:
-        if self.rows <= 0 or self.cols <= 0:
+    def __init__(self, rows: int, cols: int, elem: ElemKind, props: PropertySet,
+                 identity: bool = False) -> None:
+        if rows <= 0 or cols <= 0:
             raise ValueError("matrix dimensions must be positive")
-        if self.props is not EMPTY_PROPS and self.rows != self.cols:
+        if props is not EMPTY_PROPS and rows != cols:
             raise ValueError("structured matrix types must be square")
-        if self.identity and self.props is not DIAGONAL_PROPS:
+        if identity and props is not DIAGONAL_PROPS:
             raise ValueError("an identity type must be square and diagonal")
+        init = object.__setattr__
+        init(self, "rows", rows)
+        init(self, "cols", cols)
+        init(self, "elem", elem)
+        init(self, "props", props)
+        init(self, "identity", identity)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a MatrixType is immutable")
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.elem, self.props, self.identity))
 
     def __str__(self) -> str:
         if self.identity:
@@ -72,8 +82,15 @@ class MatrixType:
 matrix_type = functools.lru_cache(maxsize=4096)(MatrixType)
 
 
-@dataclass(frozen=True)
-class TermType:
+class TermType(Record):
+    """The type of a value inside an equation's region; `TERM` is its one
+    instance."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(())
+
     def __str__(self) -> str:
         return "term"
 
@@ -88,51 +105,68 @@ ValueType = Union[MatrixType, TermType]
 # --------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class Init:
-    result: ValueId
+class Init(Record):
+    __slots__ = ("result",)
+
+    def __init__(self, result: ValueId) -> None:
+        self.result = result
 
 
-@dataclass(slots=True)
-class Fill:
-    value: float
-    operand: ValueId
+class Fill(Record):
+    __slots__ = ("value", "operand")
+
+    def __init__(self, value: float, operand: ValueId) -> None:
+        self.value = value
+        self.operand = operand
 
 
-@dataclass(slots=True)
-class Mul:
-    result: ValueId
-    operands: tuple[ValueId, ...]
+class Mul(Record):
+    __slots__ = ("result", "operands")
+
+    def __init__(self, result: ValueId, operands: tuple[ValueId, ...]) -> None:
+        self.result = result
+        self.operands = operands
 
 
-@dataclass(slots=True)
-class Add:
-    result: ValueId
-    operands: tuple[ValueId, ...]
+class Add(Record):
+    __slots__ = ("result", "operands")
+
+    def __init__(self, result: ValueId, operands: tuple[ValueId, ...]) -> None:
+        self.result = result
+        self.operands = operands
 
 
-@dataclass(slots=True)
-class Transpose:
-    result: ValueId
-    operand: ValueId
+class Transpose(Record):
+    __slots__ = ("result", "operand")
+
+    def __init__(self, result: ValueId, operand: ValueId) -> None:
+        self.result = result
+        self.operand = operand
 
 
-@dataclass(slots=True)
-class Equation:
-    result: ValueId
-    # Compute ops, each after its operands. `yielded` is one of their
-    # results, or for a bare copy (`C = A`) a value defined above.
-    region: tuple["IROp", ...]
-    yielded: ValueId
-    # Dims declared on the assignment target, checked after type resolution.
-    declared_dims: tuple[int, int] | None = None
-    # The statement's location, for diagnostics.
-    loc: fe.Loc | None = field(default=None, compare=False)
+class Equation(Record):
+    __slots__ = ("result", "region", "yielded", "declared_dims", "loc")
+    _uncompared = ("loc",)
+
+    def __init__(self, result: ValueId, region: tuple["IROp", ...], yielded: ValueId,
+                 declared_dims: tuple[int, int] | None = None,
+                 loc: fe.Loc | None = None) -> None:
+        self.result = result
+        # Compute ops, each after its operands. `yielded` is one of their
+        # results, or for a bare copy (`C = A`) a value defined above.
+        self.region = region
+        self.yielded = yielded
+        # Dims declared on the assignment target, checked after type resolution.
+        self.declared_dims = declared_dims
+        # The statement's location, for diagnostics.
+        self.loc = loc
 
 
-@dataclass(slots=True)
-class Print:
-    operand: ValueId
+class Print(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: ValueId) -> None:
+        self.operand = operand
 
 
 IROp = Union[Init, Fill, Mul, Add, Transpose, Equation, Print]
@@ -152,13 +186,16 @@ def op_operands(op: IROp) -> tuple[ValueId, ...]:
     return ()
 
 
-@dataclass(slots=True)
-class IRModule:
+class IRModule(Record):
     """Op sequence plus the value-id -> type symbol table."""
 
-    ops: tuple[IROp, ...]
-    types: dict[ValueId, ValueType]
-    names: dict[ValueId, str] = field(default_factory=dict)
+    __slots__ = ("ops", "types", "names")
+
+    def __init__(self, ops: tuple[IROp, ...], types: dict[ValueId, ValueType],
+                 names: dict[ValueId, str] | None = None) -> None:
+        self.ops = ops
+        self.types = types
+        self.names = {} if names is None else names
 
     def walk(self) -> Iterator[tuple[tuple[int, ...], IROp]]:
         """Yield (path, op) for every op, descending into equation regions.

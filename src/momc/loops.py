@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
 from typing import Union
 
 from . import ir
 from .chain import pattern_cost
 from .errors import UnresolvedTerm
 from .properties import ElemKind, StoredPattern, stored_pattern
+from .record import Record
 
 TensorId = int
 # An integer interval holding every entry of a tensor; None is unknown.
@@ -49,54 +49,69 @@ class ExecMode(enum.Enum):
     SPECIALIZED = "specialized"
 
 
-@dataclass(slots=True)
-class Alloc:
-    tensor: TensorId
-    # The tensor this one is the transposed view of, allocated above; None
-    # for a fresh buffer.
-    source: TensorId | None = None
+class Alloc(Record):
+    __slots__ = ("tensor", "source")
+
+    def __init__(self, tensor: TensorId, source: TensorId | None = None) -> None:
+        self.tensor = tensor
+        # The tensor this one is the transposed view of, allocated above; None
+        # for a fresh buffer.
+        self.source = source
 
 
-@dataclass(slots=True)
-class Fill:
-    tensor: TensorId
-    value: float
-    pattern: StoredPattern
+class Fill(Record):
+    __slots__ = ("tensor", "value", "pattern")
+
+    def __init__(self, tensor: TensorId, value: float, pattern: StoredPattern) -> None:
+        self.tensor = tensor
+        self.value = value
+        self.pattern = pattern
 
 
-@dataclass(slots=True)
-class MatMul:
-    a: TensorId
-    b: TensorId
-    out: TensorId
-    pa: StoredPattern
-    pb: StoredPattern
-    exact: bool  # no step of the product rounds, in any order
-    mults: int  # the multiplications of stored entries, as the DP prices them
+class MatMul(Record):
+    __slots__ = ("a", "b", "out", "pa", "pb", "exact", "mults")
+
+    def __init__(self, a: TensorId, b: TensorId, out: TensorId, pa: StoredPattern,
+                 pb: StoredPattern, exact: bool, mults: int) -> None:
+        self.a = a
+        self.b = b
+        self.out = out
+        self.pa = pa
+        self.pb = pb
+        self.exact = exact  # no step of the product rounds, in any order
+        self.mults = mults  # the multiplications of stored entries, as the DP prices them
 
 
-@dataclass(slots=True)
-class Add:
-    a: TensorId
-    b: TensorId
-    out: TensorId
+class Add(Record):
+    __slots__ = ("a", "b", "out")
+
+    def __init__(self, a: TensorId, b: TensorId, out: TensorId) -> None:
+        self.a = a
+        self.b = b
+        self.out = out
 
 
-@dataclass(slots=True)
-class Print:
-    tensor: TensorId
-    pattern: StoredPattern
-    interval: Interval
+class Print(Record):
+    __slots__ = ("tensor", "pattern", "interval")
+
+    def __init__(self, tensor: TensorId, pattern: StoredPattern,
+                 interval: Interval) -> None:
+        self.tensor = tensor
+        self.pattern = pattern
+        self.interval = interval
 
 
 LoopOp = Union[Alloc, Fill, MatMul, Add, Print]
 
 
-@dataclass(slots=True)
-class LoopModule:
-    ops: tuple[LoopOp, ...]
-    # The lowered module's symbol table, in which no term is left.
-    tensors: dict[TensorId, ir.MatrixType] = field(default_factory=dict)
+class LoopModule(Record):
+    __slots__ = ("ops", "tensors")
+
+    def __init__(self, ops: tuple[LoopOp, ...],
+                 tensors: dict[TensorId, ir.MatrixType] | None = None) -> None:
+        self.ops = ops
+        # The lowered module's symbol table, in which no term is left.
+        self.tensors = {} if tensors is None else tensors
 
 
 # 2**p: every integer of at most this magnitude is exact in f32, in f64.

@@ -27,11 +27,11 @@ check.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 from .errors import NonSquareStructuralProperty, UnknownProperty
+from .record import Record
 
 
 class ElemKind(enum.Enum):
@@ -77,17 +77,22 @@ class StoredPattern(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
-class PropertySet:
+class PropertySet(Record):
     """One of the five closed property sets below; equality is identity.
 
     `generators` is the smallest subset whose closure is `members`, in
     `Property` order, and `pattern` the region the set stores.
     """
 
-    members: frozenset[Property]
-    generators: tuple[Property, ...]
-    pattern: StoredPattern
+    __slots__ = ("members", "generators", "pattern")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, members: frozenset[Property], generators: tuple[Property, ...],
+                 pattern: StoredPattern) -> None:
+        self.members = members
+        self.generators = generators
+        self.pattern = pattern
 
     @staticmethod
     def closure(props: Iterable[Property]) -> "PropertySet":

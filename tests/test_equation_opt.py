@@ -1,6 +1,5 @@
 """Type resolution with identity simplification, rematerialization."""
 
-import dataclasses
 import random
 
 import numpy as np
@@ -8,6 +7,7 @@ import pytest
 
 from momc import equation_opt as eo
 from momc import ir
+from momc.chain import ChainSolution
 from momc.equation_opt import AddN, Leaf, MulN, Trans
 from momc.errors import ResolutionError
 from momc.executor import ExecMode
@@ -312,7 +312,8 @@ def test_emitted_types_equal_inferred_types(monkeypatch, opt):
     def recording_solve(chain):
         sol = solve(chain)
         if opt:
-            return dataclasses.replace(sol, tree=EmittedTree(sol.tree, chain, sol))
+            return ChainSolution(sol.cost, sol.split, sol.props,
+                                 EmittedTree(sol.tree, chain, sol), sol.total_cost)
         solved.append((chain, sol))
         return sol
 

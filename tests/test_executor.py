@@ -8,7 +8,6 @@ as lowering gives them, equal the chain cost model exactly.
 """
 
 import collections
-import dataclasses
 import math
 import random
 import re
@@ -887,9 +886,22 @@ def _fractional(rng, text):
 
 def _without_proof(lm):
     """lm with no product proved exact."""
-    return LoopModule(tuple(dataclasses.replace(op, exact=False)
+    return LoopModule(tuple(loops.MatMul(op.a, op.b, op.out, op.pa, op.pb, False, op.mults)
                             if isinstance(op, loops.MatMul) else op
                             for op in lm.ops), lm.tensors)
+
+
+def _counts(lm, mode):
+    """Each product's count by op index, worked out apart from lowering's:
+    rows * inner * cols in dense mode, the oracle's span sum of its patterns
+    in specialized mode."""
+    counts = {}
+    for idx, op in enumerate(lm.ops):
+        if isinstance(op, loops.MatMul):
+            ta, tb = lm.tensors[op.a], lm.tensors[op.b]
+            counts[idx] = (ta.rows * ta.cols * tb.cols if mode is ExecMode.DENSE
+                           else stored_mults(op.pa, op.pb, ta.rows, ta.cols, tb.cols))
+    return counts
 
 
 def test_dense_mode_passes_lowerings_proof(monkeypatch):
@@ -944,7 +956,7 @@ def test_generated_programs_bit_identical_through_the_exact_path(
                 same_print(fast_report.printed, loop_report.printed)
                 for tid in lm.tensors:
                     assert fast.buffers[tid].tobytes() == loop.buffers[tid].tobytes()
-                assert fast_report.mults == loop_report.mults
+                assert fast_report.mults == loop_report.mults == _counts(lm, mode)
     assert len(matmul_calls) > 300
 
 
@@ -962,6 +974,16 @@ def _real_realization(rng, props, rows, cols, dtype):
             x[i, j] = 0.0
     x[rng.random((rows, cols)) < 0.1] = -0.0
     return x.astype(dtype)
+
+
+def _brute_mults(pa, pb, m, k, n, mode):
+    """The (i, t, j) with a's (i, t) and b's (t, j) both stored, counted on
+    masks: every one in dense mode."""
+    if mode is ExecMode.DENSE:
+        return m * k * n
+    in_a = np.broadcast_to(pattern_contains(pa.pattern, *np.ogrid[:m, :k]), (m, k))
+    in_b = np.broadcast_to(pattern_contains(pb.pattern, *np.ogrid[:k, :n]), (k, n))
+    return int((in_a.astype(np.int64) @ in_b.astype(np.int64)).sum())
 
 
 def test_small_path_matches_the_loop_bit_for_bit(monkeypatch, accumulate_calls):
@@ -983,7 +1005,7 @@ def test_small_path_matches_the_loop_bit_for_bit(monkeypatch, accumulate_calls):
                     monkeypatch, a, b, pa, pb, SMALL_PATH, mode)
                 assert accumulate_calls == [(m, k, n)]
                 assert got.tobytes() == loop.tobytes(), (m, k, n, pa, pb, mode)
-                assert n_got == n_loop
+                assert n_got == n_loop == _brute_mults(pa, pb, m, k, n, mode)
 
 
 def test_generated_programs_bit_identical_through_the_small_path(
@@ -1008,7 +1030,7 @@ def test_generated_programs_bit_identical_through_the_small_path(
             same_print(on_report.printed, off_report.printed)
             for tid in lm.tensors:
                 assert on.buffers[tid].tobytes() == off.buffers[tid].tobytes()
-            assert on_report.mults == off_report.mults
+            assert on_report.mults == off_report.mults == _counts(lm, mode)
     assert len(accumulate_calls) > 300
 
 

@@ -300,18 +300,30 @@ def test_every_product_with_known_operands_is_exact_iff_the_oracle_bound_holds()
     assert len(seen) == 4
 
 
-def test_only_the_executor_imports_numpy():
-    """The facts pass and the rest of the compiler run on Python ints: in
-    src/momc, only executor.py imports numpy."""
+def importers_of(module):
+    """The src/momc files that import `module` or a submodule of it."""
     importers = []
     for path in sorted((ROOT / "src" / "momc").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom)
                      else [])
-            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+            if any(n == module or n.startswith(module + ".") for n in names):
                 importers.append(path.name)
-    assert importers == ["executor.py"]
+    return importers
+
+
+def test_only_the_executor_imports_numpy():
+    """The facts pass and the rest of the compiler run on Python ints: in
+    src/momc, only executor.py imports numpy."""
+    assert importers_of("numpy") == ["executor.py"]
+
+
+def test_no_module_imports_dataclasses():
+    """Records are written out on `record.Record`: `dataclasses`, with the
+    `inspect` it loads and the methods it generates for each class at import,
+    would add to the start of every process."""
+    assert importers_of("dataclasses") == []
 
 
 def test_no_module_imports_the_executor_at_import_time():

@@ -1,8 +1,6 @@
 """Lexer, parser (names checked and constants resolved as it reads), the
 diagnostics it reports, and the pretty-print round trip."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -396,10 +394,11 @@ def _resolved(ast, scale):
             return type(e)(tuple(expr(o) for o in e.operands))
         return e
 
-    decls = tuple(replace(d, rows=dim(d.rows), cols=dim(d.cols))
-                  if isinstance(d, MatrixDecl) else replace(d, order=dim(d.order))
+    decls = tuple(MatrixDecl(d.name, dim(d.rows), dim(d.cols), d.props, d.elem, d.fill, d.loc)
+                  if isinstance(d, MatrixDecl) else IdentityDecl(d.name, dim(d.order), d.elem, d.loc)
                   for d in ast.decls)
-    stmts = tuple(replace(s, expr=expr(s.expr)) for s in ast.stmts)
+    stmts = tuple(Assign(s.target, expr(s.expr), s.loc) if isinstance(s, Assign)
+                  else PrintStmt(expr(s.expr), s.loc) for s in ast.stmts)
     return Ast(ast.consts, decls, stmts)
 
 

@@ -3,7 +3,6 @@
 import itertools
 import os
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -245,7 +244,7 @@ def test_matrix_types_are_frozen_and_shared_within_a_module():
     # `identity=True` by keyword.
     assert m.names[2] == "I" and 3 not in m.names
     assert m.types[2].identity and m.types[2] is m.types[3]
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         m.types[0].rows = 5
 
 

@@ -2,14 +2,15 @@
 
     python tools/cli_times.py OLD_ROOT NEW_ROOT [-n N]
 
+The first row times `python -c "import momc"`, the start-up every run pays.
 The programs are written once to a temporary directory: `examples/listing1.mom`,
 `examples/chain4.mom` and `stmts660.mom`, perfbench's largest timed
 `many-stmts` program at seed 1 (about 3,000 lines), all taken from the
 checkout this script sits in. Each runs with `--emit=loops` and with `--run`.
-For every (program, flags) pair the script starts N (default 15) fresh
-interpreters per checkout, alternating the sides and which of them goes
-first, with PYTHONPATH set to ROOT/src and PYTHONDONTWRITEBYTECODE=1, and
-times each from start to exit. It prints, per pair, the exit code, each
+For the import and every (program, flags) pair the script starts N
+(default 15) fresh interpreters per checkout, alternating the sides and which
+of them goes first, with PYTHONPATH set to ROOT/src and
+PYTHONDONTWRITEBYTECODE=1, and times each from start to exit. It prints, per row, the exit code, each
 side's median wall time, their ratio and the number of rounds in which the
 new side was faster; then whether each checkout's `src/momc` holds bytecode,
 since bytecode on one side only skews the comparison. It exits 1 if any run's
@@ -51,11 +52,11 @@ def write_programs(directory: str) -> list[str]:
 
 
 def run(root: str, argv: list[str]) -> tuple[float, int, bytes]:
-    """(wall seconds, exit code, stdout) of one fresh `python -m momc`."""
+    """(wall seconds, exit code, stdout) of one fresh `python *argv`."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                PYTHONDONTWRITEBYTECODE="1")
     t0 = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "momc", *argv], env=env,
+    done = subprocess.run([sys.executable, *argv], env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                           timeout=600)
     return time.perf_counter() - t0, done.returncode, done.stdout
@@ -77,24 +78,25 @@ def main() -> int:
     print(f"{'program':<14}{'flags':<14}{'exit':>5}{'old':>9}{'new':>9}"
           f"{'new/old':>9}  new faster")
     with tempfile.TemporaryDirectory(prefix="cli_times_") as directory:
-        for path in write_programs(directory):
-            for flags in FLAGS:
-                times: list[list[float]] = [[], []]
-                want = None
-                for i in range(args.n):
-                    for side in (0, 1) if i % 2 == 0 else (1, 0):
-                        dt, code, out = run(roots[side], [path, *flags])
-                        times[side].append(dt)
-                        if want is None:
-                            want = (code, out)
-                        elif (code, out) != want:
-                            differ.append((os.path.basename(path),
-                                           " ".join(flags), side))
-                old, new = (statistics.median(t) for t in times)
-                faster = sum(b < a for a, b in zip(*times))
-                print(f"{os.path.basename(path):<14}{' '.join(flags):<14}"
-                      f"{want[0]:>5}{old * 1e3:9.1f}{new * 1e3:9.1f}"
-                      f"{new / old:9.3f}  {faster}/{args.n}", flush=True)
+        rows = [("import momc", "", ["-c", "import momc"])] + [
+            (os.path.basename(path), " ".join(flags), ["-m", "momc", path, *flags])
+            for path in write_programs(directory) for flags in FLAGS]
+        for name, flags, argv in rows:
+            times: list[list[float]] = [[], []]
+            want = None
+            for i in range(args.n):
+                for side in (0, 1) if i % 2 == 0 else (1, 0):
+                    dt, code, out = run(roots[side], argv)
+                    times[side].append(dt)
+                    if want is None:
+                        want = (code, out)
+                    elif (code, out) != want:
+                        differ.append((name, flags, side))
+            old, new = (statistics.median(t) for t in times)
+            faster = sum(b < a for a, b in zip(*times))
+            print(f"{name:<14}{flags:<14}"
+                  f"{want[0]:>5}{old * 1e3:9.1f}{new * 1e3:9.1f}"
+                  f"{new / old:9.3f}  {faster}/{args.n}", flush=True)
     for side, root in zip(("old", "new"), roots):
         cache = os.path.isdir(os.path.join(root, "src", "momc", "__pycache__"))
         print(f"{side} src/momc/__pycache__: {'present' if cache else 'absent'}")
