@@ -29,7 +29,7 @@ from .chain import (
 )
 from .errors import ResolutionError
 from .properties import infer_add, infer_mul, infer_transpose
-from .record import Record
+from .record import Record, pauses_collector
 
 
 class Leaf(Record):
@@ -185,6 +185,7 @@ def _leaf_name(e: SymExpr, module: ir.IRModule) -> str:
     return "(" + sep.join(_leaf_name(c, module) for c in e.children) + ")"
 
 
+@pauses_collector
 def optimize_and_rematerialize(module: ir.IRModule,
                                options: OptOptions = OptOptions()) -> OptResult:
     """Process every equation and rebuild the module as low-level binary IR.

@@ -27,8 +27,8 @@ groups flatten too, so no Mul has a Mul child and no Add has an Add child.
 The lexer takes every lexeme, blanks and comments included, from one
 `findall` and classifies it by dict lookups. A token is an exact
 `(kind, text, line, col)` tuple of a `TokenKind` string, the text and two
-ints, so the cyclic GC untracks it at its first collection and a long token
-list does not slow later ones (a NamedTuple would stay tracked). The parser
+ints, so the cyclic GC untracks it at its first collection (at `tokenize`'s
+exit, for a long list); a NamedTuple would stay tracked. The parser
 reads tokens by index into the list, with no method call per token. AST
 nodes are slotted records (`record.Record`) whose equality skips `loc`.
 """
@@ -51,7 +51,7 @@ from .errors import (
     UseBeforeAssign,
 )
 from .properties import ElemKind, canonicalize
-from .record import Record
+from .record import Record, pauses_collector
 
 
 class Loc(NamedTuple):
@@ -109,6 +109,7 @@ _FIRST = (dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz",
           | dict.fromkeys("0123456789", INT) | dict.fromkeys(" \t\r#"))
 
 
+@pauses_collector
 def tokenize(text: str) -> list[Token]:
     """Lex a program into tokens carrying 1-based line/column positions."""
     tokens: list[Token] = []
@@ -556,6 +557,7 @@ _STATEMENTS = {KW_MATRIX: _Parser.parse_matrix_decl, KW_PRINT: _Parser.parse_pri
                IDENT: _Parser.parse_const_or_assign}
 
 
+@pauses_collector
 def parse(tokens: list[Token], scale: int = 1) -> Ast:
     """Parse a token stream into a checked Ast whose dimensions are
     resolved and divided by `scale` (clamped to at least 1)."""

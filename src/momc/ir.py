@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Union
 from . import frontend as fe
 from .errors import CompileError
 from .properties import DIAGONAL_PROPS, EMPTY_PROPS, ElemKind, PropertySet, canonicalize
-from .record import Record
+from .record import Record, pauses_collector
 
 ValueId = int
 
@@ -255,6 +255,7 @@ def _build_region(e: fe.Expr, env: dict[str | int, ValueId], new_value: Callable
     return v
 
 
+@pauses_collector
 def build_ir(ast: fe.Ast) -> IRModule:
     """Lower an Ast: one init+fill per input, one equation per computed value.
 
@@ -326,6 +327,7 @@ def operand_type_error(op: Mul | Add, types: list[MatrixType]) -> str | None:
     return None
 
 
+@pauses_collector
 def verify(m: IRModule) -> list[CompileError]:
     """Structural checks; an empty list means the module is valid.
 

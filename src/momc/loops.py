@@ -37,7 +37,7 @@ from . import ir
 from .chain import pattern_cost
 from .errors import UnresolvedTerm
 from .properties import ElemKind, StoredPattern, stored_pattern
-from .record import Record
+from .record import Record, pauses_collector
 
 TensorId = int
 # An integer interval holding every entry of a tensor; None is unknown.
@@ -119,6 +119,7 @@ _F32_EXACT, _F64_EXACT = 1 << 24, 1 << 53
 _F32_BYTES = struct.Struct("f")
 
 
+@pauses_collector
 def lower_to_loops(m: ir.IRModule) -> LoopModule:
     """Lower a fully resolved, rematerialized module to loop ops, with the
     stored patterns and the value facts of the module docstring."""

@@ -12,7 +12,6 @@ the span sum the executor once ran (`oracle.stored_mults`).
 """
 
 import ast
-import importlib.util
 import inspect
 import random
 import re
@@ -29,20 +28,10 @@ from momc.properties import ElemKind
 
 from gen import default_seed, random_program
 from oracle import all_integral, is_exact_product, stored_mults
-from util import optimize_text
+from util import load_programs, optimize_text
 
 ROOT = Path(__file__).resolve().parent.parent
 F32_EXACT, F64_EXACT = 2 ** 24, 2 ** 53
-
-
-def load_programs():
-    """perfbench/programs.py as a module, read from its file (its
-    dataclasses need the module in `sys.modules`)."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_programs", ROOT / "perfbench" / "programs.py")
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)
-    return module
 
 
 def every_tensor_printed(m: ir.IRModule) -> ir.IRModule:

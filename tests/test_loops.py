@@ -7,13 +7,14 @@ import re
 
 import pytest
 
-from momc import equation_opt, frontend, ir, loops
+from momc import equation_opt, frontend, ir, loops, record
 from momc.cli import render_chain_report
-from momc.errors import CompileError, UnresolvedTerm
+from momc.equation_opt import OptOptions
+from momc.errors import CompileError, LexError, ParseError, UnresolvedTerm
 from momc.properties import Property, PropertySet, StoredPattern
 
 from gen import default_seed, random_program
-from util import compile_text, lower_text, optimize_text
+from util import compile_text, load_programs, lower_text, optimize_text
 
 LOWER = PropertySet.closure((Property.LOWER_TRIANGULAR,))
 
@@ -184,10 +185,24 @@ def _examples_and_generated_programs():
     return texts + [random_program(rng) for _ in range(30)]
 
 
+def _workload_programs():
+    """The timed programs of perfbench's three workloads at seed 1."""
+    programs = load_programs()
+    return [p.text for workload in ("chain-dp", "kernels", "many-stmts")
+            for p in programs.generate(workload, 1)[1] if p.timed]
+
+
 def test_a_compile_leaves_no_cyclic_garbage():
     """No pass makes a reference cycle, so reference counts free a dropped
-    compile's tokens, modules and loop IR without the cyclic collector."""
-    texts = _examples_and_generated_programs()
+    compile's tokens, modules and loop IR without the cyclic collector:
+    the examples, generated programs and perfbench's workloads, optimized
+    in full, without identity elimination and without chain reordering.
+    Each stage runs with the collector paused (`record.pauses_collector`),
+    so a cycle one made would wait for a later collection; this keeps that
+    at none."""
+    texts = _examples_and_generated_programs() + _workload_programs()
+    variants = [OptOptions(), OptOptions(simplify_identities=False),
+                OptOptions(reorder_chains=False)]
     gc.collect()
     gc.disable()
     try:
@@ -195,9 +210,11 @@ def test_a_compile_leaves_no_cyclic_garbage():
             tokens = frontend.tokenize(text)
             module = ir.build_ir(frontend.parse(tokens))
             assert not ir.verify(module)
-            opt = equation_opt.optimize_and_rematerialize(module)
-            lowered = loops.lower_to_loops(opt.module)
-            del tokens, module, opt, lowered
+            for options in variants:
+                opt = equation_opt.optimize_and_rematerialize(module, options)
+                lowered = loops.lower_to_loops(opt.module)
+                del opt, lowered
+            del tokens, module
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -224,6 +241,8 @@ def test_the_dumps_leave_no_cyclic_garbage():
         gc.enable()
 
 
+LEX_ERROR = "Matrix A(2, 2) <>\nB = A $ A\n"
+PARSE_ERROR = "Matrix A(2, 2) <>\nB = A * \n"
 FAILING_OPTIMIZATIONS = [
     # A sum of 3x3s times a 4x4 identity.
     "Matrix A(3, 3) <>\nB = (A + A) * Identity(4)\n",
@@ -236,8 +255,9 @@ FAILING_OPTIMIZATIONS = [
 
 def test_a_failed_compile_leaves_no_cyclic_garbage():
     """The optimizer's closures break their cycles when they raise too, and
-    `build_ir` makes none: each failing program, and an Ast naming a matrix
-    it never declared, leaves nothing for the cyclic collector."""
+    the lexer, the parser and `build_ir` make none: each failing program, a
+    lex error, a parse error and an Ast naming a matrix it never declared
+    leave nothing for the cyclic collector."""
     unknown = frontend.parse(frontend.tokenize(
         "Matrix A(2, 2) <>\nC = A * A\nprint(C)\n"))
     unknown.stmts[0].expr.operands[1].name = "Z"
@@ -245,6 +265,10 @@ def test_a_failed_compile_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         for _ in range(10):
+            with pytest.raises(LexError):
+                frontend.tokenize(LEX_ERROR)
+            with pytest.raises(ParseError):
+                frontend.parse(frontend.tokenize(PARSE_ERROR))
             for text in FAILING_OPTIMIZATIONS:
                 module = ir.build_ir(frontend.parse(frontend.tokenize(text)))
                 assert not ir.verify(module)
@@ -256,3 +280,139 @@ def test_a_failed_compile_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# 1,002 statements: two declarations and 500 assignments, each printed.
+LONG_PROGRAM = ("Matrix A(6, 6) <LowerTriangular>\nMatrix B(6, 4) <>\n"
+                + "".join(f"C{i} = A * A * B + B\nprint(C{i})\n" for i in range(500)))
+STAGES = ["tokenize", "parse", "build_ir", "verify", "optimize", "lower"]
+# Young objects short of the threshold when a stage is called: more than a
+# call allocates before the stage turns the collector off, and fewer than
+# any stage keeps of what it makes from LONG_PROGRAM.
+SLACK = 4
+
+
+def _stage_call(stage: str, text: str):
+    """(stage function, its arguments) for `stage` on text, each stage fed
+    what the one before it returned."""
+    tokens = frontend.tokenize(text)
+    ast = frontend.parse(tokens)
+    module = ir.build_ir(ast)
+    if stage == "lower":
+        return loops.lower_to_loops, (equation_opt.optimize_and_rematerialize(module).module,)
+    return {"tokenize": (frontend.tokenize, (text,)),
+            "parse": (frontend.parse, (tokens,)),
+            "build_ir": (ir.build_ir, (ast,)),
+            "verify": (ir.verify, (module,)),
+            "optimize": (equation_opt.optimize_and_rematerialize, (module,))}[stage]
+
+
+def _young_left_by(fn, args) -> int:
+    """How many young objects fn(*args) leaves, with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        result = fn(*args)  # noqa: F841 (kept alive to be counted)
+        return gc.get_count()[0] - before
+    finally:
+        gc.enable()
+
+
+def _collections_around(fn, args, enabled: bool):
+    """Call fn(*args) with the collector on or off and the young generation
+    SLACK objects short of its threshold. Return the generations collected
+    during the call, whether the collector is on after it, and the young
+    count after it."""
+    generations = []
+
+    def on_gc(phase: str, info: dict) -> None:
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()
+    gc.disable()
+    ballast = []
+    while gc.get_count()[0] < gc.get_threshold()[0] - SLACK:
+        ballast.append([])
+    gc.callbacks.append(on_gc)
+    try:
+        if enabled:
+            gc.enable()
+        result = fn(*args)  # noqa: F841 (kept alive to be counted)
+        on = gc.isenabled()
+        gc.disable()
+        return generations, on, gc.get_count()[0]
+    finally:
+        gc.callbacks.remove(on_gc)
+        gc.enable()
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_stage_pauses_the_collector(stage):
+    """Each compile stage is wrapped by `record.pauses_collector`, and
+    nothing else in the compile is: `execute`, the dumps and the chain
+    solver run as they are."""
+    fn, _ = _stage_call(stage, LISTING)
+    assert fn.__wrapped__.__name__ == fn.__name__
+    assert fn.__code__ is record.pauses_collector(len).__code__
+    paused = {name for mod in (frontend, ir, equation_opt, loops)
+              for name, f in vars(mod).items()
+              if getattr(f, "__code__", None) is fn.__code__}
+    assert paused == {"tokenize", "parse", "build_ir", "verify",
+                      "optimize_and_rematerialize", "lower_to_loops"}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_stage_collects_once_at_most_and_at_its_exit(stage):
+    """With the collector on, a stage on a program of over 1,000 statements
+    sees one collection at most, of generation 0, and leaves the young
+    generation within its threshold: it collects at its exit what it would
+    have collected inside, and no older generation. Unpaused, tokenize
+    alone would see about ten collections here."""
+    fn, args = _stage_call(stage, LONG_PROGRAM)
+    assert _young_left_by(fn.__wrapped__, args) > SLACK
+    generations, on, young = _collections_around(fn, args, enabled=True)
+    assert on
+    assert generations in ([], [0])
+    assert young <= gc.get_threshold()[0]
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_stage_leaves_an_off_collector_off(stage):
+    """A caller that turned the collector off keeps it off through a stage,
+    which collects nothing, though it leaves the young generation past its
+    threshold."""
+    fn, args = _stage_call(stage, LONG_PROGRAM)
+    generations, on, young = _collections_around(fn, args, enabled=False)
+    assert not on
+    assert generations == []
+    assert young > gc.get_threshold()[0]
+
+
+def _undeclared_name_ast() -> frontend.Ast:
+    ast = frontend.parse_source("Matrix A(2, 2) <>\nC = A * A\nprint(C)\n")
+    ast.stmts[0].expr.operands[1].name = "Z"
+    return ast
+
+
+RAISING_STAGES = {
+    "tokenize": (lambda: frontend.tokenize(LEX_ERROR), LexError),
+    "parse": (lambda: frontend.parse(frontend.tokenize(PARSE_ERROR)), ParseError),
+    "build_ir": (lambda: ir.build_ir(_undeclared_name_ast()), KeyError),
+    **{f"optimize-{i}": (lambda text=text: equation_opt.optimize_and_rematerialize(
+        ir.build_ir(frontend.parse_source(text))), CompileError)
+       for i, text in enumerate(FAILING_OPTIMIZATIONS)},
+}
+
+
+@pytest.mark.parametrize("case", RAISING_STAGES)
+def test_a_stage_that_raises_turns_the_collector_on_again(case):
+    """The collector is on again after a stage raises: a lex error, a parse
+    error, an undeclared name in a hand-edited Ast, and each failing
+    optimization."""
+    call, error = RAISING_STAGES[case]
+    assert gc.isenabled()
+    with pytest.raises(error):
+        call()
+    assert gc.isenabled()

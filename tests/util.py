@@ -2,9 +2,24 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 from momc import equation_opt, executor, frontend, ir, loops
 from momc.equation_opt import OptOptions
 from momc.properties import StoredPattern
+
+
+def load_programs():
+    """perfbench/programs.py as a module, read from its file (its
+    dataclasses need the module in `sys.modules`)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_programs", Path(__file__).resolve().parent.parent / "perfbench"
+        / "programs.py")
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)
+    return module
 
 
 def pattern_contains(pattern: StoredPattern, i: int, j: int) -> bool:

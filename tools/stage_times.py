@@ -10,25 +10,31 @@ compiles and runs every timed program once through the same calls as
 perfbench (`tokenize`, `parse`, `build_ir`, `verify`,
 `optimize_and_rematerialize`, `lower_to_loops`, then `execute` once), with
 the cyclic collector on. The script prints, per stage, the median over the
-rounds of the stage's time summed over the programs, and the median time
-the collector spent inside it, measured from `gc.callbacks`; then the same
-for the executor's kernels inside `execute` (matmul, print, fill, alloc and
-add), timed by wrapping `run_matmul`, `format_print`, `run_fill`, `_zeros`
-and `run_add` for the round; then the median number of collections per
-generation in one round. With `--ops K` it then lists the K slowest kernel
-calls of `execute`, by the median of each call's time over the rounds (a
-round makes the same calls in the same order), each as its program, kernel,
-shape, dtype, stored patterns and, for a matmul, lowering's `exact` and the
-path and band count that the executor's own rule (`executor.matmul_path`)
-gives it on this host; a checkout without that rule shows neither. The
-path is `blas` (one BLAS call: an exact product whose result fits one
-`EXACT_TILE` square), `tiles` (a larger exact one), `small` or `loop`; the
-patterns, `exact` and the count the rule reads are the arguments
-`run_matmul` receives (an older checkout's `run_matmul` returned the
-count), so a dense product shows FULL twice and its own `exact`, and is
-banded by its whole rectangle's mults, as `Executor.run` passes. Each
-program's calls are described once its `execute` has returned, so `--ops`
-leaves the `execute` row as it reads without it.
+rounds of the stage's time summed over the programs, the median time the
+collector spent inside it, measured from `gc.callbacks`, and for each
+generation (0, 1 and 2, the last a full collection) the median time and
+number of that generation's collections inside it; the `compile` row sums
+the six compile stages. Then it prints the stage time and collector time
+for the executor's kernels inside `execute` (matmul, print, fill, alloc
+and add), timed by wrapping `run_matmul`, `format_print`, `run_fill`,
+`_zeros` and `run_add` for the round, and the median number of collections
+per generation in one round. Since the compile stages pause the collector
+and collect generation 0 at most once on their exit, a checkout with that
+pause shows few collections in them and no gen-1 or full one. With
+`--ops K` it then lists the K slowest kernel calls of `execute`, by the
+median of each call's time over the rounds (a round makes the same calls in
+the same order), each as its program, kernel, shape, dtype, stored patterns
+and, for a matmul, lowering's `exact` and the path and band count that the
+executor's own rule (`executor.matmul_path`) gives it on this host; a
+checkout without that rule shows neither. The path is `blas` (one BLAS
+call: an exact product whose result fits one `EXACT_TILE` square), `tiles`
+(a larger exact one), `small` or `loop`; the patterns, `exact` and the
+count the rule reads are the arguments `run_matmul` receives (an older
+checkout's `run_matmul` returned the count), so a dense product shows FULL
+twice and its own `exact`, and is banded by its whole rectangle's mults, as
+`Executor.run` passes. Each program's calls are described once its
+`execute` has returned, so `--ops` leaves the `execute` row as it reads
+without it.
 
 The figures are raw wall times. To compare two checkouts, run the script on
 each in turn, a few times alternately, and compare medians.
@@ -68,6 +74,9 @@ class StageClock:
     def __init__(self, ops: bool, matmul_path) -> None:
         self.wall = dict.fromkeys([*STAGES, *KERNELS], 0.0)
         self.gc = dict.fromkeys([*STAGES, *KERNELS], 0.0)
+        # per stage, the collector's seconds and collections by generation
+        self.gen_s = {stage: [0.0, 0.0, 0.0] for stage in STAGES}
+        self.gen_n = {stage: [0, 0, 0] for stage in STAGES}
         self.collections = [0, 0, 0]
         self.stage = STAGES[0]
         self.kernel = None
@@ -86,10 +95,13 @@ class StageClock:
             self.gc_start = time.perf_counter()
         else:
             dt = time.perf_counter() - self.gc_start
+            gen = info["generation"]
             self.gc[self.stage] += dt
+            self.gen_s[self.stage][gen] += dt
+            self.gen_n[self.stage][gen] += 1
             if self.kernel is not None:
                 self.gc[self.kernel] += dt
-            self.collections[info["generation"]] += 1
+            self.collections[gen] += 1
 
     def wrap(self, kernel: str, fn):
         """fn, adding its wall time to `kernel`'s."""
@@ -207,15 +219,24 @@ def main() -> int:
     def ms(values) -> str:
         return f"{statistics.median(values) * 1e3:9.2f}"
 
+    def row(name: str, stages) -> str:
+        """A stage row: wall and collector ms, then ms and collections by
+        generation, each summed over `stages` within a round."""
+        text = (f"{name:<10}{ms([sum(r.wall[s] for s in stages) for r in rounds])}"
+                f"{ms([sum(r.gc[s] for s in stages) for r in rounds])}")
+        for g in range(3):
+            n = statistics.median(sum(r.gen_n[s][g] for s in stages) for r in rounds)
+            text += f"{ms([sum(r.gen_s[s][g] for s in stages) for r in rounds])}{n:6g}"
+        return text
+
     print(f"momc from {os.path.dirname(momc.__file__)}")
     print(f"{args.workload} seed {args.seed}: {len(texts)} timed programs, "
           f"{mode_name} mode, median of {args.rounds} rounds")
-    print(f"{'stage':<10}{'ms':>9}{'gc ms':>9}")
+    print(f"{'stage':<10}{'ms':>9}{'gc ms':>9}"
+          + "".join(f"{f'gen{g} ms':>9}{'n':>6}" for g in range(3)))
     for stage in STAGES:
-        print(f"{stage:<10}{ms([r.wall[stage] for r in rounds])}"
-              f"{ms([r.gc[stage] for r in rounds])}")
-    print(f"{'compile':<10}{ms([sum(r.wall[s] for s in COMPILE) for r in rounds])}"
-          f"{ms([sum(r.gc[s] for s in COMPILE) for r in rounds])}")
+        print(row(stage, (stage,)))
+    print(row("compile", COMPILE))
     print("execute by kernel:")
     for kernel in KERNELS:
         print(f"  {kernel:<8}{ms([r.wall[kernel] for r in rounds])}"
