@@ -1,4 +1,4 @@
-"""Command-line driver: parse -> IR -> optimize -> lower -> execute/benchmark.
+"""Command line: compile through `pipeline.stages`, then execute or benchmark.
 
 Exit codes: 0 on success, 1 on any frontend/verifier/runtime diagnostic,
 2 on invalid flags (argparse's convention). All stage dumps go to stdout and
@@ -13,7 +13,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import equation_opt, frontend, ir, loops
+from . import equation_opt, frontend, ir, loops, pipeline
 from .chain import ChainSolution, tree_string
 from .equation_opt import ChainReport, OptOptions
 from .errors import CompileError
@@ -201,45 +201,38 @@ def _main(argv: list[str] | None) -> int:
         print(f"momc: cannot read {cfg.input}: {e.strerror}", file=sys.stderr)
         return 1
 
+    options = OptOptions(simplify_identities=cfg.opt, reorder_chains=cfg.opt)
     try:
         _check_utf8(text)
-        ast = frontend.parse_source(text, cfg.scale)
-        if cfg.emit == "ast":
-            sys.stdout.write(frontend.pretty(ast))
-        module = ir.build_ir(ast)
-        errors = ir.verify(module)
-        if errors:
-            raise errors[0]
-        if cfg.emit == "ir":
-            sys.stdout.write(ir.print_ir(module))
-
-        if cfg.bench:
-            report = bench(module, cfg.mode, cfg.repeats)
-            sys.stdout.write(report.render())
-            if cfg.report and not _write_report(cfg.report, report.to_kv()):
-                return 1
-            return 0
-
-        options = OptOptions(simplify_identities=cfg.opt, reorder_chains=cfg.opt)
-        chosen = None
-        if cfg.emit == "chain":
-            # The chain report shows the optimizing run, even under --no-opt.
-            chosen = equation_opt.optimize_and_rematerialize(module, OptOptions())
-            for rep in chosen.chains:
-                sys.stdout.write(render_chain_report(rep))
-        if chosen is None or not cfg.opt:
-            chosen = equation_opt.optimize_and_rematerialize(module, options)
-        if cfg.emit == "ir-opt":
-            sys.stdout.write(ir.print_ir(chosen.module))
-        lm = loops.lower_to_loops(chosen.module)
-        if cfg.emit == "loops":
-            sys.stdout.write(loops.print_loops(lm))
+        for stage, result, _ in pipeline.stages(text, cfg.scale, options):
+            if stage == "parse" and cfg.emit == "ast":
+                sys.stdout.write(frontend.pretty(result))
+            elif stage == "verify":
+                module = result
+                if cfg.emit == "ir":
+                    sys.stdout.write(ir.print_ir(module))
+                if cfg.bench:
+                    report = bench(module, cfg.mode, cfg.repeats)
+                    sys.stdout.write(report.render())
+                    if cfg.report and not _write_report(cfg.report, report.to_kv()):
+                        return 1
+                    return 0
+            elif stage == "optimize" and cfg.emit == "chain":
+                # The chain report shows the optimizing run, even under --no-opt.
+                shown = result if cfg.opt else equation_opt.optimize_and_rematerialize(
+                    module, OptOptions())
+                sys.stdout.write("".join(map(render_chain_report, shown.chains)))
+            elif stage == "optimize" and cfg.emit == "ir-opt":
+                sys.stdout.write(ir.print_ir(result.module))
+            elif stage == "lower" and cfg.emit == "loops":
+                sys.stdout.write(loops.print_loops(result))
 
         if cfg.run:
             from . import executor
             # Only the report's timings need more than one run.
             repeats = cfg.repeats if cfg.report else 1
-            run_report = executor.execute(lm, cfg.mode, repeats)
+            # The loop ended on the last stage: `result` is the loop module.
+            run_report = executor.execute(result, cfg.mode, repeats)
             for block in run_report.printed:
                 sys.stdout.write(block + "\n")
             if cfg.report and not _write_report(cfg.report, run_report.to_kv()):

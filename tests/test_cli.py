@@ -17,6 +17,7 @@ from momc.frontend import MAX_CHAIN_OPERANDS, MAX_NESTING, parse_source
 from momc.ir import build_ir, print_ir
 
 import gen
+from util import optimize_text
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 LISTING1 = os.path.join(EXAMPLES, "listing1.mom")
@@ -263,11 +264,22 @@ def test_numpy_loads_only_when_something_runs(flags, loads):
     assert loads or slow == "[]"
 
 
+def test_a_compile_through_the_driver_loads_no_numpy():
+    out = fresh_interpreter(
+        "import sys\nfrom momc.pipeline import stages\n"
+        f"text = open({LISTING1!r}, encoding='utf-8').read()\n"
+        "print([stage for stage, _, _ in stages(text)])\n"
+        "print('numpy' in sys.modules)")
+    assert out.splitlines() == [
+        "['tokenize', 'parse', 'build_ir', 'verify', 'optimize', 'lower']", "False"]
+
+
 def test_a_bare_import_leaves_numpy_out_and_reaches_every_public_name():
-    """`dataclasses` and `inspect` stay out too."""
+    """`dataclasses`, `inspect` and the compile driver stay out too."""
     out = fresh_interpreter(
         "import sys, momc\n"
-        "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted({'numpy', 'dataclasses', 'inspect', 'momc.pipeline'}"
+        " & set(sys.modules)))\n"
         "print(sorted({'executor', 'execute', 'Executor', 'ExecutionReport'}"
         " - set(dir(momc))))\n"
         "print(momc.executor.__name__, 'numpy' in sys.modules)\n"
@@ -566,6 +578,16 @@ def test_emit_chain_scaled(capsys):
     assert code == 0
     assert "A1[200x275,[]]" in out
     assert "optimal: (A1*(A2*(A3*A4)))" in out
+
+
+def test_emit_chain_no_opt_reports_the_optimizing_run(capsys):
+    """The `--no-opt` run keeps `I` in the chains of `C = A * I` and
+    `D = I * I`; the optimizing run drops it and has no chain to report."""
+    with open(IDENTITY, encoding="utf-8") as f:
+        assert any("I" in rep.operand_names
+                   for rep in optimize_text(f.read(), opt=False).chains)
+    _, want, _ = run_cli(capsys, IDENTITY, "--emit=chain")
+    assert run_cli(capsys, IDENTITY, "--emit=chain", "--no-opt") == (0, want, "")
 
 
 def test_emit_ast_shows_resolved_dims(capsys):

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from functools import partial
 from pathlib import Path
 
-from momc import equation_opt, executor, frontend, ir, loops
+from momc import executor, pipeline
 from momc.equation_opt import OptOptions
 from momc.properties import StoredPattern
 
@@ -33,22 +34,16 @@ def pattern_contains(pattern: StoredPattern, i: int, j: int) -> bool:
     return i == j
 
 
-def compile_text(text: str) -> ir.IRModule:
-    ast = frontend.parse_source(text)
-    module = ir.build_ir(ast)
-    diags = ir.verify(module)
-    assert not diags, [str(d) for d in diags]
-    return module
-
-
-def optimize_text(text: str, opt: bool = True) -> equation_opt.OptResult:
-    module = compile_text(text)
+def stage_result(stage: str, text: str, opt: bool = True):
+    """What the driver's `stage` yields for `text`, optimized or not."""
     options = OptOptions(simplify_identities=opt, reorder_chains=opt)
-    return equation_opt.optimize_and_rematerialize(module, options)
+    return next(result for name, result, _ in pipeline.stages(text, options=options)
+                if name == stage)
 
 
-def lower_text(text: str, opt: bool = True) -> loops.LoopModule:
-    return loops.lower_to_loops(optimize_text(text, opt).module)
+compile_text = partial(stage_result, "verify")  # the verified ir.IRModule
+optimize_text = partial(stage_result, "optimize")  # (text, opt=True) -> OptResult
+lower_text = partial(stage_result, "lower")  # (text, opt=True) -> LoopModule
 
 
 def run_text(text: str, mode: executor.ExecMode = executor.ExecMode.DENSE,

@@ -31,7 +31,8 @@ directory replaced by a fixed name, and for a `--run` the `*.mults` lines
 of the `--report` it also writes (its `*.min_ns` timings are dropped).
 
 Every program is dumped with `--emit` = `ir`, `ir-opt`, `loops`, `chain`,
-`ast` and `loops --no-opt`. Generated programs and examples also run with
+`ast`, `loops --no-opt` and `chain --no-opt` (the optimizing run's chains,
+which the CLI reports after its `--no-opt` run). Generated programs and examples also run with
 `--run --repeats=1`, `--run --mode=specialized` and `--run --no-opt`, the
 examples at `--scale=4`; `big600.mom` and `overflow300.mom` run at full size
 in dense and specialized mode only, `chain60.mom` is dumped with `--emit` =
@@ -66,7 +67,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PLACEHOLDER = "<programs>"
 
 EMITS = [["--emit=ir"], ["--emit=ir-opt"], ["--emit=loops"], ["--emit=chain"],
-         ["--emit=ast"], ["--emit=loops", "--no-opt"]]
+         ["--emit=ast"], ["--emit=loops", "--no-opt"], ["--emit=chain", "--no-opt"]]
 RUNS = [["--run", "--repeats=1"], ["--run", "--repeats=1", "--mode=specialized"],
         ["--run", "--repeats=1", "--no-opt"]]
 

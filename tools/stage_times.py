@@ -6,35 +6,37 @@
 ROOT is a momc checkout: momc is imported from ROOT/src and the workload's
 programs come from ROOT/perfbench/programs.py, which is only read (no
 bytecode is written next to it). After one warm-up round, each round
-compiles and runs every timed program once through the same calls as
-perfbench (`tokenize`, `parse`, `build_ir`, `verify`,
-`optimize_and_rematerialize`, `lower_to_loops`, then `execute` once), with
-the cyclic collector on. The script prints, per stage, the median over the
-rounds of the stage's time summed over the programs, the median time the
-collector spent inside it, measured from `gc.callbacks`, and for each
-generation (0, 1 and 2, the last a full collection) the median time and
-number of that generation's collections inside it; the `compile` row sums
-the six compile stages. Then it prints the stage time and collector time
-for the executor's kernels inside `execute` (matmul, print, fill, alloc
-and add), timed by wrapping `run_matmul`, `format_print`, `run_fill`,
-`_zeros` and `run_add` for the round, and the median number of collections
-per generation in one round. Since the compile stages pause the collector
-and collect generation 0 at most once on their exit, a checkout with that
-pause shows few collections in them and no gen-1 or full one. With
-`--ops K` it then lists the K slowest kernel calls of `execute`, by the
-median of each call's time over the rounds (a round makes the same calls in
-the same order), each as its program, kernel, shape, dtype, stored patterns
-and, for a matmul, lowering's `exact` and the path and band count that the
-executor's own rule (`executor.matmul_path`) gives it on this host; a
-checkout without that rule shows neither. The path is `blas` (one BLAS
-call: an exact product whose result fits one `EXACT_TILE` square), `tiles`
-(a larger exact one), `small` or `loop`; the patterns, `exact` and the
-count the rule reads are the arguments `run_matmul` receives (an older
-checkout's `run_matmul` returned the count), so a dense product shows FULL
-twice and its own `exact`, and is banded by its whole rectangle's mults, as
-`Executor.run` passes. Each program's calls are described once its
-`execute` has returned, so `--ops` leaves the `execute` row as it reads
-without it.
+compiles every timed program once through the compile driver
+(`momc.pipeline.stages`) and runs it with `execute` once, with the cyclic
+collector on. Each stage's time is the ns the driver yields for it, and
+each collection, seen through `gc.callbacks`, is charged to the stage whose
+yield comes next, or to `execute`; so the stages and their order are the
+driver's. The script prints, per stage, the median over the rounds of the
+stage's time summed over the programs, the median time the collector spent
+inside it, and for each generation (0, 1 and 2, the last a full
+collection) the median time and number of that generation's collections
+inside it; the `compile` row sums the stages before `execute`. Then it
+prints the stage time and collector time for the executor's kernels inside
+`execute` (matmul, print, fill, alloc and add), timed by wrapping
+`run_matmul`, `format_print`, `run_fill`, `_zeros` and `run_add` for the
+round, and the median number of collections per generation in one round.
+Since the compile stages pause the collector and collect generation 0 at
+most once on their exit, they show few collections and no gen-1 or full
+one. With `--ops K` it then lists the K slowest kernel calls of `execute`,
+by the median of each call's time over the rounds (a round makes the same
+calls in the same order), each as its program, kernel, shape, dtype, stored
+patterns and, for a matmul, lowering's `exact` and the path and band count
+that the executor's own rule (`executor.matmul_path`) gives it on this
+host. The path is `blas` (one BLAS call: an exact product whose result fits
+one `EXACT_TILE` square), `tiles` (a larger exact one), `small` or `loop`;
+the patterns, `exact` and the count the rule reads are the arguments
+`run_matmul` receives, so a dense product shows FULL twice and its own
+`exact`, and is banded by its whole rectangle's mults, as `Executor.run`
+passes. Each program's calls are described once its `execute` has
+returned, so `--ops` leaves the `execute` row as it reads without it.
+
+A checkout older than the driver, without `momc.pipeline`, is timed with
+the copy of this script in its own `tools/`.
 
 The figures are raw wall times. To compare two checkouts, run the script on
 each in turn, a few times alternately, and compare medians.
@@ -61,47 +63,46 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 
-STAGES = ("tokenize", "parse", "build_ir", "verify", "optimize", "lower", "execute")
-COMPILE = STAGES[:-1]
 # The executor functions whose calls make up most of `execute`, by kernel.
 KERNELS = {"matmul": "run_matmul", "print": "format_print", "fill": "run_fill",
            "alloc": "_zeros", "add": "run_add"}
 
 
 class StageClock:
-    """Wall time and collector time per stage of one round."""
+    """Wall time and collector time per stage and kernel of one round."""
 
-    def __init__(self, ops: bool, matmul_path) -> None:
-        self.wall = dict.fromkeys([*STAGES, *KERNELS], 0.0)
-        self.gc = dict.fromkeys([*STAGES, *KERNELS], 0.0)
-        # per stage, the collector's seconds and collections by generation
-        self.gen_s = {stage: [0.0, 0.0, 0.0] for stage in STAGES}
-        self.gen_n = {stage: [0, 0, 0] for stage in STAGES}
-        self.collections = [0, 0, 0]
-        self.stage = STAGES[0]
+    def __init__(self, ops: bool) -> None:
+        # per stage, in the order first charged: seconds, and the
+        # (generation, seconds) of each collection charged to it
+        self.wall: dict[str, float] = {}
+        self.collected: dict[str, list[tuple[int, float]]] = {}
+        self.kernel_wall = dict.fromkeys(KERNELS, 0.0)
+        self.kernel_gc = dict.fromkeys(KERNELS, 0.0)
+        # (generation, seconds) of the collections since the last charge
+        self.unclaimed: list[tuple[int, float]] = []
         self.kernel = None
         self.gc_start = 0.0
         self.program = 0
         # (description, seconds) of each kernel call, in call order
         self.calls: list[tuple[str, float]] | None = [] if ops else None
-        # (kernel, arguments, result, seconds) of the calls not yet described
+        # (kernel, arguments, seconds) of the calls not yet described
         self.pending: list[tuple] = []
-        self.matmul_path = matmul_path
 
     def on_gc(self, phase: str, info: dict) -> None:
-        if self.stage is None:  # describing calls belongs to no stage
-            return
         if phase == "start":
             self.gc_start = time.perf_counter()
-        else:
-            dt = time.perf_counter() - self.gc_start
-            gen = info["generation"]
-            self.gc[self.stage] += dt
-            self.gen_s[self.stage][gen] += dt
-            self.gen_n[self.stage][gen] += 1
-            if self.kernel is not None:
-                self.gc[self.kernel] += dt
-            self.collections[gen] += 1
+            return
+        dt = time.perf_counter() - self.gc_start
+        self.unclaimed.append((info["generation"], dt))
+        if self.kernel is not None:
+            self.kernel_gc[self.kernel] += dt
+
+    def charge(self, stage: str, seconds: float) -> None:
+        """Add `seconds` to `stage`'s time, and to its collector time the
+        collections since the last charge."""
+        self.wall[stage] = self.wall.get(stage, 0.0) + seconds
+        self.collected.setdefault(stage, []).extend(self.unclaimed)
+        self.unclaimed.clear()
 
     def wrap(self, kernel: str, fn):
         """fn, adding its wall time to `kernel`'s."""
@@ -112,50 +113,39 @@ class StageClock:
                 result = fn(*args)
             finally:
                 dt = time.perf_counter() - t0
-                self.wall[kernel] += dt
+                self.kernel_wall[kernel] += dt
                 self.kernel = None
             if self.calls is not None:
-                self.pending.append((kernel, args, result, dt))
+                self.pending.append((kernel, args, dt))
             return result
         return timed
 
-    def describe_calls(self) -> None:
+    def describe_calls(self, matmul_path) -> None:
         """Describe the calls of the program just executed. This runs after
-        its `execute` has returned, so describing is not timed, and drops
-        the arguments, so no buffer outlives its program."""
-        self.stage = None
+        its `execute` has returned, so describing is not timed and its
+        collections are charged to no stage, and drops the arguments, so no
+        buffer outlives its program."""
+        before = len(self.unclaimed)
         self.calls.extend(
-            (f"#{self.program} {describe(kernel, args, result, self.matmul_path)}",
-             dt) for kernel, args, result, dt in self.pending)
+            (f"#{self.program} {describe(kernel, args, matmul_path)}", dt)
+            for kernel, args, dt in self.pending)
         self.pending.clear()
-
-    def time(self, stage: str, fn, *args):
-        self.stage = stage
-        t0 = time.perf_counter()
-        out = fn(*args)
-        self.wall[stage] += time.perf_counter() - t0
-        return out
+        del self.unclaimed[before:]
 
 
-def describe(kernel: str, args: tuple, result, matmul_path) -> str:
+def describe(kernel: str, args: tuple, matmul_path) -> str:
     """Kernel, shape, dtype and stored patterns of one call, from the
     arguments `Executor.run` passes; for a matmul also its `exact`, and the
-    path and bands `matmul_path` (if not None) gives it for its count: the
-    last argument, or what `run_matmul` returned in a checkout whose
-    executor counted the mults itself."""
+    path and bands `matmul_path` gives it for its count, the last argument."""
     if kernel == "alloc":
         return f"alloc {args[1]}"
     a = args[0]
     shape = "x".join(map(str, a.shape))
     if kernel == "matmul":
-        b, pa, pb, exact, *count = args[1], *args[3:]
-        count = count[0] if count else result
-        text = (f"matmul {shape}x{b.shape[1]} {a.dtype} {pa.value} x {pb.value} "
-                f"exact={exact}")
-        if matmul_path is None:
-            return text
+        b, pa, pb, exact, count = args[1], *args[3:]
         path, bands = matmul_path(*a.shape, b.shape[1], count, exact)
-        return f"{text} path={path} bands={bands}"
+        return (f"matmul {shape}x{b.shape[1]} {a.dtype} {pa.value} x {pb.value} "
+                f"exact={exact} path={path} bands={bands}")
     if kernel == "add":
         return f"add {shape} {a.dtype}"
     pattern = args[2] if kernel == "fill" else args[1]  # run_fill, format_print
@@ -163,25 +153,20 @@ def describe(kernel: str, args: tuple, result, matmul_path) -> str:
 
 
 def one_round(m, texts: list[str], mode, ops: bool) -> StageClock:
-    clock = StageClock(ops, getattr(m.executor, "matmul_path", None))
+    clock = StageClock(ops)
     real = {name: getattr(m.executor, name) for name in KERNELS.values()}
     for kernel, name in KERNELS.items():
         setattr(m.executor, name, clock.wrap(kernel, real[name]))
     gc.callbacks.append(clock.on_gc)
     try:
         for clock.program, text in enumerate(texts):
-            tokens = clock.time("tokenize", m.frontend.tokenize, text)
-            ast = clock.time("parse", m.frontend.parse, tokens)
-            module = clock.time("build_ir", m.ir.build_ir, ast)
-            diags = clock.time("verify", m.ir.verify, module)
-            if diags:
-                raise SystemExit(f"stage_times: verifier: {diags[0]}")
-            opt = clock.time("optimize", m.equation_opt.optimize_and_rematerialize,
-                             module)
-            lm = clock.time("lower", m.loops.lower_to_loops, opt.module)
-            clock.time("execute", m.executor.execute, lm, mode, 1)
+            for stage, lm, ns in m.pipeline.stages(text):
+                clock.charge(stage, ns / 1e9)
+            t0 = time.perf_counter()
+            m.executor.execute(lm, mode, 1)  # the last stage's result
+            clock.charge("execute", time.perf_counter() - t0)
             if ops:
-                clock.describe_calls()
+                clock.describe_calls(m.executor.matmul_path)
     finally:
         gc.callbacks.remove(clock.on_gc)
         for name, fn in real.items():
@@ -206,7 +191,7 @@ def main() -> int:
     root = os.path.abspath(args.root)
     sys.dont_write_bytecode = True
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
-    import momc
+    import momc.pipeline
     import programs
 
     mode_name, progs = programs.generate(args.workload, args.seed)
@@ -219,29 +204,36 @@ def main() -> int:
     def ms(values) -> str:
         return f"{statistics.median(values) * 1e3:9.2f}"
 
+    def collections(r: StageClock, stages, gens=(0, 1, 2)) -> list[float]:
+        """The seconds of each of round r's collections of generations
+        `gens` charged to `stages`."""
+        return [dt for s in stages for g, dt in r.collected[s] if g in gens]
+
     def row(name: str, stages) -> str:
         """A stage row: wall and collector ms, then ms and collections by
         generation, each summed over `stages` within a round."""
         text = (f"{name:<10}{ms([sum(r.wall[s] for s in stages) for r in rounds])}"
-                f"{ms([sum(r.gc[s] for s in stages) for r in rounds])}")
+                f"{ms([sum(collections(r, stages)) for r in rounds])}")
         for g in range(3):
-            n = statistics.median(sum(r.gen_n[s][g] for s in stages) for r in rounds)
-            text += f"{ms([sum(r.gen_s[s][g] for s in stages) for r in rounds])}{n:6g}"
+            n = statistics.median(len(collections(r, stages, (g,))) for r in rounds)
+            text += f"{ms([sum(collections(r, stages, (g,))) for r in rounds])}{n:6g}"
         return text
 
+    stages = list(rounds[0].wall)  # the driver's, then execute
     print(f"momc from {os.path.dirname(momc.__file__)}")
     print(f"{args.workload} seed {args.seed}: {len(texts)} timed programs, "
           f"{mode_name} mode, median of {args.rounds} rounds")
     print(f"{'stage':<10}{'ms':>9}{'gc ms':>9}"
           + "".join(f"{f'gen{g} ms':>9}{'n':>6}" for g in range(3)))
-    for stage in STAGES:
+    for stage in stages:
         print(row(stage, (stage,)))
-    print(row("compile", COMPILE))
+    print(row("compile", stages[:-1]))
     print("execute by kernel:")
     for kernel in KERNELS:
-        print(f"  {kernel:<8}{ms([r.wall[kernel] for r in rounds])}"
-              f"{ms([r.gc[kernel] for r in rounds])}")
-    counts = [statistics.median(r.collections[g] for r in rounds) for g in range(3)]
+        print(f"  {kernel:<8}{ms([r.kernel_wall[kernel] for r in rounds])}"
+              f"{ms([r.kernel_gc[kernel] for r in rounds])}")
+    counts = [statistics.median(len(collections(r, stages, (g,))) for r in rounds)
+              for g in range(3)]
     print("collections per round (gen 0/1/2): " + " / ".join(f"{c:g}" for c in counts))
     if ops:
         calls = [(statistics.median(r.calls[i][1] for r in rounds), name)
