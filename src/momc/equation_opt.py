@@ -276,7 +276,7 @@ def optimize_and_rematerialize(module: ir.IRModule,
                             f"was declared {want[0]}x{want[1]}")
                 except ResolutionError as err:
                     if op.loc is not None:
-                        err.at(op.loc.line, op.loc.col)
+                        err.at(*op.loc)
                     raise
                 vmap[op.result] = emit(e)
                 eq_count += 1

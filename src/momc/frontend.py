@@ -28,15 +28,22 @@ The lexer takes every lexeme, blanks and comments included, from one
 `findall` and classifies it by dict lookups. A token is an exact
 `(kind, text, line, col)` tuple of a `TokenKind` string, the text and two
 ints, so the cyclic GC untracks it at its first collection (at `tokenize`'s
-exit, for a long list); a NamedTuple would stay tracked. The parser
-reads tokens by index into the list, with no method call per token. AST
-nodes are slotted records (`record.Record`) whose equality skips `loc`.
+exit, for a long list); an instance of a tuple subclass would stay tracked.
+The parser reads tokens by index into the list, with no method call per
+token.
+
+The AST keeps plain values where a token already holds them: a name operand
+is the identifier's `str`, a location (`Loc`) the exact tuple `(line, col)`
+of a token, and `Ast.consts` the constants' `(name, value)` pairs, so the
+collector never tracks a name and untracks the tuples as it does tokens.
+The other nodes are slotted records (`record.Record`); a statement or a
+declaration keeps its first token's location in `loc`, which equality skips.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, NoReturn, Union
+from typing import NoReturn
 
 from .errors import (
     AssignToIdentity,
@@ -54,12 +61,8 @@ from .properties import ElemKind, canonicalize
 from .record import Record, pauses_collector
 
 
-class Loc(NamedTuple):
-    line: int
-    col: int
-
-
-_NOWHERE = Loc(0, 0)
+Loc = tuple[int, int]  # (line, col), 1-based
+_NOWHERE: Loc = (0, 0)
 
 
 class TokenKind:
@@ -141,15 +144,6 @@ def tokenize(text: str) -> list[Token]:
 # --------------------------------------------------------------------------
 
 
-class Ref(Record):
-    __slots__ = ("name", "loc")
-    _uncompared = ("loc",)
-
-    def __init__(self, name: str, loc: Loc = _NOWHERE) -> None:
-        self.name = name
-        self.loc = loc
-
-
 class Mul(Record):
     __slots__ = ("operands",)
 
@@ -182,17 +176,8 @@ class IdentityLit(Record):
         self.order = order
 
 
-Expr = Union[Ref, Mul, Add, Transpose, IdentityLit]
-
-
-class ConstBinding(Record):
-    __slots__ = ("name", "value", "loc")
-    _uncompared = ("loc",)
-
-    def __init__(self, name: str, value: int, loc: Loc = _NOWHERE) -> None:
-        self.name = name
-        self.value = value
-        self.loc = loc
+# A name operand is the identifier's text.
+Expr = str | Mul | Add | Transpose | IdentityLit
 
 
 class MatrixDecl(Record):
@@ -223,7 +208,7 @@ class IdentityDecl(Record):
         self.loc = loc
 
 
-Decl = Union[MatrixDecl, IdentityDecl]
+Decl = MatrixDecl | IdentityDecl
 
 
 class Assign(Record):
@@ -245,7 +230,7 @@ class PrintStmt(Record):
         self.loc = loc
 
 
-Stmt = Union[Assign, PrintStmt]
+Stmt = Assign | PrintStmt
 
 
 class Ast(Record):
@@ -254,8 +239,9 @@ class Ast(Record):
     __slots__ = ("consts", "decls", "stmts", "idlits")
     _uncompared = ("idlits",)
 
-    def __init__(self, consts: tuple[ConstBinding, ...], decls: tuple[Decl, ...],
+    def __init__(self, consts: tuple[tuple[str, int], ...], decls: tuple[Decl, ...],
                  stmts: tuple[Stmt, ...], idlits: tuple[IdentityLit, ...] = ()) -> None:
+        # The constants' `(name, value)` pairs in source order.
         self.consts = consts
         self.decls = decls
         self.stmts = stmts
@@ -279,7 +265,7 @@ MAX_CHAIN_OPERANDS = 256
 
 
 def _error(cls: type[CompileError], message: str, loc: Loc) -> CompileError:
-    return cls(message, line=loc.line, col=loc.col)
+    return cls(message, line=loc[0], col=loc[1])
 
 
 class _Parser:
@@ -291,8 +277,9 @@ class _Parser:
     `pos` back before it calls another. Each statement is checked against
     the statements above it as it is read, and its dims are resolved and
     divided by `scale`, each valid dim's value kept in `dims` by its text;
-    `use` is its location. A name not yet assigned waits in `pending` for
-    the end of input, since an input may be declared below its use.
+    `use` is its first token's `(line, col)`. A name not yet assigned waits
+    in `pending`, as its token's index, for the end of input, since an input
+    may be declared below its use.
     """
 
     def __init__(self, tokens: list[Token], scale: int) -> None:
@@ -300,11 +287,11 @@ class _Parser:
         self.pos = self.depth = 0
         self.scale = scale
         self.use = _NOWHERE
-        self.consts: dict[str, ConstBinding] = {}
+        self.consts: dict[str, int] = {}
         self.decls: dict[str, Decl] = {}
         self.assigned: dict[str, Loc] = {}
         self.stmts: list[Stmt] = []
-        self.pending: list[Ref] = []
+        self.pending: list[int] = []
         self.idlits: list[IdentityLit] = []
         self.dims: dict[str, int] = {}
 
@@ -340,8 +327,7 @@ class _Parser:
             statement = _STATEMENTS.get(kind)
             if statement is None:
                 self.fail(("a statement",), tokens[pos])
-            # `tuple.__new__` skips NamedTuple's Python-level `__new__`.
-            self.pos, self.use = pos + 1, tuple.__new__(Loc, (line, col))
+            self.pos, self.use = pos + 1, (line, col)
             statement(self)
             # The statement ends at a newline or at the end of input.
             pos = self.pos
@@ -351,14 +337,14 @@ class _Parser:
                 self.fail(("newline",), tokens[pos])
         # A name assigned anywhere is an equation alias, usable only below
         # its assignment; a declared name never assigned is an input.
-        for ref in self.pending:
-            if ref.name in self.assigned:
-                raise _error(UseBeforeAssign,
-                             f"{ref.name!r} used before its assignment", ref.loc)
-            if ref.name not in self.decls:
-                raise _error(UndeclaredIdentifier, f"{ref.name!r} is not declared",
-                             ref.loc)
-        return Ast(tuple(self.consts.values()), tuple(self.decls.values()),
+        for i in self.pending:
+            _, name, line, col = tokens[i]
+            if name in self.assigned:
+                raise UseBeforeAssign(f"{name!r} used before its assignment",
+                                      line=line, col=col)
+            if name not in self.decls:
+                raise UndeclaredIdentifier(f"{name!r} is not declared", line=line, col=col)
+        return Ast(tuple(self.consts.items()), tuple(self.decls.values()),
                    tuple(self.stmts), tuple(self.idlits))
 
     def declare(self, d: Decl) -> None:
@@ -368,7 +354,7 @@ class _Parser:
             try:
                 canonicalize(d.props, d.rows, d.cols)
             except CompileError as e:
-                raise e.at(d.loc.line, d.loc.col)
+                raise e.at(*d.loc)
         elif d.name in self.assigned:
             raise _error(AssignToIdentity, f"cannot assign to identity {d.name!r}",
                          self.assigned[d.name])
@@ -380,7 +366,7 @@ class _Parser:
         if kind is INT:
             value = int(text)
         elif kind is IDENT and text in self.consts:
-            value = self.consts[text].value
+            value = self.consts[text]
         elif kind is IDENT:
             raise _error(UnboundConstant,
                          f"constant {text!r} is not bound here", self.use)
@@ -467,7 +453,7 @@ class _Parser:
             if name in self.assigned:
                 raise _error(DuplicateDeclaration, f"{name!r} is already a constant",
                              self.assigned[name])
-            self.consts[name] = ConstBinding(name, int(tok[1]), use)
+            self.consts[name] = int(tok[1])
             return
         self.pos = pos + 1
         stmt = Assign(name, self.parse_expr(), use)
@@ -500,9 +486,9 @@ class _Parser:
         while True:
             tok = tokens[pos]
             if tok[0] is IDENT:
-                o = Ref(tok[1], tuple.__new__(Loc, tok[2:]))
-                if tok[1] not in self.assigned:
-                    self.pending.append(o)
+                o = tok[1]
+                if o not in self.assigned:
+                    self.pending.append(pos)
                 pos += 1
             else:
                 self.pos = pos
@@ -580,8 +566,8 @@ def resolve_constants(ast: Ast) -> Ast:
 
 
 def pretty_expr(e: Expr) -> str:
-    if isinstance(e, Ref):
-        return e.name
+    if type(e) is str:
+        return e
     if isinstance(e, Transpose):
         return f"transpose({pretty_expr(e.operand)})"
     if isinstance(e, IdentityLit):
@@ -594,7 +580,7 @@ def pretty_expr(e: Expr) -> str:
 
 def pretty(ast: Ast) -> str:
     """Canonical source text: constants, then declarations, then statements."""
-    lines = [f"{c.name} = {c.value}" for c in ast.consts]
+    lines = [f"{name} = {value}" for name, value in ast.consts]
     for d in ast.decls:
         if isinstance(d, MatrixDecl):
             line = f"Matrix {d.name}({d.rows}, {d.cols}) <{', '.join(d.props)}>"

@@ -158,7 +158,7 @@ class Equation(Record):
         self.yielded = yielded
         # Dims declared on the assignment target, checked after type resolution.
         self.declared_dims = declared_dims
-        # The statement's location, for diagnostics.
+        # The statement's `(line, col)`, for diagnostics.
         self.loc = loc
 
 
@@ -241,8 +241,8 @@ def _build_region(e: fe.Expr, env: dict[str | int, ValueId], new_value: Callable
                   region: list[IROp]) -> ValueId:
     """The value of `e`, after appending its compute ops to `region`, each
     after its operands. A transpose takes its id before its operand's values."""
-    if isinstance(e, fe.Ref):
-        return env[e.name]
+    if type(e) is str:
+        return env[e]
     if isinstance(e, fe.IdentityLit):
         return env[id(e)]
     if isinstance(e, fe.Transpose):
@@ -292,8 +292,8 @@ def build_ir(ast: fe.Ast) -> IRModule:
     for s in ast.stmts:
         e = s.expr
         assign = isinstance(s, fe.Assign)
-        if not assign and isinstance(e, (fe.Ref, fe.IdentityLit)):
-            b.ops.append(Print(env[e.name if isinstance(e, fe.Ref) else id(e)]))
+        if not assign and (type(e) is str or type(e) is fe.IdentityLit):
+            b.ops.append(Print(env[e if type(e) is str else id(e)]))
             continue
         result = new_value(TERM)
         region: list[IROp] = []
@@ -349,7 +349,7 @@ def verify(m: IRModule) -> list[CompileError]:
             where = ".".join(str(i) for i in path)
             errors.append(CompileError(f"op {where}: {reason}"))
         else:
-            errors.append(CompileError(reason, line=loc.line, col=loc.col))
+            errors.append(CompileError(reason, line=loc[0], col=loc[1]))
 
     def check_value(path: tuple[int, ...], v: ValueId) -> None:
         if v not in m.types:

@@ -1,5 +1,9 @@
 """Lexer, parser (names checked and constants resolved as it reads), the
-diagnostics it reports, and the pretty-print round trip."""
+diagnostics it reports, the plain values the AST holds, and the
+pretty-print round trip."""
+
+import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,13 +27,11 @@ from momc.frontend import (
     Add,
     Assign,
     Ast,
-    ConstBinding,
     IdentityDecl,
     IdentityLit,
     MatrixDecl,
     Mul,
     PrintStmt,
-    Ref,
     TokenKind,
     Transpose,
     parse_source,
@@ -38,6 +40,7 @@ from momc.frontend import (
 )
 from momc.properties import ElemKind
 
+from gen import random_program
 from util import run_text
 
 LISTING = """\
@@ -87,19 +90,19 @@ def test_tokenize_tracks_lines_and_comments():
 
 @pytest.mark.parametrize("end", ["", "\n", "  # five\n"])
 def test_const_binding_may_end_the_input(end):
-    assert parse_source("n = 5" + end).consts == (ConstBinding("n", 5),)
+    assert parse_source("n = 5" + end).consts == (("n", 5),)
 
 
 def test_parse_listing_program():
     ast = parse_source(LISTING)
-    assert ast.consts == (ConstBinding("n", 5), ConstBinding("m", 5))
+    assert ast.consts == (("n", 5), ("m", 5))
     assert len(ast.decls) == 3
     a, b, c = ast.decls
     assert a.props == ("LowerTriangular",) and b.props == ("LowerTriangular",)
     assert c.props == ()
     assign, prn = ast.stmts
-    assert assign == Assign("C", Mul((Ref("A"), Ref("B"))))
-    assert prn == PrintStmt(Ref("C"))
+    assert assign == Assign("C", Mul(("A", "B")))
+    assert prn == PrintStmt("C")
 
 
 def test_parse_collects_variadic_mul():
@@ -110,7 +113,7 @@ Matrix C(2, 2) <>
 D = A * B * C
 """)
     (assign,) = ast.stmts
-    assert assign.expr == Mul((Ref("A"), Ref("B"), Ref("C")))
+    assert assign.expr == Mul(("A", "B", "C"))
 
 
 def test_parse_parens_flatten_too():
@@ -121,8 +124,8 @@ Matrix C(2, 2) <>
 D = (A * B) * C
 E = A + (B + C)
 """)
-    assert ast.stmts[0].expr == Mul((Ref("A"), Ref("B"), Ref("C")))
-    assert ast.stmts[1].expr == Add((Ref("A"), Ref("B"), Ref("C")))
+    assert ast.stmts[0].expr == Mul(("A", "B", "C"))
+    assert ast.stmts[1].expr == Add(("A", "B", "C"))
 
 
 def test_parse_identity_reference():
@@ -133,7 +136,7 @@ Identity I(n)
 E = A * I
 """)
     assert isinstance(ast.decls[1], IdentityDecl)
-    assert ast.stmts[0].expr == Mul((Ref("A"), Ref("I")))
+    assert ast.stmts[0].expr == Mul(("A", "I"))
 
 
 def test_parse_precedence_mul_binds_tighter():
@@ -143,7 +146,7 @@ Matrix B(2, 2) <>
 Matrix C(2, 2) <>
 D = A + B * C
 """)
-    assert ast.stmts[0].expr == Add((Ref("A"), Mul((Ref("B"), Ref("C")))))
+    assert ast.stmts[0].expr == Add(("A", Mul(("B", "C"))))
 
 
 def test_parse_print_of_expression():
@@ -151,7 +154,7 @@ def test_parse_print_of_expression():
 Matrix A(2, 2) <LowerTriangular>
 print(transpose(A))
 """)
-    assert ast.stmts[0] == PrintStmt(Transpose(Ref("A")))
+    assert ast.stmts[0] == PrintStmt(Transpose("A"))
 
 
 def test_parse_identity_literal_and_elem_and_fill():
@@ -161,7 +164,7 @@ B = A * Identity(2)
 """)
     d = ast.decls[0]
     assert d.elem is ElemKind.F64 and d.fill == 2.5
-    assert ast.stmts[0].expr == Mul((Ref("A"), IdentityLit(2)))
+    assert ast.stmts[0].expr == Mul(("A", IdentityLit(2)))
 
 
 def test_resolve_constants():
@@ -226,7 +229,7 @@ def test_print_parentheses_are_not_a_group():
         return ("Matrix A(2, 2) <>\nprint(" + "(" * depth + "A" + ")" * depth
                 + ")\n")
     ast = parse_source(printed(MAX_NESTING))
-    assert ast.stmts == (PrintStmt(Ref("A")),)
+    assert ast.stmts == (PrintStmt("A"),)
     with pytest.raises(ParseError) as exc:
         parse_source(printed(MAX_NESTING + 1))
     assert (exc.value.line, exc.value.col) == (2, len("print(") + MAX_NESTING + 1)
@@ -327,8 +330,8 @@ _props = st.lists(
 
 @st.composite
 def _asts(draw):
-    consts = (ConstBinding("c1", draw(st.integers(1, 9))),
-              ConstBinding("c2", draw(st.integers(1, 9))))
+    consts = (("c1", draw(st.integers(1, 9))),
+              ("c2", draw(st.integers(1, 9))))
     decls = []
     matrix_names = []
     for i in range(draw(st.integers(1, 4))):
@@ -347,7 +350,7 @@ def _asts(draw):
         matrix_names.append(name)
 
     leaf = st.one_of(
-        st.sampled_from(matrix_names).map(Ref),
+        st.sampled_from(matrix_names),
         _dim.map(IdentityLit),
     )
 
@@ -380,7 +383,7 @@ def _flat(kind, children):
 def _resolved(ast, scale):
     """`ast` as `parse` returns it: constants replaced by their values, and
     every dimension divided by `scale`, clamped to at least 1."""
-    value = {c.name: c.value for c in ast.consts}
+    value = dict(ast.consts)
 
     def dim(d):
         return max(1, value.get(d, d) // scale)
@@ -402,15 +405,15 @@ def _resolved(ast, scale):
     return Ast(ast.consts, decls, stmts)
 
 
-def _idlits(e):
-    """The identity literals of an expression in pre-order."""
-    if isinstance(e, IdentityLit):
-        yield e
-    elif isinstance(e, Transpose):
-        yield from _idlits(e.operand)
+def _leaves(e):
+    """The names and identity literals of an expression in source order."""
+    if isinstance(e, Transpose):
+        yield from _leaves(e.operand)
     elif isinstance(e, (Mul, Add)):
         for o in e.operands:
-            yield from _idlits(o)
+            yield from _leaves(o)
+    else:
+        yield e
 
 
 @given(_asts(), st.integers(1, 4))
@@ -420,7 +423,8 @@ def test_pretty_parse_round_trip(ast, scale):
     assert parsed == _resolved(ast, scale)
     # The very nodes of the tree, which `build_ir` looks up by identity.
     assert [id(lit) for lit in parsed.idlits] == [
-        id(lit) for s in parsed.stmts for lit in _idlits(s.expr)]
+        id(lit) for s in parsed.stmts for lit in _leaves(s.expr)
+        if isinstance(lit, IdentityLit)]
     assert parse_source(pretty(parsed)) == parsed
 
 
@@ -442,3 +446,55 @@ def test_variadic_normalization_is_total(ast):
     reparsed = parse_source(pretty(ast))
     for s in reparsed.stmts:
         assert _no_nested_variadics(s.expr)
+
+
+# ---------------------------------------------------------------------------
+# The AST holds plain values where a token holds them: a name operand is the
+# identifier's text, a location the exact tuple `(line, col)` of the
+# statement's first token, and a constant a `(name, value)` pair.
+# ---------------------------------------------------------------------------
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
+_FIRST_KIND = {MatrixDecl: TokenKind.KW_MATRIX, IdentityDecl: TokenKind.KW_IDENTITY,
+               Assign: TokenKind.IDENT, PrintStmt: TokenKind.KW_PRINT}
+
+
+def _check_plain_ast(text):
+    ast = parse_source(text)
+    lines = {}  # each line's tokens, by line number; one statement a line
+    for tok in tokenize(text):
+        if tok[0] not in (TokenKind.NEWLINE, TokenKind.EOF):
+            lines.setdefault(tok[2], []).append(tok)
+    assert len(lines) == len(ast.consts) + len(ast.decls) + len(ast.stmts)
+    # A constant's line is `IDENT = INT`; an assignment's right side is no INT.
+    consts = [(toks[0][1], int(toks[2][1])) for toks in lines.values()
+              if len(toks) == 3 and toks[2][0] is TokenKind.INT]
+    assert ast.consts == tuple(consts)
+    assert all(type(c) is tuple and type(c[0]) is str and type(c[1]) is int
+               for c in ast.consts)
+    by_start = {(toks[0][2], toks[0][3]): toks for toks in lines.values()}
+    for node in ast.decls + ast.stmts:
+        assert type(node.loc) is tuple and node.loc in by_start, node
+        toks = by_start.pop(node.loc)
+        assert toks[0][0] is _FIRST_KIND[type(node)]
+        if isinstance(node, MatrixDecl | IdentityDecl):
+            continue
+        # The expression's tokens follow `T =` or `print (`; an identifier
+        # two after `Identity` is a literal's dim, not an operand.
+        rest = toks[2:]
+        names = [t[1] for i, t in enumerate(rest) if t[0] is TokenKind.IDENT
+                 and not (i >= 2 and rest[i - 2][0] is TokenKind.KW_IDENTITY)]
+        operands = [o for o in _leaves(node.expr) if not isinstance(o, IdentityLit)]
+        assert all(type(o) is str for o in operands), operands
+        assert operands == names
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(EXAMPLES) if n.endswith(".mom")))
+def test_examples_hold_plain_values(name):
+    with open(os.path.join(EXAMPLES, name), encoding="utf-8") as f:
+        _check_plain_ast(f.read())
+
+
+def test_generated_programs_hold_plain_values():
+    for seed in range(200):
+        _check_plain_ast(random_program(random.Random(seed)))

@@ -9,7 +9,8 @@ reaches the lexer as written, as it does through the CLI, which reads the
 file with `newline=""`. Its line is the `CompileError`'s class and
 text with its location, or `ok` and two sha256 prefixes: of `pretty(ast)`,
 which is what `--emit=ast` prints, and of `repr(ast)`, which also holds
-every node's location, element kind and fill.
+each statement's and declaration's location and each declaration's element
+kind and fill; a name operand is the bare identifier and carries none.
 
 A change that means to alter a diagnostic or an AST regenerates the file:
 

@@ -10,7 +10,7 @@ from momc import ir, loops
 from momc.cli import main
 from momc.equation_opt import optimize_and_rematerialize
 from momc.errors import ResolutionError
-from momc.frontend import Loc, parse_source
+from momc.frontend import parse_source
 from momc.properties import ElemKind, EMPTY_PROPS, Property, PropertySet
 
 from gen import default_seed, random_program
@@ -210,7 +210,7 @@ def test_every_verifier_diagnostic(ops, types, errors):
 
 
 def test_verifier_locates_equation_problems_at_their_statement():
-    eq = ir.Equation(2, (ir.Add(1, (0,)),), 1, loc=Loc(3, 1))
+    eq = ir.Equation(2, (ir.Add(1, (0,)),), 1, loc=(3, 1))
     errors = ir.verify(ir.IRModule((ir.Init(0), eq), {0: T2, 1: TERM, 2: TERM}))
     assert [str(e) for e in errors] == [
         "3:1: error: mul/add needs at least 2 operands"]

@@ -258,9 +258,7 @@ def test_a_failed_compile_leaves_no_cyclic_garbage():
     the lexer, the parser and `build_ir` make none: each failing program, a
     lex error, a parse error and an Ast naming a matrix it never declared
     leave nothing for the cyclic collector."""
-    unknown = frontend.parse(frontend.tokenize(
-        "Matrix A(2, 2) <>\nC = A * A\nprint(C)\n"))
-    unknown.stmts[0].expr.operands[1].name = "Z"
+    unknown = _undeclared_name_ast()
     gc.collect()
     gc.disable()
     try:
@@ -392,7 +390,7 @@ def test_a_stage_leaves_an_off_collector_off(stage):
 
 def _undeclared_name_ast() -> frontend.Ast:
     ast = frontend.parse_source("Matrix A(2, 2) <>\nC = A * A\nprint(C)\n")
-    ast.stmts[0].expr.operands[1].name = "Z"
+    ast.stmts[0].expr.operands = ("A", "Z")
     return ast
 
 
