@@ -1,11 +1,20 @@
-"""Chain DP against its naive reference, deep trees without recursion, and
-the DP's pattern lookups and property inferences per cell."""
+"""Chain DP against its naive reference, its two scans against each other,
+deep trees without recursion, and the DP's pattern lookups and property
+inferences per cell."""
 
 import random
+import sys
+
+import numpy  # noqa: F401  (loaded, as the numpy scan needs)
+import pytest
 
 from momc import chain as chain_mod
+from momc import equation_opt
 from momc.chain import (
+    NUMPY_MIN_LENGTH,
     _build,
+    _numpy_scan,
+    _python_scan,
     left_fold_tree,
     optimal_parenthesization,
     tree_cost,
@@ -15,17 +24,30 @@ from momc.properties import EMPTY_PROPS, ElemKind
 
 from chain_reference import reference_parenthesization, tree_props
 from gen import CLOSED_PSETS, default_seed, random_chain, run_chain
+from util import load_programs, optimize_text
+
+FIELDS = ("cost", "split", "props", "tree", "total_cost")
 
 
-def assert_matches_reference(chain):
-    sol = optimal_parenthesization(chain)
-    ref = reference_parenthesization(chain)
-    assert sol.cost == ref.cost
-    assert sol.split == ref.split
-    assert sol.props == ref.props
-    assert sol.total_cost == ref.total_cost
-    assert sol.tree == ref.tree
+def assert_same(sol, ref):
+    for field in FIELDS:
+        assert getattr(sol, field) == getattr(ref, field), field
+
+
+def assert_matches_reference(chain, scan=optimal_parenthesization):
+    sol = scan(chain)
+    assert_same(sol, reference_parenthesization(chain))
     return sol
+
+
+def assert_scans_agree(chain):
+    sol = _python_scan(chain)
+    assert_same(_numpy_scan(chain), sol)
+    return sol
+
+
+def square_chain(n, props):
+    return [MatrixType(n, n, ElemKind.F64, p) for p in props]
 
 
 def test_dp_tables_match_naive_reference():
@@ -41,12 +63,64 @@ def test_long_chains_of_structured_runs_match_naive_reference():
     chains = [run_chain(rng, rng.randint(40, 60)) for _ in range(12)]
     assert any(op.rows == op.cols == 1 for chain in chains for op in chain)
     for chain in chains:
-        assert_matches_reference(chain)
+        assert_matches_reference(chain, _python_scan)
+        assert_matches_reference(chain, _numpy_scan)
 
 
-def test_costs_past_two_to_the_63_stay_exact():
+def test_scans_agree_on_the_benchmark_workloads(monkeypatch):
+    """Every chain the optimizer solves for perfbench's three workloads at
+    seeds 1-3, timed and untimed programs alike."""
+    chains = []
+
+    def recorded(chain):
+        chains.append(chain)
+        return optimal_parenthesization(chain)
+
+    monkeypatch.setattr(equation_opt, "optimal_parenthesization", recorded)
+    programs = load_programs()
+    for workload in ("chain-dp", "kernels", "many-stmts"):
+        for seed in (1, 2, 3):
+            for p in programs.generate(workload, seed)[1]:
+                try:
+                    optimize_text(p.text)
+                except ValueError:
+                    assert not p.timed  # many-stmts' untimed programs fail
+    assert sorted({len(c) for c in chains})[-3:] == [50, 70, 90]
+    for chain in chains:
+        assert_scans_agree(chain)
+
+
+def test_scans_agree_on_runs_of_structure_up_to_the_grammar_limit():
+    rng = random.Random(default_seed() ^ 0x5E)
+    dim_sets = ((1, 2, 3, 4, 8, 16), (2, 4, 8, 16), (5, 50, 500))
+    for k in [1, 2, 3, 5, 8, 13, 21, 31, 32, 33, 47, 64, 100, 128, 200, 256]:
+        assert_scans_agree(run_chain(rng, k, dim_sets[k % 3]))
+
+
+def test_scans_agree_on_random_chains():
+    rng = random.Random(default_seed() ^ 0x91)
+    for _ in range(150):
+        assert_scans_agree(random_chain(rng, min_len=1, max_len=70))
+
+
+def test_scans_agree_on_ties():
+    """Equal dims make many splits cost the same; both scans must keep the
+    smallest. An all-FULL chain ties on every split of every cell, and an
+    all-lower-triangular one prices every split through `pattern_cost`."""
+    rng = random.Random(default_seed() ^ 0x77)
+    full, lower = CLOSED_PSETS[0], CLOSED_PSETS[1]
+    for k in (2, 3, 7, NUMPY_MIN_LENGTH, 60):
+        for n in (1, 2, 9):
+            assert_scans_agree(square_chain(n, [rng.choice(CLOSED_PSETS)
+                                                for _ in range(k)]))
+            assert_scans_agree(square_chain(n, [lower] * k))
+            assert assert_scans_agree(square_chain(n, [full] * k)).split[0][k - 1] == 0
+
+
+def test_costs_past_two_to_the_63_stay_exact(monkeypatch):
     """Dims have no limit, so costs are Python ints: a fixed-width or float
-    DP would wrap or round these tables."""
+    DP would wrap or round these tables. The chain is long enough for the
+    numpy scan, and numpy is loaded, but its dims fail the int64 guard."""
     n = 10 ** 7
     lower, upper, symm, diag = CLOSED_PSETS[1:]
     shapes = [(n + 3, n, EMPTY_PROPS), (n, n + 1, EMPTY_PROPS),
@@ -54,12 +128,46 @@ def test_costs_past_two_to_the_63_stay_exact():
               (n + 1, n + 1, diag), (n + 1, n - 2, EMPTY_PROPS),
               (n - 2, n - 2, upper), (n - 2, n - 2, symm),
               (n - 2, n + 7, EMPTY_PROPS), (n + 7, n + 7, upper)]
+    shapes += [(n + 7, n + 7, CLOSED_PSETS[i % 5])
+               for i in range(NUMPY_MIN_LENGTH + 5 - len(shapes))]
     chain = [MatrixType(r, c, ElemKind.F64, p) for r, c, p in shapes]
+    assert "numpy" in sys.modules and len(chain) >= NUMPY_MIN_LENGTH
+    monkeypatch.setattr(chain_mod, "_numpy_scan", None)  # fails if called
     sol = assert_matches_reference(chain)
     assert sol.total_cost > 2 ** 63
     assert sol.cost[0][1] == (n + 3) * n * (n + 1)
     assert sol.cost[2][3] == (n + 1) * (n + 2) * (n + 3) // 6
     assert all(type(c) is int for row in sol.cost for c in row if c is not None)
+
+
+@pytest.mark.parametrize("k,dim,numpy_loaded,scan", [
+    (NUMPY_MIN_LENGTH - 1, 16, True, "_python_scan"),
+    (NUMPY_MIN_LENGTH, 16, True, "_numpy_scan"),
+    (NUMPY_MIN_LENGTH, 16, False, "_python_scan"),
+    (256, 2 ** 18 - 1, True, "_numpy_scan"),  # 2^8 * dim^3 < 2^62
+    (256, 2 ** 18, True, "_python_scan"),  # 2^8 * dim^3 = 2^62
+])
+def test_the_numpy_scan_runs_on_long_chains_when_numpy_is_loaded_and_int64_fits(
+        monkeypatch, k, dim, numpy_loaded, scan):
+    ran = []
+    for name in ("_python_scan", "_numpy_scan"):
+        monkeypatch.setattr(chain_mod, name, lambda chain, _name=name: ran.append(_name))
+    if not numpy_loaded:
+        monkeypatch.delitem(sys.modules, "numpy")
+    chain = [MatrixType(dim, dim, ElemKind.F64, EMPTY_PROPS)] * k
+    optimal_parenthesization(chain)
+    assert ran == [scan]
+
+
+def test_the_numpy_scan_keeps_costs_exact_just_inside_the_guard():
+    """k * dim^3 is just under 2^60: costs pass 2^59, where a float64 DP
+    would round."""
+    k, n = 64, 2 ** 18 - 3
+    chain = [MatrixType(n, n, ElemKind.F64, EMPTY_PROPS)] * (k - 1) \
+        + [MatrixType(n, n - 1, ElemKind.F64, EMPTY_PROPS)]
+    sol = assert_scans_agree(chain)
+    assert sol.total_cost == (k - 1) * n * n * (n - 1) > 2 ** 59
+    assert sol.total_cost != int(float(sol.total_cost))
 
 
 def test_tree_walks_do_not_recurse():
@@ -82,9 +190,10 @@ def test_build_does_not_recurse():
     assert _build(Splits(), 3000) == left_fold_tree(3000)
 
 
-def test_dp_looks_up_one_pattern_per_cell(monkeypatch):
+@pytest.mark.parametrize("scan", [_python_scan, _numpy_scan])
+def test_dp_looks_up_one_pattern_per_cell(monkeypatch, scan):
     """One `stored_pattern` per cell and one `infer_mul` per product cell,
-    through the names perfbench's tracer counts."""
+    through the names perfbench's tracer counts, in either scan."""
     calls = {"stored_pattern": 0, "infer_mul": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(chain_mod, name)):
@@ -94,6 +203,6 @@ def test_dp_looks_up_one_pattern_per_cell(monkeypatch):
         monkeypatch.setattr(chain_mod, name, counted)
     k = 60
     rng = random.Random(default_seed() ^ 0x7A)
-    optimal_parenthesization(random_chain(rng, min_len=k, max_len=k))
+    scan(random_chain(rng, min_len=k, max_len=k))
     assert calls == {"stored_pattern": k * (k + 1) // 2,
                      "infer_mul": k * (k - 1) // 2}

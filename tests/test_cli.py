@@ -1,5 +1,6 @@
 """CLI driver: flags, exit codes, stage dumps, reports."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from momc import executor
+from momc import chain, executor
 from momc.cli import EMIT_STAGES, BenchReport, main, parse_config
 from momc.errors import ParseError
 from momc.executor import ExecMode
@@ -23,6 +24,24 @@ EXAMPLES = os.path.join(os.path.dirname(__file__), "..", "examples")
 LISTING1 = os.path.join(EXAMPLES, "listing1.mom")
 CHAIN4 = os.path.join(EXAMPLES, "chain4.mom")
 IDENTITY = os.path.join(EXAMPLES, "identity.mom")
+SAME_OUTPUT = os.path.join(os.path.dirname(__file__), "..", "tools", "same_output.py")
+
+
+def chain_program(k):
+    """`tools/same_output.py`'s k-operand f64 chain program."""
+    spec = importlib.util.spec_from_file_location("same_output", SAME_OUTPUT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.chain_program(k)
+
+
+@pytest.fixture(scope="module")
+def long_chain(tmp_path_factory):
+    """A program whose one product is long enough for the numpy scan."""
+    path = tmp_path_factory.mktemp("chain") / "chain90.mom"
+    path.write_text(chain_program(90), encoding="utf-8")
+    assert 90 >= chain.NUMPY_MIN_LENGTH
+    return str(path)
 
 
 def run_cli(capsys, *args):
@@ -251,17 +270,41 @@ def fresh_interpreter(code):
 @pytest.mark.parametrize("flags,loads", [
     ([f"--emit={stage}"], False) for stage in EMIT_STAGES] + [
     (["--run"], True), (["--run", "--emit=loops"], True), (["--bench"], True)])
-def test_numpy_loads_only_when_something_runs(flags, loads):
+def test_numpy_loads_only_when_something_runs(long_chain, flags, loads):
     """A compile-only run also leaves out `dataclasses` and `inspect`
-    (numpy loads `inspect` itself)."""
+    (numpy loads `inspect` itself). The first program's 90-operand chain
+    is long enough for the chain DP's numpy scan."""
     out = fresh_interpreter(
         "import sys\nfrom momc.cli import main\n"
+        f"assert main({[long_chain, *flags]!r}) == 0\n"
         f"assert main({[LISTING1, *flags]!r}) == 0\n"
         "print('numpy' in sys.modules)\n"
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     numpy, slow = out.splitlines()[-2:]
     assert numpy == str(loads)
     assert loads or slow == "[]"
+
+
+def test_chain_dumps_do_not_depend_on_whether_numpy_is_loaded(
+        long_chain, capsys, monkeypatch):
+    """A 90-operand chain's `--emit=chain` dump: a fresh interpreter, which
+    never loads numpy and so takes the Python scan, prints what this
+    process prints with numpy loaded, through the numpy scan."""
+    fresh = fresh_interpreter(
+        "import sys\nfrom momc.cli import main\n"
+        f"assert main({[long_chain, '--emit=chain']!r}) == 0\n"
+        "assert 'numpy' not in sys.modules\n")
+    scanned = []
+
+    def numpy_scan(c, _real=chain._numpy_scan):
+        scanned.append(len(c))
+        return _real(c)
+
+    monkeypatch.setattr(chain, "_numpy_scan", numpy_scan)
+    code, out, err = run_cli(capsys, long_chain, "--emit=chain")
+    assert (code, err) == (0, "")
+    assert scanned == [90]
+    assert out == fresh
 
 
 def test_a_compile_through_the_driver_loads_no_numpy():

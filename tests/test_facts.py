@@ -302,10 +302,18 @@ def importers_of(module):
     return importers
 
 
-def test_only_the_executor_imports_numpy():
+def test_only_the_executor_and_the_chain_dps_numpy_scan_import_numpy():
     """The facts pass and the rest of the compiler run on Python ints: in
-    src/momc, only executor.py imports numpy."""
-    assert importers_of("numpy") == ["executor.py"]
+    src/momc, only executor.py imports numpy, and chain.py inside
+    `_numpy_scan`, the chain DP's scan for long chains, which runs only when
+    numpy is already loaded and its costs fit in int64."""
+    assert importers_of("numpy") == ["chain.py", "executor.py"]
+    tree = ast.parse((ROOT / "src" / "momc" / "chain.py").read_text(encoding="utf-8"))
+    scans = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and any(isinstance(inner, ast.Import) for inner in ast.walk(node))]
+    assert [scan.name for scan in scans] == ["_numpy_scan"]
+    assert [a.name for node in ast.walk(scans[0]) if isinstance(node, ast.Import)
+            for a in node.names] == ["numpy"]
 
 
 def test_no_module_imports_dataclasses():

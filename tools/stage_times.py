@@ -15,11 +15,13 @@ driver's. The script prints, per stage, the median over the rounds of the
 stage's time summed over the programs, the median time the collector spent
 inside it, and for each generation (0, 1 and 2, the last a full
 collection) the median time and number of that generation's collections
-inside it; the `compile` row sums the stages before `execute`. Then it
-prints the stage time and collector time for the executor's kernels inside
-`execute` (matmul, print, fill, alloc and add), timed by wrapping
-`run_matmul`, `format_print`, `run_fill`, `_zeros` and `run_add` for the
-round, and the median number of collections per generation in one round.
+inside it; the `compile` row sums the stages before `execute`. Under the
+`optimize` row, a `chain DP` row gives the median time of the chain DP's
+calls inside it, timed by wrapping `equation_opt.optimal_parenthesization`
+for the round. Then it prints the stage time and collector time for the
+executor's kernels inside `execute` (matmul, print, fill, alloc and add),
+timed by wrapping `run_matmul`, `format_print`, `run_fill`, `_zeros` and
+`run_add` for the round, and the median number of collections per generation in one round.
 Since the compile stages pause the collector and collect generation 0 at
 most once on their exit, they show few collections and no gen-1 or full
 one. With `--ops K` it then lists the K slowest kernel calls of `execute`,
@@ -77,6 +79,7 @@ class StageClock:
         self.wall: dict[str, float] = {}
         self.collected: dict[str, list[tuple[int, float]]] = {}
         self.kernel_wall = dict.fromkeys(KERNELS, 0.0)
+        self.chain_dp = 0.0  # seconds inside optimal_parenthesization
         self.kernel_gc = dict.fromkeys(KERNELS, 0.0)
         # (generation, seconds) of the collections since the last charge
         self.unclaimed: list[tuple[int, float]] = []
@@ -120,6 +123,16 @@ class StageClock:
             return result
         return timed
 
+    def wrap_dp(self, fn):
+        """fn, adding its wall time to the chain DP's."""
+        def timed(chain):
+            t0 = time.perf_counter()
+            try:
+                return fn(chain)
+            finally:
+                self.chain_dp += time.perf_counter() - t0
+        return timed
+
     def describe_calls(self, matmul_path) -> None:
         """Describe the calls of the program just executed. This runs after
         its `execute` has returned, so describing is not timed and its
@@ -157,6 +170,8 @@ def one_round(m, texts: list[str], mode, ops: bool) -> StageClock:
     real = {name: getattr(m.executor, name) for name in KERNELS.values()}
     for kernel, name in KERNELS.items():
         setattr(m.executor, name, clock.wrap(kernel, real[name]))
+    dp = m.equation_opt.optimal_parenthesization
+    m.equation_opt.optimal_parenthesization = clock.wrap_dp(dp)
     gc.callbacks.append(clock.on_gc)
     try:
         for clock.program, text in enumerate(texts):
@@ -169,6 +184,7 @@ def one_round(m, texts: list[str], mode, ops: bool) -> StageClock:
                 clock.describe_calls(m.executor.matmul_path)
     finally:
         gc.callbacks.remove(clock.on_gc)
+        m.equation_opt.optimal_parenthesization = dp
         for name, fn in real.items():
             setattr(m.executor, name, fn)
     return clock
@@ -227,6 +243,8 @@ def main() -> int:
           + "".join(f"{f'gen{g} ms':>9}{'n':>6}" for g in range(3)))
     for stage in stages:
         print(row(stage, (stage,)))
+        if stage == "optimize":
+            print(f"  {'chain DP':<8}{ms([r.chain_dp for r in rounds])}")
     print(row("compile", stages[:-1]))
     print("execute by kernel:")
     for kernel in KERNELS:
