@@ -19,14 +19,18 @@ DP cell (i, j) holds the subchain product's cost, split, properties, stored
 pattern and stored-entry count (its dims are `chain[i].rows` x
 `chain[j].cols`), so structure propagates into later cost decisions, and the
 optimizer types each emitted product from its cell. A cell's pattern and
-count are computed once, when the cell is filled, so a split with a full
-operand is priced inline by one multiplication, and `pattern_cost` is called
-only for splits of two structured operands.
+count are computed once, so a split with a full operand is priced by one
+multiplication, and only a split of two structured operands needs
+`pattern_cost`.
 
 Two scans fill the same tables. `_python_scan` tries one split at a time;
 `_numpy_scan` fills one diagonal (span length) at a time, its split costs
-as int64 arrays. Both fold a cell's properties through `_fold`, so the
-property rules and the calls perfbench counts are the same in either.
+as int64 arrays. Both fold a cell's properties through `_fold` and price
+two structured operands through `pattern_cost`, so each rule exists once.
+The numpy scan folds each row only up to its first `EMPTY_PROPS` cell,
+which absorbs under `infer_mul`, so it makes fewer of the calls perfbench
+counts, and it looks two structured operands, which share one size, up in
+a per-size table of `pattern_cost`'s prices.
 `optimal_parenthesization` takes the numpy scan only when the chain has at
 least `NUMPY_MIN_LENGTH` operands, numpy is already loaded (a compile never
 imports it), and k * max(dims)^3 < 2^62, so that every cell and candidate
@@ -48,6 +52,7 @@ from typing import Sequence
 from .errors import DimMismatch
 from .ir import MatrixType
 from .properties import (
+    EMPTY_PROPS,
     PropertySet,
     StoredPattern,
     infer_mul,
@@ -57,10 +62,12 @@ from .record import Record
 
 _FULL = StoredPattern.FULL
 _DIAG = StoredPattern.DIAG_ONLY
+# The structured patterns; the numpy scan codes each by its index + 1.
+_STRUCTURED = (StoredPattern.LOWER_INCL, StoredPattern.UPPER_INCL, _DIAG)
 
 
 # Chains this long or longer take the numpy scan when numpy is loaded.
-NUMPY_MIN_LENGTH = 32
+NUMPY_MIN_LENGTH = 22
 
 # Node spans in postorder: an inner node (i, j) follows its children's
 # spans (i, s) and (s+1, j).
@@ -169,8 +176,8 @@ def optimal_parenthesization(chain: Sequence[MatrixType]) -> ChainSolution:
     product's stored pattern and stored-entry count, so a split whose left
     operand is full costs m times the right cell's count, one whose right
     operand is full the left cell's count times n, and only a split of two
-    structured operands calls `pattern_cost`. Cost ties break toward the
-    smallest split index so dumps are deterministic.
+    structured operands is priced by `pattern_cost`. Cost ties break toward
+    the smallest split index so dumps are deterministic.
 
     `_numpy_scan` runs when all three hold: the chain has at least
     `NUMPY_MIN_LENGTH` operands, numpy is already loaded, and
@@ -178,8 +185,9 @@ def optimal_parenthesization(chain: Sequence[MatrixType]) -> ChainSolution:
     int64. Otherwise `_python_scan` runs. The two give identical tables. The
     crossover was measured on perfbench-like chains (`gen.run_chain`, dims
     2-16) with numpy loaded, on 2 vCPUs with Python 3.11 and numpy 2.4,
-    Python against numpy: k = 4 14 / 63 us, k = 28 0.73 / 0.79 ms,
-    k = 32 1.01 / 0.94, k = 90 15.1 / 4.7 and k = 256 328 / 50.
+    Python against numpy: k = 4 0.026 / 0.12 ms, k = 20 0.36 / 0.38,
+    k = 22 0.47 / 0.44, k = 24 0.53 / 0.47, k = 32 1.08 / 0.72,
+    k = 90 19.7 / 3.2 and k = 256 430-460 / 27-37.
     """
     _check_chain(chain)
     k = len(chain)
@@ -256,61 +264,89 @@ def _numpy_scan(chain: Sequence[MatrixType]) -> ChainSolution:
     """The DP one diagonal (span length) at a time, as in Cormen et al.,
     ch. 15, with each diagonal's split costs as int64 arrays.
 
-    `flat` holds three k x k planes: cost, stored-entry count and is-full
-    (0 or 1). Cell (i, j) of diagonal d = j - i takes its left operands
-    (i, s) from row i and its right ones (s+1, j) from column j, for
-    s = i..j-1, so both are strided views of `flat` of shape (3, k - d, d).
-    When either operand is full, a split's product costs
-    min(m * right count, left count * n): the full operand's count-rule
-    term is exact, and the other term counts the other operand as full,
-    which can only be more. Both subchain costs are added, and the few
-    splits of two structured operands are priced again by `pattern_cost`.
-    `argmin` returns the first minimum, the Python scan's smallest split.
-    Needs k * max(dims)^3 < 2^62 and numpy already loaded.
+    Nothing a cell holds but its cost depends on the costs, so all of it is
+    built before the diagonal loop. `EMPTY_PROPS` absorbs under `infer_mul`,
+    so each row's left fold stops at its first `EMPTY_PROPS` cell, and every
+    later cell of the row is full and stores m * n entries. A cell that is
+    not full spans square operands of one size.
+
+    `flat` holds three k x k planes: cost, stored-entry count and pattern
+    code (0 for full, else 1 + the index in `_STRUCTURED`). Cell (i, j) of
+    diagonal d = j - i takes its left operands (i, s) from row i and its
+    right ones (s+1, j) from column j, for s = i..j-1, so both are strided
+    views of `flat` of shape (3, k - d, d). When either operand is full, a
+    split's product costs min(m * right count, left count * n): the full
+    operand's count-rule term is exact, and the other term counts the other
+    operand as full, which can only be more. A split of two structured
+    operands has m = k = n = dims[i], and its price is looked up in a table
+    that `pattern_cost` fills per distinct size of a structured cell; such
+    splits exist only on diagonals up to 2 * reach + 1, reach being the
+    longest span of a structured cell. `argmin` returns the first minimum,
+    the Python scan's smallest split. Needs k * max(dims)^3 < 2^62 and numpy
+    already loaded.
     """
     import numpy as np
 
     k = len(chain)
-    dims, props, pattern, size = _leaves(chain)
-    flat = np.zeros(3 * k * k, np.int64)
+    dims = [op.rows for op in chain] + [chain[-1].cols]
+    props: list[list] = []  # row i: None below the diagonal, then the fold
+    # The flat index, pattern code and stored count of each structured cell.
+    structured: list[int] = []
+    codes: list[int] = []
+    counts: list[int] = []
+    sizes: dict[int, int] = {}  # dim of a structured cell -> its row in `table`
+    reach = -1  # the longest span of a structured cell
+    for i, op in enumerate(chain):
+        p, pat, j = op.props, stored_pattern(op.props), i
+        row = [None] * i + [p]
+        count = _stored_count(op.rows, op.cols, pat)
+        while True:
+            if pat is not _FULL:
+                structured.append(i * k + j)
+                codes.append(1 + _STRUCTURED.index(pat))
+                counts.append(count)
+                sizes.setdefault(dims[i], len(sizes))
+                reach = max(reach, j - i)
+            if p is EMPTY_PROPS or j == k - 1:
+                break
+            j += 1
+            p, pat, count = _fold(p, chain[j].props, dims[i], dims[j], dims[j + 1])
+            row.append(p)
+        props.append(row + [EMPTY_PROPS] * (k - 1 - j))
+
+    dim = np.array(dims, np.int64)
+    flat = np.zeros((3, k, k), np.int64)
+    np.outer(dim[:-1], dim[1:], out=flat[1])  # a full cell stores m * n
+    flat[1].flat[structured] = counts
+    flat[2].flat[structured] = codes
+    flat = flat.reshape(-1)
+    table = np.zeros((len(sizes), 4, 4), np.int64)
+    for n, z in sizes.items():
+        for a, pa in enumerate(_STRUCTURED, 1):
+            for b, pb in enumerate(_STRUCTURED, 1):
+                table[z, a, b] = pattern_cost(n, n, n, pa, pb)
+    size_of = np.array([sizes.get(n, 0) for n in dims[:-1]], np.int64)[:, None]
     split = np.zeros(k * k, np.int64)
     plane, cell, col = (x * flat.itemsize for x in (k * k, k + 1, k))
 
     def view(start: int, shape: tuple, strides: tuple):
         return np.ndarray(shape, np.int64, flat, start * flat.itemsize, strides)
 
-    leaves = view(0, (3, k), (plane, cell))
-    leaves[1] = [size[i][i] for i in range(k)]
-    leaves[2] = [pattern[i][i] is _FULL for i in range(k)]
-    column = np.array(dims, np.int64)[:, None]
+    column = dim[:, None]
     rows = np.arange(k)
     for d in range(1, k):
         cells = k - d
-        counts, fulls = [], []
-        for i in range(cells):
-            j = i + d
-            props[i][j], pattern[i][j], size[i][j] = p = _fold(
-                props[i][j - 1], props[j][j], dims[i], dims[j], dims[j + 1])
-            counts.append(p[2])
-            fulls.append(p[1] is _FULL)
-        cost_l, count_l, full_l = view(0, (3, cells, d), (plane, cell, flat.itemsize))
-        cost_r, count_r, full_r = view(k + d, (3, cells, d), (plane, cell, col))
+        cost_l, count_l, code_l = view(0, (3, cells, d), (plane, cell, flat.itemsize))
+        cost_r, count_r, code_r = view(k + d, (3, cells, d), (plane, cell, col))
         q = column[:cells] * count_r
         np.minimum(q, count_l * column[d + 1:], out=q)
+        if d <= 2 * reach + 1:
+            np.putmask(q, (code_l != 0) & (code_r != 0),
+                       table[size_of[:cells], code_l, code_r])
         q += cost_l
         q += cost_r
-        full = full_l | full_r
-        if not full.all():
-            cell_of, t = (full == 0).nonzero()  # the split is cell_of + t
-            q[cell_of, t] = cost_l[cell_of, t] + cost_r[cell_of, t] + [
-                pattern_cost(dims[i], dims[s + 1], dims[i + d + 1],
-                             pattern[i][s], pattern[s + 1][i + d])
-                for i, s in zip(cell_of.tolist(), (cell_of + t).tolist())]
         best = q.argmin(axis=1)
-        diagonal = view(d, (3, cells), (plane, cell))
-        diagonal[0] = q[rows[:cells], best]
-        diagonal[1] = counts
-        diagonal[2] = fulls
+        flat[d:k * k:k + 1][:cells] = q[rows[:cells], best]
         split[d::k + 1][:cells] = rows[:cells] + best
     cost = flat[:k * k].reshape(k, k).tolist()
     splits = split.reshape(k, k).tolist()

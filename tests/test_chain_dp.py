@@ -20,7 +20,7 @@ from momc.chain import (
     tree_cost,
 )
 from momc.ir import MatrixType
-from momc.properties import EMPTY_PROPS, ElemKind
+from momc.properties import EMPTY_PROPS, ElemKind, StoredPattern, stored_pattern
 
 from chain_reference import reference_parenthesization, tree_props
 from gen import CLOSED_PSETS, default_seed, random_chain, run_chain
@@ -106,15 +106,67 @@ def test_scans_agree_on_random_chains():
 def test_scans_agree_on_ties():
     """Equal dims make many splits cost the same; both scans must keep the
     smallest. An all-FULL chain ties on every split of every cell, and an
-    all-lower-triangular one prices every split through `pattern_cost`."""
+    all-lower-triangular one prices every split of two structured operands,
+    in the numpy scan from its size table."""
     rng = random.Random(default_seed() ^ 0x77)
-    full, lower = CLOSED_PSETS[0], CLOSED_PSETS[1]
+    full, lower, upper, _, diag = CLOSED_PSETS
     for k in (2, 3, 7, NUMPY_MIN_LENGTH, 60):
         for n in (1, 2, 9):
             assert_scans_agree(square_chain(n, [rng.choice(CLOSED_PSETS)
                                                 for _ in range(k)]))
             assert_scans_agree(square_chain(n, [lower] * k))
             assert assert_scans_agree(square_chain(n, [full] * k)).split[0][k - 1] == 0
+    k = 128
+    for props in ([lower] * k, [upper] * k, [diag] * k,
+                  [rng.choice(CLOSED_PSETS) for _ in range(k)]):
+        chain = square_chain(9, props)
+        assert_structured_cells_are_square_runs(chain, assert_scans_agree(chain))
+
+
+def assert_structured_cells_are_square_runs(chain, sol):
+    """A cell that does not store full spans square operands of one size,
+    the fact that lets the numpy scan price two such cells by their size."""
+    for i, row in enumerate(sol.props):
+        for j in range(i, len(chain)):
+            if stored_pattern(row[j]) is not StoredPattern.FULL:
+                n = chain[i].rows
+                assert all(op.rows == op.cols == n for op in chain[i:j + 1])
+
+
+def test_structured_cells_span_square_operands_of_one_size():
+    rng = random.Random(default_seed() ^ 0x2D)
+    chains = [run_chain(rng, rng.randint(1, 90)) for _ in range(20)]
+    chains += [random_chain(rng, min_len=1, max_len=40) for _ in range(40)]
+    products = 0  # structured cells that are products, not operands
+    for chain in chains:
+        sol = _numpy_scan(chain)
+        assert_structured_cells_are_square_runs(chain, sol)
+        products += sum(stored_pattern(p) is not StoredPattern.FULL
+                        for i, row in enumerate(sol.props) for p in row[i + 1:])
+    assert products > 0
+
+
+def test_the_numpy_scan_prices_each_size_of_structured_cell_once(monkeypatch):
+    """`pattern_cost` fills the numpy scan's table, at most 9 calls (three
+    structured patterns on each side) per distinct dim, all square; no split
+    is priced one at a time in Python."""
+    calls = []
+
+    def spy(m, k, n, pa, pb):
+        calls.append((m, k, n))
+        return real(m, k, n, pa, pb)
+
+    real = chain_mod.pattern_cost
+    monkeypatch.setattr(chain_mod, "pattern_cost", spy)
+    rng = random.Random(default_seed() ^ 0x4B)
+    lower = CLOSED_PSETS[1]
+    for chain in ([run_chain(rng, 128)] + [run_chain(rng, 60) for _ in range(5)]
+                  + [square_chain(9, [lower] * 128)]):
+        calls.clear()
+        _numpy_scan(chain)
+        assert calls and all(m == k == n and m in {op.rows for op in chain}
+                             for m, k, n in calls)
+        assert max(calls.count(c) for c in calls) <= 9
 
 
 def test_costs_past_two_to_the_63_stay_exact(monkeypatch):
@@ -190,10 +242,30 @@ def test_build_does_not_recurse():
     assert _build(Splits(), 3000) == left_fold_tree(3000)
 
 
+def folded_cells(props):
+    """Cells up to and including each row's first `EMPTY_PROPS` cell, which
+    absorbs under `infer_mul`, so the rest of its row is `EMPTY_PROPS`."""
+    total = 0
+    for i, row in enumerate(props):
+        tail = row[i:]
+        total += tail.index(EMPTY_PROPS) + 1 if EMPTY_PROPS in tail else len(tail)
+    return total
+
+
 @pytest.mark.parametrize("scan", [_python_scan, _numpy_scan])
 def test_dp_looks_up_one_pattern_per_cell(monkeypatch, scan):
-    """One `stored_pattern` per cell and one `infer_mul` per product cell,
-    through the names perfbench's tracer counts, in either scan."""
+    """Through the names perfbench's tracer counts: the Python scan calls
+    `stored_pattern` once per cell and `infer_mul` once per product cell,
+    the numpy scan each once per cell up to and including its row's first
+    `EMPTY_PROPS` cell (`stored_pattern` also on the leaf) and never after."""
+    k = 60
+    rng = random.Random(default_seed() ^ 0x7A)
+    chains = [random_chain(rng, min_len=k, max_len=k), run_chain(rng, k)]
+    if scan is _python_scan:
+        expected = [k * (k + 1) // 2] * len(chains)
+    else:
+        expected = [folded_cells(_python_scan(chain).props) for chain in chains]
+        assert max(expected) < k * (k + 1) // 2
     calls = {"stored_pattern": 0, "infer_mul": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(chain_mod, name)):
@@ -201,8 +273,7 @@ def test_dp_looks_up_one_pattern_per_cell(monkeypatch, scan):
             return _real(*args)
 
         monkeypatch.setattr(chain_mod, name, counted)
-    k = 60
-    rng = random.Random(default_seed() ^ 0x7A)
-    scan(random_chain(rng, min_len=k, max_len=k))
-    assert calls == {"stored_pattern": k * (k + 1) // 2,
-                     "infer_mul": k * (k - 1) // 2}
+    for chain, cells in zip(chains, expected):
+        calls.update(stored_pattern=0, infer_mul=0)
+        scan(chain)
+        assert calls == {"stored_pattern": cells, "infer_mul": cells - k}

@@ -117,6 +117,20 @@ def test_inference_matches_the_oracle():
             close(swap.get(p, p) for p in a.members)
 
 
+def test_empty_props_absorbs_under_mul():
+    """`infer_mul(EMPTY_PROPS, ...)` is `EMPTY_PROPS` for every right set, on
+    square and rectangular dims: the chain DP's numpy scan stops each row's
+    fold at its first `EMPTY_PROPS` cell."""
+    for s in CLOSED_PSETS:
+        # The oracle: a square product keeps the shared triangularity, and
+        # a rectangular one none.
+        assert close(EMPTY_PROPS.members & s.members & {L, U}) == frozenset()
+        for dims_a in ((3, 3), (2, 3)):
+            assert infer_mul(EMPTY_PROPS, dims_a, s, (3, 3)) is EMPTY_PROPS
+    for dims_a in ((3, 3), (2, 3)):
+        assert infer_mul(EMPTY_PROPS, dims_a, EMPTY_PROPS, (3, 4)) is EMPTY_PROPS
+
+
 def test_canonicalize_single_property():
     assert canonicalize(["LowerTriangular"], 5, 5) == LOWER
 

@@ -8,6 +8,7 @@ The programs are written once: `tests/gen.py` programs for seeds 0..N-1
 `big600.mom` (`BIG_PROGRAM`), `overflow300.mom` (`OVERFLOW_PROGRAM`),
 `chain60.mom` and `chain256.mom` (`chain_program`; 256 operands is
 `MAX_CHAIN_OPERANDS`, the longest product the parser accepts),
+`tri256.mom` (`tri_program`: 256 same-size structured operands),
 `small.mom` (`small_program`: small prints of every shape up to 8x8, whole
 and fractional, with large whole products) and `tiny.mom`
 (`tiny_program`: exact products of every shape up to 8x8x8, and small
@@ -37,7 +38,8 @@ which the CLI reports after its `--no-opt` run). Generated programs and examples
 examples at `--scale=4`; `big600.mom` and `overflow300.mom` run at full size
 in dense and specialized mode only, `chain60.mom` is dumped with `--emit` =
 `chain`, `ir-opt` and `loops` and run in those two modes, and `chain256.mom`
-likewise but without `--emit=chain`, whose DP tables would be 256x256, and
+and `tri256.mom` likewise but without `--emit=chain`, whose DP tables would
+be 256x256, and
 `small.mom` and `tiny.mom` run in dense and specialized mode; `crlf.mom`
 is dumped with every `--emit` and runs in those two modes, `crlf_error.mom`
 is only dumped, and `types.mom` is dumped with `--emit` = `ir`, `ir-opt`
@@ -333,6 +335,19 @@ def chain_program(k: int) -> str:
     return "\n".join(lines + ["R = " + " * ".join(operands), "print(R)", ""])
 
 
+def tri_program(k: int) -> str:
+    """`R = T1 * ... * Tk` in f64 over 9x9 lower-triangular, upper-triangular
+    and diagonal operands drawn with a fixed seed, so that many splits of
+    the chain DP have two structured operands of one size. Fills are 1/9,
+    so no row sums to more than 1 and the product stays finite."""
+    rng = random.Random(9)
+    kinds = ("LowerTriangular", "UpperTriangular", "Diagonal")
+    names = [f"T{i}" for i in range(1, k + 1)]
+    lines = [f"Matrix {name}(9, 9) <{rng.choice(kinds)}> : f64 = {1 / 9}"
+             for name in names]
+    return "\n".join(lines + ["R = " + " * ".join(names), "print(R)", ""])
+
+
 def small_program() -> str:
     """Every shape from 1x1 to 8x8, and 1x65 and 5x13 just past
     `SMALL_PRINT_ENTRIES` (64), in f32 and f64: each printed with a whole
@@ -437,6 +452,8 @@ def write_programs(directory: str, n: int) -> list[tuple[str, list[str]]]:
     write("chain60.mom", chain_program(60),
           [["--emit=chain"], ["--emit=ir-opt"], ["--emit=loops"]] + RUNS[:2])
     write("chain256.mom", chain_program(256),
+          [["--emit=ir-opt"], ["--emit=loops"]] + RUNS[:2])
+    write("tri256.mom", tri_program(256),
           [["--emit=ir-opt"], ["--emit=loops"]] + RUNS[:2])
     write("small.mom", small_program(), RUNS[:2])
     write("tiny.mom", tiny_program(), RUNS[:2])
