@@ -45,6 +45,7 @@ bounded by Python's recursion limit.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import Sequence
@@ -138,8 +139,10 @@ def tree_string(tree: ChainTree, names: list[str] | tuple[str, ...]) -> str:
     return done[0]
 
 
+@functools.lru_cache(maxsize=256)
 def left_fold_tree(length: int) -> ChainTree:
-    """The source-order parenthesization ((A1*A2)*A3)*..."""
+    """The source-order parenthesization ((A1*A2)*A3)*...; the trees of the
+    last 256 lengths asked for are kept."""
     return ((0, 0),) + tuple(span for j in range(1, length)
                              for span in ((j, j), (0, j)))
 

@@ -91,24 +91,25 @@ def resolve_types(eq: ir.Equation,
         if e is not None:
             return e
         t = leaf_type(v)
-        if not isinstance(t, ir.MatrixType):
+        if t.__class__ is not ir.MatrixType:
             raise ResolutionError("placeholder term reached type resolution")
         return Leaf(v, t)
 
     for op in eq.region:
-        if isinstance(op, ir.Transpose):
+        cls = op.__class__
+        if cls is ir.Transpose:
             c = node(op.operand)
             t = c.type
             if not t.identity:
                 t = ir.matrix_type(t.cols, t.rows, t.elem, infer_transpose(t.props))
             nodes[op.result] = c if t.identity and drop_identities else Trans(c, t)
             continue
-        assert isinstance(op, (ir.Mul, ir.Add))
-        kind = MulN if isinstance(op, ir.Mul) else AddN
+        assert cls is ir.Mul or cls is ir.Add
+        kind = MulN if cls is ir.Mul else AddN
         children: list[SymExpr] = []
         for o in op.operands:
             c = node(o)
-            children.extend(c.children) if isinstance(c, kind) else children.append(c)
+            children.extend(c.children) if c.__class__ is kind else children.append(c)
         types = [c.type for c in children]
         reason = ir.operand_type_error(op, types)
         if reason is not None:
@@ -192,8 +193,10 @@ def optimize_and_rematerialize(module: ir.IRModule,
 
     `module` must verify clean (`ir.verify`): each region then lists its ops
     operands first and each yielded value is defined. Inits and fills are
-    kept in place; each equation is replaced by the binary ops of its
-    optimized tree; prints are retargeted to the new concrete-typed results.
+    kept in place, as the input's own op objects while its ids line up with
+    the new module's (`build_ir` puts every input before any equation); each
+    equation is replaced by the binary ops of its optimized tree; prints are
+    retargeted to the new concrete-typed results.
     An equation that reduces to a bare leaf emits no ops and its prints read
     the original buffer.
     """
@@ -206,32 +209,35 @@ def optimize_and_rematerialize(module: ir.IRModule,
         return b.types[vmap[v]]
 
     def emit(e: SymExpr) -> ir.ValueId:
-        if isinstance(e, Leaf):
+        cls = e.__class__
+        if cls is Leaf:
             return vmap[e.value]
-        if isinstance(e, Trans):
+        if cls is MulN:
+            return emit_chain(e)
+        if cls is Trans:
             operand = emit(e.child)
             v = b.new_value(e.type)
             b.ops.append(ir.Transpose(v, operand))
             return v
-        if isinstance(e, AddN):
-            acc = emit(e.children[0])
-            acc_t = e.children[0].type
-            for c in e.children[1:]:
-                rhs = emit(c)
-                acc_t = ir.matrix_type(acc_t.rows, acc_t.cols, acc_t.elem,
-                                       infer_add(acc_t.props, c.type.props))
-                v = b.new_value(acc_t)
-                b.ops.append(ir.Add(v, (acc, rhs)))
-                acc = v
-            return acc
-        return emit_chain(e)
+        acc = emit(e.children[0])  # an AddN
+        acc_t = e.children[0].type
+        for c in e.children[1:]:
+            rhs = emit(c)
+            acc_t = ir.matrix_type(acc_t.rows, acc_t.cols, acc_t.elem,
+                                   infer_add(acc_t.props, c.type.props))
+            v = b.new_value(acc_t)
+            b.ops.append(ir.Add(v, (acc, rhs)))
+            acc = v
+        return acc
 
     def emit_chain(e: MulN) -> ir.ValueId:
-        operands = tuple(c.type for c in e.children)
+        operands = tuple([c.type for c in e.children])
         solution = optimal_parenthesization(operands)
         baseline = left_fold_tree(len(operands))
         tree = solution.tree if options.reorder_chains else baseline
-        names = tuple(_leaf_name(c, module) for c in e.children)
+        names = tuple([module.names.get(c.value, f"%{c.value}")
+                       if c.__class__ is Leaf else _leaf_name(c, module)
+                       for c in e.children])
         chains.append(ChainReport(
             label=f"equation {eq_count}",
             operand_names=names,
@@ -257,14 +263,15 @@ def optimize_and_rematerialize(module: ir.IRModule,
 
     try:
         for op in module.ops:
-            if isinstance(op, ir.Init):
-                vmap[op.result] = b.init(module.types[op.result],
-                                         module.names.get(op.result))
-            elif isinstance(op, ir.Fill):
-                b.ops.append(ir.Fill(op.value, vmap[op.operand]))
-            elif isinstance(op, ir.Print):
-                b.ops.append(ir.Print(vmap[op.operand]))
-            elif isinstance(op, ir.Equation):
+            cls = op.__class__
+            if cls is ir.Init:
+                v = vmap[op.result] = b.new_value(module.types[op.result],
+                                                  module.names.get(op.result))
+                b.ops.append(op if v == op.result else ir.Init(v))
+            elif cls is ir.Fill:
+                v = vmap[op.operand]
+                b.ops.append(op if v == op.operand else ir.Fill(op.value, v))
+            elif cls is ir.Equation:
                 try:
                     e = resolve_types(op, rematerialized_type,
                                       options.simplify_identities)
@@ -280,6 +287,8 @@ def optimize_and_rematerialize(module: ir.IRModule,
                     raise
                 vmap[op.result] = emit(e)
                 eq_count += 1
+            elif cls is ir.Print:
+                b.ops.append(ir.Print(vmap[op.operand]))
             else:
                 raise ResolutionError(
                     f"cannot optimize a module containing {type(op).__name__}")

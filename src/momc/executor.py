@@ -59,8 +59,8 @@ from .loops import ExecMode  # also re-exported: callers name executor.ExecMode
 from .properties import ElemKind, StoredPattern, stored_pattern  # noqa: F401
 from .record import Record
 
-# A buffer's header names its element kind by dtype; `_zeros` picks a dtype
-# by identity. Neither hashes an ElemKind: `Enum.__hash__` runs in Python.
+# A print's header names its element kind by the buffer's dtype, since
+# `format_print` is given the buffer and not its type.
 _ELEM_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 

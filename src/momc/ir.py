@@ -241,17 +241,18 @@ def _build_region(e: fe.Expr, env: dict[str | int, ValueId], new_value: Callable
                   region: list[IROp]) -> ValueId:
     """The value of `e`, after appending its compute ops to `region`, each
     after its operands. A transpose takes its id before its operand's values."""
-    if type(e) is str:
+    cls = e.__class__
+    if cls is str:
         return env[e]
-    if isinstance(e, fe.IdentityLit):
-        return env[id(e)]
-    if isinstance(e, fe.Transpose):
+    if cls is fe.Transpose:
         v = new_value(TERM)
         region.append(Transpose(v, _build_region(e.operand, env, new_value, region)))
         return v
+    if cls is fe.IdentityLit:
+        return env[id(e)]
     operands = tuple([_build_region(o, env, new_value, region) for o in e.operands])
     v = new_value(TERM)
-    region.append(Mul(v, operands) if isinstance(e, fe.Mul) else Add(v, operands))
+    region.append(Mul(v, operands) if cls is fe.Mul else Add(v, operands))
     return v
 
 
@@ -265,16 +266,16 @@ def build_ir(ast: fe.Ast) -> IRModule:
     source order, to anonymous top-level init+fill values.
     """
     b = IRBuilder()
-    assigned = {s.target for s in ast.stmts if isinstance(s, fe.Assign)}
+    assigned = {s.target for s in ast.stmts if s.__class__ is fe.Assign}
     dims = {d.name: (d.rows, d.cols) for d in ast.decls
-            if d.name in assigned and isinstance(d, fe.MatrixDecl)}
+            if d.name in assigned and d.__class__ is fe.MatrixDecl}
     # Values by name, and of hoisted identity literals by the literal's id().
     env: dict[str | int, ValueId] = {}
 
     for d in ast.decls:
         if d.name in assigned:
             continue
-        if isinstance(d, fe.MatrixDecl):
+        if d.__class__ is fe.MatrixDecl:
             props = canonicalize(d.props, d.rows, d.cols)
             v = b.init(matrix_type(d.rows, d.cols, d.elem, props), d.name)
             b.ops.append(Fill(d.fill, v))
@@ -291,7 +292,7 @@ def build_ir(ast: fe.Ast) -> IRModule:
     new_value = b.new_value
     for s in ast.stmts:
         e = s.expr
-        assign = isinstance(s, fe.Assign)
+        assign = s.__class__ is fe.Assign
         if not assign and (type(e) is str or type(e) is fe.IdentityLit):
             b.ops.append(Print(env[e if type(e) is str else id(e)]))
             continue
@@ -316,11 +317,15 @@ def operand_type_error(op: Mul | Add, types: list[MatrixType]) -> str | None:
     """The operand rules of a product or sum, or None when `types` keep them:
     one element kind, then equal dims for a sum and agreeing consecutive
     inner dims for a product."""
-    if any(t.elem is not types[0].elem for t in types):
-        return "operands mix f32 and f64"
-    if isinstance(op, Add):
-        same = all((t.rows, t.cols) == (types[0].rows, types[0].cols) for t in types)
-        return None if same else "addition operands must share dims"
+    t0 = types[0]
+    for t in types:
+        if t.elem is not t0.elem:
+            return "operands mix f32 and f64"
+    if op.__class__ is Add:
+        for t in types:
+            if t.rows != t0.rows or t.cols != t0.cols:
+                return "addition operands must share dims"
+        return None
     for a, b in zip(types, types[1:]):
         if a.cols != b.rows:
             return f"inner dims disagree, {a.cols} vs {b.rows}"
@@ -340,6 +345,7 @@ def verify(m: IRModule) -> list[CompileError]:
     any other reads `op i.j: reason`.
     """
     errors: list[CompileError] = []
+    types = m.types
     defined: set[ValueId] = set()
     seen_defs: set[ValueId] = set()
 
@@ -352,7 +358,7 @@ def verify(m: IRModule) -> list[CompileError]:
             errors.append(CompileError(reason, line=loc[0], col=loc[1]))
 
     def check_value(path: tuple[int, ...], v: ValueId) -> None:
-        if v not in m.types:
+        if v not in types:
             out(path, f"value %{v} missing from the symbol table")
         if v not in defined:
             out(path, f"operand %{v} used before definition")
@@ -362,64 +368,63 @@ def verify(m: IRModule) -> list[CompileError]:
             out(path, f"value %{v} defined more than once")
         seen_defs.add(v)
         defined.add(v)
-        if v not in m.types:
+        if v not in types:
             out(path, f"value %{v} missing from the symbol table")
 
     def check_compute(path: tuple[int, ...], op: IROp, top_level: bool) -> None:
-        operands = op_operands(op)
+        cls = op.__class__
+        operands = (op.operand,) if cls is Transpose else op.operands
         for o in operands:
             check_value(path, o)
-        result = op_result(op)
-        assert result is not None
-        check_result(path, result)
-        if isinstance(op, (Mul, Add)) and len(operands) < 2:
+        check_result(path, op.result)
+        if cls is not Transpose and len(operands) < 2:
             out(path, "mul/add needs at least 2 operands")
         if not top_level:
-            if not isinstance(m.types.get(result, TERM), TermType):
+            if types.get(op.result, TERM).__class__ is not TermType:
                 out(path, "compute op inside an equation must produce a term")
             return
-        types = [m.types.get(v) for v in operands]
-        rt = m.types.get(result)
-        if not all(isinstance(t, MatrixType) for t in (*types, rt)):
+        operand_types = [types.get(v) for v in operands]
+        rt = types.get(op.result)
+        if not all(isinstance(t, MatrixType) for t in (*operand_types, rt)):
             out(path, "top-level compute op must have concrete types")
-        elif isinstance(op, Transpose):
-            if (rt.rows, rt.cols) != (types[0].cols, types[0].rows):
+        elif cls is Transpose:
+            if (rt.rows, rt.cols) != (operand_types[0].cols, operand_types[0].rows):
                 out(path, "transpose result dims must be swapped operand dims")
         else:
             if len(operands) != 2:
                 out(path, "top-level mul/add must be binary")
-            reason = operand_type_error(op, types)
+            reason = operand_type_error(op, operand_types)
             if reason is not None:
                 out(path, reason)
 
     inits: set[ValueId] = set()
     for i, op in enumerate(m.ops):
         path = (i,)
-        if isinstance(op, Init):
+        cls = op.__class__
+        if cls is Init:
             check_result(path, op.result)
             inits.add(op.result)
-        elif isinstance(op, Fill):
+        elif cls is Fill:
             check_value(path, op.operand)
             if op.operand not in inits:
                 out(path, "fill operand must be an init result")
-        elif isinstance(op, Print):
-            check_value(path, op.operand)
-        elif isinstance(op, Equation):
+        elif cls is Equation:
             check_result(path, op.result)
-            if not isinstance(m.types.get(op.result, TERM), TermType):
+            if types.get(op.result, TERM).__class__ is not TermType:
                 out(path, "equation result must be a term")
             region_defined: set[ValueId] = set()
             for j, inner in enumerate(op.region):
-                ipath = (i, j)
-                if isinstance(inner, _COMPUTE):
-                    check_compute(ipath, inner, top_level=False)
-                    region_defined.add(op_result(inner))  # type: ignore[arg-type]
+                if inner.__class__ in _COMPUTE:
+                    check_compute((i, j), inner, top_level=False)
+                    region_defined.add(inner.result)
                 else:
-                    out(ipath, f"{type(inner).__name__.lower()} is not allowed "
-                               "inside an equation region")
+                    out((i, j), f"{type(inner).__name__.lower()} is not allowed "
+                                "inside an equation region")
             check_value(path, op.yielded)
             defined.difference_update(region_defined)
-        elif isinstance(op, _COMPUTE):
+        elif cls is Print:
+            check_value(path, op.operand)
+        elif cls in _COMPUTE:
             check_compute(path, op, top_level=True)
     return errors
 

@@ -125,14 +125,15 @@ def lower_to_loops(m: ir.IRModule) -> LoopModule:
     stored patterns and the value facts of the module docstring."""
     types = m.types
     for v, t in types.items():
-        if isinstance(t, ir.TermType):
+        if t.__class__ is ir.TermType:
             raise UnresolvedTerm(f"value %{v} still has a placeholder term type")
 
     ops: list[LoopOp] = []
     facts: dict[TensorId, tuple[int, int]] = {}  # the known intervals
     f32, full = ElemKind.F32, StoredPattern.FULL
     for op in m.ops:
-        if isinstance(op, ir.Fill):
+        cls = op.__class__
+        if cls is ir.Fill:
             v, t = op.value, types[op.operand]
             pattern = stored_pattern(t.props)
             limit = _F32_EXACT if t.elem is f32 else _F64_EXACT
@@ -147,19 +148,12 @@ def lower_to_loops(m: ir.IRModule) -> LoopModule:
                 facts[op.operand] = ((v, v) if pattern is full
                                      else (v, 0) if v < 0 else (0, v))
             ops.append(Fill(op.operand, op.value, pattern))
-        elif isinstance(op, ir.Print):
-            ops.append(Print(op.operand, stored_pattern(types[op.operand].props),
-                             facts.get(op.operand)))
-        elif isinstance(op, ir.Init):
+        elif cls is ir.Init:
             ops.append(Alloc(op.result))
-        elif isinstance(op, ir.Transpose):
-            if op.operand in facts:
-                facts[op.result] = facts[op.operand]
-            ops.append(Alloc(op.result, op.operand))
-        elif isinstance(op, (ir.Mul, ir.Add)):
+        elif cls is ir.Mul or cls is ir.Add:
             a, b = op.operands  # rematerialization leaves binary ops
             ta, tb = types[a], types[b]
-            mul = isinstance(op, ir.Mul)
+            mul = cls is ir.Mul
             known = a in facts and b in facts
             if known:
                 (la, ha), (lb, hb) = facts[a], facts[b]
@@ -180,6 +174,13 @@ def lower_to_loops(m: ir.IRModule) -> LoopModule:
                                pattern_cost(ta.rows, ta.cols, tb.cols, pa, pb)))
             else:
                 ops += (Alloc(op.result), Add(a, b, op.result))
+        elif cls is ir.Print:
+            ops.append(Print(op.operand, stored_pattern(types[op.operand].props),
+                             facts.get(op.operand)))
+        elif cls is ir.Transpose:
+            if op.operand in facts:
+                facts[op.result] = facts[op.operand]
+            ops.append(Alloc(op.result, op.operand))
         else:
             raise UnresolvedTerm(
                 f"{type(op).__name__} cannot be lowered; run the optimizer first")

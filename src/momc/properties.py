@@ -18,6 +18,13 @@ transpose swaps lower and upper. `tests/test_properties.py` derives the five
 sets and every rule from C1-C3 by a fixpoint and checks them against these
 values.
 
+`ElemKind` and `StoredPattern` hash by identity, as `PropertySet` does:
+their members are singletons that compare by identity, and `Enum.__hash__`
+runs in Python, while a `MatrixType`'s hash and every `ir.matrix_type`
+lookup hash an `ElemKind`. So their hashes, unlike their values, differ
+from one process to the next, and no output may depend on them
+(`tests/test_cli.py` compares the dumps of two interpreters).
+
 Inference is deliberately conservative: a rule may return fewer properties
 than are mathematically derivable, never more. Soundness is what the cost
 model and the fill semantics depend on, and it is what the brute-force tests
@@ -39,6 +46,7 @@ class ElemKind(enum.Enum):
 
     F32 = "f32"
     F64 = "f64"
+    __hash__ = object.__hash__  # members are singletons: see the module docstring
 
     def __str__(self) -> str:
         return self.value
@@ -72,6 +80,7 @@ class StoredPattern(enum.Enum):
     LOWER_INCL = "lowerIncl"
     UPPER_INCL = "upperIncl"
     DIAG_ONLY = "diagOnly"
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -137,6 +146,8 @@ def canonicalize(declared: Iterable[str], rows: int, cols: int) -> PropertySet:
     All four properties require a square matrix; symmetry is included in the
     check because a rectangular symmetric type would be unrepresentable.
     """
+    if not declared:
+        return EMPTY_PROPS  # most declarations are `<>`
     props = []
     for name in declared:
         if name not in DECLARED_NAMES:

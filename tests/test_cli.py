@@ -1,7 +1,11 @@
 """CLI driver: flags, exit codes, stage dumps, reports."""
 
+import ast
+import glob
 import importlib.util
+import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 
 from momc import chain, executor
+from momc.__main__ import BLAS_THREAD_VARS
 from momc.cli import EMIT_STAGES, BenchReport, main, parse_config
 from momc.errors import ParseError
 from momc.executor import ExecMode
@@ -141,6 +146,90 @@ def test_closed_stdout_exits_1_without_a_traceback():
     finally:
         os.close(w)
     assert (done.returncode, done.stderr) == (1, b"")
+
+
+# A `sitecustomize` that writes, as the process exits, whether numpy was
+# loaded and the BLAS thread variables it ended with.
+SHOW_THREADS = f"""\
+import atexit, os, sys
+atexit.register(lambda: sys.stderr.write(repr(
+    ("numpy" in sys.modules, [os.environ.get(v) for v in {BLAS_THREAD_VARS!r}]))))
+"""
+
+
+def threads_at_exit(tmp_path, entry, **env):
+    """(numpy loaded, the BLAS thread variables) at the exit of a fresh
+    process that runs chain4 with `--run` through `entry`, started with
+    none of those variables set but those in `env`."""
+    (tmp_path / "sitecustomize.py").write_text(SHOW_THREADS)
+    child_env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    child_env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), child_env["PYTHONPATH"]])
+    done = subprocess.run([sys.executable, *entry, CHAIN4, "--run", "--scale=10"],
+                          env={**child_env, **env}, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stderr)
+
+
+@pytest.mark.parametrize("entry", [
+    ["-m", "momc"],
+    # what the `momc` script of `[project.scripts]` calls
+    ["-c", "import sys; from momc.__main__ import main; sys.exit(main())"],
+])
+def test_the_cli_process_runs_one_blas_thread(tmp_path, entry):
+    assert threads_at_exit(tmp_path, entry) == (True, ["1", "1", "1"])
+    assert threads_at_exit(tmp_path, entry, OPENBLAS_NUM_THREADS="2") == (
+        True, ["2", "1", "1"])
+
+
+def test_cli_main_sets_no_thread_variable(capsys):
+    before = dict(os.environ)
+    code, _, _ = run_cli(capsys, CHAIN4, "--run", "--scale=10")
+    assert code == 0
+    assert dict(os.environ) == before
+
+
+def test_the_momc_script_is_the_process_entry_point():
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")) as f:
+        assert '\nmomc = "momc.__main__:main"\n' in f.read()
+
+
+# Runs `cli.main` once per argument list of the JSON in argv[1], each run's
+# output after a marker line, and exits with the largest exit code.
+RUN_ALL = """\
+import json, sys
+from momc.cli import main
+codes = [0]
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    print(f"== run {i}", flush=True)
+    codes.append(main(argv))
+sys.exit(max(codes))
+"""
+
+
+def test_no_output_depends_on_the_hash_seed(tmp_path):
+    """Strings hash by the seed and `ElemKind`, `StoredPattern` and
+    `PropertySet` by identity, so hashes differ from one interpreter to the
+    next; what the compiler prints must not."""
+    prog = tmp_path / "random.mom"
+    prog.write_text(gen.random_program(random.Random(5)))
+    paths = sorted(glob.glob(os.path.join(EXAMPLES, "*.mom"))) + [str(prog)]
+    outputs = []
+    for seed in ("0", "1"):
+        reports = [tmp_path / f"seed{seed}-{i}.kv" for i in range(len(paths))]
+        runs = [[p, f"--emit={stage}"] for p in paths
+                for stage in ("ir-opt", "loops", "chain")]
+        runs += [[p, "--run", "--mode=specialized", f"--report={r}"]
+                 for p, r in zip(paths, reports)]
+        done = subprocess.run([sys.executable, "-c", RUN_ALL, json.dumps(runs)],
+                              env=dict(os.environ, PYTHONHASHSEED=seed),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        mults = [line for r in reports for line in r.read_text().splitlines()
+                 if ".mults=" in line]
+        outputs.append((done.stdout, mults))
+    assert "optimal: " in outputs[0][0]  # the random program has a chain
+    assert outputs[0] == outputs[1]
 
 
 def test_semantic_error_exits_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Type resolution with identity simplification, rematerialization."""
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,6 +341,56 @@ def test_emitted_types_equal_inferred_types(monkeypatch, opt):
                for op in muls]
         assert got == expected
         assert not unread
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+def test_input_ops_pass_through_the_optimizer():
+    """`build_ir` puts every input before any equation, so the optimizer
+    keeps each input's init and fill as the input module's own op objects,
+    with the input's id, type and name."""
+    texts = [p.read_text() for p in sorted(EXAMPLES.glob("*.mom"))]
+    rng = random.Random(default_seed() ^ 0x1D)
+    texts += [random_program(rng) for _ in range(25)]
+    for text in texts:
+        m = compile_text(text)
+        out = eo.optimize_and_rematerialize(m).module
+        inputs = [op for op in m.ops if op.__class__ in (ir.Init, ir.Fill)]
+        kept = [op for op in out.ops if op.__class__ in (ir.Init, ir.Fill)]
+        assert len(kept) == len(inputs)
+        assert all(a is b for a, b in zip(kept, inputs))
+        for v in (op.result for op in inputs if op.__class__ is ir.Init):
+            assert out.types[v] is m.types[v]
+            assert out.names.get(v) == m.names.get(v)
+
+
+def test_an_input_after_an_equation_is_renumbered():
+    """A hand-built module may declare an input after an equation, whose
+    region values the optimizer does not keep: the input then takes the
+    optimized module's next id, and its fill and readers follow it."""
+    f32 = ElemKind.F32
+    a, b, c = (ir.MatrixType(r, k, f32, EMPTY_PROPS) for r, k in ((2, 3), (3, 2), (2, 2)))
+    m = ir.IRModule(
+        ops=(ir.Init(0), ir.Fill(1.5, 0), ir.Init(1), ir.Fill(2.0, 1),
+             ir.Equation(3, (ir.Mul(2, (0, 1)),), 2),
+             ir.Init(4), ir.Fill(3.0, 4),
+             ir.Equation(6, (ir.Add(5, (3, 4)),), 5), ir.Print(6)),
+        types={0: a, 1: b, 2: ir.TERM, 3: ir.TERM, 4: c, 5: ir.TERM, 6: ir.TERM},
+        names={0: "A", 1: "B", 4: "C"})
+    assert ir.verify(m) == []
+    out = eo.optimize_and_rematerialize(m).module
+    assert ir.print_ir(out) == (
+        "%0 = init : matrix<2x3xf32,[]>\n"
+        "fill %0, 1.5 : f32\n"
+        "%1 = init : matrix<3x2xf32,[]>\n"
+        "fill %1, 2 : f32\n"
+        "%2 = mul %0, %1 : matrix<2x2xf32,[]>\n"
+        "%3 = init : matrix<2x2xf32,[]>\n"
+        "fill %3, 3 : f32\n"
+        "%4 = add %2, %3 : matrix<2x2xf32,[]>\n"
+        "print %4 : matrix<2x2xf32,[]>\n")
+    assert out.names == {0: "A", 1: "B", 3: "C"}
 
 
 def test_optimized_modules_verify_clean():

@@ -12,8 +12,12 @@ collector on. Each stage's time is the ns the driver yields for it, and
 each collection, seen through `gc.callbacks`, is charged to the stage whose
 yield comes next, or to `execute`; so the stages and their order are the
 driver's. The script prints, per stage, the median over the rounds of the
-stage's time summed over the programs, the median time the collector spent
-inside it, and for each generation (0, 1 and 2, the last a full
+stage's wall time summed over the programs, the minimum over the rounds of
+its process CPU time (`time.process_time_ns()` read between the driver's
+yields, and around `execute`; it counts every thread of the process, so
+`execute` can read more CPU than wall time while BLAS threads or the
+executor's row bands run), the median time the collector spent inside
+it, and for each generation (0, 1 and 2, the last a full
 collection) the median time and number of that generation's collections
 inside it; the `compile` row sums the stages before `execute`. Under the
 `optimize` row, a `chain DP` row gives the median time of the chain DP's
@@ -40,8 +44,14 @@ returned, so `--ops` leaves the `execute` row as it reads without it.
 A checkout older than the driver, without `momc.pipeline`, is timed with
 the copy of this script in its own `tools/`.
 
-The figures are raw wall times. To compare two checkouts, run the script on
-each in turn, a few times alternately, and compare medians.
+The figures are raw times. To compare two checkouts, run the script on
+each in turn, a few times alternately, and compare medians. On a shared
+host the wall medians can swing by more than the change being measured:
+five runs of one checkout's `many-stmts` compile, a minute apart on a
+2-vCPU host, read wall medians of 95.8-145.8 ms and CPU minima of
+95.2-104.8 ms. The CPU minima are steadier, since the time a round waits
+for a CPU is not counted, but not immune: a busy host still slows the CPU
+time a round gets.
 
 A few milliseconds between two checkouts here need not come from their
 code. A variant of the one-loop print read `kernels` execute at 53-55 ms
@@ -77,6 +87,7 @@ class StageClock:
         # per stage, in the order first charged: seconds, and the
         # (generation, seconds) of each collection charged to it
         self.wall: dict[str, float] = {}
+        self.cpu: dict[str, float] = {}  # per stage, process CPU seconds
         self.collected: dict[str, list[tuple[int, float]]] = {}
         self.kernel_wall = dict.fromkeys(KERNELS, 0.0)
         self.chain_dp = 0.0  # seconds inside optimal_parenthesization
@@ -100,10 +111,11 @@ class StageClock:
         if self.kernel is not None:
             self.kernel_gc[self.kernel] += dt
 
-    def charge(self, stage: str, seconds: float) -> None:
-        """Add `seconds` to `stage`'s time, and to its collector time the
-        collections since the last charge."""
+    def charge(self, stage: str, seconds: float, cpu_ns: int) -> None:
+        """Add `seconds` to `stage`'s time, `cpu_ns` to its CPU time, and to
+        its collector time the collections since the last charge."""
         self.wall[stage] = self.wall.get(stage, 0.0) + seconds
+        self.cpu[stage] = self.cpu.get(stage, 0.0) + cpu_ns / 1e9
         self.collected.setdefault(stage, []).extend(self.unclaimed)
         self.unclaimed.clear()
 
@@ -175,11 +187,14 @@ def one_round(m, texts: list[str], mode, ops: bool) -> StageClock:
     gc.callbacks.append(clock.on_gc)
     try:
         for clock.program, text in enumerate(texts):
+            cpu = time.process_time_ns()
             for stage, lm, ns in m.pipeline.stages(text):
-                clock.charge(stage, ns / 1e9)
+                clock.charge(stage, ns / 1e9, time.process_time_ns() - cpu)
+                cpu = time.process_time_ns()
             t0 = time.perf_counter()
             m.executor.execute(lm, mode, 1)  # the last stage's result
-            clock.charge("execute", time.perf_counter() - t0)
+            clock.charge("execute", time.perf_counter() - t0,
+                         time.process_time_ns() - cpu)
             if ops:
                 clock.describe_calls(m.executor.matmul_path)
     finally:
@@ -217,8 +232,8 @@ def main() -> int:
     one_round(momc, texts, mode, ops)  # warm-up
     rounds = [one_round(momc, texts, mode, ops) for _ in range(args.rounds)]
 
-    def ms(values) -> str:
-        return f"{statistics.median(values) * 1e3:9.2f}"
+    def ms(values, stat=statistics.median) -> str:
+        return f"{stat(values) * 1e3:9.2f}"
 
     def collections(r: StageClock, stages, gens=(0, 1, 2)) -> list[float]:
         """The seconds of each of round r's collections of generations
@@ -226,9 +241,11 @@ def main() -> int:
         return [dt for s in stages for g, dt in r.collected[s] if g in gens]
 
     def row(name: str, stages) -> str:
-        """A stage row: wall and collector ms, then ms and collections by
-        generation, each summed over `stages` within a round."""
+        """A stage row: wall, CPU and collector ms, then ms and collections
+        by generation, each summed over `stages` within a round. The CPU
+        column is the minimum over the rounds, the others the median."""
         text = (f"{name:<10}{ms([sum(r.wall[s] for s in stages) for r in rounds])}"
+                f"{ms([sum(r.cpu[s] for s in stages) for r in rounds], min)}"
                 f"{ms([sum(collections(r, stages)) for r in rounds])}")
         for g in range(3):
             n = statistics.median(len(collections(r, stages, (g,))) for r in rounds)
@@ -238,8 +255,8 @@ def main() -> int:
     stages = list(rounds[0].wall)  # the driver's, then execute
     print(f"momc from {os.path.dirname(momc.__file__)}")
     print(f"{args.workload} seed {args.seed}: {len(texts)} timed programs, "
-          f"{mode_name} mode, median of {args.rounds} rounds")
-    print(f"{'stage':<10}{'ms':>9}{'gc ms':>9}"
+          f"{mode_name} mode, median of {args.rounds} rounds (cpu ms: the minimum)")
+    print(f"{'stage':<10}{'ms':>9}{'cpu ms':>9}{'gc ms':>9}"
           + "".join(f"{f'gen{g} ms':>9}{'n':>6}" for g in range(3)))
     for stage in stages:
         print(row(stage, (stage,)))
