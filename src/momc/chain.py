@@ -23,14 +23,15 @@ count are computed once, so a split with a full operand is priced by one
 multiplication, and only a split of two structured operands needs
 `pattern_cost`.
 
-Two scans fill the same tables. `_python_scan` tries one split at a time;
+One pre-pass, `_cells`, folds the chain's properties: each row folds
+left up to its first `EMPTY_PROPS` cell, which absorbs under `infer_mul`,
+so the rest of the row is full and stores m * n entries, and it lists the
+few structured cells with their patterns and counts. Two scans then fill
+the same tables from it. `_python_scan` tries one split at a time;
 `_numpy_scan` fills one diagonal (span length) at a time, its split costs
-as int64 arrays. Both fold a cell's properties through `_fold` and price
-two structured operands through `pattern_cost`, so each rule exists once.
-The numpy scan folds each row only up to its first `EMPTY_PROPS` cell,
-which absorbs under `infer_mul`, so it makes fewer of the calls perfbench
-counts, and it looks two structured operands, which share one size, up in
-a per-size table of `pattern_cost`'s prices.
+as int64 arrays, and looks two structured operands, which share one size,
+up in a per-size table of `pattern_cost`'s prices. So each rule exists
+once.
 `optimal_parenthesization` takes the numpy scan only when the chain has at
 least `NUMPY_MIN_LENGTH` operands, numpy is already loaded (a compile never
 imports it), and k * max(dims)^3 < 2^62, so that every cell and candidate
@@ -200,29 +201,34 @@ def optimal_parenthesization(chain: Sequence[MatrixType]) -> ChainSolution:
     return _python_scan(chain)
 
 
-def _leaves(chain: Sequence[MatrixType]) -> tuple[list[int], list[list],
-                                                   list[list], list[list]]:
-    """The chain's k + 1 dims, and k x k props, pattern and stored-count
-    tables holding the operands on their diagonal and None elsewhere."""
+def _cells(chain: Sequence[MatrixType]) -> tuple[
+        list[int], list[list], list[tuple[int, int, StoredPattern, int]]]:
+    """The chain's k + 1 dims, its k x k props table (None below the
+    diagonal) and the (i, j, pattern, stored-entry count) of each structured
+    cell: the one fold of the chain's properties, which both scans read.
+
+    Each row folds left under `infer_mul`. `EMPTY_PROPS` absorbs under it,
+    so the fold stops at the row's first `EMPTY_PROPS` cell, and every later
+    cell of the row is `EMPTY_PROPS`, full, and stores m * n entries. A cell
+    that is not full spans square operands of one size.
+    """
     k = len(chain)
-    props: list[list] = [[None] * k for _ in range(k)]
-    pattern: list[list] = [[None] * k for _ in range(k)]
-    size: list[list] = [[None] * k for _ in range(k)]
+    dims = [op.rows for op in chain] + [chain[-1].cols]
+    props: list[list] = []
+    structured: list[tuple[int, int, StoredPattern, int]] = []
     for i, op in enumerate(chain):
-        props[i][i] = op.props
-        pattern[i][i] = pat = stored_pattern(op.props)
-        size[i][i] = _stored_count(op.rows, op.cols, pat)
-    return [op.rows for op in chain] + [chain[-1].cols], props, pattern, size
-
-
-def _fold(left: PropertySet, right: PropertySet, m: int, k: int,
-          n: int) -> tuple[PropertySet, StoredPattern, int]:
-    """Properties, stored pattern and stored-entry count of the product of
-    an m x k subchain with properties `left` and a k x n operand with
-    `right`: one cell's property fold, shared by both scans."""
-    p = infer_mul(left, (m, k), right, (k, n))
-    pat = stored_pattern(p)
-    return p, pat, _stored_count(m, n, pat)
+        p, j, row = op.props, i, [None] * i
+        while True:
+            row.append(p)
+            pat = stored_pattern(p)
+            if pat is not _FULL:
+                structured.append((i, j, pat, _stored_count(dims[i], dims[i], pat)))
+            if p is EMPTY_PROPS or j == k - 1:
+                break
+            j += 1
+            p = infer_mul(p, (dims[i], dims[j]), chain[j].props, (dims[j], dims[j + 1]))
+        props.append(row + [EMPTY_PROPS] * (k - 1 - j))
+    return dims, props, structured
 
 
 def _solution(cost: list[list], split: list[list],
@@ -234,18 +240,24 @@ def _solution(cost: list[list], split: list[list],
 def _python_scan(chain: Sequence[MatrixType]) -> ChainSolution:
     """The DP, one cell and one split at a time."""
     k = len(chain)
-    dims, props, pattern, size = _leaves(chain)
+    dims, props, structured = _cells(chain)
+    pattern: list[list] = [[_FULL] * k for _ in range(k)]
+    size: list[list] = [[None] * k for _ in range(k)]
     cost: list[list] = [[None] * k for _ in range(k)]
     split: list[list] = [[None] * k for _ in range(k)]
+    for i, j, pat, count in structured:
+        pattern[i][j], size[i][j] = pat, count
     for i in range(k):
         cost[i][i] = 0
+        if pattern[i][i] is _FULL:
+            size[i][i] = dims[i] * dims[i + 1]
     for length in range(2, k + 1):
         for i in range(0, k - length + 1):
             j = i + length - 1
             m, n = dims[i], dims[j + 1]
-            props[i][j], pattern[i][j], size[i][j] = _fold(
-                props[i][j - 1], props[j][j], m, dims[j], n)
             cost_i, pattern_i, size_i = cost[i], pattern[i], size[i]
+            if pattern_i[j] is _FULL:
+                size_i[j] = m * n
             best, best_s = math.inf, i
             for s in range(i, j):
                 r = s + 1
@@ -258,7 +270,7 @@ def _python_scan(chain: Sequence[MatrixType]) -> ChainSolution:
                 q += cost_i[s] + cost[r][j]
                 if q < best:
                     best, best_s = q, s
-            cost[i][j] = best
+            cost_i[j] = best
             split[i][j] = best_s
     return _solution(cost, split, props)
 
@@ -268,10 +280,7 @@ def _numpy_scan(chain: Sequence[MatrixType]) -> ChainSolution:
     ch. 15, with each diagonal's split costs as int64 arrays.
 
     Nothing a cell holds but its cost depends on the costs, so all of it is
-    built before the diagonal loop. `EMPTY_PROPS` absorbs under `infer_mul`,
-    so each row's left fold stops at its first `EMPTY_PROPS` cell, and every
-    later cell of the row is full and stores m * n entries. A cell that is
-    not full spans square operands of one size.
+    built from `_cells` before the diagonal loop.
 
     `flat` holds three k x k planes: cost, stored-entry count and pattern
     code (0 for full, else 1 + the index in `_STRUCTURED`). Cell (i, j) of
@@ -291,37 +300,16 @@ def _numpy_scan(chain: Sequence[MatrixType]) -> ChainSolution:
     import numpy as np
 
     k = len(chain)
-    dims = [op.rows for op in chain] + [chain[-1].cols]
-    props: list[list] = []  # row i: None below the diagonal, then the fold
-    # The flat index, pattern code and stored count of each structured cell.
-    structured: list[int] = []
-    codes: list[int] = []
-    counts: list[int] = []
-    sizes: dict[int, int] = {}  # dim of a structured cell -> its row in `table`
-    reach = -1  # the longest span of a structured cell
-    for i, op in enumerate(chain):
-        p, pat, j = op.props, stored_pattern(op.props), i
-        row = [None] * i + [p]
-        count = _stored_count(op.rows, op.cols, pat)
-        while True:
-            if pat is not _FULL:
-                structured.append(i * k + j)
-                codes.append(1 + _STRUCTURED.index(pat))
-                counts.append(count)
-                sizes.setdefault(dims[i], len(sizes))
-                reach = max(reach, j - i)
-            if p is EMPTY_PROPS or j == k - 1:
-                break
-            j += 1
-            p, pat, count = _fold(p, chain[j].props, dims[i], dims[j], dims[j + 1])
-            row.append(p)
-        props.append(row + [EMPTY_PROPS] * (k - 1 - j))
-
+    dims, props, structured = _cells(chain)
+    at = [i * k + j for i, j, _, _ in structured]  # their flat indices
+    reach = max((j - i for i, j, _, _ in structured), default=-1)
+    # dim of a structured cell -> its row in `table`
+    sizes = {n: z for z, n in enumerate({dims[i] for i, *_ in structured})}
     dim = np.array(dims, np.int64)
     flat = np.zeros((3, k, k), np.int64)
     np.outer(dim[:-1], dim[1:], out=flat[1])  # a full cell stores m * n
-    flat[1].flat[structured] = counts
-    flat[2].flat[structured] = codes
+    flat[1].flat[at] = [count for *_, count in structured]
+    flat[2].flat[at] = [1 + _STRUCTURED.index(pat) for _, _, pat, _ in structured]
     flat = flat.reshape(-1)
     table = np.zeros((len(sizes), 4, 4), np.int64)
     for n, z in sizes.items():

@@ -174,18 +174,6 @@ IROp = Union[Init, Fill, Mul, Add, Transpose, Equation, Print]
 _COMPUTE = (Mul, Add, Transpose)
 
 
-def op_result(op: IROp) -> ValueId | None:
-    return getattr(op, "result", None)
-
-
-def op_operands(op: IROp) -> tuple[ValueId, ...]:
-    if isinstance(op, (Mul, Add)):
-        return op.operands
-    if isinstance(op, (Transpose, Print, Fill)):
-        return (op.operand,)
-    return ()
-
-
 class IRModule(Record):
     """Op sequence plus the value-id -> type symbol table."""
 

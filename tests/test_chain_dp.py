@@ -81,10 +81,7 @@ def test_scans_agree_on_the_benchmark_workloads(monkeypatch):
     for workload in ("chain-dp", "kernels", "many-stmts"):
         for seed in (1, 2, 3):
             for p in programs.generate(workload, seed)[1]:
-                try:
-                    optimize_text(p.text)
-                except ValueError:
-                    assert not p.timed  # many-stmts' untimed programs fail
+                optimize_text(p.text)
     assert sorted({len(c) for c in chains})[-3:] == [50, 70, 90]
     for chain in chains:
         assert_scans_agree(chain)
@@ -254,18 +251,16 @@ def folded_cells(props):
 
 @pytest.mark.parametrize("scan", [_python_scan, _numpy_scan])
 def test_dp_looks_up_one_pattern_per_cell(monkeypatch, scan):
-    """Through the names perfbench's tracer counts: the Python scan calls
-    `stored_pattern` once per cell and `infer_mul` once per product cell,
-    the numpy scan each once per cell up to and including its row's first
-    `EMPTY_PROPS` cell (`stored_pattern` also on the leaf) and never after."""
+    """Through the names perfbench's tracer counts: both scans read one fold
+    of the chain's properties, which calls `stored_pattern` once per cell up
+    to and including its row's first `EMPTY_PROPS` cell (the leaf too) and
+    `infer_mul` once per such product cell, and neither ever after."""
     k = 60
     rng = random.Random(default_seed() ^ 0x7A)
     chains = [random_chain(rng, min_len=k, max_len=k), run_chain(rng, k)]
-    if scan is _python_scan:
-        expected = [k * (k + 1) // 2] * len(chains)
-    else:
-        expected = [folded_cells(_python_scan(chain).props) for chain in chains]
-        assert max(expected) < k * (k + 1) // 2
+    expected = [folded_cells(reference_parenthesization(chain).props)
+                for chain in chains]
+    assert max(expected) < k * (k + 1) // 2
     calls = {"stored_pattern": 0, "infer_mul": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(chain_mod, name)):

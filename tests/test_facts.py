@@ -28,7 +28,7 @@ from momc.properties import ElemKind
 
 from gen import default_seed, random_program
 from oracle import all_integral, is_exact_product, stored_mults
-from util import load_programs, optimize_text
+from util import load_programs, op_result, optimize_text
 
 ROOT = Path(__file__).resolve().parent.parent
 F32_EXACT, F64_EXACT = 2 ** 24, 2 ** 53
@@ -37,7 +37,7 @@ F32_EXACT, F64_EXACT = 2 ** 24, 2 ** 53
 def every_tensor_printed(m: ir.IRModule) -> ir.IRModule:
     """m with a print of every value it defines appended, so that lowering
     puts each tensor's interval on a print."""
-    defined = [v for op in m.ops if (v := ir.op_result(op)) is not None]
+    defined = [v for op in m.ops if (v := op_result(op)) is not None]
     return ir.IRModule(m.ops + tuple(ir.Print(v) for v in defined), m.types)
 
 

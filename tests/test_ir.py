@@ -14,7 +14,7 @@ from momc.frontend import parse_source
 from momc.properties import ElemKind, EMPTY_PROPS, Property, PropertySet
 
 from gen import default_seed, random_program
-from util import compile_text
+from util import compile_text, op_operands, op_result
 
 LOWER = PropertySet.closure((Property.LOWER_TRIANGULAR,))
 DIAG = PropertySet.closure((Property.DIAGONAL,))
@@ -321,12 +321,12 @@ def test_every_value_defined_once_with_table_entry():
     m = build(LISTING)
     seen = set()
     for _, op in m.walk():
-        r = ir.op_result(op)
+        r = op_result(op)
         if r is not None:
             assert r not in seen
             seen.add(r)
             assert r in m.types
-        for o in ir.op_operands(op):
+        for o in op_operands(op):
             assert o in m.types
     assert seen == set(m.types)
 

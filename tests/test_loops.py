@@ -14,7 +14,7 @@ from momc.errors import CompileError, LexError, ParseError, UnresolvedTerm
 from momc.properties import Property, PropertySet, StoredPattern
 
 from gen import default_seed, random_program
-from util import compile_text, load_programs, lower_text, optimize_text
+from util import compile_text, load_programs, lower_text, op_result, optimize_text
 
 LOWER = PropertySet.closure((Property.LOWER_TRIANGULAR,))
 
@@ -113,7 +113,7 @@ def test_one_to_one_mapping_and_print_order():
              if isinstance(op, loops.Alloc) and op.source is not None]
     assert len(ir_transposes) == len(views) == 1
     produced = [op for op in res.module.ops
-                if ir.op_result(op) is not None]
+                if op_result(op) is not None]
     allocs = [op for op in lm.ops if isinstance(op, loops.Alloc)]
     assert len(allocs) == len(produced)
     ir_prints = [op for op in res.module.ops if isinstance(op, ir.Print)]
@@ -138,8 +138,8 @@ def test_tensor_table_holds_the_ir_type_objects():
         for opt in (True, False):
             res = optimize_text(text, opt)
             lm = loops.lower_to_loops(res.module)
-            values = [ir.op_result(op) for op in res.module.ops
-                      if ir.op_result(op) is not None]
+            values = [op_result(op) for op in res.module.ops
+                      if op_result(op) is not None]
             assert len(values) == len(lm.tensors)
             for v in values:
                 assert lm.tensors[v] is res.module.types[v]

@@ -7,7 +7,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from momc import executor, pipeline
+from momc import executor, ir, pipeline
 from momc.equation_opt import OptOptions
 from momc.properties import StoredPattern
 
@@ -32,6 +32,20 @@ def pattern_contains(pattern: StoredPattern, i: int, j: int) -> bool:
     if pattern is StoredPattern.UPPER_INCL:
         return i <= j
     return i == j
+
+
+def op_result(op: ir.IROp) -> int | None:
+    """The value an IR op defines, or None for a fill or a print."""
+    return getattr(op, "result", None)
+
+
+def op_operands(op: ir.IROp) -> tuple[int, ...]:
+    """The values an IR op reads; an equation's region is not entered."""
+    if isinstance(op, (ir.Mul, ir.Add)):
+        return op.operands
+    if isinstance(op, (ir.Transpose, ir.Print, ir.Fill)):
+        return (op.operand,)
+    return ()
 
 
 def stage_result(stage: str, text: str, opt: bool = True):

@@ -15,11 +15,12 @@ driver's. The script prints, per stage, the median over the rounds of the
 stage's wall time summed over the programs, the minimum over the rounds of
 its process CPU time (`time.process_time_ns()` read between the driver's
 yields, and around `execute`; it counts every thread of the process, so
-`execute` can read more CPU than wall time while BLAS threads or the
-executor's row bands run), the median time the collector spent inside
-it, and for each generation (0, 1 and 2, the last a full
-collection) the median time and number of that generation's collections
-inside it; the `compile` row sums the stages before `execute`. Under the
+`execute` can read more CPU than wall time while the executor's row bands
+run, though BLAS runs one thread here; neither window covers the driver
+finishing after its last yield, which frees the compile's objects), the
+median time the collector spent inside it, and for each generation (0, 1
+and 2, the last a full collection) the median time and number of that
+generation's collections inside it; the `compile` row sums the stages before `execute`. Under the
 `optimize` row, a `chain DP` row gives the median time of the chain DP's
 calls inside it, timed by wrapping `equation_opt.optimal_parenthesization`
 for the round. Then it prints the stage time and collector time for the
@@ -191,6 +192,9 @@ def one_round(m, texts: list[str], mode, ops: bool) -> StageClock:
             for stage, lm, ns in m.pipeline.stages(text):
                 clock.charge(stage, ns / 1e9, time.process_time_ns() - cpu)
                 cpu = time.process_time_ns()
+            # The driver has now finished and freed the compile's objects,
+            # which is charged to no stage.
+            cpu = time.process_time_ns()
             t0 = time.perf_counter()
             m.executor.execute(lm, mode, 1)  # the last stage's result
             clock.charge("execute", time.perf_counter() - t0,
